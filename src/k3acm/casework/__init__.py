@@ -4,7 +4,7 @@ from .constraints import (CaseSpec, Constraint, ConstraintKind, abs_t_at_least,
                           check_rel, custom, enumerate_case, hodge_lower_bound,
                           linear, quadratic)
 from .destabilize import (MODES, PairElimination, elimination_to_json,
-                          enumerate_destabilizing)
+                          engine_assumptions, enumerate_destabilizing)
 from .casebook import builtin_scripts, script_by_tag
 from .necessity import (NecessityReport, ReductionRow, SurvivorMatch,
                         necessity_to_json, verify_necessity)
@@ -27,7 +27,8 @@ __all__ = [
     "SurvivorMatch", "abs_t_at_least", "builtin_scripts", "check_rel",
     "custom",
     "deg_of", "delpezzo_assumptions", "delpezzo_lattice", "delpezzo_pencil_f",
-    "delpezzo_pencil_fj", "elimination_to_json", "enumerate_case",
+    "delpezzo_pencil_fj", "elimination_to_json", "engine_assumptions",
+    "enumerate_case",
     "enumerate_destabilizing",
     "established", "evaluate", "genus_expr", "hodge_lower_bound",
     "lemma51_presets", "lemma_case", "linear", "necessity_to_json", "pair_of",

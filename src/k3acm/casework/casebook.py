@@ -6,65 +6,49 @@ double-cover example.  Each script opens with presentation-pinning
 claims (the squares and pairing of the basis), so that any mutation of
 the gram matrix breaks at least one claim, and ends either in a flagged
 contradiction or an established statement.
+
+The pencil-bundle scripts keep a hand-written header (pins, the c2
+window, the Brill-Noether number and the cited facts) and take their
+case analysis from the destabilizing-pair engine.  CASES is the one
+table of what each script settles; verify_necessity reads it too.
 """
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+from typing import Callable
+
 from ..errors import BadParametersError
-from ..lattice import DivClass
-from .presets import delpezzo_lattice, quartic_lattice
+from ..invariants import brill_noether, genus_of
+from ..lattice import DivClass, Lattice
+from .destabilize import engine_assumptions, enumerate_destabilizing
+from .presets import delpezzo_lattice, quartic_lattice, ulrich_assumptions
 from .scripts import (ArithClaim, AxiomUse, CONTRADICTION, DerivationScript,
-                      deg_of, established, pair_of, self_of)
+                      add_expr, bn_expr, c2_twist_expr, chi_bundle_expr,
+                      chi_expr, deg_of, established, genus_expr, minimax_expr,
+                      mul_expr, neg_expr, pair_of, self_of, sub_expr)
 
 
-def _c(label, lhs, rel, rhs, cite="", contradicts=""):
-    return ArithClaim(label=label, lhs=lhs, rel=rel, rhs=rhs, cite=cite,
-                      contradicts=contradicts)
+@dataclass(frozen=True)
+class Case:
+    """One builtin script and what it settles in the replay.
 
+    presentation is (B^2, h.B) of the script lattice, None for the rank-8
+    example.  A script with a curve eliminates that survivor C = s h + t B,
+    or, with support set, backs every replay of its presentation; one with
+    a target reduces its presentation to target through sub = (class, name).
+    pencil = (d, mode) marks a case analysis taken from the engine.
+    """
 
-def _add(*args):
-    return {"op": "add", "args": list(args)}
-
-
-def _mul(*args):
-    return {"op": "mul", "args": list(args)}
-
-
-def _sub(x, y):
-    return {"op": "sub", "x": x, "y": y}
-
-
-def _neg(x):
-    return {"op": "neg", "x": x}
-
-
-def _genus(d: DivClass):
-    return {"op": "genus", "a": list(d.coords)}
-
-
-def _hodge(a, b):
-    return {"op": "hodge_lower", "a": a, "b": b}
-
-
-def _bn(g, r, d):
-    return {"op": "brill_noether", "g": g, "r": r, "d": d}
-
-
-def _chi_of(sq):
-    return {"op": "chi_of", "sq": sq}
-
-
-def _chib(c1: DivClass, c2):
-    return {"op": "chi_bundle", "rank": 2, "c1": list(c1.coords), "c2": c2}
-
-
-def _c2tw(c2, c1: DivClass, by: DivClass):
-    return {"op": "c2_twist", "c2": c2, "c1": list(c1.coords),
-            "by": list(by.coords)}
-
-
-def _mm(p, q):
-    return {"op": "minimax", "p": p, "q": q}
+    tag: str
+    build: Callable[["Case"], DerivationScript]
+    presentation: tuple[int, int] | None = None
+    curve: DivClass | None = None
+    pencil: tuple[int, str] | None = None
+    support: bool = False
+    sub: tuple[DivClass, str] | None = None
+    target: tuple[int, int] | None = None
 
 
 _H = DivClass((1, 0))
@@ -73,367 +57,210 @@ _B = DivClass((0, 1))
 
 def _pins(b2: int, hb: int) -> list:
     return [
-        _c("presentation pin: square of h", self_of(_H), "=", 4,
-           cite="polarization of the quartic"),
-        _c("presentation pin: square of B", self_of(_B), "=", b2),
-        _c("presentation pin: pairing h.B", pair_of(_H, _B), "=", hb),
+        ArithClaim("presentation pin: square of h", self_of(_H), "=", 4,
+                   cite="polarization of the quartic"),
+        ArithClaim("presentation pin: square of B", self_of(_B), "=", b2),
+        ArithClaim("presentation pin: pairing h.B", pair_of(_H, _B), "=", hb),
     ]
 
 
 def _window(c: DivClass, g: int, d: int) -> list:
     """Genus, degree cap and the second-Chern-class window for c1 = C."""
     return [
-        _c("sectional genus of the curve class", _genus(c), "=", g),
-        _c("polarized degree of the curve class", deg_of(c), "<=", 12,
-           cite="AX-SECTIONS-BOUND: h^0(E) = g - c2 + 3 <= 8 keeps the "
-                "degree window nonempty only while h.C <= 12"),
-        _c("lower end of the c2 window", _sub(_genus(c), 5), "<=", d,
-           cite="h^0(E) <= 8 reads c2 >= g - 5"),
-        _c("upper end of the c2 window", _add(_genus(c), 7, _neg(deg_of(c))),
-           ">=", d,
-           cite="initialization bounds c2 <= g + 7 - h.C"),
+        ArithClaim("sectional genus of the curve class", genus_expr(c), "=",
+                   g),
+        ArithClaim("polarized degree of the curve class", deg_of(c), "<=", 12,
+                   cite="AX-SECTIONS-BOUND: h^0(E) = g - c2 + 3 <= 8 keeps "
+                        "the degree window nonempty only while h.C <= 12"),
+        ArithClaim("lower end of the c2 window", sub_expr(genus_expr(c), 5),
+                   "<=", d, cite="h^0(E) <= 8 reads c2 >= g - 5"),
+        ArithClaim("upper end of the c2 window",
+                   add_expr(genus_expr(c), 7, neg_expr(deg_of(c))), ">=", d,
+                   cite="initialization bounds c2 <= g + 7 - h.C"),
     ]
 
 
 # --- survivor C = 3h - 2B on (B^2, h.B) = (-2, 1) ----------------------------
 
-def _script_line_restriction() -> DerivationScript:
-    lat = quartic_lattice(-2, 1)
-    c = DivClass((3, -2))
+def _script_line_restriction(case: Case) -> DerivationScript:
+    c = case.curve
     f = DivClass((1, -1))       # h - B, the residual pencil of the line
     hf = DivClass((2, -1))      # h + F
-    steps = _pins(-2, 1) + [
-        _c("sectional genus of the curve class", _genus(c), "=", 9),
-        _c("polarized degree of the curve class", deg_of(c), "<=", 12,
-           cite="AX-SECTIONS-BOUND"),
-        _c("residual pencil squares to zero", self_of(f), "=", 0),
-        _c("residual pencil has degree 3", deg_of(f), "=", 3),
+    steps = _pins(*case.presentation) + [
+        ArithClaim("sectional genus of the curve class", genus_expr(c), "=",
+                   9),
+        ArithClaim("polarized degree of the curve class", deg_of(c), "<=", 12,
+                   cite="AX-SECTIONS-BOUND"),
+        ArithClaim("residual pencil squares to zero", self_of(f), "=", 0),
+        ArithClaim("residual pencil has degree 3", deg_of(f), "=", 3),
         AxiomUse("AX-VA-DEGREE3",
                  note="square 0 and degree 3: the moving part of |h - B| "
                       "is an elliptic pencil"),
-        _c("the bundle has degree 3 on every fiber", pair_of(c, f), "=", 3),
+        ArithClaim("the bundle has degree 3 on every fiber", pair_of(c, f),
+                   "=", 3),
         AxiomUse("AX-AMPLE-DEGREE1-IRREDUCIBLE",
                  note="B is effective of degree 1, hence a line"),
-        _c("degree of the bundle on the line", pair_of(c, _B), "=", 7),
-        _c("degree of the twisted bundle on the line",
-           _sub(pair_of(c, _B), _mul(2, pair_of(hf, _B))), "=", -1,
-           cite="twisting by -(h + F) shifts c1 to C - 2(h + F) = -h"),
-        _c("the twisted degree equals minus the line degree",
-           _neg(deg_of(_B)), "=", -1),
+        ArithClaim("degree of the bundle on the line", pair_of(c, _B), "=",
+                   7),
+        ArithClaim("degree of the twisted bundle on the line",
+                   sub_expr(pair_of(c, _B), mul_expr(2, pair_of(hf, _B))),
+                   "=", -1,
+                   cite="twisting by -(h + F) shifts c1 to C - 2(h + F) = "
+                        "-h"),
+        ArithClaim("the twisted degree equals minus the line degree",
+                   neg_expr(deg_of(_B)), "=", -1),
         AxiomUse("AX-P1-SPLIT",
                  note="the restriction to the line splits as O(a) + O(-1-a)"),
-        _c("one splitting summand is always effective",
-           _mm(-1, 0), ">=", 0,
-           cite="min over a of max(a - 1, -a) is 0, so the restricted "
-                "twist always has sections on the line",
-           contradicts="AX-INITIALIZED-CRIT through AX-P1-SECTIONS and "
-                       "AX-LES: a section on the line lifts to a section "
-                       "of a negative twist of the initialized bundle"),
+        ArithClaim("one splitting summand is always effective",
+                   minimax_expr(-1, 0), ">=", 0,
+                   cite="min over a of max(a - 1, -a) is 0, so the "
+                        "restricted twist always has sections on the line",
+                   contradicts="AX-INITIALIZED-CRIT through AX-P1-SECTIONS "
+                               "and AX-LES: a section on the line lifts to "
+                               "a section of a negative twist of the "
+                               "initialized bundle"),
     ]
     return DerivationScript(
-        tag="case-B2neg2-Bh1", lattice=lat, steps=steps,
-        conclusion=CONTRADICTION,
+        tag=case.tag, lattice=quartic_lattice(*case.presentation),
+        steps=steps, conclusion=CONTRADICTION,
         description="Eliminates C = 3h - 2B on the (-2, 1) configuration by "
                     "restricting the twisted bundle to the line B.")
 
 
 # --- survivors C = 2(h + B') with B'^2 = -2, h.B' = 2 ------------------------
 
-def _script_twist_chain(tag: str, b2: int, hb: int,
-                        bp: DivClass) -> DerivationScript:
-    lat = quartic_lattice(b2, hb)
-    k = _H + bp                  # half of the curve class
-    c = k * 2
-    steps = _pins(b2, hb) + _window(c, 13, 8) + [
-        _c("the distinguished class is a (-2)-curve", self_of(bp), "=", -2),
-        _c("the distinguished class has degree 2", deg_of(bp), "=", 2),
-        _c("square of the half class", self_of(k), "=", 6),
-        _c("pairing of the curve class with the half class",
-           pair_of(c, k), "=", 12),
-        _c("the twisted first Chern class squares to zero",
-           _add(self_of(c), _mul(4, self_of(k)), _mul(-4, pair_of(c, k))),
-           "=", 0,
-           cite="(C - 2K)^2 with K the half class"),
+def _script_twist_chain(case: Case) -> DerivationScript:
+    c = case.curve
+    k = DivClass(tuple(co // 2 for co in c.coords))  # the half class h + B'
+    bp = k - _H
+    zero = DivClass((0, 0))
+    steps = _pins(*case.presentation) + _window(c, 13, 8) + [
+        ArithClaim("the distinguished class is a (-2)-curve", self_of(bp),
+                   "=", -2),
+        ArithClaim("the distinguished class has degree 2", deg_of(bp), "=",
+                   2),
+        ArithClaim("square of the half class", self_of(k), "=", 6),
+        ArithClaim("pairing of the curve class with the half class",
+                   pair_of(c, k), "=", 12),
+        ArithClaim("the twisted first Chern class squares to zero",
+                   add_expr(self_of(c), mul_expr(4, self_of(k)),
+                            mul_expr(-4, pair_of(c, k))), "=", 0,
+                   cite="(C - 2K)^2 with K the half class"),
         AxiomUse("AX-TWIST-MONO",
                  note="K - h = B' is effective, so the K-twist has no "
                       "sections once the h-twist has none"),
         AxiomUse("AX-RK2-SELFDUAL",
                  note="c1 of the twist vanishes: the twisted bundle is "
                       "self-dual, so h^2 = h^0 = 0 by AX-SERRE"),
-        _c("second Chern class of the twist",
-           _c2tw(8, c, -k), "=", 2),
-        _c("Euler characteristic of the twist",
-           _chib(DivClass((0, 0)), 2), "=", 2),
-        _c("h^1 of the twist is negative",
-           _neg(_chib(DivClass((0, 0)), 2)), "<", 0,
-           cite="h^1 = h^0 + h^2 - chi = -chi",
-           contradicts="AX-H1NONNEG: h^1 is a dimension"),
+        ArithClaim("second Chern class of the twist",
+                   c2_twist_expr(8, c, -k), "=", 2),
+        ArithClaim("Euler characteristic of the twist",
+                   chi_bundle_expr(zero, 2), "=", 2),
+        ArithClaim("h^1 of the twist is negative",
+                   neg_expr(chi_bundle_expr(zero, 2)), "<", 0,
+                   cite="h^1 = h^0 + h^2 - chi = -chi",
+                   contradicts="AX-H1NONNEG: h^1 is a dimension"),
     ]
     return DerivationScript(
-        tag=tag, lattice=lat, steps=steps, conclusion=CONTRADICTION,
+        tag=case.tag, lattice=quartic_lattice(*case.presentation),
+        steps=steps, conclusion=CONTRADICTION,
         description="Eliminates C = 2h + 2B' on the (-2, 2) configuration "
                     "through the self-dual twist with negative h^1.")
 
 
-# --- survivor C = 2(2h - B) on (B^2, h.B) = (-2, 3) --------------------------
+# --- pencil bundles: hand-written header, case analysis from the engine ----
 
-def _script_double_pencil() -> DerivationScript:
-    lat = quartic_lattice(-2, 3)
-    k = DivClass((2, -1))        # 2h - B, base point free of square 2
-    c = k * 2
-    steps = _pins(-2, 3) + _window(c, 5, 2) + [
-        _c("Brill-Noether number of a degree-2 pencil",
-           _bn(5, 1, 2), "=", -3),
-        AxiomUse("AX-NONSIMPLE-RHO",
-                 note="negative Brill-Noether number: the bundle is not "
-                      "simple and a destabilizing pair (M, N) exists"),
-        AxiomUse("AX-DESTAB-SEQ",
-                 note="pencil sequence with Z' empty: M.N = 2 and "
-                      "h^1(M) = h^1(N) = 0"),
-        _c("the half class is base point free of positive square",
-           self_of(k), "=", 2,
-           cite="companion of B: initialized aCM with square 2"),
-        _c("fiber branch: the forced pairing exceeds the budget",
-           _mul(2, 2), ">", 2,
-           cite="N^2 = 0: C = 2(2h - B) gives C.N = 2 (2h - B).N >= 4, "
-                "but C.N = M.N + N^2 = 2",
-           contradicts="AX-2CONNECTED floor on (2h - B).N"),
-        _c("square-2 branch: the Hodge floor pins C.N",
-           _hodge(self_of(c), 2), "=", 4,
-           cite="N^2 = 2 forces C.N >= 4 = M.N + N^2, so C.N = 4 and "
-                "(2h - B).N = 2"),
-        _c("the difference class is isotropic",
-           _add(self_of(k), -4, 2), "=", 0,
-           cite="(2h - B - N)^2 = 2 - 2*2 + 2"),
-        _c("degree of the difference at h.N = 3",
-           _sub(deg_of(k), 3), "<=", 2),
-        _c("degree of the difference at h.N = 4",
-           _sub(deg_of(k), 4), ">=", 1,
-           cite="both profiles leave 2h - B - N nonzero isotropic of "
-                "degree 1 or 2",
-           contradicts="AX-VA-DEGREE3: nonzero isotropic classes have "
-                       "degree at least 3"),
-        _c("the remaining profile doubles the half class",
-           self_of(k), "=", 2,
-           cite="h.N = 5 matches 2h - B exactly, so N = 2h - B = M and "
-                "the bundle splits"),
-        AxiomUse("AX-INDECOMP",
-                 note="a split bundle contradicts indecomposability"),
-        _c("squares beyond the Hodge cap",
-           _mul(4, 4), ">", self_of(c),
-           cite="N^2 >= 4 forces C^2 = (M + N)^2 >= 4 N^2 = 16 > 8",
-           contradicts="the Hodge-index cap on N^2"),
-    ]
+@functools.lru_cache(maxsize=None)
+def _engine_trace(b2: int, hb: int, curve: tuple[int, int], d: int,
+                  mode: str) -> tuple[ArithClaim, ...]:
+    """The claims of every destabilizing-pair record for (C, d), in order.
+
+    Computed once per process from the facts ``k3acm destabilize`` uses on
+    the shipped config; callers share the claims and their expression
+    dicts, so nothing may mutate them.  A script with a gap must never
+    ship, so an unresolved record raises.
+    """
+    lat = quartic_lattice(b2, hb)
+    base = ulrich_assumptions(lat) if (b2, hb) == (4, 6) else ()
+    records = enumerate_destabilizing(lat, DivClass(curve), d,
+                                      engine_assumptions(lat, base), mode)
+    gaps = [r for r in records if not r.resolved]
+    if gaps:
+        raise RuntimeError(
+            f"the destabilizing sweep leaves {len(gaps)} branch(es) of "
+            f"C = {DivClass(curve)}, d = {d} ({mode}) on ({b2}, {hb}) open")
+    return tuple(cl for rec in records for cl in rec.trace)
+
+
+def _pencil_steps(case: Case, lat: Lattice) -> list:
+    """Header of a pencil-bundle script followed by the engine's analysis.
+
+    In gonality mode the bundle comes from an assumed pencil of degree
+    d - 1 rather than from the initialized aCM bundle with c2 = d.
+    """
+    c = case.curve
+    d, mode = case.pencil
+    g = genus_of(lat.self_int(c))
+    steps = _pins(*case.presentation)
+    if mode == "gonality":
+        degree = d - 1
+        steps.append(ArithClaim("sectional genus of the curve class",
+                                genus_expr(c), "=", g))
+        uses = [AxiomUse(
+            "AX-LM-CONSTRUCT",
+            note=f"a minimal pencil of degree d <= {degree} would give a "
+                 "rank-2 bundle with c1 = C, c2 = d and a destabilizing "
+                 f"pair with M.N <= {degree}")]
+    else:
+        degree = d
+        steps += _window(c, g, d)
+        if lat.deg(c) == 12:
+            steps.append(ArithClaim(
+                "the c2 window is a single point",
+                sub_expr(genus_expr(c), 5), "=", d,
+                cite=f"g - 5 = g + 7 - h.C = {d} pins c2 = {d}"))
+        uses = [
+            AxiomUse("AX-NONSIMPLE-RHO",
+                     note="negative Brill-Noether number: the bundle is not "
+                          "simple and a destabilizing pair (M, N) exists"),
+            AxiomUse("AX-DESTAB-SEQ",
+                     note=(f"pencil sequence with Z' empty: M.N = {d} and "
+                           "h^1(M) = h^1(N) = 0" if mode == "exact" else
+                           f"plain non-simple sequence: M.N + len(Z') = {d}")),
+        ]
+    steps.append(ArithClaim(
+        f"Brill-Noether number of a degree-{degree} pencil",
+        bn_expr(genus_expr(c), 1, degree), "=", brill_noether(g, 1, degree)))
+    steps.append(AxiomUse(
+        "AX-BPF-ACM",
+        note="B and its initialized companions seed the sweep: those of "
+             "square >= 2 are base point free, those of square 0 move"))
+    return (steps + uses
+            + list(_engine_trace(*case.presentation, c.coords, d, mode)))
+
+
+def _script_pencil(case: Case) -> DerivationScript:
+    b2, hb = case.presentation
+    d = case.pencil[0]
+    lat = quartic_lattice(b2, hb)
     return DerivationScript(
-        tag="case-B2neg2-Bh3", lattice=lat, steps=steps,
+        tag=case.tag, lattice=lat, steps=_pencil_steps(case, lat),
         conclusion=CONTRADICTION,
-        description="Eliminates C = 4h - 2B on the (-2, 3) configuration by "
-                    "exhausting the destabilizing pairs of a degree-2 "
-                    "pencil bundle.")
+        description=f"Eliminates C = {case.curve} on the ({b2}, {hb}) "
+                    "configuration by exhausting the destabilizing pairs of "
+                    f"a degree-{d} pencil bundle.")
 
 
-# --- survivors C = h + 2B' with B'^2 = 0, h.B' = 4 ---------------------------
-
-def _script_pencil_budget(tag: str, b2: int, hb: int,
-                          bp: DivClass) -> DerivationScript:
-    lat = quartic_lattice(b2, hb)
-    c = _H + bp * 2
-    steps = _pins(b2, hb) + _window(c, 11, 6) + [
-        _c("the c2 window is a single point",
-           _sub(_genus(c), 5), "=", 6,
-           cite="g - 5 = g + 7 - h.C = 6 pins c2 = 6"),
-        _c("Brill-Noether number of a degree-6 pencil",
-           _bn(11, 1, 6), "=", -1),
-        AxiomUse("AX-NONSIMPLE-RHO",
-                 note="negative Brill-Noether number: a destabilizing "
-                      "pair (M, N) with M.N <= 6 exists"),
-        AxiomUse("AX-DESTAB-SEQ",
-                 note="plain non-simple sequence: M.N + len(Z') = 6"),
-        _c("the distinguished class is isotropic", self_of(bp), "=", 0),
-        _c("fiber branch, multiple fibers: h^1 of N = 2F",
-           _sub(2, 1), ">=", 1,
-           cite="3r <= C.(rF) = M.N <= 6 caps r at 2; r = 2 spends the "
-                "whole budget, Z' is empty and h^1(N) = 1 survives the "
-                "long exact sequence",
-           contradicts="AX-ELLIPTIC-H1 against the AX-LES vanishing"),
-        AxiomUse("AX-PENCIL-RESTRICT",
-                 note="a primitive fiber meets the distinguished movable "
-                      "class at least twice"),
-        _c("fiber branch, primitive fiber: the budget bursts",
-           _add(3, _mul(2, 2)), ">", 6,
-           cite="C.N = h.N + 2 B'.N >= 3 + 4 = 7 exceeds M.N <= 6"),
-        _c("square-2 branch: Hodge floor on C.N",
-           _hodge(self_of(c), 2), "=", 7,
-           cite="C.N is 7 or 8: profiles (h.N, B'.N) = (3, 2) and (4, 2)"),
-        _c("profile (3, 2): the difference is a (-2)-class",
-           _add(self_of(bp), -4, 2), "=", -2,
-           cite="(B' - N)^2 = 0 - 2*2 + 2"),
-        _c("profile (3, 2): nonpositive linking",
-           _sub(2, 2), "<=", 0,
-           cite="N.(B' - N) = B'.N - N^2 = 0 splits B' one-connectedly",
-           contradicts="AX-1CONNECTED-H1 with AX-ACM-VANISH on the aCM "
-                       "class B'"),
-        _c("profile (4, 2): the difference is orthogonal to h",
-           _sub(deg_of(bp), 4), "=", 0,
-           cite="(B' - N)^2 = -2 with h.(B' - N) = 0",
-           contradicts="AX-AMPLE-POSITIVE: a (-2)-class is effective up "
-                       "to sign and needs nonzero degree"),
-        _c("square-4 branch: Hodge floor on C.N",
-           _hodge(self_of(c), 4), "=", 9,
-           cite="C.N is 9 or 10: profiles (5, 2), (4, 3) and (6, 2)"),
-        _c("profile (5, 2): the difference is isotropic",
-           _add(4, -4, self_of(bp)), "=", 0,
-           cite="(N - B')^2 = 4 - 2*2 + 0"),
-        _c("profile (5, 2): isotropic of degree 1",
-           _sub(5, deg_of(bp)), "=", 1,
-           cite="h.(N - B') = 1 under the very ample floor",
-           contradicts="AX-VA-DEGREE3"),
-        _c("profile (4, 3): a (-2)-class orthogonal to h",
-           _add(self_of(bp), -6, 4), "=", -2,
-           cite="(B' - N)^2 = -2 and h.(B' - N) = 0",
-           contradicts="AX-AMPLE-POSITIVE"),
-        _c("profile (6, 2): isotropic of degree 2",
-           _sub(6, deg_of(bp)), "=", 2,
-           cite="(N - B')^2 = 0 with h.(N - B') = 2",
-           contradicts="AX-VA-DEGREE3"),
-        _c("squares beyond the Hodge cap",
-           _mul(4, 6), ">", self_of(c),
-           cite="N^2 >= 6 forces C^2 >= 4 N^2 = 24 > 20",
-           contradicts="the Hodge-index cap on N^2"),
+def _script_gonality_floor(case: Case) -> DerivationScript:
+    lat = quartic_lattice(*case.presentation)
+    steps = _pencil_steps(case, lat) + [
+        ArithClaim("the restriction pencil attains the floor", self_of(_B),
+                   "=", 4,
+                   cite="|B| restricted to a member of |2B| moves in a "
+                        "pencil of degree B.(2B)/2 = 4"),
     ]
     return DerivationScript(
-        tag=tag, lattice=lat, steps=steps, conclusion=CONTRADICTION,
-        description="Eliminates C = h + 2B' on the (0, 4) configuration by "
-                    "exhausting the destabilizing pairs of a degree-6 "
-                    "pencil bundle.")
-
-
-# --- survivors C = 2B' with B'^2 = 4, h.B' = 6 -------------------------------
-
-def _script_ulrich_double(tag: str, b2: int, hb: int,
-                          bp: DivClass) -> DerivationScript:
-    lat = quartic_lattice(b2, hb)
-    c = bp * 2
-    steps = _pins(b2, hb) + _window(c, 9, 4) + [
-        _c("the c2 window is a single point",
-           _sub(_genus(c), 5), "=", 4,
-           cite="g - 5 = g + 7 - h.C = 4 pins c2 = 4"),
-        AxiomUse("AX-BPF-ACM",
-                 note="B' is initialized aCM of square 4 with |B' - h| and "
-                      "|2h - B'| empty, hence base point free"),
-        _c("Brill-Noether number of a degree-4 pencil",
-           _bn(9, 1, 4), "=", -3),
-        AxiomUse("AX-NONSIMPLE-RHO",
-                 note="negative Brill-Noether number: the bundle is not "
-                      "simple"),
-        AxiomUse("AX-DESTAB-SEQ",
-                 note="pencil sequence with Z' empty: M.N = 4 and "
-                      "h^1(M) = h^1(N) = 0"),
-        _c("fiber branch, profile (3, 2): square of the complement",
-           _add(self_of(c), -8, 0), "=", 8,
-           cite="M^2 = C^2 - 2 C.N + N^2 = 16 - 8"),
-        _c("fiber branch, profile (3, 2): degree of the complement",
-           _sub(deg_of(c), 3), "=", 9),
-        _c("fiber branch, profile (3, 2): the twisted complement",
-           _add(self_of(c), -8, -18, self_of(_H)), "=", -6,
-           cite="(M - h)^2 = 8 - 2*9 + 4"),
-        _c("fiber branch, profile (3, 2): chi of the twisted complement",
-           _chi_of(_add(self_of(c), -8, -18, self_of(_H))), "<", 0,
-           cite="chi(M - h) = -1, so h^1 of the twist M(-1) is positive"),
-        _c("fiber branch, profile (3, 2): the quotient twist drops degree",
-           _sub(3, self_of(_H)), "<", 0,
-           cite="h.(N - h) = 3 - 4 = -1 kills the sections of N(-1)",
-           contradicts="AX-ACM-VANISH with AX-LES: h^1(M(-1)) <= "
-                       "h^0(N(-1)) + h^1(E(-1)) = 0"),
-        _c("fiber branch, larger degrees: the difference is isotropic",
-           _add(self_of(bp), -4, 0), "=", 0,
-           cite="(B' - N)^2 = 4 - 2*2 + 0"),
-        _c("fiber branch, profile (4, 2): isotropic of degree 2",
-           _sub(deg_of(bp), 4), "=", 2, contradicts="AX-VA-DEGREE3"),
-        _c("fiber branch, profile (5, 2): isotropic of degree 1",
-           _sub(deg_of(bp), 5), "=", 1, contradicts="AX-VA-DEGREE3"),
-        _c("fiber branch, profile (6, 2): M - N is effective of degree 0",
-           _sub(_mul(2, 6), deg_of(c)), "=", 0,
-           cite="the pencil sequence keeps M - N effective or zero, and "
-                "N = C/2 is ruled out by N^2 = 0 < 4",
-           contradicts="AX-AMPLE-POSITIVE"),
-        _c("square-2 branch: Hodge floor pins C.N",
-           _hodge(self_of(c), 2), "=", 6,
-           cite="C.N = M.N + N^2 = 6 with B'.N = 3"),
-        _c("square-2 branch: the difference is isotropic",
-           _add(self_of(bp), -6, 2), "=", 0,
-           cite="(B' - N)^2 = 4 - 2*3 + 2"),
-        _c("square-2 branch: a piece meeting N only once",
-           _sub(3, 2), "<=", 1,
-           cite="N.(B' - N) = B'.N - N^2 = 1 on a 2-connected member "
-                "of |B'|",
-           contradicts="AX-2CONNECTED"),
-        _c("square-4 branch: Hodge floor pins C.N",
-           _hodge(self_of(c), 4), "=", 8,
-           cite="C.N = 8 with B'.N = 4: profiles (4, 4), (5, 4), (6, 4)"),
-        _c("square-4 branch: the difference is isotropic",
-           _add(self_of(bp), -8, 4), "=", 0,
-           cite="(B' - N)^2 = 4 - 2*4 + 4"),
-        _c("square-4 branch, profile (4, 4): isotropic of degree 2",
-           _sub(deg_of(bp), 4), "=", 2, contradicts="AX-VA-DEGREE3"),
-        _c("square-4 branch, profile (5, 4): isotropic of degree 1",
-           _sub(deg_of(bp), 5), "=", 1, contradicts="AX-VA-DEGREE3"),
-        _c("square-4 branch, profile (6, 4): N matches B' exactly",
-           self_of(bp), "=", 4,
-           cite="square and pairings agree, so N = B' and M = B' too"),
-        AxiomUse("AX-INDECOMP",
-                 note="E an extension of B' by B' with Z' empty splits, "
-                      "contradicting indecomposability"),
-        _c("squares beyond the Hodge cap",
-           _mul(4, 6), ">", self_of(c),
-           cite="N^2 >= 6 forces C^2 >= 4 N^2 = 24 > 16",
-           contradicts="the Hodge-index cap on N^2"),
-    ]
-    return DerivationScript(
-        tag=tag, lattice=lat, steps=steps, conclusion=CONTRADICTION,
-        description="Eliminates C = 2B' on the (4, 6) configuration by "
-                    "exhausting the destabilizing pairs of a degree-4 "
-                    "pencil bundle.")
-
-
-# --- degree floor for pencils on members of |2B| -----------------------------
-
-def _script_gonality_floor() -> DerivationScript:
-    lat = quartic_lattice(4, 6)
-    c = DivClass((0, 2))
-    steps = _pins(4, 6) + [
-        _c("sectional genus of the doubled class", _genus(c), "=", 9),
-        _c("Brill-Noether number of a degree-3 pencil",
-           _bn(9, 1, 3), "=", -5,
-           cite="a pencil of degree 3 on a genus-9 member would be far "
-                "below the Brill-Noether range"),
-        AxiomUse("AX-LM-CONSTRUCT",
-                 note="a minimal pencil of degree d <= 3 would give a "
-                      "rank-2 bundle with c1 = 2B, c2 = d and a "
-                      "destabilizing pair with M.N <= 3"),
-        _c("fiber branch: the doubled pairing bursts the budget",
-           _mul(2, 2), ">", 3,
-           cite="N^2 = 0: C.N = 2 B.N >= 4 exceeds M.N <= 3",
-           contradicts="AX-2CONNECTED floor on B.N"),
-        _c("square-2 branch: Hodge floor on B.N",
-           _hodge(self_of(_B), 2), "=", 3,
-           cite="B^2 = 4 and N^2 = 2 force B.N >= 3"),
-        _c("square-2 branch: the budget bursts",
-           _sub(_mul(2, _hodge(self_of(_B), 2)), 2), ">", 3,
-           cite="M.N = C.N - N^2 = 2 B.N - 2 >= 4 exceeds 3"),
-        _c("square-4 branch: Hodge floor on B.N",
-           _hodge(self_of(_B), 4), ">", 3,
-           cite="B.N >= 4, so M.N = 2 B.N - 4 >= 4 exceeds 3"),
-        _c("squares beyond the Hodge cap",
-           _mul(4, 6), ">", self_of(c),
-           cite="N^2 >= 6 forces C^2 >= 24 > 16",
-           contradicts="the Hodge-index cap on N^2"),
-        _c("the restriction pencil attains the floor", self_of(_B), "=", 4,
-           cite="|B| restricted to a member of |2B| moves in a pencil of "
-                "degree B.(2B)/2 = 4"),
-    ]
-    return DerivationScript(
-        tag="gonality-2B", lattice=lat, steps=steps,
+        tag=case.tag, lattice=lat, steps=steps,
         conclusion=established(
             "every pencil on a smooth member of |2B| has degree at least "
             "4, and the restriction of |B| attains it"),
@@ -443,48 +270,53 @@ def _script_gonality_floor() -> DerivationScript:
 
 # --- presentation reductions -------------------------------------------------
 
-def _script_reduction(tag: str, b2: int, hb: int, sub: DivClass,
-                      target: tuple[int, int], name: str) -> DerivationScript:
-    lat = quartic_lattice(b2, hb)
+def _script_reduction(case: Case) -> DerivationScript:
+    b2, hb = case.presentation
+    sub, name = case.sub
     steps = _pins(b2, hb) + [
-        _c("square of the substituted class", self_of(sub), "=", target[0]),
-        _c("degree of the substituted class", deg_of(sub), "=", target[1]),
-        _c("the substitution pairs against h unchanged",
-           self_of(_H), "=", 4),
+        ArithClaim("square of the substituted class", self_of(sub), "=",
+                   case.target[0]),
+        ArithClaim("degree of the substituted class", deg_of(sub), "=",
+                   case.target[1]),
+        ArithClaim("the substitution pairs against h unchanged",
+                   self_of(_H), "=", 4),
     ]
     return DerivationScript(
-        tag=tag, lattice=lat, steps=steps,
+        tag=case.tag, lattice=quartic_lattice(b2, hb), steps=steps,
         conclusion=established(
             f"the class {name} presents the same lattice with "
-            f"(B'^2, h.B') = {target}"),
+            f"(B'^2, h.B') = {case.target}"),
         description=f"Reduces the ({b2}, {hb}) presentation to the "
-                    f"{target} one through the basis substitution "
+                    f"{case.target} one through the basis substitution "
                     f"B' = {name}.")
 
 
 # --- rank-8 double-cover example ---------------------------------------------
 
-def _script_delpezzo() -> DerivationScript:
+def _script_delpezzo(case: Case) -> DerivationScript:
     lat = delpezzo_lattice()
     ell = DivClass((1, 0, 0, 0, 0, 0, 0, 0))
     e1 = DivClass((0, 1, 0, 0, 0, 0, 0, 0))
     h = DivClass((3, -1, -1, -1, -1, -1, -1, -1))
     f = DivClass((2, -1, -1, -1, -1, 0, 0, 0))
     steps = [
-        _c("presentation pin: square of the pulled-back line",
-           self_of(ell), "=", 2),
-        _c("presentation pin: square of an exceptional class",
-           self_of(e1), "=", -2),
-        _c("presentation pin: the basis is orthogonal",
-           pair_of(ell, e1), "=", 0),
-        _c("the lattice is even", {"op": "odd_diag"}, "=", 0),
-        _c("hyperbolic signature: positive part", {"op": "sig_pos"}, "=", 1),
-        _c("hyperbolic signature: negative part", {"op": "sig_neg"}, "=", 7),
-        _c("the polarization has square 4", self_of(h), "=", 4,
-           cite="h = 3l - e1 - ... - e7 embeds the double cover as a "
-                "quartic"),
-        _c("the four-point conic class is isotropic", self_of(f), "=", 0),
-        _c("the conic pencil has degree 4", pair_of(h, f), "=", 4),
+        ArithClaim("presentation pin: square of the pulled-back line",
+                   self_of(ell), "=", 2),
+        ArithClaim("presentation pin: square of an exceptional class",
+                   self_of(e1), "=", -2),
+        ArithClaim("presentation pin: the basis is orthogonal",
+                   pair_of(ell, e1), "=", 0),
+        ArithClaim("the lattice is even", {"op": "odd_diag"}, "=", 0),
+        ArithClaim("hyperbolic signature: positive part", {"op": "sig_pos"},
+                   "=", 1),
+        ArithClaim("hyperbolic signature: negative part", {"op": "sig_neg"},
+                   "=", 7),
+        ArithClaim("the polarization has square 4", self_of(h), "=", 4,
+                   cite="h = 3l - e1 - ... - e7 embeds the double cover as "
+                        "a quartic"),
+        ArithClaim("the four-point conic class is isotropic", self_of(f),
+                   "=", 0),
+        ArithClaim("the conic pencil has degree 4", pair_of(h, f), "=", 4),
     ]
     for j in (5, 6, 7):
         fj = DivClass(tuple(1 if i == 0 else (-1 if i == j else 0)
@@ -492,26 +324,27 @@ def _script_delpezzo() -> DerivationScript:
         diff = f - fj
         wedge = f + fj - h * 2
         steps += [
-            _c(f"the line pencil through point {j} is isotropic",
-               self_of(fj), "=", 0),
-            _c(f"the line pencil through point {j} has degree 4",
-               pair_of(h, fj), "=", 4),
-            _c(f"difference of the two pencils at point {j}",
-               self_of(diff), "=", -8),
-            _c(f"the co-difference class at point {j}",
-               self_of(wedge), "=", -8,
-               cite="f + f_j - 2h is the residual of the difference"),
+            ArithClaim(f"the line pencil through point {j} is isotropic",
+                       self_of(fj), "=", 0),
+            ArithClaim(f"the line pencil through point {j} has degree 4",
+                       pair_of(h, fj), "=", 4),
+            ArithClaim(f"difference of the two pencils at point {j}",
+                       self_of(diff), "=", -8),
+            ArithClaim(f"the co-difference class at point {j}",
+                       self_of(wedge), "=", -8,
+                       cite="f + f_j - 2h is the residual of the difference"),
         ]
     steps += [
-        _c("chi of the square -8 classes", _chi_of(-8), "=", -2,
-           cite="chi = 2 + D^2/2 = -2 < 0, so h^1 of these classes never "
-                "vanishes and neither difference is effective"),
+        ArithClaim("chi of the square -8 classes", chi_expr(-8), "=", -2,
+                   cite="chi = 2 + D^2/2 = -2 < 0, so h^1 of these classes "
+                        "never vanishes and neither difference is "
+                        "effective"),
         AxiomUse("AX-VA-DEGREE3",
                  note="each pencil class is isotropic of degree 4: its "
                       "moving part is an elliptic pencil"),
     ]
     return DerivationScript(
-        tag="delpezzo-cover", lattice=lat, steps=steps,
+        tag=case.tag, lattice=lat, steps=steps,
         conclusion=established(
             "the rank-8 double-cover lattice is even of signature (1, 7), "
             "carries the degree-4 polarization h = 3l - e1 - ... - e7, and "
@@ -521,27 +354,36 @@ def _script_delpezzo() -> DerivationScript:
                     "displayed identities of its pencil classes.")
 
 
+CASES = (
+    Case("case-B2neg2-Bh1", _script_line_restriction, (-2, 1),
+         curve=DivClass((3, -2))),
+    Case("case-B2neg2-Bh2", _script_twist_chain, (-2, 2),
+         curve=DivClass((2, 2))),
+    Case("case-B2neg2-Bh2-mirror", _script_twist_chain, (-2, 2),
+         curve=DivClass((4, -2))),
+    Case("case-B2neg2-Bh3", _script_pencil, (-2, 3),
+         curve=DivClass((4, -2)), pencil=(2, "exact")),
+    Case("case-B20-Bh4", _script_pencil, (0, 4),
+         curve=DivClass((1, 2)), pencil=(6, "general")),
+    Case("case-B20-Bh4-mirror", _script_pencil, (0, 4),
+         curve=DivClass((5, -2)), pencil=(6, "general")),
+    Case("case-B24", _script_pencil, (4, 6),
+         curve=DivClass((0, 2)), pencil=(4, "exact")),
+    Case("case-B24-mirror", _script_pencil, (4, 6),
+         curve=DivClass((6, -2)), pencil=(4, "exact")),
+    Case("gonality-2B", _script_gonality_floor, (4, 6),
+         curve=DivClass((0, 2)), pencil=(4, "gonality"), support=True),
+    Case("reduction-B20-Bh3", _script_reduction, (0, 3),
+         sub=(DivClass((1, -1)), "h - B"), target=(-2, 1)),
+    Case("reduction-B22-Bh5", _script_reduction, (2, 5),
+         sub=(DivClass((2, -1)), "2h - B"), target=(-2, 3)),
+    Case("delpezzo-cover", _script_delpezzo),
+)
+
+
 def builtin_scripts() -> dict[str, DerivationScript]:
     """All shipped derivation scripts, keyed by tag."""
-    scripts = [
-        _script_line_restriction(),
-        _script_twist_chain("case-B2neg2-Bh2", -2, 2, DivClass((0, 1))),
-        _script_twist_chain("case-B2neg2-Bh2-mirror", -2, 2,
-                            DivClass((1, -1))),
-        _script_double_pencil(),
-        _script_pencil_budget("case-B20-Bh4", 0, 4, DivClass((0, 1))),
-        _script_pencil_budget("case-B20-Bh4-mirror", 0, 4,
-                              DivClass((2, -1))),
-        _script_ulrich_double("case-B24", 4, 6, DivClass((0, 1))),
-        _script_ulrich_double("case-B24-mirror", 4, 6, DivClass((3, -1))),
-        _script_gonality_floor(),
-        _script_reduction("reduction-B20-Bh3", 0, 3, DivClass((1, -1)),
-                          (-2, 1), "h - B"),
-        _script_reduction("reduction-B22-Bh5", 2, 5, DivClass((2, -1)),
-                          (-2, 3), "2h - B"),
-        _script_delpezzo(),
-    ]
-    return {s.tag: s for s in scripts}
+    return {case.tag: case.build(case) for case in CASES}
 
 
 def script_by_tag(tag: str) -> DerivationScript:

@@ -13,7 +13,7 @@ quoting the inequality being encoded) so every preset is auditable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..errors import BadParametersError, BoxTooSmallError
@@ -135,18 +135,14 @@ def custom(name: str, *args: int, axiom_id: str = "", cite: str = "") -> Constra
 class CaseSpec:
     """A bounded integer search: which (s, t) satisfy every constraint?
 
-    ``unknowns`` only names the two variables for display.  U and V are the
-    classes multiplied by s and t; the constraints have their coefficients
-    already expressed in terms of pairings with U and V.
+    The constraints have their coefficients already expressed in terms of
+    pairings with the classes U and V multiplied by s and t.
     """
 
     lattice: Lattice
     constraints: tuple[Constraint, ...]
     box: int = 32
     tag: str = ""
-    unknowns: tuple[str, str] = ("s", "t")
-    basis_s: DivClass | None = None
-    basis_t: DivClass | None = None
 
     def __post_init__(self):
         if self.box < 16:

@@ -28,14 +28,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..classifier import (AcmStatus, Assumption, AssumptionKind,
-                          _NONEMPTY_KINDS, is_initialized_acm)
+                          _NONEMPTY_KINDS, derived_assumptions,
+                          is_initialized_acm)
 from ..errors import (BadParametersError, BoxTooSmallError, PreconditionError,
                       TrivialClassError, NotEffectiveCandidateError,
                       WorkbenchError)
 from ..invariants import hodge_lower
 from ..lattice import DivClass, Lattice
 from .constraints import check_rel
-from .scripts import ArithClaim, evaluate, step_to_json
+from .scripts import (ArithClaim, add_expr, evaluate, hodge_expr, self_of,
+                      step_to_json)
 
 MODES = ("exact", "general", "gonality")
 
@@ -114,8 +116,23 @@ def _profile_of(lat: Lattice, p: DivClass) -> tuple[int, int]:
     return (lat.pair(DivClass((1, 0)), p), lat.pair(DivClass((0, 1)), p))
 
 
-def _self_expr(d: DivClass) -> dict:
-    return {"op": "self", "a": list(d.coords)}
+def engine_assumptions(lat: Lattice, assumptions: Sequence[Assumption] = ()
+                       ) -> tuple[Assumption, ...]:
+    """The facts the sweep works from, as ``k3acm destabilize`` derives them.
+
+    On the rank-2 presentation (h, B), an initialized aCM class B adds what
+    derived_assumptions records about B and its companions; otherwise, or
+    when B does not classify, the given assumptions stand alone.
+    """
+    if lat.rank == 2 and lat.ample.coords == (1, 0):
+        b = DivClass((0, 1))
+        try:
+            cls = is_initialized_acm(lat, b, assumptions)
+            if cls.status in (AcmStatus.ACM, AcmStatus.ACM_ULRICH):
+                return tuple(derived_assumptions(lat, b, cls, assumptions))
+        except WorkbenchError:
+            pass
+    return tuple(assumptions)
 
 
 def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
@@ -174,10 +191,8 @@ def _profiles(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
     ybox = abs(cn_hi) + 4 * (abs(s) + abs(t) + 1) * (hc + 4) + 16
     hits: list[tuple[int, int, int]] = []
     for x in range(xmin, xmax + 1):
-        for y in range(-ybox, ybox + 1):
+        for y in _y_range(s, t, x, cn_lo, cn_hi, ybox):
             cn = s * x + t * y
-            if not cn_lo <= cn <= cn_hi:
-                continue
             if not _windows_pass(lat, env, c, x, y, cn, n2):
                 continue
             if abs(y) == ybox:
@@ -185,6 +200,17 @@ def _profiles(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
                     f"profile scan hit the bound |B.N| = {ybox}")
             hits.append((x, y, cn))
     return hits, (cn_lo, cn_hi)
+
+
+def _y_range(s: int, t: int, x: int, cn_lo: int, cn_hi: int,
+             ybox: int) -> range:
+    """The B.N values |y| <= ybox with cn_lo <= C.N = s*x + t*y <= cn_hi."""
+    lo, hi = cn_lo - s * x, cn_hi - s * x
+    if t == 0:
+        return range(-ybox, ybox + 1) if lo <= 0 <= hi else range(0)
+    if t < 0:
+        lo, hi, t = -hi, -lo, -t
+    return range(max(-ybox, -(-lo // t)), min(ybox, hi // t) + 1)
 
 
 def _windows_pass(lat: Lattice, env: _Env, c: DivClass, x: int, y: int,
@@ -264,13 +290,13 @@ def _infeasible(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
     if not trace and n2 > 0 and hodge_lower(c2, n2) > cn_hi:
         trace.append(_claim(
             lat, "Hodge floor on C.N exceeds the degree budget",
-            {"op": "hodge_lower", "a": _self_expr(c), "b": n2}, ">", cn_hi,
+            hodge_expr(self_of(c), n2), ">", cn_hi,
             cite=f"C^2 = {c2} and N^2 = {n2} force "
                  f"C.N >= ceil(sqrt({c2 * n2}))",
             contradicts="the degree accounting M.N + len(Z') = c2"))
         note = "Hodge index against C"
-    if not trace and n2 > 0:
-        mn_hi = cn_hi - n2
+    mn_hi = cn_hi - n2
+    if not trace and n2 > 0 and n2 > mn_hi:
         trace.append(_claim(
             lat, "the M.N floor exceeds the degree budget",
             n2, ">", mn_hi,
@@ -278,6 +304,13 @@ def _infeasible(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
                  f"index, but M.N <= {mn_hi}",
             contradicts="the degree accounting M.N + len(Z') = c2"))
         note = "Hodge index against M"
+    if not trace and cn_lo > cn_hi:
+        trace.append(_claim(
+            lat, "empty degree budget", cn_lo, ">", cn_hi,
+            cite=f"M.N >= 1 forces C.N >= {cn_lo}, but the assumed pencil "
+                 f"degree leaves C.N <= {cn_hi}",
+            contradicts="the degree accounting M.N + len(Z') = c2"))
+        note = "empty degree budget"
     if not trace:
         trace.append(_claim(
             lat, "empty profile window", cn_lo, "<=", cn_hi,
@@ -300,7 +333,7 @@ def _multiple_of(c: DivClass, p: DivClass) -> int | None:
 def _beyond_cap(lat: Lattice, c: DivClass, d: int, n2: int) -> PairElimination:
     trace = (_claim(
         lat, "four times N^2 exceeds C^2",
-        4 * n2, ">", _self_expr(c),
+        4 * n2, ">", self_of(c),
         cite=f"M^2 >= N^2 >= {n2} and M.N >= N^2 give "
              f"C^2 = (M + N)^2 >= 4 N^2 = {4 * n2}",
         contradicts="the Hodge-index cap on the square of N"),)
@@ -313,8 +346,7 @@ def _kill_profile(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
                   mode: str, x: int, y: int, cn: int) -> PairElimination:
     mn = cn - n2
     lz = d - mn if mode == "general" else 0
-    base = [_claim(lat, "profile bookkeeping",
-                   {"op": "add", "args": [mn, n2]}, "=", cn,
+    base = [_claim(lat, "profile bookkeeping", add_expr(mn, n2), "=", cn,
                    cite=f"M.N = C.N - N^2 = {cn} - {n2} at "
                         f"(h.N, B.N) = ({x}, {y})")]
 
@@ -366,7 +398,7 @@ def _kill_classlike(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
     if half is not None and mode in ("exact", "general"):
         return rec("split-indecomposable", [_claim(
             lat, "the halved class matches the profile of N",
-            _self_expr(half), "=", n2,
+            self_of(half), "=", n2,
             cite=f"N and {half} = C/2 share square and basis pairings, so "
                  "N = C/2 by nondegeneracy and E is an extension of C/2 by "
                  "itself with Z' empty, i.e. decomposable",
@@ -387,7 +419,7 @@ def _kill_classlike(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
         if hq == 0 and q2 == -2:
             return rec("ample-orthogonal-neg2", [_claim(
                 lat, "a (-2)-class orthogonal to h",
-                {"op": "add", "args": [_self_expr(p), -2 * pn, n2]}, "=", -2,
+                add_expr(self_of(p), -2 * pn, n2), "=", -2,
                 cite=f"({p} - N)^2 = -2 while h.({p} - N) = 0; a (-2)-class "
                      "is effective up to sign",
                 contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
@@ -395,7 +427,7 @@ def _kill_classlike(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
         if hq == 0 and q2 >= 0:
             return rec("isotropic-orthogonal-ample", [_claim(
                 lat, "nonnegative square orthogonal to h",
-                {"op": "add", "args": [_self_expr(p), -2 * pn, n2]}, ">=", 0,
+                add_expr(self_of(p), -2 * pn, n2), ">=", 0,
                 cite=f"({p} - N)^2 >= 0 with h.({p} - N) = 0 forces the "
                      "class to vanish, but it is nonzero",
                 contradicts="AX-HODGE-INDEX: the form has signature "
@@ -512,9 +544,8 @@ def _kill_fiber_r(lat: Lattice, env: _Env, c: DivClass, d: int, mode: str,
         if mh2 <= -4 and x - 4 < 0:
             claims = [
                 _claim(lat, "square of the twisted kernel class",
-                       {"op": "add",
-                        "args": [_self_expr(c), -2 * cn, -2 * hm,
-                                 _self_expr(h)]}, "<=", -4,
+                       add_expr(self_of(c), -2 * cn, -2 * hm, self_of(h)),
+                       "<=", -4,
                        cite=f"(M - h)^2 = {mh2}, so chi(M - h) = "
                             f"{2 + mh2 // 2} < 0 and h^1 of the twist M(-1) "
                             "is positive"),

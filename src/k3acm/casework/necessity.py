@@ -17,33 +17,13 @@ from typing import Sequence
 from ..classifier import (AcmStatus, Assumption, is_initialized_acm)
 from ..errors import BadParametersError, NotAcmInputError
 from ..lattice import DivClass, Lattice
-from .casebook import script_by_tag
+from .casebook import CASES, script_by_tag
 from .constraints import enumerate_case
 from .presets import (PRESET_PRESENTATION, QUARTIC_PRESENTATIONS, lemma_case)
 from .scripts import DerivationReport, run_script, report_to_json
 
-# presentations that reduce to another one through a basis substitution
-_REDUCTIONS = {
-    (0, 3): ("reduction-B20-Bh3", DivClass((1, -1)), (-2, 1)),
-    (2, 5): ("reduction-B22-Bh5", DivClass((2, -1)), (-2, 3)),
-}
-
 _PRESET_FOR = {QUARTIC_PRESENTATIONS[key]: pid
                for pid, key in PRESET_PRESENTATION.items()}
-
-# survivor (s, t) -> elimination script, per constraint system
-_SCRIPT_FOR = {
-    ("i-a", (3, -2)): "case-B2neg2-Bh1",
-    ("i-b", (2, 2)): "case-B2neg2-Bh2",
-    ("i-b", (4, -2)): "case-B2neg2-Bh2-mirror",
-    ("i-c", (4, -2)): "case-B2neg2-Bh3",
-    ("ii", (1, 2)): "case-B20-Bh4",
-    ("ii", (5, -2)): "case-B20-Bh4-mirror",
-    ("iii", (0, 2)): "case-B24",
-    ("iii", (6, -2)): "case-B24-mirror",
-}
-
-_SUPPORT_FOR = {"iii": ("gonality-2B",)}
 
 
 @dataclass(frozen=True)
@@ -128,29 +108,31 @@ def verify_necessity(lat: Lattice, b: DivClass,
     substitution = None
     substitution_report = None
     work_profile = profile
-    if profile in _REDUCTIONS:
-        tag, sub_class, target = _REDUCTIONS[profile]
-        substitution_report = run_script(script_by_tag(tag))
-        substitution = (tag, target)
-        work_profile = target
+    for case in CASES:
+        if case.presentation == profile and case.target is not None:
+            substitution_report = run_script(script_by_tag(case.tag))
+            substitution = (case.tag, case.target)
+            work_profile = case.target
     if work_profile not in _PRESET_FOR:
         raise BadParametersError(
             f"no constraint system covers the presentation {work_profile}")
     preset_id = _PRESET_FOR[work_profile]
     spec = lemma_case(preset_id, box=box)
     survivors = tuple(enumerate_case(spec))
+    cases = [k for k in CASES if k.presentation == work_profile]
+    script_for = {k.curve.coords: k.tag for k in cases
+                  if k.curve is not None and not k.support}
     matches = []
     unmatched = []
     for survivor in survivors:
-        key = (preset_id, survivor)
-        if key not in _SCRIPT_FOR:
+        if survivor not in script_for:
             unmatched.append(survivor)
             continue
-        tag = _SCRIPT_FOR[key]
+        tag = script_for[survivor]
         matches.append(SurvivorMatch(survivor=survivor, script_tag=tag,
                                      report=run_script(script_by_tag(tag))))
-    supports = tuple(run_script(script_by_tag(t))
-                     for t in _SUPPORT_FOR.get(preset_id, ()))
+    supports = tuple(run_script(script_by_tag(k.tag))
+                     for k in cases if k.support)
     rows = _tail_rows()
     ok = (not unmatched
           and all(m.report.success for m in matches)

@@ -25,8 +25,9 @@ from typing import Any, Sequence
 
 from ..axioms import is_registered
 from ..errors import MalformedScriptError, WorkbenchError
-from ..invariants import brill_noether as _bn
-from ..invariants import chi_line, genus_of, hodge_lower, twist_chi
+from ..invariants import (BundleInvariants, brill_noether, chi_bundle,
+                          chi_line, genus_of, hodge_lower, lm_invariants,
+                          twist_chi)
 from ..lattice import DivClass, Lattice
 from .constraints import check_rel
 
@@ -75,23 +76,23 @@ def evaluate(expr: Expr, lat: Lattice) -> int:
     if op == "chi_of":
         return chi_line(evaluate(expr["sq"], lat))
     if op == "chi_bundle":
-        sq = lat.self_int(_coords(expr["c1"]))
-        return 2 * int(expr["rank"]) + chi_line(sq) - 2 - evaluate(expr["c2"], lat)
+        inv = BundleInvariants(int(expr["rank"]), _coords(expr["c1"]),
+                               evaluate(expr["c2"], lat))
+        return chi_bundle(inv, lat)
     if op == "c2_twist":
         c1 = _coords(expr["c1"])
         by = _coords(expr["by"])
         return evaluate(expr["c2"], lat) + lat.pair(c1, by) + lat.self_int(by)
     if op == "brill_noether":
-        return _bn(evaluate(expr["g"], lat), evaluate(expr["r"], lat),
-                   evaluate(expr["d"], lat))
+        return brill_noether(evaluate(expr["g"], lat),
+                             evaluate(expr["r"], lat),
+                             evaluate(expr["d"], lat))
     if op == "twist_chi":
         return twist_chi(evaluate(expr["l"], lat), evaluate(expr["ch"], lat),
                          evaluate(expr["g"], lat), evaluate(expr["d"], lat))
     if op == "lm_h0":
-        g = evaluate(expr["g"], lat)
-        r = evaluate(expr["r"], lat)
-        d = evaluate(expr["d"], lat)
-        return g - d + 1 + 2 * r
+        return lm_invariants(evaluate(expr["g"], lat), evaluate(expr["r"], lat),
+                             evaluate(expr["d"], lat)).h0
     if op == "hodge_lower":
         return hodge_lower(evaluate(expr["a"], lat), evaluate(expr["b"], lat))
     if op == "minimax":
@@ -136,6 +137,48 @@ def deg_of(a: DivClass) -> Expr:
 
 def genus_expr(a: DivClass) -> Expr:
     return {"op": "genus", "a": list(a.coords)}
+
+
+def add_expr(*args: Expr) -> Expr:
+    return {"op": "add", "args": list(args)}
+
+
+def mul_expr(*args: Expr) -> Expr:
+    return {"op": "mul", "args": list(args)}
+
+
+def sub_expr(x: Expr, y: Expr) -> Expr:
+    return {"op": "sub", "x": x, "y": y}
+
+
+def neg_expr(x: Expr) -> Expr:
+    return {"op": "neg", "x": x}
+
+
+def hodge_expr(a: Expr, b: Expr) -> Expr:
+    return {"op": "hodge_lower", "a": a, "b": b}
+
+
+def bn_expr(g: Expr, r: Expr, d: Expr) -> Expr:
+    return {"op": "brill_noether", "g": g, "r": r, "d": d}
+
+
+def chi_expr(sq: Expr) -> Expr:
+    return {"op": "chi_of", "sq": sq}
+
+
+def chi_bundle_expr(c1: DivClass, c2: Expr) -> Expr:
+    """chi of a rank-2 bundle with first Chern class c1."""
+    return {"op": "chi_bundle", "rank": 2, "c1": list(c1.coords), "c2": c2}
+
+
+def c2_twist_expr(c2: Expr, c1: DivClass, by: DivClass) -> Expr:
+    return {"op": "c2_twist", "c2": c2, "c1": list(c1.coords),
+            "by": list(by.coords)}
+
+
+def minimax_expr(p: Expr, q: Expr) -> Expr:
+    return {"op": "minimax", "p": p, "q": q}
 
 
 # ---- steps -------------------------------------------------------------------

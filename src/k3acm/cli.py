@@ -12,12 +12,12 @@ import sys
 
 from .casework import (MODES, PRESET_IDS, PRESET_PRESENTATION,
                        QUARTIC_PRESENTATIONS, builtin_scripts,
-                       delpezzo_lattice, elimination_to_json, enumerate_case,
+                       delpezzo_lattice, elimination_to_json,
+                       engine_assumptions, enumerate_case,
                        enumerate_destabilizing, lemma_case, necessity_to_json,
                        report_to_json, run_script, script_by_tag,
                        verify_necessity)
-from .classifier import (AcmStatus, acm_companions, derived_assumptions,
-                         is_initialized_acm)
+from .classifier import acm_companions, is_initialized_acm
 from .config import (assumption_to_json, config_to_json, data_path,
                      load_config, shipped_quartic_names)
 from .errors import BadParametersError, BoxTooSmallError, WorkbenchError
@@ -165,17 +165,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_destabilize(args) -> int:
     lat, assumps = _require_config(args)
     c = _parse_class(args.class_arg, lat)
-    worklist = list(assumps)
-    if lat.rank == 2 and lat.ample.coords == (1, 0):
-        # classification facts about the second basis class seed the kills
-        try:
-            b = DivClass((0, 1))
-            cls = is_initialized_acm(lat, b, assumps)
-            if cls.status in (AcmStatus.ACM, AcmStatus.ACM_ULRICH):
-                worklist = derived_assumptions(lat, b, cls, assumps)
-        except WorkbenchError:
-            pass
-    records = enumerate_destabilizing(lat, c, args.d, tuple(worklist),
+    records = enumerate_destabilizing(lat, c, args.d,
+                                      engine_assumptions(lat, assumps),
                                       mode=args.mode)
     resolved = all(r.resolved for r in records)
     if args.json:

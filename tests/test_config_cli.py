@@ -272,6 +272,13 @@ def test_cli_destabilize(capsys):
     payload = json.loads(out)
     assert payload["resolved"] is True
     assert len(payload["records"]) == 5
+    # a branch the engine cannot close is a verification failure, not an
+    # internal fault reported as bad input
+    cfg = str(data_path("quartic_b2neg2_bh2.json"))
+    code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class", "2,2",
+                          "--d", "8")
+    assert code == 1, err
+    assert "UNRESOLVED BRANCHES REMAIN" in out
 
 
 def test_cli_destabilize_ulrich_config(capsys):

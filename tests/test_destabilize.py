@@ -4,10 +4,14 @@ import pytest
 
 from k3acm import (BadParametersError, DivClass, PreconditionError,
                    derived_assumptions, is_initialized_acm)
-from k3acm.casework import (MODES, elimination_to_json,
+from k3acm.casework import (MODES, elimination_to_json, engine_assumptions,
                             enumerate_destabilizing, evaluate,
                             quartic_lattice, ulrich_assumptions)
+from k3acm.casework import destabilize
 from k3acm.casework.constraints import check_rel
+from k3acm.config import data_path, load_config, shipped_quartic_names
+from k3acm.errors import BoxTooSmallError
+from k3acm.invariants import hodge_lower
 
 B = DivClass((0, 1))
 
@@ -178,3 +182,88 @@ def test_general_mode_weakens_exact_mode():
     general_profiles = {(r.n_square, r.profile) for r in general
                         if r.profile is not None}
     assert exact_profiles <= general_profiles
+
+
+def _scan_profiles(lat, env, c, d, n2, mode):
+    """The original full B.N scan, kept as the oracle for _profiles."""
+    hc = lat.deg(c)
+    cn_lo, cn_hi = destabilize._cn_window(d, n2, mode)
+    xmin = 3 if n2 == 0 else max(3, hodge_lower(4, n2))
+    xmax = hc - 3
+    if mode == "exact":
+        xmax = min(xmax, hc // 2)
+    s, t = c.coords
+    ybox = abs(cn_hi) + 4 * (abs(s) + abs(t) + 1) * (hc + 4) + 16
+    hits = []
+    for x in range(xmin, xmax + 1):
+        for y in range(-ybox, ybox + 1):
+            cn = s * x + t * y
+            if not cn_lo <= cn <= cn_hi:
+                continue
+            if not destabilize._windows_pass(lat, env, c, x, y, cn, n2):
+                continue
+            if abs(y) == ybox:
+                raise BoxTooSmallError(f"|B.N| = {ybox}")
+            hits.append((x, y, cn))
+    return hits, (cn_lo, cn_hi)
+
+
+def _grid():
+    """Shipped rank-2 configs, a small curve box, the whole c2 window."""
+    for name in shipped_quartic_names():
+        lat, assumptions = load_config(data_path(name))
+        facts = engine_assumptions(lat, assumptions)
+        for s in range(-3, 4):
+            for t in range(-3, 4):
+                c = DivClass((s, t))
+                c2, hc = lat.self_int(c), lat.deg(c)
+                if c2 < 4 or hc <= 0:
+                    continue
+                g = 1 + c2 // 2
+                for d in range(max(1, g - 5), g + 7 - hc + 1):
+                    for mode in MODES:
+                        yield lat, facts, c, d, mode
+
+
+def test_engine_never_emits_a_false_claim():
+    outcomes = set()
+    for lat, facts, c, d, mode in _grid():
+        try:
+            records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
+        except (PreconditionError, BoxTooSmallError) as exc:
+            outcomes.add(type(exc).__name__)
+            continue
+        assert records, (c, d, mode)
+        _check_traces(lat, records)
+        outcomes.add("records")
+    assert "records" in outcomes
+
+
+def test_solved_profiles_match_the_full_scan():
+    compared = 0
+    for lat, facts, c, d, mode in _grid():
+        env = destabilize._Env(lat, c, facts)
+        for n2 in range(0, lat.self_int(c) // 4 + 1, 2):
+            try:
+                want = _scan_profiles(lat, env, c, d, n2, mode)
+            except BoxTooSmallError:
+                with pytest.raises(BoxTooSmallError):
+                    destabilize._profiles(lat, env, c, d, n2, mode)
+                continue
+            assert destabilize._profiles(lat, env, c, d, n2, mode) == want
+            compared += 1
+    assert compared > 500
+
+
+def test_gonality_with_an_empty_budget_is_flagged():
+    # d = 1 in gonality mode assumes a pencil of degree 0: M.N >= 1 > 0
+    lat = quartic_lattice(-2, 3)
+    records = enumerate_destabilizing(lat, DivClass((1, 1)), 1,
+                                      _facts(lat), mode="gonality")
+    _check_traces(lat, records)
+    fiber = records[0]
+    assert (fiber.n_square, fiber.outcome) == (0, "window-infeasible")
+    final = fiber.trace[-1]
+    assert (evaluate(final.lhs, lat), final.rel,
+            evaluate(final.rhs, lat)) == (1, ">", 0)
+    assert final.contradicts

@@ -7,10 +7,11 @@ import pytest
 from k3acm import DivClass, Lattice, MalformedScriptError
 from k3acm.casework import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                             DerivationScript, builtin_scripts, deg_of,
+                            engine_assumptions, enumerate_destabilizing,
                             established, evaluate, genus_expr, pair_of,
                             quartic_lattice, report_to_json, run_script,
                             script_by_tag, script_from_json, script_to_json,
-                            self_of)
+                            self_of, ulrich_assumptions)
 from k3acm.errors import BadParametersError
 
 LAT = quartic_lattice(-2, 2)
@@ -177,11 +178,56 @@ def test_report_json_shape():
 
 def test_all_builtin_scripts_replay_to_success():
     scripts = builtin_scripts()
-    assert len(scripts) == 12
+    assert sorted(scripts) == [
+        "case-B20-Bh4", "case-B20-Bh4-mirror", "case-B24", "case-B24-mirror",
+        "case-B2neg2-Bh1", "case-B2neg2-Bh2", "case-B2neg2-Bh2-mirror",
+        "case-B2neg2-Bh3", "delpezzo-cover", "gonality-2B",
+        "reduction-B20-Bh3", "reduction-B22-Bh5"]
     for tag, script in scripts.items():
         report = run_script(script)
         assert report.success, f"{tag}: {report.summary()}"
         assert report.tag == tag == script.tag
+
+
+# tag -> (presentation, curve class, pencil degree, engine mode)
+ENGINE_CASES = {
+    "case-B2neg2-Bh3": ((-2, 3), (4, -2), 2, "exact"),
+    "case-B20-Bh4": ((0, 4), (1, 2), 6, "general"),
+    "case-B20-Bh4-mirror": ((0, 4), (5, -2), 6, "general"),
+    "case-B24": ((4, 6), (0, 2), 4, "exact"),
+    "case-B24-mirror": ((4, 6), (6, -2), 4, "exact"),
+    "gonality-2B": ((4, 6), (0, 2), 4, "gonality"),
+}
+
+
+def test_pencil_scripts_close_with_the_engine_traces():
+    scripts = builtin_scripts()
+    for tag, (presentation, curve, d, mode) in ENGINE_CASES.items():
+        lat = quartic_lattice(*presentation)
+        base = ulrich_assumptions(lat) if presentation == (4, 6) else ()
+        records = enumerate_destabilizing(lat, DivClass(curve), d,
+                                          engine_assumptions(lat, base),
+                                          mode=mode)
+        flat = [cl for rec in records for cl in rec.trace]
+        steps = list(scripts[tag].steps)
+        if tag == "gonality-2B":
+            assert steps.pop().label == "the restriction pencil attains the floor"
+        header, body = steps[:-len(flat)], steps[-len(flat):]
+        assert body == flat, tag
+        assert [st.label for st in header[:3]] == [
+            "presentation pin: square of h", "presentation pin: square of B",
+            "presentation pin: pairing h.B"], tag
+        assert any(isinstance(st, AxiomUse) for st in header), tag
+        assert scripts[tag].lattice == lat
+
+
+def test_pencil_scripts_refuse_open_branches():
+    from k3acm.casework import casebook
+    # the general sweep of the Ulrich double class leaves two profiles open
+    case = casebook.Case("gap", casebook._script_pencil, (4, 6),
+                         curve=DivClass((0, 2)), pencil=(4, "general"))
+    with pytest.raises(RuntimeError, match="open"):
+        case.build(case)
 
 
 def test_contradiction_scripts_end_flagged():
