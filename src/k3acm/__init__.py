@@ -17,7 +17,7 @@ from .config import (assumption_from_json, assumption_to_json,
                      shipped_quartic_names)
 from .errors import (BadDimensionsError, BadParametersError, BoxTooSmallError,
                      ConfigError, ConflictingAssumptionsError,
-                     DegenerateFormError, DimensionMismatchError,
+                     DegenerateFormError, DimensionMismatchError, EngineError,
                      MalformedScriptError, NegativeDimensionError,
                      NonPositiveAmpleError, NonSymmetricError,
                      NotAcmInputError, NotEffectiveCandidateError,
@@ -37,7 +37,8 @@ __all__ = [
     "Assumption", "AssumptionKind", "BadDimensionsError",
     "BadParametersError", "BoxTooSmallError", "BundleInvariants",
     "ConfigError", "ConflictingAssumptionsError", "DegenerateFormError",
-    "DimensionMismatchError", "DivClass", "Effectivity", "LMInvariants",
+    "DimensionMismatchError", "DivClass", "Effectivity", "EngineError",
+    "LMInvariants",
     "Lattice", "MalformedScriptError", "NegativeDimensionError",
     "NonPositiveAmpleError", "NonSymmetricError", "NotAcmInputError",
     "NotEffectiveCandidateError", "OddK3DiagonalError", "OddSquareError",

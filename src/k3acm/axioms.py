@@ -15,9 +15,6 @@ AXIOMS: dict[str, str] = {
         "sheaf F; for a line bundle D, h^2(D) = h^0(-D).",
     "AX-H1NONNEG":
         "Cohomology dimensions are nonnegative: h^i >= 0 for every sheaf.",
-    "AX-RR-EFFECTIVE":
-        "On a K3, a class D with D^2 >= -2 has h^0(D) > 0 or h^0(-D) > 0; "
-        "positive degree against an ample class selects h^0(D) > 0.",
     "AX-AMPLE-POSITIVE":
         "A nonzero effective class has positive degree against any ample "
         "class; a class of nonpositive degree has empty linear system.",
@@ -51,11 +48,6 @@ AXIOMS: dict[str, str] = {
     "AX-ACM-VANISH":
         "An aCM bundle E on the quartic has h^1(E(l)) = 0 for every "
         "integer l.",
-    "AX-LM-H1H2":
-        "The rank-2 bundle attached to a base-point-free pencil on a "
-        "smooth curve C in the surface has h^1(E) = h^2(E) = 0, "
-        "h^0(E) = g - d + 3, and its dual fits "
-        "0 -> E^dual -> H^0 x O -> stuff -> 0.",
     "AX-RK2-SELFDUAL":
         "A rank-2 bundle satisfies E^dual = E(-c1(E)).",
     "AX-NONSIMPLE-RHO":
@@ -77,9 +69,6 @@ AXIOMS: dict[str, str] = {
     "AX-NEF-BPF":
         "A base-point-free class is nef: it meets every effective class "
         "nonnegatively.",
-    "AX-GONALITY-MIN":
-        "A smooth curve of genus >= 1 carries no pencil of degree 1, so "
-        "its gonality is at least 2.",
     "AX-SECTIONS-BOUND":
         "An initialized aCM rank-2 bundle on the quartic has h^0(E) <= 8.",
     "AX-P1-SPLIT":
@@ -107,9 +96,6 @@ AXIOMS: dict[str, str] = {
         "of nonnegative square orthogonal to a positive-square class is "
         "zero, so a nonzero nef class meets any positive-square class "
         "positively.",
-    "AX-MODULI-BOUNDARY":
-        "Boundary case rho(g, 1, d) = 0 of the non-simpleness criterion; "
-        "registered for completeness, never exercised by the replay.",
 }
 
 

@@ -9,9 +9,8 @@ from .casebook import builtin_scripts, script_by_tag
 from .necessity import (NecessityReport, ReductionRow, SurvivorMatch,
                         necessity_to_json, verify_necessity)
 from .presets import (PRESET_IDS, PRESET_PRESENTATION, QUARTIC_PRESENTATIONS,
-                      delpezzo_assumptions, delpezzo_lattice,
-                      delpezzo_pencil_f, delpezzo_pencil_fj, lemma51_presets,
-                      lemma_case, quartic_lattice, quartic_preset,
+                      delpezzo_lattice, delpezzo_pencil_f, delpezzo_pencil_fj,
+                      lemma51_presets, lemma_case, quartic_lattice,
                       ulrich_assumptions)
 from .scripts import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                       DerivationReport, DerivationScript, StepReport,
@@ -26,13 +25,13 @@ __all__ = [
     "PairElimination", "QUARTIC_PRESENTATIONS", "ReductionRow", "StepReport",
     "SurvivorMatch", "abs_t_at_least", "builtin_scripts", "check_rel",
     "custom",
-    "deg_of", "delpezzo_assumptions", "delpezzo_lattice", "delpezzo_pencil_f",
+    "deg_of", "delpezzo_lattice", "delpezzo_pencil_f",
     "delpezzo_pencil_fj", "elimination_to_json", "engine_assumptions",
     "enumerate_case",
     "enumerate_destabilizing",
     "established", "evaluate", "genus_expr", "hodge_lower_bound",
     "lemma51_presets", "lemma_case", "linear", "necessity_to_json", "pair_of",
-    "quadratic", "quartic_lattice", "quartic_preset", "report_to_json",
+    "quadratic", "quartic_lattice", "report_to_json",
     "run_script", "script_by_tag", "script_from_json", "script_to_json",
     "self_of", "ulrich_assumptions", "verify_necessity",
 ]

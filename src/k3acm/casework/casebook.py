@@ -19,11 +19,12 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import BadParametersError
+from ..errors import BadParametersError, EngineError
 from ..invariants import brill_noether, genus_of
 from ..lattice import DivClass, Lattice
 from .destabilize import engine_assumptions, enumerate_destabilizing
-from .presets import delpezzo_lattice, quartic_lattice, ulrich_assumptions
+from .presets import (delpezzo_lattice, delpezzo_pencil_f, delpezzo_pencil_fj,
+                      quartic_lattice, ulrich_assumptions)
 from .scripts import (ArithClaim, AxiomUse, CONTRADICTION, DerivationScript,
                       add_expr, bn_expr, c2_twist_expr, chi_bundle_expr,
                       chi_expr, deg_of, established, genus_expr, minimax_expr,
@@ -181,12 +182,12 @@ def _engine_trace(b2: int, hb: int, curve: tuple[int, int], d: int,
     ship, so an unresolved record raises.
     """
     lat = quartic_lattice(b2, hb)
-    base = ulrich_assumptions(lat) if (b2, hb) == (4, 6) else ()
-    records = enumerate_destabilizing(lat, DivClass(curve), d,
-                                      engine_assumptions(lat, base), mode)
+    records = enumerate_destabilizing(
+        lat, DivClass(curve), d,
+        engine_assumptions(lat, ulrich_assumptions(lat)), mode)
     gaps = [r for r in records if not r.resolved]
     if gaps:
-        raise RuntimeError(
+        raise EngineError(
             f"the destabilizing sweep leaves {len(gaps)} branch(es) of "
             f"C = {DivClass(curve)}, d = {d} ({mode}) on ({b2}, {hb}) open")
     return tuple(cl for rec in records for cl in rec.trace)
@@ -297,8 +298,8 @@ def _script_delpezzo(case: Case) -> DerivationScript:
     lat = delpezzo_lattice()
     ell = DivClass((1, 0, 0, 0, 0, 0, 0, 0))
     e1 = DivClass((0, 1, 0, 0, 0, 0, 0, 0))
-    h = DivClass((3, -1, -1, -1, -1, -1, -1, -1))
-    f = DivClass((2, -1, -1, -1, -1, 0, 0, 0))
+    h = lat.ample
+    f = delpezzo_pencil_f()
     steps = [
         ArithClaim("presentation pin: square of the pulled-back line",
                    self_of(ell), "=", 2),
@@ -319,8 +320,7 @@ def _script_delpezzo(case: Case) -> DerivationScript:
         ArithClaim("the conic pencil has degree 4", pair_of(h, f), "=", 4),
     ]
     for j in (5, 6, 7):
-        fj = DivClass(tuple(1 if i == 0 else (-1 if i == j else 0)
-                            for i in range(8)))
+        fj = delpezzo_pencil_fj(j)
         diff = f - fj
         wedge = f + fj - h * 2
         steps += [

@@ -145,8 +145,9 @@ class CaseSpec:
     tag: str = ""
 
     def __post_init__(self):
-        if self.box < 16:
-            raise BadParametersError(f"box must be at least 16, got {self.box}")
+        if not 16 <= self.box <= 256:
+            raise BadParametersError(
+                f"box must be between 16 and 256, got {self.box}")
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
 

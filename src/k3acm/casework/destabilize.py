@@ -30,9 +30,9 @@ from typing import Callable, Sequence
 from ..classifier import (AcmStatus, Assumption, AssumptionKind,
                           _NONEMPTY_KINDS, derived_assumptions,
                           is_initialized_acm)
-from ..errors import (BadParametersError, BoxTooSmallError, PreconditionError,
-                      TrivialClassError, NotEffectiveCandidateError,
-                      WorkbenchError)
+from ..errors import (BadParametersError, BoxTooSmallError, EngineError,
+                      PreconditionError, TrivialClassError,
+                      NotEffectiveCandidateError, WorkbenchError)
 from ..invariants import hodge_lower
 from ..lattice import DivClass, Lattice
 from .constraints import check_rel
@@ -103,7 +103,7 @@ def _claim(lat: Lattice, label: str, lhs, rel: str, rhs, cite: str = "",
     claim = ArithClaim(label=label, lhs=lhs, rel=rel, rhs=rhs, cite=cite,
                        contradicts=contradicts)
     if not check_rel(rel, evaluate(lhs, lat), evaluate(rhs, lat)):
-        raise WorkbenchError(f"engine produced a false claim: {label}")
+        raise EngineError(f"engine produced a false claim: {label}")
     return claim
 
 
@@ -143,8 +143,16 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     Needs the rank-2 polarized presentation with basis (h, B).  Returns
     one record per (n^2, profile) candidate plus a window-infeasible
     record for each empty branch and a closing beyond-cap record; the
-    outcome "unresolved" marks a candidate no rule covers (never the
-    case in the shipped replays).
+    outcome "unresolved" marks a candidate no rule covers.
+
+    The rules are incomplete in every mode.  Over the shipped quartic
+    configs with C = s h + t B, |s| <= 4, |t| <= 3, C^2 >= 4, h.C > 0 and
+    every d in the c2 window (210 queries per mode), a branch stays open
+    on 59 queries in exact mode, 113 in general mode and 90 in gonality
+    mode; the shipped scripts use only queries that close, and refuse to
+    build otherwise.  For C = s h (t = 0) on the (0, 3) presentation the
+    windows bound B.N on one side only, so 15 of those queries raise
+    BoxTooSmallError instead.
     """
     if mode not in MODES:
         raise BadParametersError(f"unknown mode {mode!r}; choose from {MODES}")

@@ -17,7 +17,7 @@ from typing import Sequence
 from ..classifier import (AcmStatus, Assumption, is_initialized_acm)
 from ..errors import BadParametersError, NotAcmInputError
 from ..lattice import DivClass, Lattice
-from .casebook import CASES, script_by_tag
+from .casebook import CASES
 from .constraints import enumerate_case
 from .presets import (PRESET_PRESENTATION, QUARTIC_PRESENTATIONS, lemma_case)
 from .scripts import DerivationReport, run_script, report_to_json
@@ -110,7 +110,7 @@ def verify_necessity(lat: Lattice, b: DivClass,
     work_profile = profile
     for case in CASES:
         if case.presentation == profile and case.target is not None:
-            substitution_report = run_script(script_by_tag(case.tag))
+            substitution_report = run_script(case.build(case))
             substitution = (case.tag, case.target)
             work_profile = case.target
     if work_profile not in _PRESET_FOR:
@@ -120,19 +120,18 @@ def verify_necessity(lat: Lattice, b: DivClass,
     spec = lemma_case(preset_id, box=box)
     survivors = tuple(enumerate_case(spec))
     cases = [k for k in CASES if k.presentation == work_profile]
-    script_for = {k.curve.coords: k.tag for k in cases
-                  if k.curve is not None and not k.support}
+    case_for = {k.curve.coords: k for k in cases
+                if k.curve is not None and not k.support}
     matches = []
     unmatched = []
     for survivor in survivors:
-        if survivor not in script_for:
+        if survivor not in case_for:
             unmatched.append(survivor)
             continue
-        tag = script_for[survivor]
-        matches.append(SurvivorMatch(survivor=survivor, script_tag=tag,
-                                     report=run_script(script_by_tag(tag))))
-    supports = tuple(run_script(script_by_tag(k.tag))
-                     for k in cases if k.support)
+        case = case_for[survivor]
+        matches.append(SurvivorMatch(survivor=survivor, script_tag=case.tag,
+                                     report=run_script(case.build(case))))
+    supports = tuple(run_script(k.build(k)) for k in cases if k.support)
     rows = _tail_rows()
     ok = (not unmatched
           and all(m.report.success for m in matches)

@@ -7,16 +7,20 @@ of the quartic double cover of a degree-2 del Pezzo surface.
 
 Each enumeration preset bounds the coefficients of C = s*h + t*B for a
 smooth genus >= 3 curve class C carrying an initialized aCM pencil
-bundle, using exactly the inequalities of the elimination argument.
+bundle.  One rule builds all five: the genus floor, the degree cap, one
+bound per class among B and its initialized aCM companions (h-B, 2h-B or
+3h-B, as classifier.acm_companions finds them), and the tail cut.
 """
 
 from __future__ import annotations
 
-from ..classifier import Assumption, AssumptionKind
+from ..classifier import (Assumption, AssumptionKind, acm_companions,
+                          is_initialized_acm)
 from ..errors import BadParametersError
+from ..invariants import hodge_lower
 from ..lattice import DivClass, Lattice
-from .constraints import (CaseSpec, abs_t_at_least, hodge_lower_bound, linear,
-                          quadratic)
+from .constraints import (CaseSpec, Constraint, abs_t_at_least,
+                          hodge_lower_bound, linear, quadratic)
 
 # (B^2, h.B) per presentation key
 QUARTIC_PRESENTATIONS: dict[str, tuple[int, int]] = {
@@ -29,31 +33,26 @@ QUARTIC_PRESENTATIONS: dict[str, tuple[int, int]] = {
     "b24-bh6": (4, 6),
 }
 
+_H = DivClass((1, 0))
+_B = DivClass((0, 1))
+
 
 def quartic_lattice(b2: int, hb: int) -> Lattice:
     """Rank-2 quartic sublattice <h, B> with h^2 = 4, B^2 = b2, h.B = hb."""
     return Lattice(gram=[[4, hb], [hb, b2]], labels=("h", "B"),
-                   ample=DivClass((1, 0)), k3=True)
+                   ample=_H, k3=True)
 
 
-def quartic_preset(key: str) -> Lattice:
-    try:
-        b2, hb = QUARTIC_PRESENTATIONS[key]
-    except KeyError:
-        raise BadParametersError(
-            f"unknown quartic presentation {key!r}; "
-            f"choose from {sorted(QUARTIC_PRESENTATIONS)}") from None
-    return quartic_lattice(b2, hb)
-
-
-def ulrich_assumptions(lat: Lattice) -> tuple[Assumption, Assumption]:
-    """The two emptiness facts the square-4 window needs: |B-h| = |2h-B| = empty."""
+def ulrich_assumptions(lat: Lattice) -> tuple[Assumption, ...]:
+    """The emptiness facts classifying B needs: |B-h| = |2h-B| = empty on
+    the Ulrich window (B^2, h.B) = (4, 6), none on the other windows."""
+    if (lat.self_int(_B), lat.deg(_B)) != (4, 6):
+        return ()
     h = lat.ample
-    b = DivClass((0, 1))
     return (
-        Assumption(b - h, AssumptionKind.EMPTY,
+        Assumption(_B - h, AssumptionKind.EMPTY,
                    "Ulrich window input: |B-h| is empty"),
-        Assumption(2 * h - b, AssumptionKind.EMPTY,
+        Assumption(2 * h - _B, AssumptionKind.EMPTY,
                    "Ulrich window input: |2h-B| is empty"),
     )
 
@@ -91,18 +90,6 @@ def delpezzo_pencil_fj(j: int) -> DivClass:
     return DivClass(coords)
 
 
-def delpezzo_assumptions() -> tuple[Assumption, ...]:
-    """Pencil facts for f and f_j (j = 5, 6, 7): square 0 and degree 4,
-    so the degree-3 criterion cannot certify them; they are pencils
-    because the lattice is even and the classes are primitive isotropic."""
-    out = [Assumption(delpezzo_pencil_f(), AssumptionKind.ELLIPTIC_PENCIL,
-                      "f = 2l - e1 - e2 - e3 - e4 is an elliptic pencil")]
-    for j in (5, 6, 7):
-        out.append(Assumption(delpezzo_pencil_fj(j), AssumptionKind.ELLIPTIC_PENCIL,
-                              f"f{j} = l - e{j} is an elliptic pencil"))
-    return tuple(out)
-
-
 # ---- the five enumeration presets -----------------------------------------------
 
 PRESET_IDS = ("i-a", "i-b", "i-c", "ii", "iii")
@@ -116,99 +103,54 @@ PRESET_PRESENTATION = {
     "iii": "b24-bh6",
 }
 
-_H = DivClass((1, 0))
-_B = DivClass((0, 1))
 
-
-def _genus_floor(hb: int, b2: int):
-    return quadratic(4, 2 * hb, b2, 0, 0, ">=", 4,
-                     cite="the curve has genus >= 3, i.e. C^2 >= 4")
-
-
-def _degree_cap(hb: int):
-    return linear(4, hb, "<=", 12, axiom_id="AX-SECTIONS-BOUND",
-                  cite=f"an initialized aCM pencil bundle forces "
-                       f"C.H = 4s+{hb}t <= 12")
-
-
-def _tail_cut():
-    return abs_t_at_least(
-        2, cite="|t| >= 2; the |t| <= 1 classes are settled by the "
-                "companion-closure reduction")
+def _companion_bound(lat: Lattice, p: DivClass, name: str) -> Constraint:
+    """How the curve C meets B or an initialized companion P of B."""
+    a, b, sq = lat.pair(_H, p), lat.pair(_B, p), lat.self_int(p)
+    form = f"C.{name} = {a}s{b:+d}t"
+    if sq < 0:
+        return linear(a, b, ">=", 0, axiom_id="AX-NEF-BPF",
+                      cite=f"{form} >= 0: the irreducible curve C meets "
+                           f"the effective class {name} nonnegatively")
+    if sq == 0:
+        return linear(a, b, ">=", 1, axiom_id="AX-HODGE-INDEX",
+                      cite=f"{form} > 0: {name} moves and C^2 > 0")
+    return hodge_lower_bound(
+        lat, _H, _B, p, 4, axiom_id="AX-HODGE-INDEX",
+        cite=f"{form} >= {hodge_lower(4, sq)} by the index bound with "
+             f"C^2 >= 4, {name}^2 = {sq}")
 
 
 def lemma_case(preset_id: str, box: int = 32) -> CaseSpec:
-    """One of the five bounded (s, t) searches, with its exact constraint set."""
-    if preset_id == "i-a":
-        lat = quartic_preset("b2neg2-bh1")
-        cons = (
-            _genus_floor(1, -2),
-            _degree_cap(1),
-            linear(1, -2, ">=", 0, axiom_id="AX-NEF-BPF",
-                   cite="C.B = s-2t >= 0: the irreducible curve C meets "
-                        "the effective class B nonnegatively"),
-            linear(3, 3, ">=", 1, axiom_id="AX-HODGE-INDEX",
-                   cite="C.(h-B) = 3(s+t) > 0: h-B is an elliptic pencil "
-                        "and C^2 > 0"),
-            _tail_cut(),
-        )
-    elif preset_id == "i-b":
-        lat = quartic_preset("b2neg2-bh2")
-        cons = (
-            _genus_floor(2, -2),
-            _degree_cap(2),
-            linear(2, -2, ">=", 0, axiom_id="AX-NEF-BPF",
-                   cite="C.B = 2s-2t >= 0"),
-            linear(2, 4, ">=", 0, axiom_id="AX-NEF-BPF",
-                   cite="C.(h-B) = 2s+4t >= 0: the companion h-B is again "
-                        "an initialized aCM class of the same shape"),
-            _tail_cut(),
-        )
-    elif preset_id == "i-c":
-        lat = quartic_preset("b2neg2-bh3")
-        cons = (
-            _genus_floor(3, -2),
-            _degree_cap(3),
-            linear(3, -2, ">=", 0, axiom_id="AX-NEF-BPF",
-                   cite="C.B = 3s-2t >= 0"),
-            hodge_lower_bound(lat, _H, _B, 2 * _H - _B, 4,
-                              axiom_id="AX-HODGE-INDEX",
-                              cite="C.(2h-B) = 5s+8t >= 3 by the index "
-                                   "bound with C^2 >= 4, (2h-B)^2 = 2"),
-            _tail_cut(),
-        )
-    elif preset_id == "ii":
-        lat = quartic_preset("b20-bh4")
-        cons = (
-            _genus_floor(4, 0),
-            _degree_cap(4),
-            linear(4, 0, ">=", 1, axiom_id="AX-HODGE-INDEX",
-                   cite="C.B = 4s > 0: the moving part of |B| is nonempty "
-                        "and C^2 > 0"),
-            linear(4, 8, ">=", 1, axiom_id="AX-HODGE-INDEX",
-                   cite="C.(2h-B) = 4s+8t > 0 for the substituted pencil "
-                        "class 2h-B"),
-            _tail_cut(),
-        )
-    elif preset_id == "iii":
-        lat = quartic_preset("b24-bh6")
-        cons = (
-            _genus_floor(6, 4),
-            _degree_cap(6),
-            hodge_lower_bound(lat, _H, _B, _B, 4,
-                              axiom_id="AX-HODGE-INDEX",
-                              cite="C.B = 6s+4t >= 4 by the index bound "
-                                   "with C^2 >= 4, B^2 = 4"),
-            hodge_lower_bound(lat, _H, _B, 3 * _H - _B, 4,
-                              axiom_id="AX-HODGE-INDEX",
-                              cite="C.(3h-B) = 6s+14t >= 4 for the "
-                                   "companion 3h-B of square 4"),
-            _tail_cut(),
-        )
-    else:
+    """One of the five bounded (s, t) searches.
+
+    C has genus >= 3 and degree <= 12, meets B and each initialized aCM
+    companion of B as its square dictates, and has |t| >= 2.
+    """
+    if preset_id not in PRESET_PRESENTATION:
         raise BadParametersError(
             f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
-    return CaseSpec(lattice=lat, constraints=cons, box=box, tag=preset_id)
+    b2, hb = QUARTIC_PRESENTATIONS[PRESET_PRESENTATION[preset_id]]
+    lat = quartic_lattice(b2, hb)
+    facts = ulrich_assumptions(lat)
+    companions = acm_companions(lat, _B, is_initialized_acm(lat, _B, facts),
+                                facts)
+    cons = [
+        quadratic(4, 2 * hb, b2, 0, 0, ">=", 4,
+                  cite="the curve has genus >= 3, i.e. C^2 >= 4"),
+        linear(4, hb, "<=", 12, axiom_id="AX-SECTIONS-BOUND",
+               cite=f"an initialized aCM pencil bundle forces "
+                    f"C.H = 4s+{hb}t <= 12"),
+        _companion_bound(lat, _B, "B"),
+    ]
+    cons += [_companion_bound(
+                 lat, p, f"({rule.removeprefix('complement-in-')}-B)")
+             for p, rule in companions if rule.startswith("complement-in-")]
+    cons.append(abs_t_at_least(
+        2, cite="|t| >= 2; the |t| <= 1 classes are settled by the "
+                "companion-closure reduction"))
+    return CaseSpec(lattice=lat, constraints=tuple(cons), box=box,
+                    tag=preset_id)
 
 
 def lemma51_presets(box: int = 32) -> list[CaseSpec]:

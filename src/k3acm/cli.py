@@ -3,7 +3,9 @@
 Exit codes: 0 = success / everything verified; 1 = a verification
 failure (a failed claim, an unresolved branch, a search-box boundary
 touch); 2 = bad input (unreadable config, malformed class argument,
-conflicting assumptions).  Reports go to stdout, diagnostics to stderr.
+conflicting assumptions, a search box outside 16..256); 3 = internal
+error (the engine produced a false claim or left a shipped script with
+a gap).  Reports go to stdout, diagnostics to stderr.
 """
 
 import argparse
@@ -20,7 +22,8 @@ from .casework import (MODES, PRESET_IDS, PRESET_PRESENTATION,
 from .classifier import acm_companions, is_initialized_acm
 from .config import (assumption_to_json, config_to_json, data_path,
                      load_config, shipped_quartic_names)
-from .errors import BadParametersError, BoxTooSmallError, WorkbenchError
+from .errors import (BadParametersError, BoxTooSmallError, EngineError,
+                     WorkbenchError)
 from .lattice import DivClass, Lattice
 
 
@@ -285,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=MODES, default="exact")
         if box:
             p.add_argument("--box", type=int, default=32,
-                           help="search box half-width (default 32)")
+                           help="search box half-width, 16 to 256 "
+                                "(default 32)")
         p.set_defaults(func=func)
         return p
 
@@ -323,6 +327,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except EngineError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except BoxTooSmallError as exc:
         print(f"boundary touch: {exc}", file=sys.stderr)
         return 1

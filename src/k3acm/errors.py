@@ -1,7 +1,8 @@
 """Exception hierarchy for the workbench.
 
-Every error the public API can raise derives from WorkbenchError, so callers
-(and the CLI) can distinguish "your input is bad" from a genuine bug.
+Every error the public API can raise derives from WorkbenchError.  Only
+EngineError marks a genuine bug, so callers (and the CLI) can tell it
+apart from bad input.
 """
 
 
@@ -87,6 +88,11 @@ class BoxTooSmallError(WorkbenchError):
 
 class MalformedScriptError(WorkbenchError):
     """A derivation script violates the structural rules."""
+
+
+class EngineError(WorkbenchError):
+    """Internal fault: the engine produced a false claim or left a gap in a
+    shipped script.  Never the caller's fault."""
 
 
 # ---- configuration -----------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -223,6 +224,16 @@ def test_cli_enumerate_rejects_tiny_box(capsys):
     assert code == 2
 
 
+def test_cli_rejects_an_oversized_box_quickly(capsys):
+    for argv in (("enumerate", "--preset", "i-a", "--box", "100000"),
+                 ("theorem", "--box", "100000")):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2, argv
+        assert "between 16 and 256" in err and not out, argv
+
+
 def test_cli_verify_contradiction(capsys):
     code, out, _ = _run(capsys, "verify", "--script", "case-B2neg2-Bh2")
     assert code == 0
@@ -279,6 +290,18 @@ def test_cli_destabilize(capsys):
                           "--d", "8")
     assert code == 1, err
     assert "UNRESOLVED BRANCHES REMAIN" in out
+
+
+def test_cli_reports_a_false_engine_claim_as_an_internal_error(
+        capsys, monkeypatch):
+    from k3acm.casework import destabilize
+    monkeypatch.setattr(destabilize, "check_rel", lambda rel, lhs, rhs: False)
+    cfg = str(data_path("quartic_b2neg2_bh3.json"))
+    code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class", "4,-2",
+                          "--d", "2")
+    assert code == 3
+    assert err.startswith("internal error: engine produced a false claim")
+    assert "Traceback" not in err and not out
 
 
 def test_cli_destabilize_ulrich_config(capsys):

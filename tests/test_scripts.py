@@ -12,7 +12,7 @@ from k3acm.casework import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                             quartic_lattice, report_to_json, run_script,
                             script_by_tag, script_from_json, script_to_json,
                             self_of, ulrich_assumptions)
-from k3acm.errors import BadParametersError
+from k3acm.errors import BadParametersError, EngineError
 
 LAT = quartic_lattice(-2, 2)
 
@@ -226,7 +226,7 @@ def test_pencil_scripts_refuse_open_branches():
     # the general sweep of the Ulrich double class leaves two profiles open
     case = casebook.Case("gap", casebook._script_pencil, (4, 6),
                          curve=DivClass((0, 2)), pencil=(4, "general"))
-    with pytest.raises(RuntimeError, match="open"):
+    with pytest.raises(EngineError, match="open"):
         case.build(case)
 
 
