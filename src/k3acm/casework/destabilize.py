@@ -64,38 +64,56 @@ class PairElimination:
         return self.outcome != "unresolved"
 
 
-class _Env:
-    """Known classes, sorted by what the elimination rules may assume."""
+@dataclass(frozen=True)
+class _KnownClass:
+    """An effective class known on X and what the rules may assume of it."""
 
-    def __init__(self, lat: Lattice, c: DivClass,
-                 assumptions: Sequence[Assumption]):
-        self.lat = lat
-        self.effective: list[DivClass] = []
-        self.movable: list[DivClass] = []       # h^0 >= 2, moving part nonempty
-        self.bpf_positive: list[DivClass] = []  # base point free, square >= 2
-        self.acm: list[DivClass] = []           # h^1 vanishes in every twist
-        bpf = {a.subject.coords for a in assumptions
-               if a.kind is AssumptionKind.BASE_POINT_FREE}
-        pencil = {a.subject.coords for a in assumptions
-                  if a.kind is AssumptionKind.ELLIPTIC_PENCIL}
-        nonempty = {a.subject.coords for a in assumptions
-                    if a.kind in _NONEMPTY_KINDS}
-        # the curve class itself is an irreducible member with C^2 >= 4
-        for coords in sorted(nonempty | bpf | {c.coords}):
-            sub = DivClass(coords)
-            sq = lat.self_int(sub)
-            self.effective.append(sub)
-            if (coords in bpf or coords in pencil or coords == c.coords
-                    or sq == 0):
-                self.movable.append(sub)
-            if (coords in bpf or coords == c.coords) and sq >= 2:
-                self.bpf_positive.append(sub)
-            try:
-                cls = is_initialized_acm(lat, sub, assumptions)
-            except (TrivialClassError, NotEffectiveCandidateError):
-                continue
-            if cls.status in (AcmStatus.ACM, AcmStatus.ACM_ULRICH):
-                self.acm.append(sub)
+    cls: DivClass
+    square: int
+    profile: tuple[int, int]  # (h.P, B.P)
+    movable: bool             # h^0 >= 2, moving part nonempty
+    bpf_positive: bool        # base point free, square >= 2
+    acm: bool                 # h^1 vanishes in every twist
+
+    def floor(self, n2: int) -> int:
+        """The least P.N for a base-point-free, hence nef, N with N^2 = n2."""
+        if n2 == 0:
+            # N is a fiber multiple: base-point-free positive classes meet
+            # it at least twice
+            return 2 if self.bpf_positive else 0
+        if self.square > 0:
+            return hodge_lower(self.square, n2)
+        # square-0 movable classes meet the 2-connected members of |N| in >= 2
+        return 2 if self.movable and self.square == 0 else 0
+
+
+_Known = tuple[_KnownClass, ...]  # the known-class table, by coordinates
+
+
+def _known_classes(lat: Lattice, c: DivClass,
+                   assumptions: Sequence[Assumption]) -> _Known:
+    """The classes the assumptions make effective, plus C, by coordinates."""
+    bpf = {a.subject.coords for a in assumptions
+           if a.kind is AssumptionKind.BASE_POINT_FREE}
+    pencil = {a.subject.coords for a in assumptions
+              if a.kind is AssumptionKind.ELLIPTIC_PENCIL}
+    nonempty = {a.subject.coords for a in assumptions
+                if a.kind in _NONEMPTY_KINDS}
+    known = []
+    # the curve class itself is an irreducible member with C^2 >= 4
+    for coords in sorted(nonempty | bpf | {c.coords}):
+        p = DivClass(coords)
+        sq = lat.self_int(p)
+        free = coords in bpf or coords == c.coords
+        try:
+            acm = is_initialized_acm(lat, p, assumptions).status in (
+                AcmStatus.ACM, AcmStatus.ACM_ULRICH)
+        except (TrivialClassError, NotEffectiveCandidateError):
+            acm = False
+        known.append(_KnownClass(p, sq, _profile_of(lat, p),
+                                 movable=free or coords in pencil or sq == 0,
+                                 bpf_positive=free and sq >= 2, acm=acm))
+    return tuple(known)
 
 
 def _claim(lat: Lattice, label: str, lhs, rel: str, rhs, cite: str = "",
@@ -140,10 +158,13 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
                             mode: str = "exact") -> list[PairElimination]:
     """Sweep every destabilizing-pair branch for (C, d) and kill each one.
 
-    Needs the rank-2 polarized presentation with basis (h, B).  Returns
-    one record per (n^2, profile) candidate plus a window-infeasible
-    record for each empty branch and a closing beyond-cap record; the
-    outcome "unresolved" marks a candidate no rule covers.
+    Needs the rank-2 polarized presentation with basis (h, B), C^2 >= 4
+    and (C, d) in the c2 window: 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and
+    1 <= d <= g + 7 - h.C, else PreconditionError, which also bounds the
+    work of one sweep.  Returns one record per (n^2, profile) candidate
+    plus a window-infeasible record for each empty branch and a closing
+    beyond-cap record; the outcome "unresolved" marks a candidate no rule
+    covers.
 
     The rules are incomplete in every mode.  Over the shipped quartic
     configs with C = s h + t B, |s| <= 4, |t| <= 3, C^2 >= 4, h.C > 0 and
@@ -164,13 +185,18 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     if c2 < 4:
         raise PreconditionError(f"C^2 = {c2} < 4: the curve class must have "
                                 "genus at least 3")
-    if d < 1:
-        raise PreconditionError(f"pencil degree d = {d} must be >= 1")
-    env = _Env(lat, c, assumptions)
+    hc = lat.deg(c)
+    d_hi = c2 // 2 + 8 - hc  # g + 7 - h.C with g = 1 + C^2/2
+    if not (1 <= hc <= 12 and 1 <= d <= d_hi):
+        raise PreconditionError(
+            f"h.C = {hc}, d = {d} lies outside the c2 window: the sweep "
+            f"needs 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and "
+            f"1 <= d <= g + 7 - h.C = {d_hi}")
+    known = _known_classes(lat, c, assumptions)
     cap = c2 // 4
     out: list[PairElimination] = []
     for n2 in range(0, cap + 1, 2):
-        out.extend(_branch(lat, env, c, d, n2, mode))
+        out.extend(_branch(lat, known, c, d, n2, mode))
     sentinel = cap + 2 if cap % 2 == 0 else cap + 1
     out.append(_beyond_cap(lat, c, d, sentinel))
     return out
@@ -184,7 +210,7 @@ def _cn_window(d: int, n2: int, mode: str) -> tuple[int, int]:
     return 1 + n2, d - 1 + n2  # gonality: a pencil of degree <= d-1 assumed
 
 
-def _profiles(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
+def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
               mode: str) -> tuple[list[tuple[int, int, int]], tuple[int, int]]:
     """Window-passing (h.N, B.N, C.N) triples plus the C.N window."""
     hc = lat.deg(c)
@@ -201,7 +227,7 @@ def _profiles(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
     for x in range(xmin, xmax + 1):
         for y in _y_range(s, t, x, cn_lo, cn_hi, ybox):
             cn = s * x + t * y
-            if not _windows_pass(lat, env, c, x, y, cn, n2):
+            if not _windows_pass(lat, known, c, x, y, cn, n2):
                 continue
             if abs(y) == ybox:
                 raise BoxTooSmallError(
@@ -221,34 +247,16 @@ def _y_range(s: int, t: int, x: int, cn_lo: int, cn_hi: int,
     return range(max(-ybox, -(-lo // t)), min(ybox, hi // t) + 1)
 
 
-def _windows_pass(lat: Lattice, env: _Env, c: DivClass, x: int, y: int,
+def _windows_pass(lat: Lattice, known: _Known, c: DivClass, x: int, y: int,
                   cn: int, n2: int) -> bool:
-    c2 = lat.self_int(c)
-    # N is base point free, hence nef
-    for eff in env.effective:
-        if _pairing(eff, x, y) < 0:
-            return False
-    if n2 == 0:
-        # N is a fiber multiple; base-point-free positive classes meet it >= 2
-        for p in env.bpf_positive:
-            if _pairing(p, x, y) < 2:
-                return False
-    else:
-        # square-0 movable classes meet the 2-connected members of |N| in >= 2
-        for p in env.movable:
-            if lat.self_int(p) == 0 and _pairing(p, x, y) < 2:
-                return False
-        # Hodge index against C and every positive-square known
-        if cn < hodge_lower(c2, n2):
-            return False
-        for p in env.effective:
-            p2 = lat.self_int(p)
-            if p2 > 0 and _pairing(p, x, y) < hodge_lower(p2, n2):
-                return False
+    # N is base point free, hence nef, and meets each known class (C too)
+    # at least at its floor
+    if any(_pairing(p.cls, x, y) < p.floor(n2) for p in known):
+        return False
     mn = cn - n2
     if mn < 1:
         return False
-    m2 = c2 - 2 * cn + n2
+    m2 = lat.self_int(c) - 2 * cn + n2
     if m2 < n2:  # normalization M^2 >= N^2
         return False
     if n2 > 0 and m2 > 0 and mn * mn < m2 * n2:  # Hodge index on (M, N)
@@ -256,45 +264,37 @@ def _windows_pass(lat: Lattice, env: _Env, c: DivClass, x: int, y: int,
     return True
 
 
-def _branch(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
+def _branch(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
             mode: str) -> list[PairElimination]:
-    hits, (cn_lo, cn_hi) = _profiles(lat, env, c, d, n2, mode)
+    hits, (cn_lo, cn_hi) = _profiles(lat, known, c, d, n2, mode)
     if not hits:
-        return [_infeasible(lat, env, c, d, n2, cn_lo, cn_hi)]
-    return [_kill_profile(lat, env, c, d, n2, mode, x, y, cn)
+        return [_infeasible(lat, known, c, d, n2, cn_lo, cn_hi)]
+    return [_kill_profile(lat, known, c, d, n2, mode, x, y, cn)
             for x, y, cn in hits]
 
 
-def _infeasible(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
+def _infeasible(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
                 cn_lo: int, cn_hi: int) -> PairElimination:
     """No profile passed the windows; certify the binding clash."""
     c2 = lat.self_int(c)
     trace: list[ArithClaim] = []
     note = ""
     # C a multiple of one known movable class: its pairing floor scales
-    for p in env.movable:
-        if p == c:
-            continue
-        k = _multiple_of(c, p)
+    for p in known:
+        k = _multiple_of(c, p.cls) if p.movable else None
         if k is None:
             continue
-        p2 = lat.self_int(p)
-        floor = 0
-        if n2 == 0 and p in env.bpf_positive:
-            floor = 2
-        if n2 > 0 and p2 > 0:
-            floor = max(floor, hodge_lower(p2, n2))
-        if n2 > 0 and p2 == 0:
-            floor = max(floor, 2)
+        floor = p.floor(n2)
         if k * floor > cn_hi:
             trace.append(_claim(
                 lat, "forced pairing exceeds the degree budget",
                 k * floor, ">", cn_hi,
-                cite=f"C = {k}({p}) forces C.N >= {k}*{floor} with "
-                     f"{p}.N >= {floor}, but M.N + N^2 <= {cn_hi}",
+                cite=f"C = {k}({p.cls}) forces C.N >= {k}*{floor} with "
+                     f"{p.cls}.N >= {floor}, but M.N + N^2 <= {cn_hi}",
                 contradicts="the degree accounting M.N + len(Z') = c2"))
             note = "pairing floor through the movable multiple"
             break
+    # n2 <= C^2/4 makes this floor >= 2 n2, so it covers M.N >= N^2 too
     if not trace and n2 > 0 and hodge_lower(c2, n2) > cn_hi:
         trace.append(_claim(
             lat, "Hodge floor on C.N exceeds the degree budget",
@@ -303,15 +303,6 @@ def _infeasible(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
                  f"C.N >= ceil(sqrt({c2 * n2}))",
             contradicts="the degree accounting M.N + len(Z') = c2"))
         note = "Hodge index against C"
-    mn_hi = cn_hi - n2
-    if not trace and n2 > 0 and n2 > mn_hi:
-        trace.append(_claim(
-            lat, "the M.N floor exceeds the degree budget",
-            n2, ">", mn_hi,
-            cite=f"M^2 >= N^2 = {n2} forces M.N >= {n2} through the Hodge "
-                 f"index, but M.N <= {mn_hi}",
-            contradicts="the degree accounting M.N + len(Z') = c2"))
-        note = "Hodge index against M"
     if not trace and cn_lo > cn_hi:
         trace.append(_claim(
             lat, "empty degree budget", cn_lo, ">", cn_hi,
@@ -350,7 +341,7 @@ def _beyond_cap(lat: Lattice, c: DivClass, d: int, n2: int) -> PairElimination:
                            note="all larger squares at once")
 
 
-def _kill_profile(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
+def _kill_profile(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
                   mode: str, x: int, y: int, cn: int) -> PairElimination:
     mn = cn - n2
     lz = d - mn if mode == "general" else 0
@@ -364,9 +355,9 @@ def _kill_profile(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
                                outcome=outcome, trace=tuple(base + claims),
                                profile=(x, y), note=note)
 
-    killed = _kill_classlike(lat, env, c, d, n2, mode, x, y, cn, rec)
+    killed = _kill_classlike(lat, known, c, d, n2, mode, x, y, cn, rec)
     if killed is None and n2 == 0:
-        killed = _kill_fiber(lat, env, c, d, mode, x, y, cn, rec)
+        killed = _kill_fiber(lat, known, c, d, mode, x, y, cn, rec)
     if killed is not None:
         return killed
     return rec("unresolved", [],
@@ -384,21 +375,21 @@ def _split_class(lat: Lattice, c: DivClass, n2: int,
     return half
 
 
-def _q_data(lat: Lattice, p: DivClass, x: int, y: int, n2: int):
+def _q_data(p: _KnownClass, x: int, y: int, n2: int):
     """Square, degree and N-pairing of Q = P - N from the profile.
 
     nonzero certifies Q != 0: the pairing vectors against the basis
     differ, which a nondegenerate form cannot absorb.
     """
-    pn = _pairing(p, x, y)
-    q2 = lat.self_int(p) - 2 * pn + n2
-    hq = lat.deg(p) - x
+    pn = _pairing(p.cls, x, y)
+    q2 = p.square - 2 * pn + n2
+    hq = p.profile[0] - x
     nq = pn - n2
-    nonzero = lat.self_int(p) != n2 or (x, y) != _profile_of(lat, p)
+    nonzero = p.square != n2 or (x, y) != p.profile
     return pn, q2, hq, nq, nonzero
 
 
-def _kill_classlike(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
+def _kill_classlike(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
                     mode: str, x: int, y: int, cn: int,
                     rec: Callable) -> PairElimination | None:
     """Rules that only use effectivity and connectedness of known classes."""
@@ -420,28 +411,29 @@ def _kill_classlike(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
             cite="M - N is effective and nonzero here, yet h.(M - N) = 0",
             contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
                         "effective class is positive")])
-    for p in env.effective:
-        pn, q2, hq, nq, nonzero = _q_data(lat, p, x, y, n2)
+    for p in known:
+        pn, q2, hq, nq, nonzero = _q_data(p, x, y, n2)
         if not nonzero:
             continue
         if hq == 0 and q2 == -2:
             return rec("ample-orthogonal-neg2", [_claim(
                 lat, "a (-2)-class orthogonal to h",
-                add_expr(self_of(p), -2 * pn, n2), "=", -2,
-                cite=f"({p} - N)^2 = -2 while h.({p} - N) = 0; a (-2)-class "
-                     "is effective up to sign",
+                add_expr(self_of(p.cls), -2 * pn, n2), "=", -2,
+                cite=f"({p.cls} - N)^2 = -2 while h.({p.cls} - N) = 0; a "
+                     "(-2)-class is effective up to sign",
                 contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
-                            "effective class is positive")], note=f"P = {p}")
+                            "effective class is positive")],
+                note=f"P = {p.cls}")
         if hq == 0 and q2 >= 0:
             return rec("isotropic-orthogonal-ample", [_claim(
                 lat, "nonnegative square orthogonal to h",
-                add_expr(self_of(p), -2 * pn, n2), ">=", 0,
-                cite=f"({p} - N)^2 >= 0 with h.({p} - N) = 0 forces the "
-                     "class to vanish, but it is nonzero",
+                add_expr(self_of(p.cls), -2 * pn, n2), ">=", 0,
+                cite=f"({p.cls} - N)^2 >= 0 with h.({p.cls} - N) = 0 forces "
+                     "the class to vanish, but it is nonzero",
                 contradicts="AX-HODGE-INDEX: the form has signature "
-                            "(1, rho - 1)")], note=f"P = {p}")
+                            "(1, rho - 1)")], note=f"P = {p.cls}")
         if q2 >= 0 and 1 <= abs(hq) <= 2:
-            name = f"{p} - N" if hq > 0 else f"N - ({p})"
+            name = f"{p.cls} - N" if hq > 0 else f"N - ({p.cls})"
             return rec("very-ample-degree-floor", [_claim(
                 lat, "degree below the very ample floor",
                 abs(hq), "<", 3,
@@ -449,44 +441,43 @@ def _kill_classlike(lat: Lattice, env: _Env, c: DivClass, d: int, n2: int,
                      "nonzero class of nonnegative square and positive "
                      "degree moves in a pencil",
                 contradicts="AX-VA-DEGREE3: degree floor under a very ample "
-                            "polarization")], note=f"P = {p}")
-    for p in env.bpf_positive:
-        pn, q2, hq, nq, nonzero = _q_data(lat, p, x, y, n2)
+                            "polarization")], note=f"P = {p.cls}")
+    for p in (p for p in known if p.bpf_positive):
+        pn, q2, hq, nq, nonzero = _q_data(p, x, y, n2)
         if not nonzero:
             continue
         if q2 >= -2 and hq >= 1 and nq <= 1:
             return rec("two-connected-violation", [_claim(
                 lat, "a piece meeting N at most once",
                 pn - n2, "<=", 1,
-                cite=f"Q = {p} - N is effective (Q^2 = {q2} >= -2, "
+                cite=f"Q = {p.cls} - N is effective (Q^2 = {q2} >= -2, "
                      f"h.Q = {hq} >= 1) and N.Q = {nq}",
-                contradicts=f"AX-2CONNECTED: members of |{p}| are "
-                            "2-connected")], note=f"P = {p}")
-        if (q2 >= -2 and hq <= -1 and n2 >= 2
-                and pn - lat.self_int(p) <= 1):
+                contradicts=f"AX-2CONNECTED: members of |{p.cls}| are "
+                            "2-connected")], note=f"P = {p.cls}")
+        if q2 >= -2 and hq <= -1 and n2 >= 2 and pn - p.square <= 1:
             return rec("two-connected-violation", [_claim(
                 lat, "a piece meeting its complement at most once",
-                pn - lat.self_int(p), "<=", 1,
-                cite=f"Q = N - ({p}) is effective and {p}.Q = "
-                     f"{pn - lat.self_int(p)}",
+                pn - p.square, "<=", 1,
+                cite=f"Q = N - ({p.cls}) is effective and {p.cls}.Q = "
+                     f"{pn - p.square}",
                 contradicts="AX-2CONNECTED: members of |N| are 2-connected")],
-                note=f"P = {p}")
-    for p in env.acm:
-        pn, q2, hq, nq, nonzero = _q_data(lat, p, x, y, n2)
+                note=f"P = {p.cls}")
+    for p in (p for p in known if p.acm):
+        pn, q2, hq, nq, nonzero = _q_data(p, x, y, n2)
         if not nonzero:
             continue
         if q2 == -2 and hq >= 1 and nq <= 0:
             return rec("one-connected-h1", [_claim(
                 lat, "a decomposition with nonpositive linking",
                 pn - n2, "<=", 0,
-                cite=f"{p} = N + ({p} - N) with ({p} - N)^2 = -2, "
-                     f"h.({p} - N) = {hq} and N.({p} - N) = {nq}",
+                cite=f"{p.cls} = N + ({p.cls} - N) with ({p.cls} - N)^2 = -2, "
+                     f"h.({p.cls} - N) = {hq} and N.({p.cls} - N) = {nq}",
                 contradicts="AX-1CONNECTED-H1 with AX-ACM-VANISH: h^1 of "
-                            "the aCM class vanishes")], note=f"P = {p}")
+                            "the aCM class vanishes")], note=f"P = {p.cls}")
     return None
 
 
-def _kill_fiber(lat: Lattice, env: _Env, c: DivClass, d: int, mode: str,
+def _kill_fiber(lat: Lattice, known: _Known, c: DivClass, d: int, mode: str,
                 x: int, y: int, cn: int,
                 rec: Callable) -> PairElimination | None:
     """Rules for N^2 = 0: N = rF over an elliptic pencil F with h.F >= 3."""
@@ -494,24 +485,22 @@ def _kill_fiber(lat: Lattice, env: _Env, c: DivClass, d: int, mode: str,
         rs = [1]  # h^1(N) = r - 1 = 0 forces r = 1
     else:
         rs = [r for r in range(1, x // 3 + 1)
-              if x % r == 0 and (y == 0 or y % r == 0) and cn % r == 0]
+              if x % r == 0 and y % r == 0 and cn % r == 0]
     claims: list[ArithClaim] = []
     rules: list[str] = []
     for r in rs:
-        kill = _kill_fiber_r(lat, env, c, d, mode, x, y, cn, r)
+        kill = _kill_fiber_r(lat, known, c, d, mode, x, y, cn, r)
         if kill is None:
             return None
         rule, cl = kill
         rules.append(rule)
         claims.extend(cl)
-    if not rules:
-        return None
     outcome = rules[0] if len(set(rules)) == 1 else "pencil-branches-exhausted"
     return rec(outcome, claims,
                note=f"fiber multiplicities {rs} all eliminated")
 
 
-def _kill_fiber_r(lat: Lattice, env: _Env, c: DivClass, d: int, mode: str,
+def _kill_fiber_r(lat: Lattice, known: _Known, c: DivClass, d: int, mode: str,
                   x: int, y: int, cn: int, r: int):
     """Eliminate N = rF for one multiplicity r; None if no rule applies."""
     if r >= 2:
@@ -527,18 +516,16 @@ def _kill_fiber_r(lat: Lattice, env: _Env, c: DivClass, d: int, mode: str,
         return "pencil-multiple-h1", [claim]
     # r = 1: N itself is an elliptic pencil
     h = DivClass((1, 0))
-    for p in env.movable:
-        if lat.self_int(p) != 0 or p == c:
+    for p in known:  # the square-0 (hence movable) class P with C = h + 2P
+        if p.square != 0 or (h + p.cls * 2).coords != c.coords:
             continue
-        if (h + p * 2).coords != c.coords:
-            continue
-        pn = _pairing(p, x, y)
+        pn = _pairing(p.cls, x, y)
         if pn <= 1:
             claim = _claim(
                 lat, "the distinguished movable class meets the fiber at "
                      "most once",
                 pn, "<=", 1,
-                cite=f"{p}.N = {pn}: a fiber meeting the movable class of "
+                cite=f"{p.cls}.N = {pn}: a fiber meeting the movable class of "
                      "the initialized pencil bundle fewer than twice forces "
                      "either h^0 <= 1 or a section of the negative twist",
                 contradicts="AX-PENCIL-RESTRICT: the fiber pairing is >= 2")

@@ -292,6 +292,18 @@ def test_cli_destabilize(capsys):
     assert "UNRESOLVED BRANCHES REMAIN" in out
 
 
+def test_cli_destabilize_rejects_a_query_outside_the_c2_window_quickly(
+        capsys):
+    cfg = str(data_path("quartic_b20_bh4.json"))
+    for curve, d in (("1,2", "1000000"), ("1000,0", "10")):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class",
+                              curve, "--d", d, "--mode", "general")
+        assert time.perf_counter() - start < 1.0, curve
+        assert code == 2, curve
+        assert "c2 window" in err and not out, curve
+
+
 def test_cli_reports_a_false_engine_claim_as_an_internal_error(
         capsys, monkeypatch):
     from k3acm.casework import destabilize

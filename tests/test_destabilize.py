@@ -1,5 +1,7 @@
 """The destabilizing-pair elimination engine on the four hard cases."""
 
+from collections import Counter
+
 import pytest
 
 from k3acm import (BadParametersError, DivClass, PreconditionError,
@@ -157,6 +159,21 @@ def test_mode_and_precondition_guards():
                                 2, (), mode="exact")
 
 
+def test_engine_refuses_queries_outside_the_c2_window():
+    # C = h + 2B on (0, 4): C^2 = 20, g = 11, h.C = 12, so d <= 6
+    lat = quartic_lattice(0, 4)
+    facts = _facts(lat)
+    assert enumerate_destabilizing(lat, DivClass((1, 2)), 6, facts,
+                                   mode="general")
+    for curve, d in (((1, 2), 7),        # one past the window end
+                     ((-1, -2), 1),      # h.C = -12
+                     ((4, 0), 1)):       # h.C = 16 > 12
+        for mode in MODES:
+            with pytest.raises(PreconditionError, match="c2 window"):
+                enumerate_destabilizing(lat, DivClass(curve), d, facts,
+                                        mode=mode)
+
+
 def test_records_serialize_to_json():
     import json
     lat = quartic_lattice(0, 4)
@@ -242,7 +259,7 @@ def test_engine_never_emits_a_false_claim():
 def test_solved_profiles_match_the_full_scan():
     compared = 0
     for lat, facts, c, d, mode in _grid():
-        env = destabilize._Env(lat, c, facts)
+        env = destabilize._known_classes(lat, c, facts)
         for n2 in range(0, lat.self_int(c) // 4 + 1, 2):
             try:
                 want = _scan_profiles(lat, env, c, d, n2, mode)
@@ -267,3 +284,57 @@ def test_gonality_with_an_empty_budget_is_flagged():
     assert (evaluate(final.lhs, lat), final.rel,
             evaluate(final.rhs, lat)) == (1, ">", 0)
     assert final.contradicts
+
+
+def test_grid_outcomes_are_pinned():
+    # a change to the rule order or to a pairing floor moves these counts
+    outcomes, notes = Counter(), Counter()
+    for lat, facts, c, d, mode in _grid():
+        try:
+            records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
+        except BoxTooSmallError:
+            continue
+        for rec in records:
+            outcomes[mode, rec.outcome] += 1
+            if rec.outcome == "window-infeasible":
+                notes[rec.note] += 1
+    assert outcomes == Counter({
+        ("exact", "ample-orthogonal-neg2"): 29,
+        ("exact", "beyond-hodge-cap"): 194,
+        ("exact", "effective-difference-degree-zero"): 186,
+        ("exact", "isotropic-orthogonal-ample"): 2,
+        ("exact", "one-connected-h1"): 4,
+        ("exact", "pencil-restrict-degree"): 2,
+        ("exact", "split-indecomposable"): 8,
+        ("exact", "twist-h1-vanishing"): 27,
+        ("exact", "two-connected-violation"): 12,
+        ("exact", "unresolved"): 124,
+        ("exact", "very-ample-degree-floor"): 34,
+        ("exact", "window-infeasible"): 256,
+        ("general", "ample-orthogonal-neg2"): 151,
+        ("general", "beyond-hodge-cap"): 192,
+        ("general", "isotropic-orthogonal-ample"): 46,
+        ("general", "one-connected-h1"): 23,
+        ("general", "pencil-branches-exhausted"): 2,
+        ("general", "pencil-restrict-degree"): 10,
+        ("general", "split-indecomposable"): 33,
+        ("general", "two-connected-violation"): 97,
+        ("general", "unresolved"): 1072,
+        ("general", "very-ample-degree-floor"): 356,
+        ("general", "window-infeasible"): 109,
+        ("gonality", "ample-orthogonal-neg2"): 105,
+        ("gonality", "beyond-hodge-cap"): 193,
+        ("gonality", "isotropic-orthogonal-ample"): 36,
+        ("gonality", "one-connected-h1"): 19,
+        ("gonality", "pencil-restrict-degree"): 8,
+        ("gonality", "two-connected-violation"): 76,
+        ("gonality", "unresolved"): 787,
+        ("gonality", "very-ample-degree-floor"): 270,
+        ("gonality", "window-infeasible"): 167,
+    })
+    assert notes == Counter({
+        "exhaustive window sweep": 432,
+        "Hodge index against C": 66,
+        "empty degree budget": 21,
+        "pairing floor through the movable multiple": 13,
+    })
