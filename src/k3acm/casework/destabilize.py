@@ -24,6 +24,7 @@ Modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,7 +34,7 @@ from ..classifier import (AcmStatus, Assumption, AssumptionKind,
 from ..errors import (BadParametersError, BoxTooSmallError, EngineError,
                       PreconditionError, TrivialClassError,
                       NotEffectiveCandidateError, WorkbenchError)
-from ..invariants import hodge_lower
+from ..invariants import genus_of, hodge_lower, lm_acm_bounds
 from ..lattice import DivClass, Lattice
 from .constraints import check_rel
 from .scripts import (ArithClaim, add_expr, evaluate, hodge_expr, self_of,
@@ -186,7 +187,7 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
         raise PreconditionError(f"C^2 = {c2} < 4: the curve class must have "
                                 "genus at least 3")
     hc = lat.deg(c)
-    d_hi = c2 // 2 + 8 - hc  # g + 7 - h.C with g = 1 + C^2/2
+    d_hi = lm_acm_bounds(genus_of(c2), hc).d_max
     if not (1 <= hc <= 12 and 1 <= d <= d_hi):
         raise PreconditionError(
             f"h.C = {hc}, d = {d} lies outside the c2 window: the sweep "
@@ -212,7 +213,16 @@ def _cn_window(d: int, n2: int, mode: str) -> tuple[int, int]:
 
 def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
               mode: str) -> tuple[list[tuple[int, int, int]], tuple[int, int]]:
-    """Window-passing (h.N, B.N, C.N) triples plus the C.N window."""
+    """Window-passing (h.N, B.N, C.N) triples plus the C.N window.
+
+    Each window is a half-plane a*h.N + b*B.N >= r: the degree budget
+    cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by M^2 >= N^2, and
+    P.N >= P.floor(n2) for every known class P, C included.  At each h.N
+    they cut out one B.N interval by floor and ceiling division; a
+    nonempty interval open on a side raises BoxTooSmallError.  M.N >= 1
+    needs no window, as C.N >= cn_lo implies it; nor does the Hodge index
+    on (M, N): (M.N)^2 >= M^2 N^2 expands to (C.N)^2 >= C^2 N^2, C's floor.
+    """
     hc = lat.deg(c)
     cn_lo, cn_hi = _cn_window(d, n2, mode)
     xmin = 3
@@ -222,46 +232,26 @@ def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
     if mode == "exact":
         xmax = min(xmax, hc // 2)  # M - N effective or zero: h.N <= h.M
     s, t = c.coords
-    ybox = abs(cn_hi) + 4 * (abs(s) + abs(t) + 1) * (hc + 4) + 16
+    halves = [(s, t, cn_lo), (-s, -t, -min(cn_hi, lat.self_int(c) // 2))]
+    halves += [(*p.cls.coords, p.floor(n2)) for p in known]
     hits: list[tuple[int, int, int]] = []
     for x in range(xmin, xmax + 1):
-        for y in _y_range(s, t, x, cn_lo, cn_hi, ybox):
-            cn = s * x + t * y
-            if not _windows_pass(lat, known, c, x, y, cn, n2):
-                continue
-            if abs(y) == ybox:
-                raise BoxTooSmallError(
-                    f"profile scan hit the bound |B.N| = {ybox}")
-            hits.append((x, y, cn))
+        lo, hi = -math.inf, math.inf
+        for a, b, r in halves:
+            rest = r - a * x  # b * B.N >= rest
+            if b > 0:
+                lo = max(lo, -(-rest // b))
+            elif b < 0:
+                hi = min(hi, rest // b)
+            elif rest > 0:
+                lo, hi = math.inf, -math.inf
+        if lo > hi:
+            continue
+        if math.isinf(lo) or math.isinf(hi):
+            raise BoxTooSmallError(f"the windows leave B.N in [{lo}, {hi}] "
+                                   f"at h.N = {x}, N^2 = {n2}")
+        hits.extend((x, y, s * x + t * y) for y in range(lo, hi + 1))
     return hits, (cn_lo, cn_hi)
-
-
-def _y_range(s: int, t: int, x: int, cn_lo: int, cn_hi: int,
-             ybox: int) -> range:
-    """The B.N values |y| <= ybox with cn_lo <= C.N = s*x + t*y <= cn_hi."""
-    lo, hi = cn_lo - s * x, cn_hi - s * x
-    if t == 0:
-        return range(-ybox, ybox + 1) if lo <= 0 <= hi else range(0)
-    if t < 0:
-        lo, hi, t = -hi, -lo, -t
-    return range(max(-ybox, -(-lo // t)), min(ybox, hi // t) + 1)
-
-
-def _windows_pass(lat: Lattice, known: _Known, c: DivClass, x: int, y: int,
-                  cn: int, n2: int) -> bool:
-    # N is base point free, hence nef, and meets each known class (C too)
-    # at least at its floor
-    if any(_pairing(p.cls, x, y) < p.floor(n2) for p in known):
-        return False
-    mn = cn - n2
-    if mn < 1:
-        return False
-    m2 = lat.self_int(c) - 2 * cn + n2
-    if m2 < n2:  # normalization M^2 >= N^2
-        return False
-    if n2 > 0 and m2 > 0 and mn * mn < m2 * n2:  # Hodge index on (M, N)
-        return False
-    return True
 
 
 def _branch(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,

@@ -304,6 +304,18 @@ def test_cli_destabilize_rejects_a_query_outside_the_c2_window_quickly(
         assert "c2 window" in err and not out, curve
 
 
+def test_cli_destabilize_reports_an_unbounded_window_as_a_boundary_touch(
+        capsys):
+    # C = 2h on (0, 3): C.N does not bind B.N and the floors bind it below only
+    cfg = str(data_path("quartic_b20_bh3.json"))
+    for extra in ((), ("--json",)):
+        code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class",
+                              "2,0", "--d", "4", *extra)
+        assert code == 1, extra
+        assert err.startswith("boundary touch: the windows leave B.N in ")
+        assert "inf" in err and not out, extra
+
+
 def test_cli_reports_a_false_engine_claim_as_an_internal_error(
         capsys, monkeypatch):
     from k3acm.casework import destabilize

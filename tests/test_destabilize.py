@@ -201,6 +201,22 @@ def test_general_mode_weakens_exact_mode():
     assert exact_profiles <= general_profiles
 
 
+def _windows_pass(lat, known, c, x, y, cn, n2):
+    # N is base point free, hence nef, and meets each known class (C too)
+    # at least at its floor
+    if any(destabilize._pairing(p.cls, x, y) < p.floor(n2) for p in known):
+        return False
+    mn = cn - n2
+    if mn < 1:
+        return False
+    m2 = lat.self_int(c) - 2 * cn + n2
+    if m2 < n2:  # normalization M^2 >= N^2
+        return False
+    if n2 > 0 and m2 > 0 and mn * mn < m2 * n2:  # Hodge index on (M, N)
+        return False
+    return True
+
+
 def _scan_profiles(lat, env, c, d, n2, mode):
     """The original full B.N scan, kept as the oracle for _profiles."""
     hc = lat.deg(c)
@@ -217,7 +233,7 @@ def _scan_profiles(lat, env, c, d, n2, mode):
             cn = s * x + t * y
             if not cn_lo <= cn <= cn_hi:
                 continue
-            if not destabilize._windows_pass(lat, env, c, x, y, cn, n2):
+            if not _windows_pass(lat, env, c, x, y, cn, n2):
                 continue
             if abs(y) == ybox:
                 raise BoxTooSmallError(f"|B.N| = {ybox}")
@@ -257,19 +273,23 @@ def test_engine_never_emits_a_false_claim():
 
 
 def test_solved_profiles_match_the_full_scan():
+    # each grid query runs on the derived facts and on the raw config facts
+    raw = dict(load_config(data_path(name))
+               for name in shipped_quartic_names())
     compared = 0
     for lat, facts, c, d, mode in _grid():
-        env = destabilize._known_classes(lat, c, facts)
-        for n2 in range(0, lat.self_int(c) // 4 + 1, 2):
-            try:
-                want = _scan_profiles(lat, env, c, d, n2, mode)
-            except BoxTooSmallError:
-                with pytest.raises(BoxTooSmallError):
-                    destabilize._profiles(lat, env, c, d, n2, mode)
-                continue
-            assert destabilize._profiles(lat, env, c, d, n2, mode) == want
-            compared += 1
-    assert compared > 500
+        for fact_set in (facts, raw[lat]):
+            env = destabilize._known_classes(lat, c, fact_set)
+            for n2 in range(0, lat.self_int(c) // 4 + 1, 2):
+                try:
+                    want = _scan_profiles(lat, env, c, d, n2, mode)
+                except BoxTooSmallError:
+                    with pytest.raises(BoxTooSmallError):
+                        destabilize._profiles(lat, env, c, d, n2, mode)
+                    continue
+                assert destabilize._profiles(lat, env, c, d, n2, mode) == want
+                compared += 1
+    assert compared > 1500
 
 
 def test_gonality_with_an_empty_budget_is_flagged():
