@@ -236,6 +236,10 @@ def _pencil_steps(case: Case, lat: Lattice) -> list:
         "AX-BPF-ACM",
         note="B and its initialized companions seed the sweep: those of "
              "square >= 2 are base point free, those of square 0 move"))
+    steps.append(AxiomUse(
+        "AX-HODGE-INDEX",
+        note="the Gram determinant of <h, B, N> is >= 0, which bounds B.N "
+             "on both sides at each h.N"))
     return (steps + uses
             + list(_engine_trace(*case.presentation, c.coords, d, mode)))
 

@@ -31,9 +31,9 @@ from typing import Callable, Sequence
 from ..classifier import (AcmStatus, Assumption, AssumptionKind,
                           _NONEMPTY_KINDS, derived_assumptions,
                           is_initialized_acm)
-from ..errors import (BadParametersError, BoxTooSmallError, EngineError,
-                      PreconditionError, TrivialClassError,
-                      NotEffectiveCandidateError, WorkbenchError)
+from ..errors import (BadParametersError, EngineError, PreconditionError,
+                      TrivialClassError, NotEffectiveCandidateError,
+                      WorkbenchError)
 from ..invariants import genus_of, hodge_lower, lm_acm_bounds
 from ..lattice import DivClass, Lattice
 from .constraints import check_rel
@@ -159,8 +159,9 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
                             mode: str = "exact") -> list[PairElimination]:
     """Sweep every destabilizing-pair branch for (C, d) and kill each one.
 
-    Needs the rank-2 polarized presentation with basis (h, B), C^2 >= 4
-    and (C, d) in the c2 window: 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and
+    Needs the rank-2 polarized presentation with basis (h, B), a
+    hyperbolic one, (h.B)^2 > 4 B^2 (AX-HODGE-INDEX), C^2 >= 4 and (C, d)
+    in the c2 window: 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and
     1 <= d <= g + 7 - h.C, else PreconditionError, which also bounds the
     work of one sweep.  Returns one record per (n^2, profile) candidate
     plus a window-infeasible record for each empty branch and a closing
@@ -169,12 +170,10 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
 
     The rules are incomplete in every mode.  Over the shipped quartic
     configs with C = s h + t B, |s| <= 4, |t| <= 3, C^2 >= 4, h.C > 0 and
-    every d in the c2 window (210 queries per mode), a branch stays open
-    on 59 queries in exact mode, 113 in general mode and 90 in gonality
-    mode; the shipped scripts use only queries that close, and refuse to
-    build otherwise.  For C = s h (t = 0) on the (0, 3) presentation the
-    windows bound B.N on one side only, so 15 of those queries raise
-    BoxTooSmallError instead.
+    max(1, g - 5) <= d <= g + 7 - h.C (210 queries per mode), a branch
+    stays open on 60 queries in exact mode, 115 in general mode and 92 in
+    gonality mode; the shipped scripts use only queries that close, and
+    refuse to build otherwise.
     """
     if mode not in MODES:
         raise BadParametersError(f"unknown mode {mode!r}; choose from {MODES}")
@@ -182,6 +181,11 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
         raise BadParametersError(
             "the destabilizing sweep needs the rank-2 polarized "
             "presentation with basis (h, B)")
+    hb, b2 = lat.gram[0][1], lat.gram[1][1]
+    if hb * hb <= 4 * b2:
+        raise PreconditionError(
+            f"(h.B)^2 = {hb * hb} <= 4 B^2 = {4 * b2}: the presentation is "
+            "not hyperbolic (AX-HODGE-INDEX)")
     c2 = lat.self_int(c)
     if c2 < 4:
         raise PreconditionError(f"C^2 = {c2} < 4: the curve class must have "
@@ -215,13 +219,17 @@ def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
               mode: str) -> tuple[list[tuple[int, int, int]], tuple[int, int]]:
     """Window-passing (h.N, B.N, C.N) triples plus the C.N window.
 
-    Each window is a half-plane a*h.N + b*B.N >= r: the degree budget
-    cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by M^2 >= N^2, and
-    P.N >= P.floor(n2) for every known class P, C included.  At each h.N
-    they cut out one B.N interval by floor and ceiling division; a
-    nonempty interval open on a side raises BoxTooSmallError.  M.N >= 1
-    needs no window, as C.N >= cn_lo implies it; nor does the Hodge index
-    on (M, N): (M.N)^2 >= M^2 N^2 expands to (C.N)^2 >= C^2 N^2, C's floor.
+    At each h.N = x the Hodge index on <h, B, N> (AX-HODGE-INDEX: its Gram
+    determinant is >= 0) closes B.N = y: the determinant is >= 0 exactly
+    when (4y - x h.B)^2 <= ((h.B)^2 - 4 B^2)(x^2 - 4 N^2), and 4y - x h.B is
+    an integer, so isqrt gives the exact interval; x >= hodge_lower(4, N^2)
+    keeps the right side >= 0.  Each further window is a half-plane
+    a*h.N + b*B.N >= r that narrows it by floor and ceiling division: the
+    degree budget cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by
+    M^2 >= N^2, and P.N >= P.floor(n2) for every known class P, C
+    included.  M.N >= 1 needs no window, as C.N >= cn_lo implies it; nor
+    does the Hodge index on (M, N): (M.N)^2 >= M^2 N^2 expands to
+    (C.N)^2 >= C^2 N^2, C's floor.
     """
     hc = lat.deg(c)
     cn_lo, cn_hi = _cn_window(d, n2, mode)
@@ -234,9 +242,11 @@ def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
     s, t = c.coords
     halves = [(s, t, cn_lo), (-s, -t, -min(cn_hi, lat.self_int(c) // 2))]
     halves += [(*p.cls.coords, p.floor(n2)) for p in known]
+    hb, b2 = lat.gram[0][1], lat.gram[1][1]
     hits: list[tuple[int, int, int]] = []
     for x in range(xmin, xmax + 1):
-        lo, hi = -math.inf, math.inf
+        root = math.isqrt((hb * hb - 4 * b2) * (x * x - 4 * n2))
+        lo, hi = -((root - hb * x) // 4), (hb * x + root) // 4
         for a, b, r in halves:
             rest = r - a * x  # b * B.N >= rest
             if b > 0:
@@ -244,12 +254,7 @@ def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
             elif b < 0:
                 hi = min(hi, rest // b)
             elif rest > 0:
-                lo, hi = math.inf, -math.inf
-        if lo > hi:
-            continue
-        if math.isinf(lo) or math.isinf(hi):
-            raise BoxTooSmallError(f"the windows leave B.N in [{lo}, {hi}] "
-                                   f"at h.N = {x}, N^2 = {n2}")
+                hi = lo - 1
         hits.extend((x, y, s * x + t * y) for y in range(lo, hi + 1))
     return hits, (cn_lo, cn_hi)
 
@@ -368,15 +373,13 @@ def _split_class(lat: Lattice, c: DivClass, n2: int,
 def _q_data(p: _KnownClass, x: int, y: int, n2: int):
     """Square, degree and N-pairing of Q = P - N from the profile.
 
-    nonzero certifies Q != 0: the pairing vectors against the basis
-    differ, which a nondegenerate form cannot absorb.
+    Every rule below asks q2 = -2 or |h.Q| >= 1, so none fires on Q = 0.
     """
     pn = _pairing(p.cls, x, y)
     q2 = p.square - 2 * pn + n2
     hq = p.profile[0] - x
     nq = pn - n2
-    nonzero = p.square != n2 or (x, y) != p.profile
-    return pn, q2, hq, nq, nonzero
+    return pn, q2, hq, nq
 
 
 def _kill_classlike(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
@@ -402,9 +405,7 @@ def _kill_classlike(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
             contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
                         "effective class is positive")])
     for p in known:
-        pn, q2, hq, nq, nonzero = _q_data(p, x, y, n2)
-        if not nonzero:
-            continue
+        pn, q2, hq, nq = _q_data(p, x, y, n2)
         if hq == 0 and q2 == -2:
             return rec("ample-orthogonal-neg2", [_claim(
                 lat, "a (-2)-class orthogonal to h",
@@ -414,14 +415,6 @@ def _kill_classlike(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
                 contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
                             "effective class is positive")],
                 note=f"P = {p.cls}")
-        if hq == 0 and q2 >= 0:
-            return rec("isotropic-orthogonal-ample", [_claim(
-                lat, "nonnegative square orthogonal to h",
-                add_expr(self_of(p.cls), -2 * pn, n2), ">=", 0,
-                cite=f"({p.cls} - N)^2 >= 0 with h.({p.cls} - N) = 0 forces "
-                     "the class to vanish, but it is nonzero",
-                contradicts="AX-HODGE-INDEX: the form has signature "
-                            "(1, rho - 1)")], note=f"P = {p.cls}")
         if q2 >= 0 and 1 <= abs(hq) <= 2:
             name = f"{p.cls} - N" if hq > 0 else f"N - ({p.cls})"
             return rec("very-ample-degree-floor", [_claim(
@@ -433,9 +426,7 @@ def _kill_classlike(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
                 contradicts="AX-VA-DEGREE3: degree floor under a very ample "
                             "polarization")], note=f"P = {p.cls}")
     for p in (p for p in known if p.bpf_positive):
-        pn, q2, hq, nq, nonzero = _q_data(p, x, y, n2)
-        if not nonzero:
-            continue
+        pn, q2, hq, nq = _q_data(p, x, y, n2)
         if q2 >= -2 and hq >= 1 and nq <= 1:
             return rec("two-connected-violation", [_claim(
                 lat, "a piece meeting N at most once",
@@ -453,9 +444,7 @@ def _kill_classlike(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
                 contradicts="AX-2CONNECTED: members of |N| are 2-connected")],
                 note=f"P = {p.cls}")
     for p in (p for p in known if p.acm):
-        pn, q2, hq, nq, nonzero = _q_data(p, x, y, n2)
-        if not nonzero:
-            continue
+        pn, q2, hq, nq = _q_data(p, x, y, n2)
         if q2 == -2 and hq >= 1 and nq <= 0:
             return rec("one-connected-h1", [_claim(
                 lat, "a decomposition with nonpositive linking",

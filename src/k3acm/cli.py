@@ -2,9 +2,9 @@
 
 Exit codes: 0 = success / everything verified; 1 = a verification
 failure (a failed claim, an unresolved branch, a search-box boundary
-touch, a destabilizing sweep whose windows leave B.N unbounded); 2 = bad
-input (unreadable config, malformed class argument, conflicting
-assumptions, a search box outside 16..256); 3 = internal error (the
+touch); 2 = bad input (unreadable config, malformed class argument,
+conflicting assumptions, a search box outside 16..256, a destabilizing
+sweep on a presentation that is not hyperbolic); 3 = internal error (the
 engine produced a false claim or left a shipped script with a gap).
 Reports go to stdout, diagnostics to stderr.
 """

@@ -282,7 +282,7 @@ def test_cli_destabilize(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["resolved"] is True
-    assert len(payload["records"]) == 5
+    assert len(payload["records"]) == 3
     # a branch the engine cannot close is a verification failure, not an
     # internal fault reported as bad input
     cfg = str(data_path("quartic_b2neg2_bh2.json"))
@@ -305,15 +305,44 @@ def test_cli_destabilize_rejects_a_query_outside_the_c2_window_quickly(
 
 
 def test_cli_destabilize_reports_an_unbounded_window_as_a_boundary_touch(
-        capsys):
-    # C = 2h on (0, 3): C.N does not bind B.N and the floors bind it below only
+        capsys, monkeypatch):
+    # C = 2h on (0, 3): C.N does not bind B.N, the Hodge index on <h, B, N>
+    # does, so the sweep ends with records and an open branch
     cfg = str(data_path("quartic_b20_bh3.json"))
-    for extra in ((), ("--json",)):
-        code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class",
-                              "2,0", "--d", "4", *extra)
-        assert code == 1, extra
-        assert err.startswith("boundary touch: the windows leave B.N in ")
-        assert "inf" in err and not out, extra
+    code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class", "2,0",
+                          "--d", "4")
+    assert code == 1 and not err
+    assert "profile (h.N, B.N)" in out
+    assert out.rstrip().endswith("UNRESOLVED BRANCHES REMAIN")
+    code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class", "2,0",
+                          "--d", "4", "--json")
+    assert code == 1 and not err
+    payload = json.loads(out)
+    assert payload["resolved"] is False and payload["records"]
+    # a search-box boundary touch is a verification failure, not bad input
+    from k3acm import cli
+    from k3acm.errors import BoxTooSmallError
+
+    def touch(spec):
+        raise BoxTooSmallError("solution on the box boundary")
+
+    monkeypatch.setattr(cli, "enumerate_case", touch)
+    code, out, err = _run(capsys, "enumerate", "--preset", "i-a")
+    assert code == 1
+    assert err.startswith("boundary touch: solution on the box boundary")
+    assert "Traceback" not in err and not out
+
+
+def test_cli_destabilize_refuses_a_non_hyperbolic_presentation(capsys,
+                                                              tmp_path):
+    # (h.B)^2 = 1 <= 4 B^2 = 8: no Hodge window on <h, B, N> exists
+    cfg = tmp_path / "definite.json"
+    cfg.write_text(json.dumps(_doc(gram=[[4, 1], [1, 2]], k3=False)))
+    code, out, err = _run(capsys, "destabilize", "-c", str(cfg), "--class",
+                          "2,1", "--d", "8", "--mode", "general")
+    assert code == 2
+    assert err.startswith("error: ") and "hyperbolic" in err
+    assert "Traceback" not in err and not out
 
 
 def test_cli_reports_a_false_engine_claim_as_an_internal_error(

@@ -12,7 +12,6 @@ from k3acm.casework import (MODES, elimination_to_json, engine_assumptions,
 from k3acm.casework import destabilize
 from k3acm.casework.constraints import check_rel
 from k3acm.config import data_path, load_config, shipped_quartic_names
-from k3acm.errors import BoxTooSmallError
 from k3acm.invariants import hodge_lower
 
 B = DivClass((0, 1))
@@ -48,8 +47,6 @@ def test_degree2_pencil_case_exact():
                                       _facts(lat), mode="exact")
     assert _outcomes(records) == {
         (0, None): "window-infeasible",
-        (2, (3, 4)): "very-ample-degree-floor",
-        (2, (4, 6)): "very-ample-degree-floor",
         (2, (5, 8)): "split-indecomposable",
         (4, None): "beyond-hodge-cap",
     }
@@ -77,7 +74,6 @@ def test_degree6_pencil_case_general():
         (0, (6, 0)): "very-ample-degree-floor",
         (2, (3, 2)): "one-connected-h1",
         (2, (4, 2)): "ample-orthogonal-neg2",
-        (4, (4, 3)): "ample-orthogonal-neg2",
         (4, (5, 2)): "very-ample-degree-floor",
         (4, (6, 2)): "very-ample-degree-floor",
         (6, None): "beyond-hodge-cap",
@@ -106,13 +102,8 @@ def test_ulrich_double_case_exact():
         (0, (3, 2)): "twist-h1-vanishing",
         (0, (4, 2)): "very-ample-degree-floor",
         (0, (5, 2)): "very-ample-degree-floor",
-        (0, (6, 2)): "effective-difference-degree-zero",
-        (2, (3, 3)): "two-connected-violation",
         (2, (4, 3)): "very-ample-degree-floor",
         (2, (5, 3)): "very-ample-degree-floor",
-        (2, (6, 3)): "effective-difference-degree-zero",
-        (4, (4, 4)): "very-ample-degree-floor",
-        (4, (5, 4)): "very-ample-degree-floor",
         (4, (6, 4)): "split-indecomposable",
         (6, None): "beyond-hodge-cap",
     }
@@ -201,7 +192,17 @@ def test_general_mode_weakens_exact_mode():
     assert exact_profiles <= general_profiles
 
 
+def _gram_det3(g):
+    return (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
+            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
+            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
+
+
 def _windows_pass(lat, known, c, x, y, cn, n2):
+    # Hodge index on <h, B, N>: signature (1, 2) or degenerate
+    (hh, hb), (_, b2) = lat.gram
+    if _gram_det3([[hh, hb, x], [hb, b2, y], [x, y, n2]]) < 0:
+        return False
     # N is base point free, hence nef, and meets each known class (C too)
     # at least at its floor
     if any(destabilize._pairing(p.cls, x, y) < p.floor(n2) for p in known):
@@ -235,8 +236,7 @@ def _scan_profiles(lat, env, c, d, n2, mode):
                 continue
             if not _windows_pass(lat, env, c, x, y, cn, n2):
                 continue
-            if abs(y) == ybox:
-                raise BoxTooSmallError(f"|B.N| = {ybox}")
+            assert abs(y) < ybox, f"the oracle reached |B.N| = {ybox}"
             hits.append((x, y, cn))
     return hits, (cn_lo, cn_hi)
 
@@ -263,7 +263,7 @@ def test_engine_never_emits_a_false_claim():
     for lat, facts, c, d, mode in _grid():
         try:
             records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
-        except (PreconditionError, BoxTooSmallError) as exc:
+        except PreconditionError as exc:
             outcomes.add(type(exc).__name__)
             continue
         assert records, (c, d, mode)
@@ -281,12 +281,7 @@ def test_solved_profiles_match_the_full_scan():
         for fact_set in (facts, raw[lat]):
             env = destabilize._known_classes(lat, c, fact_set)
             for n2 in range(0, lat.self_int(c) // 4 + 1, 2):
-                try:
-                    want = _scan_profiles(lat, env, c, d, n2, mode)
-                except BoxTooSmallError:
-                    with pytest.raises(BoxTooSmallError):
-                        destabilize._profiles(lat, env, c, d, n2, mode)
-                    continue
+                want = _scan_profiles(lat, env, c, d, n2, mode)
                 assert destabilize._profiles(lat, env, c, d, n2, mode) == want
                 compared += 1
     assert compared > 1500
@@ -310,50 +305,43 @@ def test_grid_outcomes_are_pinned():
     # a change to the rule order or to a pairing floor moves these counts
     outcomes, notes = Counter(), Counter()
     for lat, facts, c, d, mode in _grid():
-        try:
-            records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
-        except BoxTooSmallError:
-            continue
-        for rec in records:
+        for rec in enumerate_destabilizing(lat, c, d, facts, mode=mode):
             outcomes[mode, rec.outcome] += 1
             if rec.outcome == "window-infeasible":
                 notes[rec.note] += 1
     assert outcomes == Counter({
-        ("exact", "ample-orthogonal-neg2"): 29,
-        ("exact", "beyond-hodge-cap"): 194,
-        ("exact", "effective-difference-degree-zero"): 186,
-        ("exact", "isotropic-orthogonal-ample"): 2,
+        ("exact", "ample-orthogonal-neg2"): 24,
+        ("exact", "beyond-hodge-cap"): 198,
+        ("exact", "effective-difference-degree-zero"): 173,
         ("exact", "one-connected-h1"): 4,
         ("exact", "pencil-restrict-degree"): 2,
-        ("exact", "split-indecomposable"): 8,
-        ("exact", "twist-h1-vanishing"): 27,
-        ("exact", "two-connected-violation"): 12,
+        ("exact", "split-indecomposable"): 9,
+        ("exact", "twist-h1-vanishing"): 26,
+        ("exact", "two-connected-violation"): 6,
         ("exact", "unresolved"): 124,
-        ("exact", "very-ample-degree-floor"): 34,
-        ("exact", "window-infeasible"): 256,
-        ("general", "ample-orthogonal-neg2"): 151,
-        ("general", "beyond-hodge-cap"): 192,
-        ("general", "isotropic-orthogonal-ample"): 46,
+        ("exact", "very-ample-degree-floor"): 16,
+        ("exact", "window-infeasible"): 272,
+        ("general", "ample-orthogonal-neg2"): 121,
+        ("general", "beyond-hodge-cap"): 198,
         ("general", "one-connected-h1"): 23,
         ("general", "pencil-branches-exhausted"): 2,
         ("general", "pencil-restrict-degree"): 10,
-        ("general", "split-indecomposable"): 33,
-        ("general", "two-connected-violation"): 97,
-        ("general", "unresolved"): 1072,
-        ("general", "very-ample-degree-floor"): 356,
-        ("general", "window-infeasible"): 109,
-        ("gonality", "ample-orthogonal-neg2"): 105,
-        ("gonality", "beyond-hodge-cap"): 193,
-        ("gonality", "isotropic-orthogonal-ample"): 36,
+        ("general", "split-indecomposable"): 38,
+        ("general", "two-connected-violation"): 41,
+        ("general", "unresolved"): 988,
+        ("general", "very-ample-degree-floor"): 152,
+        ("general", "window-infeasible"): 137,
+        ("gonality", "ample-orthogonal-neg2"): 82,
+        ("gonality", "beyond-hodge-cap"): 198,
         ("gonality", "one-connected-h1"): 19,
         ("gonality", "pencil-restrict-degree"): 8,
-        ("gonality", "two-connected-violation"): 76,
-        ("gonality", "unresolved"): 787,
-        ("gonality", "very-ample-degree-floor"): 270,
-        ("gonality", "window-infeasible"): 167,
+        ("gonality", "two-connected-violation"): 32,
+        ("gonality", "unresolved"): 709,
+        ("gonality", "very-ample-degree-floor"): 113,
+        ("gonality", "window-infeasible"): 189,
     })
     assert notes == Counter({
-        "exhaustive window sweep": 432,
+        "exhaustive window sweep": 498,
         "Hodge index against C": 66,
         "empty degree budget": 21,
         "pairing floor through the movable multiple": 13,
