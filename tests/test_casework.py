@@ -163,3 +163,143 @@ def test_enumerate_case_matches_brute_force_on_random_specs():
                 enumerate_case(spec)
         else:
             assert enumerate_case(spec) == sorted(expected)
+
+
+# ---- the solver against the point sweep it replaced -------------------------
+
+def _sweep_enumerate(spec: CaseSpec) -> list[tuple[int, int]]:
+    """The former enumerate_case: test every integer point of the box."""
+    box = spec.box
+    out: list[tuple[int, int]] = []
+    for s in range(-box, box + 1):
+        for t in range(-box, box + 1):
+            if all(c.holds(s, t) for c in spec.constraints):
+                out.append((s, t))
+    for s, t in out:
+        if abs(s) == box or abs(t) == box:
+            raise BoxTooSmallError(
+                f"survivor ({s}, {t}) touches the box boundary {box}; "
+                f"enlarge the box")
+    return sorted(out)
+
+
+def _outcome(enumerate_fn, spec: CaseSpec):
+    """The survivors, or the text of the boundary touch."""
+    try:
+        return enumerate_fn(spec)
+    except BoxTooSmallError as exc:
+        return f"BoxTooSmallError: {exc}"
+
+
+def test_solver_matches_the_sweep_on_the_presets():
+    for pid in PRESET_IDS:
+        for box in (16, 17, 32, 64):
+            spec = lemma_case(pid, box=box)
+            assert (_outcome(enumerate_case, spec)
+                    == _outcome(_sweep_enumerate, spec)), (pid, box)
+
+
+def _solver_edge_spec(rng: random.Random, hits: dict) -> CaseSpec:
+    """A random spec aimed at the solver's edge cases, counted in hits."""
+    box = rng.randint(16, 40)
+    cons = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            # qtt > 0 with >= or >: t outside the roots, two rays
+            rel = rng.choice([">=", ">"])
+            cons.append(quadratic(rng.randint(-2, 2), rng.randint(-3, 3),
+                                  rng.randint(1, 3), rng.randint(-3, 3),
+                                  rng.randint(-3, 3), rel,
+                                  rng.randint(-30, 60)))
+            hits["two-rays"] += 1
+        elif kind == 1:
+            # an equation, through a chosen point (integer roots) or not
+            qss, qst = rng.randint(-2, 2), rng.randint(-3, 3)
+            qtt = rng.choice([-3, -2, -1, 1, 2, 3])
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            if rng.random() < 0.5:
+                s0, t0 = rng.randint(-box + 1, box - 1), rng.randint(-9, 9)
+                c = qss * s0 * s0 + qst * s0 * t0 + qtt * t0 * t0 + a * s0 + b * t0
+                hits["equation-through-a-point"] += 1
+            else:
+                c = rng.randint(-40, 40)
+                hits["equation-random"] += 1
+            cons.append(quadratic(qss, qst, qtt, a, b, "=", c))
+        elif kind == 2:
+            # b < 0 with a strict relation
+            cons.append(linear(rng.randint(-3, 3), rng.randint(-4, -1),
+                               rng.choice(["<", ">"]), rng.randint(-10, 10)))
+            hits["negative-b-strict"] += 1
+        elif kind == 3:
+            # a = b = 0: the constraint is constant in (s, t)
+            cons.append(linear(0, 0, rng.choice(["<=", "<", "=", ">=", ">"]),
+                               rng.randint(-1, 1)))
+            hits["constant"] += 1
+        else:
+            cons.append(Constraint(ConstraintKind.HODGE_LOWER,
+                                   (rng.randint(-2, 2), rng.randint(-3, 3),
+                                    rng.randint(1, 6), rng.randint(1, 6))))
+            hits["hodge"] += 1
+    if rng.random() < 0.6:
+        # a disc inside the box, so the comparison reaches the interior
+        r2 = rng.randint(box * box // 4, (box - 1) ** 2)
+        cons.append(quadratic(1, 0, 1, 0, 0, rng.choice(["<=", "<"]), r2))
+    return CaseSpec(lattice=quartic_lattice(-2, 1), constraints=tuple(cons),
+                    box=box)
+
+
+def test_solver_matches_the_sweep_on_random_edge_specs():
+    rng = random.Random(7)
+    hits = {k: 0 for k in ("two-rays", "equation-through-a-point",
+                           "equation-random", "negative-b-strict",
+                           "constant", "hodge")}
+    nonempty = touched = 0
+    for _ in range(150):
+        spec = _solver_edge_spec(rng, hits)
+        got = _outcome(enumerate_case, spec)
+        assert got == _outcome(_sweep_enumerate, spec), spec.constraints
+        touched += isinstance(got, str)
+        nonempty += isinstance(got, list) and bool(got)
+    assert min(hits.values()) >= 20, hits
+    assert nonempty >= 30 and touched >= 10, (nonempty, touched)
+
+
+@pytest.mark.parametrize("bad", [
+    Constraint(ConstraintKind.LINEAR, (1, 1, "!=", 0)),
+    Constraint(ConstraintKind.QUADRATIC, (1, 0, 1, 0, 0, "~", 4)),
+    Constraint(ConstraintKind.CUSTOM, ("no-such-predicate", 1)),
+    Constraint(ConstraintKind.HODGE_LOWER, (1, 1, 0, 2)),
+    Constraint(ConstraintKind.HODGE_LOWER, (1, 1, 4, -2)),
+], ids=["linear-relation", "quadratic-relation", "custom-name",
+        "hodge-c2min", "hodge-d2"])
+def test_bad_hand_built_constraint_is_bad_input(bad, capsys, monkeypatch):
+    from k3acm import cli
+    # whether or not another constraint already empties the box
+    for first in (linear(1, 0, ">=", 0), linear(0, 0, ">", 0)):
+        spec = CaseSpec(lattice=quartic_lattice(-2, 1),
+                        constraints=(first, bad), box=16)
+        with pytest.raises(BadParametersError):
+            enumerate_case(spec)
+    monkeypatch.setattr(cli, "lemma_case", lambda pid, box: spec)
+    assert cli.main(["enumerate", "--preset", "i-a"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in err and not out
+
+
+def test_congruence_modulus_zero_is_bad_input():
+    # arguments reach the predicate only at a point that it has to decide
+    spec = CaseSpec(lattice=quartic_lattice(-2, 1),
+                    constraints=(custom("congruence", 1, 1, 0, 0, 0),), box=16)
+    with pytest.raises(BadParametersError):
+        enumerate_case(spec)
+
+
+def test_presets_run_fast_at_the_largest_box():
+    start = time.perf_counter()
+    for spec in lemma51_presets(box=256):
+        enumerate_case(spec)
+    assert time.perf_counter() - start < 0.5
+    for pid in PRESET_IDS:
+        assert all(enumerate_case(lemma_case(pid, box=box)) == EXPECTED[pid]
+                   for box in (16, 32, 64, 128, 256)), pid
