@@ -2,12 +2,15 @@
 
 A CaseSpec packages a lattice, a list of constraints on the coefficients of
 C = s*U + t*V for two fixed basis classes U, V, and a search box.
-enumerate_case solves one s at a time: each constraint becomes integer
-t-intervals that contain all of its solutions at that s (floor and ceiling
-division for the linear kinds, math.isqrt roots for the quadratic one), and
-Constraint.holds decides every point left in their intersection.  A
-survivor on the box boundary raises BoxTooSmallError because it signals
-the solution set may be truncated.
+enumerate_case first bounds s: the linear kinds and |t| <= box are
+half-planes a*s + b*t >= r, and eliminating t from them (Fourier-Motzkin)
+gives the integer s-range in which any real t is left.  It then solves one
+s of that range at a time: each constraint becomes integer t-intervals that
+contain all of its solutions at that s (floor and ceiling division for the
+linear kinds, math.isqrt roots for the quadratic one), and Constraint.holds
+decides every point left in their intersection.  A survivor on the box
+boundary raises BoxTooSmallError because it signals the solution set may
+be truncated.
 
 Constraints carry their justification (an axiom id plus a citation string
 quoting the inequality being encoded) so every preset is auditable.
@@ -16,6 +19,7 @@ quoting the inequality being encoded) so every preset is auditable.
 from __future__ import annotations
 
 import enum
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -159,16 +163,86 @@ class CaseSpec:
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
 
-# ---- the per-s solver ------------------------------------------------------
+# ---- the solver --------------------------------------------------------------
 #
-# At a fixed s every constraint is a condition on t alone.  The helpers below
-# turn it into a sorted list of disjoint closed intervals inside [-box, box]
-# that contains every t satisfying it; the intervals only prune, and
+# Before the s loop, every LinearIneq and HodgeLower becomes half-planes
+# a*s + b*t >= r, and eliminating t from them bounds s.  At a fixed s every
+# constraint is a condition on t alone.  The helpers below turn it into a
+# sorted list of disjoint closed intervals inside [-box, box] that contains
+# every t satisfying it; the s-range and the intervals only prune, and
 # Constraint.holds decides each point that survives them.
 
 Intervals = list[tuple[int, int]]
+Row = tuple[int, int, int]  # (a, b, r): a*s + b*t >= r
 
 _FLIP = {"<=": ">=", "<": ">", "=": "=", ">=": "<=", ">": "<"}
+
+# payload length and the position of its relation, by kind; a Custom payload
+# is checked against its predicate's signature instead
+_SHAPE = {ConstraintKind.LINEAR: (4, 2), ConstraintKind.QUADRATIC: (7, 5),
+          ConstraintKind.HODGE_LOWER: (4, None),
+          ConstraintKind.ABS_T_AT_LEAST: (1, None)}
+
+
+def _checked_payload(con: Constraint) -> tuple:
+    """con.payload once its length, relation, predicate and integer
+    coefficients are checked; BadParametersError otherwise."""
+    p, kind = con.payload, con.kind
+    if kind is ConstraintKind.CUSTOM:
+        if not p:
+            raise BadParametersError("Custom payload needs a predicate name")
+        nums = p[1:]
+        try:
+            inspect.signature(_custom_predicate(p[0])).bind(0, 0, *nums)
+        except TypeError:
+            raise BadParametersError(
+                f"predicate {p[0]!r} cannot take the arguments {nums}") from None
+    elif kind in _SHAPE:
+        size, rel_at = _SHAPE[kind]
+        if len(p) != size:
+            raise BadParametersError(
+                f"{kind.value} payload needs {size} entries, got {p!r}")
+        nums = p
+        if rel_at is not None:
+            _known_rel(p[rel_at])
+            nums = p[:rel_at] + p[rel_at + 1:]
+    else:
+        raise BadParametersError(f"unknown constraint kind {kind}")
+    if not all(isinstance(x, int) for x in nums):
+        raise BadParametersError(
+            f"{kind.value} coefficients must be integers, got {p!r}")
+    return p
+
+
+def _rows(a: int, b: int, rel: str, c: int) -> list[Row]:
+    """The integer points with a*s + b*t rel c as half-planes: a strict
+    relation is tightened by one, an equation is two rows."""
+    return {">=": [(a, b, c)], ">": [(a, b, c + 1)],
+            "<=": [(-a, -b, -c)], "<": [(-a, -b, 1 - c)],
+            "=": [(a, b, c), (-a, -b, -c)]}[rel]
+
+
+def _s_range(rows: list[Row], box: int) -> range:
+    """The integer s in [-box, box] at which the rows leave some real t.
+
+    t is eliminated Fourier-Motzkin style: each pair of a lower and an
+    upper bound on t gives one condition on s, and a row without t bounds
+    s directly (0 >= r > 0 holds nowhere).
+    """
+    lows = [row for row in rows if row[1] > 0]
+    highs = [row for row in rows if row[1] < 0]
+    s_rows = [(a, r) for a, b, r in rows if b == 0]
+    s_rows += [(b1 * a2 - b2 * a1, b1 * r2 - b2 * r1)
+               for a1, b1, r1 in lows for a2, b2, r2 in highs]
+    lo, hi = -box, box
+    for a, r in s_rows:  # a*s >= r
+        if a > 0:
+            lo = max(lo, -(-r // a))
+        elif a < 0:
+            hi = min(hi, r // a)
+        elif r > 0:
+            return range(0)
+    return range(lo, hi + 1)
 
 
 def _merged(intervals: Intervals, box: int) -> Intervals:
@@ -228,46 +302,67 @@ def _quadratic_t(qa: int, qb: int, qc: int, rel: str, box: int) -> Intervals:
     return _merged([(-box, hi1), (lo2, box)], box)
 
 
-def _t_solver(con: Constraint, box: int) -> Callable[[int], Intervals]:
-    """s -> the t-intervals of con at s.  Checks the payload once, so a bad
-    relation, predicate or Hodge argument is refused whatever the box."""
-    p = con.payload
+def _t_solver(con: Constraint,
+              box: int) -> tuple[list[Row], Callable[[int], Intervals]]:
+    """The half-planes of con and s -> its t-intervals at s.  Checks the
+    payload first, so a bad payload is refused whatever the box."""
+    p = _checked_payload(con)
     if con.kind is ConstraintKind.LINEAR:
         a, b, rel, c = p
-        _known_rel(rel)
-        return lambda s: _linear_t(b, rel, c - a * s, box)
+        return _rows(a, b, rel, c), lambda s: _linear_t(b, rel, c - a * s, box)
     if con.kind is ConstraintKind.QUADRATIC:
         qss, qst, qtt, a, b, rel, c = p
-        _known_rel(rel)
-        return lambda s: _quadratic_t(qtt, qst * s + b,
-                                      qss * s * s + a * s - c, rel, box)
+        return [], lambda s: _quadratic_t(qtt, qst * s + b,
+                                          qss * s * s + a * s - c, rel, box)
     if con.kind is ConstraintKind.HODGE_LOWER:
         a, b, c2min, d2 = p
         bound = hodge_lower(c2min, d2)
-        return lambda s: _linear_t(b, ">=", bound - a * s, box)
+        return ([(a, b, bound)],
+                lambda s: _linear_t(b, ">=", bound - a * s, box))
     if con.kind is ConstraintKind.ABS_T_AT_LEAST:
         (n,) = p
         rays = _merged([(-box, -n), (n, box)], box)
-        return lambda s: rays
-    if con.kind is ConstraintKind.CUSTOM:
-        _custom_predicate(p[0])
-        whole = [(-box, box)]
-        return lambda s: whole
-    raise BadParametersError(f"unknown constraint kind {con.kind}")
+        return [], lambda s: rays
+    whole = [(-box, box)]
+    return [], lambda s: whole
+
+
+def _plan(spec: CaseSpec) -> tuple[range, list[Callable[[int], Intervals]]]:
+    """Check every payload; the s-range and one t-solver per constraint."""
+    box = spec.box
+    rows: list[Row] = [(0, 1, -box), (0, -1, -box)]  # |t| <= box
+    solvers = []
+    for con in spec.constraints:
+        con_rows, solve = _t_solver(con, box)
+        rows += con_rows
+        solvers.append(solve)
+    return _s_range(rows, box), solvers
+
+
+def s_range(spec: CaseSpec) -> range:
+    """The s-values enumerate_case visits: those of the box at which the
+    LinearIneq and HodgeLower constraints leave some real t.
+
+    A superset of the s of every solution; the whole box when the spec
+    has no linear constraint.
+    """
+    return _plan(spec)[0]
 
 
 def enumerate_case(spec: CaseSpec) -> list[tuple[int, int]]:
     """All box points satisfying every constraint, lexicographically sorted.
 
-    Deterministic and serial: for each s, the t-intervals of all constraints
-    are intersected and Constraint.holds checks every point left.  Raises
-    BoxTooSmallError if any survivor touches the boundary |s| = box or
-    |t| = box, since the true solution set might then extend past the box.
+    Deterministic and serial: s runs over s_range(spec), the s-values at
+    which the linear constraints leave some real t, and for each s the
+    t-intervals of all constraints are intersected and Constraint.holds
+    checks every point left.  Raises BoxTooSmallError if any survivor
+    touches the boundary |s| = box or |t| = box, since the true solution
+    set might then extend past the box.
     """
     box = spec.box
-    solvers = [_t_solver(c, box) for c in spec.constraints]
+    s_values, solvers = _plan(spec)
     out: list[tuple[int, int]] = []
-    for s in range(-box, box + 1):
+    for s in s_values:
         ts: Intervals = [(-box, box)]
         for solve in solvers:
             ts = _intersect(ts, solve(s))

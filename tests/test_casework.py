@@ -11,6 +11,7 @@ from k3acm.casework import (CaseSpec, Constraint, ConstraintKind, PRESET_IDS,
                             abs_t_at_least, check_rel, custom, enumerate_case,
                             hodge_lower_bound, lemma51_presets, lemma_case,
                             linear, quadratic, quartic_lattice)
+from k3acm.casework.constraints import s_range
 
 EXPECTED = {
     "i-a": [(3, -2)],
@@ -265,14 +266,117 @@ def test_solver_matches_the_sweep_on_random_edge_specs():
     assert nonempty >= 30 and touched >= 10, (nonempty, touched)
 
 
+# ---- the s-range -------------------------------------------------------------
+
+def _polygon_spec(rng: random.Random, hits: dict) -> CaseSpec:
+    """A random spec whose linear rows cut a small triangle strictly inside
+    the box, mixed with quadratic, |t| >= n and congruence constraints."""
+    box = rng.randint(16, 40)
+    s0, t0 = rng.randint(-box + 8, box - 8), rng.randint(-box + 8, box - 8)
+    while True:
+        pts = [(s0 + rng.randint(-6, 6), t0 + rng.randint(-6, 6))
+               for _ in range(3)]
+        (ps, pt), (qs, qt), (rs, rt) = pts
+        cross = (qs - ps) * (rt - pt) - (qt - pt) * (rs - ps)
+        if cross:
+            break
+    if cross < 0:
+        pts.reverse()
+    cons = []
+    for (ps, pt), (qs, qt) in zip(pts, pts[1:] + pts[:1]):
+        # the triangle lies to the left of each edge: a*s + b*t >= c
+        a, b = pt - qt, qs - ps
+        c = a * ps + b * pt
+        rel = rng.choice([">=", ">", "<=", "<", "="])
+        hits[rel] += 1
+        if rel in ("<=", "<"):
+            cons.append(linear(-a, -b, rel, -c))
+        else:
+            cons.append(linear(a, b, rel, c))
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            cons.append(quadratic(rng.randint(-2, 2), rng.randint(-2, 2),
+                                  rng.randint(-2, 2), rng.randint(-3, 3),
+                                  rng.randint(-3, 3),
+                                  rng.choice(["<=", "<", "=", ">=", ">"]),
+                                  rng.randint(-40, 40)))
+            hits["quadratic"] += 1
+        elif kind == 1:
+            cons.append(abs_t_at_least(rng.randint(0, 6)))
+            hits["abs-t"] += 1
+        else:
+            m = rng.randint(2, 4)
+            cons.append(custom("congruence", rng.randint(-2, 2),
+                               rng.randint(-2, 2), rng.randint(0, 2), m,
+                               rng.randrange(m)))
+            hits["congruence"] += 1
+    rng.shuffle(cons)
+    return CaseSpec(lattice=quartic_lattice(-2, 1), constraints=tuple(cons),
+                    box=box)
+
+
+def test_s_range_solver_matches_the_sweep_on_bounded_polygons():
+    rng = random.Random(23)
+    hits = {k: 0 for k in (">=", ">", "<=", "<", "=", "quadratic", "abs-t",
+                           "congruence")}
+    narrowed = nonempty = 0
+    for _ in range(150):
+        spec = _polygon_spec(rng, hits)
+        got = _outcome(enumerate_case, spec)
+        assert got == _outcome(_sweep_enumerate, spec), spec.constraints
+        assert all(s in s_range(spec) for s, _ in got), spec.constraints
+        narrowed += len(s_range(spec)) < 2 * spec.box + 1
+        nonempty += bool(got)
+    assert min(hits.values()) >= 20, hits
+    assert narrowed >= 140 and nonempty >= 60, (narrowed, nonempty)
+
+
+@pytest.mark.parametrize("cons", [
+    (quadratic(1, 0, 1, 0, 0, "<=", 100),),
+    (quadratic(1, 0, -1, 0, 0, "=", 0), abs_t_at_least(3)),
+    (custom("congruence", 1, 1, 0, 3, 1),),
+    (abs_t_at_least(20),),
+], ids=["quadratic", "quadratic-abs-t", "custom", "abs-t"])
+def test_specs_without_linear_rows_walk_the_whole_box(cons):
+    spec = CaseSpec(lattice=quartic_lattice(-2, 1), constraints=cons, box=21)
+    assert s_range(spec) == range(-21, 22)
+    assert _outcome(enumerate_case, spec) == _outcome(_sweep_enumerate, spec)
+
+
+def test_s_range_of_the_constant_rows():
+    lat = quartic_lattice(-2, 1)
+    never = CaseSpec(lattice=lat, constraints=(linear(0, 0, ">", 0),), box=16)
+    assert s_range(never) == range(0)
+    strip = CaseSpec(lattice=lat, constraints=(linear(2, 0, ">", 3),
+                                              linear(3, 0, "<=", 20)), box=16)
+    assert s_range(strip) == range(2, 7)
+
+
+def test_preset_s_ranges_do_not_depend_on_the_box():
+    for pid in PRESET_IDS:
+        ranges = {box: s_range(lemma_case(pid, box=box))
+                  for box in (16, 17, 32, 64, 128, 256)}
+        assert len(set(ranges.values())) == 1, (pid, ranges)
+        columns = ranges[16]
+        assert 0 < len(columns) <= 9, (pid, columns)
+        assert all(s in columns for s, _ in EXPECTED[pid]), (pid, columns)
+
+
 @pytest.mark.parametrize("bad", [
     Constraint(ConstraintKind.LINEAR, (1, 1, "!=", 0)),
     Constraint(ConstraintKind.QUADRATIC, (1, 0, 1, 0, 0, "~", 4)),
     Constraint(ConstraintKind.CUSTOM, ("no-such-predicate", 1)),
     Constraint(ConstraintKind.HODGE_LOWER, (1, 1, 0, 2)),
     Constraint(ConstraintKind.HODGE_LOWER, (1, 1, 4, -2)),
+    Constraint(ConstraintKind.LINEAR, (1, 2, "<=")),
+    Constraint(ConstraintKind.HODGE_LOWER, (1, 1, 4)),
+    Constraint(ConstraintKind.ABS_T_AT_LEAST, (2, 3)),
+    Constraint(ConstraintKind.LINEAR, (1, 0.5, "<=", 3)),
+    Constraint(ConstraintKind.CUSTOM, ("congruence", 1, 1, 0, 2)),
 ], ids=["linear-relation", "quadratic-relation", "custom-name",
-        "hodge-c2min", "hodge-d2"])
+        "hodge-c2min", "hodge-d2", "linear-short", "hodge-short",
+        "abs-t-long", "linear-float", "custom-arity"])
 def test_bad_hand_built_constraint_is_bad_input(bad, capsys, monkeypatch):
     from k3acm import cli
     # whether or not another constraint already empties the box
