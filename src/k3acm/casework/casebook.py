@@ -51,6 +51,10 @@ class Case:
     sub: tuple[DivClass, str] | None = None
     target: tuple[int, int] | None = None
 
+    def script(self) -> DerivationScript:
+        """Build this row's derivation script."""
+        return self.build(self)
+
 
 _H = DivClass((1, 0))
 _B = DivClass((0, 1))
@@ -385,14 +389,18 @@ CASES = (
 )
 
 
+_BY_TAG = {case.tag: case for case in CASES}
+
+
 def builtin_scripts() -> dict[str, DerivationScript]:
     """All shipped derivation scripts, keyed by tag."""
-    return {case.tag: case.build(case) for case in CASES}
+    return {case.tag: case.script() for case in CASES}
 
 
 def script_by_tag(tag: str) -> DerivationScript:
-    scripts = builtin_scripts()
-    if tag not in scripts:
-        known = ", ".join(sorted(scripts))
+    """The shipped derivation script with this tag; builds that row only."""
+    case = _BY_TAG.get(tag)
+    if case is None:
+        known = ", ".join(sorted(_BY_TAG))
         raise BadParametersError(f"unknown script tag {tag!r}; known: {known}")
-    return scripts[tag]
+    return case.script()

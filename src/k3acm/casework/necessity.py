@@ -110,7 +110,7 @@ def verify_necessity(lat: Lattice, b: DivClass,
     work_profile = profile
     for case in CASES:
         if case.presentation == profile and case.target is not None:
-            substitution_report = run_script(case.build(case))
+            substitution_report = run_script(case.script())
             substitution = (case.tag, case.target)
             work_profile = case.target
     if work_profile not in _PRESET_FOR:
@@ -130,8 +130,8 @@ def verify_necessity(lat: Lattice, b: DivClass,
             continue
         case = case_for[survivor]
         matches.append(SurvivorMatch(survivor=survivor, script_tag=case.tag,
-                                     report=run_script(case.build(case))))
-    supports = tuple(run_script(k.build(k)) for k in cases if k.support)
+                                     report=run_script(case.script())))
+    supports = tuple(run_script(k.script()) for k in cases if k.support)
     rows = _tail_rows()
     ok = (not unmatched
           and all(m.report.success for m in matches)

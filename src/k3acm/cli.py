@@ -10,12 +10,12 @@ Reports go to stdout, diagnostics to stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 
 from .casework import (MODES, PRESET_IDS, PRESET_PRESENTATION,
-                       QUARTIC_PRESENTATIONS, builtin_scripts,
-                       delpezzo_lattice, elimination_to_json,
+                       QUARTIC_PRESENTATIONS, elimination_to_json,
                        engine_assumptions, enumerate_case,
                        enumerate_destabilizing, lemma_case, necessity_to_json,
                        report_to_json, run_script, script_by_tag,
@@ -242,8 +242,9 @@ def _cmd_theorem(args) -> int:
 
 
 def _cmd_example_delpezzo(args) -> int:
-    lat = delpezzo_lattice()
-    report = run_script(script_by_tag("delpezzo-cover"))
+    script = script_by_tag("delpezzo-cover")
+    lat = script.lattice
+    report = run_script(script)
     payload = {
         "rank": lat.rank,
         "even": lat.is_even(),
@@ -260,7 +261,13 @@ def _cmd_example_delpezzo(args) -> int:
 # ---- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The k3acm argument parser, built on first use and shared after.
+
+    Sharing is safe: parse_args returns a fresh namespace on every call,
+    and help text reads the terminal width each time it is formatted.
+    """
     parser = argparse.ArgumentParser(
         prog="k3acm",
         description="Exact-arithmetic workbench for rank-2 aCM bundle "

@@ -270,6 +270,66 @@ def test_cli_verify_unknown_tag(capsys):
     assert code == 2
 
 
+def test_cli_verify_and_example_build_only_their_script_lattice(
+        capsys, monkeypatch):
+    from k3acm.lattice import Lattice
+    cfg = str(data_path("quartic_b2_4.json"))
+    cases = ((("verify", "--script", "case-B24", "--json"), 1),
+             (("verify", "--script", "case-B24", "--json", "-c", cfg), 2),
+             (("example-delpezzo",), 1),
+             (("example-delpezzo", "--json"), 1))
+    for argv, _ in cases:  # warm the memoised engine traces
+        assert _run(capsys, *argv)[0] == 0, argv
+    built = []
+    original = Lattice.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Lattice, "__init__", counting)
+    for argv, most in cases:
+        built.clear()
+        assert _run(capsys, *argv)[0] == 0, argv
+        assert len(built) <= most, argv
+
+
+def test_cli_verify_of_every_builtin_script_is_fast(capsys):
+    from k3acm.casework.casebook import CASES
+    argvs = [("verify", "--script", case.tag) for case in CASES]
+    passes = []
+    for _ in range(4):  # the first pass warms the memoised engine traces
+        start = time.perf_counter()
+        for argv in argvs:
+            assert _run(capsys, *argv)[0] == 0, argv
+        passes.append(time.perf_counter() - start)
+    assert min(passes[1:]) < 0.03, passes
+
+
+def test_cli_shared_parser_carries_no_state_between_calls(capsys,
+                                                         monkeypatch):
+    from k3acm import cli
+    assert cli.build_parser() is cli.build_parser()
+    cfg = str(data_path("quartic_b2neg2_bh3.json"))
+    query = ("destabilize", "-c", cfg, "--class", "4,-2", "--d", "2")
+    pairs = ((query + ("--mode", "general"), query),
+             (("enumerate", "--preset", "iii", "--box", "64"),
+              ("enumerate", "--preset", "iii")),
+             (("verify", "--script", "case-B24", "--json"),
+              ("verify", "--script", "case-B24")),
+             (("enumerate", "--preset", "no-such-preset"),
+              ("enumerate", "--preset", "i-a")))
+    shared = []
+    for first, later in pairs:
+        shared.append((_run(capsys, *first)[0], _run(capsys, *later)))
+    assert [code for code, _ in shared] == [0, 0, 0, 2]
+    # the same later calls, each through a parser built afresh
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_run(capsys, *later) for _, later in pairs]
+    assert [result for _, result in shared] == fresh
+    assert fresh[3][0] == 0
+
+
 def test_cli_destabilize(capsys):
     cfg = str(data_path("quartic_b2neg2_bh3.json"))
     code, out, _ = _run(capsys, "destabilize", "-c", cfg, "--class", "4,-2",

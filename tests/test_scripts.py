@@ -227,7 +227,7 @@ def test_pencil_scripts_refuse_open_branches():
     case = casebook.Case("gap", casebook._script_pencil, (4, 6),
                          curve=DivClass((0, 2)), pencil=(4, "general"))
     with pytest.raises(EngineError, match="open"):
-        case.build(case)
+        case.script()
 
 
 def test_contradiction_scripts_end_flagged():
@@ -238,8 +238,19 @@ def test_contradiction_scripts_end_flagged():
 
 
 def test_unknown_script_tag():
-    with pytest.raises(BadParametersError):
+    with pytest.raises(BadParametersError) as err:
         script_by_tag("no-such-tag")
+    tags = sorted(builtin_scripts())
+    assert len(tags) == 12
+    assert str(err.value) == ("unknown script tag 'no-such-tag'; known: "
+                              + ", ".join(tags))
+
+
+def test_script_by_tag_matches_the_all_rows_build():
+    scripts = builtin_scripts()
+    for tag, script in scripts.items():
+        assert (script_to_json(script_by_tag(tag))
+                == script_to_json(script)), tag
 
 
 def test_run_script_is_deterministic():
