@@ -29,11 +29,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..classifier import (AcmStatus, Assumption, AssumptionKind,
-                          _NONEMPTY_KINDS, derived_assumptions,
-                          is_initialized_acm)
-from ..errors import (BadParametersError, EngineError, PreconditionError,
-                      TrivialClassError, NotEffectiveCandidateError,
-                      WorkbenchError)
+                          _NONEMPTY_KINDS, _conflict_check, acm_window,
+                          derived_assumptions, is_initialized_acm)
+from ..errors import (BadParametersError, DimensionMismatchError, EngineError,
+                      PreconditionError, WorkbenchError)
 from ..invariants import genus_of, hodge_lower, lm_acm_bounds
 from ..lattice import DivClass, Lattice
 from .constraints import check_rel
@@ -93,7 +92,19 @@ _Known = tuple[_KnownClass, ...]  # the known-class table, by coordinates
 
 def _known_classes(lat: Lattice, c: DivClass,
                    assumptions: Sequence[Assumption]) -> _Known:
-    """The classes the assumptions make effective, plus C, by coordinates."""
+    """The classes the assumptions make effective, plus C, by coordinates.
+
+    Each class P is read off the Gram rows: (h.P, B.P) and P^2 from them.
+    The facts are checked for conflicts once, as a classification of any
+    class would.  P's aCM flag is what ``is_initialized_acm`` would say,
+    decided by ``acm_window`` wherever the window alone decides it: every
+    class here is asserted nonempty or base point free, or it is C, and
+    in windows (a)-(c) h.P >= 1 and P^2 >= -2, so Riemann-Roch makes P
+    effective and P is initialized aCM.  Only the Ulrich window (d) runs
+    the classifier, for the emptiness of |P - h| and |2h - P|; outside
+    the windows P is not aCM.
+    """
+    _conflict_check(assumptions)
     bpf = {a.subject.coords for a in assumptions
            if a.kind is AssumptionKind.BASE_POINT_FREE}
     pencil = {a.subject.coords for a in assumptions
@@ -104,14 +115,13 @@ def _known_classes(lat: Lattice, c: DivClass,
     # the curve class itself is an irreducible member with C^2 >= 4
     for coords in sorted(nonempty | bpf | {c.coords}):
         p = DivClass(coords)
-        sq = lat.self_int(p)
+        profile = _profile_of(lat, p)
+        sq = _pairing(p, *profile)
         free = coords in bpf or coords == c.coords
-        try:
-            acm = is_initialized_acm(lat, p, assumptions).status in (
-                AcmStatus.ACM, AcmStatus.ACM_ULRICH)
-        except (TrivialClassError, NotEffectiveCandidateError):
-            acm = False
-        known.append(_KnownClass(p, sq, _profile_of(lat, p),
+        window = acm_window(sq, profile[0])
+        acm = window is not None and (window != "d" or is_initialized_acm(
+            lat, p, assumptions).status is AcmStatus.ACM_ULRICH)
+        known.append(_KnownClass(p, sq, profile,
                                  movable=free or coords in pencil or sq == 0,
                                  bpf_positive=free and sq >= 2, acm=acm))
     return tuple(known)
@@ -132,7 +142,13 @@ def _pairing(p: DivClass, x: int, y: int) -> int:
 
 
 def _profile_of(lat: Lattice, p: DivClass) -> tuple[int, int]:
-    return (lat.pair(DivClass((1, 0)), p), lat.pair(DivClass((0, 1)), p))
+    """(h.P, B.P), read off the Gram rows of the (h, B) presentation."""
+    if len(p.coords) != 2:
+        raise DimensionMismatchError(
+            f"class {p} has length {len(p.coords)} on a rank-2 lattice")
+    (hh, hb), (_, b2) = lat.gram
+    p1, p2 = p.coords
+    return hh * p1 + hb * p2, hb * p1 + b2 * p2
 
 
 def engine_assumptions(lat: Lattice, assumptions: Sequence[Assumption] = ()
@@ -186,11 +202,11 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
         raise PreconditionError(
             f"(h.B)^2 = {hb * hb} <= 4 B^2 = {4 * b2}: the presentation is "
             "not hyperbolic (AX-HODGE-INDEX)")
-    c2 = lat.self_int(c)
+    hc, bc = _profile_of(lat, c)
+    c2 = _pairing(c, hc, bc)
     if c2 < 4:
         raise PreconditionError(f"C^2 = {c2} < 4: the curve class must have "
                                 "genus at least 3")
-    hc = lat.deg(c)
     d_hi = lm_acm_bounds(genus_of(c2), hc).d_max
     if not (1 <= hc <= 12 and 1 <= d <= d_hi):
         raise PreconditionError(
@@ -198,10 +214,11 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
             f"needs 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and "
             f"1 <= d <= g + 7 - h.C = {d_hi}")
     known = _known_classes(lat, c, assumptions)
+    curve = next(p for p in known if p.cls == c)
     cap = c2 // 4
     out: list[PairElimination] = []
     for n2 in range(0, cap + 1, 2):
-        out.extend(_branch(lat, known, c, d, n2, mode))
+        out.extend(_branch(lat, known, curve, d, n2, mode))
     sentinel = cap + 2 if cap % 2 == 0 else cap + 1
     out.append(_beyond_cap(lat, c, d, sentinel))
     return out
@@ -231,7 +248,7 @@ def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
     does the Hodge index on (M, N): (M.N)^2 >= M^2 N^2 expands to
     (C.N)^2 >= C^2 N^2, C's floor.
     """
-    hc = lat.deg(c)
+    hc, bc = _profile_of(lat, c)
     cn_lo, cn_hi = _cn_window(d, n2, mode)
     xmin = 3
     if n2 > 0:
@@ -240,7 +257,7 @@ def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
     if mode == "exact":
         xmax = min(xmax, hc // 2)  # M - N effective or zero: h.N <= h.M
     s, t = c.coords
-    halves = [(s, t, cn_lo), (-s, -t, -min(cn_hi, lat.self_int(c) // 2))]
+    halves = [(s, t, cn_lo), (-s, -t, -min(cn_hi, _pairing(c, hc, bc) // 2))]
     halves += [(*p.cls.coords, p.floor(n2)) for p in known]
     hb, b2 = lat.gram[0][1], lat.gram[1][1]
     hits: list[tuple[int, int, int]] = []
@@ -259,19 +276,20 @@ def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
     return hits, (cn_lo, cn_hi)
 
 
-def _branch(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
+def _branch(lat: Lattice, known: _Known, curve: _KnownClass, d: int, n2: int,
             mode: str) -> list[PairElimination]:
-    hits, (cn_lo, cn_hi) = _profiles(lat, known, c, d, n2, mode)
+    """One n^2 branch; curve is C's entry of the known-class table."""
+    hits, (cn_lo, cn_hi) = _profiles(lat, known, curve.cls, d, n2, mode)
     if not hits:
-        return [_infeasible(lat, known, c, d, n2, cn_lo, cn_hi)]
-    return [_kill_profile(lat, known, c, d, n2, mode, x, y, cn)
+        return [_infeasible(lat, known, curve, d, n2, cn_lo, cn_hi)]
+    return [_kill_profile(lat, known, curve, d, n2, mode, x, y, cn)
             for x, y, cn in hits]
 
 
-def _infeasible(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
-                cn_lo: int, cn_hi: int) -> PairElimination:
+def _infeasible(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
+                n2: int, cn_lo: int, cn_hi: int) -> PairElimination:
     """No profile passed the windows; certify the binding clash."""
-    c2 = lat.self_int(c)
+    c, c2 = curve.cls, curve.square
     trace: list[ArithClaim] = []
     note = ""
     # C a multiple of one known movable class: its pairing floor scales
@@ -319,7 +337,7 @@ def _infeasible(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
 def _multiple_of(c: DivClass, p: DivClass) -> int | None:
     """k >= 2 with C = k*P, else None."""
     for k in (2, 3, 4):
-        if (p * k).coords == c.coords:
+        if all(k * a == b for a, b in zip(p.coords, c.coords)):
             return k
     return None
 
@@ -336,8 +354,9 @@ def _beyond_cap(lat: Lattice, c: DivClass, d: int, n2: int) -> PairElimination:
                            note="all larger squares at once")
 
 
-def _kill_profile(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
-                  mode: str, x: int, y: int, cn: int) -> PairElimination:
+def _kill_profile(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
+                  n2: int, mode: str, x: int, y: int,
+                  cn: int) -> PairElimination:
     mn = cn - n2
     lz = d - mn if mode == "general" else 0
     base = [_claim(lat, "profile bookkeeping", add_expr(mn, n2), "=", cn,
@@ -346,28 +365,27 @@ def _kill_profile(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
 
     def rec(outcome: str, claims: list[ArithClaim],
             note: str = "") -> PairElimination:
-        return PairElimination(c=c, d=d, n_square=n2, len_zprime=lz,
+        return PairElimination(c=curve.cls, d=d, n_square=n2, len_zprime=lz,
                                outcome=outcome, trace=tuple(base + claims),
                                profile=(x, y), note=note)
 
-    killed = _kill_classlike(lat, known, c, d, n2, mode, x, y, cn, rec)
+    killed = _kill_classlike(lat, known, curve, n2, mode, x, y, rec)
     if killed is None and n2 == 0:
-        killed = _kill_fiber(lat, known, c, d, mode, x, y, cn, rec)
+        killed = _kill_fiber(lat, known, curve, d, mode, x, y, cn, rec)
     if killed is not None:
         return killed
     return rec("unresolved", [],
                note="no registered elimination rule covers this profile")
 
 
-def _split_class(lat: Lattice, c: DivClass, n2: int,
+def _split_class(curve: _KnownClass, n2: int,
                  x: int, y: int) -> DivClass | None:
     """C/2 when the profile certifies N = C/2 (signature argument)."""
-    if any(co % 2 for co in c.coords):
+    s, t = curve.cls.coords
+    hc, bc = curve.profile
+    if s % 2 or t % 2 or 4 * n2 != curve.square or (2 * x, 2 * y) != (hc, bc):
         return None
-    half = DivClass(tuple(co // 2 for co in c.coords))
-    if lat.self_int(half) != n2 or (x, y) != _profile_of(lat, half):
-        return None
-    return half
+    return DivClass((s // 2, t // 2))
 
 
 def _q_data(p: _KnownClass, x: int, y: int, n2: int):
@@ -382,11 +400,11 @@ def _q_data(p: _KnownClass, x: int, y: int, n2: int):
     return pn, q2, hq, nq
 
 
-def _kill_classlike(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
-                    mode: str, x: int, y: int, cn: int,
+def _kill_classlike(lat: Lattice, known: _Known, curve: _KnownClass, n2: int,
+                    mode: str, x: int, y: int,
                     rec: Callable) -> PairElimination | None:
     """Rules that only use effectivity and connectedness of known classes."""
-    half = _split_class(lat, c, n2, x, y)
+    half = _split_class(curve, n2, x, y)
     if half is not None and mode in ("exact", "general"):
         return rec("split-indecomposable", [_claim(
             lat, "the halved class matches the profile of N",
@@ -396,11 +414,12 @@ def _kill_classlike(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
                  "itself with Z' empty, i.e. decomposable",
             contradicts="AX-INDECOMP: E is indecomposable")],
             note=f"N = {half}")
-    if mode == "exact" and 2 * x == lat.deg(c):
+    hc = curve.profile[0]
+    if mode == "exact" and 2 * x == hc:
         # M - N is effective (or zero, excluded above) of degree 0
         return rec("effective-difference-degree-zero", [_claim(
             lat, "the difference M - N has ample degree zero",
-            lat.deg(c) - 2 * x, "=", 0,
+            hc - 2 * x, "=", 0,
             cite="M - N is effective and nonzero here, yet h.(M - N) = 0",
             contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
                         "effective class is positive")])
@@ -456,8 +475,8 @@ def _kill_classlike(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
     return None
 
 
-def _kill_fiber(lat: Lattice, known: _Known, c: DivClass, d: int, mode: str,
-                x: int, y: int, cn: int,
+def _kill_fiber(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
+                mode: str, x: int, y: int, cn: int,
                 rec: Callable) -> PairElimination | None:
     """Rules for N^2 = 0: N = rF over an elliptic pencil F with h.F >= 3."""
     if mode in ("exact", "gonality"):
@@ -468,7 +487,7 @@ def _kill_fiber(lat: Lattice, known: _Known, c: DivClass, d: int, mode: str,
     claims: list[ArithClaim] = []
     rules: list[str] = []
     for r in rs:
-        kill = _kill_fiber_r(lat, known, c, d, mode, x, y, cn, r)
+        kill = _kill_fiber_r(lat, known, curve, d, mode, x, y, cn, r)
         if kill is None:
             return None
         rule, cl = kill
@@ -479,8 +498,8 @@ def _kill_fiber(lat: Lattice, known: _Known, c: DivClass, d: int, mode: str,
                note=f"fiber multiplicities {rs} all eliminated")
 
 
-def _kill_fiber_r(lat: Lattice, known: _Known, c: DivClass, d: int, mode: str,
-                  x: int, y: int, cn: int, r: int):
+def _kill_fiber_r(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
+                  mode: str, x: int, y: int, cn: int, r: int):
     """Eliminate N = rF for one multiplicity r; None if no rule applies."""
     if r >= 2:
         if cn != d:
@@ -494,9 +513,10 @@ def _kill_fiber_r(lat: Lattice, known: _Known, c: DivClass, d: int, mode: str,
             contradicts="AX-ELLIPTIC-H1 against the AX-LES vanishing")
         return "pencil-multiple-h1", [claim]
     # r = 1: N itself is an elliptic pencil
-    h = DivClass((1, 0))
+    c = curve.cls
     for p in known:  # the square-0 (hence movable) class P with C = h + 2P
-        if p.square != 0 or (h + p.cls * 2).coords != c.coords:
+        p1, p2 = p.cls.coords
+        if p.square != 0 or (1 + 2 * p1, 2 * p2) != c.coords:
             continue
         pn = _pairing(p.cls, x, y)
         if pn <= 1:
@@ -511,14 +531,14 @@ def _kill_fiber_r(lat: Lattice, known: _Known, c: DivClass, d: int, mode: str,
             return "pencil-restrict-degree", [claim]
     if mode == "exact":
         # the twisted h^1 clash, available while E is initialized aCM
-        c2 = lat.self_int(c)
-        m2 = c2 - 2 * cn
-        hm = lat.deg(c) - x
+        m2 = curve.square - 2 * cn
+        hm = curve.profile[0] - x
         mh2 = m2 - 2 * hm + 4
         if mh2 <= -4 and x - 4 < 0:
             claims = [
                 _claim(lat, "square of the twisted kernel class",
-                       add_expr(self_of(c), -2 * cn, -2 * hm, self_of(h)),
+                       add_expr(self_of(c), -2 * cn, -2 * hm,
+                                self_of(DivClass((1, 0)))),
                        "<=", -4,
                        cite=f"(M - h)^2 = {mh2}, so chi(M - h) = "
                             f"{2 + mh2 // 2} < 0 and h^1 of the twist M(-1) "

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 from ..axioms import is_registered
+from ..config import _is_int
 from ..errors import MalformedScriptError, WorkbenchError
 from ..invariants import (BundleInvariants, brill_noether, chi_bundle,
                           chi_line, genus_of, hodge_lower, lm_invariants,
@@ -37,6 +38,10 @@ Expr = Any  # int, or a dict {"op": str, ...}
 
 
 def _coords(value) -> DivClass:
+    """A class from its JSON coordinates, which must all be ints."""
+    if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
+        raise MalformedScriptError(
+            f"class coordinates must be a list of ints, got {value!r}")
     return DivClass(value)
 
 
@@ -111,7 +116,7 @@ def evaluate(expr: Expr, lat: Lattice) -> int:
     if op == "mod":
         return evaluate(expr["x"], lat) % int(expr["m"])
     if op == "linf":
-        return max(abs(int(c)) for c in expr["a"])
+        return max(map(abs, _coords(expr["a"]).coords))
     if op == "odd_diag":
         return sum(lat.gram[i][i] % 2 for i in range(lat.rank))
     if op == "sig_pos":
@@ -402,8 +407,13 @@ def script_from_json(data: dict) -> DerivationScript:
         extra = set(lat_data) - _SCRIPT_LATTICE_KEYS
         if extra:
             raise MalformedScriptError(f"unexpected lattice keys: {sorted(extra)}")
-        lat = Lattice(gram=lat_data["gram"], labels=lat_data["labels"],
-                      ample=DivClass(lat_data["ample"]), k3=lat_data.get("k3", False))
+        gram = lat_data["gram"]
+        if not isinstance(gram, list) or not all(
+                isinstance(row, list) and all(map(_is_int, row)) for row in gram):
+            raise MalformedScriptError(
+                f"lattice gram must be a list of rows of ints, got {gram!r}")
+        lat = Lattice(gram=gram, labels=lat_data["labels"],
+                      ample=_coords(lat_data["ample"]), k3=lat_data.get("k3", False))
         steps = tuple(step_from_json(st) for st in data["steps"])
         conc = data["conclusion"]
         conclusion = Conclusion(conc["kind"], conc.get("statement", ""))

@@ -126,6 +126,25 @@ def effectivity(lat: Lattice, d: DivClass,
     return Verdict(Effectivity.UNKNOWN)
 
 
+def acm_window(b2: int, hb: int) -> str | None:
+    """The window "a"-"d" of the module's case table that (B^2, H.B) is in.
+
+    None outside all four.  In windows (a)-(c), H.B >= 1 and B^2 >= -2,
+    so Riemann-Roch makes |B| nonempty and the window alone decides that
+    B is initialized aCM.  Window (d) still needs |B - H| and |2H - B|
+    empty, which only ``is_initialized_acm`` can settle.
+    """
+    if b2 == -2 and 1 <= hb <= 3:
+        return "a"
+    if b2 == 0 and 3 <= hb <= 4:
+        return "b"
+    if b2 == 2 and hb == 5:
+        return "c"
+    if b2 == 4 and hb == 6:
+        return "d"
+    return None
+
+
 def is_initialized_acm(lat: Lattice, b: DivClass,
                        assumptions: Sequence[Assumption] = ()) -> AcmClassification:
     """Classify B against the four-case window (pure in (B^2, H.B))."""
@@ -135,30 +154,25 @@ def is_initialized_acm(lat: Lattice, b: DivClass,
     if verdict.value is Effectivity.EMPTY:
         raise NotEffectiveCandidateError(
             f"|B| is empty ({verdict.reason}); B = {b}")
-    b2 = lat.self_int(b)
-    hb = lat.deg(b)
-    if b2 == -2 and 1 <= hb <= 3:
-        return AcmClassification(AcmStatus.ACM, "a")
-    if b2 == 0 and 3 <= hb <= 4:
-        return AcmClassification(AcmStatus.ACM, "b")
-    if b2 == 2 and hb == 5:
-        return AcmClassification(AcmStatus.ACM, "c")
-    if b2 == 4 and hb == 6:
-        h = lat.ample
-        need = (b - h, 2 * h - b)
-        verdicts = [effectivity(lat, q, assumptions) for q in need]
-        if any(v.value is Effectivity.EFFECTIVE for v in verdicts):
-            # an Ulrich candidate with a section of B-H or 2H-B is not initialized aCM
-            return AcmClassification(AcmStatus.NOT_ACM, "none")
-        missing = tuple(
-            Assumption(q, AssumptionKind.EMPTY,
-                       "emptiness needed for the Ulrich window")
-            for q, v in zip(need, verdicts)
-            if v.value is Effectivity.UNKNOWN)
-        if missing:
-            return AcmClassification(AcmStatus.NEEDS_ASSUMPTION, "d", missing)
-        return AcmClassification(AcmStatus.ACM_ULRICH, "d")
-    return AcmClassification(AcmStatus.NOT_ACM, "none")
+    case = acm_window(lat.self_int(b), lat.deg(b))
+    if case is None:
+        return AcmClassification(AcmStatus.NOT_ACM, "none")
+    if case != "d":
+        return AcmClassification(AcmStatus.ACM, case)
+    h = lat.ample
+    need = (b - h, 2 * h - b)
+    verdicts = [effectivity(lat, q, assumptions) for q in need]
+    if any(v.value is Effectivity.EFFECTIVE for v in verdicts):
+        # an Ulrich candidate with a section of B-H or 2H-B is not initialized aCM
+        return AcmClassification(AcmStatus.NOT_ACM, "none")
+    missing = tuple(
+        Assumption(q, AssumptionKind.EMPTY,
+                   "emptiness needed for the Ulrich window")
+        for q, v in zip(need, verdicts)
+        if v.value is Effectivity.UNKNOWN)
+    if missing:
+        return AcmClassification(AcmStatus.NEEDS_ASSUMPTION, "d", missing)
+    return AcmClassification(AcmStatus.ACM_ULRICH, "d")
 
 
 def acm_companions(lat: Lattice, b: DivClass, classification: AcmClassification,

@@ -11,6 +11,7 @@ signature (1, rank-1); this is checked at construction time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,8 +40,7 @@ class DivClass:
     coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[int]):
-        coords = tuple(int(c) for c in coords)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(map(int, coords)))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -183,15 +183,14 @@ class Lattice:
 
     def pair(self, d1: DivClass, d2: DivClass) -> int:
         """Intersection number d1 . d2 (exact integer)."""
-        if len(d1) != self.rank or len(d2) != self.rank:
+        x, y, gram = d1.coords, d2.coords, self.gram
+        if len(x) != len(gram) or len(y) != len(gram):
             raise DimensionMismatchError(
-                f"classes of length {len(d1)}, {len(d2)} on a rank-{self.rank} lattice")
+                f"classes of length {len(x)}, {len(y)} on a rank-{len(gram)} lattice")
         total = 0
-        for i, a in enumerate(d1.coords):
-            if a == 0:
-                continue
-            row = self.gram[i]
-            total += a * sum(row[j] * b for j, b in enumerate(d2.coords) if b)
+        for a, row in zip(x, gram):
+            if a:
+                total += a * sum(map(operator.mul, row, y))
         return total
 
     def self_int(self, d: DivClass) -> int:

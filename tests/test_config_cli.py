@@ -352,6 +352,20 @@ def test_cli_destabilize(capsys):
     assert "UNRESOLVED BRANCHES REMAIN" in out
 
 
+def test_cli_destabilize_refuses_conflicting_facts(capsys, tmp_path):
+    # B asserted both effective and empty: bad input, exit 2
+    cfg = tmp_path / "conflict.json"
+    facts = [{"subject": [0, 1], "kind": kind, "note": ""}
+             for kind in ("Effective", "Empty")]
+    cfg.write_text(json.dumps(_doc(gram=[[4, 3], [3, -2]],
+                                   assumptions=facts)))
+    for extra in ((), ("--json",)):
+        code, out, err = _run(capsys, "destabilize", "-c", str(cfg),
+                              "--class", "4,-2", "--d", "2", *extra)
+        assert code == 2 and not out
+        assert "both effective and empty" in err
+
+
 def test_cli_destabilize_rejects_a_query_outside_the_c2_window_quickly(
         capsys):
     cfg = str(data_path("quartic_b20_bh4.json"))

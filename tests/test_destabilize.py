@@ -4,8 +4,11 @@ from collections import Counter
 
 import pytest
 
-from k3acm import (BadParametersError, DivClass, PreconditionError,
-                   derived_assumptions, is_initialized_acm)
+from k3acm import (AcmStatus, Assumption, AssumptionKind, BadParametersError,
+                   ConflictingAssumptionsError, DivClass,
+                   NotEffectiveCandidateError, PreconditionError,
+                   TrivialClassError, derived_assumptions, is_initialized_acm)
+from k3acm.classifier import _NONEMPTY_KINDS
 from k3acm.casework import (MODES, elimination_to_json, engine_assumptions,
                             enumerate_destabilizing, evaluate,
                             quartic_lattice, ulrich_assumptions)
@@ -285,6 +288,86 @@ def test_solved_profiles_match_the_full_scan():
                 assert destabilize._profiles(lat, env, c, d, n2, mode) == want
                 compared += 1
     assert compared > 1500
+
+
+def _known_classes_oracle(lat, c, assumptions):
+    """The former _known_classes, which classified every class, as the oracle."""
+    bpf = {a.subject.coords for a in assumptions
+           if a.kind is AssumptionKind.BASE_POINT_FREE}
+    pencil = {a.subject.coords for a in assumptions
+              if a.kind is AssumptionKind.ELLIPTIC_PENCIL}
+    nonempty = {a.subject.coords for a in assumptions
+                if a.kind in _NONEMPTY_KINDS}
+    known = []
+    for coords in sorted(nonempty | bpf | {c.coords}):
+        p = DivClass(coords)
+        sq = lat.self_int(p)
+        free = coords in bpf or coords == c.coords
+        try:
+            acm = is_initialized_acm(lat, p, assumptions).status in (
+                AcmStatus.ACM, AcmStatus.ACM_ULRICH)
+        except (TrivialClassError, NotEffectiveCandidateError):
+            acm = False
+        profile = (lat.pair(DivClass((1, 0)), p), lat.pair(DivClass((0, 1)), p))
+        known.append(destabilize._KnownClass(
+            p, sq, profile, movable=free or coords in pencil or sq == 0,
+            bpf_positive=free and sq >= 2, acm=acm))
+    return tuple(known)
+
+
+def test_known_classes_match_the_classifying_oracle():
+    raw = dict(load_config(data_path(name))
+               for name in shipped_quartic_names())
+    compared = 0
+    for lat, facts, c, d, mode in _grid():
+        for fact_set in (facts, raw[lat]):
+            want = _known_classes_oracle(lat, c, fact_set)
+            assert destabilize._known_classes(lat, c, fact_set) == want
+            compared += 1
+    assert compared == 1188
+
+
+def test_known_classes_on_the_ulrich_window():
+    # B and its companion 3h - B both sit in window (d): (4, 6)
+    lat = quartic_lattice(4, 6)
+    h = DivClass((1, 0))
+    comp = 3 * h - B
+
+    def fact(cls, kind):
+        return Assumption(cls, kind, "test")
+
+    eff, empty = AssumptionKind.EFFECTIVE, AssumptionKind.EMPTY
+    cases = (
+        # both emptiness facts given: certified Ulrich
+        (_facts(lat, ulrich_assumptions(lat)), True),
+        # |2h - B| undecided, for B and its companion alike
+        ((fact(B, eff), fact(comp, eff), fact(B - h, empty)), False),
+        # |B - h| asserted nonempty: the companion is not initialized aCM
+        ((fact(comp, eff), fact(B - h, eff)), False),
+    )
+    for facts, ulrich in cases:
+        table = destabilize._known_classes(lat, DivClass((0, 2)), facts)
+        assert table == _known_classes_oracle(lat, DivClass((0, 2)), facts)
+        flags = {p.cls: p.acm for p in table}
+        assert flags[comp] is ulrich
+    statuses = [is_initialized_acm(lat, comp, facts).status
+                for facts, _ in cases]
+    assert statuses == [AcmStatus.ACM_ULRICH, AcmStatus.NEEDS_ASSUMPTION,
+                        AcmStatus.NOT_ACM]
+
+
+def test_conflicting_facts_are_refused():
+    lat = quartic_lattice(-2, 3)
+    c = DivClass((4, -2))
+    for subject in (B, c, DivClass((5, 5))):
+        facts = _facts(lat) + (
+            Assumption(subject, AssumptionKind.EFFECTIVE, "asserted"),
+            Assumption(subject, AssumptionKind.EMPTY, "asserted"))
+        with pytest.raises(ConflictingAssumptionsError):
+            _known_classes_oracle(lat, c, facts)
+        for mode in MODES:
+            with pytest.raises(ConflictingAssumptionsError):
+                enumerate_destabilizing(lat, c, 2, facts, mode=mode)
 
 
 def test_gonality_with_an_empty_budget_is_flagged():

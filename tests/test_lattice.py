@@ -135,3 +135,47 @@ def test_pairing_is_symmetric_and_bilinear():
         assert lat.pair(u, v) == lat.pair(v, u)
         assert lat.pair(a * u + w, v) == a * lat.pair(u, v) + lat.pair(w, v)
         assert lat.self_int(u) % 2 == 0
+
+
+def _pair_oracle(lat, d1, d2):
+    """The former Lattice.pair, kept verbatim as the oracle for the new one."""
+    if len(d1) != lat.rank or len(d2) != lat.rank:
+        raise DimensionMismatchError(
+            f"classes of length {len(d1)}, {len(d2)} on a rank-{lat.rank} lattice")
+    total = 0
+    for i, a in enumerate(d1.coords):
+        if a == 0:
+            continue
+        row = lat.gram[i]
+        total += a * sum(row[j] * b for j, b in enumerate(d2.coords) if b)
+    return total
+
+
+def test_pair_matches_the_oracle_on_random_grams():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.choice((0, 0, rng.randint(-9, 9)))
+        gram[0][0] = rng.randint(1, 9)  # the ample class e_0 has positive square
+        lat = Lattice(gram=gram, labels=[f"e{i}" for i in range(n)],
+                      ample=DivClass([1] + [0] * (n - 1)))
+        for _ in range(10):
+            u = DivClass(rng.choice((0, rng.randint(-6, 6))) for _ in range(n))
+            v = DivClass(rng.choice((0, rng.randint(-6, 6))) for _ in range(n))
+            assert lat.pair(u, v) == _pair_oracle(lat, u, v)
+            assert lat.self_int(u) == _pair_oracle(lat, u, u)
+            assert lat.deg(v) == _pair_oracle(lat, lat.ample, v)
+
+
+def test_pair_dimension_mismatch_text_matches_the_oracle():
+    lat = quartic_lattice(0, 4)
+    short, ok, long = DivClass((1,)), DivClass((1, 2)), DivClass((1, 2, 3))
+    for d1, d2 in ((short, ok), (ok, long), (long, short), (long, long)):
+        with pytest.raises(DimensionMismatchError) as want:
+            _pair_oracle(lat, d1, d2)
+        with pytest.raises(DimensionMismatchError) as got:
+            lat.pair(d1, d2)
+        assert str(got.value) == str(want.value)

@@ -155,6 +155,43 @@ def test_script_json_rejects_unknown_keys_and_kinds():
         script_from_json(data)
 
 
+def test_script_json_rejects_non_integer_coordinates():
+    # a float or bool must not be truncated into a valid-looking lattice
+    for bad in (4.9, 4.0, True):
+        data = script_to_json(script_by_tag("case-B2neg2-Bh2"))
+        data["lattice"]["gram"][0][0] = bad
+        with pytest.raises(MalformedScriptError, match="gram"):
+            script_from_json(data)
+        data = script_to_json(script_by_tag("case-B2neg2-Bh2"))
+        data["lattice"]["ample"] = [bad, 0]
+        with pytest.raises(MalformedScriptError, match="coordinates"):
+            script_from_json(data)
+        for op in ("self", "deg", "genus", "chi_line"):
+            with pytest.raises(MalformedScriptError, match="coordinates"):
+                evaluate({"op": op, "a": [bad, 0]}, LAT)
+        with pytest.raises(MalformedScriptError, match="coordinates"):
+            evaluate({"op": "pair", "a": [1, 0], "b": [0, bad]}, LAT)
+        with pytest.raises(MalformedScriptError, match="coordinates"):
+            evaluate({"op": "linf", "a": [bad, 0]}, LAT)
+    with pytest.raises(MalformedScriptError, match="coordinates"):
+        evaluate({"op": "self", "a": "10"}, LAT)
+    assert evaluate({"op": "self", "a": [1, 0]}, LAT) == LAT.gram[0][0]
+
+
+def test_script_with_a_float_class_fails_on_replay():
+    data = script_to_json(script_by_tag("case-B2neg2-Bh2"))
+    tampered = 0
+    for step in data["steps"]:
+        side = step.get("lhs")
+        if isinstance(side, dict) and side.get("op") == "self":
+            side["a"] = [float(x) + 0.5 for x in side["a"]]
+            tampered += 1
+    assert tampered
+    report = run_script(script_from_json(data))
+    assert not report.success
+    assert len(report.failed) >= tampered
+
+
 def test_tampered_claim_fails_on_replay():
     data = script_to_json(script_by_tag("case-B2neg2-Bh2"))
     # flip one verified equality to a false one
