@@ -52,7 +52,18 @@ class Case:
     target: tuple[int, int] | None = None
 
     def script(self) -> DerivationScript:
-        """Build this row's derivation script."""
+        """This row's derivation script, built on its first use (never at
+        import) and shared by every later call in the process.
+
+        The script is a proof input, not a verdict: run_script still
+        re-checks every claim of it on every replay.  Callers must not
+        mutate it or its expression dicts (script_to_json hands out
+        copies).
+        """
+        return self._script
+
+    @functools.cached_property
+    def _script(self) -> DerivationScript:
         return self.build(self)
 
 
@@ -175,26 +186,23 @@ def _script_twist_chain(case: Case) -> DerivationScript:
 
 # --- pencil bundles: hand-written header, case analysis from the engine ----
 
-@functools.lru_cache(maxsize=None)
-def _engine_trace(b2: int, hb: int, curve: tuple[int, int], d: int,
-                  mode: str) -> tuple[ArithClaim, ...]:
+def _engine_trace(case: Case, lat: Lattice) -> list[ArithClaim]:
     """The claims of every destabilizing-pair record for (C, d), in order.
 
-    Computed once per process from the facts ``k3acm destabilize`` uses on
-    the shipped config; callers share the claims and their expression
-    dicts, so nothing may mutate them.  A script with a gap must never
-    ship, so an unresolved record raises.
+    Computed from the facts ``k3acm destabilize`` uses on the shipped
+    config.  A script with a gap must never ship, so an unresolved record
+    raises.
     """
-    lat = quartic_lattice(b2, hb)
+    c = case.curve
+    d, mode = case.pencil
     records = enumerate_destabilizing(
-        lat, DivClass(curve), d,
-        engine_assumptions(lat, ulrich_assumptions(lat)), mode)
+        lat, c, d, engine_assumptions(lat, ulrich_assumptions(lat)), mode)
     gaps = [r for r in records if not r.resolved]
     if gaps:
         raise EngineError(
             f"the destabilizing sweep leaves {len(gaps)} branch(es) of "
-            f"C = {DivClass(curve)}, d = {d} ({mode}) on ({b2}, {hb}) open")
-    return tuple(cl for rec in records for cl in rec.trace)
+            f"C = {c}, d = {d} ({mode}) on {case.presentation} open")
+    return [cl for rec in records for cl in rec.trace]
 
 
 def _pencil_steps(case: Case, lat: Lattice) -> list:
@@ -244,8 +252,7 @@ def _pencil_steps(case: Case, lat: Lattice) -> list:
         "AX-HODGE-INDEX",
         note="the Gram determinant of <h, B, N> is >= 0, which bounds B.N "
              "on both sides at each h.N"))
-    return (steps + uses
-            + list(_engine_trace(*case.presentation, c.coords, d, mode)))
+    return steps + uses + _engine_trace(case, lat)
 
 
 def _script_pencil(case: Case) -> DerivationScript:
@@ -393,12 +400,14 @@ _BY_TAG = {case.tag: case for case in CASES}
 
 
 def builtin_scripts() -> dict[str, DerivationScript]:
-    """All shipped derivation scripts, keyed by tag."""
+    """All shipped derivation scripts, keyed by tag; each is its row's
+    shared Case.script()."""
     return {case.tag: case.script() for case in CASES}
 
 
 def script_by_tag(tag: str) -> DerivationScript:
-    """The shipped derivation script with this tag; builds that row only."""
+    """The shipped derivation script with this tag, Case.script() of
+    its row; builds no other row."""
     case = _BY_TAG.get(tag)
     if case is None:
         known = ", ".join(sorted(_BY_TAG))

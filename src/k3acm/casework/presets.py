@@ -14,6 +14,8 @@ bound per class among B and its initialized aCM companions (h-B, 2h-B or
 
 from __future__ import annotations
 
+import functools
+
 from ..classifier import (Assumption, AssumptionKind, acm_companions,
                           is_initialized_acm)
 from ..errors import BadParametersError
@@ -125,8 +127,19 @@ def lemma_case(preset_id: str, box: int = 32) -> CaseSpec:
     """One of the five bounded (s, t) searches.
 
     C has genus >= 3 and degree <= 12, meets B and each initialized aCM
-    companion of B as its square dictates, and has |t| >= 2.
+    companion of B as its square dictates, and has |t| >= 2.  The lattice,
+    the companion classification and the constraints are built on the
+    first call for each preset and shared by later calls; only the box
+    goes into a fresh CaseSpec, and enumerate_case still solves it anew.
     """
+    lat, cons = _preset_system(preset_id)
+    return CaseSpec(lattice=lat, constraints=cons, box=box, tag=preset_id)
+
+
+@functools.cache
+def _preset_system(preset_id: str) -> tuple[Lattice, tuple[Constraint, ...]]:
+    """The lattice and constraints of one preset.  An unknown id raises,
+    so the cache only ever holds the ids of PRESET_IDS."""
     if preset_id not in PRESET_PRESENTATION:
         raise BadParametersError(
             f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
@@ -149,8 +162,7 @@ def lemma_case(preset_id: str, box: int = 32) -> CaseSpec:
     cons.append(abs_t_at_least(
         2, cite="|t| >= 2; the |t| <= 1 classes are settled by the "
                 "companion-closure reduction"))
-    return CaseSpec(lattice=lat, constraints=tuple(cons), box=box,
-                    tag=preset_id)
+    return lat, tuple(cons)
 
 
 def lemma51_presets(box: int = 32) -> list[CaseSpec]:

@@ -20,8 +20,9 @@ matrix at run time, corrupting any lattice entry makes claims fail.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..axioms import is_registered
 from ..config import _is_int
@@ -37,12 +38,28 @@ RELATIONS = ("=", "<=", "<", ">=", ">")
 Expr = Any  # int, or a dict {"op": str, ...}
 
 
-def _coords(value) -> DivClass:
-    """A class from its JSON coordinates, which must all be ints."""
+def _coords(value) -> Sequence[int]:
+    """Class coordinates from JSON, which must all be ints."""
     if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
         raise MalformedScriptError(
             f"class coordinates must be a list of ints, got {value!r}")
-    return DivClass(value)
+    return value
+
+
+def _int_arg(expr: dict, key: str) -> int:
+    """A plain integer argument that is not an expression (mod's m,
+    chi_bundle's rank); floats and bools are refused, not truncated."""
+    value = expr[key]
+    if not _is_int(value):
+        raise MalformedScriptError(f"{key!r} must be an int, got {value!r}")
+    return value
+
+
+def _args(expr: dict) -> Sequence[Expr]:
+    args = expr["args"]
+    if not isinstance(args, (list, tuple)):
+        raise MalformedScriptError(f"'args' must be a list, got {args!r}")
+    return args
 
 
 def _minimax(p: int, q: int) -> int:
@@ -58,72 +75,109 @@ def _minimax(p: int, q: int) -> int:
 
 
 def evaluate(expr: Expr, lat: Lattice) -> int:
-    """Evaluate an expression to an exact integer against a lattice."""
-    if isinstance(expr, bool):
-        raise MalformedScriptError("boolean is not a valid expression")
+    """Evaluate an expression to an exact integer against a lattice.
+
+    An expression that cannot be read (an unknown op, a missing key, a
+    non-list args, non-int coordinates, m or rank, a zero modulus) raises
+    MalformedScriptError.
+    """
     if isinstance(expr, int):
+        if isinstance(expr, bool):
+            raise MalformedScriptError("boolean is not a valid expression")
         return expr
     if not isinstance(expr, dict) or "op" not in expr:
         raise MalformedScriptError(f"bad expression: {expr!r}")
     op = expr["op"]
-    if op == "pair":
-        return lat.pair(_coords(expr["a"]), _coords(expr["b"]))
-    if op == "self":
-        return lat.self_int(_coords(expr["a"]))
-    if op == "deg":
-        return lat.deg(_coords(expr["a"]))
-    if op == "genus":
-        return genus_of(lat.self_int(_coords(expr["a"])))
-    if op == "genus_value":
-        return genus_of(evaluate(expr["sq"], lat))
-    if op == "chi_line":
-        return chi_line(lat.self_int(_coords(expr["a"])))
-    if op == "chi_of":
-        return chi_line(evaluate(expr["sq"], lat))
-    if op == "chi_bundle":
-        inv = BundleInvariants(int(expr["rank"]), _coords(expr["c1"]),
-                               evaluate(expr["c2"], lat))
-        return chi_bundle(inv, lat)
-    if op == "c2_twist":
-        c1 = _coords(expr["c1"])
-        by = _coords(expr["by"])
-        return evaluate(expr["c2"], lat) + lat.pair(c1, by) + lat.self_int(by)
-    if op == "brill_noether":
-        return brill_noether(evaluate(expr["g"], lat),
-                             evaluate(expr["r"], lat),
-                             evaluate(expr["d"], lat))
-    if op == "twist_chi":
-        return twist_chi(evaluate(expr["l"], lat), evaluate(expr["ch"], lat),
-                         evaluate(expr["g"], lat), evaluate(expr["d"], lat))
-    if op == "lm_h0":
-        return lm_invariants(evaluate(expr["g"], lat), evaluate(expr["r"], lat),
-                             evaluate(expr["d"], lat)).h0
-    if op == "hodge_lower":
-        return hodge_lower(evaluate(expr["a"], lat), evaluate(expr["b"], lat))
-    if op == "minimax":
-        return _minimax(evaluate(expr["p"], lat), evaluate(expr["q"], lat))
-    if op == "add":
-        return sum(evaluate(x, lat) for x in expr["args"])
-    if op == "mul":
-        total = 1
-        for x in expr["args"]:
-            total *= evaluate(x, lat)
-        return total
-    if op == "sub":
-        return evaluate(expr["x"], lat) - evaluate(expr["y"], lat)
-    if op == "neg":
-        return -evaluate(expr["x"], lat)
-    if op == "mod":
-        return evaluate(expr["x"], lat) % int(expr["m"])
-    if op == "linf":
-        return max(map(abs, _coords(expr["a"]).coords))
-    if op == "odd_diag":
-        return sum(lat.gram[i][i] % 2 for i in range(lat.rank))
-    if op == "sig_pos":
-        return lat.signature()[0]
-    if op == "sig_neg":
-        return lat.signature()[1]
-    raise MalformedScriptError(f"unknown expression op {op!r}")
+    try:
+        handler = _OPS[op]
+    except (KeyError, TypeError):
+        raise MalformedScriptError(f"unknown expression op {op!r}") from None
+    # handlers read their keys directly; nested evaluate calls convert
+    # their own, so a KeyError here is a key missing from this expression
+    try:
+        return handler(expr, lat)
+    except KeyError as exc:
+        raise MalformedScriptError(
+            f"{op!r} expression has no key {exc}") from None
+
+
+def _pair(e: dict, lat: Lattice) -> int:
+    return lat.pair_coords(_coords(e["a"]), _coords(e["b"]))
+
+
+def _self(e: dict, lat: Lattice) -> int:
+    a = _coords(e["a"])
+    return lat.pair_coords(a, a)
+
+
+def _deg(e: dict, lat: Lattice) -> int:
+    return lat.pair_coords(lat.ample.coords, _coords(e["a"]))
+
+
+def _chi_bundle(e: dict, lat: Lattice) -> int:
+    inv = BundleInvariants(_int_arg(e, "rank"), DivClass(_coords(e["c1"])),
+                           evaluate(e["c2"], lat))
+    return chi_bundle(inv, lat)
+
+
+def _c2_twist(e: dict, lat: Lattice) -> int:
+    c1, by = _coords(e["c1"]), _coords(e["by"])
+    return (evaluate(e["c2"], lat) + lat.pair_coords(c1, by)
+            + lat.pair_coords(by, by))
+
+
+def _add(e: dict, lat: Lattice) -> int:
+    return sum(evaluate(x, lat) for x in _args(e))
+
+
+def _mul(e: dict, lat: Lattice) -> int:
+    total = 1
+    for x in _args(e):
+        total *= evaluate(x, lat)
+    return total
+
+
+def _mod(e: dict, lat: Lattice) -> int:
+    x = evaluate(e["x"], lat)
+    m = _int_arg(e, "m")
+    if m == 0:
+        raise MalformedScriptError("mod needs a nonzero modulus")
+    return x % m
+
+
+_OPS: dict[str, Callable[[dict, Lattice], int]] = {
+    "pair": _pair,
+    "self": _self,
+    "deg": _deg,
+    "genus": lambda e, lat: genus_of(_self(e, lat)),
+    "genus_value": lambda e, lat: genus_of(evaluate(e["sq"], lat)),
+    "chi_line": lambda e, lat: chi_line(_self(e, lat)),
+    "chi_of": lambda e, lat: chi_line(evaluate(e["sq"], lat)),
+    "chi_bundle": _chi_bundle,
+    "c2_twist": _c2_twist,
+    "brill_noether": lambda e, lat: brill_noether(
+        evaluate(e["g"], lat), evaluate(e["r"], lat), evaluate(e["d"], lat)),
+    "twist_chi": lambda e, lat: twist_chi(
+        evaluate(e["l"], lat), evaluate(e["ch"], lat),
+        evaluate(e["g"], lat), evaluate(e["d"], lat)),
+    "lm_h0": lambda e, lat: lm_invariants(
+        evaluate(e["g"], lat), evaluate(e["r"], lat),
+        evaluate(e["d"], lat)).h0,
+    "hodge_lower": lambda e, lat: hodge_lower(evaluate(e["a"], lat),
+                                              evaluate(e["b"], lat)),
+    "minimax": lambda e, lat: _minimax(evaluate(e["p"], lat),
+                                       evaluate(e["q"], lat)),
+    "add": _add,
+    "mul": _mul,
+    "sub": lambda e, lat: evaluate(e["x"], lat) - evaluate(e["y"], lat),
+    "neg": lambda e, lat: -evaluate(e["x"], lat),
+    "mod": _mod,
+    "linf": lambda e, lat: max(map(abs, _coords(e["a"])), default=0),
+    "odd_diag": lambda e, lat: sum(lat.gram[i][i] % 2
+                                   for i in range(lat.rank)),
+    "sig_pos": lambda e, lat: lat.signature()[0],
+    "sig_neg": lambda e, lat: lat.signature()[1],
+}
 
 
 # ---- helpers for writing expressions in builders ----------------------------
@@ -302,7 +356,8 @@ def run_script(script: DerivationScript) -> DerivationReport:
     """Re-check every arithmetic claim of a script against its lattice.
 
     Evaluation errors (odd squares after a corrupted gram entry, bad
-    expressions) count as FAILED steps, never escape as exceptions.
+    expressions, expressions nested past the recursion limit) count as
+    FAILED steps, never escape as exceptions.
     Success requires zero FAILED steps; a contradiction conclusion
     additionally requires its final flagged claim to have verified.
     """
@@ -315,7 +370,7 @@ def run_script(script: DerivationScript) -> DerivationReport:
         try:
             lhs = evaluate(st.lhs, script.lattice)
             rhs = evaluate(st.rhs, script.lattice)
-        except WorkbenchError as exc:
+        except (WorkbenchError, RecursionError) as exc:
             failed.append(i)
             reports.append(StepReport(i, "arith", st.label, "FAILED",
                                       f"evaluation error: {exc}"))
@@ -377,6 +432,8 @@ def step_from_json(data: dict) -> Step:
 
 
 def script_to_json(script: DerivationScript) -> dict:
+    """The script as JSON values the caller owns: the steps are deep
+    copies, since builtin scripts and their expression dicts are shared."""
     return {
         "tag": script.tag,
         "description": script.description,
@@ -386,7 +443,7 @@ def script_to_json(script: DerivationScript) -> dict:
             "ample": list(script.lattice.ample.coords),
             "k3": script.lattice.k3,
         },
-        "steps": [step_to_json(st) for st in script.steps],
+        "steps": [copy.deepcopy(step_to_json(st)) for st in script.steps],
         "conclusion": {"kind": script.conclusion.kind,
                        "statement": script.conclusion.statement},
     }

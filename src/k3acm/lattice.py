@@ -2,8 +2,8 @@
 
 A Lattice is an integer symmetric bilinear form together with basis labels
 and a distinguished ample divisor class.  All arithmetic is exact: pairings
-are plain Python integers, the signature is computed by congruence
-diagonalization over the rationals (Fraction), never by floating point.
+are plain Python integers, the signature is computed by fraction-free
+symmetric elimination over the integers, never by floating point.
 
 A lattice flagged ``k3`` must be even (even diagonal suffices) and have
 signature (1, rank-1); this is checked at construction time.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -87,14 +86,20 @@ def _check_gram(gram: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 def _signature_of(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Signature (#positive, #negative) of a nondegenerate symmetric form.
 
-    Symmetric Gaussian elimination over Fraction.  When every remaining
-    diagonal entry vanishes but the row does not, a row+column addition
-    turns the 2x2 hyperbolic block into a usable pivot; Sylvester's law
-    makes the count basis-independent.
+    Fraction-free symmetric elimination in integers.  At the pivot p of
+    step i every later entry becomes (p*a[j][k] - a[j][i]*a[i][k]) / prev,
+    a division by the previous pivot that is exact (Bareiss): each entry is
+    then a minor of the form, so the numbers stay as small as minors.  The
+    pivots are the leading principal minors D_i, and D_i / D_(i-1) is the
+    i-th diagonal entry of a diagonalization, so its sign is counted.
+    When every remaining diagonal entry vanishes but the row does not, a
+    row+column addition turns the 2x2 hyperbolic block into a usable
+    pivot; Sylvester's law makes the count basis-independent.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = [list(row) for row in gram]
     pos = neg = 0
+    prev = 1
     for i in range(n):
         if a[i][i] == 0:
             piv = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
@@ -113,18 +118,17 @@ def _signature_of(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
                 for row in a:
                     row[i] += row[k]
         p = a[i][i]
-        if p > 0:
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        row_i = a[i]
         for j in range(i + 1, n):
-            if a[j][i] == 0:
-                continue
-            f = a[j][i] / p
-            for col in range(i, n):
-                a[j][col] -= f * a[i][col]
-            for row in a:
-                row[j] -= f * row[i]
+            row_j = a[j]
+            f = row_j[i]
+            for k in range(i + 1, n):
+                row_j[k] = (p * row_j[k] - f * row_i[k]) // prev
+        prev = p
     return pos, neg
 
 
@@ -183,7 +187,12 @@ class Lattice:
 
     def pair(self, d1: DivClass, d2: DivClass) -> int:
         """Intersection number d1 . d2 (exact integer)."""
-        x, y, gram = d1.coords, d2.coords, self.gram
+        return self.pair_coords(d1.coords, d2.coords)
+
+    def pair_coords(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """The pairing of two integer coordinate sequences, as pair does
+        for the classes with these coordinates."""
+        gram = self.gram
         if len(x) != len(gram) or len(y) != len(gram):
             raise DimensionMismatchError(
                 f"classes of length {len(x)}, {len(y)} on a rank-{len(gram)} lattice")

@@ -278,7 +278,7 @@ def test_cli_verify_and_example_build_only_their_script_lattice(
              (("verify", "--script", "case-B24", "--json", "-c", cfg), 2),
              (("example-delpezzo",), 1),
              (("example-delpezzo", "--json"), 1))
-    for argv, _ in cases:  # warm the memoised engine traces
+    for argv, _ in cases:  # warm the shared row scripts
         assert _run(capsys, *argv)[0] == 0, argv
     built = []
     original = Lattice.__init__
@@ -298,7 +298,7 @@ def test_cli_verify_of_every_builtin_script_is_fast(capsys):
     from k3acm.casework.casebook import CASES
     argvs = [("verify", "--script", case.tag) for case in CASES]
     passes = []
-    for _ in range(4):  # the first pass warms the memoised engine traces
+    for _ in range(4):  # the first pass builds the shared row scripts
         start = time.perf_counter()
         for argv in argvs:
             assert _run(capsys, *argv)[0] == 0, argv

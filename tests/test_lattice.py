@@ -1,6 +1,8 @@
 """Divisor classes, gram validation and exact intersection arithmetic."""
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,7 @@ from k3acm import (BadDimensionsError, DegenerateFormError,
                    NonPositiveAmpleError, NonSymmetricError,
                    OddK3DiagonalError, PreconditionError, WrongSignatureError)
 from k3acm.casework import delpezzo_lattice, quartic_lattice
+from k3acm.lattice import _signature_of
 
 
 def test_divclass_arithmetic():
@@ -179,3 +182,92 @@ def test_pair_dimension_mismatch_text_matches_the_oracle():
         with pytest.raises(DimensionMismatchError) as got:
             lat.pair(d1, d2)
         assert str(got.value) == str(want.value)
+        with pytest.raises(DimensionMismatchError) as raw:
+            lat.pair_coords(d1.coords, list(d2.coords))
+        assert str(raw.value) == str(want.value)
+
+
+def _signature_oracle(gram):
+    """The former _signature_of, elimination over Fraction, as the oracle."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            piv = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if piv is not None:
+                a[i], a[piv] = a[piv], a[i]
+                for row in a:
+                    row[i], row[piv] = row[piv], row[i]
+            else:
+                k = next((k for k in range(i + 1, n) if a[i][k] != 0), None)
+                if k is None:
+                    raise DegenerateFormError(
+                        "form is degenerate: zero row during diagonalization")
+                for col in range(n):
+                    a[i][col] += a[k][col]
+                for row in a:
+                    row[i] += row[k]
+        p = a[i][i]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            if a[j][i] == 0:
+                continue
+            f = a[j][i] / p
+            for col in range(i, n):
+                a[j][col] -= f * a[i][col]
+            for row in a:
+                row[j] -= f * row[i]
+    return pos, neg
+
+
+def _outcome(signature, gram):
+    try:
+        return signature(gram)
+    except DegenerateFormError as exc:
+        return type(exc), str(exc)
+
+
+def test_integer_signature_matches_the_fraction_oracle():
+    rng = random.Random(20261018)
+    seen = {"degenerate": 0, "zero-diagonal": 0, "hyperbolic": 0}
+    for _ in range(2400):
+        n = rng.randint(1, 8)
+        span = rng.choice((1, 2, 3, 9, 40))
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.choice(
+                    (0, rng.randint(-span, span)))
+        if rng.random() < 0.2 and n > 1:  # a repeated row forces degeneracy
+            i, j = rng.sample(range(n), 2)
+            for k in range(n):
+                gram[j][k] = gram[k][j] = gram[i][k]
+            gram[j][j] = gram[i][i]
+        want = _outcome(_signature_oracle, gram)
+        assert _outcome(_signature_of, gram) == want, gram
+        seen["degenerate"] += want[0] is DegenerateFormError
+        seen["zero-diagonal"] += any(gram[i][i] == 0 for i in range(n))
+        seen["hyperbolic"] += all(gram[i][i] == 0 for i in range(n)) and n > 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_integer_signature_entries_stay_the_size_of_minors():
+    # without the exact division by the previous pivot, the entries grow
+    # like the 3^k-th power of the Gram entries: rank 14 took 0.6 s
+    rng = random.Random(14)
+    grams = []
+    for n in (10, 12, 14, 14):
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-5, 5)
+        grams.append(gram)
+    start = time.perf_counter()
+    got = [_outcome(_signature_of, gram) for gram in grams]
+    elapsed = time.perf_counter() - start
+    assert got == [_outcome(_signature_oracle, gram) for gram in grams]
+    assert elapsed < 0.1, elapsed

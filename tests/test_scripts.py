@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from k3acm import DivClass, Lattice, MalformedScriptError
+from k3acm import DivClass, Lattice, MalformedScriptError, WorkbenchError
 from k3acm.casework import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                             DerivationScript, builtin_scripts, deg_of,
                             engine_assumptions, enumerate_destabilizing,
@@ -50,6 +50,7 @@ def test_evaluate_arithmetic_ops():
     assert evaluate({"op": "sub", "x": 10, "y": 4}, LAT) == 6
     assert evaluate({"op": "mod", "x": 9, "m": 4}, LAT) == 1
     assert evaluate({"op": "linf", "a": [3, -5]}, LAT) == 5
+    assert evaluate({"op": "linf", "a": []}, LAT) == 0
     assert evaluate({"op": "odd_diag"}, LAT) == 0
     assert evaluate({"op": "sig_pos"}, LAT) == 1
     assert evaluate({"op": "sig_neg"}, LAT) == 1
@@ -75,6 +76,35 @@ def test_evaluate_rejects_bad_expressions():
         evaluate({"op": "frobnicate"}, LAT)
     with pytest.raises(MalformedScriptError):
         evaluate("3", LAT)
+
+
+@pytest.mark.parametrize("expr", [
+    {"op": "mod", "x": 7, "m": 0},
+    {"op": "mod", "x": 7, "m": 2.9},
+    {"op": "mod", "x": 7, "m": True},
+    {"op": "mod", "x": 7},
+    {"op": "add", "args": 5},
+    {"op": "mul", "args": 5},
+    {"op": "add"},
+    {"op": "pair", "a": [1, 0]},
+    {"op": "self"},
+    {"op": "sub", "x": 1},
+    {"op": "chi_bundle", "rank": 2.7, "c1": [0, 0], "c2": 2},
+    {"op": "chi_bundle", "rank": True, "c1": [0, 0], "c2": 2},
+    {"op": "chi_bundle", "rank": "2", "c1": [0, 0], "c2": 2},
+    {"op": "c2_twist", "c2": 8, "c1": [2, 2]},
+    {"op": "neg", "x": {"op": "genus_value"}},
+    {"op": ["pair"], "a": [1, 0], "b": [0, 1]},
+], ids=lambda expr: json.dumps(expr))
+def test_malformed_expressions_fail_their_step(expr):
+    with pytest.raises(MalformedScriptError):
+        evaluate(expr, LAT)
+    claim = ArithClaim("malformed", expr, "=", 0)
+    report = run_script(DerivationScript(tag="t", lattice=LAT, steps=(claim,),
+                                         conclusion=established("nothing")))
+    assert not report.success
+    assert report.failed == (0,)
+    assert report.steps[0].detail.startswith("evaluation error")
 
 
 def test_step_validation():
@@ -121,6 +151,17 @@ def test_run_script_turns_evaluation_errors_into_failed_steps():
     report = run_script(script)
     assert not report.success
     assert "evaluation error" in report.steps[0].detail
+
+
+def test_run_script_fails_an_expression_nested_past_the_recursion_limit():
+    deep = 1
+    for _ in range(5000):
+        deep = {"op": "neg", "x": deep}
+    claim = ArithClaim("deep", deep, "=", 1)
+    report = run_script(DerivationScript(tag="t", lattice=LAT, steps=(claim,),
+                                         conclusion=established("nothing")))
+    assert report.failed == (0,)
+    assert "recursion" in report.steps[0].detail
 
 
 def test_axiom_steps_are_recorded_not_checked():
@@ -284,12 +325,189 @@ def test_unknown_script_tag():
 
 
 def test_script_by_tag_matches_the_all_rows_build():
+    from k3acm.casework.casebook import CASES
     scripts = builtin_scripts()
-    for tag, script in scripts.items():
-        assert (script_to_json(script_by_tag(tag))
-                == script_to_json(script)), tag
+    for case in CASES:
+        fresh = script_to_json(case.build(case))
+        assert script_to_json(script_by_tag(case.tag)) == fresh, case.tag
+        assert script_to_json(scripts[case.tag]) == fresh, case.tag
+        assert scripts[case.tag] is script_by_tag(case.tag) is case.script()
+
+
+def _tamper(expr):
+    """Change every value inside an expression in place."""
+    if not isinstance(expr, dict):
+        return 0
+    changed = 0
+    for key, value in expr.items():
+        if key == "op":
+            continue
+        if isinstance(value, list) and key == "args":
+            changed += sum(_tamper(x) for x in value)
+            value.append(1000)
+        elif isinstance(value, list):
+            value[0] += 1000
+        elif isinstance(value, dict):
+            changed += _tamper(value)
+            continue
+        else:
+            expr[key] = value + 1000
+        changed += 1
+    return changed
+
+
+def test_script_json_is_a_copy_of_the_shared_scripts():
+    for tag in sorted(builtin_scripts()):
+        data = script_to_json(script_by_tag(tag))
+        changed = sum(_tamper(step[side]) for step in data["steps"]
+                      if step["kind"] == "arith" for side in ("lhs", "rhs"))
+        assert changed, tag
+        assert not run_script(script_from_json(data)).success, tag
+    for tag, script in builtin_scripts().items():
+        report = run_script(script_by_tag(tag))
+        assert report.success, f"{tag}: {report.summary()}"
+        assert script is script_by_tag(tag)
 
 
 def test_run_script_is_deterministic():
     script = script_by_tag("case-B24")
     assert run_script(script) == run_script(script)
+
+
+# ---- the former if-chain evaluate, kept as the oracle of the op table ------
+
+def _oracle_coords(value) -> DivClass:
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in value):
+        raise MalformedScriptError(
+            f"class coordinates must be a list of ints, got {value!r}")
+    return DivClass(value)
+
+
+def _oracle_evaluate(expr, lat):
+    """The former scripts.evaluate, one if per op, verbatim but for names."""
+    from k3acm.casework.scripts import _minimax
+    from k3acm.invariants import (BundleInvariants, brill_noether, chi_bundle,
+                                  chi_line, genus_of, hodge_lower,
+                                  lm_invariants, twist_chi)
+    ev, co = _oracle_evaluate, _oracle_coords
+    if isinstance(expr, bool):
+        raise MalformedScriptError("boolean is not a valid expression")
+    if isinstance(expr, int):
+        return expr
+    if not isinstance(expr, dict) or "op" not in expr:
+        raise MalformedScriptError(f"bad expression: {expr!r}")
+    op = expr["op"]
+    if op == "pair":
+        return lat.pair(co(expr["a"]), co(expr["b"]))
+    if op == "self":
+        return lat.self_int(co(expr["a"]))
+    if op == "deg":
+        return lat.deg(co(expr["a"]))
+    if op == "genus":
+        return genus_of(lat.self_int(co(expr["a"])))
+    if op == "genus_value":
+        return genus_of(ev(expr["sq"], lat))
+    if op == "chi_line":
+        return chi_line(lat.self_int(co(expr["a"])))
+    if op == "chi_of":
+        return chi_line(ev(expr["sq"], lat))
+    if op == "chi_bundle":
+        inv = BundleInvariants(int(expr["rank"]), co(expr["c1"]),
+                               ev(expr["c2"], lat))
+        return chi_bundle(inv, lat)
+    if op == "c2_twist":
+        c1 = co(expr["c1"])
+        by = co(expr["by"])
+        return ev(expr["c2"], lat) + lat.pair(c1, by) + lat.self_int(by)
+    if op == "brill_noether":
+        return brill_noether(ev(expr["g"], lat), ev(expr["r"], lat),
+                             ev(expr["d"], lat))
+    if op == "twist_chi":
+        return twist_chi(ev(expr["l"], lat), ev(expr["ch"], lat),
+                         ev(expr["g"], lat), ev(expr["d"], lat))
+    if op == "lm_h0":
+        return lm_invariants(ev(expr["g"], lat), ev(expr["r"], lat),
+                             ev(expr["d"], lat)).h0
+    if op == "hodge_lower":
+        return hodge_lower(ev(expr["a"], lat), ev(expr["b"], lat))
+    if op == "minimax":
+        return _minimax(ev(expr["p"], lat), ev(expr["q"], lat))
+    if op == "add":
+        return sum(ev(x, lat) for x in expr["args"])
+    if op == "mul":
+        total = 1
+        for x in expr["args"]:
+            total *= ev(x, lat)
+        return total
+    if op == "sub":
+        return ev(expr["x"], lat) - ev(expr["y"], lat)
+    if op == "neg":
+        return -ev(expr["x"], lat)
+    if op == "mod":
+        return ev(expr["x"], lat) % int(expr["m"])
+    if op == "linf":
+        return max(map(abs, co(expr["a"]).coords))
+    if op == "odd_diag":
+        return sum(lat.gram[i][i] % 2 for i in range(lat.rank))
+    if op == "sig_pos":
+        return lat.signature()[0]
+    if op == "sig_neg":
+        return lat.signature()[1]
+    raise MalformedScriptError(f"unknown expression op {op!r}")
+
+
+def _gram_mutants(lat):
+    """lat and every lattice one +/-1 change of a diagonal entry or of a
+    symmetric off-diagonal pair away from it that still has an ample class."""
+    out = [lat]
+    n = lat.rank
+    for i in range(n):
+        for j in range(i, n):
+            for delta in (1, -1):
+                gram = [list(row) for row in lat.gram]
+                gram[i][j] += delta
+                if i != j:
+                    gram[j][i] += delta
+                try:
+                    out.append(Lattice(gram=gram, labels=lat.labels,
+                                       ample=lat.ample, k3=False))
+                except WorkbenchError:
+                    pass  # the ample square went nonpositive
+    return out
+
+
+def _value_or_error(evaluate_fn, expr, lat):
+    try:
+        return evaluate_fn(expr, lat)
+    except WorkbenchError as exc:
+        return type(exc)
+
+
+def test_op_table_matches_the_if_chain_on_every_claim_and_mutant():
+    from test_destabilize import _grid
+    from k3acm.errors import PreconditionError
+    claims = {}  # lattice -> the distinct sides of its claims, as JSON text
+    for script in builtin_scripts().values():
+        claims.setdefault(script.lattice, set()).update(
+            json.dumps(side) for st in script.steps
+            if isinstance(st, ArithClaim) for side in (st.lhs, st.rhs))
+    for lat, facts, c, d, mode in _grid():
+        try:
+            records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
+        except PreconditionError:
+            continue
+        claims.setdefault(lat, set()).update(
+            json.dumps(side) for rec in records for cl in rec.trace
+            for side in (cl.lhs, cl.rhs))
+    compared = errors = 0
+    for lat, sides in claims.items():
+        exprs = [json.loads(text) for text in sorted(sides)]
+        for variant in _gram_mutants(lat):
+            for expr in exprs:
+                want = _value_or_error(_oracle_evaluate, expr, variant)
+                assert _value_or_error(evaluate, expr, variant) == want, expr
+                compared += 1
+                errors += isinstance(want, type)
+    assert len(claims) == 8  # the seven quartic lattices and the rank-8 one
+    assert compared > 5000 and errors >= 10, (compared, errors)

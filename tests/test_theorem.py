@@ -1,6 +1,7 @@
 """Full necessity replay: every admitted presentation survives end to end."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -119,3 +120,59 @@ def test_report_serializes():
     assert reduced["substitution"]["script"] == "reduction-B22-Bh5"
     assert reduced["substitution"]["target"] == [-2, 3]
     assert reduced["substitution"]["report"]["status"] == "Success"
+
+
+def test_a_second_replay_builds_no_lattice_and_no_script(monkeypatch):
+    from k3acm.casework import casebook, necessity
+    from k3acm.lattice import Lattice
+    inputs = {}
+    for profile in EXPECTED:
+        lat = quartic_lattice(*profile)
+        assumptions = ulrich_assumptions(lat) if profile == (4, 6) else ()
+        inputs[profile] = (lat, assumptions)
+        assert verify_necessity(lat, B, assumptions).verified  # warms up
+    built, rows = [], []
+    original = Lattice.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Lattice, "__init__", counting)
+    for case in casebook.CASES:
+        monkeypatch.setitem(case.__dict__, "build",
+                            lambda c, build=case.build: rows.append(c.tag)
+                            or build(c))
+    calls = Counter()
+    for name in ("run_script", "enumerate_case", "is_initialized_acm"):
+        def spy(*args, name=name, fn=getattr(necessity, name)):
+            calls[name] += 1
+            if name == "is_initialized_acm":
+                calls["classified the caller's lattice"] += args[0] is lat
+            return fn(*args)
+        monkeypatch.setattr(necessity, name, spy)
+    for profile, (lat, assumptions) in inputs.items():
+        calls.clear()
+        report = verify_necessity(lat, B, assumptions)
+        assert report.verified, profile
+        assert built == [] and rows == [], profile
+        # the verdicts are not cached: each replay classifies, enumerates
+        # and re-checks every script it reports
+        scripts = (len(report.matches) + len(report.supports)
+                   + (report.substitution_report is not None))
+        assert calls == {"is_initialized_acm": 1,
+                         "classified the caller's lattice": 1,
+                         "enumerate_case": 1, "run_script": scripts}, profile
+
+
+def test_shared_inputs_are_rechecked_on_every_call(monkeypatch, capsys):
+    from k3acm import cli
+    from k3acm.casework import scripts
+    assert _run((4, 6)).verified
+    assert cli.main(["verify", "--script", "case-B24"]) == 0
+    monkeypatch.setattr(scripts, "check_rel", lambda rel, lhs, rhs: False)
+    report = _run((4, 6))
+    assert report.status == "INCOMPLETE"
+    assert not any(m.report.success for m in report.matches)
+    assert cli.main(["verify", "--script", "case-B24"]) == 1
+    assert "VERIFICATION FAILED" in capsys.readouterr().out
