@@ -18,16 +18,15 @@ from .config import (assumption_from_json, assumption_to_json,
 from .errors import (BadDimensionsError, BadParametersError, BoxTooSmallError,
                      ConfigError, ConflictingAssumptionsError,
                      DegenerateFormError, DimensionMismatchError, EngineError,
-                     MalformedScriptError, NegativeDimensionError,
-                     NonPositiveAmpleError, NonSymmetricError,
-                     NotAcmInputError, NotEffectiveCandidateError,
-                     OddK3DiagonalError, OddSquareError, PreconditionError,
-                     TrivialClassError, UnsupportedRankError, WorkbenchError,
-                     WrongSignatureError)
+                     MalformedScriptError, NonPositiveAmpleError,
+                     NonSymmetricError, NotAcmInputError,
+                     NotEffectiveCandidateError, OddK3DiagonalError,
+                     OddSquareError, PreconditionError, TrivialClassError,
+                     UnsupportedRankError, WorkbenchError, WrongSignatureError)
 from .invariants import (AcmDegreeWindow, BundleInvariants, LMInvariants,
                          chern_twist, chi_bundle, chi_line, genus_of,
-                         hilbert_ideal_z, hodge_lower, brill_noether,
-                         lm_acm_bounds, lm_invariants, twist_chi)
+                         hodge_lower, brill_noether, lm_acm_bounds,
+                         lm_invariants, twist_chi)
 from .lattice import DivClass, Lattice
 
 __version__ = "0.1.0"
@@ -38,8 +37,7 @@ __all__ = [
     "BadParametersError", "BoxTooSmallError", "BundleInvariants",
     "ConfigError", "ConflictingAssumptionsError", "DegenerateFormError",
     "DimensionMismatchError", "DivClass", "Effectivity", "EngineError",
-    "LMInvariants",
-    "Lattice", "MalformedScriptError", "NegativeDimensionError",
+    "LMInvariants", "Lattice", "MalformedScriptError",
     "NonPositiveAmpleError", "NonSymmetricError", "NotAcmInputError",
     "NotEffectiveCandidateError", "OddK3DiagonalError", "OddSquareError",
     "PencilVerdict", "PreconditionError", "TrivialClassError",
@@ -48,7 +46,7 @@ __all__ = [
     "assumption_to_json", "axiom_statement", "brill_noether", "chern_twist",
     "chi_bundle", "chi_line", "config_from_json", "config_to_json",
     "data_path", "derived_assumptions", "dump_config", "effectivity",
-    "genus_of", "hilbert_ideal_z", "hodge_lower", "is_elliptic_pencil_class",
+    "genus_of", "hodge_lower", "is_elliptic_pencil_class",
     "is_initialized_acm", "is_registered", "lm_acm_bounds", "lm_invariants",
     "load_config", "loads_config", "shipped_config_names",
     "shipped_quartic_names", "twist_chi", "__version__",

@@ -1,8 +1,8 @@
 """Bounded enumerations, derivation scripts and the classification replay."""
 
 from .constraints import (CaseSpec, Constraint, ConstraintKind, abs_t_at_least,
-                          check_rel, custom, enumerate_case, hodge_lower_bound,
-                          linear, quadratic)
+                          check_rel, enumerate_case, hodge_lower_bound, linear,
+                          quadratic)
 from .destabilize import (MODES, PairElimination, elimination_to_json,
                           engine_assumptions, enumerate_destabilizing)
 from .casebook import builtin_scripts, script_by_tag
@@ -24,7 +24,6 @@ __all__ = [
     "MODES", "NecessityReport", "PRESET_IDS", "PRESET_PRESENTATION",
     "PairElimination", "QUARTIC_PRESENTATIONS", "ReductionRow", "StepReport",
     "SurvivorMatch", "abs_t_at_least", "builtin_scripts", "check_rel",
-    "custom",
     "deg_of", "delpezzo_lattice", "delpezzo_pencil_f",
     "delpezzo_pencil_fj", "elimination_to_json", "engine_assumptions",
     "enumerate_case",

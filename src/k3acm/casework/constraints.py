@@ -19,11 +19,11 @@ quoting the inequality being encoded) so every preset is auditable.
 from __future__ import annotations
 
 import enum
-import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
+from ..config import _is_int
 from ..errors import BadParametersError, BoxTooSmallError
 from ..invariants import hodge_lower
 from ..lattice import DivClass, Lattice
@@ -52,27 +52,6 @@ class ConstraintKind(enum.Enum):
     QUADRATIC = "QuadraticIneq"
     HODGE_LOWER = "HodgeLower"
     ABS_T_AT_LEAST = "AbsTAtLeast"
-    CUSTOM = "Custom"
-
-
-# registry of named custom predicates; payload args are integers.
-# congruence: (a*s + b*t + c) mod m == r
-def _congruence(s: int, t: int, a: int, b: int, c: int, m: int, r: int) -> bool:
-    if m == 0:
-        raise BadParametersError("congruence needs a nonzero modulus")
-    return (a * s + b * t + c) % m == r
-
-
-CUSTOM_PREDICATES: dict[str, Callable[..., bool]] = {
-    "congruence": _congruence,
-}
-
-
-def _custom_predicate(name: str) -> Callable[..., bool]:
-    try:
-        return CUSTOM_PREDICATES[name]
-    except KeyError:
-        raise BadParametersError(f"unknown custom predicate {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -85,7 +64,6 @@ class Constraint:
                                                -> quadratic form rel c
       HodgeLower:   (a, b, c2min, d2)          -> a*s + b*t >= hodge_lower(c2min, d2)
       AbsTAtLeast:  (n,)                       -> |t| >= n
-      Custom:       (name, arg, arg, ...)      -> registered predicate
     """
 
     kind: ConstraintKind
@@ -108,9 +86,6 @@ class Constraint:
         if self.kind is ConstraintKind.ABS_T_AT_LEAST:
             (n,) = p
             return abs(t) >= n
-        if self.kind is ConstraintKind.CUSTOM:
-            name, *args = p
-            return _custom_predicate(name)(s, t, *args)
         raise BadParametersError(f"unknown constraint kind {self.kind}")
 
 
@@ -136,11 +111,6 @@ def hodge_lower_bound(lat: Lattice, u: DivClass, v: DivClass, target: DivClass,
 
 def abs_t_at_least(n: int, axiom_id: str = "", cite: str = "") -> Constraint:
     return Constraint(ConstraintKind.ABS_T_AT_LEAST, (n,), axiom_id, cite)
-
-
-def custom(name: str, *args: int, axiom_id: str = "", cite: str = "") -> Constraint:
-    _custom_predicate(name)
-    return Constraint(ConstraintKind.CUSTOM, (name, *args), axiom_id, cite)
 
 
 @dataclass(frozen=True)
@@ -177,38 +147,27 @@ Row = tuple[int, int, int]  # (a, b, r): a*s + b*t >= r
 
 _FLIP = {"<=": ">=", "<": ">", "=": "=", ">=": "<=", ">": "<"}
 
-# payload length and the position of its relation, by kind; a Custom payload
-# is checked against its predicate's signature instead
+# payload length and the position of its relation, by kind
 _SHAPE = {ConstraintKind.LINEAR: (4, 2), ConstraintKind.QUADRATIC: (7, 5),
           ConstraintKind.HODGE_LOWER: (4, None),
           ConstraintKind.ABS_T_AT_LEAST: (1, None)}
 
 
 def _checked_payload(con: Constraint) -> tuple:
-    """con.payload once its length, relation, predicate and integer
-    coefficients are checked; BadParametersError otherwise."""
+    """con.payload once its length, relation and integer coefficients are
+    checked; BadParametersError otherwise."""
     p, kind = con.payload, con.kind
-    if kind is ConstraintKind.CUSTOM:
-        if not p:
-            raise BadParametersError("Custom payload needs a predicate name")
-        nums = p[1:]
-        try:
-            inspect.signature(_custom_predicate(p[0])).bind(0, 0, *nums)
-        except TypeError:
-            raise BadParametersError(
-                f"predicate {p[0]!r} cannot take the arguments {nums}") from None
-    elif kind in _SHAPE:
-        size, rel_at = _SHAPE[kind]
-        if len(p) != size:
-            raise BadParametersError(
-                f"{kind.value} payload needs {size} entries, got {p!r}")
-        nums = p
-        if rel_at is not None:
-            _known_rel(p[rel_at])
-            nums = p[:rel_at] + p[rel_at + 1:]
-    else:
+    if kind not in _SHAPE:
         raise BadParametersError(f"unknown constraint kind {kind}")
-    if not all(isinstance(x, int) for x in nums):
+    size, rel_at = _SHAPE[kind]
+    if len(p) != size:
+        raise BadParametersError(
+            f"{kind.value} payload needs {size} entries, got {p!r}")
+    nums = p
+    if rel_at is not None:
+        _known_rel(p[rel_at])
+        nums = p[:rel_at] + p[rel_at + 1:]
+    if not all(map(_is_int, nums)):
         raise BadParametersError(
             f"{kind.value} coefficients must be integers, got {p!r}")
     return p
@@ -222,26 +181,41 @@ def _rows(a: int, b: int, rel: str, c: int) -> list[Row]:
             "=": [(a, b, c), (-a, -b, -c)]}[rel]
 
 
-def _s_range(rows: list[Row], box: int) -> range:
-    """The integer s in [-box, box] at which the rows leave some real t.
+def half_plane_bounds(rows: Iterable[tuple[int, int]], lo: int,
+                      hi: int) -> tuple[int, int]:
+    """The integers x in [lo, hi] with b*x >= r for every row (b, r), as
+    (lo, hi); lo > hi when none is left (0 >= r > 0 holds nowhere).
+
+    Plain comparisons instead of max and min: the destabilizing engine
+    calls this once per h.N column.
+    """
+    for b, r in rows:
+        if b > 0:
+            x = -(-r // b)  # ceil(r / b)
+            if x > lo:
+                lo = x
+        elif b < 0:
+            x = r // b  # floor(r / b)
+            if x < hi:
+                hi = x
+        elif r > 0:
+            return lo, lo - 1
+    return lo, hi
+
+
+def feasible_range(rows: list[Row], lo: int, hi: int) -> range:
+    """The integer s in [lo, hi] at which the rows leave some real t.
 
     t is eliminated Fourier-Motzkin style: each pair of a lower and an
     upper bound on t gives one condition on s, and a row without t bounds
-    s directly (0 >= r > 0 holds nowhere).
+    s directly.
     """
     lows = [row for row in rows if row[1] > 0]
     highs = [row for row in rows if row[1] < 0]
     s_rows = [(a, r) for a, b, r in rows if b == 0]
     s_rows += [(b1 * a2 - b2 * a1, b1 * r2 - b2 * r1)
                for a1, b1, r1 in lows for a2, b2, r2 in highs]
-    lo, hi = -box, box
-    for a, r in s_rows:  # a*s >= r
-        if a > 0:
-            lo = max(lo, -(-r // a))
-        elif a < 0:
-            hi = min(hi, r // a)
-        elif r > 0:
-            return range(0)
+    lo, hi = half_plane_bounds(s_rows, lo, hi)
     return range(lo, hi + 1)
 
 
@@ -263,23 +237,17 @@ def _intersect(xs: Intervals, ys: Intervals) -> Intervals:
             if max(a, c) <= min(b, d)]
 
 
-def _linear_t(b: int, rel: str, r: int, box: int) -> Intervals:
-    """Exactly the t in [-box, box] with b*t rel r."""
-    m = abs(b) * box  # b*t ranges over [-m, m] on the box
-    lo, hi = {"<=": (-m, r), "<": (-m, r - 1), "=": (r, r),
-              ">=": (r, m), ">": (r + 1, m)}[rel]
-    if b == 0:
-        return [(-box, box)] if lo <= 0 <= hi else []
-    if b < 0:
-        b, lo, hi = -b, -hi, -lo
-    lo, hi = max(-(-lo // b), -box), min(hi // b, box)
+def _rows_t(rows: list[Row], s: int, box: int) -> Intervals:
+    """Exactly the t in [-box, box] that meet every row at s."""
+    lo, hi = half_plane_bounds([(b, r - a * s) for a, b, r in rows],
+                               -box, box)
     return [(lo, hi)] if lo <= hi else []
 
 
 def _quadratic_t(qa: int, qb: int, qc: int, rel: str, box: int) -> Intervals:
     """A superset of the t in [-box, box] with qa*t^2 + qb*t + qc rel 0."""
     if qa == 0:
-        return _linear_t(qb, rel, -qc, box)
+        return _rows_t(_rows(0, qb, rel, -qc), 0, box)
     if qa < 0:
         qa, qb, qc, rel = -qa, -qb, -qc, _FLIP[rel]
     # on integers, f < 0 is f + 1 <= 0 and f > 0 is f - 1 >= 0
@@ -304,27 +272,24 @@ def _quadratic_t(qa: int, qb: int, qc: int, rel: str, box: int) -> Intervals:
 
 def _t_solver(con: Constraint,
               box: int) -> tuple[list[Row], Callable[[int], Intervals]]:
-    """The half-planes of con and s -> its t-intervals at s.  Checks the
-    payload first, so a bad payload is refused whatever the box."""
+    """The half-planes of con and s -> its t-intervals at s (those of the
+    half-planes, if it has any).  Checks the payload first, so a bad
+    payload is refused whatever the box."""
     p = _checked_payload(con)
-    if con.kind is ConstraintKind.LINEAR:
-        a, b, rel, c = p
-        return _rows(a, b, rel, c), lambda s: _linear_t(b, rel, c - a * s, box)
     if con.kind is ConstraintKind.QUADRATIC:
         qss, qst, qtt, a, b, rel, c = p
         return [], lambda s: _quadratic_t(qtt, qst * s + b,
                                           qss * s * s + a * s - c, rel, box)
-    if con.kind is ConstraintKind.HODGE_LOWER:
-        a, b, c2min, d2 = p
-        bound = hodge_lower(c2min, d2)
-        return ([(a, b, bound)],
-                lambda s: _linear_t(b, ">=", bound - a * s, box))
     if con.kind is ConstraintKind.ABS_T_AT_LEAST:
         (n,) = p
         rays = _merged([(-box, -n), (n, box)], box)
         return [], lambda s: rays
-    whole = [(-box, box)]
-    return [], lambda s: whole
+    if con.kind is ConstraintKind.LINEAR:
+        rows = _rows(*p)
+    else:
+        a, b, c2min, d2 = p
+        rows = _rows(a, b, ">=", hodge_lower(c2min, d2))
+    return rows, lambda s: _rows_t(rows, s, box)
 
 
 def _plan(spec: CaseSpec) -> tuple[range, list[Callable[[int], Intervals]]]:
@@ -336,7 +301,7 @@ def _plan(spec: CaseSpec) -> tuple[range, list[Callable[[int], Intervals]]]:
         con_rows, solve = _t_solver(con, box)
         rows += con_rows
         solvers.append(solve)
-    return _s_range(rows, box), solvers
+    return feasible_range(rows, -box, box), solvers
 
 
 def s_range(spec: CaseSpec) -> range:

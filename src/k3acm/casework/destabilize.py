@@ -35,7 +35,7 @@ from ..errors import (BadParametersError, DimensionMismatchError, EngineError,
                       PreconditionError, WorkbenchError)
 from ..invariants import genus_of, hodge_lower, lm_acm_bounds
 from ..lattice import DivClass, Lattice
-from .constraints import check_rel
+from .constraints import check_rel, feasible_range, half_plane_bounds
 from .scripts import (ArithClaim, add_expr, evaluate, hodge_expr, self_of,
                       step_to_json)
 
@@ -241,12 +241,13 @@ def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
     when (4y - x h.B)^2 <= ((h.B)^2 - 4 B^2)(x^2 - 4 N^2), and 4y - x h.B is
     an integer, so isqrt gives the exact interval; x >= hodge_lower(4, N^2)
     keeps the right side >= 0.  Each further window is a half-plane
-    a*h.N + b*B.N >= r that narrows it by floor and ceiling division: the
-    degree budget cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by
-    M^2 >= N^2, and P.N >= P.floor(n2) for every known class P, C
-    included.  M.N >= 1 needs no window, as C.N >= cn_lo implies it; nor
-    does the Hodge index on (M, N): (M.N)^2 >= M^2 N^2 expands to
-    (C.N)^2 >= C^2 N^2, C's floor.
+    a*h.N + b*B.N >= r: the degree budget
+    cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by M^2 >= N^2, and
+    P.N >= P.floor(n2) for every known class P, C included.  x runs over
+    the columns at which they leave some real y (feasible_range), and
+    half_plane_bounds narrows each interval by them.  M.N >= 1 needs no
+    window, as C.N >= cn_lo implies it; nor does the Hodge index on
+    (M, N): (M.N)^2 >= M^2 N^2 expands to (C.N)^2 >= C^2 N^2, C's floor.
     """
     hc, bc = _profile_of(lat, c)
     cn_lo, cn_hi = _cn_window(d, n2, mode)
@@ -261,17 +262,11 @@ def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
     halves += [(*p.cls.coords, p.floor(n2)) for p in known]
     hb, b2 = lat.gram[0][1], lat.gram[1][1]
     hits: list[tuple[int, int, int]] = []
-    for x in range(xmin, xmax + 1):
+    for x in feasible_range(halves, xmin, xmax):
         root = math.isqrt((hb * hb - 4 * b2) * (x * x - 4 * n2))
-        lo, hi = -((root - hb * x) // 4), (hb * x + root) // 4
-        for a, b, r in halves:
-            rest = r - a * x  # b * B.N >= rest
-            if b > 0:
-                lo = max(lo, -(-rest // b))
-            elif b < 0:
-                hi = min(hi, rest // b)
-            elif rest > 0:
-                hi = lo - 1
+        lo, hi = half_plane_bounds([(b, r - a * x) for a, b, r in halves],
+                                   -((root - hb * x) // 4),
+                                   (hb * x + root) // 4)
         hits.extend((x, y, s * x + t * y) for y in range(lo, hi + 1))
     return hits, (cn_lo, cn_hi)
 

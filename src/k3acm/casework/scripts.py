@@ -28,8 +28,7 @@ from ..axioms import is_registered
 from ..config import _is_int
 from ..errors import MalformedScriptError, WorkbenchError
 from ..invariants import (BundleInvariants, brill_noether, chi_bundle,
-                          chi_line, genus_of, hodge_lower, lm_invariants,
-                          twist_chi)
+                          chi_line, genus_of, hodge_lower)
 from ..lattice import DivClass, Lattice
 from .constraints import check_rel
 
@@ -43,15 +42,6 @@ def _coords(value) -> Sequence[int]:
     if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
         raise MalformedScriptError(
             f"class coordinates must be a list of ints, got {value!r}")
-    return value
-
-
-def _int_arg(expr: dict, key: str) -> int:
-    """A plain integer argument that is not an expression (mod's m,
-    chi_bundle's rank); floats and bools are refused, not truncated."""
-    value = expr[key]
-    if not _is_int(value):
-        raise MalformedScriptError(f"{key!r} must be an int, got {value!r}")
     return value
 
 
@@ -78,8 +68,8 @@ def evaluate(expr: Expr, lat: Lattice) -> int:
     """Evaluate an expression to an exact integer against a lattice.
 
     An expression that cannot be read (an unknown op, a missing key, a
-    non-list args, non-int coordinates, m or rank, a zero modulus) raises
-    MalformedScriptError.
+    non-list args, non-int coordinates, a chi_bundle rank other than the
+    int 2) raises MalformedScriptError.
     """
     if isinstance(expr, int):
         if isinstance(expr, bool):
@@ -115,7 +105,11 @@ def _deg(e: dict, lat: Lattice) -> int:
 
 
 def _chi_bundle(e: dict, lat: Lattice) -> int:
-    inv = BundleInvariants(_int_arg(e, "rank"), DivClass(_coords(e["c1"])),
+    """chi of a rank-2 bundle; the JSON key "rank" must be the int 2."""
+    rank = e["rank"]
+    if not _is_int(rank) or rank != 2:
+        raise MalformedScriptError(f"'rank' must be the int 2, got {rank!r}")
+    inv = BundleInvariants(2, DivClass(_coords(e["c1"])),
                            evaluate(e["c2"], lat))
     return chi_bundle(inv, lat)
 
@@ -137,32 +131,16 @@ def _mul(e: dict, lat: Lattice) -> int:
     return total
 
 
-def _mod(e: dict, lat: Lattice) -> int:
-    x = evaluate(e["x"], lat)
-    m = _int_arg(e, "m")
-    if m == 0:
-        raise MalformedScriptError("mod needs a nonzero modulus")
-    return x % m
-
-
 _OPS: dict[str, Callable[[dict, Lattice], int]] = {
     "pair": _pair,
     "self": _self,
     "deg": _deg,
     "genus": lambda e, lat: genus_of(_self(e, lat)),
-    "genus_value": lambda e, lat: genus_of(evaluate(e["sq"], lat)),
-    "chi_line": lambda e, lat: chi_line(_self(e, lat)),
     "chi_of": lambda e, lat: chi_line(evaluate(e["sq"], lat)),
     "chi_bundle": _chi_bundle,
     "c2_twist": _c2_twist,
     "brill_noether": lambda e, lat: brill_noether(
         evaluate(e["g"], lat), evaluate(e["r"], lat), evaluate(e["d"], lat)),
-    "twist_chi": lambda e, lat: twist_chi(
-        evaluate(e["l"], lat), evaluate(e["ch"], lat),
-        evaluate(e["g"], lat), evaluate(e["d"], lat)),
-    "lm_h0": lambda e, lat: lm_invariants(
-        evaluate(e["g"], lat), evaluate(e["r"], lat),
-        evaluate(e["d"], lat)).h0,
     "hodge_lower": lambda e, lat: hodge_lower(evaluate(e["a"], lat),
                                               evaluate(e["b"], lat)),
     "minimax": lambda e, lat: _minimax(evaluate(e["p"], lat),
@@ -171,8 +149,6 @@ _OPS: dict[str, Callable[[dict, Lattice], int]] = {
     "mul": _mul,
     "sub": lambda e, lat: evaluate(e["x"], lat) - evaluate(e["y"], lat),
     "neg": lambda e, lat: -evaluate(e["x"], lat),
-    "mod": _mod,
-    "linf": lambda e, lat: max(map(abs, _coords(e["a"])), default=0),
     "odd_diag": lambda e, lat: sum(lat.gram[i][i] % 2
                                    for i in range(lat.rank)),
     "sig_pos": lambda e, lat: lat.signature()[0],

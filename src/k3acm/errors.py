@@ -58,10 +58,6 @@ class BadParametersError(WorkbenchError):
     """Numeric parameters outside the documented domain."""
 
 
-class NegativeDimensionError(WorkbenchError):
-    """A dimension count would come out negative."""
-
-
 # ---- classifier --------------------------------------------------------------
 
 class ConflictingAssumptionsError(WorkbenchError):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BadParametersError,
-    NegativeDimensionError,
     OddSquareError,
     UnsupportedRankError,
 )
@@ -132,18 +131,6 @@ def lm_acm_bounds(g: int, ch: int) -> AcmDegreeWindow:
     d_min = g - 5
     d_max = g + 7 - ch
     return AcmDegreeWindow(d_min=d_min, d_max=d_max, feasible=d_min <= d_max)
-
-
-def hilbert_ideal_z(l: int, chi_l: int, h0_lh_minus_c: int) -> int:
-    """h0(O(lH) tensor the ideal of Z) = chi(E(-l)) - h0(lH - C).
-
-    Both inputs are dimension counts; the difference must be a dimension,
-    so chi_l >= h0_lh_minus_c >= 0 is required.
-    """
-    if h0_lh_minus_c < 0 or chi_l < h0_lh_minus_c:
-        raise NegativeDimensionError(
-            f"need chi_l >= h0(lH-C) >= 0, got {chi_l} and {h0_lh_minus_c}")
-    return chi_l - h0_lh_minus_c
 
 
 def hodge_lower(c2min: int, d2: int) -> int:

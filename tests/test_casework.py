@@ -8,7 +8,7 @@ import pytest
 
 from k3acm import BadParametersError, BoxTooSmallError, DivClass
 from k3acm.casework import (CaseSpec, Constraint, ConstraintKind, PRESET_IDS,
-                            abs_t_at_least, check_rel, custom, enumerate_case,
+                            abs_t_at_least, check_rel, enumerate_case,
                             hodge_lower_bound, lemma51_presets, lemma_case,
                             linear, quadratic, quartic_lattice)
 from k3acm.casework.constraints import s_range
@@ -46,10 +46,6 @@ def test_constraint_kinds():
     assert not hodge.holds(0, 0)
     assert abs_t_at_least(2).holds(0, -2)
     assert not abs_t_at_least(2).holds(0, 1)
-    parity = custom("congruence", 1, 1, 0, 2, 1)
-    assert parity.holds(2, 1) and not parity.holds(1, 1)
-    with pytest.raises(BadParametersError):
-        custom("no-such-predicate", 1)
     with pytest.raises(BadParametersError):
         linear(1, 1, "~", 0)
 
@@ -91,6 +87,13 @@ def test_lemma51_presets_cover_the_five_cases():
     assert tags == list(PRESET_IDS)
 
 
+def test_the_presets_use_every_constraint_kind_and_no_other():
+    kinds = {con.kind for spec in lemma51_presets()
+             for con in spec.constraints}
+    assert kinds == set(ConstraintKind)
+    assert len(ConstraintKind) == 4
+
+
 def test_unknown_preset_id():
     with pytest.raises(BadParametersError):
         lemma_case("no-such-case")
@@ -112,10 +115,6 @@ def _oracle_holds(con: Constraint, s: int, t: int) -> bool:
         bound = math.ceil(math.sqrt(c2min * d2))
     elif con.kind is ConstraintKind.ABS_T_AT_LEAST:
         value, rel, bound = abs(t), ">=", p[0]
-    else:
-        name, a, b, c, m, r = p
-        assert name == "congruence"
-        return (a * s + b * t + c) % m == r
     return {"<=": value <= bound, "<": value < bound, "=": value == bound,
             ">=": value >= bound, ">": value > bound}[rel]
 
@@ -123,7 +122,7 @@ def _oracle_holds(con: Constraint, s: int, t: int) -> bool:
 def _random_spec(rng: random.Random) -> CaseSpec:
     cons = []
     for _ in range(rng.randint(1, 4)):
-        kind = rng.randrange(5)
+        kind = rng.randrange(4)
         if kind == 0:
             cons.append(linear(rng.randint(-3, 3), rng.randint(-3, 3),
                                rng.choice(["<=", "<", "=", ">=", ">"]),
@@ -138,13 +137,8 @@ def _random_spec(rng: random.Random) -> CaseSpec:
             cons.append(Constraint(ConstraintKind.HODGE_LOWER,
                                    (rng.randint(-2, 2), rng.randint(-2, 2),
                                     rng.randint(1, 6), rng.randint(1, 6))))
-        elif kind == 3:
-            cons.append(abs_t_at_least(rng.randint(0, 3)))
         else:
-            m = rng.randint(2, 4)
-            cons.append(custom("congruence", rng.randint(-2, 2),
-                               rng.randint(-2, 2), rng.randint(0, 2), m,
-                               rng.randrange(m)))
+            cons.append(abs_t_at_least(rng.randint(0, 3)))
     return CaseSpec(lattice=quartic_lattice(-2, 1),
                     constraints=tuple(cons), box=16)
 
@@ -270,7 +264,7 @@ def test_solver_matches_the_sweep_on_random_edge_specs():
 
 def _polygon_spec(rng: random.Random, hits: dict) -> CaseSpec:
     """A random spec whose linear rows cut a small triangle strictly inside
-    the box, mixed with quadratic, |t| >= n and congruence constraints."""
+    the box, mixed with quadratic and |t| >= n constraints."""
     box = rng.randint(16, 40)
     s0, t0 = rng.randint(-box + 8, box - 8), rng.randint(-box + 8, box - 8)
     while True:
@@ -294,7 +288,7 @@ def _polygon_spec(rng: random.Random, hits: dict) -> CaseSpec:
         else:
             cons.append(linear(a, b, rel, c))
     for _ in range(rng.randint(0, 2)):
-        kind = rng.randrange(3)
+        kind = rng.randrange(2)
         if kind == 0:
             cons.append(quadratic(rng.randint(-2, 2), rng.randint(-2, 2),
                                   rng.randint(-2, 2), rng.randint(-3, 3),
@@ -302,15 +296,9 @@ def _polygon_spec(rng: random.Random, hits: dict) -> CaseSpec:
                                   rng.choice(["<=", "<", "=", ">=", ">"]),
                                   rng.randint(-40, 40)))
             hits["quadratic"] += 1
-        elif kind == 1:
+        else:
             cons.append(abs_t_at_least(rng.randint(0, 6)))
             hits["abs-t"] += 1
-        else:
-            m = rng.randint(2, 4)
-            cons.append(custom("congruence", rng.randint(-2, 2),
-                               rng.randint(-2, 2), rng.randint(0, 2), m,
-                               rng.randrange(m)))
-            hits["congruence"] += 1
     rng.shuffle(cons)
     return CaseSpec(lattice=quartic_lattice(-2, 1), constraints=tuple(cons),
                     box=box)
@@ -318,8 +306,7 @@ def _polygon_spec(rng: random.Random, hits: dict) -> CaseSpec:
 
 def test_s_range_solver_matches_the_sweep_on_bounded_polygons():
     rng = random.Random(23)
-    hits = {k: 0 for k in (">=", ">", "<=", "<", "=", "quadratic", "abs-t",
-                           "congruence")}
+    hits = {k: 0 for k in (">=", ">", "<=", "<", "=", "quadratic", "abs-t")}
     narrowed = nonempty = 0
     for _ in range(150):
         spec = _polygon_spec(rng, hits)
@@ -335,9 +322,8 @@ def test_s_range_solver_matches_the_sweep_on_bounded_polygons():
 @pytest.mark.parametrize("cons", [
     (quadratic(1, 0, 1, 0, 0, "<=", 100),),
     (quadratic(1, 0, -1, 0, 0, "=", 0), abs_t_at_least(3)),
-    (custom("congruence", 1, 1, 0, 3, 1),),
     (abs_t_at_least(20),),
-], ids=["quadratic", "quadratic-abs-t", "custom", "abs-t"])
+], ids=["quadratic", "quadratic-abs-t", "abs-t"])
 def test_specs_without_linear_rows_walk_the_whole_box(cons):
     spec = CaseSpec(lattice=quartic_lattice(-2, 1), constraints=cons, box=21)
     assert s_range(spec) == range(-21, 22)
@@ -366,17 +352,17 @@ def test_preset_s_ranges_do_not_depend_on_the_box():
 @pytest.mark.parametrize("bad", [
     Constraint(ConstraintKind.LINEAR, (1, 1, "!=", 0)),
     Constraint(ConstraintKind.QUADRATIC, (1, 0, 1, 0, 0, "~", 4)),
-    Constraint(ConstraintKind.CUSTOM, ("no-such-predicate", 1)),
+    Constraint("Custom", ("congruence", 1, 1, 0, 2, 1)),
     Constraint(ConstraintKind.HODGE_LOWER, (1, 1, 0, 2)),
     Constraint(ConstraintKind.HODGE_LOWER, (1, 1, 4, -2)),
     Constraint(ConstraintKind.LINEAR, (1, 2, "<=")),
     Constraint(ConstraintKind.HODGE_LOWER, (1, 1, 4)),
     Constraint(ConstraintKind.ABS_T_AT_LEAST, (2, 3)),
     Constraint(ConstraintKind.LINEAR, (1, 0.5, "<=", 3)),
-    Constraint(ConstraintKind.CUSTOM, ("congruence", 1, 1, 0, 2)),
-], ids=["linear-relation", "quadratic-relation", "custom-name",
+    Constraint(ConstraintKind.LINEAR, (True, 0, ">=", 15)),
+], ids=["linear-relation", "quadratic-relation", "custom-kind",
         "hodge-c2min", "hodge-d2", "linear-short", "hodge-short",
-        "abs-t-long", "linear-float", "custom-arity"])
+        "abs-t-long", "linear-float", "linear-bool"])
 def test_bad_hand_built_constraint_is_bad_input(bad, capsys, monkeypatch):
     from k3acm import cli
     # whether or not another constraint already empties the box
@@ -389,14 +375,6 @@ def test_bad_hand_built_constraint_is_bad_input(bad, capsys, monkeypatch):
     assert cli.main(["enumerate", "--preset", "i-a"]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Traceback" not in err and not out
-
-
-def test_congruence_modulus_zero_is_bad_input():
-    # arguments reach the predicate only at a point that it has to decide
-    spec = CaseSpec(lattice=quartic_lattice(-2, 1),
-                    constraints=(custom("congruence", 1, 1, 0, 0, 0),), box=16)
-    with pytest.raises(BadParametersError):
-        enumerate_case(spec)
 
 
 def test_presets_run_fast_at_the_largest_box():

@@ -3,9 +3,8 @@
 import pytest
 
 from k3acm import (AcmDegreeWindow, BadParametersError, BundleInvariants,
-                   DivClass, NegativeDimensionError, OddSquareError,
-                   UnsupportedRankError, brill_noether, chern_twist,
-                   chi_bundle, chi_line, genus_of, hilbert_ideal_z,
+                   DivClass, OddSquareError, UnsupportedRankError,
+                   brill_noether, chern_twist, chi_bundle, chi_line, genus_of,
                    hodge_lower, lm_acm_bounds, lm_invariants, twist_chi)
 from k3acm.casework import quartic_lattice
 
@@ -99,15 +98,6 @@ def test_lm_acm_bounds():
     # a curve of degree 13 or more leaves no room at all
     assert not lm_acm_bounds(9, 13).feasible
     assert not lm_acm_bounds(20, 14).feasible
-
-
-def test_hilbert_ideal_z():
-    assert hilbert_ideal_z(1, 5, 2) == 3
-    assert hilbert_ideal_z(1, 5, 0) == 5
-    with pytest.raises(NegativeDimensionError):
-        hilbert_ideal_z(1, 5, -1)
-    with pytest.raises(NegativeDimensionError):
-        hilbert_ideal_z(1, 2, 5)
 
 
 def test_hodge_lower():

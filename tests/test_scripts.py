@@ -23,8 +23,6 @@ def test_evaluate_atoms_and_lattice_ops():
     assert evaluate(pair_of(DivClass((1, 0)), DivClass((0, 1))), LAT) == 2
     assert evaluate(deg_of(DivClass((2, 2))), LAT) == 12
     assert evaluate(genus_expr(DivClass((2, 2))), LAT) == 13
-    assert evaluate({"op": "genus_value", "sq": 16}, LAT) == 9
-    assert evaluate({"op": "chi_line", "a": [0, 1]}, LAT) == 1
     assert evaluate({"op": "chi_of", "sq": -8}, LAT) == -2
 
 
@@ -37,9 +35,6 @@ def test_evaluate_bundle_ops():
     assert evaluate({"op": "c2_twist", "c2": 8, "c1": [2, 2], "by": [-1, -1]},
                     LAT) == 2
     assert evaluate({"op": "brill_noether", "g": 5, "r": 1, "d": 2}, LAT) == -3
-    assert evaluate({"op": "twist_chi", "l": 2, "ch": 12, "g": 13, "d": 8},
-                    LAT) == 0
-    assert evaluate({"op": "lm_h0", "g": 11, "r": 1, "d": 6}, LAT) == 8
     assert evaluate({"op": "hodge_lower", "a": 8, "b": 2}, LAT) == 4
 
 
@@ -48,9 +43,6 @@ def test_evaluate_arithmetic_ops():
                     LAT) == -1
     assert evaluate({"op": "mul", "args": [3, -2]}, LAT) == -6
     assert evaluate({"op": "sub", "x": 10, "y": 4}, LAT) == 6
-    assert evaluate({"op": "mod", "x": 9, "m": 4}, LAT) == 1
-    assert evaluate({"op": "linf", "a": [3, -5]}, LAT) == 5
-    assert evaluate({"op": "linf", "a": []}, LAT) == 0
     assert evaluate({"op": "odd_diag"}, LAT) == 0
     assert evaluate({"op": "sig_pos"}, LAT) == 1
     assert evaluate({"op": "sig_neg"}, LAT) == 1
@@ -79,10 +71,16 @@ def test_evaluate_rejects_bad_expressions():
 
 
 @pytest.mark.parametrize("expr", [
+    # the deleted ops, with or without their old keys, are unknown ops
     {"op": "mod", "x": 7, "m": 0},
     {"op": "mod", "x": 7, "m": 2.9},
     {"op": "mod", "x": 7, "m": True},
     {"op": "mod", "x": 7},
+    {"op": "linf", "a": [3, -5]},
+    {"op": "genus_value", "sq": 16},
+    {"op": "chi_line", "a": [0, 1]},
+    {"op": "lm_h0", "g": 11, "r": 1, "d": 6},
+    {"op": "twist_chi", "l": 2, "ch": 12, "g": 13, "d": 8},
     {"op": "add", "args": 5},
     {"op": "mul", "args": 5},
     {"op": "add"},
@@ -92,8 +90,9 @@ def test_evaluate_rejects_bad_expressions():
     {"op": "chi_bundle", "rank": 2.7, "c1": [0, 0], "c2": 2},
     {"op": "chi_bundle", "rank": True, "c1": [0, 0], "c2": 2},
     {"op": "chi_bundle", "rank": "2", "c1": [0, 0], "c2": 2},
+    {"op": "chi_bundle", "rank": 3, "c1": [0, 0], "c2": 2},
     {"op": "c2_twist", "c2": 8, "c1": [2, 2]},
-    {"op": "neg", "x": {"op": "genus_value"}},
+    {"op": "neg", "x": {"op": "chi_of"}},
     {"op": ["pair"], "a": [1, 0], "b": [0, 1]},
 ], ids=lambda expr: json.dumps(expr))
 def test_malformed_expressions_fail_their_step(expr):
@@ -207,13 +206,11 @@ def test_script_json_rejects_non_integer_coordinates():
         data["lattice"]["ample"] = [bad, 0]
         with pytest.raises(MalformedScriptError, match="coordinates"):
             script_from_json(data)
-        for op in ("self", "deg", "genus", "chi_line"):
+        for op in ("self", "deg", "genus"):
             with pytest.raises(MalformedScriptError, match="coordinates"):
                 evaluate({"op": op, "a": [bad, 0]}, LAT)
         with pytest.raises(MalformedScriptError, match="coordinates"):
             evaluate({"op": "pair", "a": [1, 0], "b": [0, bad]}, LAT)
-        with pytest.raises(MalformedScriptError, match="coordinates"):
-            evaluate({"op": "linf", "a": [bad, 0]}, LAT)
     with pytest.raises(MalformedScriptError, match="coordinates"):
         evaluate({"op": "self", "a": "10"}, LAT)
     assert evaluate({"op": "self", "a": [1, 0]}, LAT) == LAT.gram[0][0]
@@ -388,8 +385,7 @@ def _oracle_evaluate(expr, lat):
     """The former scripts.evaluate, one if per op, verbatim but for names."""
     from k3acm.casework.scripts import _minimax
     from k3acm.invariants import (BundleInvariants, brill_noether, chi_bundle,
-                                  chi_line, genus_of, hodge_lower,
-                                  lm_invariants, twist_chi)
+                                  chi_line, genus_of, hodge_lower)
     ev, co = _oracle_evaluate, _oracle_coords
     if isinstance(expr, bool):
         raise MalformedScriptError("boolean is not a valid expression")
@@ -406,10 +402,6 @@ def _oracle_evaluate(expr, lat):
         return lat.deg(co(expr["a"]))
     if op == "genus":
         return genus_of(lat.self_int(co(expr["a"])))
-    if op == "genus_value":
-        return genus_of(ev(expr["sq"], lat))
-    if op == "chi_line":
-        return chi_line(lat.self_int(co(expr["a"])))
     if op == "chi_of":
         return chi_line(ev(expr["sq"], lat))
     if op == "chi_bundle":
@@ -423,12 +415,6 @@ def _oracle_evaluate(expr, lat):
     if op == "brill_noether":
         return brill_noether(ev(expr["g"], lat), ev(expr["r"], lat),
                              ev(expr["d"], lat))
-    if op == "twist_chi":
-        return twist_chi(ev(expr["l"], lat), ev(expr["ch"], lat),
-                         ev(expr["g"], lat), ev(expr["d"], lat))
-    if op == "lm_h0":
-        return lm_invariants(ev(expr["g"], lat), ev(expr["r"], lat),
-                             ev(expr["d"], lat)).h0
     if op == "hodge_lower":
         return hodge_lower(ev(expr["a"], lat), ev(expr["b"], lat))
     if op == "minimax":
@@ -444,10 +430,6 @@ def _oracle_evaluate(expr, lat):
         return ev(expr["x"], lat) - ev(expr["y"], lat)
     if op == "neg":
         return -ev(expr["x"], lat)
-    if op == "mod":
-        return ev(expr["x"], lat) % int(expr["m"])
-    if op == "linf":
-        return max(map(abs, co(expr["a"]).coords))
     if op == "odd_diag":
         return sum(lat.gram[i][i] % 2 for i in range(lat.rank))
     if op == "sig_pos":
@@ -511,3 +493,34 @@ def test_op_table_matches_the_if_chain_on_every_claim_and_mutant():
                 errors += isinstance(want, type)
     assert len(claims) == 8  # the seven quartic lattices and the rank-8 one
     assert compared > 5000 and errors >= 10, (compared, errors)
+
+
+def _ops_of(expr):
+    """The op names in one expression tree."""
+    if not isinstance(expr, dict):
+        return set()
+    ops = {expr["op"]}
+    for key, value in expr.items():
+        if key == "args":
+            ops.update(*map(_ops_of, value))
+        elif isinstance(value, dict):
+            ops |= _ops_of(value)
+    return ops
+
+
+def test_the_proof_uses_every_op_and_no_other():
+    from test_destabilize import _grid
+    from k3acm.casework.scripts import _OPS
+    from k3acm.errors import PreconditionError
+    claims = [st for script in builtin_scripts().values()
+              for st in script.steps if isinstance(st, ArithClaim)]
+    for lat, facts, c, d, mode in _grid():
+        try:
+            records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
+        except PreconditionError:
+            continue
+        claims += [cl for rec in records for cl in rec.trace]
+    used = set().union(*(_ops_of(side) for cl in claims
+                         for side in (cl.lhs, cl.rhs)))
+    assert used == set(_OPS)
+    assert len(_OPS) == 17
