@@ -24,13 +24,15 @@ Modes:
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..classifier import (AcmStatus, Assumption, AssumptionKind,
-                          _NONEMPTY_KINDS, _conflict_check, acm_window,
-                          derived_assumptions, is_initialized_acm)
+from ..classifier import (_CACHE_SIZE, _NONEMPTY_KINDS, AcmStatus,
+                          Assumption, AssumptionKind, _conflict_check,
+                          acm_window, derived_assumptions, is_initialized_acm)
 from ..errors import (BadParametersError, DimensionMismatchError, EngineError,
                       PreconditionError, WorkbenchError)
 from ..invariants import genus_of, hodge_lower, lm_acm_bounds
@@ -94,37 +96,69 @@ def _known_classes(lat: Lattice, c: DivClass,
                    assumptions: Sequence[Assumption]) -> _Known:
     """The classes the assumptions make effective, plus C, by coordinates.
 
-    Each class P is read off the Gram rows: (h.P, B.P) and P^2 from them.
-    The facts are checked for conflicts once, as a classification of any
-    class would.  P's aCM flag is what ``is_initialized_acm`` would say,
-    decided by ``acm_window`` wherever the window alone decides it: every
-    class here is asserted nonempty or base point free, or it is C, and
-    in windows (a)-(c) h.P >= 1 and P^2 >= -2, so Riemann-Roch makes P
-    effective and P is initialized aCM.  Only the Ulrich window (d) runs
-    the classifier, for the emptiness of |P - h| and |2h - P|; outside
-    the windows P is not aCM.
+    Two parts.  The fact table of the presentation, ``_fact_table``,
+    depends only on (lat, facts) and is built once per process; this call
+    adds C's entry to it, where C is always base point free (an
+    irreducible member with C^2 >= 4), replacing a fact-table entry for
+    the same class, and keeps the order by coordinates.
     """
-    _conflict_check(assumptions)
-    bpf = {a.subject.coords for a in assumptions
+    facts = tuple(assumptions)
+    table = _fact_table(lat, facts)
+    profile = _profile_of(lat, c)
+    sq = _pairing(c, *profile)
+    i = bisect.bisect_left(table, c.coords, key=lambda p: p.cls.coords)
+    end = i + 1 if i < len(table) and table[i].cls == c else i
+    # C's aCM flag depends on C and the facts only, as a table entry's does
+    acm = table[i].acm if end > i else _acm_flag(lat, c, sq, profile[0], facts)
+    curve = _KnownClass(c, sq, profile, movable=True, bpf_positive=sq >= 2,
+                        acm=acm)
+    return table[:i] + (curve,) + table[end:]
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _fact_table(lat: Lattice, facts: tuple[Assumption, ...]) -> _Known:
+    """The classes the facts assert nonempty or base point free.
+
+    Each class P is read off the Gram rows: (h.P, B.P) and P^2 from them.
+    The facts are checked for conflicts first, as a classification of any
+    class would; a conflict raises on every call, as nothing is cached
+    then.  The table is a pure function of the frozen (lat, facts), so it
+    is shared by every query on that presentation.
+    """
+    _conflict_check(facts)
+    bpf = {a.subject.coords for a in facts
            if a.kind is AssumptionKind.BASE_POINT_FREE}
-    pencil = {a.subject.coords for a in assumptions
+    pencil = {a.subject.coords for a in facts
               if a.kind is AssumptionKind.ELLIPTIC_PENCIL}
-    nonempty = {a.subject.coords for a in assumptions
+    nonempty = {a.subject.coords for a in facts
                 if a.kind in _NONEMPTY_KINDS}
     known = []
-    # the curve class itself is an irreducible member with C^2 >= 4
-    for coords in sorted(nonempty | bpf | {c.coords}):
+    for coords in sorted(nonempty | bpf):
         p = DivClass(coords)
         profile = _profile_of(lat, p)
         sq = _pairing(p, *profile)
-        free = coords in bpf or coords == c.coords
-        window = acm_window(sq, profile[0])
-        acm = window is not None and (window != "d" or is_initialized_acm(
-            lat, p, assumptions).status is AcmStatus.ACM_ULRICH)
-        known.append(_KnownClass(p, sq, profile,
-                                 movable=free or coords in pencil or sq == 0,
-                                 bpf_positive=free and sq >= 2, acm=acm))
+        free = coords in bpf
+        known.append(_KnownClass(
+            p, sq, profile, movable=free or coords in pencil or sq == 0,
+            bpf_positive=free and sq >= 2,
+            acm=_acm_flag(lat, p, sq, profile[0], facts)))
     return tuple(known)
+
+
+def _acm_flag(lat: Lattice, p: DivClass, sq: int, hp: int,
+              facts: tuple[Assumption, ...]) -> bool:
+    """What ``is_initialized_acm`` says of a known class P, h.P = hp.
+
+    Every known class is asserted nonempty or base point free, or it is
+    C, and in windows (a)-(c) h.P >= 1 and P^2 >= -2, so Riemann-Roch
+    makes P effective and ``acm_window`` alone decides that P is
+    initialized aCM.  Only the Ulrich window (d) runs the classifier, for
+    the emptiness of |P - h| and |2h - P|; outside the windows P is not
+    aCM.
+    """
+    window = acm_window(sq, hp)
+    return window is not None and (window != "d" or is_initialized_acm(
+        lat, p, facts).status is AcmStatus.ACM_ULRICH)
 
 
 def _claim(lat: Lattice, label: str, lhs, rel: str, rhs, cite: str = "",

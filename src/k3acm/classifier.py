@@ -13,11 +13,20 @@ decided by lattice data alone, so the classifier either certifies them
 through the effectivity oracle (user assumptions included) or reports
 exactly which facts are missing.  Everything is a pure function of
 (B^2, H.B) and the assumption set; no geometry is consulted.
+
+``is_initialized_acm`` and ``derived_assumptions`` are therefore cached
+per (lattice, class, facts) for the life of the process.  That is safe
+because every input is frozen (``Lattice``, ``DivClass``, ``Assumption``
+and the facts, taken as a tuple) and hashes by value, the functions are
+pure, and ``AcmClassification`` is frozen too, so callers can share it;
+``derived_assumptions`` hands out a fresh list on every call.  An input
+that raises is not cached, so it raises again on every call.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -145,9 +154,19 @@ def acm_window(b2: int, hb: int) -> str | None:
     return None
 
 
+# (lattice, class, facts) results kept per process, for each cached function
+_CACHE_SIZE = 1024
+
+
 def is_initialized_acm(lat: Lattice, b: DivClass,
                        assumptions: Sequence[Assumption] = ()) -> AcmClassification:
     """Classify B against the four-case window (pure in (B^2, H.B))."""
+    return _classify(lat, b, tuple(assumptions))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _classify(lat: Lattice, b: DivClass,
+              assumptions: tuple[Assumption, ...]) -> AcmClassification:
     if b.is_zero():
         raise TrivialClassError("the zero class is excluded from classification")
     verdict = effectivity(lat, b, assumptions)
@@ -243,6 +262,12 @@ def derived_assumptions(lat: Lattice, b: DivClass,
     and the square-0 ones have nonempty moving part (recorded as Effective
     plus BasePointFree for squares >= 2 only).
     """
+    return list(_derive(lat, b, classification, tuple(assumptions)))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _derive(lat: Lattice, b: DivClass, classification: AcmClassification,
+            assumptions: tuple[Assumption, ...]) -> tuple[Assumption, ...]:
     out = list(assumptions)
 
     def add(subject: DivClass, kind: AssumptionKind, note: str):
@@ -262,4 +287,4 @@ def derived_assumptions(lat: Lattice, b: DivClass,
         if lat.self_int(comp) >= 2:
             add(comp, AssumptionKind.BASE_POINT_FREE,
                 "companion with square >= 2 is base point free")
-    return out
+    return tuple(out)

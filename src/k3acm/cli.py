@@ -12,6 +12,7 @@ Reports go to stdout, diagnostics to stderr.
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .casework import (MODES, PRESET_IDS, PRESET_PRESENTATION,
@@ -326,10 +327,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the text of a class argument: comma-separated integers
+_CLASS_TEXT = re.compile(r"-?\d+(,-?\d+)*")
+
+
+def _join_class_values(argv: list[str]) -> list[str]:
+    """``--class -1,2`` as ``--class=-1,2``.
+
+    argparse reads a separate value that starts with '-' as an option, so
+    a class with a negative first coordinate would never reach --class.
+    Only a token that is class text is joined; anything else is left for
+    argparse to refuse.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--class" and _CLASS_TEXT.fullmatch(arg):
+            out[-1] = f"--class={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_class_values(argv))
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; never propagate
         return exc.code if isinstance(exc.code, int) else 2

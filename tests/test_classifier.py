@@ -2,6 +2,7 @@
 
 import pytest
 
+from k3acm import classifier
 from k3acm import (AcmStatus, Assumption, AssumptionKind,
                    ConflictingAssumptionsError, DivClass, Effectivity,
                    Lattice, NotAcmInputError, NotEffectiveCandidateError,
@@ -9,6 +10,8 @@ from k3acm import (AcmStatus, Assumption, AssumptionKind,
                    derived_assumptions, effectivity, is_elliptic_pencil_class,
                    is_initialized_acm)
 from k3acm.casework import quartic_lattice, ulrich_assumptions
+from k3acm.config import data_path, load_config, shipped_config_names
+from k3acm.errors import WorkbenchError
 
 H = DivClass((1, 0))
 B = DivClass((0, 1))
@@ -161,3 +164,84 @@ def test_classifier_is_pure_in_square_and_degree():
     d = DivClass((-1, 1))   # square 10 - 14 + 4 = 0, degree 3
     assert (lat.self_int(d), lat.deg(d)) == (0, 3)
     assert is_initialized_acm(lat, d).status is AcmStatus.ACM
+
+
+# ---- the per-process caches against the uncached originals -----------------------
+
+_classify_oracle = classifier._classify.__wrapped__
+_derive_oracle = classifier._derive.__wrapped__
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WorkbenchError as exc:
+        return type(exc)
+
+
+def test_cached_classifier_matches_the_uncached_original():
+    from test_scripts import _gram_mutants
+    hits = classifier._classify.cache_info().hits
+    compared = derived = 0
+    for name in shipped_config_names():
+        config_lat, raw = load_config(data_path(name))
+        pad = (0,) * (config_lat.rank - 2)
+        b = DivClass((0, 1) + pad)
+        for lat in _gram_mutants(config_lat):
+            fact_sets = [tuple(raw)]
+            try:
+                cls = is_initialized_acm(lat, b, raw)
+                fact_sets.append(tuple(derived_assumptions(lat, b, cls, raw)))
+            except WorkbenchError:
+                pass  # B is not aCM here: the raw facts stand alone
+            for facts in fact_sets:
+                backwards = facts[::-1]
+                for s in range(-3, 4):
+                    for t in range(-3, 4):
+                        p = DivClass((s, t) + pad)
+                        want = _outcome(_classify_oracle, lat, p, facts)
+                        # a miss, then a hit; the order of the facts is
+                        # part of the key but not of the answer
+                        assert _outcome(is_initialized_acm, lat, p,
+                                        facts) == want
+                        assert _outcome(is_initialized_acm, lat, p,
+                                        list(facts)) == want
+                        assert _outcome(is_initialized_acm, lat, p,
+                                        backwards) == want
+                        compared += 1
+                        if isinstance(want, type):
+                            continue
+                        for order in (facts, backwards):
+                            expect = _outcome(_derive_oracle, lat, p, want,
+                                              order)
+                            if not isinstance(expect, type):
+                                expect = list(expect)
+                            got = _outcome(derived_assumptions, lat, p, want,
+                                           order)
+                            assert got == expect
+                            if isinstance(got, list):
+                                # a caller's edit never reaches the cache
+                                got.append(got[0])
+                                got.clear()
+                                assert derived_assumptions(
+                                    lat, p, want, order) == expect
+                                derived += 1
+    assert classifier._classify.cache_info().hits > hits
+    assert (compared, derived) == (7497, 244)
+
+
+def test_cached_classifier_raises_on_every_call():
+    lat = quartic_lattice(-2, 3)
+    deep = DivClass((1, -3))
+    clash = (Assumption(deep, AssumptionKind.EFFECTIVE, ""),
+             Assumption(deep, AssumptionKind.EMPTY, ""))
+    cls = is_initialized_acm(lat, B)
+    for _ in range(3):
+        with pytest.raises(TrivialClassError):
+            is_initialized_acm(lat, DivClass((0, 0)))
+        with pytest.raises(NotEffectiveCandidateError):
+            is_initialized_acm(lat, -B)
+        with pytest.raises(ConflictingAssumptionsError):
+            is_initialized_acm(lat, B, clash)
+        with pytest.raises(ConflictingAssumptionsError):
+            derived_assumptions(lat, B, cls, clash)

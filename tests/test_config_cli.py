@@ -190,6 +190,23 @@ def test_cli_classify_bad_class_argument(capsys):
     assert code == 2
 
 
+def test_cli_class_with_a_negative_first_coordinate(capsys):
+    # "-1,2" looks like an option to argparse; it must still reach --class
+    cfg = str(data_path("quartic_b2neg2_bh3.json"))
+    commands = {"classify": ([], 0, "NotAcm"),
+                "companions": ([], 2, "companions need an Acm/AcmUlrich"),
+                "destabilize": (["--d", "3"], 2, "C^2 = -16 < 4")}
+    for command, (extra, want_code, want_text) in commands.items():
+        spaced = _run(capsys, command, "-c", cfg, "--class", "-1,2", *extra)
+        joined = _run(capsys, command, "-c", cfg, "--class=-1,2", *extra)
+        assert spaced == joined, command
+        code, out, err = spaced
+        assert code == want_code and want_text in out + err, spaced
+        for bad in (["--class", "-1,x"], ["--class=-1,x"], ["--class", "1,x"]):
+            code, _, err = _run(capsys, command, "-c", cfg, *bad, *extra)
+            assert code == 2 and "error:" in err, (command, bad)
+
+
 def test_cli_companions(capsys):
     cfg = str(data_path("quartic_b2neg2_bh1.json"))
     code, out, _ = _run(capsys, "companions", "-c", cfg, "--class", "0,1",
@@ -483,9 +500,10 @@ def test_cli_bad_input_paths(capsys, tmp_path):
     assert code == 0
 
 
-def test_cli_entry_point_subprocess():
+@pytest.mark.parametrize("module", ["k3acm", "k3acm.cli"])
+def test_cli_entry_point_subprocess(module):
     proc = subprocess.run(
-        [sys.executable, "-m", "k3acm.cli",
+        [sys.executable, "-m", module,
          "enumerate", "--preset", "i-a", "--json"],
         capture_output=True, text=True)
     assert proc.returncode == 0
