@@ -2,15 +2,13 @@
 
 A CaseSpec packages a lattice, a list of constraints on the coefficients of
 C = s*U + t*V for two fixed basis classes U, V, and a search box.
-enumerate_case first bounds s: the linear kinds and |t| <= box are
-half-planes a*s + b*t >= r, and eliminating t from them (Fourier-Motzkin)
-gives the integer s-range in which any real t is left.  It then solves one
-s of that range at a time: each constraint becomes integer t-intervals that
-contain all of its solutions at that s (floor and ceiling division for the
-linear kinds, math.isqrt roots for the quadratic one), and Constraint.holds
-decides every point left in their intersection.  A survivor on the box
-boundary raises BoxTooSmallError because it signals the solution set may
-be truncated.
+enumerate_case scans one half-plane region: the LinearIneq and HodgeLower
+constraints and |t| <= box are half-planes a*s + b*t >= r, eliminating t
+from them (Fourier-Motzkin) gives the integer s-range in which any real t
+is left, and at each such s they give one integer t-interval.
+Constraint.holds decides every point of that region, so the other kinds
+only filter.  A survivor on the box boundary raises BoxTooSmallError
+because it signals the solution set may be truncated.
 
 Constraints carry their justification (an axiom id plus a citation string
 quoting the inequality being encoded) so every preset is auditable.
@@ -19,7 +17,6 @@ quoting the inequality being encoded) so every preset is auditable.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -127,25 +124,20 @@ class CaseSpec:
     tag: str = ""
 
     def __post_init__(self):
-        if not 16 <= self.box <= 256:
+        if not _is_int(self.box) or not 16 <= self.box <= 256:
             raise BadParametersError(
-                f"box must be between 16 and 256, got {self.box}")
+                f"box must be between 16 and 256, got {self.box!r}")
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
 
 # ---- the solver --------------------------------------------------------------
 #
-# Before the s loop, every LinearIneq and HodgeLower becomes half-planes
-# a*s + b*t >= r, and eliminating t from them bounds s.  At a fixed s every
-# constraint is a condition on t alone.  The helpers below turn it into a
-# sorted list of disjoint closed intervals inside [-box, box] that contains
-# every t satisfying it; the s-range and the intervals only prune, and
-# Constraint.holds decides each point that survives them.
+# Every LinearIneq and HodgeLower, and |t| <= box, becomes half-planes
+# a*s + b*t >= r.  Eliminating t from them bounds s, and at each such s
+# they bound t.  The rows only prune: Constraint.holds decides every point
+# they leave, so QuadraticIneq and AbsTAtLeast need no rows.
 
-Intervals = list[tuple[int, int]]
 Row = tuple[int, int, int]  # (a, b, r): a*s + b*t >= r
-
-_FLIP = {"<=": ">=", "<": ">", "=": "=", ">=": "<=", ">": "<"}
 
 # payload length and the position of its relation, by kind
 _SHAPE = {ConstraintKind.LINEAR: (4, 2), ConstraintKind.QUADRATIC: (7, 5),
@@ -160,7 +152,7 @@ def _checked_payload(con: Constraint) -> tuple:
     if kind not in _SHAPE:
         raise BadParametersError(f"unknown constraint kind {kind}")
     size, rel_at = _SHAPE[kind]
-    if len(p) != size:
+    if not isinstance(p, (tuple, list)) or len(p) != size:
         raise BadParametersError(
             f"{kind.value} payload needs {size} entries, got {p!r}")
     nums = p
@@ -219,124 +211,49 @@ def feasible_range(rows: list[Row], lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
-def _merged(intervals: Intervals, box: int) -> Intervals:
-    """Clip to [-box, box], drop empty pieces, sort and join touching ones."""
-    out: Intervals = []
-    for lo, hi in sorted((max(lo, -box), min(hi, box)) for lo, hi in intervals):
-        if lo > hi:
-            continue
-        if out and lo <= out[-1][1] + 1:
-            out[-1] = (out[-1][0], max(hi, out[-1][1]))
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _intersect(xs: Intervals, ys: Intervals) -> Intervals:
-    return [(max(a, c), min(b, d)) for a, b in xs for c, d in ys
-            if max(a, c) <= min(b, d)]
-
-
-def _rows_t(rows: list[Row], s: int, box: int) -> Intervals:
-    """Exactly the t in [-box, box] that meet every row at s."""
-    lo, hi = half_plane_bounds([(b, r - a * s) for a, b, r in rows],
-                               -box, box)
-    return [(lo, hi)] if lo <= hi else []
-
-
-def _quadratic_t(qa: int, qb: int, qc: int, rel: str, box: int) -> Intervals:
-    """A superset of the t in [-box, box] with qa*t^2 + qb*t + qc rel 0."""
-    if qa == 0:
-        return _rows_t(_rows(0, qb, rel, -qc), 0, box)
-    if qa < 0:
-        qa, qb, qc, rel = -qa, -qb, -qc, _FLIP[rel]
-    # on integers, f < 0 is f + 1 <= 0 and f > 0 is f - 1 >= 0
-    if rel == "<":
-        qc, rel = qc + 1, "<="
-    elif rel == ">":
-        qc, rel = qc - 1, ">="
-    disc = qb * qb - 4 * qa * qc
-    if disc < 0:
-        return [(-box, box)] if rel == ">=" else []
-    # the real roots lie in [(-qb - r - 1)/2qa, (-qb - r)/2qa] and
-    # [(-qb + r)/2qa, (-qb + r + 1)/2qa]; each end is widened by one step
-    r, den = math.isqrt(disc), 2 * qa
-    lo1, hi1 = (-qb - r - 1) // den - 1, -((qb + r) // den) + 1
-    lo2, hi2 = (-qb + r) // den - 1, -((qb - r - 1) // den) + 1
-    if rel == "<=":
-        return _merged([(lo1, hi2)], box)
-    if rel == "=":
-        return _merged([(lo1, hi1), (lo2, hi2)], box)
-    return _merged([(-box, hi1), (lo2, box)], box)
-
-
-def _t_solver(con: Constraint,
-              box: int) -> tuple[list[Row], Callable[[int], Intervals]]:
-    """The half-planes of con and s -> its t-intervals at s (those of the
-    half-planes, if it has any).  Checks the payload first, so a bad
-    payload is refused whatever the box."""
-    p = _checked_payload(con)
-    if con.kind is ConstraintKind.QUADRATIC:
-        qss, qst, qtt, a, b, rel, c = p
-        return [], lambda s: _quadratic_t(qtt, qst * s + b,
-                                          qss * s * s + a * s - c, rel, box)
-    if con.kind is ConstraintKind.ABS_T_AT_LEAST:
-        (n,) = p
-        rays = _merged([(-box, -n), (n, box)], box)
-        return [], lambda s: rays
-    if con.kind is ConstraintKind.LINEAR:
-        rows = _rows(*p)
-    else:
-        a, b, c2min, d2 = p
-        rows = _rows(a, b, ">=", hodge_lower(c2min, d2))
-    return rows, lambda s: _rows_t(rows, s, box)
-
-
-def _plan(spec: CaseSpec) -> tuple[range, list[Callable[[int], Intervals]]]:
-    """Check every payload; the s-range and one t-solver per constraint."""
+def _plan(spec: CaseSpec) -> list[Row]:
+    """Check every payload; the rows of the LinearIneq and HodgeLower
+    constraints and of |t| <= box."""
     box = spec.box
     rows: list[Row] = [(0, 1, -box), (0, -1, -box)]  # |t| <= box
-    solvers = []
     for con in spec.constraints:
-        con_rows, solve = _t_solver(con, box)
-        rows += con_rows
-        solvers.append(solve)
-    return feasible_range(rows, -box, box), solvers
+        p = _checked_payload(con)
+        if con.kind is ConstraintKind.LINEAR:
+            rows += _rows(*p)
+        elif con.kind is ConstraintKind.HODGE_LOWER:
+            a, b, c2min, d2 = p
+            rows += _rows(a, b, ">=", hodge_lower(c2min, d2))
+    return rows
 
 
 def s_range(spec: CaseSpec) -> range:
     """The s-values enumerate_case visits: those of the box at which the
-    LinearIneq and HodgeLower constraints leave some real t.
+    LinearIneq and HodgeLower rows leave some real t.
 
     A superset of the s of every solution; the whole box when the spec
-    has no linear constraint.
+    has no such row.
     """
-    return _plan(spec)[0]
+    return feasible_range(_plan(spec), -spec.box, spec.box)
 
 
 def enumerate_case(spec: CaseSpec) -> list[tuple[int, int]]:
     """All box points satisfying every constraint, lexicographically sorted.
 
-    Deterministic and serial: s runs over s_range(spec), the s-values at
-    which the linear constraints leave some real t, and for each s the
-    t-intervals of all constraints are intersected and Constraint.holds
-    checks every point left.  Raises BoxTooSmallError if any survivor
-    touches the boundary |s| = box or |t| = box, since the true solution
-    set might then extend past the box.
+    Deterministic and serial: s runs over s_range(spec), t over the
+    interval the LinearIneq and HodgeLower rows leave at that s, and
+    Constraint.holds decides every such point.  Raises BoxTooSmallError
+    if any survivor touches the boundary |s| = box or |t| = box, since the
+    true solution set might then extend past the box.
     """
     box = spec.box
-    s_values, solvers = _plan(spec)
+    rows = _plan(spec)
     out: list[tuple[int, int]] = []
-    for s in s_values:
-        ts: Intervals = [(-box, box)]
-        for solve in solvers:
-            ts = _intersect(ts, solve(s))
-            if not ts:
-                break
-        for lo, hi in ts:
-            for t in range(lo, hi + 1):
-                if all(c.holds(s, t) for c in spec.constraints):
-                    out.append((s, t))
+    for s in feasible_range(rows, -box, box):
+        lo, hi = half_plane_bounds([(b, r - a * s) for a, b, r in rows],
+                                   -box, box)
+        for t in range(lo, hi + 1):
+            if all(c.holds(s, t) for c in spec.constraints):
+                out.append((s, t))
     for s, t in out:
         if abs(s) == box or abs(t) == box:
             raise BoxTooSmallError(

@@ -50,9 +50,12 @@ def test_constraint_kinds():
         linear(1, 1, "~", 0)
 
 
-def test_box_floor():
-    with pytest.raises(BadParametersError):
-        CaseSpec(lattice=quartic_lattice(-2, 1), constraints=(), box=8)
+@pytest.mark.parametrize("box", [8, 257, "32", 32.5, 64.0],
+                         ids=["8", "257", "str-32", "float-32.5", "float-64.0"])
+def test_box_floor(box):
+    with pytest.raises(BadParametersError,
+                       match="box must be between 16 and 256"):
+        CaseSpec(lattice=quartic_lattice(-2, 1), constraints=(), box=box)
 
 
 def test_boundary_touch_raises():
@@ -360,9 +363,12 @@ def test_preset_s_ranges_do_not_depend_on_the_box():
     Constraint(ConstraintKind.ABS_T_AT_LEAST, (2, 3)),
     Constraint(ConstraintKind.LINEAR, (1, 0.5, "<=", 3)),
     Constraint(ConstraintKind.LINEAR, (True, 0, ">=", 15)),
+    Constraint(ConstraintKind.LINEAR, None),
+    Constraint(ConstraintKind.ABS_T_AT_LEAST, 5),
 ], ids=["linear-relation", "quadratic-relation", "custom-kind",
         "hodge-c2min", "hodge-d2", "linear-short", "hodge-short",
-        "abs-t-long", "linear-float", "linear-bool"])
+        "abs-t-long", "linear-float", "linear-bool", "none-payload",
+        "int-payload"])
 def test_bad_hand_built_constraint_is_bad_input(bad, capsys, monkeypatch):
     from k3acm import cli
     # whether or not another constraint already empties the box
@@ -375,6 +381,25 @@ def test_bad_hand_built_constraint_is_bad_input(bad, capsys, monkeypatch):
     assert cli.main(["enumerate", "--preset", "i-a"]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Traceback" not in err and not out
+
+
+def test_preset_work_does_not_depend_on_the_box(monkeypatch):
+    calls = 0
+    holds = Constraint.holds
+
+    def counted(con, s, t):
+        nonlocal calls
+        calls += 1
+        return holds(con, s, t)
+
+    monkeypatch.setattr(Constraint, "holds", counted)
+    for pid in PRESET_IDS:
+        counts = []
+        for box in (16, 256):
+            calls = 0
+            assert enumerate_case(lemma_case(pid, box=box)) == EXPECTED[pid]
+            counts.append(calls)
+        assert counts[0] == counts[1] <= 50, (pid, counts)
 
 
 def test_presets_run_fast_at_the_largest_box():
