@@ -1,8 +1,7 @@
 """Bounded enumerations, derivation scripts and the classification replay."""
 
-from .constraints import (CaseSpec, Constraint, ConstraintKind, abs_t_at_least,
-                          check_rel, enumerate_case, hodge_lower_bound, linear,
-                          quadratic)
+from .constraints import (CaseSpec, Constraint, abs_t_at_least, check_rel,
+                          enumerate_case, linear, quadratic)
 from .destabilize import (MODES, PairElimination, elimination_to_json,
                           engine_assumptions, enumerate_destabilizing)
 from .casebook import builtin_scripts, script_by_tag
@@ -20,7 +19,7 @@ from .scripts import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
 
 __all__ = [
     "ArithClaim", "AxiomUse", "CONTRADICTION", "CaseSpec", "Conclusion",
-    "Constraint", "ConstraintKind", "DerivationReport", "DerivationScript",
+    "Constraint", "DerivationReport", "DerivationScript",
     "MODES", "NecessityReport", "PRESET_IDS", "PRESET_PRESENTATION",
     "PairElimination", "QUARTIC_PRESENTATIONS", "ReductionRow", "StepReport",
     "SurvivorMatch", "abs_t_at_least", "builtin_scripts", "check_rel",
@@ -28,7 +27,7 @@ __all__ = [
     "delpezzo_pencil_fj", "elimination_to_json", "engine_assumptions",
     "enumerate_case",
     "enumerate_destabilizing",
-    "established", "evaluate", "genus_expr", "hodge_lower_bound",
+    "established", "evaluate", "genus_expr",
     "lemma51_presets", "lemma_case", "linear", "necessity_to_json", "pair_of",
     "quadratic", "quartic_lattice", "report_to_json",
     "run_script", "script_by_tag", "script_from_json", "script_to_json",

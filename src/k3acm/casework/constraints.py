@@ -1,14 +1,18 @@
 """Integer constraint systems in two unknowns (s, t) and their enumeration.
 
 A CaseSpec packages a lattice, a list of constraints on the coefficients of
-C = s*U + t*V for two fixed basis classes U, V, and a search box.
-enumerate_case scans one half-plane region: the LinearIneq and HodgeLower
-constraints and |t| <= box are half-planes a*s + b*t >= r, eliminating t
-from them (Fourier-Motzkin) gives the integer s-range in which any real t
-is left, and at each such s they give one integer t-interval.
-Constraint.holds decides every point of that region, so the other kinds
-only filter.  A survivor on the box boundary raises BoxTooSmallError
-because it signals the solution set may be truncated.
+C = s*U + t*V for two fixed basis classes U, V, and a search box.  Every
+constraint has one form, an integer polynomial of degree at most 2:
+
+    qss*s^2 + qst*s*t + qtt*t^2 + a*s + b*t  rel  c
+
+enumerate_case scans one half-plane region: the constraints without a
+quadratic part and |t| <= box are half-planes a*s + b*t >= r, eliminating
+t from them (Fourier-Motzkin) gives the integer s-range in which any real
+t is left, and at each such s they give one integer t-interval.
+Constraint.holds decides every point of that region, so the quadratic
+constraints only filter.  A survivor on the box boundary raises
+BoxTooSmallError because it signals the solution set may be truncated.
 
 Constraints carry their justification (an axiom id plus a citation string
 quoting the inequality being encoded) so every preset is auditable.
@@ -16,98 +20,78 @@ quoting the inequality being encoded) so every preset is auditable.
 
 from __future__ import annotations
 
-import enum
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..config import _is_int
 from ..errors import BadParametersError, BoxTooSmallError
-from ..invariants import hodge_lower
-from ..lattice import DivClass, Lattice
+from ..lattice import Lattice
 
 _REL: dict[str, Callable[[int, int], bool]] = {
-    "<=": lambda x, y: x <= y,
-    "<": lambda x, y: x < y,
-    "=": lambda x, y: x == y,
-    ">=": lambda x, y: x >= y,
-    ">": lambda x, y: x > y,
+    "<=": operator.le, "<": operator.lt, "=": operator.eq,
+    ">=": operator.ge, ">": operator.gt,
 }
 
 
-def _known_rel(rel: str) -> str:
-    if rel not in _REL:
-        raise BadParametersError(f"unknown relation {rel!r}")
-    return rel
+def _is_rel(rel) -> bool:
+    """Whether rel names a relation; an unhashable rel is simply not one."""
+    return isinstance(rel, str) and rel in _REL
 
 
 def check_rel(rel: str, lhs: int, rhs: int) -> bool:
-    return _REL[_known_rel(rel)](lhs, rhs)
-
-
-class ConstraintKind(enum.Enum):
-    LINEAR = "LinearIneq"
-    QUADRATIC = "QuadraticIneq"
-    HODGE_LOWER = "HodgeLower"
-    ABS_T_AT_LEAST = "AbsTAtLeast"
+    if not _is_rel(rel):
+        raise BadParametersError(f"unknown relation {rel!r}")
+    return _REL[rel](lhs, rhs)
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """One machine-checkable condition on the integer pair (s, t).
+    """One machine-checkable condition on the integer pair (s, t):
 
-    payload, by kind:
-      LinearIneq:   (a, b, rel, c)            -> a*s + b*t rel c
-      QuadraticIneq:(qss, qst, qtt, a, b, rel, c)
-                                               -> quadratic form rel c
-      HodgeLower:   (a, b, c2min, d2)          -> a*s + b*t >= hodge_lower(c2min, d2)
-      AbsTAtLeast:  (n,)                       -> |t| >= n
+        qss*s^2 + qst*s*t + qtt*t^2 + a*s + b*t rel c,
+
+    coeffs = (qss, qst, qtt, a, b).  Checked when it is built, so every
+    Constraint has five integer coefficients, an integer c and a known rel.
     """
 
-    kind: ConstraintKind
-    payload: tuple
+    coeffs: tuple[int, int, int, int, int]
+    rel: str
+    c: int
     axiom_id: str = ""
     cite: str = ""
 
+    def __post_init__(self):
+        coeffs = self.coeffs
+        if (not isinstance(coeffs, (tuple, list)) or len(coeffs) != 5
+                or not all(map(_is_int, coeffs)) or not _is_int(self.c)):
+            raise BadParametersError(
+                f"a constraint needs 5 integer coefficients and an integer "
+                f"bound, got {coeffs!r} and {self.c!r}")
+        if not _is_rel(self.rel):
+            raise BadParametersError(f"unknown relation {self.rel!r}")
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
     def holds(self, s: int, t: int) -> bool:
-        p = self.payload
-        if self.kind is ConstraintKind.LINEAR:
-            a, b, rel, c = p
-            return check_rel(rel, a * s + b * t, c)
-        if self.kind is ConstraintKind.QUADRATIC:
-            qss, qst, qtt, a, b, rel, c = p
-            val = qss * s * s + qst * s * t + qtt * t * t + a * s + b * t
-            return check_rel(rel, val, c)
-        if self.kind is ConstraintKind.HODGE_LOWER:
-            a, b, c2min, d2 = p
-            return a * s + b * t >= hodge_lower(c2min, d2)
-        if self.kind is ConstraintKind.ABS_T_AT_LEAST:
-            (n,) = p
-            return abs(t) >= n
-        raise BadParametersError(f"unknown constraint kind {self.kind}")
+        qss, qst, qtt, a, b = self.coeffs
+        return _REL[self.rel]((qss * s + qst * t + a) * s + (qtt * t + b) * t,
+                              self.c)
 
 
 def linear(a: int, b: int, rel: str, c: int, axiom_id: str = "", cite: str = "") -> Constraint:
-    return Constraint(ConstraintKind.LINEAR, (a, b, _known_rel(rel), c),
-                      axiom_id, cite)
+    return Constraint((0, 0, 0, a, b), rel, c, axiom_id, cite)
 
 
 def quadratic(qss: int, qst: int, qtt: int, a: int, b: int, rel: str, c: int,
               axiom_id: str = "", cite: str = "") -> Constraint:
-    return Constraint(ConstraintKind.QUADRATIC,
-                      (qss, qst, qtt, a, b, _known_rel(rel), c), axiom_id, cite)
-
-
-def hodge_lower_bound(lat: Lattice, u: DivClass, v: DivClass, target: DivClass,
-                      c2min: int, axiom_id: str = "", cite: str = "") -> Constraint:
-    """(s*U + t*V).target >= hodge_lower(c2min, target^2), coefficients baked in."""
-    a = lat.pair(u, target)
-    b = lat.pair(v, target)
-    d2 = lat.self_int(target)
-    return Constraint(ConstraintKind.HODGE_LOWER, (a, b, c2min, d2), axiom_id, cite)
+    return Constraint((qss, qst, qtt, a, b), rel, c, axiom_id, cite)
 
 
 def abs_t_at_least(n: int, axiom_id: str = "", cite: str = "") -> Constraint:
-    return Constraint(ConstraintKind.ABS_T_AT_LEAST, (n,), axiom_id, cite)
+    """|t| >= n as t^2 >= n^2, or as t^2 >= 0 (true everywhere) for n <= 0;
+    a non-integer n is passed on for Constraint to refuse."""
+    return Constraint((0, 0, 1, 0, 0), ">=",
+                      max(n, 0) ** 2 if _is_int(n) else n, axiom_id, cite)
 
 
 @dataclass(frozen=True)
@@ -127,42 +111,22 @@ class CaseSpec:
         if not _is_int(self.box) or not 16 <= self.box <= 256:
             raise BadParametersError(
                 f"box must be between 16 and 256, got {self.box!r}")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        cons = self.constraints
+        if (not isinstance(cons, (tuple, list))
+                or not all(isinstance(con, Constraint) for con in cons)):
+            raise BadParametersError(
+                f"constraints must be a sequence of Constraints, got {cons!r}")
+        object.__setattr__(self, "constraints", tuple(cons))
 
 
 # ---- the solver --------------------------------------------------------------
 #
-# Every LinearIneq and HodgeLower, and |t| <= box, becomes half-planes
-# a*s + b*t >= r.  Eliminating t from them bounds s, and at each such s
-# they bound t.  The rows only prune: Constraint.holds decides every point
-# they leave, so QuadraticIneq and AbsTAtLeast need no rows.
+# Every constraint without a quadratic part, and |t| <= box, becomes
+# half-planes a*s + b*t >= r.  Eliminating t from them bounds s, and at
+# each such s they bound t.  The rows only prune: Constraint.holds decides
+# every point they leave, so the quadratic constraints need no rows.
 
 Row = tuple[int, int, int]  # (a, b, r): a*s + b*t >= r
-
-# payload length and the position of its relation, by kind
-_SHAPE = {ConstraintKind.LINEAR: (4, 2), ConstraintKind.QUADRATIC: (7, 5),
-          ConstraintKind.HODGE_LOWER: (4, None),
-          ConstraintKind.ABS_T_AT_LEAST: (1, None)}
-
-
-def _checked_payload(con: Constraint) -> tuple:
-    """con.payload once its length, relation and integer coefficients are
-    checked; BadParametersError otherwise."""
-    p, kind = con.payload, con.kind
-    if kind not in _SHAPE:
-        raise BadParametersError(f"unknown constraint kind {kind}")
-    size, rel_at = _SHAPE[kind]
-    if not isinstance(p, (tuple, list)) or len(p) != size:
-        raise BadParametersError(
-            f"{kind.value} payload needs {size} entries, got {p!r}")
-    nums = p
-    if rel_at is not None:
-        _known_rel(p[rel_at])
-        nums = p[:rel_at] + p[rel_at + 1:]
-    if not all(map(_is_int, nums)):
-        raise BadParametersError(
-            f"{kind.value} coefficients must be integers, got {p!r}")
-    return p
 
 
 def _rows(a: int, b: int, rel: str, c: int) -> list[Row]:
@@ -212,23 +176,20 @@ def feasible_range(rows: list[Row], lo: int, hi: int) -> range:
 
 
 def _plan(spec: CaseSpec) -> list[Row]:
-    """Check every payload; the rows of the LinearIneq and HodgeLower
-    constraints and of |t| <= box."""
+    """The rows of the constraints without a quadratic part and of
+    |t| <= box."""
     box = spec.box
     rows: list[Row] = [(0, 1, -box), (0, -1, -box)]  # |t| <= box
     for con in spec.constraints:
-        p = _checked_payload(con)
-        if con.kind is ConstraintKind.LINEAR:
-            rows += _rows(*p)
-        elif con.kind is ConstraintKind.HODGE_LOWER:
-            a, b, c2min, d2 = p
-            rows += _rows(a, b, ">=", hodge_lower(c2min, d2))
+        qss, qst, qtt, a, b = con.coeffs
+        if not (qss or qst or qtt):
+            rows += _rows(a, b, con.rel, con.c)
     return rows
 
 
 def s_range(spec: CaseSpec) -> range:
     """The s-values enumerate_case visits: those of the box at which the
-    LinearIneq and HodgeLower rows leave some real t.
+    rows of the constraints without a quadratic part leave some real t.
 
     A superset of the s of every solution; the whole box when the spec
     has no such row.
@@ -240,7 +201,7 @@ def enumerate_case(spec: CaseSpec) -> list[tuple[int, int]]:
     """All box points satisfying every constraint, lexicographically sorted.
 
     Deterministic and serial: s runs over s_range(spec), t over the
-    interval the LinearIneq and HodgeLower rows leave at that s, and
+    interval those rows leave at that s, and
     Constraint.holds decides every such point.  Raises BoxTooSmallError
     if any survivor touches the boundary |s| = box or |t| = box, since the
     true solution set might then extend past the box.

@@ -19,11 +19,10 @@ from ..errors import BadParametersError, NotAcmInputError
 from ..lattice import DivClass, Lattice
 from .casebook import CASES
 from .constraints import enumerate_case
-from .presets import (PRESET_PRESENTATION, QUARTIC_PRESENTATIONS, lemma_case)
+from .presets import PRESET_PRESENTATION, lemma_case
 from .scripts import DerivationReport, run_script, report_to_json
 
-_PRESET_FOR = {QUARTIC_PRESENTATIONS[key]: pid
-               for pid, key in PRESET_PRESENTATION.items()}
+_PRESET_FOR = {profile: pid for pid, profile in PRESET_PRESENTATION.items()}
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from ..classifier import (Assumption, AssumptionKind, acm_companions,
 from ..errors import BadParametersError
 from ..invariants import hodge_lower
 from ..lattice import DivClass, Lattice
-from .constraints import (CaseSpec, Constraint, abs_t_at_least,
-                          hodge_lower_bound, linear, quadratic)
+from .constraints import (CaseSpec, Constraint, abs_t_at_least, linear,
+                          quadratic)
 
 # (B^2, h.B) per presentation key
 QUARTIC_PRESENTATIONS: dict[str, tuple[int, int]] = {
@@ -96,13 +96,13 @@ def delpezzo_pencil_fj(j: int) -> DivClass:
 
 PRESET_IDS = ("i-a", "i-b", "i-c", "ii", "iii")
 
-# preset id -> presentation key of the lattice it runs on
-PRESET_PRESENTATION = {
-    "i-a": "b2neg2-bh1",
-    "i-b": "b2neg2-bh2",
-    "i-c": "b2neg2-bh3",
-    "ii": "b20-bh4",
-    "iii": "b24-bh6",
+# preset id -> (B^2, h.B) of the lattice it runs on
+PRESET_PRESENTATION: dict[str, tuple[int, int]] = {
+    "i-a": (-2, 1),
+    "i-b": (-2, 2),
+    "i-c": (-2, 3),
+    "ii": (0, 4),
+    "iii": (4, 6),
 }
 
 
@@ -117,10 +117,10 @@ def _companion_bound(lat: Lattice, p: DivClass, name: str) -> Constraint:
     if sq == 0:
         return linear(a, b, ">=", 1, axiom_id="AX-HODGE-INDEX",
                       cite=f"{form} > 0: {name} moves and C^2 > 0")
-    return hodge_lower_bound(
-        lat, _H, _B, p, 4, axiom_id="AX-HODGE-INDEX",
-        cite=f"{form} >= {hodge_lower(4, sq)} by the index bound with "
-             f"C^2 >= 4, {name}^2 = {sq}")
+    m = hodge_lower(4, sq)
+    return linear(a, b, ">=", m, axiom_id="AX-HODGE-INDEX",
+                  cite=f"{form} >= {m} by the index bound with C^2 >= 4, "
+                       f"{name}^2 = {sq}")
 
 
 def lemma_case(preset_id: str, box: int = 32) -> CaseSpec:
@@ -143,7 +143,7 @@ def _preset_system(preset_id: str) -> tuple[Lattice, tuple[Constraint, ...]]:
     if preset_id not in PRESET_PRESENTATION:
         raise BadParametersError(
             f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
-    b2, hb = QUARTIC_PRESENTATIONS[PRESET_PRESENTATION[preset_id]]
+    b2, hb = PRESET_PRESENTATION[preset_id]
     lat = quartic_lattice(b2, hb)
     facts = ulrich_assumptions(lat)
     companions = acm_companions(lat, _B, is_initialized_acm(lat, _B, facts),

@@ -30,9 +30,7 @@ from ..errors import MalformedScriptError, WorkbenchError
 from ..invariants import (BundleInvariants, brill_noether, chi_bundle,
                           chi_line, genus_of, hodge_lower)
 from ..lattice import DivClass, Lattice
-from .constraints import check_rel
-
-RELATIONS = ("=", "<=", "<", ">=", ">")
+from .constraints import _is_rel, check_rel
 
 Expr = Any  # int, or a dict {"op": str, ...}
 
@@ -237,7 +235,7 @@ class ArithClaim:
     kind = "arith"
 
     def __post_init__(self):
-        if self.rel not in RELATIONS:
+        if not _is_rel(self.rel):
             raise MalformedScriptError(f"unknown relation {self.rel!r}")
 
 

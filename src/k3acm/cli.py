@@ -16,8 +16,7 @@ import re
 import sys
 
 from .casework import (MODES, PRESET_IDS, PRESET_PRESENTATION,
-                       QUARTIC_PRESENTATIONS, elimination_to_json,
-                       engine_assumptions, enumerate_case,
+                       elimination_to_json, engine_assumptions, enumerate_case,
                        enumerate_destabilizing, lemma_case, necessity_to_json,
                        report_to_json, run_script, script_by_tag,
                        verify_necessity)
@@ -29,9 +28,17 @@ from .errors import (BadParametersError, BoxTooSmallError, EngineError,
 from .lattice import DivClass, Lattice
 
 
+# the text of a class argument: comma-separated ASCII integers
+_CLASS_TEXT = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
+
+
 def _parse_class(text: str, lat: Lattice) -> DivClass:
-    """Comma-separated basis coefficients in config label order."""
+    """Comma-separated basis coefficients in config label order, as
+    _CLASS_TEXT spells them (int() alone takes spaces, '_' and non-ASCII
+    digits; it still refuses a coordinate past Python's digit limit)."""
     try:
+        if not _CLASS_TEXT.fullmatch(text):
+            raise ValueError(text)
         coords = [int(part) for part in text.split(",")]
     except ValueError:
         raise BadParametersError(
@@ -149,7 +156,7 @@ def _cmd_enumerate(args) -> int:
     spec = lemma_case(args.preset, box=args.box)
     if args.config is not None:
         lat, _ = load_config(args.config)
-        want = QUARTIC_PRESENTATIONS[PRESET_PRESENTATION[args.preset]]
+        want = PRESET_PRESENTATION[args.preset]
         have = (lat.rank == 2 and lat.gram[0][0] == 4
                 and (lat.gram[1][1], lat.gram[0][1]) == want)
         if not have:
@@ -325,10 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("example-delpezzo", _cmd_example_delpezzo,
         "verify the rank-8 double-cover lattice identities")
     return parser
-
-
-# the text of a class argument: comma-separated integers
-_CLASS_TEXT = re.compile(r"-?\d+(,-?\d+)*")
 
 
 def _join_class_values(argv: list[str]) -> list[str]:

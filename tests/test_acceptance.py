@@ -15,7 +15,7 @@ from k3acm import (Assumption, AssumptionKind, BundleInvariants, DivClass,
                    Lattice, NotEffectiveCandidateError, chern_twist,
                    chi_bundle, chi_line, genus_of, is_initialized_acm,
                    lm_invariants, twist_chi)
-from k3acm.casework import (PRESET_IDS, CaseSpec, Constraint, ConstraintKind,
+from k3acm.casework import (PRESET_IDS, CaseSpec, Constraint,
                             builtin_scripts, delpezzo_lattice,
                             delpezzo_pencil_f, delpezzo_pencil_fj,
                             enumerate_case, lemma_case, quartic_lattice,
@@ -213,39 +213,33 @@ def test_criterion_6_property_suites():
            ">=": operator.ge, ">": operator.gt}
 
     def oracle_holds(con, s, t):
-        p = con.payload
-        if con.kind is ConstraintKind.LINEAR:
-            a, b, rel, c = p
-            return ops[rel](a * s + b * t, c)
-        if con.kind is ConstraintKind.QUADRATIC:
-            qss, qst, qtt, a, b, rel, c = p
-            return ops[rel](qss * s * s + qst * s * t + qtt * t * t
-                            + a * s + b * t, c)
-        if con.kind is ConstraintKind.HODGE_LOWER:
-            a, b, c2min, d2 = p
-            m = 1
-            while m * m < c2min * d2:
-                m += 1
-            return a * s + b * t >= m
-        return abs(t) >= p[0]
+        qss, qst, qtt, a, b = con.coeffs
+        return ops[con.rel](qss * s * s + qst * s * t + qtt * t * t
+                            + a * s + b * t, con.c)
+
+    def ceil_sqrt(n):
+        m = 1
+        while m * m < n:
+            m += 1
+        return m
 
     def random_constraint():
         roll = rng.randrange(4)
         if roll == 0:
-            return Constraint(ConstraintKind.LINEAR,
-                              (rng.randint(-3, 3), rng.randint(-3, 3),
-                               rng.choice(list(ops)), rng.randint(-10, 10)))
+            return Constraint((0, 0, 0, rng.randint(-3, 3), rng.randint(-3, 3)),
+                              rng.choice(list(ops)), rng.randint(-10, 10))
         if roll == 1:
-            return Constraint(ConstraintKind.QUADRATIC,
-                              (rng.randint(-2, 2), rng.randint(-2, 2),
+            return Constraint((rng.randint(-2, 2), rng.randint(-2, 2),
                                rng.randint(-2, 2), rng.randint(-2, 2),
-                               rng.randint(-2, 2), rng.choice(list(ops)),
-                               rng.randint(-20, 40)))
+                               rng.randint(-2, 2)), rng.choice(list(ops)),
+                              rng.randint(-20, 40))
         if roll == 2:
-            return Constraint(ConstraintKind.HODGE_LOWER,
-                              (rng.randint(-3, 3), rng.randint(-3, 3),
-                               rng.randint(1, 9), rng.randint(1, 6)))
-        return Constraint(ConstraintKind.ABS_T_AT_LEAST, (rng.randint(0, 4),))
+            # a*s + b*t >= the Hodge floor for C^2 >= c2min, D^2 = d2
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            floor = ceil_sqrt(rng.randint(1, 9) * rng.randint(1, 6))
+            return Constraint((0, 0, 0, a, b), ">=", floor)
+        # |t| >= n as t^2 >= n^2
+        return Constraint((0, 0, 1, 0, 0), ">=", rng.randint(0, 4) ** 2)
 
     lat2 = quartic_lattice(-2, 1)
     box = 16

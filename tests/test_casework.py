@@ -1,16 +1,18 @@
 """Constraint systems: the five preset enumerations and a brute-force oracle."""
 
-import math
+import operator
 import random
+import sys
 import time
 
 import pytest
 
-from k3acm import BadParametersError, BoxTooSmallError, DivClass
-from k3acm.casework import (CaseSpec, Constraint, ConstraintKind, PRESET_IDS,
+from k3acm import (BadParametersError, BoxTooSmallError, MalformedScriptError,
+                   invariants)
+from k3acm.casework import (ArithClaim, CaseSpec, Constraint, PRESET_IDS,
                             abs_t_at_least, check_rel, enumerate_case,
-                            hodge_lower_bound, lemma51_presets, lemma_case,
-                            linear, quadratic, quartic_lattice)
+                            lemma51_presets, lemma_case, linear, quadratic,
+                            quartic_lattice)
 from k3acm.casework.constraints import s_range
 
 EXPECTED = {
@@ -33,21 +35,34 @@ def test_check_rel():
         check_rel("!=", 1, 2)
 
 
+def test_an_unhashable_relation_is_refused():
+    with pytest.raises(BadParametersError, match="unknown relation"):
+        linear(1, 1, ["<="], 0)
+    with pytest.raises(BadParametersError, match="unknown relation"):
+        check_rel(["<="], 1, 2)
+    with pytest.raises(MalformedScriptError, match="unknown relation"):
+        ArithClaim("unhashable", 1, ["<="], 2)
+
+
 def test_constraint_kinds():
     assert linear(2, 3, "<=", 12).holds(3, 2)
     assert not linear(2, 3, "<=", 12).holds(4, 2)
     q = quadratic(1, 0, 1, 0, 0, "=", 25)
     assert q.holds(3, 4) and q.holds(5, 0) and not q.holds(3, 3)
-    lat = quartic_lattice(-2, 3)
-    hodge = hodge_lower_bound(lat, DivClass((1, 0)), DivClass((0, 1)),
-                              target=DivClass((2, -1)), c2min=8)
-    # (s h + t B).(2h - B) = 5s + 8t must reach ceil(sqrt(8 * 2)) = 4
+    # on <h, B> with B^2 = -2, h.B = 3: (s h + t B).(2h - B) = 5s + 8t
+    # must reach ceil(sqrt(8 * 2)) = 4
+    hodge = linear(5, 8, ">=", 4)
     assert hodge.holds(4, -2)
     assert not hodge.holds(0, 0)
     assert abs_t_at_least(2).holds(0, -2)
     assert not abs_t_at_least(2).holds(0, 1)
+    for n in range(-3, 4):
+        assert all(abs_t_at_least(n).holds(0, t) == (abs(t) >= n)
+                   for t in range(-5, 6)), n
     with pytest.raises(BadParametersError):
         linear(1, 1, "~", 0)
+    with pytest.raises(BadParametersError):
+        abs_t_at_least("3")
 
 
 @pytest.mark.parametrize("box", [8, 257, "32", 32.5, 64.0],
@@ -90,36 +105,34 @@ def test_lemma51_presets_cover_the_five_cases():
     assert tags == list(PRESET_IDS)
 
 
-def test_the_presets_use_every_constraint_kind_and_no_other():
-    kinds = {con.kind for spec in lemma51_presets()
-             for con in spec.constraints}
-    assert kinds == set(ConstraintKind)
-    assert len(ConstraintKind) == 4
-
-
 def test_unknown_preset_id():
     with pytest.raises(BadParametersError):
         lemma_case("no-such-case")
 
 
+_OPS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
+        ">=": operator.ge, ">": operator.gt}
+
+
 def _oracle_holds(con: Constraint, s: int, t: int) -> bool:
-    """Re-evaluate a constraint from its payload, independently of holds()."""
-    p = con.payload
-    if con.kind is ConstraintKind.LINEAR:
-        a, b, rel, c = p
-        value, bound = a * s + b * t, c
-    elif con.kind is ConstraintKind.QUADRATIC:
-        qss, qst, qtt, a, b, rel, c = p
-        value = qss * s * s + qst * s * t + qtt * t * t + a * s + b * t
-        bound = c
-    elif con.kind is ConstraintKind.HODGE_LOWER:
-        a, b, c2min, d2 = p
-        value, rel = a * s + b * t, ">="
-        bound = math.ceil(math.sqrt(c2min * d2))
-    elif con.kind is ConstraintKind.ABS_T_AT_LEAST:
-        value, rel, bound = abs(t), ">=", p[0]
-    return {"<=": value <= bound, "<": value < bound, "=": value == bound,
-            ">=": value >= bound, ">": value > bound}[rel]
+    """Re-evaluate a constraint from its coefficients, independently of
+    holds()."""
+    qss, qst, qtt, a, b = con.coeffs
+    value = qss * s * s + qst * s * t + qtt * t * t + a * s + b * t
+    return _OPS[con.rel](value, con.c)
+
+
+def _ceil_sqrt(n: int) -> int:
+    """The least m >= 0 with m^2 >= n, by counting."""
+    m = 0
+    while m * m < n:
+        m += 1
+    return m
+
+
+def _hodge_row(a: int, b: int, c2min: int, d2: int) -> Constraint:
+    """a*s + b*t >= the Hodge index floor for C^2 >= c2min, D^2 = d2."""
+    return linear(a, b, ">=", _ceil_sqrt(c2min * d2))
 
 
 def _random_spec(rng: random.Random) -> CaseSpec:
@@ -137,9 +150,8 @@ def _random_spec(rng: random.Random) -> CaseSpec:
                                   rng.choice(["<=", ">="]),
                                   rng.randint(-6, 6)))
         elif kind == 2:
-            cons.append(Constraint(ConstraintKind.HODGE_LOWER,
-                                   (rng.randint(-2, 2), rng.randint(-2, 2),
-                                    rng.randint(1, 6), rng.randint(1, 6))))
+            cons.append(_hodge_row(rng.randint(-2, 2), rng.randint(-2, 2),
+                                   rng.randint(1, 6), rng.randint(1, 6)))
         else:
             cons.append(abs_t_at_least(rng.randint(0, 3)))
     return CaseSpec(lattice=quartic_lattice(-2, 1),
@@ -235,9 +247,8 @@ def _solver_edge_spec(rng: random.Random, hits: dict) -> CaseSpec:
                                rng.randint(-1, 1)))
             hits["constant"] += 1
         else:
-            cons.append(Constraint(ConstraintKind.HODGE_LOWER,
-                                   (rng.randint(-2, 2), rng.randint(-3, 3),
-                                    rng.randint(1, 6), rng.randint(1, 6))))
+            cons.append(_hodge_row(rng.randint(-2, 2), rng.randint(-3, 3),
+                                   rng.randint(1, 6), rng.randint(1, 6)))
             hits["hodge"] += 1
     if rng.random() < 0.6:
         # a disc inside the box, so the comparison reaches the interior
@@ -352,32 +363,42 @@ def test_preset_s_ranges_do_not_depend_on_the_box():
         assert all(s in columns for s, _ in EXPECTED[pid]), (pid, columns)
 
 
+def _with(bad):
+    """The constraints of a spec: a first constraint and then bad."""
+    return lambda first: (first, bad())
+
+
 @pytest.mark.parametrize("bad", [
-    Constraint(ConstraintKind.LINEAR, (1, 1, "!=", 0)),
-    Constraint(ConstraintKind.QUADRATIC, (1, 0, 1, 0, 0, "~", 4)),
-    Constraint("Custom", ("congruence", 1, 1, 0, 2, 1)),
-    Constraint(ConstraintKind.HODGE_LOWER, (1, 1, 0, 2)),
-    Constraint(ConstraintKind.HODGE_LOWER, (1, 1, 4, -2)),
-    Constraint(ConstraintKind.LINEAR, (1, 2, "<=")),
-    Constraint(ConstraintKind.HODGE_LOWER, (1, 1, 4)),
-    Constraint(ConstraintKind.ABS_T_AT_LEAST, (2, 3)),
-    Constraint(ConstraintKind.LINEAR, (1, 0.5, "<=", 3)),
-    Constraint(ConstraintKind.LINEAR, (True, 0, ">=", 15)),
-    Constraint(ConstraintKind.LINEAR, None),
-    Constraint(ConstraintKind.ABS_T_AT_LEAST, 5),
+    _with(lambda: Constraint((0, 0, 0, 1, 1), "!=", 0)),
+    _with(lambda: Constraint((1, 0, 1, 0, 0), "~", 4)),
+    _with(lambda: Constraint(("congruence", 1, 1, 0, 2), "=", 1)),
+    _with(lambda: linear(1, 1, ">=", invariants.hodge_lower(0, 2))),
+    _with(lambda: linear(1, 1, ">=", invariants.hodge_lower(4, -2))),
+    _with(lambda: Constraint((1, 2), "<=", 0)),
+    _with(lambda: Constraint((0, 0, 1, 1), ">=", 4)),
+    _with(lambda: Constraint((0, 0, 1, 0, 0, 3), ">=", 4)),
+    _with(lambda: Constraint((0, 0, 0, 1, 0.5), "<=", 3)),
+    _with(lambda: Constraint((0, 0, 0, True, 0), ">=", 15)),
+    _with(lambda: Constraint(None, ">=", 0)),
+    _with(lambda: Constraint(5, ">=", 0)),
+    lambda first: (first, None),
+    lambda first: 5,
 ], ids=["linear-relation", "quadratic-relation", "custom-kind",
         "hodge-c2min", "hodge-d2", "linear-short", "hodge-short",
         "abs-t-long", "linear-float", "linear-bool", "none-payload",
-        "int-payload"])
+        "int-payload", "none-constraint", "int-constraints"])
 def test_bad_hand_built_constraint_is_bad_input(bad, capsys, monkeypatch):
     from k3acm import cli
+
+    def spec(first):
+        return CaseSpec(lattice=quartic_lattice(-2, 1),
+                        constraints=bad(first), box=16)
+
     # whether or not another constraint already empties the box
     for first in (linear(1, 0, ">=", 0), linear(0, 0, ">", 0)):
-        spec = CaseSpec(lattice=quartic_lattice(-2, 1),
-                        constraints=(first, bad), box=16)
         with pytest.raises(BadParametersError):
-            enumerate_case(spec)
-    monkeypatch.setattr(cli, "lemma_case", lambda pid, box: spec)
+            enumerate_case(spec(first))
+    monkeypatch.setattr(cli, "lemma_case", lambda pid, box: spec(first))
     assert cli.main(["enumerate", "--preset", "i-a"]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Traceback" not in err and not out
@@ -400,6 +421,28 @@ def test_preset_work_does_not_depend_on_the_box(monkeypatch):
             assert enumerate_case(lemma_case(pid, box=box)) == EXPECTED[pid]
             counts.append(calls)
         assert counts[0] == counts[1] <= 50, (pid, counts)
+
+
+def test_preset_enumeration_computes_no_hodge_floor(monkeypatch):
+    # the Hodge floors are integers in the preset rows, computed when the
+    # preset is built, not while its region is scanned
+    calls = 0
+    hodge_lower = invariants.hodge_lower
+
+    def counted(c2min, d2):
+        nonlocal calls
+        calls += 1
+        return hodge_lower(c2min, d2)
+
+    specs = [lemma_case(pid, box=box) for pid in PRESET_IDS
+             for box in (16, 256)]
+    for name, module in list(sys.modules.items()):
+        if name.startswith("k3acm") and getattr(
+                module, "hodge_lower", None) is hodge_lower:
+            monkeypatch.setattr(module, "hodge_lower", counted)
+    for spec in specs:
+        assert enumerate_case(spec) == EXPECTED[spec.tag]
+    assert calls == 0
 
 
 def test_presets_run_fast_at_the_largest_box():

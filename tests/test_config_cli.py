@@ -207,6 +207,21 @@ def test_cli_class_with_a_negative_first_coordinate(capsys):
             assert code == 2 and "error:" in err, (command, bad)
 
 
+@pytest.mark.parametrize("args", [
+    ["--class", "0_0,1"], ["--class= 0, 1"], ["--class", "0,1 "],
+    ["--class", "\u0660,\u0661"], ["--class", "-\u0661,\u0662"],
+    ["--class=-\u0661,\u0662"], ["--class", "+0,1"],
+], ids=["underscore", "spaces", "trailing-space", "arabic-indic",
+        "arabic-indic-negative", "arabic-indic-joined", "plus-sign"])
+def test_cli_class_text_is_comma_separated_ascii_integers(capsys, args):
+    cfg = str(data_path("quartic_b2neg2_bh3.json"))
+    code, out, err = _run(capsys, "classify", "-c", cfg, *args)
+    assert code == 2 and "error:" in err and not out, (code, out, err)
+    for good in (["--class", "-1,2"], ["--class=-1,2"]):
+        code, out, _ = _run(capsys, "classify", "-c", cfg, *good)
+        assert code == 0 and out.startswith("NotAcm"), (good, out)
+
+
 def test_cli_companions(capsys):
     cfg = str(data_path("quartic_b2neg2_bh1.json"))
     code, out, _ = _run(capsys, "companions", "-c", cfg, "--class", "0,1",

@@ -7,44 +7,54 @@ from pathlib import Path
 from k3acm import AXIOMS
 from k3acm.casework import PRESET_IDS, lemma_case
 
-# (kind, payload, axiom_id) of every constraint, written out literally so
+
+def _ceil_sqrt(n: int) -> int:
+    """The least m >= 0 with m^2 >= n, by counting."""
+    m = 0
+    while m * m < n:
+        m += 1
+    return m
+
+
+# (coeffs, rel, c, axiom_id) of every constraint, written out literally so
 # that a drift in the derived rule fails here even when the solution sets
-# of the presets do not move
+# of the presets do not move.  A Hodge floor a*s + b*t >= ceil(sqrt(4 P^2))
+# is ((0, 0, 0, a, b), ">=", _ceil_sqrt(4 * P^2)); |t| >= 2 is t^2 >= 2^2.
 HAND_WRITTEN = {
     "i-a": [
-        ("QuadraticIneq", (4, 2, -2, 0, 0, ">=", 4), ""),
-        ("LinearIneq", (4, 1, "<=", 12), "AX-SECTIONS-BOUND"),
-        ("LinearIneq", (1, -2, ">=", 0), "AX-NEF-BPF"),
-        ("LinearIneq", (3, 3, ">=", 1), "AX-HODGE-INDEX"),
-        ("AbsTAtLeast", (2,), ""),
+        ((4, 2, -2, 0, 0), ">=", 4, ""),
+        ((0, 0, 0, 4, 1), "<=", 12, "AX-SECTIONS-BOUND"),
+        ((0, 0, 0, 1, -2), ">=", 0, "AX-NEF-BPF"),
+        ((0, 0, 0, 3, 3), ">=", 1, "AX-HODGE-INDEX"),
+        ((0, 0, 1, 0, 0), ">=", 2 ** 2, ""),
     ],
     "i-b": [
-        ("QuadraticIneq", (4, 4, -2, 0, 0, ">=", 4), ""),
-        ("LinearIneq", (4, 2, "<=", 12), "AX-SECTIONS-BOUND"),
-        ("LinearIneq", (2, -2, ">=", 0), "AX-NEF-BPF"),
-        ("LinearIneq", (2, 4, ">=", 0), "AX-NEF-BPF"),
-        ("AbsTAtLeast", (2,), ""),
+        ((4, 4, -2, 0, 0), ">=", 4, ""),
+        ((0, 0, 0, 4, 2), "<=", 12, "AX-SECTIONS-BOUND"),
+        ((0, 0, 0, 2, -2), ">=", 0, "AX-NEF-BPF"),
+        ((0, 0, 0, 2, 4), ">=", 0, "AX-NEF-BPF"),
+        ((0, 0, 1, 0, 0), ">=", 2 ** 2, ""),
     ],
     "i-c": [
-        ("QuadraticIneq", (4, 6, -2, 0, 0, ">=", 4), ""),
-        ("LinearIneq", (4, 3, "<=", 12), "AX-SECTIONS-BOUND"),
-        ("LinearIneq", (3, -2, ">=", 0), "AX-NEF-BPF"),
-        ("HodgeLower", (5, 8, 4, 2), "AX-HODGE-INDEX"),
-        ("AbsTAtLeast", (2,), ""),
+        ((4, 6, -2, 0, 0), ">=", 4, ""),
+        ((0, 0, 0, 4, 3), "<=", 12, "AX-SECTIONS-BOUND"),
+        ((0, 0, 0, 3, -2), ">=", 0, "AX-NEF-BPF"),
+        ((0, 0, 0, 5, 8), ">=", _ceil_sqrt(4 * 2), "AX-HODGE-INDEX"),
+        ((0, 0, 1, 0, 0), ">=", 2 ** 2, ""),
     ],
     "ii": [
-        ("QuadraticIneq", (4, 8, 0, 0, 0, ">=", 4), ""),
-        ("LinearIneq", (4, 4, "<=", 12), "AX-SECTIONS-BOUND"),
-        ("LinearIneq", (4, 0, ">=", 1), "AX-HODGE-INDEX"),
-        ("LinearIneq", (4, 8, ">=", 1), "AX-HODGE-INDEX"),
-        ("AbsTAtLeast", (2,), ""),
+        ((4, 8, 0, 0, 0), ">=", 4, ""),
+        ((0, 0, 0, 4, 4), "<=", 12, "AX-SECTIONS-BOUND"),
+        ((0, 0, 0, 4, 0), ">=", 1, "AX-HODGE-INDEX"),
+        ((0, 0, 0, 4, 8), ">=", 1, "AX-HODGE-INDEX"),
+        ((0, 0, 1, 0, 0), ">=", 2 ** 2, ""),
     ],
     "iii": [
-        ("QuadraticIneq", (4, 12, 4, 0, 0, ">=", 4), ""),
-        ("LinearIneq", (4, 6, "<=", 12), "AX-SECTIONS-BOUND"),
-        ("HodgeLower", (6, 4, 4, 4), "AX-HODGE-INDEX"),
-        ("HodgeLower", (6, 14, 4, 4), "AX-HODGE-INDEX"),
-        ("AbsTAtLeast", (2,), ""),
+        ((4, 12, 4, 0, 0), ">=", 4, ""),
+        ((0, 0, 0, 4, 6), "<=", 12, "AX-SECTIONS-BOUND"),
+        ((0, 0, 0, 6, 4), ">=", _ceil_sqrt(4 * 4), "AX-HODGE-INDEX"),
+        ((0, 0, 0, 6, 14), ">=", _ceil_sqrt(4 * 4), "AX-HODGE-INDEX"),
+        ((0, 0, 1, 0, 0), ">=", 2 ** 2, ""),
     ],
 }
 
@@ -52,7 +62,7 @@ HAND_WRITTEN = {
 def test_presets_match_the_hand_written_systems():
     assert set(HAND_WRITTEN) == set(PRESET_IDS)
     for pid in PRESET_IDS:
-        got = [(c.kind.value, c.payload, c.axiom_id)
+        got = [(c.coeffs, c.rel, c.c, c.axiom_id)
                for c in lemma_case(pid).constraints]
         assert got == HAND_WRITTEN[pid], pid
         assert all(c.cite for c in lemma_case(pid).constraints), pid
