@@ -16,13 +16,23 @@ named fact: the "P and not P" shape) or in an Established statement.
 Expressions are JSON values (ints or {"op": ...} dicts), so scripts and
 reports serialize losslessly.  Because claims recompute from the gram
 matrix at run time, corrupting any lattice entry makes claims fail.
+
+``evaluate`` interprets an expression in one pass.  ``run_script`` instead
+reads each claim's two sides once, at the claim's first replay, into
+closures over the lattice (``ArithClaim.compiled``) that give the same
+integers and raise the same errors; every replay still runs every claim's
+arithmetic on the lattice it is given.  Since a claim's expressions are
+read only once, a claim is never edited in place: to change one, go
+through ``script_to_json`` and ``script_from_json``.
 """
 
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from functools import cached_property
+from typing import Any, Callable, NamedTuple, Sequence
 
 from ..axioms import is_registered
 from ..config import _is_int
@@ -33,6 +43,7 @@ from ..lattice import DivClass, Lattice
 from .constraints import _is_rel, check_rel
 
 Expr = Any  # int, or a dict {"op": str, ...}
+Compiled = Callable[[Lattice], int]
 
 
 def _coords(value) -> Sequence[int]:
@@ -102,11 +113,16 @@ def _deg(e: dict, lat: Lattice) -> int:
     return lat.pair_coords(lat.ample.coords, _coords(e["a"]))
 
 
-def _chi_bundle(e: dict, lat: Lattice) -> int:
-    """chi of a rank-2 bundle; the JSON key "rank" must be the int 2."""
+def _check_rank_two(e: dict) -> None:
+    """The JSON key "rank" of a chi_bundle expression must be the int 2."""
     rank = e["rank"]
     if not _is_int(rank) or rank != 2:
         raise MalformedScriptError(f"'rank' must be the int 2, got {rank!r}")
+
+
+def _chi_bundle(e: dict, lat: Lattice) -> int:
+    """chi of a rank-2 bundle."""
+    _check_rank_two(e)
     inv = BundleInvariants(2, DivClass(_coords(e["c1"])),
                            evaluate(e["c2"], lat))
     return chi_bundle(inv, lat)
@@ -151,6 +167,184 @@ _OPS: dict[str, Callable[[dict, Lattice], int]] = {
                                    for i in range(lat.rank)),
     "sig_pos": lambda e, lat: lat.signature()[0],
     "sig_neg": lambda e, lat: lat.signature()[1],
+}
+
+
+# ---- compiled replay -----------------------------------------------------------
+#
+# _compile reads an expression once into a closure Lattice -> int that gives
+# what evaluate gives on every lattice: the same int, or the same exception
+# class and text, raised in the same order.  A node that cannot be read
+# compiles to a closure raising evaluate's error for it, so replay reaches
+# that error at the node's own place in the tree, after any runtime error
+# (an odd square, a rank mismatch) of the nodes evaluate visits first.  A
+# node's own keys and coordinates are read before any of its subexpressions,
+# so they are all read at compile time.
+
+def _raising(message: str) -> Compiled:
+    def run(lat: Lattice) -> int:
+        raise MalformedScriptError(message)
+    return run
+
+
+def _compile(expr: Expr) -> Compiled:
+    if isinstance(expr, int):
+        if isinstance(expr, bool):
+            return _raising("boolean is not a valid expression")
+        return lambda lat: expr
+    if isinstance(expr, _Missing):
+        return _raising(expr.message)
+    if not isinstance(expr, dict) or "op" not in expr:
+        return _raising(f"bad expression: {expr!r}")
+    op = expr["op"]
+    try:
+        compiler = _COMPILERS[op]
+    except (KeyError, TypeError):
+        return _raising(f"unknown expression op {op!r}")
+    # compilers read this node's keys directly; a missing subexpression key
+    # is a _Missing from _child, compiled at that subexpression's place
+    try:
+        return compiler(expr)
+    except KeyError as exc:
+        return _raising(f"{op!r} expression has no key {exc}")
+    except MalformedScriptError as exc:
+        return _raising(str(exc))
+
+
+class _Missing(NamedTuple):
+    """evaluate's message for a subexpression key an expression lacks."""
+    message: str
+
+
+def _child(e: dict, key: str) -> Expr:
+    """e[key], or a _Missing for _compile to raise.  Compilers call
+    _compile(_child(e, key)), so a level of nesting costs the stack the
+    two frames it costs evaluate, and a claim evaluate reaches replays."""
+    if key in e:
+        return e[key]
+    return _Missing(f"{e['op']!r} expression has no key {key!r}")
+
+
+def _pairing(x: Sequence[int], y: Sequence[int]) -> Compiled:
+    """x.y with the arithmetic of Lattice.pair_coords, which is left to
+    raise the rank mismatch."""
+    x, y = tuple(x), tuple(y)
+    terms = tuple((i, a) for i, a in enumerate(x) if a)
+
+    def run(lat: Lattice) -> int:
+        gram = lat.gram
+        if len(x) != len(gram) or len(y) != len(gram):
+            return lat.pair_coords(x, y)
+        total = 0
+        for i, a in terms:
+            total += a * sum(map(operator.mul, gram[i], y))
+        return total
+    return run
+
+
+def _degree(x: Sequence[int]) -> Compiled:
+    """h.x for the lattice's ample class h, read as x.h (the Gram matrix is
+    symmetric); Lattice.pair_coords is left to raise the rank mismatch."""
+    x = tuple(x)
+    terms = tuple((i, a) for i, a in enumerate(x) if a)
+
+    def run(lat: Lattice) -> int:
+        gram = lat.gram
+        if len(x) != len(gram):
+            return lat.pair_coords(lat.ample.coords, x)
+        ample = lat.ample.coords
+        total = 0
+        for i, a in terms:
+            total += a * sum(map(operator.mul, gram[i], ample))
+        return total
+    return run
+
+
+def _compile_self(e: dict) -> Compiled:
+    a = _coords(e["a"])
+    return _pairing(a, a)
+
+
+def _compile_genus(e: dict) -> Compiled:
+    square = _compile_self(e)
+    return lambda lat: genus_of(square(lat))
+
+
+def _compile_chi_bundle(e: dict) -> Compiled:
+    _check_rank_two(e)
+    c1 = DivClass(_coords(e["c1"]))
+    c2 = _compile(_child(e, "c2"))
+    return lambda lat: chi_bundle(BundleInvariants(2, c1, c2(lat)), lat)
+
+
+def _compile_c2_twist(e: dict) -> Compiled:
+    c1, by = _coords(e["c1"]), _coords(e["by"])
+    c2, cross, square = (_compile(_child(e, "c2")), _pairing(c1, by),
+                         _pairing(by, by))
+    return lambda lat: c2(lat) + cross(lat) + square(lat)
+
+
+def _compile_add(e: dict) -> Compiled:
+    parts = tuple(map(_compile, _args(e)))
+
+    def run(lat: Lattice) -> int:
+        total = 0
+        for part in parts:
+            total += part(lat)
+        return total
+    return run
+
+
+def _compile_mul(e: dict) -> Compiled:
+    parts = tuple(map(_compile, _args(e)))
+
+    def run(lat: Lattice) -> int:
+        total = 1
+        for part in parts:
+            total *= part(lat)
+        return total
+    return run
+
+
+def _applied(fn: Callable[..., int], *keys: str):
+    """The compiler of an op that is fn of its subexpressions, in key order."""
+    def compile_op(e: dict) -> Compiled:
+        subs = tuple(map(_compile, [_child(e, key) for key in keys]))
+        if len(subs) == 1:
+            (x,) = subs
+            return lambda lat: fn(x(lat))
+        if len(subs) == 2:
+            x, y = subs
+            return lambda lat: fn(x(lat), y(lat))
+        x, y, z = subs
+        return lambda lat: fn(x(lat), y(lat), z(lat))
+    return compile_op
+
+
+def _whole_lattice(e: dict) -> Compiled:
+    """An op that reads no key replays through evaluate's own handler."""
+    handler = _OPS[e["op"]]
+    return lambda lat: handler(e, lat)
+
+
+_COMPILERS: dict[str, Callable[[dict], Compiled]] = {
+    "pair": lambda e: _pairing(_coords(e["a"]), _coords(e["b"])),
+    "self": _compile_self,
+    "deg": lambda e: _degree(_coords(e["a"])),
+    "genus": _compile_genus,
+    "chi_of": _applied(chi_line, "sq"),
+    "chi_bundle": _compile_chi_bundle,
+    "c2_twist": _compile_c2_twist,
+    "brill_noether": _applied(brill_noether, "g", "r", "d"),
+    "hodge_lower": _applied(hodge_lower, "a", "b"),
+    "minimax": _applied(_minimax, "p", "q"),
+    "add": _compile_add,
+    "mul": _compile_mul,
+    "sub": _applied(operator.sub, "x", "y"),
+    "neg": _applied(operator.neg, "x"),
+    "odd_diag": _whole_lattice,
+    "sig_pos": _whole_lattice,
+    "sig_neg": _whole_lattice,
 }
 
 
@@ -223,6 +417,11 @@ class ArithClaim:
     ``contradicts``: when set, the claim is asserting something that the
     named fact forbids -- the verified claim plus the cited fact form the
     final "P and not P" of a contradiction script.
+
+    The two sides are read into ``compiled`` at the claim's first replay
+    and reused by every later one, on whatever lattice it runs against; so
+    never edit a claim's expression dicts in place -- to change a claim, go
+    through ``script_to_json`` and ``script_from_json``.
     """
 
     label: str
@@ -237,6 +436,12 @@ class ArithClaim:
     def __post_init__(self):
         if not _is_rel(self.rel):
             raise MalformedScriptError(f"unknown relation {self.rel!r}")
+
+    @cached_property
+    def compiled(self) -> tuple[Compiled, Compiled]:
+        """(lhs, rhs) as closures over the lattice; not a dataclass field,
+        so equality, repr and JSON see only the expressions."""
+        return _compile(self.lhs), _compile(self.rhs)
 
 
 @dataclass(frozen=True)
@@ -300,8 +505,7 @@ class DerivationScript:
 
 # ---- running -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     index: int
     kind: str
     label: str
@@ -329,12 +533,14 @@ class DerivationReport:
 def run_script(script: DerivationScript) -> DerivationReport:
     """Re-check every arithmetic claim of a script against its lattice.
 
-    Evaluation errors (odd squares after a corrupted gram entry, bad
-    expressions, expressions nested past the recursion limit) count as
-    FAILED steps, never escape as exceptions.
+    Each claim replays through its compiled sides, which give what
+    ``evaluate`` gives.  Evaluation errors (odd squares after a corrupted
+    gram entry, bad expressions, expressions nested past the recursion
+    limit) count as FAILED steps, never escape as exceptions.
     Success requires zero FAILED steps; a contradiction conclusion
     additionally requires its final flagged claim to have verified.
     """
+    lat = script.lattice
     reports: list[StepReport] = []
     failed: list[int] = []
     for i, st in enumerate(script.steps):
@@ -342,8 +548,9 @@ def run_script(script: DerivationScript) -> DerivationReport:
             reports.append(StepReport(i, "axiom", st.axiom_id, "AxiomUsed", st.note))
             continue
         try:
-            lhs = evaluate(st.lhs, script.lattice)
-            rhs = evaluate(st.rhs, script.lattice)
+            lhs_of, rhs_of = st.compiled
+            lhs = lhs_of(lat)
+            rhs = rhs_of(lat)
         except (WorkbenchError, RecursionError) as exc:
             failed.append(i)
             reports.append(StepReport(i, "arith", st.label, "FAILED",

@@ -207,6 +207,10 @@ def _cmd_verify(args) -> int:
     script = script_by_tag(args.script)
     if args.config is not None:
         lat, _ = load_config(args.config)
+        if lat.rank != script.lattice.rank:
+            raise BadParametersError(
+                f"config lattice has rank {lat.rank}, but script "
+                f"{script.tag} replays on a rank-{script.lattice.rank} lattice")
         script = script.with_lattice(lat)
     report = run_script(script)
     if not args.json:

@@ -297,6 +297,21 @@ def test_cli_verify_against_mismatched_config_fails(capsys):
     assert "VERIFICATION FAILED" in out
 
 
+@pytest.mark.parametrize("tag, config, ranks", [
+    ("delpezzo-cover", "quartic_b2_4.json", (2, 8)),
+    ("case-B24", "delpezzo_cover.json", (8, 2)),
+], ids=["rank-8-script-rank-2-config", "rank-2-script-rank-8-config"])
+def test_cli_verify_against_a_config_of_another_rank_is_bad_input(
+        capsys, tag, config, ranks):
+    for extra in ((), ("--json",)):
+        code, out, err = _run(capsys, "verify", "--script", tag,
+                              "-c", str(data_path(config)), *extra)
+        assert code == 2
+        assert not out
+        assert err.startswith("error:")
+        assert f"rank {ranks[0]}" in err and f"rank-{ranks[1]}" in err
+
+
 def test_cli_verify_unknown_tag(capsys):
     code, _, err = _run(capsys, "verify", "--script", "no-such-tag")
     assert code == 2

@@ -163,6 +163,21 @@ def test_run_script_fails_an_expression_nested_past_the_recursion_limit():
     assert "recursion" in report.steps[0].detail
 
 
+@pytest.mark.parametrize("wrap", [
+    lambda x: {"op": "neg", "x": x},
+    lambda x: {"op": "chi_bundle", "rank": 2, "c1": [0, 0], "c2": x},
+], ids=["neg", "chi_bundle"])
+def test_run_script_replays_a_deep_claim_that_evaluate_reaches(wrap):
+    deep = 1
+    for _ in range(400):
+        deep = wrap(deep)
+    value = evaluate(deep, LAT)
+    claim = ArithClaim("deep", deep, "=", value)
+    report = run_script(DerivationScript(tag="t", lattice=LAT, steps=(claim,),
+                                         conclusion=established("nothing")))
+    assert report.success, report.steps[0].detail
+
+
 def test_axiom_steps_are_recorded_not_checked():
     steps = (AxiomUse("AX-SERRE", note="duality"),
              ArithClaim("pin", 1, "=", 1, contradicts="a fact"))
@@ -524,3 +539,235 @@ def test_the_proof_uses_every_op_and_no_other():
                          for side in (cl.lhs, cl.rhs)))
     assert used == set(_OPS)
     assert len(_OPS) == 17
+
+
+# ---- the compiled sides, with evaluate as their oracle -----------------------
+
+def _outcome(fn, lat):
+    """A side's int, or the class and text of the error it raises."""
+    try:
+        return fn(lat)
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+
+
+def _builtin_claims():
+    return [(script.lattice, st) for script in builtin_scripts().values()
+            for st in script.steps if isinstance(st, ArithClaim)]
+
+
+def test_compiled_sides_match_evaluate_on_every_claim_and_mutant():
+    compared = errors = 0
+    by_lattice = {}
+    for lat, claim in _builtin_claims():
+        by_lattice.setdefault(lat, []).append(claim)
+    for lat, claims in by_lattice.items():
+        for variant in _gram_mutants(lat):
+            for claim in claims:
+                for side, compiled in zip((claim.lhs, claim.rhs),
+                                          claim.compiled):
+                    want = _outcome(lambda v: evaluate(side, v), variant)
+                    assert _outcome(compiled, variant) == want, claim.label
+                    compared += 1
+                    errors += isinstance(want, tuple)
+    assert any(lat.rank == 8 for lat in by_lattice)
+    assert compared > 5000 and errors >= 10, (compared, errors)
+
+
+_LEAF_OPS = ("pair", "self", "deg", "genus", "odd_diag", "sig_pos", "sig_neg")
+# op -> its subexpression keys
+_NODE_OPS = {"chi_of": ("sq",), "chi_bundle": ("c2",), "c2_twist": ("c2",),
+             "brill_noether": ("g", "r", "d"), "hodge_lower": ("a", "b"),
+             "minimax": ("p", "q"), "sub": ("x", "y"), "neg": ("x",)}
+
+
+def _random_class(rng):
+    return [rng.randint(-3, 3) for _ in range(2)]
+
+
+def _random_tree(rng, depth):
+    """A random expression over the 17 ops, on rank-2 classes."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.4:
+            return rng.randint(-9, 12)
+        op = rng.choice(_LEAF_OPS)
+        expr = {"op": op}
+        if op in ("pair", "self", "deg", "genus"):
+            expr["a"] = _random_class(rng)
+        if op == "pair":
+            expr["b"] = _random_class(rng)
+        return expr
+    op = rng.choice(sorted(_NODE_OPS) + ["add", "mul"])
+    expr = {"op": op}
+    if op in ("add", "mul"):
+        expr["args"] = [_random_tree(rng, depth - 1)
+                        for _ in range(rng.randint(0, 3))]
+        return expr
+    for key in _NODE_OPS[op]:
+        expr[key] = _random_tree(rng, depth - 1)
+    if op == "chi_bundle":
+        expr["rank"] = 2
+        expr["c1"] = _random_class(rng)
+    if op == "c2_twist":
+        expr["c1"], expr["by"] = _random_class(rng), _random_class(rng)
+    return expr
+
+
+_SUB_KEYS = {key for keys in _NODE_OPS.values() for key in keys}
+
+
+def _nodes(expr):
+    """Every subexpression below the root, as (holder, place, node): the
+    dict or args list holding it and its key or index there."""
+    if not isinstance(expr, dict):
+        return []
+    out = []
+    for key, value in expr.items():
+        if key == "args" and isinstance(value, list):
+            for i, x in enumerate(value):
+                out.append((value, i, x))
+                out += _nodes(x)
+        elif isinstance(value, dict) or (isinstance(value, int)
+                                         and key in _SUB_KEYS):
+            out.append((expr, key, value))
+            out += _nodes(value)
+    return out
+
+
+def _inject(rng, expr):
+    """Break one node of the tree, at a random depth, in one of seven ways."""
+    holders = _nodes(expr)
+    if not holders:
+        return expr
+    holder, where, node = rng.choice(holders)
+    kind = rng.choice(("bool", "float", "missing", "unknown", "args", "rank",
+                       "length"))
+    if kind == "bool" or not isinstance(node, dict):
+        holder[where] = True
+        return expr
+    classes = [k for k in ("a", "b", "c1", "by") if k in node]
+    if kind == "float" and classes:
+        node[rng.choice(classes)] = [1.0, 0]
+    elif kind == "length" and classes:
+        node[rng.choice(classes)] = [1, 0, 0]
+    elif kind == "missing" and len(node) > 1:
+        del node[rng.choice(sorted(set(node) - {"op"}))]
+    elif kind == "unknown":
+        node["op"] = "frobnicate"
+    elif kind == "args":
+        holder[where] = {"op": rng.choice(("add", "mul")), "args": 5}
+    elif kind == "rank":
+        holder[where] = {"op": "chi_bundle", "rank": 3, "c2": node,
+                         "c1": rng.choice(([0, 0], [1.0, 0], [1, 0, 0]))}
+    else:
+        holder[where] = {"op": "frobnicate"}
+    return expr
+
+
+def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
+    from k3acm.casework.scripts import _COMPILERS, _OPS, _compile
+    import random
+    assert set(_COMPILERS) == set(_OPS)
+    rng = random.Random(20201)
+    lattices = _gram_mutants(LAT) + [
+        quartic_lattice(4, 6),
+        Lattice([[4, 2], [2, 1]], labels="hB", ample=(1, 0)),  # degenerate
+        Lattice([[2, 1, 0], [1, -2, 0], [0, 0, -2]], labels="xyz",
+                ample=(1, 0, 0))]
+    seen, compared = set(), 0
+    for n in range(600):
+        expr = _random_tree(rng, rng.randint(1, 5))
+        for _ in range(n % 3):
+            expr = _inject(rng, expr)
+        compiled = _compile(expr)
+        for lat in lattices:
+            want = _outcome(lambda v: evaluate(expr, v), lat)
+            assert _outcome(compiled, lat) == want, json.dumps(expr)
+            seen.add(want[0] if isinstance(want, tuple) else int)
+            compared += 1
+    names = {cls.__name__ for cls in seen if cls is not int}
+    assert int in seen and {"MalformedScriptError", "OddSquareError",
+                            "DimensionMismatchError", "BadParametersError",
+                            "DegenerateFormError"} <= names, names
+    assert compared > 5000
+
+
+def _reference_replay(script):
+    """run_script as one evaluate per side and one check_rel per claim."""
+    from k3acm.casework import DerivationReport, StepReport, check_rel
+    steps, failed = [], []
+    for i, st in enumerate(script.steps):
+        if isinstance(st, AxiomUse):
+            steps.append(StepReport(i, "axiom", st.axiom_id, "AxiomUsed",
+                                    st.note))
+            continue
+        try:
+            lhs = evaluate(st.lhs, script.lattice)
+            rhs = evaluate(st.rhs, script.lattice)
+        except WorkbenchError as exc:
+            failed.append(i)
+            steps.append(StepReport(i, "arith", st.label, "FAILED",
+                                    f"evaluation error: {exc}"))
+            continue
+        if check_rel(st.rel, lhs, rhs):
+            detail = f"{lhs} {st.rel} {rhs}" + (
+                f"; impossible given {st.contradicts}" if st.contradicts else "")
+            steps.append(StepReport(i, "arith", st.label, "Verified", detail))
+        else:
+            failed.append(i)
+            steps.append(StepReport(i, "arith", st.label, "FAILED",
+                                    f"claim {lhs} {st.rel} {rhs} is false"))
+    success = not failed and (script.conclusion.kind != "contradiction"
+                              or steps[-1].status == "Verified")
+    return DerivationReport(script.tag, success, script.conclusion,
+                            tuple(steps), tuple(failed))
+
+
+def test_run_script_matches_the_evaluate_replay_on_every_mutant():
+    replays = failures = 0
+    for script in builtin_scripts().values():
+        for variant in _gram_mutants(script.lattice):
+            rebound = script.with_lattice(variant)
+            report = run_script(rebound)
+            assert report == _reference_replay(rebound), script.tag
+            assert report_to_json(report) == report_to_json(
+                _reference_replay(rebound))
+            replays += 1
+            failures += not report.success
+    assert replays >= 140 and failures > 100, (replays, failures)
+    with pytest.raises(AttributeError):
+        report.steps[0].status = "Verified"
+
+
+def test_replay_compiles_each_claim_side_once_and_never_interprets(
+        monkeypatch):
+    from k3acm.casework import scripts
+    fresh = [script_from_json(script_to_json(s))
+             for _, s in sorted(builtin_scripts().items())]
+    sides = 2 * sum(isinstance(st, ArithClaim)
+                    for s in fresh for st in s.steps)
+    roots, depth, interpreted = [], [0], []
+    compile_, evaluate_ = scripts._compile, scripts.evaluate
+
+    def counting_compile(expr):
+        if not depth[0]:
+            roots.append(expr)
+        depth[0] += 1
+        try:
+            return compile_(expr)
+        finally:
+            depth[0] -= 1
+
+    def counting_evaluate(expr, lat):
+        interpreted.append(expr)
+        return evaluate_(expr, lat)
+
+    monkeypatch.setattr(scripts, "_compile", counting_compile)
+    monkeypatch.setattr(scripts, "evaluate", counting_evaluate)
+    for script in fresh:
+        assert run_script(script).success, script.tag
+        assert run_script(script).success, script.tag
+        mutant = _gram_mutants(script.lattice)[1]
+        assert not run_script(script.with_lattice(mutant)).success, script.tag
+    assert interpreted == []
+    assert len(roots) == sides
