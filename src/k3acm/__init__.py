@@ -6,13 +6,13 @@ enumerations and step-checked derivation replays.
 Everything is integer arithmetic; there are no floats and no tolerances.
 """
 
-from .axioms import AXIOMS, axiom_statement, is_registered
+from .axioms import AXIOMS, is_registered
 from .classifier import (AcmClassification, AcmStatus, Assumption,
-                         AssumptionKind, Effectivity, PencilVerdict, Verdict,
+                         AssumptionKind, Effectivity, Verdict,
                          acm_companions, derived_assumptions, effectivity,
-                         is_elliptic_pencil_class, is_initialized_acm)
+                         is_initialized_acm)
 from .config import (assumption_from_json, assumption_to_json,
-                     config_from_json, config_to_json, data_path, dump_config,
+                     config_from_json, config_to_json, data_path,
                      load_config, loads_config, shipped_config_names,
                      shipped_quartic_names)
 from .errors import (BadDimensionsError, BadParametersError, BoxTooSmallError,
@@ -40,14 +40,13 @@ __all__ = [
     "LMInvariants", "Lattice", "MalformedScriptError",
     "NonPositiveAmpleError", "NonSymmetricError", "NotAcmInputError",
     "NotEffectiveCandidateError", "OddK3DiagonalError", "OddSquareError",
-    "PencilVerdict", "PreconditionError", "TrivialClassError",
-    "UnsupportedRankError", "Verdict", "WorkbenchError",
-    "WrongSignatureError", "acm_companions", "assumption_from_json",
-    "assumption_to_json", "axiom_statement", "brill_noether", "chern_twist",
-    "chi_bundle", "chi_line", "config_from_json", "config_to_json",
-    "data_path", "derived_assumptions", "dump_config", "effectivity",
-    "genus_of", "hodge_lower", "is_elliptic_pencil_class",
-    "is_initialized_acm", "is_registered", "lm_acm_bounds", "lm_invariants",
-    "load_config", "loads_config", "shipped_config_names",
-    "shipped_quartic_names", "twist_chi", "__version__",
+    "PreconditionError", "TrivialClassError", "UnsupportedRankError",
+    "Verdict", "WorkbenchError", "WrongSignatureError", "acm_companions",
+    "assumption_from_json", "assumption_to_json", "brill_noether",
+    "chern_twist", "chi_bundle", "chi_line", "config_from_json",
+    "config_to_json", "data_path", "derived_assumptions", "effectivity",
+    "genus_of", "hodge_lower", "is_initialized_acm", "is_registered",
+    "lm_acm_bounds", "lm_invariants", "load_config", "loads_config",
+    "shipped_config_names", "shipped_quartic_names", "twist_chi",
+    "__version__",
 ]

@@ -99,10 +99,5 @@ AXIOMS: dict[str, str] = {
 }
 
 
-def axiom_statement(axiom_id: str) -> str:
-    """Statement text for a registered axiom id (KeyError if unknown)."""
-    return AXIOMS[axiom_id]
-
-
 def is_registered(axiom_id: str) -> bool:
     return axiom_id in AXIOMS

@@ -7,29 +7,24 @@ from .destabilize import (MODES, PairElimination, elimination_to_json,
 from .casebook import builtin_scripts, script_by_tag
 from .necessity import (NecessityReport, ReductionRow, SurvivorMatch,
                         necessity_to_json, verify_necessity)
-from .presets import (PRESET_IDS, PRESET_PRESENTATION, QUARTIC_PRESENTATIONS,
-                      delpezzo_lattice, delpezzo_pencil_f, delpezzo_pencil_fj,
-                      lemma51_presets, lemma_case, quartic_lattice,
-                      ulrich_assumptions)
+from .presets import (PRESET_IDS, PRESET_PRESENTATION, delpezzo_lattice,
+                      delpezzo_pencil_f, delpezzo_pencil_fj, lemma_case,
+                      quartic_lattice, ulrich_assumptions)
 from .scripts import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                       DerivationReport, DerivationScript, StepReport,
                       deg_of, established, evaluate, genus_expr, pair_of,
-                      report_to_json, run_script, script_from_json,
-                      script_to_json, self_of)
+                      report_to_json, run_script, self_of)
 
 __all__ = [
     "ArithClaim", "AxiomUse", "CONTRADICTION", "CaseSpec", "Conclusion",
-    "Constraint", "DerivationReport", "DerivationScript",
-    "MODES", "NecessityReport", "PRESET_IDS", "PRESET_PRESENTATION",
-    "PairElimination", "QUARTIC_PRESENTATIONS", "ReductionRow", "StepReport",
-    "SurvivorMatch", "abs_t_at_least", "builtin_scripts", "check_rel",
-    "deg_of", "delpezzo_lattice", "delpezzo_pencil_f",
-    "delpezzo_pencil_fj", "elimination_to_json", "engine_assumptions",
-    "enumerate_case",
-    "enumerate_destabilizing",
-    "established", "evaluate", "genus_expr",
-    "lemma51_presets", "lemma_case", "linear", "necessity_to_json", "pair_of",
-    "quadratic", "quartic_lattice", "report_to_json",
-    "run_script", "script_by_tag", "script_from_json", "script_to_json",
+    "Constraint", "DerivationReport", "DerivationScript", "MODES",
+    "NecessityReport", "PRESET_IDS", "PRESET_PRESENTATION",
+    "PairElimination", "ReductionRow", "StepReport", "SurvivorMatch",
+    "abs_t_at_least", "builtin_scripts", "check_rel", "deg_of",
+    "delpezzo_lattice", "delpezzo_pencil_f", "delpezzo_pencil_fj",
+    "elimination_to_json", "engine_assumptions", "enumerate_case",
+    "enumerate_destabilizing", "established", "evaluate", "genus_expr",
+    "lemma_case", "linear", "necessity_to_json", "pair_of", "quadratic",
+    "quartic_lattice", "report_to_json", "run_script", "script_by_tag",
     "self_of", "ulrich_assumptions", "verify_necessity",
 ]

@@ -57,8 +57,8 @@ class Case:
 
         The script is a proof input, not a verdict: run_script still
         re-checks every claim of it on every replay.  Callers must not
-        mutate it or its expression dicts (script_to_json hands out
-        copies).
+        mutate it or its expression dicts: to change a claim, build a new
+        one with dataclasses.replace, which has no compiled sides yet.
         """
         return self._script
 

@@ -24,17 +24,6 @@ from ..lattice import DivClass, Lattice
 from .constraints import (CaseSpec, Constraint, abs_t_at_least, linear,
                           quadratic)
 
-# (B^2, h.B) per presentation key
-QUARTIC_PRESENTATIONS: dict[str, tuple[int, int]] = {
-    "b2neg2-bh1": (-2, 1),
-    "b2neg2-bh2": (-2, 2),
-    "b2neg2-bh3": (-2, 3),
-    "b20-bh3": (0, 3),
-    "b20-bh4": (0, 4),
-    "b22-bh5": (2, 5),
-    "b24-bh6": (4, 6),
-}
-
 _H = DivClass((1, 0))
 _B = DivClass((0, 1))
 
@@ -164,7 +153,3 @@ def _preset_system(preset_id: str) -> tuple[Lattice, tuple[Constraint, ...]]:
                 "companion-closure reduction"))
     return lat, tuple(cons)
 
-
-def lemma51_presets(box: int = 32) -> list[CaseSpec]:
-    """All five bounded searches, in report order."""
-    return [lemma_case(pid, box) for pid in PRESET_IDS]

@@ -13,7 +13,7 @@ A script concludes either in a Contradiction (its final step must be an
 arithmetic claim that verifies while being flagged as impossible given a
 named fact: the "P and not P" shape) or in an Established statement.
 
-Expressions are JSON values (ints or {"op": ...} dicts), so scripts and
+Expressions are JSON values (ints or {"op": ...} dicts), so steps and
 reports serialize losslessly.  Because claims recompute from the gram
 matrix at run time, corrupting any lattice entry makes claims fail.
 
@@ -22,13 +22,12 @@ reads each claim's two sides once, at the claim's first replay, into
 closures over the lattice (``ArithClaim.compiled``) that give the same
 integers and raise the same errors; every replay still runs every claim's
 arithmetic on the lattice it is given.  Since a claim's expressions are
-read only once, a claim is never edited in place: to change one, go
-through ``script_to_json`` and ``script_from_json``.
+read only once, a claim is never edited in place: to change one, build a
+new claim with ``dataclasses.replace``, which has no compiled sides yet.
 """
 
 from __future__ import annotations
 
-import copy
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -135,7 +134,12 @@ def _c2_twist(e: dict, lat: Lattice) -> int:
 
 
 def _add(e: dict, lat: Lattice) -> int:
-    return sum(evaluate(x, lat) for x in _args(e))
+    # a loop, not sum() over a generator: a level of nesting then costs the
+    # stack two frames, as it costs run_script's compiled sides
+    total = 0
+    for x in _args(e):
+        total += evaluate(x, lat)
+    return total
 
 
 def _mul(e: dict, lat: Lattice) -> int:
@@ -420,8 +424,9 @@ class ArithClaim:
 
     The two sides are read into ``compiled`` at the claim's first replay
     and reused by every later one, on whatever lattice it runs against; so
-    never edit a claim's expression dicts in place -- to change a claim, go
-    through ``script_to_json`` and ``script_from_json``.
+    never edit a claim's expression dicts in place -- to change a claim,
+    build a new one with ``dataclasses.replace``, which has no compiled
+    sides yet.
     """
 
     label: str
@@ -583,83 +588,6 @@ def step_to_json(st: Step) -> dict:
     if st.contradicts:
         out["contradicts"] = st.contradicts
     return out
-
-
-_ARITH_KEYS = {"kind", "label", "lhs", "rel", "rhs", "cite", "contradicts"}
-_AXIOM_KEYS = {"kind", "id", "note", "cite"}
-
-
-def step_from_json(data: dict) -> Step:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise MalformedScriptError(f"bad step: {data!r}")
-    if data["kind"] == "axiom":
-        extra = set(data) - _AXIOM_KEYS
-        if extra:
-            raise MalformedScriptError(f"unexpected step keys: {sorted(extra)}")
-        return AxiomUse(axiom_id=data["id"], note=data.get("note", ""),
-                        cite=data.get("cite", ""))
-    if data["kind"] == "arith":
-        extra = set(data) - _ARITH_KEYS
-        if extra:
-            raise MalformedScriptError(f"unexpected step keys: {sorted(extra)}")
-        try:
-            return ArithClaim(label=data["label"], lhs=data["lhs"],
-                              rel=data["rel"], rhs=data["rhs"],
-                              cite=data.get("cite", ""),
-                              contradicts=data.get("contradicts", ""))
-        except KeyError as exc:
-            raise MalformedScriptError(f"arith step missing key {exc}") from None
-    raise MalformedScriptError(f"unknown step kind {data['kind']!r}")
-
-
-def script_to_json(script: DerivationScript) -> dict:
-    """The script as JSON values the caller owns: the steps are deep
-    copies, since builtin scripts and their expression dicts are shared."""
-    return {
-        "tag": script.tag,
-        "description": script.description,
-        "lattice": {
-            "gram": [list(row) for row in script.lattice.gram],
-            "labels": list(script.lattice.labels),
-            "ample": list(script.lattice.ample.coords),
-            "k3": script.lattice.k3,
-        },
-        "steps": [copy.deepcopy(step_to_json(st)) for st in script.steps],
-        "conclusion": {"kind": script.conclusion.kind,
-                       "statement": script.conclusion.statement},
-    }
-
-
-_SCRIPT_KEYS = {"tag", "description", "lattice", "steps", "conclusion"}
-_SCRIPT_LATTICE_KEYS = {"gram", "labels", "ample", "k3"}
-
-
-def script_from_json(data: dict) -> DerivationScript:
-    if not isinstance(data, dict):
-        raise MalformedScriptError("script JSON must be an object")
-    extra = set(data) - _SCRIPT_KEYS
-    if extra:
-        raise MalformedScriptError(f"unexpected script keys: {sorted(extra)}")
-    try:
-        lat_data = data["lattice"]
-        extra = set(lat_data) - _SCRIPT_LATTICE_KEYS
-        if extra:
-            raise MalformedScriptError(f"unexpected lattice keys: {sorted(extra)}")
-        gram = lat_data["gram"]
-        if not isinstance(gram, list) or not all(
-                isinstance(row, list) and all(map(_is_int, row)) for row in gram):
-            raise MalformedScriptError(
-                f"lattice gram must be a list of rows of ints, got {gram!r}")
-        lat = Lattice(gram=gram, labels=lat_data["labels"],
-                      ample=_coords(lat_data["ample"]), k3=lat_data.get("k3", False))
-        steps = tuple(step_from_json(st) for st in data["steps"])
-        conc = data["conclusion"]
-        conclusion = Conclusion(conc["kind"], conc.get("statement", ""))
-        return DerivationScript(tag=data["tag"], lattice=lat, steps=steps,
-                                conclusion=conclusion,
-                                description=data.get("description", ""))
-    except (KeyError, TypeError) as exc:
-        raise MalformedScriptError(f"malformed script JSON: {exc}") from None
 
 
 def report_to_json(report: DerivationReport) -> dict:

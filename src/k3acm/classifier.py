@@ -227,31 +227,6 @@ def acm_companions(lat: Lattice, b: DivClass, classification: AcmClassification,
     return out
 
 
-class PencilVerdict(enum.Enum):
-    YES = "Yes"
-    NO = "No"
-    UNKNOWN = "Unknown"
-
-
-def is_elliptic_pencil_class(lat: Lattice, d: DivClass,
-                             assumptions: Sequence[Assumption] = ()) -> tuple[PencilVerdict, str]:
-    """Is |D| an elliptic pencil?
-
-    A pencil class must have square zero, so nonzero square is a definite
-    No.  Square zero with degree 3 against the quartic polarization is a
-    definite Yes; otherwise only an assumption decides.
-    """
-    _conflict_check(assumptions)
-    if lat.self_int(d) != 0:
-        return PencilVerdict.NO, "nonzero-self-intersection"
-    if lat.deg(d) == 3:
-        return PencilVerdict.YES, "square-zero-degree-3"
-    for a in assumptions:
-        if a.subject == d and a.kind is AssumptionKind.ELLIPTIC_PENCIL:
-            return PencilVerdict.YES, "assumed-EllipticPencil"
-    return PencilVerdict.UNKNOWN, ""
-
-
 def derived_assumptions(lat: Lattice, b: DivClass,
                         classification: AcmClassification,
                         assumptions: Sequence[Assumption] = ()) -> list[Assumption]:

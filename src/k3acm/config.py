@@ -136,10 +136,6 @@ def load_config(path) -> tuple[Lattice, tuple[Assumption, ...]]:
     return loads_config(text)
 
 
-def dump_config(lat: Lattice, assumptions=()) -> str:
-    return json.dumps(config_to_json(lat, assumptions), indent=2) + "\n"
-
-
 def data_path(name: str) -> Path:
     """Absolute path of a shipped config file (e.g. ``quartic_b2_4.json``)."""
     path = _DATA_DIR / name

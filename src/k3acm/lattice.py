@@ -179,12 +179,6 @@ class Lattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def basis(self) -> tuple[DivClass, ...]:
-        """Unit coordinate vectors, in label order."""
-        n = self.rank
-        return tuple(DivClass(1 if j == i else 0 for j in range(n))
-                     for i in range(n))
-
     def pair(self, d1: DivClass, d2: DivClass) -> int:
         """Intersection number d1 . d2 (exact integer)."""
         return self.pair_coords(d1.coords, d2.coords)

@@ -323,5 +323,17 @@ def test_every_exported_name_resolves():
             assert getattr(module, name, None) is not None, (module, name)
     exported = set(k3acm.__all__) | set(k3acm.casework.__all__)
     gone = {"custom", "CUSTOM_PREDICATES", "hilbert_ideal_z",
-            "NegativeDimensionError"}
+            "NegativeDimensionError", "script_to_json", "script_from_json",
+            "step_from_json", "PencilVerdict", "is_elliptic_pencil_class",
+            "lemma51_presets", "QUARTIC_PRESENTATIONS", "axiom_statement",
+            "dump_config", "basis"}
     assert not exported & gone
+    import k3acm.axioms
+    import k3acm.casework.presets
+    import k3acm.casework.scripts
+    import k3acm.classifier
+    import k3acm.config
+    for module in (k3acm, k3acm.casework, k3acm.axioms, k3acm.classifier,
+                   k3acm.config, k3acm.casework.presets,
+                   k3acm.casework.scripts, k3acm.Lattice):
+        assert not {name for name in gone if hasattr(module, name)}, module

@@ -11,8 +11,7 @@ from k3acm import (BadParametersError, BoxTooSmallError, MalformedScriptError,
                    invariants)
 from k3acm.casework import (ArithClaim, CaseSpec, Constraint, PRESET_IDS,
                             abs_t_at_least, check_rel, enumerate_case,
-                            lemma51_presets, lemma_case, linear, quadratic,
-                            quartic_lattice)
+                            lemma_case, linear, quadratic, quartic_lattice)
 from k3acm.casework.constraints import s_range
 
 EXPECTED = {
@@ -95,14 +94,9 @@ def test_preset_solutions_are_box_stable():
 
 def test_presets_run_fast():
     start = time.perf_counter()
-    for spec in lemma51_presets(box=32):
+    for spec in [lemma_case(p, 32) for p in PRESET_IDS]:
         enumerate_case(spec)
     assert time.perf_counter() - start < 1.0
-
-
-def test_lemma51_presets_cover_the_five_cases():
-    tags = [spec.tag for spec in lemma51_presets()]
-    assert tags == list(PRESET_IDS)
 
 
 def test_unknown_preset_id():
@@ -447,7 +441,7 @@ def test_preset_enumeration_computes_no_hodge_floor(monkeypatch):
 
 def test_presets_run_fast_at_the_largest_box():
     start = time.perf_counter()
-    for spec in lemma51_presets(box=256):
+    for spec in [lemma_case(p, 256) for p in PRESET_IDS]:
         enumerate_case(spec)
     assert time.perf_counter() - start < 0.5
     for pid in PRESET_IDS:

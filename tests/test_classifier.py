@@ -6,9 +6,8 @@ from k3acm import classifier
 from k3acm import (AcmStatus, Assumption, AssumptionKind,
                    ConflictingAssumptionsError, DivClass, Effectivity,
                    Lattice, NotAcmInputError, NotEffectiveCandidateError,
-                   PencilVerdict, TrivialClassError, acm_companions,
-                   derived_assumptions, effectivity, is_elliptic_pencil_class,
-                   is_initialized_acm)
+                   TrivialClassError, acm_companions, derived_assumptions,
+                   effectivity, is_initialized_acm)
 from k3acm.casework import quartic_lattice, ulrich_assumptions
 from k3acm.config import data_path, load_config, shipped_config_names
 from k3acm.errors import WorkbenchError
@@ -144,17 +143,6 @@ def test_derived_assumptions():
     assert (B.coords, AssumptionKind.BASE_POINT_FREE) not in have
     # the dual companion is never recorded as effective
     assert ((0, -1), AssumptionKind.EFFECTIVE) not in have
-
-
-def test_elliptic_pencil_verdicts():
-    lat = quartic_lattice(0, 3)
-    verdict, why = is_elliptic_pencil_class(lat, B)
-    assert verdict is PencilVerdict.YES and why == "square-zero-degree-3"
-    lat = quartic_lattice(0, 4)
-    assert is_elliptic_pencil_class(lat, B)[0] is PencilVerdict.UNKNOWN
-    assumed = [Assumption(B, AssumptionKind.ELLIPTIC_PENCIL, "given")]
-    assert is_elliptic_pencil_class(lat, B, assumed)[0] is PencilVerdict.YES
-    assert is_elliptic_pencil_class(lat, H)[0] is PencilVerdict.NO
 
 
 def test_classifier_is_pure_in_square_and_degree():

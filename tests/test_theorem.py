@@ -6,9 +6,9 @@ from collections import Counter
 import pytest
 
 from k3acm import BadParametersError, DivClass, NotAcmInputError
-from k3acm.casework import (QUARTIC_PRESENTATIONS, necessity_to_json,
-                            quartic_lattice, ulrich_assumptions,
-                            verify_necessity)
+from k3acm.casework import (necessity_to_json, quartic_lattice,
+                            ulrich_assumptions, verify_necessity)
+from k3acm.config import data_path, load_config, shipped_quartic_names
 
 B = DivClass((0, 1))
 
@@ -36,7 +36,9 @@ def _run(profile, box=32):
 
 
 def test_every_presentation_verifies():
-    assert set(EXPECTED) == set(QUARTIC_PRESENTATIONS.values())
+    shipped = [load_config(data_path(name))[0].gram
+               for name in shipped_quartic_names()]
+    assert sorted(EXPECTED) == sorted((g[1][1], g[0][1]) for g in shipped)
     for profile, (preset, survivors, tags, substitution) in EXPECTED.items():
         report = _run(profile)
         assert report.verified, profile
