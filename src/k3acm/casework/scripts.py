@@ -21,9 +21,12 @@ matrix at run time, corrupting any lattice entry makes claims fail.
 reads each claim's two sides once, at the claim's first replay, into
 closures over the lattice (``ArithClaim.compiled``) that give the same
 integers and raise the same errors; every replay still runs every claim's
-arithmetic on the lattice it is given.  Since a claim's expressions are
-read only once, a claim is never edited in place: to change one, build a
-new claim with ``dataclasses.replace``, which has no compiled sides yet.
+arithmetic on the lattice it is given.  Each op is defined once: the
+arithmetic ops by their entries in ``_APPLIED`` and ``_FOLDS``, which both
+walkers read, and the lattice ops only by their compilers in ``_COMPILERS``,
+which ``evaluate`` runs too.  Since a claim's expressions are read only
+once, a claim is never edited in place: to change one, build a new claim
+with ``dataclasses.replace``, which has no compiled sides yet.
 """
 
 from __future__ import annotations
@@ -90,88 +93,14 @@ def evaluate(expr: Expr, lat: Lattice) -> int:
         handler = _OPS[op]
     except (KeyError, TypeError):
         raise MalformedScriptError(f"unknown expression op {op!r}") from None
-    # handlers read their keys directly; nested evaluate calls convert
-    # their own, so a KeyError here is a key missing from this expression
+    # handlers read their keys directly; nested evaluate calls and compiled
+    # subexpressions convert their own, so a KeyError here is a key missing
+    # from this expression
     try:
         return handler(expr, lat)
     except KeyError as exc:
         raise MalformedScriptError(
             f"{op!r} expression has no key {exc}") from None
-
-
-def _pair(e: dict, lat: Lattice) -> int:
-    return lat.pair_coords(_coords(e["a"]), _coords(e["b"]))
-
-
-def _self(e: dict, lat: Lattice) -> int:
-    a = _coords(e["a"])
-    return lat.pair_coords(a, a)
-
-
-def _deg(e: dict, lat: Lattice) -> int:
-    return lat.pair_coords(lat.ample.coords, _coords(e["a"]))
-
-
-def _check_rank_two(e: dict) -> None:
-    """The JSON key "rank" of a chi_bundle expression must be the int 2."""
-    rank = e["rank"]
-    if not _is_int(rank) or rank != 2:
-        raise MalformedScriptError(f"'rank' must be the int 2, got {rank!r}")
-
-
-def _chi_bundle(e: dict, lat: Lattice) -> int:
-    """chi of a rank-2 bundle."""
-    _check_rank_two(e)
-    inv = BundleInvariants(2, DivClass(_coords(e["c1"])),
-                           evaluate(e["c2"], lat))
-    return chi_bundle(inv, lat)
-
-
-def _c2_twist(e: dict, lat: Lattice) -> int:
-    c1, by = _coords(e["c1"]), _coords(e["by"])
-    return (evaluate(e["c2"], lat) + lat.pair_coords(c1, by)
-            + lat.pair_coords(by, by))
-
-
-def _add(e: dict, lat: Lattice) -> int:
-    # a loop, not sum() over a generator: a level of nesting then costs the
-    # stack two frames, as it costs run_script's compiled sides
-    total = 0
-    for x in _args(e):
-        total += evaluate(x, lat)
-    return total
-
-
-def _mul(e: dict, lat: Lattice) -> int:
-    total = 1
-    for x in _args(e):
-        total *= evaluate(x, lat)
-    return total
-
-
-_OPS: dict[str, Callable[[dict, Lattice], int]] = {
-    "pair": _pair,
-    "self": _self,
-    "deg": _deg,
-    "genus": lambda e, lat: genus_of(_self(e, lat)),
-    "chi_of": lambda e, lat: chi_line(evaluate(e["sq"], lat)),
-    "chi_bundle": _chi_bundle,
-    "c2_twist": _c2_twist,
-    "brill_noether": lambda e, lat: brill_noether(
-        evaluate(e["g"], lat), evaluate(e["r"], lat), evaluate(e["d"], lat)),
-    "hodge_lower": lambda e, lat: hodge_lower(evaluate(e["a"], lat),
-                                              evaluate(e["b"], lat)),
-    "minimax": lambda e, lat: _minimax(evaluate(e["p"], lat),
-                                       evaluate(e["q"], lat)),
-    "add": _add,
-    "mul": _mul,
-    "sub": lambda e, lat: evaluate(e["x"], lat) - evaluate(e["y"], lat),
-    "neg": lambda e, lat: -evaluate(e["x"], lat),
-    "odd_diag": lambda e, lat: sum(lat.gram[i][i] % 2
-                                   for i in range(lat.rank)),
-    "sig_pos": lambda e, lat: lat.signature()[0],
-    "sig_neg": lambda e, lat: lat.signature()[1],
-}
 
 
 # ---- compiled replay -----------------------------------------------------------
@@ -229,53 +158,33 @@ def _child(e: dict, key: str) -> Expr:
     return _Missing(f"{e['op']!r} expression has no key {key!r}")
 
 
-def _pairing(x: Sequence[int], y: Sequence[int]) -> Compiled:
-    """x.y with the arithmetic of Lattice.pair_coords, which is left to
-    raise the rank mismatch."""
-    x, y = tuple(x), tuple(y)
-    terms = tuple((i, a) for i, a in enumerate(x) if a)
+# ---- lattice ops: defined only by their compilers ----------------------------
 
-    def run(lat: Lattice) -> int:
-        gram = lat.gram
-        if len(x) != len(gram) or len(y) != len(gram):
-            return lat.pair_coords(x, y)
-        total = 0
-        for i, a in terms:
-            total += a * sum(map(operator.mul, gram[i], y))
-        return total
-    return run
-
-
-def _degree(x: Sequence[int]) -> Compiled:
-    """h.x for the lattice's ample class h, read as x.h (the Gram matrix is
-    symmetric); Lattice.pair_coords is left to raise the rank mismatch."""
-    x = tuple(x)
-    terms = tuple((i, a) for i, a in enumerate(x) if a)
-
-    def run(lat: Lattice) -> int:
-        gram = lat.gram
-        if len(x) != len(gram):
-            return lat.pair_coords(lat.ample.coords, x)
-        ample = lat.ample.coords
-        total = 0
-        for i, a in terms:
-            total += a * sum(map(operator.mul, gram[i], ample))
-        return total
-    return run
+def _compile_pair(e: dict) -> Compiled:
+    a, b = _coords(e["a"]), _coords(e["b"])
+    return lambda lat: lat.pair_coords(a, b)
 
 
 def _compile_self(e: dict) -> Compiled:
     a = _coords(e["a"])
-    return _pairing(a, a)
+    return lambda lat: lat.pair_coords(a, a)
+
+
+def _compile_deg(e: dict) -> Compiled:
+    a = _coords(e["a"])
+    return lambda lat: lat.pair_coords(lat.ample.coords, a)
 
 
 def _compile_genus(e: dict) -> Compiled:
-    square = _compile_self(e)
-    return lambda lat: genus_of(square(lat))
+    a = _coords(e["a"])
+    return lambda lat: genus_of(lat.pair_coords(a, a))
 
 
 def _compile_chi_bundle(e: dict) -> Compiled:
-    _check_rank_two(e)
+    """chi of a rank-2 bundle; the JSON key "rank" must be the int 2."""
+    rank = e["rank"]
+    if not _is_int(rank) or rank != 2:
+        raise MalformedScriptError(f"'rank' must be the int 2, got {rank!r}")
     c1 = DivClass(_coords(e["c1"]))
     c2 = _compile(_child(e, "c2"))
     return lambda lat: chi_bundle(BundleInvariants(2, c1, c2(lat)), lat)
@@ -283,34 +192,36 @@ def _compile_chi_bundle(e: dict) -> Compiled:
 
 def _compile_c2_twist(e: dict) -> Compiled:
     c1, by = _coords(e["c1"]), _coords(e["by"])
-    c2, cross, square = (_compile(_child(e, "c2")), _pairing(c1, by),
-                         _pairing(by, by))
-    return lambda lat: c2(lat) + cross(lat) + square(lat)
+    c2 = _compile(_child(e, "c2"))
+    return lambda lat: (c2(lat) + lat.pair_coords(c1, by)
+                        + lat.pair_coords(by, by))
 
 
-def _compile_add(e: dict) -> Compiled:
-    parts = tuple(map(_compile, _args(e)))
-
-    def run(lat: Lattice) -> int:
-        total = 0
-        for part in parts:
-            total += part(lat)
-        return total
-    return run
+def _on_lattice(e: dict, lat: Lattice) -> int:
+    """evaluate's handler of a lattice op: its compiled node, run once."""
+    return _COMPILERS[e["op"]](e)(lat)
 
 
-def _compile_mul(e: dict) -> Compiled:
-    parts = tuple(map(_compile, _args(e)))
+# ---- arithmetic ops: one table entry each, read by both walkers --------------
+#
+# evaluate's handlers loop rather than use a comprehension, which would be
+# one more stack frame: a level of nesting costs each walker two frames.
 
-    def run(lat: Lattice) -> int:
-        total = 1
-        for part in parts:
-            total *= part(lat)
-        return total
-    return run
+# op -> (fn of its subexpressions, their keys in evaluation order)
+_APPLIED: dict[str, tuple[Callable[..., int], tuple[str, ...]]] = {
+    "chi_of": (chi_line, ("sq",)),
+    "brill_noether": (brill_noether, ("g", "r", "d")),
+    "hodge_lower": (hodge_lower, ("a", "b")),
+    "minimax": (_minimax, ("p", "q")),
+    "sub": (operator.sub, ("x", "y")),
+    "neg": (operator.neg, ("x",)),
+}
+
+# op -> (binary fn, start) folded over the expressions in "args"
+_FOLDS = {"add": (operator.add, 0), "mul": (operator.mul, 1)}
 
 
-def _applied(fn: Callable[..., int], *keys: str):
+def _applied(fn: Callable[..., int], keys: tuple[str, ...]):
     """The compiler of an op that is fn of its subexpressions, in key order."""
     def compile_op(e: dict) -> Compiled:
         subs = tuple(map(_compile, [_child(e, key) for key in keys]))
@@ -325,30 +236,59 @@ def _applied(fn: Callable[..., int], *keys: str):
     return compile_op
 
 
-def _whole_lattice(e: dict) -> Compiled:
-    """An op that reads no key replays through evaluate's own handler."""
-    handler = _OPS[e["op"]]
-    return lambda lat: handler(e, lat)
+def _evaluated(fn: Callable[..., int], keys: tuple[str, ...]):
+    """evaluate's handler of an op that is fn of its subexpressions."""
+    def handler(e: dict, lat: Lattice) -> int:
+        args = []
+        for key in keys:
+            args.append(evaluate(e[key], lat))
+        return fn(*args)
+    return handler
+
+
+def _folded(fn: Callable[[int, int], int], start: int):
+    """The compiler of an op that folds fn over its args from start."""
+    def compile_op(e: dict) -> Compiled:
+        parts = tuple(map(_compile, _args(e)))
+
+        def run(lat: Lattice) -> int:
+            total = start
+            for part in parts:
+                total = fn(total, part(lat))
+            return total
+        return run
+    return compile_op
+
+
+def _evaluated_fold(fn: Callable[[int, int], int], start: int):
+    """evaluate's handler of an op that folds fn over its args from start."""
+    def handler(e: dict, lat: Lattice) -> int:
+        total = start
+        for x in _args(e):
+            total = fn(total, evaluate(x, lat))
+        return total
+    return handler
 
 
 _COMPILERS: dict[str, Callable[[dict], Compiled]] = {
-    "pair": lambda e: _pairing(_coords(e["a"]), _coords(e["b"])),
+    "pair": _compile_pair,
     "self": _compile_self,
-    "deg": lambda e: _degree(_coords(e["a"])),
+    "deg": _compile_deg,
     "genus": _compile_genus,
-    "chi_of": _applied(chi_line, "sq"),
     "chi_bundle": _compile_chi_bundle,
     "c2_twist": _compile_c2_twist,
-    "brill_noether": _applied(brill_noether, "g", "r", "d"),
-    "hodge_lower": _applied(hodge_lower, "a", "b"),
-    "minimax": _applied(_minimax, "p", "q"),
-    "add": _compile_add,
-    "mul": _compile_mul,
-    "sub": _applied(operator.sub, "x", "y"),
-    "neg": _applied(operator.neg, "x"),
-    "odd_diag": _whole_lattice,
-    "sig_pos": _whole_lattice,
-    "sig_neg": _whole_lattice,
+    "odd_diag": lambda e: lambda lat: sum(
+        row[i] % 2 for i, row in enumerate(lat.gram)),
+    "sig_pos": lambda e: lambda lat: lat.signature()[0],
+    "sig_neg": lambda e: lambda lat: lat.signature()[1],
+    **{op: _applied(*spec) for op, spec in _APPLIED.items()},
+    **{op: _folded(*spec) for op, spec in _FOLDS.items()},
+}
+
+_OPS: dict[str, Callable[[dict, Lattice], int]] = {
+    **dict.fromkeys(_COMPILERS, _on_lattice),
+    **{op: _evaluated(*spec) for op, spec in _APPLIED.items()},
+    **{op: _evaluated_fold(*spec) for op, spec in _FOLDS.items()},
 }
 
 

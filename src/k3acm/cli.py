@@ -23,8 +23,8 @@ from .casework import (MODES, PRESET_IDS, PRESET_PRESENTATION,
 from .classifier import acm_companions, is_initialized_acm
 from .config import (assumption_to_json, config_to_json, data_path,
                      load_config, shipped_quartic_names)
-from .errors import (BadParametersError, BoxTooSmallError, EngineError,
-                     WorkbenchError)
+from .errors import (BadParametersError, BoxTooSmallError,
+                     DegenerateFormError, EngineError, WorkbenchError)
 from .lattice import DivClass, Lattice
 
 
@@ -88,9 +88,13 @@ def _finish_report(args, report, payload=None) -> int:
 
 def _cmd_lattice_info(args) -> int:
     lat, assumps = _require_config(args)
+    try:
+        signature = lat.signature()
+    except DegenerateFormError:  # only a k3: false config can be degenerate
+        signature = None
     if args.json:
         payload = config_to_json(lat, assumps)
-        payload["signature"] = list(lat.signature())
+        payload["signature"] = signature and list(signature)
         payload["even"] = lat.is_even()
         print(json.dumps(payload))
         return 0
@@ -102,7 +106,7 @@ def _cmd_lattice_info(args) -> int:
         print("  [" + " ".join(f"{x:>{width}}" for x in row) + "]")
     print(f"ample: {lat.ample}")
     print(f"k3 surface checks: {'on' if lat.k3 else 'off'}")
-    print(f"signature: {lat.signature()}")
+    print(f"signature: {signature or 'degenerate'}")
     print(f"even: {'yes' if lat.is_even() else 'no'}")
     if assumps:
         print("assumptions:")

@@ -2,7 +2,7 @@
 
 A config file is a single JSON object with exactly the keys
 
-    rank          int
+    rank          int, 1 to 22
     gram          row-major list of lists of ints
     labels        list of strings, one per basis class
     ample         coordinate list of the ample class
@@ -24,6 +24,10 @@ _CONFIG_KEYS = ("rank", "gram", "labels", "ample", "k3", "assumptions")
 _ASSUMPTION_KEYS = ("subject", "kind", "note")
 
 _DATA_DIR = Path(__file__).parent / "data"
+
+# the rank of H^2(X, Z) of a K3 surface bounds every Picard lattice; the
+# signature's cost grows about as rank^4.5, to hours at rank 1000
+_MAX_RANK = 22
 
 
 def _is_int(x) -> bool:
@@ -81,6 +85,9 @@ def config_from_json(data) -> tuple[Lattice, tuple[Assumption, ...]]:
     rank = data["rank"]
     if not _is_int(rank) or rank < 1:
         raise ConfigError("rank must be a positive int")
+    if rank > _MAX_RANK:
+        raise ConfigError(f"rank {rank} exceeds {_MAX_RANK}, the rank of "
+                          "H^2(X, Z) of a K3 surface")
 
     gram = data["gram"]
     if not isinstance(gram, list) or len(gram) != rank:

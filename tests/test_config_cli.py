@@ -103,6 +103,27 @@ def test_unknown_kind_message_lists_the_alternatives():
     assert "EllipticPencil" in str(err.value)
 
 
+def _diagonal_doc(rank):
+    """diag(2, -2, ..., -2): even, signature (1, rank - 1)."""
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 2 if i == 0 else -2
+    return _doc(rank=rank, gram=gram, labels=[f"e{i}" for i in range(rank)],
+                ample=[1] + [0] * (rank - 1))
+
+
+def test_config_rank_is_at_most_the_rank_of_h2():
+    lat, _ = config_from_json(_diagonal_doc(22))
+    assert lat.signature() == (1, 21)
+    # refused before the gram matrix is read, whatever it holds
+    for doc in (_diagonal_doc(23), _doc(rank=23, gram="?"),
+                _diagonal_doc(300)):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"rank \d+ exceeds 22"):
+            config_from_json(doc)
+        assert time.perf_counter() - start < 0.1
+
+
 def test_lattice_level_errors_still_surface():
     # the document is well-formed JSON; the gram itself is wrong
     with pytest.raises(WorkbenchError):
@@ -151,6 +172,18 @@ def test_cli_lattice_info(capsys):
     assert payload["gram"] == [[4, 1], [1, -2]]
     assert payload["signature"] == [1, 1]
     assert payload["even"] is True
+
+
+def test_cli_lattice_info_reports_a_degenerate_form(capsys, tmp_path):
+    cfg = tmp_path / "degenerate.json"
+    cfg.write_text(json.dumps(_doc(gram=[[4, 2], [2, 1]], k3=False)))
+    code, out, err = _run(capsys, "lattice-info", "-c", str(cfg))
+    assert (code, err) == (0, "")
+    assert "signature: degenerate\neven: no\nassumptions: none\n" in out
+    code, out, err = _run(capsys, "lattice-info", "-c", str(cfg), "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["signature"] is None and payload["even"] is False
 
 
 def test_cli_classify_not_acm_first_line(capsys, tmp_path):

@@ -13,7 +13,11 @@ from k3acm.casework import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                             established, evaluate, genus_expr, pair_of,
                             quartic_lattice, report_to_json, run_script,
                             script_by_tag, self_of, ulrich_assumptions)
+from k3acm.casework.scripts import _args, _coords, _minimax
+from k3acm.config import _is_int
 from k3acm.errors import BadParametersError, EngineError
+from k3acm.invariants import (BundleInvariants, brill_noether, chi_bundle,
+                              chi_line, genus_of, hodge_lower)
 
 LAT = quartic_lattice(-2, 2)
 
@@ -169,9 +173,16 @@ def test_run_script_fails_an_expression_nested_past_the_recursion_limit():
     lambda x: {"op": "chi_bundle", "rank": 2, "c1": [0, 0], "c2": x},
     lambda x: {"op": "add", "args": [x, 1]},
     lambda x: {"op": "mul", "args": [x, -1]},
-], ids=["neg", "chi_bundle", "add", "mul"])
+    lambda x: {"op": "sub", "x": x, "y": 1},
+    lambda x: {"op": "chi_of", "sq": x},
+    lambda x: {"op": "hodge_lower", "a": 1, "b": x},
+    lambda x: {"op": "minimax", "p": x, "q": 0},
+    lambda x: {"op": "brill_noether", "g": x, "r": 0, "d": 1},
+    lambda x: {"op": "c2_twist", "c2": x, "c1": [1, 0], "by": [0, 0]},
+], ids=["neg", "chi_bundle", "add", "mul", "sub", "chi_of", "hodge_lower",
+        "minimax", "brill_noether", "c2_twist"])
 def test_run_script_replays_a_deep_claim_that_evaluate_reaches(wrap):
-    deep = 1
+    deep = 4  # chi_of(4) = 4, and every other wrapper keeps a valid value
     for _ in range(400):
         deep = wrap(deep)
     value = evaluate(deep, LAT)
@@ -533,6 +544,119 @@ def test_the_proof_uses_every_op_and_no_other():
     assert len(_OPS) == 17
 
 
+# ---- the former evaluate, one handler per op, kept as the oracle of both ---
+# evaluate now runs a lattice op through its compiler, so comparing evaluate
+# with the compiled sides no longer checks those ops against a second
+# implementation; this copy of the former handlers does.
+
+def _former_evaluate(expr, lat):
+    """The former scripts.evaluate, verbatim but for names and annotations."""
+    if isinstance(expr, int):
+        if isinstance(expr, bool):
+            raise MalformedScriptError("boolean is not a valid expression")
+        return expr
+    if not isinstance(expr, dict) or "op" not in expr:
+        raise MalformedScriptError(f"bad expression: {expr!r}")
+    op = expr["op"]
+    try:
+        handler = _FORMER_OPS[op]
+    except (KeyError, TypeError):
+        raise MalformedScriptError(f"unknown expression op {op!r}") from None
+    # handlers read their keys directly; nested evaluate calls convert
+    # their own, so a KeyError here is a key missing from this expression
+    try:
+        return handler(expr, lat)
+    except KeyError as exc:
+        raise MalformedScriptError(
+            f"{op!r} expression has no key {exc}") from None
+
+
+def _former_pair(e, lat):
+    return lat.pair_coords(_coords(e["a"]), _coords(e["b"]))
+
+
+def _former_self(e, lat):
+    a = _coords(e["a"])
+    return lat.pair_coords(a, a)
+
+
+def _former_deg(e, lat):
+    return lat.pair_coords(lat.ample.coords, _coords(e["a"]))
+
+
+def _former_check_rank_two(e):
+    """The JSON key "rank" of a chi_bundle expression must be the int 2."""
+    rank = e["rank"]
+    if not _is_int(rank) or rank != 2:
+        raise MalformedScriptError(f"'rank' must be the int 2, got {rank!r}")
+
+
+def _former_chi_bundle(e, lat):
+    """chi of a rank-2 bundle."""
+    _former_check_rank_two(e)
+    inv = BundleInvariants(2, DivClass(_coords(e["c1"])),
+                           _former_evaluate(e["c2"], lat))
+    return chi_bundle(inv, lat)
+
+
+def _former_c2_twist(e, lat):
+    c1, by = _coords(e["c1"]), _coords(e["by"])
+    return (_former_evaluate(e["c2"], lat) + lat.pair_coords(c1, by)
+            + lat.pair_coords(by, by))
+
+
+def _former_add(e, lat):
+    total = 0
+    for x in _args(e):
+        total += _former_evaluate(x, lat)
+    return total
+
+
+def _former_mul(e, lat):
+    total = 1
+    for x in _args(e):
+        total *= _former_evaluate(x, lat)
+    return total
+
+
+_fev = _former_evaluate
+
+_FORMER_OPS = {
+    "pair": _former_pair,
+    "self": _former_self,
+    "deg": _former_deg,
+    "genus": lambda e, lat: genus_of(_former_self(e, lat)),
+    "chi_of": lambda e, lat: chi_line(_fev(e["sq"], lat)),
+    "chi_bundle": _former_chi_bundle,
+    "c2_twist": _former_c2_twist,
+    "brill_noether": lambda e, lat: brill_noether(
+        _fev(e["g"], lat), _fev(e["r"], lat), _fev(e["d"], lat)),
+    "hodge_lower": lambda e, lat: hodge_lower(_fev(e["a"], lat),
+                                              _fev(e["b"], lat)),
+    "minimax": lambda e, lat: _minimax(_fev(e["p"], lat), _fev(e["q"], lat)),
+    "add": _former_add,
+    "mul": _former_mul,
+    "sub": lambda e, lat: _fev(e["x"], lat) - _fev(e["y"], lat),
+    "neg": lambda e, lat: -_fev(e["x"], lat),
+    "odd_diag": lambda e, lat: sum(lat.gram[i][i] % 2
+                                   for i in range(lat.rank)),
+    "sig_pos": lambda e, lat: lat.signature()[0],
+    "sig_neg": lambda e, lat: lat.signature()[1],
+}
+
+
+def test_each_op_is_defined_once():
+    from k3acm.casework import scripts
+    arithmetic = set(scripts._APPLIED) | set(scripts._FOLDS)
+    assert len(arithmetic) == 8 and arithmetic < set(scripts._OPS)
+    assert {op for op, handler in scripts._OPS.items()
+            if handler is scripts._on_lattice} == set(scripts._OPS) - arithmetic
+    gone = {"_pair", "_self", "_deg", "_chi_bundle", "_c2_twist", "_add",
+            "_mul", "_compile_add", "_compile_mul", "_degree",
+            "_whole_lattice"}
+    assert not {name for name in gone if hasattr(scripts, name)}
+
+
 # ---- the compiled sides, with evaluate as their oracle -----------------------
 
 def _outcome(fn, lat):
@@ -560,6 +684,8 @@ def test_compiled_sides_match_evaluate_on_every_claim_and_mutant():
                                           claim.compiled):
                     want = _outcome(lambda v: evaluate(side, v), variant)
                     assert _outcome(compiled, variant) == want, claim.label
+                    assert _outcome(lambda v: _former_evaluate(side, v),
+                                    variant) == want, claim.label
                     compared += 1
                     errors += isinstance(want, tuple)
     assert any(lat.rank == 8 for lat in by_lattice)
@@ -675,6 +801,8 @@ def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
         for lat in lattices:
             want = _outcome(lambda v: evaluate(expr, v), lat)
             assert _outcome(compiled, lat) == want, json.dumps(expr)
+            assert _outcome(lambda v: _former_evaluate(expr, v),
+                            lat) == want, json.dumps(expr)
             seen.add(want[0] if isinstance(want, tuple) else int)
             compared += 1
     names = {cls.__name__ for cls in seen if cls is not int}
