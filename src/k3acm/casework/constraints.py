@@ -40,9 +40,12 @@ def _is_rel(rel) -> bool:
 
 
 def check_rel(rel: str, lhs: int, rhs: int) -> bool:
-    if not _is_rel(rel):
-        raise BadParametersError(f"unknown relation {rel!r}")
-    return _REL[rel](lhs, rhs)
+    """lhs rel rhs; a rel that _is_rel refuses is bad input."""
+    if isinstance(rel, str):
+        compare = _REL.get(rel)
+        if compare is not None:
+            return compare(lhs, rhs)
+    raise BadParametersError(f"unknown relation {rel!r}")
 
 
 @dataclass(frozen=True)

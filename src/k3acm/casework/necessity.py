@@ -61,21 +61,21 @@ class NecessityReport:
         return self.status == "VERIFIED"
 
 
-def _tail_rows() -> tuple[ReductionRow, ...]:
-    return (
-        ReductionRow(
-            t=-1, rule="dual-twist",
-            note="c1 = s h - B: the dual bundle twisted back has "
-                 "c1 = (2k - s) h + B, landing in the t = 1 family"),
-        ReductionRow(
-            t=0, rule="h-multiple",
-            note="c1 = s h: twisting by h-multiples reduces to the split "
-                 "classification of c1 proportional to the polarization"),
-        ReductionRow(
-            t=1, rule="hypothesis-twist",
-            note="c1 = s h + B: twisting by h-multiples reduces to the "
-                 "admitted pencil-bundle family with c1 = B or h + B"),
-    )
+# the three small-tail families, the same rows in every report
+_TAIL_ROWS = (
+    ReductionRow(
+        t=-1, rule="dual-twist",
+        note="c1 = s h - B: the dual bundle twisted back has "
+             "c1 = (2k - s) h + B, landing in the t = 1 family"),
+    ReductionRow(
+        t=0, rule="h-multiple",
+        note="c1 = s h: twisting by h-multiples reduces to the split "
+             "classification of c1 proportional to the polarization"),
+    ReductionRow(
+        t=1, rule="hypothesis-twist",
+        note="c1 = s h + B: twisting by h-multiples reduces to the "
+             "admitted pencil-bundle family with c1 = B or h + B"),
+)
 
 
 def verify_necessity(lat: Lattice, b: DivClass,
@@ -131,7 +131,6 @@ def verify_necessity(lat: Lattice, b: DivClass,
         matches.append(SurvivorMatch(survivor=survivor, script_tag=case.tag,
                                      report=run_script(case.script())))
     supports = tuple(run_script(k.script()) for k in cases if k.support)
-    rows = _tail_rows()
     ok = (not unmatched
           and all(m.report.success for m in matches)
           and all(s.success for s in supports)
@@ -140,7 +139,7 @@ def verify_necessity(lat: Lattice, b: DivClass,
         lattice=lat, profile=profile, classification=cls.status.value,
         substitution=substitution, substitution_report=substitution_report,
         preset_id=preset_id, survivors=survivors, matches=tuple(matches),
-        supports=supports, reductions=rows,
+        supports=supports, reductions=_TAIL_ROWS,
         unmatched=tuple(unmatched),
         status="VERIFIED" if ok else "INCOMPLETE")
 

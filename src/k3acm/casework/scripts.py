@@ -27,6 +27,13 @@ walkers read, and the lattice ops only by their compilers in ``_COMPILERS``,
 which ``evaluate`` runs too.  Since a claim's expressions are read only
 once, a claim is never edited in place: to change one, build a new claim
 with ``dataclasses.replace``, which has no compiled sides yet.
+
+A compiled pairing of fixed classes (``pair``, ``self``, ``genus``, both
+pairings of ``c2_twist``, and ``deg`` against each basis vector) reads the
+coordinates once into terms (i, j, a[i]*b[j]), and every replay sums
+coef * gram[i][j] over them on the lattice it is given (``_pairing``);
+only a lattice of another rank goes to ``Lattice.pair_coords``, for its
+error.
 """
 
 from __future__ import annotations
@@ -160,24 +167,61 @@ def _child(e: dict, key: str) -> Expr:
 
 # ---- lattice ops: defined only by their compilers ----------------------------
 
+def _pairing(a: Sequence[int], b: Sequence[int]) -> Compiled:
+    """The pairing of two fixed classes, as one shared kernel.
+
+    The coordinates are read once, into a term (i, j, a[i]*b[j]) per
+    nonzero product; on a lattice of their rank the pairing is the sum of
+    coef * gram[i][j] over the terms.  A lattice of any other rank goes to
+    Lattice.pair_coords, which raises its DimensionMismatchError.
+    """
+    terms = tuple([(i, j, x * y) for i, x in enumerate(a) if x
+                   for j, y in enumerate(b) if y])
+    rank = len(a) if len(a) == len(b) else None
+
+    def run(lat: Lattice) -> int:
+        gram = lat.gram
+        if len(gram) != rank:
+            return lat.pair_coords(a, b)
+        total = 0
+        for i, j, c in terms:
+            total += c * gram[i][j]
+        return total
+    return run
+
+
 def _compile_pair(e: dict) -> Compiled:
-    a, b = _coords(e["a"]), _coords(e["b"])
-    return lambda lat: lat.pair_coords(a, b)
+    return _pairing(_coords(e["a"]), _coords(e["b"]))
 
 
 def _compile_self(e: dict) -> Compiled:
     a = _coords(e["a"])
-    return lambda lat: lat.pair_coords(a, a)
+    return _pairing(a, a)
 
 
 def _compile_deg(e: dict) -> Compiled:
+    """a paired with the lattice's ample class, read at replay: the sum of
+    ample[i] times a's pairing with the i-th basis vector."""
     a = _coords(e["a"])
-    return lambda lat: lat.pair_coords(lat.ample.coords, a)
+    n = len(a)
+    rows = tuple(_pairing([int(k == i) for k in range(n)], a)
+                 for i in range(n))
+
+    def run(lat: Lattice) -> int:
+        if len(lat.gram) != n:
+            return lat.pair_coords(lat.ample.coords, a)
+        total = 0
+        for x, row in zip(lat.ample.coords, rows):
+            if x:
+                total += x * row(lat)
+        return total
+    return run
 
 
 def _compile_genus(e: dict) -> Compiled:
     a = _coords(e["a"])
-    return lambda lat: genus_of(lat.pair_coords(a, a))
+    square = _pairing(a, a)
+    return lambda lat: genus_of(square(lat))
 
 
 def _compile_chi_bundle(e: dict) -> Compiled:
@@ -193,8 +237,8 @@ def _compile_chi_bundle(e: dict) -> Compiled:
 def _compile_c2_twist(e: dict) -> Compiled:
     c1, by = _coords(e["c1"]), _coords(e["by"])
     c2 = _compile(_child(e, "c2"))
-    return lambda lat: (c2(lat) + lat.pair_coords(c1, by)
-                        + lat.pair_coords(by, by))
+    c1_by, by_by = _pairing(c1, by), _pairing(by, by)
+    return lambda lat: c2(lat) + c1_by(lat) + by_by(lat)
 
 
 def _on_lattice(e: dict, lat: Lattice) -> int:

@@ -290,11 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "numerology on quartic K3 lattices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *, needs_class=False, needs_preset=False,
-            needs_script=False, needs_d=False, box=False):
+    def add(name, func, help_text, *, config=True, needs_class=False,
+            needs_preset=False, needs_script=False, needs_d=False, box=False):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("-c", "--config", metavar="PATH",
-                       help="lattice config file (JSON)")
+        if config:
+            p.add_argument("-c", "--config", metavar="PATH",
+                           help="lattice config file (JSON)")
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable report")
         if needs_class:
@@ -336,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         needs_script=True)
     add("theorem", _cmd_theorem,
         "replay the full classification over every shipped quartic config",
-        box=True)
+        config=False, box=True)
     add("example-delpezzo", _cmd_example_delpezzo,
-        "verify the rank-8 double-cover lattice identities")
+        "verify the rank-8 double-cover lattice identities", config=False)
     return parser
 
 

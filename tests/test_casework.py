@@ -34,6 +34,32 @@ def test_check_rel():
         check_rel("!=", 1, 2)
 
 
+def test_check_rel_takes_exactly_the_relations_is_rel_takes():
+    from k3acm.casework.constraints import _REL, _is_rel
+
+    class Rel(str):
+        pass
+
+    class LooksLikeLe:
+        """Hashes and compares like "<=", but is not a str."""
+
+        def __hash__(self):
+            return hash("<=")
+
+        def __eq__(self, other):
+            return other == "<="
+
+    for rel in [*_REL, *map(Rel, _REL), "!=", "", "==", "=<", LooksLikeLe(),
+                b"<=", None, 1, ("<=",), ["<="], {"<=": 1}]:
+        if _is_rel(rel):
+            assert check_rel(rel, 1, 2) is _REL[rel](1, 2), rel
+        else:
+            with pytest.raises(BadParametersError) as err:
+                check_rel(rel, 1, 2)
+            assert str(err.value) == f"unknown relation {rel!r}"
+    assert not _is_rel(LooksLikeLe())
+
+
 def test_an_unhashable_relation_is_refused():
     with pytest.raises(BadParametersError, match="unknown relation"):
         linear(1, 1, ["<="], 0)

@@ -549,6 +549,23 @@ def test_cli_example_delpezzo(capsys):
     assert payload["report"]["status"] == "Success"
 
 
+@pytest.mark.parametrize("command", ["theorem", "example-delpezzo"])
+def test_cli_commands_that_read_no_config_refuse_one(capsys, tmp_path,
+                                                     command):
+    # -c is registered only on the commands that read it, so a lattice
+    # passed here is a usage error instead of being silently ignored
+    degenerate = tmp_path / "degenerate.json"
+    degenerate.write_text(json.dumps(_doc(gram=[[4, 2], [2, 1]], k3=False)))
+    for path in (degenerate, data_path("quartic_b2_4.json"),
+                 tmp_path / "missing.json"):
+        for flag in ("-c", "--config"):
+            code, out, err = _run(capsys, command, flag, str(path))
+            assert (code, out) == (2, ""), (flag, path)
+            assert "unrecognized arguments" in err
+    code, out, _ = _run(capsys, command, "--help")
+    assert code == 0 and "--config" not in out
+
+
 def test_cli_bad_input_paths(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text('{"rank": 2,')

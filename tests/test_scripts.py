@@ -703,32 +703,64 @@ def _random_class(rng):
     return [rng.randint(-3, 3) for _ in range(2)]
 
 
-def _random_tree(rng, depth):
-    """A random expression over the 17 ops, on rank-2 classes."""
+def _random_tree(rng, depth, random_class=_random_class):
+    """A random expression over the 17 ops, on the classes random_class
+    draws (rank 2 by default)."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.4:
             return rng.randint(-9, 12)
         op = rng.choice(_LEAF_OPS)
         expr = {"op": op}
         if op in ("pair", "self", "deg", "genus"):
-            expr["a"] = _random_class(rng)
+            expr["a"] = random_class(rng)
         if op == "pair":
-            expr["b"] = _random_class(rng)
+            expr["b"] = random_class(rng)
         return expr
     op = rng.choice(sorted(_NODE_OPS) + ["add", "mul"])
     expr = {"op": op}
     if op in ("add", "mul"):
-        expr["args"] = [_random_tree(rng, depth - 1)
+        expr["args"] = [_random_tree(rng, depth - 1, random_class)
                         for _ in range(rng.randint(0, 3))]
         return expr
     for key in _NODE_OPS[op]:
-        expr[key] = _random_tree(rng, depth - 1)
+        expr[key] = _random_tree(rng, depth - 1, random_class)
     if op == "chi_bundle":
         expr["rank"] = 2
-        expr["c1"] = _random_class(rng)
+        expr["c1"] = random_class(rng)
     if op == "c2_twist":
-        expr["c1"], expr["by"] = _random_class(rng), _random_class(rng)
+        expr["c1"], expr["by"] = random_class(rng), random_class(rng)
     return expr
+
+
+def _kernel_class(rng, rank):
+    """A class of the given rank: zero, sparse, dense or with big entries."""
+    style = rng.choice(("zero", "sparse", "dense", "big"))
+    if style == "zero":
+        return [0] * rank
+    if style == "sparse":
+        coords = [0] * rank
+        coords[rng.randrange(rank)] = rng.choice((-2, -1, 1, 3))
+        return coords
+    bound = 10 ** 30 if style == "big" else 4
+    return [rng.randint(-bound, bound) for _ in range(rank)]
+
+
+def _random_lattice(rng, rank):
+    """A lattice of the given rank on a random symmetric Gram matrix,
+    sparse or dense, with big entries one time in three."""
+    bound = 10 ** 20 if rng.random() < 0.3 else 6
+    fill = rng.choice((0.3, 1.0))
+    while True:
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                if rng.random() < fill:
+                    gram[i][j] = gram[j][i] = rng.randint(-bound, bound)
+        try:
+            return Lattice(gram, labels=[f"e{i}" for i in range(rank)],
+                           ample=_kernel_class(rng, rank))
+        except WorkbenchError:
+            pass  # the ample square is not positive
 
 
 _SUB_KEYS = {key for keys in _NODE_OPS.values() for key in keys}
@@ -792,13 +824,32 @@ def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
         Lattice([[4, 2], [2, 1]], labels="hB", ample=(1, 0)),  # degenerate
         Lattice([[2, 1, 0], [1, -2, 0], [0, 0, -2]], labels="xyz",
                 ample=(1, 0, 0))]
+
+    def cases():
+        for n in range(600):
+            expr = _random_tree(rng, rng.randint(1, 5))
+            for _ in range(n % 3):
+                expr = _inject(rng, expr)
+            yield expr, lattices
+        # the Gram-entry kernel of the pairing ops against
+        # Lattice.pair_coords (through _former_evaluate): classes of rank
+        # 1 to 8 on two random lattices of their rank and on one each of
+        # rank one less and one more
+        for rank in range(1, 9):
+            near = [_random_lattice(rng, rank), _random_lattice(rng, rank)]
+            near += [_random_lattice(rng, r) for r in (rank - 1, rank + 1)
+                     if r]
+            for n in range(40):
+                expr = _random_tree(rng, rng.randint(1, 4),
+                                    lambda r: _kernel_class(r, rank))
+                for _ in range(n % 3):
+                    expr = _inject(rng, expr)
+                yield expr, near
+
     seen, compared = set(), 0
-    for n in range(600):
-        expr = _random_tree(rng, rng.randint(1, 5))
-        for _ in range(n % 3):
-            expr = _inject(rng, expr)
+    for expr, on in cases():
         compiled = _compile(expr)
-        for lat in lattices:
+        for lat in on:
             want = _outcome(lambda v: evaluate(expr, v), lat)
             assert _outcome(compiled, lat) == want, json.dumps(expr)
             assert _outcome(lambda v: _former_evaluate(expr, v),
@@ -809,7 +860,7 @@ def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
     assert int in seen and {"MalformedScriptError", "OddSquareError",
                             "DimensionMismatchError", "BadParametersError",
                             "DegenerateFormError"} <= names, names
-    assert compared > 5000
+    assert compared > 7000, compared
 
 
 def _reference_replay(script):
@@ -891,3 +942,27 @@ def test_replay_compiles_each_claim_side_once_and_never_interprets(
         assert not run_script(script.with_lattice(mutant)).success, script.tag
     assert interpreted == []
     assert len(roots) == sides
+
+
+def test_replayed_pairings_read_the_gram_matrix_without_pair_coords(
+        monkeypatch):
+    # every pair, self, deg, genus and c2_twist node reads the Gram entries
+    # of a lattice of its classes' rank itself; Lattice.pair_coords is left
+    # to chi_bundle (through Lattice.self_int), so a compiler that falls
+    # back on a same-rank lattice moves this count
+    scripts = sorted(builtin_scripts().values(), key=lambda s: s.tag)
+    runs = [s for script in scripts
+            for s in (script, script.with_lattice(
+                _gram_mutants(script.lattice)[1]))]
+    calls = []
+    pair_coords = Lattice.pair_coords
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return pair_coords(self, x, y)
+
+    monkeypatch.setattr(Lattice, "pair_coords", counting)
+    reports = [run_script(s) for s in runs]
+    assert sum(r.success for r in reports) == 12
+    # the 4 chi_bundle nodes of the builtin claims, each replayed twice
+    assert len(calls) == 8, len(calls)

@@ -80,6 +80,8 @@ def test_small_tail_families_always_resolved():
         (1, "hypothesis-twist"),
     ]
     assert all(r.note for r in report.reductions)
+    # the rows are built once, not per report
+    assert _run((0, 4)).reductions is report.reductions
 
 
 def test_box_64_is_stable():
