@@ -399,6 +399,28 @@ CASES = (
 _BY_TAG = {case.tag: case for case in CASES}
 
 
+def _replay_rows() -> dict:
+    """presentation -> (survivor coordinates -> eliminating row, support
+    rows in CASES order); a later row with the same survivor wins."""
+    rows: dict = {}
+    for case in CASES:
+        if case.presentation is None:
+            continue
+        by_survivor, supports = rows.setdefault(case.presentation, ({}, []))
+        if case.support:
+            supports.append(case)
+        elif case.curve is not None:
+            by_survivor[case.curve.coords] = case
+    return {p: (by_survivor, tuple(supports))
+            for p, (by_survivor, supports) in rows.items()}
+
+
+# read from CASES once, at import; they hold rows, so build no script
+_REDUCTION_OF = {case.presentation: case for case in CASES
+                 if case.target is not None}
+_ROWS_OF = _replay_rows()
+
+
 def builtin_scripts() -> dict[str, DerivationScript]:
     """All shipped derivation scripts, keyed by tag; each is its row's
     shared Case.script()."""

@@ -7,6 +7,10 @@ the matching constraint system, run the elimination script attached to
 every survivor, and resolve the three small-tail families |t| <= 1 that
 the enumeration excludes by construction.  The result is VERIFIED only
 if every piece succeeds.
+
+The reduction, survivor and support rows of a presentation come from two
+indexes that casebook reads from CASES at import; every call still
+classifies, enumerates and replays every script it reports.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ from typing import Sequence
 from ..classifier import (AcmStatus, Assumption, is_initialized_acm)
 from ..errors import BadParametersError, NotAcmInputError
 from ..lattice import DivClass, Lattice
-from .casebook import CASES
+from .casebook import _REDUCTION_OF, _ROWS_OF
 from .constraints import enumerate_case
 from .presets import PRESET_PRESENTATION, lemma_case
 from .scripts import DerivationReport, run_script, report_to_json
 
 _PRESET_FOR = {profile: pid for pid, profile in PRESET_PRESENTATION.items()}
+# the rows of a presentation no CASES row names
+_NO_ROWS: tuple[dict, tuple] = ({}, ())
 
 
 @dataclass(frozen=True)
@@ -104,33 +110,31 @@ def verify_necessity(lat: Lattice, b: DivClass,
             + (f" (missing: {', '.join(str(m) for m in cls.missing)})"
                if cls.missing else ""))
     profile = (lat.self_int(b), lat.deg(b))
-    substitution = None
-    substitution_report = None
-    work_profile = profile
-    for case in CASES:
-        if case.presentation == profile and case.target is not None:
-            substitution_report = run_script(case.script())
-            substitution = (case.tag, case.target)
-            work_profile = case.target
+    reduction = _REDUCTION_OF.get(profile)
+    if reduction is None:
+        substitution = substitution_report = None
+        work_profile = profile
+    else:
+        substitution_report = run_script(reduction.script())
+        substitution = (reduction.tag, reduction.target)
+        work_profile = reduction.target
     if work_profile not in _PRESET_FOR:
         raise BadParametersError(
             f"no constraint system covers the presentation {work_profile}")
     preset_id = _PRESET_FOR[work_profile]
     spec = lemma_case(preset_id, box=box)
     survivors = tuple(enumerate_case(spec))
-    cases = [k for k in CASES if k.presentation == work_profile]
-    case_for = {k.curve.coords: k for k in cases
-                if k.curve is not None and not k.support}
+    case_for, support_rows = _ROWS_OF.get(work_profile, _NO_ROWS)
     matches = []
     unmatched = []
     for survivor in survivors:
-        if survivor not in case_for:
+        case = case_for.get(survivor)
+        if case is None:
             unmatched.append(survivor)
             continue
-        case = case_for[survivor]
         matches.append(SurvivorMatch(survivor=survivor, script_tag=case.tag,
                                      report=run_script(case.script())))
-    supports = tuple(run_script(k.script()) for k in cases if k.support)
+    supports = tuple(run_script(k.script()) for k in support_rows)
     ok = (not unmatched
           and all(m.report.success for m in matches)
           and all(s.success for s in supports)

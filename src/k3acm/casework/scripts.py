@@ -34,6 +34,10 @@ coordinates once into terms (i, j, a[i]*b[j]), and every replay sums
 coef * gram[i][j] over them on the lattice it is given (``_pairing``);
 only a lattice of another rank goes to ``Lattice.pair_coords``, for its
 error.
+
+Beyond its two compiled sides, a replayed claim costs ``run_script`` one
+``check_rel`` (looked up on this module at call time), one detail string
+and one ``StepReport`` built directly as a tuple of that type.
 """
 
 from __future__ import annotations
@@ -519,22 +523,30 @@ class DerivationReport:
                 + (f", {len(self.failed)} failed" if self.failed else "") + ")")
 
 
+# StepReport's generated __new__ is a Python function; building the tuple
+# directly is one C call and gives the same StepReport
+_step = tuple.__new__
+
+
 def run_script(script: DerivationScript) -> DerivationReport:
     """Re-check every arithmetic claim of a script against its lattice.
 
     Each claim replays through its compiled sides, which give what
-    ``evaluate`` gives.  Evaluation errors (odd squares after a corrupted
-    gram entry, bad expressions, expressions nested past the recursion
-    limit) count as FAILED steps, never escape as exceptions.
+    ``evaluate`` gives, and one ``check_rel``; nothing is cached between
+    calls but the compiled sides.  Evaluation errors (odd squares after a
+    corrupted gram entry, bad expressions, expressions nested past the
+    recursion limit) count as FAILED steps, never escape as exceptions.
     Success requires zero FAILED steps; a contradiction conclusion
     additionally requires its final flagged claim to have verified.
     """
     lat = script.lattice
     reports: list[StepReport] = []
+    add = reports.append
     failed: list[int] = []
     for i, st in enumerate(script.steps):
-        if isinstance(st, AxiomUse):
-            reports.append(StepReport(i, "axiom", st.axiom_id, "AxiomUsed", st.note))
+        if st.kind == "axiom":
+            add(_step(StepReport, (i, "axiom", st.axiom_id, "AxiomUsed",
+                                   st.note)))
             continue
         try:
             lhs_of, rhs_of = st.compiled
@@ -542,18 +554,20 @@ def run_script(script: DerivationScript) -> DerivationReport:
             rhs = rhs_of(lat)
         except (WorkbenchError, RecursionError) as exc:
             failed.append(i)
-            reports.append(StepReport(i, "arith", st.label, "FAILED",
-                                      f"evaluation error: {exc}"))
+            add(_step(StepReport, (i, "arith", st.label, "FAILED",
+                                   f"evaluation error: {exc}")))
             continue
-        if check_rel(st.rel, lhs, rhs):
-            detail = f"{lhs} {st.rel} {rhs}"
-            if st.contradicts:
-                detail += f"; impossible given {st.contradicts}"
-            reports.append(StepReport(i, "arith", st.label, "Verified", detail))
+        rel = st.rel
+        if check_rel(rel, lhs, rhs):
+            contradicts = st.contradicts
+            add(_step(StepReport, (
+                i, "arith", st.label, "Verified",
+                f"{lhs} {rel} {rhs}; impossible given {contradicts}"
+                if contradicts else f"{lhs} {rel} {rhs}")))
         else:
             failed.append(i)
-            reports.append(StepReport(i, "arith", st.label, "FAILED",
-                                      f"claim {lhs} {st.rel} {rhs} is false"))
+            add(_step(StepReport, (i, "arith", st.label, "FAILED",
+                                   f"claim {lhs} {rel} {rhs} is false")))
     success = not failed
     if script.conclusion.kind == "contradiction" and success:
         success = reports[-1].status == "Verified"

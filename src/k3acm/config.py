@@ -10,7 +10,10 @@ A config file is a single JSON object with exactly the keys
     assumptions   list of geometric facts (see ``assumption_from_json``)
 
 Unknown keys are rejected so that typos fail loudly instead of being
-silently ignored.
+silently ignored.  A config file is read as UTF-8 and may hold at most
+``_MAX_CONFIG_BYTES`` bytes; a file that is longer, is not UTF-8, nests
+too deeply for the JSON reader or holds an integer past Python's
+int-string digit limit (4,300 digits) is refused with a ConfigError.
 """
 
 import json
@@ -28,6 +31,11 @@ _DATA_DIR = Path(__file__).parent / "data"
 # the rank of H^2(X, Z) of a K3 surface bounds every Picard lattice; the
 # signature's cost grows about as rank^4.5, to hours at rank 1000
 _MAX_RANK = 22
+
+# a rank-22 config whose every entry has 4,300 digits, the most that
+# Python reads as an int, is about 2.2 MB; a longer file (/dev/zero, say)
+# is refused before it is read whole
+_MAX_CONFIG_BYTES = 4 * 1024 * 1024
 
 
 def _is_int(x) -> bool:
@@ -130,16 +138,46 @@ def loads_config(text: str) -> tuple[Lattice, tuple[Assumption, ...]]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an int past the int-string digit limit
+        raise ConfigError(
+            f"config holds an unreadable number: {exc}") from None
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to read") from None
     return config_from_json(data)
+
+
+def _read_capped(path: Path) -> bytes:
+    """The file's bytes; of a file longer than _MAX_CONFIG_BYTES, only
+    enough of them to show that.
+
+    Read in 64 KiB pieces: one read of the whole cap would allocate it for
+    every config, which costs more than reading a shipped one.
+    """
+    parts, size = [], 0
+    with path.open("rb") as f:
+        while size <= _MAX_CONFIG_BYTES:
+            part = f.read(1 << 16)
+            if not part:
+                break
+            parts.append(part)
+            size += len(part)
+    return b"".join(parts)
 
 
 def load_config(path) -> tuple[Lattice, tuple[Assumption, ...]]:
     """Read, validate and build one lattice config file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        raw = _read_capped(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if len(raw) > _MAX_CONFIG_BYTES:
+        raise ConfigError(f"config {path} is longer than "
+                          f"{_MAX_CONFIG_BYTES} bytes")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
     return loads_config(text)
 
 

@@ -1,6 +1,7 @@
 """Config loading, strict validation, and the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -579,6 +580,58 @@ def test_cli_bad_input_paths(capsys, tmp_path):
     assert code == 2
     code, _, _ = _run(capsys, "--help")
     assert code == 0
+
+
+def _over_the_cap():
+    from k3acm.config import _MAX_CONFIG_BYTES
+    text = json.dumps(_doc())
+    return text + " " * (_MAX_CONFIG_BYTES + 1 - len(text))
+
+
+def _limit_memory():
+    # a reader that reads /dev/zero without bound fails here instead of
+    # taking the machine's memory
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"labels": ["\xff"]}', id="not-utf8"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+    pytest.param('{"rank": ' + "1" * 5000 + "}", id="5000-digit-int"),
+    pytest.param(_over_the_cap, id="one-byte-over-the-cap"),
+    pytest.param("/dev/zero", id="dev-zero"),
+])
+def test_cli_refuses_unreadable_config_files_as_bad_input(tmp_path,
+                                                          content):
+    if content == "/dev/zero":
+        if not os.path.exists(content):
+            pytest.skip("no /dev/zero here")
+        path = content
+    else:
+        if callable(content):
+            content = content()
+        if isinstance(content, str):
+            content = content.encode()
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3acm", "lattice-info", "-c", str(path)],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_memory if os.name == "posix" else None)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert elapsed < 10, elapsed
+
+
+def test_a_config_at_the_byte_cap_loads(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(_over_the_cap()[:-1])
+    assert load_config(path)[0].rank == 2
 
 
 @pytest.mark.parametrize("module", ["k3acm", "k3acm.cli"])

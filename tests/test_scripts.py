@@ -13,7 +13,7 @@ from k3acm.casework import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                             established, evaluate, genus_expr, pair_of,
                             quartic_lattice, report_to_json, run_script,
                             script_by_tag, self_of, ulrich_assumptions)
-from k3acm.casework.scripts import _args, _coords, _minimax
+from k3acm.casework.scripts import StepReport, _args, _coords, _minimax
 from k3acm.config import _is_int
 from k3acm.errors import BadParametersError, EngineError
 from k3acm.invariants import (BundleInvariants, brill_noether, chi_bundle,
@@ -903,6 +903,7 @@ def test_run_script_matches_the_evaluate_replay_on_every_mutant():
             assert report == _reference_replay(rebound), script.tag
             assert report_to_json(report) == report_to_json(
                 _reference_replay(rebound))
+            assert all(type(step) is StepReport for step in report.steps)
             replays += 1
             failures += not report.success
     assert replays >= 140 and failures > 100, (replays, failures)

@@ -1,6 +1,8 @@
 """Full necessity replay: every admitted presentation survives end to end."""
 
 import json
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -180,3 +182,38 @@ def test_shared_inputs_are_rechecked_on_every_call(monkeypatch, capsys):
     assert not any(m.report.success for m in report.matches)
     assert cli.main(["verify", "--script", "case-B24"]) == 1
     assert "VERIFICATION FAILED" in capsys.readouterr().out
+
+
+def _scanned_rows(profile):
+    """What verify_necessity once found by scanning CASES on every call:
+    the reduction row, survivor -> script tag and the support tags."""
+    from k3acm.casework.casebook import CASES
+    reduction = None
+    for case in CASES:
+        if case.presentation == profile and case.target is not None:
+            reduction = case
+    cases = [k for k in CASES if k.presentation == profile]
+    case_for = {k.curve.coords: k.tag for k in cases
+                if k.curve is not None and not k.support}
+    return reduction, case_for, [k.tag for k in cases if k.support]
+
+
+def test_the_cases_indexes_give_what_a_scan_of_cases_gives():
+    from k3acm.casework import PRESET_PRESENTATION, casebook
+    profiles = [*PRESET_PRESENTATION.values(), (0, 3), (2, 5)]
+    for profile in profiles:
+        reduction, case_for, supports = _scanned_rows(profile)
+        assert casebook._REDUCTION_OF.get(profile) is reduction, profile
+        by_survivor, support_rows = casebook._ROWS_OF[profile]
+        assert {s: k.tag for s, k in by_survivor.items()} == case_for, \
+            profile
+        assert [k.tag for k in support_rows] == supports, profile
+    assert _scanned_rows((0, 3))[0].target == (-2, 1)
+    assert _scanned_rows((4, 6))[2] == ["gonality-2B"]
+    # the indexes are read from the rows at import and build no script
+    built = subprocess.run(
+        [sys.executable, "-c",
+         "from k3acm.casework import casebook; "
+         "print(sum('_script' in k.__dict__ for k in casebook.CASES))"],
+        capture_output=True, text=True, check=True).stdout
+    assert built == "0\n"
