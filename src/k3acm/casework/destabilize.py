@@ -9,7 +9,10 @@ M^2 >= N^2.  The engine sweeps the possible values n^2 = N^2 and, within
 each branch, the possible pairing profiles (h.N, B.N) of N against the
 rank-2 basis, then kills every candidate with one of the named
 elimination rules.  Every record carries machine-verified integer
-claims.
+claims.  What depends on (lattice, facts, C) alone, the known-class table
+with C's entry, C's movable multiples and each branch's floors, is
+planned once per process (``_plan``); every query still solves its own
+windows, runs every rule and self-checks each claim it emits.
 
 Modes:
   "exact"     the pencil-trick sequence: Z' is empty, M.N = d,
@@ -24,11 +27,10 @@ Modes:
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..classifier import (_CACHE_SIZE, _NONEMPTY_KINDS, AcmStatus,
                           Assumption, AssumptionKind, _conflict_check,
@@ -90,44 +92,34 @@ class _KnownClass:
 
 
 _Known = tuple[_KnownClass, ...]  # the known-class table, by coordinates
+_HalfPlane = tuple[int, int, int]  # a*h.N + b*B.N >= r as (a, b, r)
 
 
-def _known_classes(lat: Lattice, c: DivClass,
-                   assumptions: Sequence[Assumption]) -> _Known:
-    """The classes the assumptions make effective, plus C, by coordinates.
+class _Plan(NamedTuple):
+    """What a sweep reads that depends on (lat, C, facts) alone."""
 
-    Two parts.  The fact table of the presentation, ``_fact_table``,
-    depends only on (lat, facts) and is built once per process; this call
-    adds C's entry to it, where C is always base point free (an
-    irreducible member with C^2 >= 4), replacing a fact-table entry for
-    the same class, and keeps the order by coordinates.
-    """
-    facts = tuple(assumptions)
-    table = _fact_table(lat, facts)
-    profile = _profile_of(lat, c)
-    sq = _pairing(c, *profile)
-    i = bisect.bisect_left(table, c.coords, key=lambda p: p.cls.coords)
-    end = i + 1 if i < len(table) and table[i].cls == c else i
-    # C's aCM flag depends on C and the facts only, as a table entry's does
-    acm = table[i].acm if end > i else _acm_flag(lat, c, sq, profile[0], facts)
-    curve = _KnownClass(c, sq, profile, movable=True, bpf_positive=sq >= 2,
-                        acm=acm)
-    return table[:i] + (curve,) + table[end:]
+    known: _Known       # the fact classes and C, by coordinates
+    curve: _KnownClass  # C's entry
+    multiples: tuple[tuple[int, _KnownClass], ...]  # (k, P): C = k*P, P movable
+    # per even n^2 <= C^2/4: the least h.N and P.N >= P.floor(n^2) for each P
+    columns: tuple[tuple[int, tuple[_HalfPlane, ...]], ...]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _fact_table(lat: Lattice, facts: tuple[Assumption, ...]) -> _Known:
-    """The classes the facts assert nonempty or base point free.
+def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
+    """The known-class table of (lat, facts) plus C, and the sweep's floors.
 
-    Each class P is read off the Gram rows: (h.P, B.P) and P^2 from them.
     The facts are checked for conflicts first, as a classification of any
     class would; a conflict raises on every call, as nothing is cached
-    then.  The table is a pure function of the frozen (lat, facts), so it
-    is shared by every query on that presentation.
+    then.  Each class P the facts assert nonempty or base point free, and
+    C, which is always base point free (an irreducible member with
+    C^2 >= 4), is read off the Gram rows: (h.P, B.P) and P^2 from them.
+    The plan is a pure function of the frozen (lat, C, facts), so every
+    (d, mode) query on it shares it; callers check C first.
     """
     _conflict_check(facts)
     bpf = {a.subject.coords for a in facts
-           if a.kind is AssumptionKind.BASE_POINT_FREE}
+           if a.kind is AssumptionKind.BASE_POINT_FREE} | {c.coords}
     pencil = {a.subject.coords for a in facts
               if a.kind is AssumptionKind.ELLIPTIC_PENCIL}
     nonempty = {a.subject.coords for a in facts
@@ -142,7 +134,14 @@ def _fact_table(lat: Lattice, facts: tuple[Assumption, ...]) -> _Known:
             p, sq, profile, movable=free or coords in pencil or sq == 0,
             bpf_positive=free and sq >= 2,
             acm=_acm_flag(lat, p, sq, profile[0], facts)))
-    return tuple(known)
+    curve = next(p for p in known if p.cls == c)
+    multiples = tuple((k, p) for p in known if p.movable
+                      for k in [_multiple_of(c, p.cls)] if k is not None)
+    columns = tuple(
+        (3 if n2 == 0 else max(3, hodge_lower(4, n2)),
+         tuple((*p.cls.coords, p.floor(n2)) for p in known))
+        for n2 in range(0, curve.square // 4 + 1, 2))
+    return _Plan(tuple(known), curve, multiples, columns)
 
 
 def _acm_flag(lat: Lattice, p: DivClass, sq: int, hp: int,
@@ -213,10 +212,12 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     hyperbolic one, (h.B)^2 > 4 B^2 (AX-HODGE-INDEX), C^2 >= 4 and (C, d)
     in the c2 window: 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and
     1 <= d <= g + 7 - h.C, else PreconditionError, which also bounds the
-    work of one sweep.  Returns one record per (n^2, profile) candidate
-    plus a window-infeasible record for each empty branch and a closing
-    beyond-cap record; the outcome "unresolved" marks a candidate no rule
-    covers.
+    work of one sweep.  These checks run on every call, before the plan of
+    (lat, C, facts) is looked up or built; conflicting facts then raise
+    ConflictingAssumptionsError.  Returns one record per (n^2, profile)
+    candidate plus a window-infeasible record for each empty branch and a
+    closing beyond-cap record; "unresolved" marks a candidate no rule
+    covers.  The records and their claims are built anew on every call.
 
     The rules are incomplete in every mode.  Over the shipped quartic
     configs with C = s h + t B, |s| <= 4, |t| <= 3, C^2 >= 4, h.C > 0 and
@@ -247,12 +248,11 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
             f"h.C = {hc}, d = {d} lies outside the c2 window: the sweep "
             f"needs 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and "
             f"1 <= d <= g + 7 - h.C = {d_hi}")
-    known = _known_classes(lat, c, assumptions)
-    curve = next(p for p in known if p.cls == c)
+    plan = _plan(lat, c, tuple(assumptions))
     cap = c2 // 4
     out: list[PairElimination] = []
     for n2 in range(0, cap + 1, 2):
-        out.extend(_branch(lat, known, curve, d, n2, mode))
+        out.extend(_branch(lat, plan, d, n2, mode))
     sentinel = cap + 2 if cap % 2 == 0 else cap + 1
     out.append(_beyond_cap(lat, c, d, sentinel))
     return out
@@ -266,7 +266,7 @@ def _cn_window(d: int, n2: int, mode: str) -> tuple[int, int]:
     return 1 + n2, d - 1 + n2  # gonality: a pencil of degree <= d-1 assumed
 
 
-def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
+def _profiles(lat: Lattice, plan: _Plan, d: int, n2: int,
               mode: str) -> tuple[list[tuple[int, int, int]], tuple[int, int]]:
     """Window-passing (h.N, B.N, C.N) triples plus the C.N window.
 
@@ -283,17 +283,16 @@ def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
     window, as C.N >= cn_lo implies it; nor does the Hodge index on
     (M, N): (M.N)^2 >= M^2 N^2 expands to (C.N)^2 >= C^2 N^2, C's floor.
     """
-    hc, bc = _profile_of(lat, c)
+    curve = plan.curve
+    hc = curve.profile[0]
     cn_lo, cn_hi = _cn_window(d, n2, mode)
-    xmin = 3
-    if n2 > 0:
-        xmin = max(xmin, hodge_lower(4, n2))
+    xmin, floors = plan.columns[n2 // 2]
     xmax = hc - 3  # h.M >= 3: M is movable and nonzero too
     if mode == "exact":
         xmax = min(xmax, hc // 2)  # M - N effective or zero: h.N <= h.M
-    s, t = c.coords
-    halves = [(s, t, cn_lo), (-s, -t, -min(cn_hi, _pairing(c, hc, bc) // 2))]
-    halves += [(*p.cls.coords, p.floor(n2)) for p in known]
+    s, t = curve.cls.coords
+    halves = [(s, t, cn_lo), (-s, -t, -min(cn_hi, curve.square // 2)),
+              *floors]
     hb, b2 = lat.gram[0][1], lat.gram[1][1]
     hits: list[tuple[int, int, int]] = []
     for x in feasible_range(halves, xmin, xmax):
@@ -305,27 +304,24 @@ def _profiles(lat: Lattice, known: _Known, c: DivClass, d: int, n2: int,
     return hits, (cn_lo, cn_hi)
 
 
-def _branch(lat: Lattice, known: _Known, curve: _KnownClass, d: int, n2: int,
+def _branch(lat: Lattice, plan: _Plan, d: int, n2: int,
             mode: str) -> list[PairElimination]:
-    """One n^2 branch; curve is C's entry of the known-class table."""
-    hits, (cn_lo, cn_hi) = _profiles(lat, known, curve.cls, d, n2, mode)
+    """One n^2 branch of the sweep planned for (lat, C, facts)."""
+    hits, (cn_lo, cn_hi) = _profiles(lat, plan, d, n2, mode)
     if not hits:
-        return [_infeasible(lat, known, curve, d, n2, cn_lo, cn_hi)]
-    return [_kill_profile(lat, known, curve, d, n2, mode, x, y, cn)
+        return [_infeasible(lat, plan, d, n2, cn_lo, cn_hi)]
+    return [_kill_profile(lat, plan.known, plan.curve, d, n2, mode, x, y, cn)
             for x, y, cn in hits]
 
 
-def _infeasible(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
-                n2: int, cn_lo: int, cn_hi: int) -> PairElimination:
+def _infeasible(lat: Lattice, plan: _Plan, d: int, n2: int, cn_lo: int,
+                cn_hi: int) -> PairElimination:
     """No profile passed the windows; certify the binding clash."""
-    c, c2 = curve.cls, curve.square
+    c, c2 = plan.curve.cls, plan.curve.square
     trace: list[ArithClaim] = []
     note = ""
     # C a multiple of one known movable class: its pairing floor scales
-    for p in known:
-        k = _multiple_of(c, p.cls) if p.movable else None
-        if k is None:
-            continue
+    for k, p in plan.multiples:
         floor = p.floor(n2)
         if k * floor > cn_hi:
             trace.append(_claim(

@@ -28,12 +28,12 @@ which ``evaluate`` runs too.  Since a claim's expressions are read only
 once, a claim is never edited in place: to change one, build a new claim
 with ``dataclasses.replace``, which has no compiled sides yet.
 
-A compiled pairing of fixed classes (``pair``, ``self``, ``genus``, both
-pairings of ``c2_twist``, and ``deg`` against each basis vector) reads the
-coordinates once into terms (i, j, a[i]*b[j]), and every replay sums
-coef * gram[i][j] over them on the lattice it is given (``_pairing``);
-only a lattice of another rank goes to ``Lattice.pair_coords``, for its
-error.
+A compiled pairing of fixed classes (``pair``, ``self``, ``genus`` and both
+pairings of ``c2_twist``) reads the coordinates once into terms
+(i, j, a[i]*b[j]), and every replay sums coef * gram[i][j] over them on
+the lattice it is given (``_pairing``); ``deg`` reads its class into terms
+(j, a[j]) and sums ample[i] * a[j] * gram[i][j].  Only a lattice of
+another rank goes to ``Lattice.pair_coords``, for its error.
 
 Beyond its two compiled sides, a replayed claim costs ``run_script`` one
 ``check_rel`` (looked up on this module at call time), one detail string
@@ -204,20 +204,21 @@ def _compile_self(e: dict) -> Compiled:
 
 
 def _compile_deg(e: dict) -> Compiled:
-    """a paired with the lattice's ample class, read at replay: the sum of
-    ample[i] times a's pairing with the i-th basis vector."""
+    """a paired with the lattice's ample class, read at replay: a is read
+    once into terms (j, a[j]), and each replay sums
+    ample[i] * a[j] * gram[i][j]."""
     a = _coords(e["a"])
-    n = len(a)
-    rows = tuple(_pairing([int(k == i) for k in range(n)], a)
-                 for i in range(n))
+    terms = tuple([(j, y) for j, y in enumerate(a) if y])
 
     def run(lat: Lattice) -> int:
-        if len(lat.gram) != n:
+        gram = lat.gram
+        if len(gram) != len(a):
             return lat.pair_coords(lat.ample.coords, a)
         total = 0
-        for x, row in zip(lat.ample.coords, rows):
+        for x, row in zip(lat.ample.coords, gram):
             if x:
-                total += x * row(lat)
+                for j, y in terms:
+                    total += x * y * row[j]
         return total
     return run
 

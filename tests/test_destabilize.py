@@ -282,10 +282,10 @@ def test_solved_profiles_match_the_full_scan():
     compared = 0
     for lat, facts, c, d, mode in _grid():
         for fact_set in (facts, raw[lat]):
-            env = destabilize._known_classes(lat, c, fact_set)
+            plan = destabilize._plan(lat, c, tuple(fact_set))
             for n2 in range(0, lat.self_int(c) // 4 + 1, 2):
-                want = _scan_profiles(lat, env, c, d, n2, mode)
-                assert destabilize._profiles(lat, env, c, d, n2, mode) == want
+                want = _scan_profiles(lat, plan.known, c, d, n2, mode)
+                assert destabilize._profiles(lat, plan, d, n2, mode) == want
                 compared += 1
     assert compared > 1500
 
@@ -322,7 +322,7 @@ def test_known_classes_match_the_classifying_oracle():
     for lat, facts, c, d, mode in _grid():
         for fact_set in (facts, raw[lat]):
             want = _known_classes_oracle(lat, c, fact_set)
-            assert destabilize._known_classes(lat, c, fact_set) == want
+            assert destabilize._plan(lat, c, tuple(fact_set)).known == want
             compared += 1
     assert compared == 1188
 
@@ -346,7 +346,7 @@ def test_known_classes_on_the_ulrich_window():
         ((fact(comp, eff), fact(B - h, eff)), False),
     )
     for facts, ulrich in cases:
-        table = destabilize._known_classes(lat, DivClass((0, 2)), facts)
+        table = destabilize._plan(lat, DivClass((0, 2)), facts).known
         assert table == _known_classes_oracle(lat, DivClass((0, 2)), facts)
         flags = {p.cls: p.acm for p in table}
         assert flags[comp] is ulrich
@@ -368,6 +368,74 @@ def test_conflicting_facts_are_refused():
         for mode in MODES:
             with pytest.raises(ConflictingAssumptionsError):
                 enumerate_destabilizing(lat, c, 2, facts, mode=mode)
+
+
+def _payload(lat, facts, c, d, mode):
+    """The records of one query as JSON, or its error class and text."""
+    try:
+        return [elimination_to_json(r) for r in
+                enumerate_destabilizing(lat, c, d, facts, mode=mode)]
+    except PreconditionError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_a_cold_and_a_warm_plan_give_the_same_records():
+    for lat, facts, c, d, mode in _grid():
+        destabilize._plan.cache_clear()
+        cold = _payload(lat, facts, c, d, mode)
+        assert _payload(lat, facts, c, d, mode) == cold, (c, d, mode)
+
+
+def test_each_curve_is_planned_once_per_presentation():
+    destabilize._plan.cache_clear()
+    planned, queries = set(), 0
+    for lat, facts, c, d, mode in _grid():
+        if isinstance(_payload(lat, facts, c, d, mode), list):
+            planned.add((lat, facts, c))
+            queries += 1
+    info = destabilize._plan.cache_info()
+    # queries refused by the input checks build no plan
+    assert info.misses == info.currsize == len(planned)
+    assert info.hits == queries - len(planned) > 5 * len(planned)
+
+
+def test_a_warm_plan_still_self_checks_every_claim(capsys, monkeypatch):
+    from k3acm import EngineError
+    from k3acm.cli import main
+    cfg = str(data_path("quartic_b2neg2_bh3.json"))
+    argv = ["destabilize", "-c", cfg, "--class", "4,-2", "--d", "2"]
+    lat, _ = load_config(cfg)
+    facts = _facts(lat)
+    assert main(argv) == 0
+    enumerate_destabilizing(lat, DivClass((4, -2)), 2, facts)
+    capsys.readouterr()
+    # the plan is warm: only the claims' self-checks can fail now
+    monkeypatch.setattr(destabilize, "check_rel", lambda rel, lhs, rhs: False)
+    before = destabilize._plan.cache_info()
+    with pytest.raises(EngineError, match="false claim"):
+        enumerate_destabilizing(lat, DivClass((4, -2)), 2, facts)
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "internal error: engine produced a false claim")
+    after = destabilize._plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+
+def test_refused_queries_cache_no_plan():
+    lat = quartic_lattice(-2, 3)
+    facts = _facts(lat) + (Assumption(B, AssumptionKind.EFFECTIVE, "asserted"),
+                           Assumption(B, AssumptionKind.EMPTY, "asserted"))
+    before = destabilize._plan.cache_info()
+    for _ in range(2):
+        with pytest.raises(ConflictingAssumptionsError):
+            enumerate_destabilizing(lat, DivClass((4, -2)), 2, facts)
+    assert destabilize._plan.cache_info().currsize == before.currsize
+    # the input checks come first: conflicting facts never reach the plan
+    before = destabilize._plan.cache_info()
+    for curve, d in (((4, -2), 1000000), ((4, 0), 1), ((0, 1), 2)):
+        with pytest.raises(PreconditionError):
+            enumerate_destabilizing(lat, DivClass(curve), d, facts)
+    assert destabilize._plan.cache_info() == before
 
 
 def test_gonality_with_an_empty_budget_is_flagged():
