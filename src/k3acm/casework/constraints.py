@@ -190,24 +190,16 @@ def _plan(spec: CaseSpec) -> list[Row]:
     return rows
 
 
-def s_range(spec: CaseSpec) -> range:
-    """The s-values enumerate_case visits: those of the box at which the
-    rows of the constraints without a quadratic part leave some real t.
-
-    A superset of the s of every solution; the whole box when the spec
-    has no such row.
-    """
-    return feasible_range(_plan(spec), -spec.box, spec.box)
-
-
 def enumerate_case(spec: CaseSpec) -> list[tuple[int, int]]:
     """All box points satisfying every constraint, lexicographically sorted.
 
-    Deterministic and serial: s runs over s_range(spec), t over the
-    interval those rows leave at that s, and
-    Constraint.holds decides every such point.  Raises BoxTooSmallError
-    if any survivor touches the boundary |s| = box or |t| = box, since the
-    true solution set might then extend past the box.
+    Deterministic and serial: s runs over the box values at which the
+    rows of the constraints without a quadratic part leave some real t (the
+    whole box when there is no such row), t over the interval those rows
+    leave at that s, and Constraint.holds decides every such point.
+    Raises BoxTooSmallError if any survivor touches the boundary |s| = box
+    or |t| = box, since the true solution set might then extend past the
+    box.
     """
     box = spec.box
     rows = _plan(spec)

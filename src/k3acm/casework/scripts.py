@@ -17,16 +17,16 @@ Expressions are JSON values (ints or {"op": ...} dicts), so steps and
 reports serialize losslessly.  Because claims recompute from the gram
 matrix at run time, corrupting any lattice entry makes claims fail.
 
-``evaluate`` interprets an expression in one pass.  ``run_script`` instead
-reads each claim's two sides once, at the claim's first replay, into
-closures over the lattice (``ArithClaim.compiled``) that give the same
-integers and raise the same errors; every replay still runs every claim's
-arithmetic on the lattice it is given.  Each op is defined once: the
-arithmetic ops by their entries in ``_APPLIED`` and ``_FOLDS``, which both
-walkers read, and the lattice ops only by their compilers in ``_COMPILERS``,
-which ``evaluate`` runs too.  Since a claim's expressions are read only
-once, a claim is never edited in place: to change one, build a new claim
-with ``dataclasses.replace``, which has no compiled sides yet.
+The language has one walker, ``_compile``: it reads an expression once
+into a closure over the lattice.  ``evaluate`` compiles an expression and
+runs the closure once; ``run_script`` compiles each claim's two sides at
+the claim's first replay (``ArithClaim.compiled``) and runs them on every
+replay, so every replay still runs every claim's arithmetic on the lattice
+it is given.  Each op is defined once, by its compiler in ``_COMPILERS``:
+the arithmetic ops through their entries in ``_APPLIED`` and ``_FOLDS``.
+Since a claim's expressions are read only once, a claim is never edited in
+place: to change one, build a new claim with ``dataclasses.replace``,
+which has no compiled sides yet.
 
 A compiled pairing of fixed classes (``pair``, ``self``, ``genus`` and both
 pairings of ``c2_twist``) reads the coordinates once into terms
@@ -87,43 +87,26 @@ def _minimax(p: int, q: int) -> int:
 
 
 def evaluate(expr: Expr, lat: Lattice) -> int:
-    """Evaluate an expression to an exact integer against a lattice.
+    """Evaluate an expression to an exact integer against a lattice, by
+    compiling it and running the closure once.
 
     An expression that cannot be read (an unknown op, a missing key, a
     non-list args, non-int coordinates, a chi_bundle rank other than the
     int 2) raises MalformedScriptError.
     """
-    if isinstance(expr, int):
-        if isinstance(expr, bool):
-            raise MalformedScriptError("boolean is not a valid expression")
-        return expr
-    if not isinstance(expr, dict) or "op" not in expr:
-        raise MalformedScriptError(f"bad expression: {expr!r}")
-    op = expr["op"]
-    try:
-        handler = _OPS[op]
-    except (KeyError, TypeError):
-        raise MalformedScriptError(f"unknown expression op {op!r}") from None
-    # handlers read their keys directly; nested evaluate calls and compiled
-    # subexpressions convert their own, so a KeyError here is a key missing
-    # from this expression
-    try:
-        return handler(expr, lat)
-    except KeyError as exc:
-        raise MalformedScriptError(
-            f"{op!r} expression has no key {exc}") from None
+    return _compile(expr)(lat)
 
 
-# ---- compiled replay -----------------------------------------------------------
+# ---- compiling expressions ---------------------------------------------------
 #
-# _compile reads an expression once into a closure Lattice -> int that gives
-# what evaluate gives on every lattice: the same int, or the same exception
-# class and text, raised in the same order.  A node that cannot be read
-# compiles to a closure raising evaluate's error for it, so replay reaches
-# that error at the node's own place in the tree, after any runtime error
-# (an odd square, a rank mismatch) of the nodes evaluate visits first.  A
-# node's own keys and coordinates are read before any of its subexpressions,
-# so they are all read at compile time.
+# _compile reads an expression once into a closure Lattice -> int.  The
+# closure raises errors in the order of a walk that evaluates each node's
+# subexpressions in key order: a node that cannot be read compiles to a
+# closure raising its MalformedScriptError, so a run reaches that error at
+# the node's own place in the tree, after any runtime error (an odd square,
+# a rank mismatch) of the nodes walked before it.  A node's own keys and
+# coordinates are read before any of its subexpressions, so they are all
+# read at compile time.
 
 def _raising(message: str) -> Compiled:
     def run(lat: Lattice) -> int:
@@ -156,14 +139,15 @@ def _compile(expr: Expr) -> Compiled:
 
 
 class _Missing(NamedTuple):
-    """evaluate's message for a subexpression key an expression lacks."""
+    """The error message for a subexpression key an expression lacks."""
     message: str
 
 
 def _child(e: dict, key: str) -> Expr:
-    """e[key], or a _Missing for _compile to raise.  Compilers call
-    _compile(_child(e, key)), so a level of nesting costs the stack the
-    two frames it costs evaluate, and a claim evaluate reaches replays."""
+    """e[key], or a _Missing that _compile turns into a closure raising at
+    that subexpression's place.  A level of nesting costs the compile two
+    stack frames (_compile and the op's compiler) and a run one; the tests
+    pin that a claim nested 400 deep evaluates and replays."""
     if key in e:
         return e[key]
     return _Missing(f"{e['op']!r} expression has no key {key!r}")
@@ -246,15 +230,7 @@ def _compile_c2_twist(e: dict) -> Compiled:
     return lambda lat: c2(lat) + c1_by(lat) + by_by(lat)
 
 
-def _on_lattice(e: dict, lat: Lattice) -> int:
-    """evaluate's handler of a lattice op: its compiled node, run once."""
-    return _COMPILERS[e["op"]](e)(lat)
-
-
-# ---- arithmetic ops: one table entry each, read by both walkers --------------
-#
-# evaluate's handlers loop rather than use a comprehension, which would be
-# one more stack frame: a level of nesting costs each walker two frames.
+# ---- arithmetic ops: one table entry each, compiled by _applied or _folded --
 
 # op -> (fn of its subexpressions, their keys in evaluation order)
 _APPLIED: dict[str, tuple[Callable[..., int], tuple[str, ...]]] = {
@@ -285,16 +261,6 @@ def _applied(fn: Callable[..., int], keys: tuple[str, ...]):
     return compile_op
 
 
-def _evaluated(fn: Callable[..., int], keys: tuple[str, ...]):
-    """evaluate's handler of an op that is fn of its subexpressions."""
-    def handler(e: dict, lat: Lattice) -> int:
-        args = []
-        for key in keys:
-            args.append(evaluate(e[key], lat))
-        return fn(*args)
-    return handler
-
-
 def _folded(fn: Callable[[int, int], int], start: int):
     """The compiler of an op that folds fn over its args from start."""
     def compile_op(e: dict) -> Compiled:
@@ -307,16 +273,6 @@ def _folded(fn: Callable[[int, int], int], start: int):
             return total
         return run
     return compile_op
-
-
-def _evaluated_fold(fn: Callable[[int, int], int], start: int):
-    """evaluate's handler of an op that folds fn over its args from start."""
-    def handler(e: dict, lat: Lattice) -> int:
-        total = start
-        for x in _args(e):
-            total = fn(total, evaluate(x, lat))
-        return total
-    return handler
 
 
 _COMPILERS: dict[str, Callable[[dict], Compiled]] = {
@@ -333,13 +289,6 @@ _COMPILERS: dict[str, Callable[[dict], Compiled]] = {
     **{op: _applied(*spec) for op, spec in _APPLIED.items()},
     **{op: _folded(*spec) for op, spec in _FOLDS.items()},
 }
-
-_OPS: dict[str, Callable[[dict, Lattice], int]] = {
-    **dict.fromkeys(_COMPILERS, _on_lattice),
-    **{op: _evaluated(*spec) for op, spec in _APPLIED.items()},
-    **{op: _evaluated_fold(*spec) for op, spec in _FOLDS.items()},
-}
-
 
 # ---- helpers for writing expressions in builders ----------------------------
 
@@ -532,11 +481,12 @@ _step = tuple.__new__
 def run_script(script: DerivationScript) -> DerivationReport:
     """Re-check every arithmetic claim of a script against its lattice.
 
-    Each claim replays through its compiled sides, which give what
-    ``evaluate`` gives, and one ``check_rel``; nothing is cached between
-    calls but the compiled sides.  Evaluation errors (odd squares after a
-    corrupted gram entry, bad expressions, expressions nested past the
-    recursion limit) count as FAILED steps, never escape as exceptions.
+    Each claim replays through its compiled sides, the closures that
+    ``evaluate`` builds and runs once, and one ``check_rel``; nothing is
+    cached between calls but the compiled sides.  Evaluation errors (odd
+    squares after a corrupted gram entry, bad expressions, expressions
+    nested past the recursion limit) count as FAILED steps, never escape
+    as exceptions.
     Success requires zero FAILED steps; a contradiction conclusion
     additionally requires its final flagged claim to have verified.
     """

@@ -12,7 +12,7 @@ from k3acm import (BadParametersError, BoxTooSmallError, MalformedScriptError,
 from k3acm.casework import (ArithClaim, CaseSpec, Constraint, PRESET_IDS,
                             abs_t_at_least, check_rel, enumerate_case,
                             lemma_case, linear, quadratic, quartic_lattice)
-from k3acm.casework.constraints import s_range
+from k3acm.casework.constraints import _plan, feasible_range
 
 EXPECTED = {
     "i-a": [(3, -2)],
@@ -338,6 +338,11 @@ def _polygon_spec(rng: random.Random, hits: dict) -> CaseSpec:
                     box=box)
 
 
+def _s_range(spec):
+    """The s-values enumerate_case visits."""
+    return feasible_range(_plan(spec), -spec.box, spec.box)
+
+
 def test_s_range_solver_matches_the_sweep_on_bounded_polygons():
     rng = random.Random(23)
     hits = {k: 0 for k in (">=", ">", "<=", "<", "=", "quadratic", "abs-t")}
@@ -346,8 +351,8 @@ def test_s_range_solver_matches_the_sweep_on_bounded_polygons():
         spec = _polygon_spec(rng, hits)
         got = _outcome(enumerate_case, spec)
         assert got == _outcome(_sweep_enumerate, spec), spec.constraints
-        assert all(s in s_range(spec) for s, _ in got), spec.constraints
-        narrowed += len(s_range(spec)) < 2 * spec.box + 1
+        assert all(s in _s_range(spec) for s, _ in got), spec.constraints
+        narrowed += len(_s_range(spec)) < 2 * spec.box + 1
         nonempty += bool(got)
     assert min(hits.values()) >= 20, hits
     assert narrowed >= 140 and nonempty >= 60, (narrowed, nonempty)
@@ -360,22 +365,22 @@ def test_s_range_solver_matches_the_sweep_on_bounded_polygons():
 ], ids=["quadratic", "quadratic-abs-t", "abs-t"])
 def test_specs_without_linear_rows_walk_the_whole_box(cons):
     spec = CaseSpec(lattice=quartic_lattice(-2, 1), constraints=cons, box=21)
-    assert s_range(spec) == range(-21, 22)
+    assert _s_range(spec) == range(-21, 22)
     assert _outcome(enumerate_case, spec) == _outcome(_sweep_enumerate, spec)
 
 
 def test_s_range_of_the_constant_rows():
     lat = quartic_lattice(-2, 1)
     never = CaseSpec(lattice=lat, constraints=(linear(0, 0, ">", 0),), box=16)
-    assert s_range(never) == range(0)
+    assert _s_range(never) == range(0)
     strip = CaseSpec(lattice=lat, constraints=(linear(2, 0, ">", 3),
                                               linear(3, 0, "<=", 20)), box=16)
-    assert s_range(strip) == range(2, 7)
+    assert _s_range(strip) == range(2, 7)
 
 
 def test_preset_s_ranges_do_not_depend_on_the_box():
     for pid in PRESET_IDS:
-        ranges = {box: s_range(lemma_case(pid, box=box))
+        ranges = {box: _s_range(lemma_case(pid, box=box))
                   for box in (16, 17, 32, 64, 128, 256)}
         assert len(set(ranges.values())) == 1, (pid, ranges)
         columns = ranges[16]

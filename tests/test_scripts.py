@@ -528,7 +528,7 @@ def _ops_of(expr):
 
 def test_the_proof_uses_every_op_and_no_other():
     from test_destabilize import _grid
-    from k3acm.casework.scripts import _OPS
+    from k3acm.casework.scripts import _COMPILERS
     from k3acm.errors import PreconditionError
     claims = [st for script in builtin_scripts().values()
               for st in script.steps if isinstance(st, ArithClaim)]
@@ -540,14 +540,14 @@ def test_the_proof_uses_every_op_and_no_other():
         claims += [cl for rec in records for cl in rec.trace]
     used = set().union(*(_ops_of(side) for cl in claims
                          for side in (cl.lhs, cl.rhs)))
-    assert used == set(_OPS)
-    assert len(_OPS) == 17
+    assert used == set(_COMPILERS)
+    assert len(_COMPILERS) == 17
 
 
-# ---- the former evaluate, one handler per op, kept as the oracle of both ---
-# evaluate now runs a lattice op through its compiler, so comparing evaluate
-# with the compiled sides no longer checks those ops against a second
-# implementation; this copy of the former handlers does.
+# ---- the former evaluate, one handler per op, kept as an oracle -------------
+# evaluate now compiles an expression and runs the closure once, so it and
+# the compiled sides are one walker; this copy of the former handlers is
+# the second implementation they are checked against.
 
 def _former_evaluate(expr, lat):
     """The former scripts.evaluate, verbatim but for names and annotations."""
@@ -648,16 +648,15 @@ _FORMER_OPS = {
 def test_each_op_is_defined_once():
     from k3acm.casework import scripts
     arithmetic = set(scripts._APPLIED) | set(scripts._FOLDS)
-    assert len(arithmetic) == 8 and arithmetic < set(scripts._OPS)
-    assert {op for op, handler in scripts._OPS.items()
-            if handler is scripts._on_lattice} == set(scripts._OPS) - arithmetic
+    assert len(arithmetic) == 8 and arithmetic < set(scripts._COMPILERS)
     gone = {"_pair", "_self", "_deg", "_chi_bundle", "_c2_twist", "_add",
             "_mul", "_compile_add", "_compile_mul", "_degree",
-            "_whole_lattice"}
+            "_whole_lattice", "_OPS", "_on_lattice", "_evaluated",
+            "_evaluated_fold"}
     assert not {name for name in gone if hasattr(scripts, name)}
 
 
-# ---- the compiled sides, with evaluate as their oracle -----------------------
+# ---- the compiled sides, with the former evaluate as their oracle ------------
 
 def _outcome(fn, lat):
     """A side's int, or the class and text of the error it raises."""
@@ -682,9 +681,10 @@ def test_compiled_sides_match_evaluate_on_every_claim_and_mutant():
             for claim in claims:
                 for side, compiled in zip((claim.lhs, claim.rhs),
                                           claim.compiled):
-                    want = _outcome(lambda v: evaluate(side, v), variant)
+                    want = _outcome(lambda v: _former_evaluate(side, v),
+                                    variant)
                     assert _outcome(compiled, variant) == want, claim.label
-                    assert _outcome(lambda v: _former_evaluate(side, v),
+                    assert _outcome(lambda v: evaluate(side, v),
                                     variant) == want, claim.label
                     compared += 1
                     errors += isinstance(want, tuple)
@@ -815,9 +815,8 @@ def _inject(rng, expr):
 
 
 def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
-    from k3acm.casework.scripts import _COMPILERS, _OPS, _compile
+    from k3acm.casework.scripts import _compile
     import random
-    assert set(_COMPILERS) == set(_OPS)
     rng = random.Random(20201)
     lattices = _gram_mutants(LAT) + [
         quartic_lattice(4, 6),
@@ -850,9 +849,9 @@ def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
     for expr, on in cases():
         compiled = _compile(expr)
         for lat in on:
-            want = _outcome(lambda v: evaluate(expr, v), lat)
+            want = _outcome(lambda v: _former_evaluate(expr, v), lat)
             assert _outcome(compiled, lat) == want, json.dumps(expr)
-            assert _outcome(lambda v: _former_evaluate(expr, v),
+            assert _outcome(lambda v: evaluate(expr, v),
                             lat) == want, json.dumps(expr)
             seen.add(want[0] if isinstance(want, tuple) else int)
             compared += 1
@@ -864,7 +863,8 @@ def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
 
 
 def _reference_replay(script):
-    """run_script as one evaluate per side and one check_rel per claim."""
+    """run_script as one former evaluate per side and one check_rel per
+    claim."""
     from k3acm.casework import DerivationReport, StepReport, check_rel
     steps, failed = [], []
     for i, st in enumerate(script.steps):
@@ -873,8 +873,8 @@ def _reference_replay(script):
                                     st.note))
             continue
         try:
-            lhs = evaluate(st.lhs, script.lattice)
-            rhs = evaluate(st.rhs, script.lattice)
+            lhs = _former_evaluate(st.lhs, script.lattice)
+            rhs = _former_evaluate(st.rhs, script.lattice)
         except WorkbenchError as exc:
             failed.append(i)
             steps.append(StepReport(i, "arith", st.label, "FAILED",
