@@ -6,11 +6,12 @@ constraint has one form, an integer polynomial of degree at most 2:
 
     qss*s^2 + qst*s*t + qtt*t^2 + a*s + b*t  rel  c
 
-enumerate_case scans one half-plane region: the constraints without a
-quadratic part and |t| <= box are half-planes a*s + b*t >= r, eliminating
-t from them (Fourier-Motzkin) gives the integer s-range in which any real
-t is left, and at each such s they give one integer t-interval.
-Constraint.holds decides every point of that region, so the quadratic
+scan walks one half-plane region: eliminating y from rows a*x + b*y >= r
+(Fourier-Motzkin) gives the integer x-range in which any real y is left,
+and at each such x the rows narrow a given y-interval; enumerate_case and
+the destabilizing engine's profile sweep both run on it.  enumerate_case
+takes the constraints without a quadratic part and |t| <= box as rows,
+and Constraint.holds decides every point of that region, so the quadratic
 constraints only filter.  A survivor on the box boundary raises
 BoxTooSmallError because it signals the solution set may be truncated.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ..config import _is_int
 from ..errors import BadParametersError, BoxTooSmallError
@@ -129,7 +130,7 @@ class CaseSpec:
 # each such s they bound t.  The rows only prune: Constraint.holds decides
 # every point they leave, so the quadratic constraints need no rows.
 
-Row = tuple[int, int, int]  # (a, b, r): a*s + b*t >= r
+Row = tuple[int, int, int]  # (a, b, r): a*x + b*y >= r, here (x, y) = (s, t)
 
 
 def _rows(a: int, b: int, rel: str, c: int) -> list[Row]:
@@ -145,8 +146,7 @@ def half_plane_bounds(rows: Iterable[tuple[int, int]], lo: int,
     """The integers x in [lo, hi] with b*x >= r for every row (b, r), as
     (lo, hi); lo > hi when none is left (0 >= r > 0 holds nowhere).
 
-    Plain comparisons instead of max and min: the destabilizing engine
-    calls this once per h.N column.
+    Plain comparisons instead of max and min: scan calls it per column.
     """
     for b, r in rows:
         if b > 0:
@@ -178,6 +178,19 @@ def feasible_range(rows: list[Row], lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
+def scan(rows: list[Row], lo: int, hi: int,
+         column: Callable[[int], tuple[int, int]]
+         ) -> Iterator[tuple[int, int]]:
+    """Every integer (x, y) with lo <= x <= hi, y_lo <= y <= y_hi for
+    (y_lo, y_hi) = column(x) and a*x + b*y >= r for each row (a, b, r),
+    in x-then-y order."""
+    for x in feasible_range(rows, lo, hi):
+        y_lo, y_hi = half_plane_bounds([(b, r - a * x) for a, b, r in rows],
+                                       *column(x))
+        for y in range(y_lo, y_hi + 1):
+            yield x, y
+
+
 def _plan(spec: CaseSpec) -> list[Row]:
     """The rows of the constraints without a quadratic part and of
     |t| <= box."""
@@ -193,23 +206,19 @@ def _plan(spec: CaseSpec) -> list[Row]:
 def enumerate_case(spec: CaseSpec) -> list[tuple[int, int]]:
     """All box points satisfying every constraint, lexicographically sorted.
 
-    Deterministic and serial: s runs over the box values at which the
-    rows of the constraints without a quadratic part leave some real t (the
-    whole box when there is no such row), t over the interval those rows
-    leave at that s, and Constraint.holds decides every such point.
+    Deterministic and serial: scan runs s over the box values at which
+    the rows of the constraints without a quadratic part leave some real t
+    (the whole box when there is no such row), t over the interval those
+    rows leave at that s, and Constraint.holds decides every such point.
     Raises BoxTooSmallError if any survivor touches the boundary |s| = box
     or |t| = box, since the true solution set might then extend past the
     box.
     """
     box = spec.box
-    rows = _plan(spec)
-    out: list[tuple[int, int]] = []
-    for s in feasible_range(rows, -box, box):
-        lo, hi = half_plane_bounds([(b, r - a * s) for a, b, r in rows],
-                                   -box, box)
-        for t in range(lo, hi + 1):
-            if all(c.holds(s, t) for c in spec.constraints):
-                out.append((s, t))
+    cons = spec.constraints
+    out = [(s, t) for s, t in scan(_plan(spec), -box, box,
+                                   lambda s: (-box, box))
+           if all(c.holds(s, t) for c in cons)]
     for s, t in out:
         if abs(s) == box or abs(t) == box:
             raise BoxTooSmallError(

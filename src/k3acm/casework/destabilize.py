@@ -34,12 +34,14 @@ from typing import Callable, NamedTuple, Sequence
 
 from ..classifier import (_CACHE_SIZE, _NONEMPTY_KINDS, AcmStatus,
                           Assumption, AssumptionKind, _conflict_check,
-                          acm_window, derived_assumptions, is_initialized_acm)
+                          derived_assumptions, is_initialized_acm)
+from ..config import _is_int
 from ..errors import (BadParametersError, DimensionMismatchError, EngineError,
-                      PreconditionError, WorkbenchError)
+                      NotEffectiveCandidateError, PreconditionError,
+                      TrivialClassError, WorkbenchError)
 from ..invariants import genus_of, hodge_lower, lm_acm_bounds
 from ..lattice import DivClass, Lattice
-from .constraints import check_rel, feasible_range, half_plane_bounds
+from .constraints import Row, check_rel, scan
 from .scripts import (ArithClaim, add_expr, evaluate, hodge_expr, self_of,
                       step_to_json)
 
@@ -92,7 +94,6 @@ class _KnownClass:
 
 
 _Known = tuple[_KnownClass, ...]  # the known-class table, by coordinates
-_HalfPlane = tuple[int, int, int]  # a*h.N + b*B.N >= r as (a, b, r)
 
 
 class _Plan(NamedTuple):
@@ -102,7 +103,7 @@ class _Plan(NamedTuple):
     curve: _KnownClass  # C's entry
     multiples: tuple[tuple[int, _KnownClass], ...]  # (k, P): C = k*P, P movable
     # per even n^2 <= C^2/4: the least h.N and P.N >= P.floor(n^2) for each P
-    columns: tuple[tuple[int, tuple[_HalfPlane, ...]], ...]
+    columns: tuple[tuple[int, tuple[Row, ...]], ...]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -113,9 +114,11 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
     class would; a conflict raises on every call, as nothing is cached
     then.  Each class P the facts assert nonempty or base point free, and
     C, which is always base point free (an irreducible member with
-    C^2 >= 4), is read off the Gram rows: (h.P, B.P) and P^2 from them.
-    The plan is a pure function of the frozen (lat, C, facts), so every
-    (d, mode) query on it shares it; callers check C first.
+    C^2 >= 4), is read off the Gram rows: (h.P, B.P) and P^2 from them;
+    its acm flag is whether ``is_initialized_acm`` finds P initialized aCM
+    under the facts (False when P is zero or |P| is empty).  The plan is a
+    pure function of the frozen (lat, C, facts), so every (d, mode) query
+    on it shares it; callers check C first.
     """
     _conflict_check(facts)
     bpf = {a.subject.coords for a in facts
@@ -130,10 +133,14 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
         profile = _profile_of(lat, p)
         sq = _pairing(p, *profile)
         free = coords in bpf
+        try:
+            acm = is_initialized_acm(lat, p, facts).status in (
+                AcmStatus.ACM, AcmStatus.ACM_ULRICH)
+        except (TrivialClassError, NotEffectiveCandidateError):
+            acm = False
         known.append(_KnownClass(
             p, sq, profile, movable=free or coords in pencil or sq == 0,
-            bpf_positive=free and sq >= 2,
-            acm=_acm_flag(lat, p, sq, profile[0], facts)))
+            bpf_positive=free and sq >= 2, acm=acm))
     curve = next(p for p in known if p.cls == c)
     multiples = tuple((k, p) for p in known if p.movable
                       for k in [_multiple_of(c, p.cls)] if k is not None)
@@ -142,22 +149,6 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
          tuple((*p.cls.coords, p.floor(n2)) for p in known))
         for n2 in range(0, curve.square // 4 + 1, 2))
     return _Plan(tuple(known), curve, multiples, columns)
-
-
-def _acm_flag(lat: Lattice, p: DivClass, sq: int, hp: int,
-              facts: tuple[Assumption, ...]) -> bool:
-    """What ``is_initialized_acm`` says of a known class P, h.P = hp.
-
-    Every known class is asserted nonempty or base point free, or it is
-    C, and in windows (a)-(c) h.P >= 1 and P^2 >= -2, so Riemann-Roch
-    makes P effective and ``acm_window`` alone decides that P is
-    initialized aCM.  Only the Ulrich window (d) runs the classifier, for
-    the emptiness of |P - h| and |2h - P|; outside the windows P is not
-    aCM.
-    """
-    window = acm_window(sq, hp)
-    return window is not None and (window != "d" or is_initialized_acm(
-        lat, p, facts).status is AcmStatus.ACM_ULRICH)
 
 
 def _claim(lat: Lattice, label: str, lhs, rel: str, rhs, cite: str = "",
@@ -228,6 +219,8 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     """
     if mode not in MODES:
         raise BadParametersError(f"unknown mode {mode!r}; choose from {MODES}")
+    if not _is_int(d):
+        raise BadParametersError(f"d must be an int, got {d!r}")
     if lat.rank != 2 or lat.ample.coords != (1, 0):
         raise BadParametersError(
             "the destabilizing sweep needs the rank-2 polarized "
@@ -277,11 +270,11 @@ def _profiles(lat: Lattice, plan: _Plan, d: int, n2: int,
     keeps the right side >= 0.  Each further window is a half-plane
     a*h.N + b*B.N >= r: the degree budget
     cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by M^2 >= N^2, and
-    P.N >= P.floor(n2) for every known class P, C included.  x runs over
-    the columns at which they leave some real y (feasible_range), and
-    half_plane_bounds narrows each interval by them.  M.N >= 1 needs no
-    window, as C.N >= cn_lo implies it; nor does the Hodge index on
-    (M, N): (M.N)^2 >= M^2 N^2 expands to (C.N)^2 >= C^2 N^2, C's floor.
+    P.N >= P.floor(n2) for every known class P, C included.  scan runs x
+    over the columns at which they leave some real y and narrows each
+    isqrt interval by them.  M.N >= 1 needs no window, as C.N >= cn_lo
+    implies it; nor does the Hodge index on (M, N): (M.N)^2 >= M^2 N^2
+    expands to (C.N)^2 >= C^2 N^2, C's floor.
     """
     curve = plan.curve
     hc = curve.profile[0]
@@ -294,13 +287,13 @@ def _profiles(lat: Lattice, plan: _Plan, d: int, n2: int,
     halves = [(s, t, cn_lo), (-s, -t, -min(cn_hi, curve.square // 2)),
               *floors]
     hb, b2 = lat.gram[0][1], lat.gram[1][1]
-    hits: list[tuple[int, int, int]] = []
-    for x in feasible_range(halves, xmin, xmax):
+
+    def column(x: int) -> tuple[int, int]:
         root = math.isqrt((hb * hb - 4 * b2) * (x * x - 4 * n2))
-        lo, hi = half_plane_bounds([(b, r - a * x) for a, b, r in halves],
-                                   -((root - hb * x) // 4),
-                                   (hb * x + root) // 4)
-        hits.extend((x, y, s * x + t * y) for y in range(lo, hi + 1))
+        return -((root - hb * x) // 4), (hb * x + root) // 4
+
+    hits = [(x, y, s * x + t * y)
+            for x, y in scan(halves, xmin, xmax, column)]
     return hits, (cn_lo, cn_hi)
 
 

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BadDimensionsError,
+    BadParametersError,
     DegenerateFormError,
     DimensionMismatchError,
     NonPositiveAmpleError,
@@ -32,6 +33,9 @@ from .errors import (
 class DivClass:
     """A divisor class: an integer coordinate vector in a fixed basis.
 
+    A coordinate that is not an integer (``operator.index`` refuses it: a
+    float, a string, a Fraction) raises BadParametersError.
+
     Supports the obvious Z-module operations so combinations read like the
     formulas they implement, e.g. ``3*h - 2*b``.
     """
@@ -39,7 +43,12 @@ class DivClass:
     coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[int]):
-        object.__setattr__(self, "coords", tuple(map(int, coords)))
+        try:
+            ints = tuple(map(operator.index, coords))
+        except TypeError:
+            raise BadParametersError(
+                f"class coordinates must be ints, got {coords!r}") from None
+        object.__setattr__(self, "coords", ints)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -71,7 +80,11 @@ class DivClass:
 
 
 def _check_gram(gram: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in gram)
+    try:
+        rows = tuple(tuple(map(operator.index, row)) for row in gram)
+    except TypeError:
+        raise BadParametersError(
+            f"gram entries must be ints, got {gram!r}") from None
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise BadDimensionsError("gram matrix must be square and nonempty")

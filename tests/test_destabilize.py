@@ -153,6 +153,14 @@ def test_mode_and_precondition_guards():
                                 2, (), mode="exact")
 
 
+@pytest.mark.parametrize("d", [1.5, "2", True],
+                         ids=["float", "string", "bool"])
+def test_a_non_int_d_is_bad_input(d):
+    lat = quartic_lattice(-2, 3)
+    with pytest.raises(BadParametersError, match="d must be an int"):
+        enumerate_destabilizing(lat, DivClass((4, -2)), d, _facts(lat))
+
+
 def test_engine_refuses_queries_outside_the_c2_window():
     # C = h + 2B on (0, 4): C^2 = 20, g = 11, h.C = 12, so d <= 6
     lat = quartic_lattice(0, 4)
@@ -244,12 +252,13 @@ def _scan_profiles(lat, env, c, d, n2, mode):
     return hits, (cn_lo, cn_hi)
 
 
-def _grid():
-    """Shipped rank-2 configs, a small curve box, the whole c2 window."""
+def _grid(s_max=3):
+    """Shipped rank-2 configs, the curve box |s| <= s_max, |t| <= 3, the
+    whole c2 window."""
     for name in shipped_quartic_names():
         lat, assumptions = load_config(data_path(name))
         facts = engine_assumptions(lat, assumptions)
-        for s in range(-3, 4):
+        for s in range(-s_max, s_max + 1):
             for t in range(-3, 4):
                 c = DivClass((s, t))
                 c2, hc = lat.self_int(c), lat.deg(c)
@@ -354,6 +363,17 @@ def test_known_classes_on_the_ulrich_window():
                 for facts, _ in cases]
     assert statuses == [AcmStatus.ACM_ULRICH, AcmStatus.NEEDS_ASSUMPTION,
                         AcmStatus.NOT_ACM]
+
+
+def test_open_branches_match_the_documented_counts():
+    # the grid the enumerate_destabilizing docstring counts on
+    queries, left_open = Counter(), Counter()
+    for lat, facts, c, d, mode in _grid(s_max=4):
+        records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
+        queries[mode] += 1
+        left_open[mode] += not all(r.resolved for r in records)
+    assert queries == {mode: 210 for mode in MODES}
+    assert left_open == {"exact": 60, "general": 115, "gonality": 92}
 
 
 def test_conflicting_facts_are_refused():

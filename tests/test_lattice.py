@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3acm import (BadDimensionsError, DegenerateFormError,
+from k3acm import (BadDimensionsError, BadParametersError, DegenerateFormError,
                    DimensionMismatchError, DivClass, Lattice,
                    NonPositiveAmpleError, NonSymmetricError,
                    OddK3DiagonalError, PreconditionError, WrongSignatureError)
@@ -31,6 +31,17 @@ def test_divclass_arithmetic():
 def test_divclass_is_hashable_and_comparable():
     assert DivClass((1, 0)) == DivClass([1, 0])
     assert len({DivClass((1, 0)), DivClass((1, 0)), DivClass((0, 1))}) == 2
+
+
+@pytest.mark.parametrize("bad", [4.7, "3", Fraction(3)],
+                         ids=["float", "numeric-string", "fraction"])
+def test_non_integers_are_refused_not_truncated(bad):
+    with pytest.raises(BadParametersError, match="class coordinates"):
+        DivClass((bad, -4))
+    with pytest.raises(BadParametersError, match="gram entries"):
+        Lattice(gram=[[4, 6], [6, bad]], labels=("h", "B"), ample=(1, 0))
+    with pytest.raises(BadParametersError, match="class coordinates"):
+        Lattice(gram=[[4, 6], [6, 4]], labels=("h", "B"), ample=(bad, 0))
 
 
 def test_gram_must_be_square_and_symmetric():

@@ -59,6 +59,27 @@ def test_every_presentation_verifies():
             assert report.substitution_report.success
 
 
+def test_the_seven_presentations_agree():
+    # every (B^2, h.B) the classifier admits under the Hodge index bound
+    # 4 B^2 <= (h.B)^2, with 1 <= h.B <= 12 (no window has B^2 < -2)
+    from k3acm.casework import PRESET_PRESENTATION
+    from k3acm.casework.casebook import CASES
+    from k3acm.classifier import acm_window
+    admitted = {(b2, hb) for hb in range(1, 13) for b2 in range(-144, 37)
+                if 4 * b2 <= hb * hb and acm_window(b2, hb) is not None}
+    reduced = {case.presentation: case.target for case in CASES
+               if case.target is not None}
+    presets = set(PRESET_PRESENTATION.values())
+    assert len(admitted) == 7
+    assert set(reduced.values()) <= presets
+    assert admitted == presets | set(reduced)
+    shipped = [load_config(data_path(name))[0].gram
+               for name in shipped_quartic_names()]
+    profiles = [(g[1][1], g[0][1]) for g in shipped]
+    assert len(profiles) == len(set(profiles))
+    assert set(profiles) == admitted
+
+
 def test_survivor_matches_pair_up():
     report = _run((0, 4))
     assert [m.survivor for m in report.matches] == [(1, 2), (5, -2)]
