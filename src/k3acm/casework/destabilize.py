@@ -12,7 +12,9 @@ elimination rules.  Every record carries machine-verified integer
 claims.  What depends on (lattice, facts, C) alone, the known-class table
 with C's entry, C's movable multiples and each branch's floors, is
 planned once per process (``_plan``); every query still solves its own
-windows, runs every rule and self-checks each claim it emits.
+windows, runs every rule and self-checks each claim it emits.  A profile
+costs one pass over the known classes: each rule returns (outcome, claims,
+note) and ``_kill_profile`` builds the one record, a bare tuple.
 
 Modes:
   "exact"     the pencil-trick sequence: Z' is empty, M.N = d,
@@ -30,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ..classifier import (_CACHE_SIZE, _NONEMPTY_KINDS, AcmStatus,
                           Assumption, AssumptionKind, _conflict_check,
@@ -48,12 +50,12 @@ from .scripts import (ArithClaim, add_expr, evaluate, hodge_expr, self_of,
 MODES = ("exact", "general", "gonality")
 
 
-@dataclass(frozen=True)
-class PairElimination:
+class PairElimination(NamedTuple):
     """One eliminated configuration of the destabilizing pair.
 
     profile is (h.N, B.N) for candidate records and None for the
-    branch-level window-infeasible and beyond-cap records.
+    branch-level window-infeasible and beyond-cap records.  The engine
+    builds each candidate record as a bare tuple of this type.
     """
 
     c: DivClass
@@ -153,8 +155,7 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
 
 def _claim(lat: Lattice, label: str, lhs, rel: str, rhs, cite: str = "",
            contradicts: str = "") -> ArithClaim:
-    claim = ArithClaim(label=label, lhs=lhs, rel=rel, rhs=rhs, cite=cite,
-                       contradicts=contradicts)
+    claim = ArithClaim(label, lhs, rel, rhs, cite, contradicts)
     if not check_rel(rel, evaluate(lhs, lat), evaluate(rhs, lat)):
         raise EngineError(f"engine produced a false claim: {label}")
     return claim
@@ -221,6 +222,8 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
         raise BadParametersError(f"unknown mode {mode!r}; choose from {MODES}")
     if not _is_int(d):
         raise BadParametersError(f"d must be an int, got {d!r}")
+    if not isinstance(c, DivClass):
+        raise BadParametersError(f"C must be a DivClass, got {c!r}")
     if lat.rank != 2 or lat.ample.coords != (1, 0):
         raise BadParametersError(
             "the destabilizing sweep needs the rank-2 polarized "
@@ -372,28 +375,26 @@ def _beyond_cap(lat: Lattice, c: DivClass, d: int, n2: int) -> PairElimination:
                            note="all larger squares at once")
 
 
+# a rule's verdict: (outcome, the claims after the bookkeeping one, note)
+_Kill = tuple[str, list[ArithClaim], str]
+
+
 def _kill_profile(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
                   n2: int, mode: str, x: int, y: int,
                   cn: int) -> PairElimination:
     mn = cn - n2
-    lz = d - mn if mode == "general" else 0
-    base = [_claim(lat, "profile bookkeeping", add_expr(mn, n2), "=", cn,
-                   cite=f"M.N = C.N - N^2 = {cn} - {n2} at "
-                        f"(h.N, B.N) = ({x}, {y})")]
-
-    def rec(outcome: str, claims: list[ArithClaim],
-            note: str = "") -> PairElimination:
-        return PairElimination(c=curve.cls, d=d, n_square=n2, len_zprime=lz,
-                               outcome=outcome, trace=tuple(base + claims),
-                               profile=(x, y), note=note)
-
-    killed = _kill_classlike(lat, known, curve, n2, mode, x, y, rec)
+    base = _claim(lat, "profile bookkeeping", add_expr(mn, n2), "=", cn,
+                  cite=f"M.N = C.N - N^2 = {cn} - {n2} at "
+                       f"(h.N, B.N) = ({x}, {y})")
+    killed = _kill_classlike(lat, known, curve, n2, mode, x, y)
     if killed is None and n2 == 0:
-        killed = _kill_fiber(lat, known, curve, d, mode, x, y, cn, rec)
-    if killed is not None:
-        return killed
-    return rec("unresolved", [],
-               note="no registered elimination rule covers this profile")
+        killed = _kill_fiber(lat, known, curve, d, mode, x, y, cn)
+    outcome, claims, note = killed or (
+        "unresolved", [], "no registered elimination rule covers this profile")
+    # one C call: the generated __new__ is a Python function
+    return tuple.__new__(PairElimination, (
+        curve.cls, d, n2, d - mn if mode == "general" else 0, outcome,
+        (base, *claims), (x, y), note))
 
 
 def _split_class(curve: _KnownClass, n2: int,
@@ -406,96 +407,91 @@ def _split_class(curve: _KnownClass, n2: int,
     return DivClass((s // 2, t // 2))
 
 
-def _q_data(p: _KnownClass, x: int, y: int, n2: int):
-    """Square, degree and N-pairing of Q = P - N from the profile.
-
-    Every rule below asks q2 = -2 or |h.Q| >= 1, so none fires on Q = 0.
-    """
-    pn = _pairing(p.cls, x, y)
-    q2 = p.square - 2 * pn + n2
-    hq = p.profile[0] - x
-    nq = pn - n2
-    return pn, q2, hq, nq
-
-
 def _kill_classlike(lat: Lattice, known: _Known, curve: _KnownClass, n2: int,
-                    mode: str, x: int, y: int,
-                    rec: Callable) -> PairElimination | None:
-    """Rules that only use effectivity and connectedness of known classes."""
+                    mode: str, x: int, y: int) -> _Kill | None:
+    """Rules that only use effectivity and connectedness of known classes.
+
+    One pass over the known classes P reads P.N and, for Q = P - N, Q^2
+    and h.Q off the profile, firing the rules that hold for every class;
+    the base-point-free and aCM rules then read what it kept.  Every rule
+    asks q2 = -2 or |h.Q| >= 1, so none fires on Q = 0.
+    """
     half = _split_class(curve, n2, x, y)
     if half is not None and mode in ("exact", "general"):
-        return rec("split-indecomposable", [_claim(
+        return "split-indecomposable", [_claim(
             lat, "the halved class matches the profile of N",
             self_of(half), "=", n2,
             cite=f"N and {half} = C/2 share square and basis pairings, so "
                  "N = C/2 by nondegeneracy and E is an extension of C/2 by "
                  "itself with Z' empty, i.e. decomposable",
-            contradicts="AX-INDECOMP: E is indecomposable")],
-            note=f"N = {half}")
+            contradicts="AX-INDECOMP: E is indecomposable")], f"N = {half}"
     hc = curve.profile[0]
     if mode == "exact" and 2 * x == hc:
         # M - N is effective (or zero, excluded above) of degree 0
-        return rec("effective-difference-degree-zero", [_claim(
+        return "effective-difference-degree-zero", [_claim(
             lat, "the difference M - N has ample degree zero",
             hc - 2 * x, "=", 0,
             cite="M - N is effective and nonzero here, yet h.(M - N) = 0",
             contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
-                        "effective class is positive")])
+                        "effective class is positive")], ""
+    seen = []  # (P, P.N, Q^2, h.Q, N.Q) of every known class P
     for p in known:
-        pn, q2, hq, nq = _q_data(p, x, y, n2)
+        p1, p2 = p.cls.coords
+        pn = p1 * x + p2 * y
+        q2 = p.square - 2 * pn + n2
+        hq = p.profile[0] - x
         if hq == 0 and q2 == -2:
-            return rec("ample-orthogonal-neg2", [_claim(
+            return "ample-orthogonal-neg2", [_claim(
                 lat, "a (-2)-class orthogonal to h",
                 add_expr(self_of(p.cls), -2 * pn, n2), "=", -2,
                 cite=f"({p.cls} - N)^2 = -2 while h.({p.cls} - N) = 0; a "
                      "(-2)-class is effective up to sign",
                 contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
-                            "effective class is positive")],
-                note=f"P = {p.cls}")
+                            "effective class is positive")], f"P = {p.cls}"
         if q2 >= 0 and 1 <= abs(hq) <= 2:
             name = f"{p.cls} - N" if hq > 0 else f"N - ({p.cls})"
-            return rec("very-ample-degree-floor", [_claim(
+            return "very-ample-degree-floor", [_claim(
                 lat, "degree below the very ample floor",
                 abs(hq), "<", 3,
                 cite=f"({name})^2 = {q2} >= 0 and h.({name}) = {abs(hq)}; a "
                      "nonzero class of nonnegative square and positive "
                      "degree moves in a pencil",
                 contradicts="AX-VA-DEGREE3: degree floor under a very ample "
-                            "polarization")], note=f"P = {p.cls}")
-    for p in (p for p in known if p.bpf_positive):
-        pn, q2, hq, nq = _q_data(p, x, y, n2)
+                            "polarization")], f"P = {p.cls}"
+        seen.append((p, pn, q2, hq, pn - n2))
+    for p, pn, q2, hq, nq in seen:
+        if not p.bpf_positive:
+            continue
         if q2 >= -2 and hq >= 1 and nq <= 1:
-            return rec("two-connected-violation", [_claim(
+            return "two-connected-violation", [_claim(
                 lat, "a piece meeting N at most once",
-                pn - n2, "<=", 1,
+                nq, "<=", 1,
                 cite=f"Q = {p.cls} - N is effective (Q^2 = {q2} >= -2, "
                      f"h.Q = {hq} >= 1) and N.Q = {nq}",
                 contradicts=f"AX-2CONNECTED: members of |{p.cls}| are "
-                            "2-connected")], note=f"P = {p.cls}")
+                            "2-connected")], f"P = {p.cls}"
         if q2 >= -2 and hq <= -1 and n2 >= 2 and pn - p.square <= 1:
-            return rec("two-connected-violation", [_claim(
+            return "two-connected-violation", [_claim(
                 lat, "a piece meeting its complement at most once",
                 pn - p.square, "<=", 1,
                 cite=f"Q = N - ({p.cls}) is effective and {p.cls}.Q = "
                      f"{pn - p.square}",
-                contradicts="AX-2CONNECTED: members of |N| are 2-connected")],
-                note=f"P = {p.cls}")
-    for p in (p for p in known if p.acm):
-        pn, q2, hq, nq = _q_data(p, x, y, n2)
-        if q2 == -2 and hq >= 1 and nq <= 0:
-            return rec("one-connected-h1", [_claim(
+                contradicts="AX-2CONNECTED: members of |N| are "
+                            "2-connected")], f"P = {p.cls}"
+    for p, pn, q2, hq, nq in seen:
+        if p.acm and q2 == -2 and hq >= 1 and nq <= 0:
+            return "one-connected-h1", [_claim(
                 lat, "a decomposition with nonpositive linking",
-                pn - n2, "<=", 0,
+                nq, "<=", 0,
                 cite=f"{p.cls} = N + ({p.cls} - N) with ({p.cls} - N)^2 = -2, "
                      f"h.({p.cls} - N) = {hq} and N.({p.cls} - N) = {nq}",
                 contradicts="AX-1CONNECTED-H1 with AX-ACM-VANISH: h^1 of "
-                            "the aCM class vanishes")], note=f"P = {p.cls}")
+                            "the aCM class vanishes")], f"P = {p.cls}"
     return None
 
 
 def _kill_fiber(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
-                mode: str, x: int, y: int, cn: int,
-                rec: Callable) -> PairElimination | None:
+                mode: str, x: int, y: int, cn: int) -> _Kill | None:
     """Rules for N^2 = 0: N = rF over an elliptic pencil F with h.F >= 3."""
     if mode in ("exact", "gonality"):
         rs = [1]  # h^1(N) = r - 1 = 0 forces r = 1
@@ -512,8 +508,7 @@ def _kill_fiber(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
         rules.append(rule)
         claims.extend(cl)
     outcome = rules[0] if len(set(rules)) == 1 else "pencil-branches-exhausted"
-    return rec(outcome, claims,
-               note=f"fiber multiplicities {rs} all eliminated")
+    return outcome, claims, f"fiber multiplicities {rs} all eliminated"
 
 
 def _kill_fiber_r(lat: Lattice, known: _Known, curve: _KnownClass, d: int,

@@ -376,9 +376,13 @@ class ArithClaim:
 
     kind = "arith"
 
-    def __post_init__(self):
-        if not _is_rel(self.rel):
-            raise MalformedScriptError(f"unknown relation {self.rel!r}")
+    # one __dict__ update in place of a generated __setattr__ per field
+    def __init__(self, label: str, lhs: Expr, rel: str, rhs: Expr,
+                 cite: str = "", contradicts: str = ""):
+        if not _is_rel(rel):
+            raise MalformedScriptError(f"unknown relation {rel!r}")
+        self.__dict__.update(label=label, lhs=lhs, rel=rel, rhs=rhs,
+                             cite=cite, contradicts=contradicts)
 
     @cached_property
     def compiled(self) -> tuple[Compiled, Compiled]:

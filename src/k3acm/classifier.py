@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
+    BadParametersError,
     ConflictingAssumptionsError,
     NotAcmInputError,
     NotEffectiveCandidateError,
@@ -95,6 +96,10 @@ class AcmClassification:
 
 
 def _conflict_check(assumptions: Sequence[Assumption]) -> None:
+    """Refuse a fact that is not an Assumption, then clashing facts."""
+    for a in assumptions:
+        if not isinstance(a, Assumption):
+            raise BadParametersError(f"a fact must be an Assumption, got {a!r}")
     empty = {a.subject.coords for a in assumptions
              if a.kind is AssumptionKind.EMPTY}
     nonempty = {a.subject.coords for a in assumptions
@@ -167,6 +172,8 @@ def is_initialized_acm(lat: Lattice, b: DivClass,
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _classify(lat: Lattice, b: DivClass,
               assumptions: tuple[Assumption, ...]) -> AcmClassification:
+    if not isinstance(b, DivClass):
+        raise BadParametersError(f"B must be a DivClass, got {b!r}")
     if b.is_zero():
         raise TrivialClassError("the zero class is excluded from classification")
     verdict = effectivity(lat, b, assumptions)

@@ -29,12 +29,19 @@ from .errors import (
 )
 
 
+def _index(value) -> int:
+    """``operator.index``, which also refuses a bool: True is not 1 here."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer entry")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class DivClass:
     """A divisor class: an integer coordinate vector in a fixed basis.
 
-    A coordinate that is not an integer (``operator.index`` refuses it: a
-    float, a string, a Fraction) raises BadParametersError.
+    A coordinate that is not an integer (``_index`` refuses it: a float, a
+    string, a Fraction, a bool) raises BadParametersError.
 
     Supports the obvious Z-module operations so combinations read like the
     formulas they implement, e.g. ``3*h - 2*b``.
@@ -44,7 +51,7 @@ class DivClass:
 
     def __init__(self, coords: Iterable[int]):
         try:
-            ints = tuple(map(operator.index, coords))
+            ints = tuple(map(_index, coords))
         except TypeError:
             raise BadParametersError(
                 f"class coordinates must be ints, got {coords!r}") from None
@@ -81,7 +88,7 @@ class DivClass:
 
 def _check_gram(gram: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     try:
-        rows = tuple(tuple(map(operator.index, row)) for row in gram)
+        rows = tuple(tuple(map(_index, row)) for row in gram)
     except TypeError:
         raise BadParametersError(
             f"gram entries must be ints, got {gram!r}") from None

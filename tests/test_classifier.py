@@ -3,7 +3,7 @@
 import pytest
 
 from k3acm import classifier
-from k3acm import (AcmStatus, Assumption, AssumptionKind,
+from k3acm import (AcmStatus, Assumption, AssumptionKind, BadParametersError,
                    ConflictingAssumptionsError, DivClass, Effectivity,
                    Lattice, NotAcmInputError, NotEffectiveCandidateError,
                    TrivialClassError, acm_companions, derived_assumptions,
@@ -216,6 +216,24 @@ def test_cached_classifier_matches_the_uncached_original():
                                 derived += 1
     assert classifier._classify.cache_info().hits > hits
     assert (compared, derived) == (7497, 244)
+
+
+def test_a_plain_tuple_class_is_bad_input():
+    lat = quartic_lattice(-2, 3)
+    before = classifier._classify.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(BadParametersError, match="B must be a DivClass"):
+            is_initialized_acm(lat, (0, 1))
+    assert classifier._classify.cache_info().currsize == before
+
+
+def test_a_fact_that_is_not_an_assumption_is_bad_input():
+    lat = quartic_lattice(-2, 3)
+    before = classifier._classify.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(BadParametersError, match="must be an Assumption"):
+            is_initialized_acm(lat, B, ("x",))
+    assert classifier._classify.cache_info().currsize == before
 
 
 def test_cached_classifier_raises_on_every_call():

@@ -9,10 +9,11 @@ from k3acm import (AcmStatus, Assumption, AssumptionKind, BadParametersError,
                    NotEffectiveCandidateError, PreconditionError,
                    TrivialClassError, derived_assumptions, is_initialized_acm)
 from k3acm.classifier import _NONEMPTY_KINDS
-from k3acm.casework import (MODES, elimination_to_json, engine_assumptions,
-                            enumerate_destabilizing, evaluate,
-                            quartic_lattice, ulrich_assumptions)
+from k3acm.casework import (MODES, PairElimination, elimination_to_json,
+                            engine_assumptions, enumerate_destabilizing,
+                            evaluate, quartic_lattice, ulrich_assumptions)
 from k3acm.casework import destabilize
+from k3acm.casework.scripts import add_expr, self_of
 from k3acm.casework.constraints import check_rel
 from k3acm.config import data_path, load_config, shipped_quartic_names
 from k3acm.invariants import hodge_lower
@@ -159,6 +160,25 @@ def test_a_non_int_d_is_bad_input(d):
     lat = quartic_lattice(-2, 3)
     with pytest.raises(BadParametersError, match="d must be an int"):
         enumerate_destabilizing(lat, DivClass((4, -2)), d, _facts(lat))
+
+
+def test_a_plain_tuple_curve_is_bad_input():
+    lat = quartic_lattice(-2, 3)
+    before = destabilize._plan.cache_info()
+    for facts in ((), _facts(lat)):
+        with pytest.raises(BadParametersError, match="C must be a DivClass"):
+            enumerate_destabilizing(lat, (4, -2), 2, facts)
+    assert destabilize._plan.cache_info() == before
+
+
+def test_a_fact_that_is_not_an_assumption_is_bad_input():
+    lat = quartic_lattice(-2, 3)
+    before = destabilize._plan.cache_info()
+    for _ in range(2):
+        with pytest.raises(BadParametersError, match="must be an Assumption"):
+            enumerate_destabilizing(lat, DivClass((4, -2)), 2,
+                                    _facts(lat) + ("x",))
+    assert destabilize._plan.cache_info().currsize == before.currsize
 
 
 def test_engine_refuses_queries_outside_the_c2_window():
@@ -374,6 +394,157 @@ def test_open_branches_match_the_documented_counts():
         left_open[mode] += not all(r.resolved for r in records)
     assert queries == {mode: 210 for mode in MODES}
     assert left_open == {"exact": 60, "general": 115, "gonality": 92}
+
+
+def _q_data_oracle(p, x, y, n2):
+    """The per-class helper the one-pass rules replaced, kept as written."""
+    pn = destabilize._pairing(p.cls, x, y)
+    q2 = p.square - 2 * pn + n2
+    hq = p.profile[0] - x
+    nq = pn - n2
+    return pn, q2, hq, nq
+
+
+def _kill_classlike_oracle(lat, known, curve, n2, mode, x, y, rec):
+    """The class-like rules as they read before the one-pass rewrite: one
+    helper call per class and rule family, each verdict through ``rec``."""
+    _claim = destabilize._claim
+    half = destabilize._split_class(curve, n2, x, y)
+    if half is not None and mode in ("exact", "general"):
+        return rec("split-indecomposable", [_claim(
+            lat, "the halved class matches the profile of N",
+            self_of(half), "=", n2,
+            cite=f"N and {half} = C/2 share square and basis pairings, so "
+                 "N = C/2 by nondegeneracy and E is an extension of C/2 by "
+                 "itself with Z' empty, i.e. decomposable",
+            contradicts="AX-INDECOMP: E is indecomposable")],
+            note=f"N = {half}")
+    hc = curve.profile[0]
+    if mode == "exact" and 2 * x == hc:
+        return rec("effective-difference-degree-zero", [_claim(
+            lat, "the difference M - N has ample degree zero",
+            hc - 2 * x, "=", 0,
+            cite="M - N is effective and nonzero here, yet h.(M - N) = 0",
+            contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
+                        "effective class is positive")])
+    for p in known:
+        pn, q2, hq, nq = _q_data_oracle(p, x, y, n2)
+        if hq == 0 and q2 == -2:
+            return rec("ample-orthogonal-neg2", [_claim(
+                lat, "a (-2)-class orthogonal to h",
+                add_expr(self_of(p.cls), -2 * pn, n2), "=", -2,
+                cite=f"({p.cls} - N)^2 = -2 while h.({p.cls} - N) = 0; a "
+                     "(-2)-class is effective up to sign",
+                contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
+                            "effective class is positive")],
+                note=f"P = {p.cls}")
+        if q2 >= 0 and 1 <= abs(hq) <= 2:
+            name = f"{p.cls} - N" if hq > 0 else f"N - ({p.cls})"
+            return rec("very-ample-degree-floor", [_claim(
+                lat, "degree below the very ample floor",
+                abs(hq), "<", 3,
+                cite=f"({name})^2 = {q2} >= 0 and h.({name}) = {abs(hq)}; a "
+                     "nonzero class of nonnegative square and positive "
+                     "degree moves in a pencil",
+                contradicts="AX-VA-DEGREE3: degree floor under a very ample "
+                            "polarization")], note=f"P = {p.cls}")
+    for p in (p for p in known if p.bpf_positive):
+        pn, q2, hq, nq = _q_data_oracle(p, x, y, n2)
+        if q2 >= -2 and hq >= 1 and nq <= 1:
+            return rec("two-connected-violation", [_claim(
+                lat, "a piece meeting N at most once",
+                pn - n2, "<=", 1,
+                cite=f"Q = {p.cls} - N is effective (Q^2 = {q2} >= -2, "
+                     f"h.Q = {hq} >= 1) and N.Q = {nq}",
+                contradicts=f"AX-2CONNECTED: members of |{p.cls}| are "
+                            "2-connected")], note=f"P = {p.cls}")
+        if q2 >= -2 and hq <= -1 and n2 >= 2 and pn - p.square <= 1:
+            return rec("two-connected-violation", [_claim(
+                lat, "a piece meeting its complement at most once",
+                pn - p.square, "<=", 1,
+                cite=f"Q = N - ({p.cls}) is effective and {p.cls}.Q = "
+                     f"{pn - p.square}",
+                contradicts="AX-2CONNECTED: members of |N| are 2-connected")],
+                note=f"P = {p.cls}")
+    for p in (p for p in known if p.acm):
+        pn, q2, hq, nq = _q_data_oracle(p, x, y, n2)
+        if q2 == -2 and hq >= 1 and nq <= 0:
+            return rec("one-connected-h1", [_claim(
+                lat, "a decomposition with nonpositive linking",
+                pn - n2, "<=", 0,
+                cite=f"{p.cls} = N + ({p.cls} - N) with ({p.cls} - N)^2 = -2, "
+                     f"h.({p.cls} - N) = {hq} and N.({p.cls} - N) = {nq}",
+                contradicts="AX-1CONNECTED-H1 with AX-ACM-VANISH: h^1 of "
+                            "the aCM class vanishes")], note=f"P = {p.cls}")
+    return None
+
+
+def test_one_pass_rules_match_the_per_rule_oracle(monkeypatch):
+    def verdict(outcome, claims, note=""):
+        return outcome, claims, note
+
+    def oracle(lat, known, curve, n2, mode, x, y):
+        return _kill_classlike_oracle(lat, known, curve, n2, mode, x, y,
+                                      verdict)
+
+    one_pass = destabilize._kill_classlike
+    queries = list(_grid(s_max=4))
+    new = [_payload(*q) for q in queries]
+    monkeypatch.setattr(destabilize, "_kill_classlike", oracle)
+    old = [_payload(*q) for q in queries]
+    assert len(queries) == 630
+    for q, got, want in zip(queries, new, old):
+        assert got == want, q[2:]
+    labels = {rec["trace"][-1]["label"]
+              for out in new for rec in out if rec["profile"]}
+    # the rules alone, on a box of profiles around each plan's branches,
+    # also reach the class-like rule that ends no grid record: "a piece
+    # meeting its complement at most once"; an effective class that is
+    # neither aCM nor base point free reaches the one-connected rule's
+    # aCM test, which every shipped known class passes or never gets to
+    odd = Assumption(DivClass((1, -3)), AssumptionKind.EFFECTIVE, "")
+    plans = {(lat, c, facts + extra) for lat, facts, c, d, mode in queries
+             for extra in ((), (odd,))}
+    for lat, c, facts in plans:
+        plan = destabilize._plan(lat, c, facts)
+        for n2 in range(0, plan.curve.square // 4 + 1, 2):
+            for mode in MODES:
+                for x in range(plan.curve.profile[0] + 1):
+                    for y in range(-4, 5):
+                        args = (lat, plan.known, plan.curve, n2, mode, x, y)
+                        got = one_pass(*args)
+                        assert got == oracle(*args), (c, n2, mode, x, y)
+                        if got is not None:
+                            labels.add(got[1][-1].label)
+    # between them, every class-like rule fired
+    assert labels >= {"the halved class matches the profile of N",
+                      "the difference M - N has ample degree zero",
+                      "a (-2)-class orthogonal to h",
+                      "degree below the very ample floor",
+                      "a piece meeting N at most once",
+                      "a piece meeting its complement at most once",
+                      "a decomposition with nonpositive linking"}
+
+
+def test_a_record_is_a_named_tuple():
+    assert PairElimination._fields == (
+        "c", "d", "n_square", "len_zprime", "outcome", "trace", "profile",
+        "note")
+    assert PairElimination._field_defaults == {"profile": None, "note": ""}
+    c = DivClass((4, -2))
+    rec = PairElimination(c, 2, 0, 0, "unresolved", ())
+    assert (rec.profile, rec.note, rec.resolved) == (None, "", False)
+    assert rec._replace(outcome="window-infeasible").resolved
+    with pytest.raises(AttributeError):
+        rec.outcome = "window-infeasible"
+    # the engine's records, built as bare tuples, are the same records
+    lat = quartic_lattice(-2, 3)
+    for rec in enumerate_destabilizing(lat, c, 2, _facts(lat),
+                                       mode="general"):
+        assert type(rec) is PairElimination
+        assert rec == PairElimination(**rec._asdict())
+        if rec.profile is not None:  # the rule's claims follow this one
+            assert rec.trace[0].label == "profile bookkeeping"
 
 
 def test_conflicting_facts_are_refused():

@@ -33,8 +33,8 @@ def test_divclass_is_hashable_and_comparable():
     assert len({DivClass((1, 0)), DivClass((1, 0)), DivClass((0, 1))}) == 2
 
 
-@pytest.mark.parametrize("bad", [4.7, "3", Fraction(3)],
-                         ids=["float", "numeric-string", "fraction"])
+@pytest.mark.parametrize("bad", [4.7, "3", Fraction(3), True],
+                         ids=["float", "numeric-string", "fraction", "bool"])
 def test_non_integers_are_refused_not_truncated(bad):
     with pytest.raises(BadParametersError, match="class coordinates"):
         DivClass((bad, -4))

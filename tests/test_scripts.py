@@ -122,6 +122,31 @@ def test_step_validation():
         established("")
 
 
+def test_a_claim_is_still_a_frozen_dataclass():
+    import dataclasses
+    lhs = {"op": "self", "a": [1, 0]}
+    claim = ArithClaim("square of h", lhs, "=", 4, cite="pin", contradicts="")
+    assert dataclasses.is_dataclass(claim)
+    assert [f.name for f in dataclasses.fields(ArithClaim)] == [
+        "label", "lhs", "rel", "rhs", "cite", "contradicts"]
+    assert claim == ArithClaim(label="square of h", lhs=lhs, rel="=", rhs=4,
+                               cite="pin")
+    assert repr(claim) == (
+        "ArithClaim(label='square of h', lhs={'op': 'self', 'a': [1, 0]}, "
+        "rel='=', rhs=4, cite='pin', contradicts='')")
+    assert hash(ArithClaim("x", 1, "<", 2)) == hash(ArithClaim("x", 1, "<", 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        claim.rhs = 5
+    # replace builds through the same check, with no compiled sides yet
+    lat = Lattice(gram=[[4, 6], [6, 4]], labels=("h", "B"), ample=(1, 0))
+    assert claim.compiled[0](lat) == 4
+    moved = replace(claim, rhs=5)
+    assert (moved.rhs, moved.cite, "compiled" in vars(moved)) == (5, "pin",
+                                                                  False)
+    with pytest.raises(MalformedScriptError, match="unknown relation '!='"):
+        replace(claim, rel="!=")
+
+
 def test_contradiction_scripts_need_a_flagged_final_claim():
     claim = ArithClaim("plain", 1, "=", 1)
     with pytest.raises(MalformedScriptError):
