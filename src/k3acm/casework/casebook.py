@@ -23,8 +23,8 @@ from ..errors import BadParametersError, EngineError
 from ..invariants import brill_noether, genus_of
 from ..lattice import DivClass, Lattice
 from .destabilize import engine_assumptions, enumerate_destabilizing
-from .presets import (delpezzo_lattice, delpezzo_pencil_f, delpezzo_pencil_fj,
-                      quartic_lattice, ulrich_assumptions)
+from .presets import (_B, _H, delpezzo_lattice, delpezzo_pencil_f,
+                      delpezzo_pencil_fj, quartic_lattice, ulrich_assumptions)
 from .scripts import (ArithClaim, AxiomUse, CONTRADICTION, DerivationScript,
                       add_expr, bn_expr, c2_twist_expr, chi_bundle_expr,
                       chi_expr, deg_of, established, genus_expr, minimax_expr,
@@ -65,10 +65,6 @@ class Case:
     @functools.cached_property
     def _script(self) -> DerivationScript:
         return self.build(self)
-
-
-_H = DivClass((1, 0))
-_B = DivClass((0, 1))
 
 
 def _pins(b2: int, hb: int) -> list:
@@ -397,28 +393,6 @@ CASES = (
 
 
 _BY_TAG = {case.tag: case for case in CASES}
-
-
-def _replay_rows() -> dict:
-    """presentation -> (survivor coordinates -> eliminating row, support
-    rows in CASES order); a later row with the same survivor wins."""
-    rows: dict = {}
-    for case in CASES:
-        if case.presentation is None:
-            continue
-        by_survivor, supports = rows.setdefault(case.presentation, ({}, []))
-        if case.support:
-            supports.append(case)
-        elif case.curve is not None:
-            by_survivor[case.curve.coords] = case
-    return {p: (by_survivor, tuple(supports))
-            for p, (by_survivor, supports) in rows.items()}
-
-
-# read from CASES once, at import; they hold rows, so build no script
-_REDUCTION_OF = {case.presentation: case for case in CASES
-                 if case.target is not None}
-_ROWS_OF = _replay_rows()
 
 
 def builtin_scripts() -> dict[str, DerivationScript]:

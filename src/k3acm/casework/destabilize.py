@@ -35,8 +35,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from ..classifier import (_CACHE_SIZE, _NONEMPTY_KINDS, AcmStatus,
-                          Assumption, AssumptionKind, _conflict_check,
-                          derived_assumptions, is_initialized_acm)
+                          Assumption, AssumptionKind, _checked_facts,
+                          _conflict_check, derived_assumptions,
+                          is_initialized_acm)
 from ..config import _is_int
 from ..errors import (BadParametersError, DimensionMismatchError, EngineError,
                       NotEffectiveCandidateError, PreconditionError,
@@ -44,6 +45,7 @@ from ..errors import (BadParametersError, DimensionMismatchError, EngineError,
 from ..invariants import genus_of, hodge_lower, lm_acm_bounds
 from ..lattice import DivClass, Lattice
 from .constraints import Row, check_rel, scan
+from .presets import _B, presentation
 from .scripts import (ArithClaim, add_expr, evaluate, hodge_expr, self_of,
                       step_to_json)
 
@@ -120,7 +122,7 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
     its acm flag is whether ``is_initialized_acm`` finds P initialized aCM
     under the facts (False when P is zero or |P| is empty).  The plan is a
     pure function of the frozen (lat, C, facts), so every (d, mode) query
-    on it shares it; callers check C first.
+    on it shares it; callers check C first.  The gate fixes h^2 = 4.
     """
     _conflict_check(facts)
     bpf = {a.subject.coords for a in facts
@@ -180,18 +182,17 @@ def engine_assumptions(lat: Lattice, assumptions: Sequence[Assumption] = ()
                        ) -> tuple[Assumption, ...]:
     """The facts the sweep works from, as ``k3acm destabilize`` derives them.
 
-    On the rank-2 presentation (h, B), an initialized aCM class B adds what
+    On a quartic presentation <h, B>, an initialized aCM class B adds what
     derived_assumptions records about B and its companions; otherwise, or
     when B does not classify, the given assumptions stand alone.
     """
-    if lat.rank == 2 and lat.ample.coords == (1, 0):
-        b = DivClass((0, 1))
-        try:
-            cls = is_initialized_acm(lat, b, assumptions)
-            if cls.status in (AcmStatus.ACM, AcmStatus.ACM_ULRICH):
-                return tuple(derived_assumptions(lat, b, cls, assumptions))
-        except WorkbenchError:
-            pass
+    try:
+        presentation(lat)
+        cls = is_initialized_acm(lat, _B, assumptions)
+        if cls.status in (AcmStatus.ACM, AcmStatus.ACM_ULRICH):
+            return tuple(derived_assumptions(lat, _B, cls, assumptions))
+    except WorkbenchError:
+        pass
     return tuple(assumptions)
 
 
@@ -200,12 +201,14 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
                             mode: str = "exact") -> list[PairElimination]:
     """Sweep every destabilizing-pair branch for (C, d) and kill each one.
 
-    Needs the rank-2 polarized presentation with basis (h, B), a
-    hyperbolic one, (h.B)^2 > 4 B^2 (AX-HODGE-INDEX), C^2 >= 4 and (C, d)
-    in the c2 window: 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and
-    1 <= d <= g + 7 - h.C, else PreconditionError, which also bounds the
-    work of one sweep.  These checks run on every call, before the plan of
-    (lat, C, facts) is looked up or built; conflicting facts then raise
+    Needs h^2 = 4: a lattice that is not a quartic presentation <h, B>
+    (``presets.presentation``) raises BadParametersError, as the Hodge
+    windows are written for h^2 = 4.  Needs a hyperbolic one,
+    (h.B)^2 > 4 B^2 (AX-HODGE-INDEX), C^2 >= 4 and (C, d) in the c2
+    window: 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and 1 <= d <= g + 7 - h.C,
+    else PreconditionError, which also bounds the work of one sweep.
+    These checks and the facts' types run on every call, before the plan
+    of (lat, C, facts) is looked up or built; conflicting facts then raise
     ConflictingAssumptionsError.  Returns one record per (n^2, profile)
     candidate plus a window-infeasible record for each empty branch and a
     closing beyond-cap record; "unresolved" marks a candidate no rule
@@ -224,11 +227,7 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
         raise BadParametersError(f"d must be an int, got {d!r}")
     if not isinstance(c, DivClass):
         raise BadParametersError(f"C must be a DivClass, got {c!r}")
-    if lat.rank != 2 or lat.ample.coords != (1, 0):
-        raise BadParametersError(
-            "the destabilizing sweep needs the rank-2 polarized "
-            "presentation with basis (h, B)")
-    hb, b2 = lat.gram[0][1], lat.gram[1][1]
+    b2, hb = presentation(lat)
     if hb * hb <= 4 * b2:
         raise PreconditionError(
             f"(h.B)^2 = {hb * hb} <= 4 B^2 = {4 * b2}: the presentation is "
@@ -244,7 +243,7 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
             f"h.C = {hc}, d = {d} lies outside the c2 window: the sweep "
             f"needs 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and "
             f"1 <= d <= g + 7 - h.C = {d_hi}")
-    plan = _plan(lat, c, tuple(assumptions))
+    plan = _plan(lat, c, _checked_facts(assumptions))
     cap = c2 // 4
     out: list[PairElimination] = []
     for n2 in range(0, cap + 1, 2):
@@ -270,7 +269,7 @@ def _profiles(lat: Lattice, plan: _Plan, d: int, n2: int,
     determinant is >= 0) closes B.N = y: the determinant is >= 0 exactly
     when (4y - x h.B)^2 <= ((h.B)^2 - 4 B^2)(x^2 - 4 N^2), and 4y - x h.B is
     an integer, so isqrt gives the exact interval; x >= hodge_lower(4, N^2)
-    keeps the right side >= 0.  Each further window is a half-plane
+    keeps the right side >= 0; the gate guarantees these 4s are h^2.  Each further window is a half-plane
     a*h.N + b*B.N >= r: the degree budget
     cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by M^2 >= N^2, and
     P.N >= P.floor(n2) for every known class P, C included.  scan runs x
@@ -513,7 +512,8 @@ def _kill_fiber(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
 
 def _kill_fiber_r(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
                   mode: str, x: int, y: int, cn: int, r: int):
-    """Eliminate N = rF for one multiplicity r; None if no rule applies."""
+    """Eliminate N = rF for one multiplicity r; None if no rule applies.
+    The twist rule's 4s are h^2 = 4, which the gate guarantees."""
     if r >= 2:
         if cn != d:
             return None  # Z' nonempty: the h^1 forcing needs the plain sequence

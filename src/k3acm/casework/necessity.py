@@ -8,9 +8,10 @@ every survivor, and resolve the three small-tail families |t| <= 1 that
 the enumeration excludes by construction.  The result is VERIFIED only
 if every piece succeeds.
 
-The reduction, survivor and support rows of a presentation come from two
-indexes that casebook reads from CASES at import; every call still
-classifies, enumerates and replays every script it reports.
+The preset, reduction, survivor and support rows of a presentation come
+from one index, read here from PRESET_PRESENTATION and CASES at import;
+every call still classifies, enumerates and replays every script it
+reports.
 """
 
 from __future__ import annotations
@@ -21,14 +22,23 @@ from typing import Sequence
 from ..classifier import (AcmStatus, Assumption, is_initialized_acm)
 from ..errors import BadParametersError, NotAcmInputError
 from ..lattice import DivClass, Lattice
-from .casebook import _REDUCTION_OF, _ROWS_OF
+from .casebook import CASES
 from .constraints import enumerate_case
-from .presets import PRESET_PRESENTATION, lemma_case
+from .presets import PRESET_PRESENTATION, lemma_case, presentation
 from .scripts import DerivationReport, run_script, report_to_json
 
-_PRESET_FOR = {profile: pid for pid, profile in PRESET_PRESENTATION.items()}
-# the rows of a presentation no CASES row names
-_NO_ROWS: tuple[dict, tuple] = ({}, ())
+
+# presentation -> (reduction row or None, preset id, survivor coordinates
+# -> eliminating row, support rows); a reduced presentation shares its
+# target's rows.  Read from the rows at import, it builds no script.
+_INDEX = {
+    p: (None, pid,
+        {k.curve.coords: k for k in CASES
+         if k.presentation == p and k.curve is not None and not k.support},
+        tuple(k for k in CASES if k.presentation == p and k.support))
+    for pid, p in PRESET_PRESENTATION.items()}
+_INDEX.update({k.presentation: (k, *_INDEX[k.target][1:])
+               for k in CASES if k.target is not None})
 
 
 @dataclass(frozen=True)
@@ -89,19 +99,14 @@ def verify_necessity(lat: Lattice, b: DivClass,
                      box: int = 32) -> NecessityReport:
     """Replay the classification for the presentation (h, B) of lat.
 
-    Needs the rank-2 presentation with ample h = (1, 0), B = (0, 1) and
-    h^2 = 4.  Raises NotAcmInputError if B does not classify as an
+    Needs the quartic presentation <h, B> (``presets.presentation``) and
+    B = (0, 1).  Raises NotAcmInputError if B does not classify as an
     initialized aCM class under the given assumptions.
     """
-    if lat.rank != 2 or lat.ample.coords != (1, 0):
-        raise BadParametersError(
-            "the classification replay needs the rank-2 polarized "
-            "presentation with basis (h, B)")
+    profile = presentation(lat)
     if b.coords != (0, 1):
         raise BadParametersError(
             "the distinguished class must be the second basis vector")
-    if lat.gram[0][0] != 4:
-        raise BadParametersError("the polarization must have square 4")
     cls = is_initialized_acm(lat, b, assumptions)
     if cls.status not in (AcmStatus.ACM, AcmStatus.ACM_ULRICH):
         raise NotAcmInputError(
@@ -109,22 +114,14 @@ def verify_necessity(lat: Lattice, b: DivClass,
             "initialized aCM class"
             + (f" (missing: {', '.join(str(m) for m in cls.missing)})"
                if cls.missing else ""))
-    profile = (lat.self_int(b), lat.deg(b))
-    reduction = _REDUCTION_OF.get(profile)
-    if reduction is None:
-        substitution = substitution_report = None
-        work_profile = profile
-    else:
+    # the classifier admits exactly the seven presentations of _INDEX
+    reduction, preset_id, case_for, support_rows = _INDEX[profile]
+    substitution = substitution_report = None
+    if reduction is not None:
         substitution_report = run_script(reduction.script())
         substitution = (reduction.tag, reduction.target)
-        work_profile = reduction.target
-    if work_profile not in _PRESET_FOR:
-        raise BadParametersError(
-            f"no constraint system covers the presentation {work_profile}")
-    preset_id = _PRESET_FOR[work_profile]
     spec = lemma_case(preset_id, box=box)
     survivors = tuple(enumerate_case(spec))
-    case_for, support_rows = _ROWS_OF.get(work_profile, _NO_ROWS)
     matches = []
     unmatched = []
     for survivor in survivors:

@@ -34,6 +34,16 @@ def quartic_lattice(b2: int, hb: int) -> Lattice:
                    ample=_H, k3=True)
 
 
+def presentation(lat: Lattice) -> tuple[int, int]:
+    """(B^2, h.B) of lat, the one gate of the replay, the destabilizing
+    sweep and ``k3acm enumerate -c``: rank 2, ample (1, 0) and h^2 = 4."""
+    if lat.rank != 2 or lat.ample.coords != (1, 0) or lat.gram[0][0] != 4:
+        raise BadParametersError(
+            "needs the quartic presentation <h, B>: rank 2, ample "
+            "h = (1, 0) and h^2 = 4")
+    return lat.gram[1][1], lat.gram[0][1]
+
+
 def ulrich_assumptions(lat: Lattice) -> tuple[Assumption, ...]:
     """The emptiness facts classifying B needs: |B-h| = |2h-B| = empty on
     the Ulrich window (B^2, h.B) = (4, 6), none on the other windows."""
@@ -83,8 +93,6 @@ def delpezzo_pencil_fj(j: int) -> DivClass:
 
 # ---- the five enumeration presets -----------------------------------------------
 
-PRESET_IDS = ("i-a", "i-b", "i-c", "ii", "iii")
-
 # preset id -> (B^2, h.B) of the lattice it runs on
 PRESET_PRESENTATION: dict[str, tuple[int, int]] = {
     "i-a": (-2, 1),
@@ -93,6 +101,7 @@ PRESET_PRESENTATION: dict[str, tuple[int, int]] = {
     "ii": (0, 4),
     "iii": (4, 6),
 }
+PRESET_IDS = tuple(PRESET_PRESENTATION)
 
 
 def _companion_bound(lat: Lattice, p: DivClass, name: str) -> Constraint:

@@ -64,6 +64,14 @@ class Assumption:
     kind: AssumptionKind
     note: str = ""
 
+    def __post_init__(self):
+        if not isinstance(self.subject, DivClass):
+            raise BadParametersError(
+                f"a fact's subject must be a DivClass, got {self.subject!r}")
+        if not isinstance(self.kind, AssumptionKind):
+            raise BadParametersError(
+                f"a fact's kind must be an AssumptionKind, got {self.kind!r}")
+
 
 class Effectivity(enum.Enum):
     EFFECTIVE = "Effective"
@@ -95,11 +103,22 @@ class AcmClassification:
     missing: tuple[Assumption, ...] = field(default=())
 
 
-def _conflict_check(assumptions: Sequence[Assumption]) -> None:
-    """Refuse a fact that is not an Assumption, then clashing facts."""
-    for a in assumptions:
+def _checked_facts(assumptions: Sequence[Assumption]
+                   ) -> tuple[Assumption, ...]:
+    """The facts as a tuple, refusing one that is not an Assumption.
+
+    The entry points call it before any cache lookup, so an unhashable
+    fact is refused as bad input, not as the cache's TypeError.
+    """
+    facts = tuple(assumptions)
+    for a in facts:
         if not isinstance(a, Assumption):
             raise BadParametersError(f"a fact must be an Assumption, got {a!r}")
+    return facts
+
+
+def _conflict_check(assumptions: Sequence[Assumption]) -> None:
+    """Refuse a class asserted both nonempty and empty."""
     empty = {a.subject.coords for a in assumptions
              if a.kind is AssumptionKind.EMPTY}
     nonempty = {a.subject.coords for a in assumptions
@@ -124,6 +143,7 @@ def effectivity(lat: Lattice, d: DivClass,
     The Riemann-Roch rule outranks an Empty assumption, so bad assumptions
     can never make a provably effective class come out Empty.
     """
+    assumptions = _checked_facts(assumptions)
     _conflict_check(assumptions)
     if d.is_zero():
         return Verdict(Effectivity.EFFECTIVE, "zero-class")
@@ -166,7 +186,7 @@ _CACHE_SIZE = 1024
 def is_initialized_acm(lat: Lattice, b: DivClass,
                        assumptions: Sequence[Assumption] = ()) -> AcmClassification:
     """Classify B against the four-case window (pure in (B^2, H.B))."""
-    return _classify(lat, b, tuple(assumptions))
+    return _classify(lat, b, _checked_facts(assumptions))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -244,7 +264,7 @@ def derived_assumptions(lat: Lattice, b: DivClass,
     and the square-0 ones have nonempty moving part (recorded as Effective
     plus BasePointFree for squares >= 2 only).
     """
-    return list(_derive(lat, b, classification, tuple(assumptions)))
+    return list(_derive(lat, b, classification, _checked_facts(assumptions)))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

@@ -3,7 +3,9 @@
 Exit codes: 0 = success / everything verified; 1 = a verification
 failure (a failed claim, an unresolved branch, a search-box boundary
 touch); 2 = bad input (unreadable config, malformed class argument,
-conflicting assumptions, a search box outside 16..256, a destabilizing
+conflicting assumptions, a search box outside 16..256, a config lattice
+that is not a quartic presentation <h, B> of rank 2 with ample
+h = (1, 0) and h^2 = 4 for destabilize or enumerate -c, a destabilizing
 sweep on a presentation that is not hyperbolic); 3 = internal error (the
 engine produced a false claim or left a shipped script with a gap).
 Reports go to stdout, diagnostics to stderr.
@@ -20,6 +22,7 @@ from .casework import (MODES, PRESET_IDS, PRESET_PRESENTATION,
                        enumerate_destabilizing, lemma_case, necessity_to_json,
                        report_to_json, run_script, script_by_tag,
                        verify_necessity)
+from .casework.presets import presentation
 from .classifier import acm_companions, is_initialized_acm
 from .config import (assumption_to_json, config_to_json, data_path,
                      load_config, shipped_quartic_names)
@@ -161,9 +164,7 @@ def _cmd_enumerate(args) -> int:
     if args.config is not None:
         lat, _ = load_config(args.config)
         want = PRESET_PRESENTATION[args.preset]
-        have = (lat.rank == 2 and lat.gram[0][0] == 4
-                and (lat.gram[1][1], lat.gram[0][1]) == want)
-        if not have:
+        if presentation(lat) != want:
             raise BadParametersError(
                 f"config lattice does not present the preset {args.preset} "
                 f"case (B^2, h.B) = {want}")

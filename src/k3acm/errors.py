@@ -3,6 +3,11 @@
 Every error the public API can raise derives from WorkbenchError.  Only
 EngineError marks a genuine bug, so callers (and the CLI) can tell it
 apart from bad input.
+
+The promise covers arguments of the documented types, and facts that are
+not Assumptions (unhashable ones too) and Assumptions built from other
+than a DivClass and an AssumptionKind, which raise BadParametersError.
+Other wrongly typed arguments may still raise TypeError.
 """
 
 

@@ -236,6 +236,27 @@ def test_a_fact_that_is_not_an_assumption_is_bad_input():
     assert classifier._classify.cache_info().currsize == before
 
 
+def test_an_assumption_refuses_a_subject_that_is_not_a_divclass():
+    with pytest.raises(BadParametersError, match="must be a DivClass"):
+        Assumption((0, 1), AssumptionKind.EFFECTIVE)
+
+
+def test_an_assumption_refuses_a_kind_that_is_not_an_assumption_kind():
+    with pytest.raises(BadParametersError, match="must be an AssumptionKind"):
+        Assumption(B, "Empty")
+
+
+def test_an_unhashable_fact_is_bad_input():
+    lat = quartic_lattice(-2, 3)
+    cls = is_initialized_acm(lat, B)
+    with pytest.raises(BadParametersError, match="must be an Assumption"):
+        is_initialized_acm(lat, B, [[]])
+    with pytest.raises(BadParametersError, match="must be an Assumption"):
+        derived_assumptions(lat, B, cls, [{}])
+    with pytest.raises(BadParametersError, match="must be an Assumption"):
+        effectivity(lat, B, [[]])
+
+
 def test_cached_classifier_raises_on_every_call():
     lat = quartic_lattice(-2, 3)
     deep = DivClass((1, -3))

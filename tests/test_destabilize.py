@@ -181,6 +181,12 @@ def test_a_fact_that_is_not_an_assumption_is_bad_input():
     assert destabilize._plan.cache_info().currsize == before.currsize
 
 
+def test_an_unhashable_fact_is_bad_input():
+    lat = quartic_lattice(-2, 3)
+    with pytest.raises(BadParametersError, match="must be an Assumption"):
+        enumerate_destabilizing(lat, DivClass((4, -2)), 2, [{}])
+
+
 def test_engine_refuses_queries_outside_the_c2_window():
     # C = h + 2B on (0, 4): C^2 = 20, g = 11, h.C = 12, so d <= 6
     lat = quartic_lattice(0, 4)

@@ -64,6 +64,8 @@ def test_labels_and_ample_are_validated():
     with pytest.raises(NonPositiveAmpleError):
         Lattice(gram=[[4, 1], [1, -2]], labels=("h", "B"),
                 ample=DivClass((0, 1)))
+    with pytest.raises(NonPositiveAmpleError):
+        Lattice([[0, 1], [1, 0]], "xy", ample=(1, 0))  # isotropic
 
 
 def test_k3_surface_checks():
@@ -136,6 +138,13 @@ def test_hodge_check():
     assert lat.hodge_check(h, 2 * h - b)
     with pytest.raises(PreconditionError):
         lat.hodge_check(h, b)   # B^2 = -2 is not positive
+    # the equality case holds: h^2 h^2 = 16 = (h.h)^2
+    assert quartic_lattice(4, 6).hodge_check(h, h)
+    # a definite form breaks the inequality: 2 * 2 > (h.b)^2 = 0 and
+    # 2 * 4 > (h.(h + b))^2 = 4
+    definite = Lattice(gram=[[2, 0], [0, 2]], labels=("h", "b"), ample=h)
+    assert not definite.hodge_check(h, b)
+    assert not definite.hodge_check(h, h + b)
 
 
 def test_pairing_is_symmetric_and_bilinear():

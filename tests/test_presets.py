@@ -1,11 +1,20 @@
-"""The derived enumeration presets against the hand-written systems, and
-the axiom registry against the ids the package cites."""
+"""The derived enumeration presets against the hand-written systems, the
+quartic gate at every entry point, and the axiom registry against the ids
+the package cites."""
 
+import json
 import re
 from pathlib import Path
 
-from k3acm import AXIOMS
-from k3acm.casework import PRESET_IDS, lemma_case
+import pytest
+
+from k3acm import (AXIOMS, Assumption, AssumptionKind, BadParametersError,
+                   DivClass, Lattice)
+from k3acm.casework import (PRESET_IDS, delpezzo_lattice, engine_assumptions,
+                            enumerate_destabilizing, lemma_case,
+                            verify_necessity)
+from k3acm.cli import main
+from k3acm.config import config_to_json
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -76,3 +85,40 @@ def test_every_registered_axiom_is_cited_and_every_cited_one_registered():
             cited |= set(re.findall(r"AX-[A-Z0-9]+(?:-[A-Z0-9]+)*",
                                     path.read_text()))
     assert cited == set(AXIOMS)
+
+
+def _rank2(gram, ample=(1, 0)):
+    return Lattice(gram=gram, labels=("h", "B"), ample=DivClass(ample),
+                   k3=True)
+
+
+# lattices that are not a quartic presentation <h, B>, each with a class C
+# of its rank
+NOT_QUARTIC = {
+    "rank-8": (delpezzo_lattice(), (3, -1, -1, -1, -1, -1, -1, -1)),
+    "ample-(0,1)": (_rank2([[4, 6], [6, 4]], ample=(0, 1)), (0, 2)),
+    "h2-2": (_rank2([[2, 1], [1, -4]]), (3, 0)),
+    "h2-6": (_rank2([[6, 1], [1, -2]]), (3, 0)),
+}
+
+
+@pytest.mark.parametrize("name", NOT_QUARTIC)
+def test_the_quartic_gate_refuses_at_every_entry_point(name, capsys,
+                                                       tmp_path):
+    lat, curve = NOT_QUARTIC[name]
+    b = DivClass((0, 1) + (0,) * (lat.rank - 2))
+    with pytest.raises(BadParametersError, match="quartic presentation"):
+        verify_necessity(lat, b)
+    with pytest.raises(BadParametersError, match="quartic presentation"):
+        enumerate_destabilizing(lat, DivClass(curve), 7, (), mode="exact")
+    facts = (Assumption(b, AssumptionKind.EFFECTIVE, "given"),)
+    assert engine_assumptions(lat, facts) == facts
+    cfg = tmp_path / "lattice.json"
+    cfg.write_text(json.dumps(config_to_json(lat)))
+    for argv in (["destabilize", "-c", str(cfg), "--class",
+                  ",".join(map(str, curve)), "--d", "7"],
+                 ["enumerate", "--preset", "i-a", "-c", str(cfg)]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: needs the quartic presentation"), argv

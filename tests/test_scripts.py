@@ -298,6 +298,18 @@ def test_all_builtin_scripts_replay_to_success():
         assert report.tag == tag == script.tag
 
 
+def test_the_summary_counts_claims_and_axioms_of_the_script():
+    cited = set()
+    for tag, script in builtin_scripts().items():
+        claims = sum(isinstance(st, ArithClaim) for st in script.steps)
+        axioms = sum(isinstance(st, AxiomUse) for st in script.steps)
+        cited.add(axioms)
+        assert run_script(script).summary() == (
+            f"{tag}: Success ({claims} claims verified, {axioms} axioms "
+            "cited)")
+    assert cited == {0, 1, 2, 3, 4}
+
+
 # tag -> (presentation, curve class, pencil degree, engine mode)
 ENGINE_CASES = {
     "case-B2neg2-Bh3": ((-2, 3), (4, -2), 2, "exact"),

@@ -78,6 +78,8 @@ def test_the_seven_presentations_agree():
     profiles = [(g[1][1], g[0][1]) for g in shipped]
     assert len(profiles) == len(set(profiles))
     assert set(profiles) == admitted
+    from k3acm.casework.necessity import _INDEX
+    assert set(_INDEX) == admitted
 
 
 def test_survivor_matches_pair_up():
@@ -220,21 +222,26 @@ def _scanned_rows(profile):
 
 
 def test_the_cases_indexes_give_what_a_scan_of_cases_gives():
-    from k3acm.casework import PRESET_PRESENTATION, casebook
+    from k3acm.casework import PRESET_PRESENTATION, necessity
+    preset_for = {p: pid for pid, p in PRESET_PRESENTATION.items()}
     profiles = [*PRESET_PRESENTATION.values(), (0, 3), (2, 5)]
     for profile in profiles:
-        reduction, case_for, supports = _scanned_rows(profile)
-        assert casebook._REDUCTION_OF.get(profile) is reduction, profile
-        by_survivor, support_rows = casebook._ROWS_OF[profile]
+        reduction = _scanned_rows(profile)[0]
+        # a reduced presentation replays its target's rows
+        work = profile if reduction is None else reduction.target
+        _, case_for, supports = _scanned_rows(work)
+        got, preset_id, by_survivor, support_rows = necessity._INDEX[profile]
+        assert got is reduction, profile
+        assert preset_id == preset_for[work], profile
         assert {s: k.tag for s, k in by_survivor.items()} == case_for, \
             profile
         assert [k.tag for k in support_rows] == supports, profile
     assert _scanned_rows((0, 3))[0].target == (-2, 1)
     assert _scanned_rows((4, 6))[2] == ["gonality-2B"]
-    # the indexes are read from the rows at import and build no script
+    # the index is read from the rows at import and builds no script
     built = subprocess.run(
         [sys.executable, "-c",
-         "from k3acm.casework import casebook; "
-         "print(sum('_script' in k.__dict__ for k in casebook.CASES))"],
+         "from k3acm.casework import necessity; "
+         "print(sum('_script' in k.__dict__ for k in necessity.CASES))"],
         capture_output=True, text=True, check=True).stdout
     assert built == "0\n"
