@@ -19,6 +19,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
+from ..classifier import WINDOWS
 from ..errors import BadParametersError, EngineError
 from ..invariants import brill_noether, genus_of
 from ..lattice import DivClass, Lattice
@@ -38,7 +39,8 @@ class Case:
     presentation is (B^2, h.B) of the script lattice, None for the rank-8
     example.  A script with a curve eliminates that survivor C = s h + t B,
     or, with support set, backs every replay of its presentation; one with
-    a target reduces its presentation to target through sub = (class, name).
+    a target reduces its presentation to target through B' = kh - B, the
+    complement of WINDOWS[target], which carries target back here too.
     pencil = (d, mode) marks a case analysis taken from the engine.
     """
 
@@ -48,7 +50,6 @@ class Case:
     curve: DivClass | None = None
     pencil: tuple[int, str] | None = None
     support: bool = False
-    sub: tuple[DivClass, str] | None = None
     target: tuple[int, int] | None = None
 
     def script(self) -> DerivationScript:
@@ -284,7 +285,8 @@ def _script_gonality_floor(case: Case) -> DerivationScript:
 
 def _script_reduction(case: Case) -> DerivationScript:
     b2, hb = case.presentation
-    sub, name = case.sub
+    k = WINDOWS[case.target][1]
+    sub, name = k * _H - _B, f"{k if k > 1 else ''}h - B"
     steps = _pins(b2, hb) + [
         ArithClaim("square of the substituted class", self_of(sub), "=",
                    case.target[0]),
@@ -384,10 +386,8 @@ CASES = (
          curve=DivClass((6, -2)), pencil=(4, "exact")),
     Case("gonality-2B", _script_gonality_floor, (4, 6),
          curve=DivClass((0, 2)), pencil=(4, "gonality"), support=True),
-    Case("reduction-B20-Bh3", _script_reduction, (0, 3),
-         sub=(DivClass((1, -1)), "h - B"), target=(-2, 1)),
-    Case("reduction-B22-Bh5", _script_reduction, (2, 5),
-         sub=(DivClass((2, -1)), "2h - B"), target=(-2, 3)),
+    Case("reduction-B20-Bh3", _script_reduction, (0, 3), target=(-2, 1)),
+    Case("reduction-B22-Bh5", _script_reduction, (2, 5), target=(-2, 3)),
     Case("delpezzo-cover", _script_delpezzo),
 )
 

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from ..classifier import (_CACHE_SIZE, _NONEMPTY_KINDS, AcmStatus,
-                          Assumption, AssumptionKind, _checked_facts,
-                          _conflict_check, derived_assumptions,
-                          is_initialized_acm)
+                          Assumption, AssumptionKind, _checked_class,
+                          _checked_facts, _conflict_check,
+                          derived_assumptions, is_initialized_acm)
 from ..config import _is_int
 from ..errors import (BadParametersError, DimensionMismatchError, EngineError,
                       NotEffectiveCandidateError, PreconditionError,
@@ -225,8 +225,7 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
         raise BadParametersError(f"unknown mode {mode!r}; choose from {MODES}")
     if not _is_int(d):
         raise BadParametersError(f"d must be an int, got {d!r}")
-    if not isinstance(c, DivClass):
-        raise BadParametersError(f"C must be a DivClass, got {c!r}")
+    _checked_class(c, "C")
     b2, hb = presentation(lat)
     if hb * hb <= 4 * b2:
         raise PreconditionError(

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..classifier import (AcmStatus, Assumption, is_initialized_acm)
+from ..classifier import (AcmStatus, Assumption, _checked_class,
+                          is_initialized_acm)
 from ..errors import BadParametersError, NotAcmInputError
 from ..lattice import DivClass, Lattice
 from .casebook import CASES
@@ -103,6 +104,7 @@ def verify_necessity(lat: Lattice, b: DivClass,
     B = (0, 1).  Raises NotAcmInputError if B does not classify as an
     initialized aCM class under the given assumptions.
     """
+    _checked_class(b)
     profile = presentation(lat)
     if b.coords != (0, 1):
         raise BadParametersError(

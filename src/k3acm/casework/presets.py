@@ -8,16 +8,15 @@ of the quartic double cover of a degree-2 del Pezzo surface.
 Each enumeration preset bounds the coefficients of C = s*h + t*B for a
 smooth genus >= 3 curve class C carrying an initialized aCM pencil
 bundle.  One rule builds all five: the genus floor, the degree cap, one
-bound per class among B and its initialized aCM companions (h-B, 2h-B or
-3h-B, as classifier.acm_companions finds them), and the tail cut.
+bound for B and one for its initialized aCM complement kh - B (h-B, 2h-B
+or 3h-B, k read from classifier.WINDOWS), and the tail cut.
 """
 
 from __future__ import annotations
 
 import functools
 
-from ..classifier import (Assumption, AssumptionKind, acm_companions,
-                          is_initialized_acm)
+from ..classifier import WINDOWS, Assumption, AssumptionKind, acm_window
 from ..errors import BadParametersError
 from ..invariants import hodge_lower
 from ..lattice import DivClass, Lattice
@@ -47,7 +46,7 @@ def presentation(lat: Lattice) -> tuple[int, int]:
 def ulrich_assumptions(lat: Lattice) -> tuple[Assumption, ...]:
     """The emptiness facts classifying B needs: |B-h| = |2h-B| = empty on
     the Ulrich window (B^2, h.B) = (4, 6), none on the other windows."""
-    if (lat.self_int(_B), lat.deg(_B)) != (4, 6):
+    if acm_window(lat.self_int(_B), lat.deg(_B)) != "d":
         return ()
     h = lat.ample
     return (
@@ -124,11 +123,11 @@ def _companion_bound(lat: Lattice, p: DivClass, name: str) -> Constraint:
 def lemma_case(preset_id: str, box: int = 32) -> CaseSpec:
     """One of the five bounded (s, t) searches.
 
-    C has genus >= 3 and degree <= 12, meets B and each initialized aCM
-    companion of B as its square dictates, and has |t| >= 2.  The lattice,
-    the companion classification and the constraints are built on the
-    first call for each preset and shared by later calls; only the box
-    goes into a fresh CaseSpec, and enumerate_case still solves it anew.
+    C has genus >= 3 and degree <= 12, meets B and its initialized aCM
+    complement kh - B (k from classifier.WINDOWS) as their squares
+    dictate, and has |t| >= 2.  The lattice and the constraints are built
+    on the first call for each preset and shared by later calls; only the
+    box goes into a fresh CaseSpec, and enumerate_case still solves it anew.
     """
     lat, cons = _preset_system(preset_id)
     return CaseSpec(lattice=lat, constraints=cons, box=box, tag=preset_id)
@@ -143,9 +142,6 @@ def _preset_system(preset_id: str) -> tuple[Lattice, tuple[Constraint, ...]]:
             f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
     b2, hb = PRESET_PRESENTATION[preset_id]
     lat = quartic_lattice(b2, hb)
-    facts = ulrich_assumptions(lat)
-    companions = acm_companions(lat, _B, is_initialized_acm(lat, _B, facts),
-                                facts)
     cons = [
         quadratic(4, 2 * hb, b2, 0, 0, ">=", 4,
                   cite="the curve has genus >= 3, i.e. C^2 >= 4"),
@@ -154,9 +150,10 @@ def _preset_system(preset_id: str) -> tuple[Lattice, tuple[Constraint, ...]]:
                     f"C.H = 4s+{hb}t <= 12"),
         _companion_bound(lat, _B, "B"),
     ]
-    cons += [_companion_bound(
-                 lat, p, f"({rule.removeprefix('complement-in-')}-B)")
-             for p, rule in companions if rule.startswith("complement-in-")]
+    k = WINDOWS[b2, hb][1]
+    if k:
+        cons.append(_companion_bound(lat, k * _H - _B,
+                                     f"({k if k > 1 else ''}h-B)"))
     cons.append(abs_t_at_least(
         2, cite="|t| >= 2; the |t| <= 1 classes are settled by the "
                 "companion-closure reduction"))

@@ -8,6 +8,10 @@ exactly when (B^2, H.B) falls in one of four windows:
     (c) B^2 =  2 and H.B = 5
     (d) B^2 =  4, H.B = 6, and both |B - H| and |2H - B| are empty.
 
+WINDOWS maps the seven (B^2, H.B) of the windows to the window and the k
+for which kH - B is again initialized aCM (k = 0: none).  As H^2 = 4,
+kH - B has (4k^2 - 2k H.B + B^2, 4k - H.B), again a key when k > 0.
+
 Case (d) is the Ulrich window; its two emptiness conditions cannot be
 decided by lattice data alone, so the classifier either certifies them
 through the effectivity oracle (user assumptions included) or reports
@@ -86,7 +90,7 @@ class Verdict:
 
     def __post_init__(self):
         if self.value is not Effectivity.UNKNOWN and not self.reason:
-            raise ValueError("decided verdicts must carry a reason")
+            raise BadParametersError("decided verdicts must carry a reason")
 
 
 class AcmStatus(enum.Enum):
@@ -101,6 +105,12 @@ class AcmClassification:
     status: AcmStatus
     case_tag: str  # one of "a", "b", "c", "d", "none"
     missing: tuple[Assumption, ...] = field(default=())
+
+
+def _checked_class(b: DivClass, name: str = "B") -> None:
+    """Refuse a class that is not a DivClass, before any cache lookup."""
+    if not isinstance(b, DivClass):
+        raise BadParametersError(f"{name} must be a DivClass, got {b!r}")
 
 
 def _checked_facts(assumptions: Sequence[Assumption]
@@ -143,6 +153,7 @@ def effectivity(lat: Lattice, d: DivClass,
     The Riemann-Roch rule outranks an Empty assumption, so bad assumptions
     can never make a provably effective class come out Empty.
     """
+    _checked_class(d, "D")
     assumptions = _checked_facts(assumptions)
     _conflict_check(assumptions)
     if d.is_zero():
@@ -160,6 +171,11 @@ def effectivity(lat: Lattice, d: DivClass,
     return Verdict(Effectivity.UNKNOWN)
 
 
+WINDOWS: dict[tuple[int, int], tuple[str, int]] = {
+    (-2, 1): ("a", 1), (-2, 2): ("a", 1), (-2, 3): ("a", 2),
+    (0, 3): ("b", 0), (0, 4): ("b", 2), (2, 5): ("c", 2), (4, 6): ("d", 3)}
+
+
 def acm_window(b2: int, hb: int) -> str | None:
     """The window "a"-"d" of the module's case table that (B^2, H.B) is in.
 
@@ -168,15 +184,7 @@ def acm_window(b2: int, hb: int) -> str | None:
     B is initialized aCM.  Window (d) still needs |B - H| and |2H - B|
     empty, which only ``is_initialized_acm`` can settle.
     """
-    if b2 == -2 and 1 <= hb <= 3:
-        return "a"
-    if b2 == 0 and 3 <= hb <= 4:
-        return "b"
-    if b2 == 2 and hb == 5:
-        return "c"
-    if b2 == 4 and hb == 6:
-        return "d"
-    return None
+    return WINDOWS.get((b2, hb), (None,))[0]
 
 
 # (lattice, class, facts) results kept per process, for each cached function
@@ -186,14 +194,13 @@ _CACHE_SIZE = 1024
 def is_initialized_acm(lat: Lattice, b: DivClass,
                        assumptions: Sequence[Assumption] = ()) -> AcmClassification:
     """Classify B against the four-case window (pure in (B^2, H.B))."""
+    _checked_class(b)
     return _classify(lat, b, _checked_facts(assumptions))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _classify(lat: Lattice, b: DivClass,
               assumptions: tuple[Assumption, ...]) -> AcmClassification:
-    if not isinstance(b, DivClass):
-        raise BadParametersError(f"B must be a DivClass, got {b!r}")
     if b.is_zero():
         raise TrivialClassError("the zero class is excluded from classification")
     verdict = effectivity(lat, b, assumptions)
@@ -226,31 +233,26 @@ def acm_companions(lat: Lattice, b: DivClass, classification: AcmClassification,
     """Companion aCM classes of a classified B.
 
     -B is always aCM (but never initialized: its system is empty), and the
-    complements H-B / 2H-B / 3H-B are again *initialized* aCM in the
-    windows below.  Each initialized companion is re-classified here and
-    must land back in the table; a failure means corrupt input.
+    complement kH - B of WINDOWS is again *initialized* aCM when k > 0.
+    It is re-classified here and must land back in the table; a failure,
+    or a B outside the table, means corrupt input.
     """
+    _checked_class(b)
     if classification.status not in (AcmStatus.ACM, AcmStatus.ACM_ULRICH):
         raise NotAcmInputError(
             f"companions need an Acm/AcmUlrich input, got {classification.status.value}")
-    h = lat.ample
-    b2 = lat.self_int(b)
-    hb = lat.deg(b)
+    _, k = WINDOWS.get((lat.self_int(b), lat.deg(b)), (None, None))
+    if k is None:
+        raise NotAcmInputError(f"{b} is in no window: not its classification")
     out: list[tuple[DivClass, str]] = [(-b, "dual-acm-not-initialized")]
-    initialized: list[tuple[DivClass, str]] = []
-    if b2 == -2 and 1 <= hb <= 2:
-        initialized.append((h - b, "complement-in-h"))
-    if b2 == 2 or (b2 == 0 and hb == 4) or (b2 == -2 and hb == 3):
-        initialized.append((2 * h - b, "complement-in-2h"))
-    if b2 == 4:
-        initialized.append((3 * h - b, "complement-in-3h"))
-    for comp, _rule in initialized:
+    if k:
+        comp = k * lat.ample - b
         redo = is_initialized_acm(lat, comp, assumptions)
         if redo.status not in (AcmStatus.ACM, AcmStatus.ACM_ULRICH):
             raise NotAcmInputError(
                 f"companion {comp} failed re-classification "
                 f"({redo.status.value}); lattice data is inconsistent")
-    out.extend(initialized)
+        out.append((comp, f"complement-in-{k if k > 1 else ''}h"))
     return out
 
 
@@ -264,6 +266,7 @@ def derived_assumptions(lat: Lattice, b: DivClass,
     and the square-0 ones have nonempty moving part (recorded as Effective
     plus BasePointFree for squares >= 2 only).
     """
+    _checked_class(b)
     return list(_derive(lat, b, classification, _checked_facts(assumptions)))
 
 

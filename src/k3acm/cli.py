@@ -23,7 +23,7 @@ from .casework import (MODES, PRESET_IDS, PRESET_PRESENTATION,
                        report_to_json, run_script, script_by_tag,
                        verify_necessity)
 from .casework.presets import presentation
-from .classifier import acm_companions, is_initialized_acm
+from .classifier import WINDOWS, acm_companions, is_initialized_acm
 from .config import (assumption_to_json, config_to_json, data_path,
                      load_config, shipped_quartic_names)
 from .errors import (BadParametersError, BoxTooSmallError,
@@ -233,6 +233,14 @@ def _cmd_theorem(args) -> int:
         report = verify_necessity(lat, DivClass((0, 1)), assumps, box=args.box)
         rows.append((name, report))
         all_ok = all_ok and report.verified
+    # the verdict covers the seven presentations only if each replays once
+    profiles = [r.profile for _, r in rows]
+    missing = sorted(set(WINDOWS) - set(profiles))
+    repeated = sorted({p for p in profiles if profiles.count(p) > 1})
+    if missing or repeated:
+        all_ok = False
+        print(f"theorem: the configs miss the presentations {missing} and "
+              f"repeat {repeated}", file=sys.stderr)
     if args.json:
         print(json.dumps({
             "configs": [dict(config=name, **necessity_to_json(r))

@@ -4,10 +4,14 @@ Every error the public API can raise derives from WorkbenchError.  Only
 EngineError marks a genuine bug, so callers (and the CLI) can tell it
 apart from bad input.
 
-The promise covers arguments of the documented types, and facts that are
-not Assumptions (unhashable ones too) and Assumptions built from other
-than a DivClass and an AssumptionKind, which raise BadParametersError.
-Other wrongly typed arguments may still raise TypeError.
+The promise covers arguments of the documented types.  These wrongly
+typed ones raise BadParametersError too: facts that are not Assumptions
+(unhashable ones too), Assumptions built from other than a DivClass and
+an AssumptionKind, a decided Verdict without a reason, and a class that
+is not a DivClass given to effectivity, is_initialized_acm,
+acm_companions, derived_assumptions, enumerate_destabilizing or
+verify_necessity.  Other wrongly typed arguments may still raise
+TypeError or AttributeError.
 """
 
 

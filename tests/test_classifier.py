@@ -3,12 +3,14 @@
 import pytest
 
 from k3acm import classifier
-from k3acm import (AcmStatus, Assumption, AssumptionKind, BadParametersError,
-                   ConflictingAssumptionsError, DivClass, Effectivity,
-                   Lattice, NotAcmInputError, NotEffectiveCandidateError,
-                   TrivialClassError, acm_companions, derived_assumptions,
-                   effectivity, is_initialized_acm)
-from k3acm.casework import quartic_lattice, ulrich_assumptions
+from k3acm import (AcmClassification, AcmStatus, Assumption, AssumptionKind,
+                   BadParametersError, ConflictingAssumptionsError, DivClass,
+                   Effectivity, Lattice, NotAcmInputError,
+                   NotEffectiveCandidateError, TrivialClassError, Verdict,
+                   acm_companions, derived_assumptions, effectivity,
+                   is_initialized_acm)
+from k3acm.casework import (quartic_lattice, ulrich_assumptions,
+                            verify_necessity)
 from k3acm.config import data_path, load_config, shipped_config_names
 from k3acm.errors import WorkbenchError
 
@@ -131,6 +133,32 @@ def test_companions_refuse_unclassified_input():
         acm_companions(lat, B, cls)
 
 
+def test_each_complement_of_the_table_is_initialized_acm():
+    # k h - B has (4k^2 - 2k h.B + B^2, 4k - h.B); read k from the table
+    # and classify the complement directly, not through acm_companions
+    for (b2, hb), (_, k) in classifier.WINDOWS.items():
+        if k == 0:
+            continue
+        image = (4 * k * k - 2 * k * hb + b2, 4 * k - hb)
+        assert image in classifier.WINDOWS, (b2, hb)
+        lat = quartic_lattice(b2, hb)
+        comp = k * H - B
+        assert (lat.self_int(comp), lat.deg(comp)) == image
+        cls = is_initialized_acm(lat, comp, ulrich_assumptions(lat))
+        assert cls.status in (AcmStatus.ACM, AcmStatus.ACM_ULRICH), (b2, hb)
+        assert cls.case_tag == classifier.WINDOWS[image][0]
+
+
+@pytest.mark.parametrize("lat, b", [
+    (quartic_lattice(-2, 5), B),          # B^2 = -2 but h.B = 5
+    (quartic_lattice(-2, 1), H + B),      # (4, 5) on an admitted lattice
+    (quartic_lattice(2, 6), B)])          # B^2 = 2 but h.B = 6
+def test_companions_refuse_a_forged_classification(lat, b):
+    forged = AcmClassification(AcmStatus.ACM, "a")
+    with pytest.raises(NotAcmInputError, match="is in no window"):
+        acm_companions(lat, b, forged)
+
+
 def test_derived_assumptions():
     lat = quartic_lattice(-2, 3)
     cls = is_initialized_acm(lat, B)
@@ -225,6 +253,31 @@ def test_a_plain_tuple_class_is_bad_input():
         with pytest.raises(BadParametersError, match="B must be a DivClass"):
             is_initialized_acm(lat, (0, 1))
     assert classifier._classify.cache_info().currsize == before
+
+
+_LAT = quartic_lattice(-2, 3)
+_CLS = is_initialized_acm(_LAT, B)
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: verify_necessity(_LAT, (0, 1)),
+    lambda: verify_necessity(_LAT, [0, 1]),
+    lambda: is_initialized_acm(_LAT, [0, 1]),
+    lambda: derived_assumptions(_LAT, [0, 1], _CLS),
+    lambda: acm_companions(_LAT, (0, 1), _CLS),
+    lambda: effectivity(_LAT, (0, 1)),
+    lambda: Verdict(Effectivity.EFFECTIVE)],
+    ids=["verify_necessity-tuple", "verify_necessity-list",
+         "is_initialized_acm-list", "derived_assumptions-list",
+         "acm_companions-tuple", "effectivity-tuple", "verdict-no-reason"])
+def test_a_wrongly_typed_argument_is_bad_input(probe):
+    before = (classifier._classify.cache_info().currsize,
+              classifier._derive.cache_info().currsize)
+    for _ in range(2):
+        with pytest.raises(BadParametersError):
+            probe()
+    assert (classifier._classify.cache_info().currsize,
+            classifier._derive.cache_info().currsize) == before
 
 
 def test_a_fact_that_is_not_an_assumption_is_bad_input():

@@ -537,6 +537,32 @@ def test_cli_theorem(capsys):
     assert all(c["status"] == "VERIFIED" for c in payload["configs"])
 
 
+@pytest.mark.parametrize("names, note", [
+    ([n for n in shipped_quartic_names() if n != "quartic_b20_bh3.json"],
+     "theorem: the configs miss the presentations [(0, 3)] and repeat []\n"),
+    ([*shipped_quartic_names(), "quartic_b2_4.json"],
+     "theorem: the configs miss the presentations [] and repeat [(4, 6)]\n")],
+    ids=["dropped", "repeated"])
+def test_cli_theorem_checks_it_covers_the_seven_presentations(
+        capsys, monkeypatch, names, note):
+    import k3acm.cli as cli
+    monkeypatch.setattr(cli, "shipped_quartic_names", lambda: tuple(names))
+    code, out, err = _run(capsys, "theorem")
+    assert code == 1
+    assert err == note
+    assert out.endswith(
+        f"THEOREM NECESSITY: INCOMPLETE over {len(names)} configs\n")
+    # every config that did replay still verifies on its own
+    assert out.count(": VERIFIED\n") == len(names)
+    code, out, err = _run(capsys, "theorem", "--json")
+    assert code == 1
+    assert err == note
+    payload = json.loads(out)
+    assert payload["status"] == "INCOMPLETE"
+    assert [c["config"] for c in payload["configs"]] == names
+    assert all(c["status"] == "VERIFIED" for c in payload["configs"])
+
+
 def test_cli_example_delpezzo(capsys):
     code, out, _ = _run(capsys, "example-delpezzo")
     assert code == 0

@@ -64,13 +64,19 @@ def test_the_seven_presentations_agree():
     # 4 B^2 <= (h.B)^2, with 1 <= h.B <= 12 (no window has B^2 < -2)
     from k3acm.casework import PRESET_PRESENTATION
     from k3acm.casework.casebook import CASES
-    from k3acm.classifier import acm_window
+    from k3acm.classifier import WINDOWS, acm_window
     admitted = {(b2, hb) for hb in range(1, 13) for b2 in range(-144, 37)
                 if 4 * b2 <= hb * hb and acm_window(b2, hb) is not None}
     reduced = {case.presentation: case.target for case in CASES
                if case.target is not None}
     presets = set(PRESET_PRESENTATION.values())
     assert len(admitted) == 7
+    assert set(WINDOWS) == admitted
+    # the table against the windows' inequalities, over the same scan
+    assert admitted == {
+        (b2, hb) for hb in range(1, 13) for b2 in range(-144, 37)
+        if (b2 == -2 and 1 <= hb <= 3) or (b2 == 0 and 3 <= hb <= 4)
+        or (b2, hb) in ((2, 5), (4, 6))}
     assert set(reduced.values()) <= presets
     assert admitted == presets | set(reduced)
     shipped = [load_config(data_path(name))[0].gram

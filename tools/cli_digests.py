@@ -1,0 +1,92 @@
+"""Print one sha256 per surface of the ``k3acm`` command line.
+
+Usage: python3 tools/cli_digests.py [ROOT]
+
+ROOT is a checkout of this repository; it defaults to the one holding
+this script.  The package is imported from ROOT/src and the destabilize
+grid from ROOT/k3bench.  Each surface is a fixed list of command lines
+run in-process through ``k3acm.cli.main``; its digest covers, for each
+command line in order, the arguments (a config as its file name), the
+exit code, stdout and stderr.  Run it on two checkouts and compare the
+lists: equal digests mean byte-identical output on that surface.
+
+Surfaces: ``theorem`` in text and ``--json`` at boxes 16, 128 and 256;
+``enumerate --preset P --json`` for each preset, without and with ``-c``
+(the shipped config of the preset's presentation); ``classify`` and
+``companions``, text and ``--json``, on the seven shipped quartic configs
+for every class (s, t) with |s|, |t| <= 3; ``verify --script TAG --json``
+for each row of ``casebook.CASES``; and the 630 queries of
+``k3bench.workloads.destabilize_grid``, text and ``--json``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+
+def _surfaces(root: Path) -> dict[str, list[list[str]]]:
+    from k3acm.casework.casebook import CASES
+    from k3acm.casework.presets import PRESET_PRESENTATION
+    from k3bench.workloads import destabilize_grid
+
+    data = root / "src" / "k3acm" / "data"
+    quartics = sorted(data.glob("quartic_*.json"))
+    by_profile = {}
+    for path in quartics:
+        gram = json.loads(path.read_text())["gram"]
+        by_profile[gram[1][1], gram[0][1]] = path
+    classes = [f"--class={s},{t}" for s in range(-3, 4) for t in range(-3, 4)]
+    out = {}
+    for box in (16, 128, 256):
+        out[f"theorem --box {box}"] = [["theorem", "--box", str(box)]]
+        out[f"theorem --box {box} --json"] = [
+            ["theorem", "--box", str(box), "--json"]]
+    for pid, profile in PRESET_PRESENTATION.items():
+        argv = ["enumerate", "--preset", pid, "--json"]
+        out[f"enumerate --preset {pid} --json"] = [argv]
+        out[f"enumerate --preset {pid} -c --json"] = [
+            argv + ["-c", str(by_profile[profile])]]
+    for command in ("classify", "companions"):
+        for flags in ([], ["--json"]):
+            out[" ".join([command, *flags])] = [
+                [command, "-c", str(path), cls, *flags]
+                for path in quartics for cls in classes]
+    out["verify --json"] = [["verify", "--script", case.tag, "--json"]
+                            for case in CASES]
+    for flags in ([], ["--json"]):
+        out[" ".join(["destabilize grid", *flags])] = [
+            ["destabilize", "-c", str(data / name), f"--class={s},{t}",
+             "--d", str(d), "--mode", mode, *flags]
+            for name, (s, t), d, mode in destabilize_grid(root)]
+    return out
+
+
+def _run(argv: list[str]) -> list:
+    from k3acm import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    shown = [Path(a).name if a.endswith(".json") else a for a in argv]
+    return [shown, code, out.getvalue(), err.getvalue()]
+
+
+def main() -> int:
+    root = Path(sys.argv[1] if len(sys.argv) > 1
+                else Path(__file__).resolve().parents[1]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root)]
+    for name, argvs in _surfaces(root).items():
+        digest = hashlib.sha256()
+        for argv in argvs:
+            digest.update(json.dumps(_run(argv)).encode() + b"\n")
+        print(f"{digest.hexdigest()}  {name} ({len(argvs)} runs)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
