@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from ..classifier import WINDOWS
+from ..classifier import WINDOWS, complement
 from ..errors import BadParametersError, EngineError
 from ..invariants import brill_noether, genus_of
 from ..lattice import DivClass, Lattice
@@ -38,10 +38,10 @@ class Case:
 
     presentation is (B^2, h.B) of the script lattice, None for the rank-8
     example.  A script with a curve eliminates that survivor C = s h + t B,
-    or, with support set, backs every replay of its presentation; one with
-    a target reduces its presentation to target through B' = kh - B, the
-    complement of WINDOWS[target], which carries target back here too.
-    pencil = (d, mode) marks a case analysis taken from the engine.
+    or, with support set, backs every replay of its presentation; one
+    with a presentation and no curve reduces it to its complement through
+    B' = kh - B (classifier.complement).  pencil = (d, mode) marks a case
+    analysis taken from the engine.
     """
 
     tag: str
@@ -50,7 +50,6 @@ class Case:
     curve: DivClass | None = None
     pencil: tuple[int, str] | None = None
     support: bool = False
-    target: tuple[int, int] | None = None
 
     def script(self) -> DerivationScript:
         """This row's derivation script, built on its first use (never at
@@ -285,13 +284,13 @@ def _script_gonality_floor(case: Case) -> DerivationScript:
 
 def _script_reduction(case: Case) -> DerivationScript:
     b2, hb = case.presentation
-    k = WINDOWS[case.target][1]
+    k, target = WINDOWS[b2, hb][1], complement(b2, hb)
     sub, name = k * _H - _B, f"{k if k > 1 else ''}h - B"
     steps = _pins(b2, hb) + [
         ArithClaim("square of the substituted class", self_of(sub), "=",
-                   case.target[0]),
+                   target[0]),
         ArithClaim("degree of the substituted class", deg_of(sub), "=",
-                   case.target[1]),
+                   target[1]),
         ArithClaim("the substitution pairs against h unchanged",
                    self_of(_H), "=", 4),
     ]
@@ -299,9 +298,9 @@ def _script_reduction(case: Case) -> DerivationScript:
         tag=case.tag, lattice=quartic_lattice(b2, hb), steps=steps,
         conclusion=established(
             f"the class {name} presents the same lattice with "
-            f"(B'^2, h.B') = {case.target}"),
+            f"(B'^2, h.B') = {target}"),
         description=f"Reduces the ({b2}, {hb}) presentation to the "
-                    f"{case.target} one through the basis substitution "
+                    f"{target} one through the basis substitution "
                     f"B' = {name}.")
 
 
@@ -386,8 +385,8 @@ CASES = (
          curve=DivClass((6, -2)), pencil=(4, "exact")),
     Case("gonality-2B", _script_gonality_floor, (4, 6),
          curve=DivClass((0, 2)), pencil=(4, "gonality"), support=True),
-    Case("reduction-B20-Bh3", _script_reduction, (0, 3), target=(-2, 1)),
-    Case("reduction-B22-Bh5", _script_reduction, (2, 5), target=(-2, 3)),
+    Case("reduction-B20-Bh3", _script_reduction, (0, 3)),
+    Case("reduction-B22-Bh5", _script_reduction, (2, 5)),
     Case("delpezzo-cover", _script_delpezzo),
 )
 

@@ -217,7 +217,7 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     The rules are incomplete in every mode.  Over the shipped quartic
     configs with C = s h + t B, |s| <= 4, |t| <= 3, C^2 >= 4, h.C > 0 and
     max(1, g - 5) <= d <= g + 7 - h.C (210 queries per mode), a branch
-    stays open on 60 queries in exact mode, 115 in general mode and 92 in
+    stays open on 58 queries in exact mode, 111 in general mode and 89 in
     gonality mode; the shipped scripts use only queries that close, and
     refuse to build otherwise.
     """

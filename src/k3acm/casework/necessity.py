@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..classifier import (AcmStatus, Assumption, _checked_class,
+from ..classifier import (AcmStatus, Assumption, _checked_class, complement,
                           is_initialized_acm)
 from ..errors import BadParametersError, NotAcmInputError
 from ..lattice import DivClass, Lattice
@@ -31,15 +31,15 @@ from .scripts import DerivationReport, run_script, report_to_json
 
 # presentation -> (reduction row or None, preset id, survivor coordinates
 # -> eliminating row, support rows); a reduced presentation shares its
-# target's rows.  Read from the rows at import, it builds no script.
+# complement's rows.  Read from the rows at import, it builds no script.
 _INDEX = {
     p: (None, pid,
         {k.curve.coords: k for k in CASES
          if k.presentation == p and k.curve is not None and not k.support},
         tuple(k for k in CASES if k.presentation == p and k.support))
     for pid, p in PRESET_PRESENTATION.items()}
-_INDEX.update({k.presentation: (k, *_INDEX[k.target][1:])
-               for k in CASES if k.target is not None})
+_INDEX.update({k.presentation: (k, *_INDEX[complement(*k.presentation)][1:])
+               for k in CASES if k.presentation and k.curve is None})
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def verify_necessity(lat: Lattice, b: DivClass,
     substitution = substitution_report = None
     if reduction is not None:
         substitution_report = run_script(reduction.script())
-        substitution = (reduction.tag, reduction.target)
+        substitution = (reduction.tag, complement(*profile))
     spec = lemma_case(preset_id, box=box)
     survivors = tuple(enumerate_case(spec))
     matches = []

@@ -141,21 +141,15 @@ def _preset_system(preset_id: str) -> tuple[Lattice, tuple[Constraint, ...]]:
         raise BadParametersError(
             f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
     b2, hb = PRESET_PRESENTATION[preset_id]
-    lat = quartic_lattice(b2, hb)
-    cons = [
+    lat, k = quartic_lattice(b2, hb), WINDOWS[b2, hb][1]
+    return lat, (
         quadratic(4, 2 * hb, b2, 0, 0, ">=", 4,
                   cite="the curve has genus >= 3, i.e. C^2 >= 4"),
         linear(4, hb, "<=", 12, axiom_id="AX-SECTIONS-BOUND",
                cite=f"an initialized aCM pencil bundle forces "
                     f"C.H = 4s+{hb}t <= 12"),
         _companion_bound(lat, _B, "B"),
-    ]
-    k = WINDOWS[b2, hb][1]
-    if k:
-        cons.append(_companion_bound(lat, k * _H - _B,
-                                     f"({k if k > 1 else ''}h-B)"))
-    cons.append(abs_t_at_least(
-        2, cite="|t| >= 2; the |t| <= 1 classes are settled by the "
-                "companion-closure reduction"))
-    return lat, tuple(cons)
+        _companion_bound(lat, k * _H - _B, f"({k if k > 1 else ''}h-B)"),
+        abs_t_at_least(2, cite="|t| >= 2; the |t| <= 1 classes are settled "
+                               "by the companion-closure reduction"))
 

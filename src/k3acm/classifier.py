@@ -8,9 +8,9 @@ exactly when (B^2, H.B) falls in one of four windows:
     (c) B^2 =  2 and H.B = 5
     (d) B^2 =  4, H.B = 6, and both |B - H| and |2H - B| are empty.
 
-WINDOWS maps the seven (B^2, H.B) of the windows to the window and the k
-for which kH - B is again initialized aCM (k = 0: none).  As H^2 = 4,
-kH - B has (4k^2 - 2k H.B + B^2, 4k - H.B), again a key when k > 0.
+WINDOWS maps the seven (B^2, H.B) of the windows to the window and the
+k >= 1 for which kH - B is again initialized aCM; B -> kH - B is a change
+of basis of <H, B> and an involution of the seven keys (``complement``).
 
 Case (d) is the Ulrich window; its two emptiness conditions cannot be
 decided by lattice data alone, so the classifier either certifies them
@@ -173,7 +173,16 @@ def effectivity(lat: Lattice, d: DivClass,
 
 WINDOWS: dict[tuple[int, int], tuple[str, int]] = {
     (-2, 1): ("a", 1), (-2, 2): ("a", 1), (-2, 3): ("a", 2),
-    (0, 3): ("b", 0), (0, 4): ("b", 2), (2, 5): ("c", 2), (4, 6): ("d", 3)}
+    (0, 3): ("b", 1), (0, 4): ("b", 2), (2, 5): ("c", 2), (4, 6): ("d", 3)}
+
+
+def complement(b2: int, hb: int) -> tuple[int, int]:
+    """(B'^2, H.B') of B' = kH - B, k from WINDOWS: as H^2 = 4, that is
+    (4k^2 - 2k H.B + B^2, 4k - H.B), again a key with the same k."""
+    if (b2, hb) not in WINDOWS:
+        raise NotAcmInputError(f"({b2}, {hb}) is in no window")
+    k = WINDOWS[b2, hb][1]
+    return 4 * k * k - 2 * k * hb + b2, 4 * k - hb
 
 
 def acm_window(b2: int, hb: int) -> str | None:
@@ -233,7 +242,7 @@ def acm_companions(lat: Lattice, b: DivClass, classification: AcmClassification,
     """Companion aCM classes of a classified B.
 
     -B is always aCM (but never initialized: its system is empty), and the
-    complement kH - B of WINDOWS is again *initialized* aCM when k > 0.
+    complement kH - B of WINDOWS, listed last, is again *initialized* aCM.
     It is re-classified here and must land back in the table; a failure,
     or a B outside the table, means corrupt input.
     """
@@ -244,16 +253,14 @@ def acm_companions(lat: Lattice, b: DivClass, classification: AcmClassification,
     _, k = WINDOWS.get((lat.self_int(b), lat.deg(b)), (None, None))
     if k is None:
         raise NotAcmInputError(f"{b} is in no window: not its classification")
-    out: list[tuple[DivClass, str]] = [(-b, "dual-acm-not-initialized")]
-    if k:
-        comp = k * lat.ample - b
-        redo = is_initialized_acm(lat, comp, assumptions)
-        if redo.status not in (AcmStatus.ACM, AcmStatus.ACM_ULRICH):
-            raise NotAcmInputError(
-                f"companion {comp} failed re-classification "
-                f"({redo.status.value}); lattice data is inconsistent")
-        out.append((comp, f"complement-in-{k if k > 1 else ''}h"))
-    return out
+    comp = k * lat.ample - b
+    redo = is_initialized_acm(lat, comp, assumptions)
+    if redo.status not in (AcmStatus.ACM, AcmStatus.ACM_ULRICH):
+        raise NotAcmInputError(
+            f"companion {comp} failed re-classification "
+            f"({redo.status.value}); lattice data is inconsistent")
+    return [(-b, "dual-acm-not-initialized"),
+            (comp, f"complement-in-{k if k > 1 else ''}h")]
 
 
 def derived_assumptions(lat: Lattice, b: DivClass,
@@ -261,8 +268,8 @@ def derived_assumptions(lat: Lattice, b: DivClass,
                         assumptions: Sequence[Assumption] = ()) -> list[Assumption]:
     """Facts about B and its companions that follow from the case table.
 
-    Used to seed the destabilizing-pair engine: B and every initialized
-    companion are effective; those with square >= 2 are base point free,
+    Used to seed the destabilizing-pair engine: B and its complement
+    kH - B are effective; those with square >= 2 are base point free,
     and the square-0 ones have nonempty moving part (recorded as Effective
     plus BasePointFree for squares >= 2 only).
     """
@@ -285,11 +292,9 @@ def _derive(lat: Lattice, b: DivClass, classification: AcmClassification,
     if lat.self_int(b) >= 2:
         add(b, AssumptionKind.BASE_POINT_FREE,
             "initialized aCM with square >= 2 is base point free")
-    for comp, rule in acm_companions(lat, b, classification, assumptions):
-        if rule == "dual-acm-not-initialized":
-            continue
-        add(comp, AssumptionKind.EFFECTIVE, f"companion ({rule})")
-        if lat.self_int(comp) >= 2:
-            add(comp, AssumptionKind.BASE_POINT_FREE,
-                "companion with square >= 2 is base point free")
+    comp, rule = acm_companions(lat, b, classification, assumptions)[-1]
+    add(comp, AssumptionKind.EFFECTIVE, f"companion ({rule})")
+    if lat.self_int(comp) >= 2:
+        add(comp, AssumptionKind.BASE_POINT_FREE,
+            "companion with square >= 2 is base point free")
     return tuple(out)

@@ -101,7 +101,8 @@ def test_companions_table():
                             ((1, -1), "complement-in-h")]
     assert rules(-2, 3) == [((0, -1), "dual-acm-not-initialized"),
                             ((2, -1), "complement-in-2h")]
-    assert rules(0, 3) == [((0, -1), "dual-acm-not-initialized")]
+    assert rules(0, 3) == [((0, -1), "dual-acm-not-initialized"),
+                           ((1, -1), "complement-in-h")]
     assert rules(0, 4) == [((0, -1), "dual-acm-not-initialized"),
                            ((2, -1), "complement-in-2h")]
     assert rules(2, 5) == [((0, -1), "dual-acm-not-initialized"),
@@ -136,17 +137,46 @@ def test_companions_refuse_unclassified_input():
 def test_each_complement_of_the_table_is_initialized_acm():
     # k h - B has (4k^2 - 2k h.B + B^2, 4k - h.B); read k from the table
     # and classify the complement directly, not through acm_companions
+    from k3acm.casework import PRESET_PRESENTATION
+    from k3acm.casework.casebook import CASES
+    complement = classifier.complement
     for (b2, hb), (_, k) in classifier.WINDOWS.items():
-        if k == 0:
-            continue
+        assert k >= 1, (b2, hb)
         image = (4 * k * k - 2 * k * hb + b2, 4 * k - hb)
         assert image in classifier.WINDOWS, (b2, hb)
+        assert complement(b2, hb) == image
+        assert complement(*image) == (b2, hb)
+    for off in ((-2, 5), (0, 0), (4, 5)):
+        with pytest.raises(NotAcmInputError, match="is in no window"):
+            complement(*off)
         lat = quartic_lattice(b2, hb)
         comp = k * H - B
         assert (lat.self_int(comp), lat.deg(comp)) == image
         cls = is_initialized_acm(lat, comp, ulrich_assumptions(lat))
         assert cls.status in (AcmStatus.ACM, AcmStatus.ACM_ULRICH), (b2, hb)
         assert cls.case_tag == classifier.WINDOWS[image][0]
+    # the presets are one representative of each orbit {p, complement(p)}
+    orbits = {frozenset((p, complement(*p))) for p in classifier.WINDOWS}
+    presets = set(PRESET_PRESENTATION.values())
+    assert len(orbits) == len(presets) == len(PRESET_PRESENTATION) == 5
+    assert {frozenset((p, complement(*p))) for p in presets} == orbits
+    # a reduction row (a presentation, no curve) reduces a non-preset key
+    # to its complement, which is a preset
+    reductions = [case.presentation for case in CASES
+                  if case.presentation and case.curve is None]
+    assert sorted(reductions) == sorted(set(classifier.WINDOWS) - presets)
+    assert all(complement(*p) in presets for p in reductions)
+    # a -mirror row's curve is sigma: (s, t) -> (s + kt, -t) of its
+    # original's, on a presentation sigma fixes
+    by_tag = {case.tag: case for case in CASES}
+    mirrors = [case for case in CASES if case.tag.endswith("-mirror")]
+    assert len(mirrors) == 3
+    for mirror in mirrors:
+        original = by_tag[mirror.tag.removesuffix("-mirror")]
+        p = original.presentation
+        assert mirror.presentation == p == complement(*p), mirror.tag
+        k, (s, t) = classifier.WINDOWS[p][1], original.curve.coords
+        assert mirror.curve == DivClass((s + k * t, -t)), mirror.tag
 
 
 @pytest.mark.parametrize("lat, b", [
@@ -243,7 +273,7 @@ def test_cached_classifier_matches_the_uncached_original():
                                     lat, p, want, order) == expect
                                 derived += 1
     assert classifier._classify.cache_info().hits > hits
-    assert (compared, derived) == (7497, 244)
+    assert (compared, derived) == (7399, 220)
 
 
 def test_a_plain_tuple_class_is_bad_input():

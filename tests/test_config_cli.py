@@ -463,15 +463,15 @@ def test_cli_destabilize_rejects_a_query_outside_the_c2_window_quickly(
 def test_cli_destabilize_reports_an_unbounded_window_as_a_boundary_touch(
         capsys, monkeypatch):
     # C = 2h on (0, 3): C.N does not bind B.N, the Hodge index on <h, B, N>
-    # does, so the sweep ends with records and an open branch
+    # does, so the sweep ends with records and an open branch at d = 6
     cfg = str(data_path("quartic_b20_bh3.json"))
     code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class", "2,0",
-                          "--d", "4")
+                          "--d", "6")
     assert code == 1 and not err
     assert "profile (h.N, B.N)" in out
     assert out.rstrip().endswith("UNRESOLVED BRANCHES REMAIN")
     code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class", "2,0",
-                          "--d", "4", "--json")
+                          "--d", "6", "--json")
     assert code == 1 and not err
     payload = json.loads(out)
     assert payload["resolved"] is False and payload["records"]

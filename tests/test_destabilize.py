@@ -1,5 +1,6 @@
 """The destabilizing-pair elimination engine on the four hard cases."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from k3acm import (AcmStatus, Assumption, AssumptionKind, BadParametersError,
                    ConflictingAssumptionsError, DivClass,
                    NotEffectiveCandidateError, PreconditionError,
                    TrivialClassError, derived_assumptions, is_initialized_acm)
-from k3acm.classifier import _NONEMPTY_KINDS
+from k3acm.classifier import _NONEMPTY_KINDS, WINDOWS
 from k3acm.casework import (MODES, PairElimination, elimination_to_json,
                             engine_assumptions, enumerate_destabilizing,
                             evaluate, quartic_lattice, ulrich_assumptions)
@@ -399,7 +400,87 @@ def test_open_branches_match_the_documented_counts():
         queries[mode] += 1
         left_open[mode] += not all(r.resolved for r in records)
     assert queries == {mode: 210 for mode in MODES}
-    assert left_open == {"exact": 60, "general": 115, "gonality": 92}
+    assert left_open == {"exact": 58, "general": 111, "gonality": 89}
+
+
+def _shipped_by_presentation():
+    """(B^2, h.B) -> (lattice, engine_assumptions) of each shipped config."""
+    out = {}
+    for name in shipped_quartic_names():
+        lat, raw = load_config(data_path(name))
+        out[lat.gram[1][1], lat.gram[0][1]] = lat, engine_assumptions(lat, raw)
+    return out
+
+
+def _complement_basis(lat):
+    """k of WINDOWS and the presentation (B'^2, h.B') of B' = kh - B.
+
+    (h, B') is another basis of the same lattice, and C = s h + t B is
+    (s + kt) h - t B' in it.
+    """
+    from test_theorem import _complement
+    profile = lat.gram[1][1], lat.gram[0][1]
+    return WINDOWS[profile][1], _complement(profile)
+
+
+def _closed(lat, c, d, facts, mode):
+    return all(r.resolved for r in
+               enumerate_destabilizing(lat, c, d, facts, mode=mode))
+
+
+def test_the_verdict_does_not_depend_on_the_basis():
+    # C on p is closed exactly when its image is closed on complement(p):
+    # sigma on (-2, 2), (0, 4) and (4, 6), and both reduction pairs
+    shipped = _shipped_by_presentation()
+    queries, disagree = 0, []
+    for lat, facts, c, d, mode in _grid(s_max=4):
+        k, image = _complement_basis(lat)
+        s, t = c.coords
+        lat2, facts2 = shipped[image]
+        c2 = DivClass((s + k * t, -t))
+        assert (lat2.self_int(c2), lat2.deg(c2)) == (lat.self_int(c),
+                                                      lat.deg(c))
+        queries += 1
+        if _closed(lat, c, d, facts, mode) != _closed(lat2, c2, d, facts2,
+                                                      mode):
+            disagree.append((image, c.coords, d, mode))
+    assert queries == 630
+    assert disagree == []
+
+
+def test_the_facts_do_not_depend_on_the_basis():
+    shipped = _shipped_by_presentation()
+    for lat, facts in shipped.values():
+        k, image = _complement_basis(lat)
+        moved = {((s + k * t, -t), a.kind)
+                 for a in facts for s, t in [a.subject.coords]}
+        assert moved == {(a.subject.coords, a.kind)
+                         for a in shipped[image][1]}, image
+        # B and its complement kh - B are both among the facts
+        assert {((0, 1), AssumptionKind.EFFECTIVE),
+                ((k, -1), AssumptionKind.EFFECTIVE)} <= moved, image
+
+
+@pytest.mark.parametrize("name", ["quartic_b20_bh3.json",
+                                  "quartic_b2neg2_bh1.json"])
+def test_a_config_asserting_the_complement_empty_is_refused(name, tmp_path,
+                                                            capsys):
+    # h - B is the complement on both: the residual line on (0, 3), the
+    # isotropic class of degree 3 on (-2, 1)
+    from k3acm.cli import main
+    doc = json.loads(data_path(name).read_text())
+    doc["assumptions"] = [{"subject": [1, -1], "kind": "Empty",
+                           "note": "asserted"}]
+    cfg = tmp_path / name
+    cfg.write_text(json.dumps(doc))
+    lat, raw = load_config(cfg)
+    with pytest.raises(ConflictingAssumptionsError):
+        enumerate_destabilizing(lat, DivClass((2, 0)), 6,
+                                engine_assumptions(lat, raw))
+    assert main(["destabilize", "-c", str(cfg), "--class", "2,0",
+                 "--d", "6"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "(1, -1)" in captured.err
 
 
 def _q_data_oracle(p, x, y, n2):
@@ -660,15 +741,15 @@ def test_grid_outcomes_are_pinned():
     assert outcomes == Counter({
         ("exact", "ample-orthogonal-neg2"): 24,
         ("exact", "beyond-hodge-cap"): 198,
-        ("exact", "effective-difference-degree-zero"): 173,
+        ("exact", "effective-difference-degree-zero"): 169,
         ("exact", "one-connected-h1"): 4,
         ("exact", "pencil-restrict-degree"): 2,
         ("exact", "split-indecomposable"): 9,
-        ("exact", "twist-h1-vanishing"): 26,
+        ("exact", "twist-h1-vanishing"): 25,
         ("exact", "two-connected-violation"): 6,
-        ("exact", "unresolved"): 124,
-        ("exact", "very-ample-degree-floor"): 16,
-        ("exact", "window-infeasible"): 272,
+        ("exact", "unresolved"): 117,
+        ("exact", "very-ample-degree-floor"): 17,
+        ("exact", "window-infeasible"): 273,
         ("general", "ample-orthogonal-neg2"): 121,
         ("general", "beyond-hodge-cap"): 198,
         ("general", "one-connected-h1"): 23,
@@ -676,20 +757,20 @@ def test_grid_outcomes_are_pinned():
         ("general", "pencil-restrict-degree"): 10,
         ("general", "split-indecomposable"): 38,
         ("general", "two-connected-violation"): 41,
-        ("general", "unresolved"): 988,
-        ("general", "very-ample-degree-floor"): 152,
-        ("general", "window-infeasible"): 137,
+        ("general", "unresolved"): 937,
+        ("general", "very-ample-degree-floor"): 164,
+        ("general", "window-infeasible"): 138,
         ("gonality", "ample-orthogonal-neg2"): 82,
         ("gonality", "beyond-hodge-cap"): 198,
         ("gonality", "one-connected-h1"): 19,
         ("gonality", "pencil-restrict-degree"): 8,
         ("gonality", "two-connected-violation"): 32,
-        ("gonality", "unresolved"): 709,
-        ("gonality", "very-ample-degree-floor"): 113,
-        ("gonality", "window-infeasible"): 189,
+        ("gonality", "unresolved"): 673,
+        ("gonality", "very-ample-degree-floor"): 124,
+        ("gonality", "window-infeasible"): 190,
     })
     assert notes == Counter({
-        "exhaustive window sweep": 498,
+        "exhaustive window sweep": 501,
         "Hodge index against C": 66,
         "empty degree budget": 21,
         "pairing floor through the movable multiple": 13,

@@ -59,6 +59,13 @@ def test_every_presentation_verifies():
             assert report.substitution_report.success
 
 
+def _complement(profile):
+    """(B'^2, h.B') of B' = kh - B with h^2 = 4, k read from WINDOWS."""
+    from k3acm.classifier import WINDOWS
+    (b2, hb), k = profile, WINDOWS[profile][1]
+    return 4 * k * k - 2 * k * hb + b2, 4 * k - hb
+
+
 def test_the_seven_presentations_agree():
     # every (B^2, h.B) the classifier admits under the Hodge index bound
     # 4 B^2 <= (h.B)^2, with 1 <= h.B <= 12 (no window has B^2 < -2)
@@ -67,8 +74,9 @@ def test_the_seven_presentations_agree():
     from k3acm.classifier import WINDOWS, acm_window
     admitted = {(b2, hb) for hb in range(1, 13) for b2 in range(-144, 37)
                 if 4 * b2 <= hb * hb and acm_window(b2, hb) is not None}
-    reduced = {case.presentation: case.target for case in CASES
-               if case.target is not None}
+    # a reduction row has a presentation and no curve
+    reduced = {case.presentation: _complement(case.presentation)
+               for case in CASES if case.presentation and case.curve is None}
     presets = set(PRESET_PRESENTATION.values())
     assert len(admitted) == 7
     assert set(WINDOWS) == admitted
@@ -219,7 +227,7 @@ def _scanned_rows(profile):
     from k3acm.casework.casebook import CASES
     reduction = None
     for case in CASES:
-        if case.presentation == profile and case.target is not None:
+        if case.presentation == profile and case.curve is None:
             reduction = case
     cases = [k for k in CASES if k.presentation == profile]
     case_for = {k.curve.coords: k.tag for k in cases
@@ -233,8 +241,8 @@ def test_the_cases_indexes_give_what_a_scan_of_cases_gives():
     profiles = [*PRESET_PRESENTATION.values(), (0, 3), (2, 5)]
     for profile in profiles:
         reduction = _scanned_rows(profile)[0]
-        # a reduced presentation replays its target's rows
-        work = profile if reduction is None else reduction.target
+        # a reduced presentation replays its complement's rows
+        work = profile if reduction is None else _complement(profile)
         _, case_for, supports = _scanned_rows(work)
         got, preset_id, by_survivor, support_rows = necessity._INDEX[profile]
         assert got is reduction, profile
@@ -242,7 +250,8 @@ def test_the_cases_indexes_give_what_a_scan_of_cases_gives():
         assert {s: k.tag for s, k in by_survivor.items()} == case_for, \
             profile
         assert [k.tag for k in support_rows] == supports, profile
-    assert _scanned_rows((0, 3))[0].target == (-2, 1)
+    assert _scanned_rows((0, 3))[0].tag == "reduction-B20-Bh3"
+    assert _complement((0, 3)) == (-2, 1)
     assert _scanned_rows((4, 6))[2] == ["gonality-2B"]
     # the index is read from the rows at import and builds no script
     built = subprocess.run(

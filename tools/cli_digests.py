@@ -15,7 +15,9 @@ Surfaces: ``theorem`` in text and ``--json`` at boxes 16, 128 and 256;
 (the shipped config of the preset's presentation); ``classify`` and
 ``companions``, text and ``--json``, on the seven shipped quartic configs
 for every class (s, t) with |s|, |t| <= 3; ``verify --script TAG --json``
-for each row of ``casebook.CASES``; and the 630 queries of
+and ``verify --script TAG`` (text) for each row of ``casebook.CASES``;
+``lattice-info``, text and ``--json``, on every shipped config;
+``example-delpezzo``, text and ``--json``; and the 630 queries of
 ``k3bench.workloads.destabilize_grid``, text and ``--json``.
 """
 
@@ -56,8 +58,14 @@ def _surfaces(root: Path) -> dict[str, list[list[str]]]:
             out[" ".join([command, *flags])] = [
                 [command, "-c", str(path), cls, *flags]
                 for path in quartics for cls in classes]
-    out["verify --json"] = [["verify", "--script", case.tag, "--json"]
-                            for case in CASES]
+    for flags in ([], ["--json"]):
+        out[" ".join(["verify", *flags])] = [
+            ["verify", "--script", case.tag, *flags] for case in CASES]
+        out[" ".join(["lattice-info", *flags])] = [
+            ["lattice-info", "-c", str(path), *flags]
+            for path in sorted(data.glob("*.json"))]
+        out[" ".join(["example-delpezzo", *flags])] = [
+            ["example-delpezzo", *flags]]
     for flags in ([], ["--json"]):
         out[" ".join(["destabilize grid", *flags])] = [
             ["destabilize", "-c", str(data / name), f"--class={s},{t}",
