@@ -38,10 +38,9 @@ class Case:
 
     presentation is (B^2, h.B) of the script lattice, None for the rank-8
     example.  A script with a curve eliminates that survivor C = s h + t B,
-    or, with support set, backs every replay of its presentation; one
-    with a presentation and no curve reduces it to its complement through
-    B' = kh - B (classifier.complement).  pencil = (d, mode) marks a case
-    analysis taken from the engine.
+    or, with support set, backs every replay of its presentation; one that
+    ``reduces`` (no curve) takes it to complement(presentation) by kh - B.
+    pencil = (d, mode) marks a case analysis taken from the engine.
     """
 
     tag: str
@@ -50,6 +49,10 @@ class Case:
     curve: DivClass | None = None
     pencil: tuple[int, str] | None = None
     support: bool = False
+
+    @property
+    def reduces(self) -> bool:
+        return self.presentation is not None and self.curve is None
 
     def script(self) -> DerivationScript:
         """This row's derivation script, built on its first use (never at

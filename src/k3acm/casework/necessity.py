@@ -39,7 +39,7 @@ _INDEX = {
         tuple(k for k in CASES if k.presentation == p and k.support))
     for pid, p in PRESET_PRESENTATION.items()}
 _INDEX.update({k.presentation: (k, *_INDEX[complement(*k.presentation)][1:])
-               for k in CASES if k.presentation and k.curve is None})
+               for k in CASES if k.reduces})
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,7 @@ def verify_necessity(lat: Lattice, b: DivClass,
         substitution = (reduction.tag, complement(*profile))
     spec = lemma_case(preset_id, box=box)
     survivors = tuple(enumerate_case(spec))
-    matches = []
-    unmatched = []
+    matches, unmatched = [], []
     for survivor in survivors:
         case = case_for.get(survivor)
         if case is None:

@@ -146,24 +146,23 @@ def test_each_complement_of_the_table_is_initialized_acm():
         assert image in classifier.WINDOWS, (b2, hb)
         assert complement(b2, hb) == image
         assert complement(*image) == (b2, hb)
-    for off in ((-2, 5), (0, 0), (4, 5)):
-        with pytest.raises(NotAcmInputError, match="is in no window"):
-            complement(*off)
         lat = quartic_lattice(b2, hb)
         comp = k * H - B
         assert (lat.self_int(comp), lat.deg(comp)) == image
         cls = is_initialized_acm(lat, comp, ulrich_assumptions(lat))
         assert cls.status in (AcmStatus.ACM, AcmStatus.ACM_ULRICH), (b2, hb)
         assert cls.case_tag == classifier.WINDOWS[image][0]
+    for off in ((-2, 5), (0, 0), (4, 5)):
+        with pytest.raises(NotAcmInputError, match="is in no window"):
+            complement(*off)
     # the presets are one representative of each orbit {p, complement(p)}
     orbits = {frozenset((p, complement(*p))) for p in classifier.WINDOWS}
     presets = set(PRESET_PRESENTATION.values())
     assert len(orbits) == len(presets) == len(PRESET_PRESENTATION) == 5
     assert {frozenset((p, complement(*p))) for p in presets} == orbits
-    # a reduction row (a presentation, no curve) reduces a non-preset key
-    # to its complement, which is a preset
-    reductions = [case.presentation for case in CASES
-                  if case.presentation and case.curve is None]
+    # a reduction row reduces a non-preset key to its complement, which
+    # is a preset
+    reductions = [case.presentation for case in CASES if case.reduces]
     assert sorted(reductions) == sorted(set(classifier.WINDOWS) - presets)
     assert all(complement(*p) in presets for p in reductions)
     # a -mirror row's curve is sigma: (s, t) -> (s + kt, -t) of its

@@ -74,9 +74,8 @@ def test_the_seven_presentations_agree():
     from k3acm.classifier import WINDOWS, acm_window
     admitted = {(b2, hb) for hb in range(1, 13) for b2 in range(-144, 37)
                 if 4 * b2 <= hb * hb and acm_window(b2, hb) is not None}
-    # a reduction row has a presentation and no curve
     reduced = {case.presentation: _complement(case.presentation)
-               for case in CASES if case.presentation and case.curve is None}
+               for case in CASES if case.reduces}
     presets = set(PRESET_PRESENTATION.values())
     assert len(admitted) == 7
     assert set(WINDOWS) == admitted
@@ -227,7 +226,7 @@ def _scanned_rows(profile):
     from k3acm.casework.casebook import CASES
     reduction = None
     for case in CASES:
-        if case.presentation == profile and case.curve is None:
+        if case.presentation == profile and case.reduces:
             reduction = case
     cases = [k for k in CASES if k.presentation == profile]
     case_for = {k.curve.coords: k.tag for k in cases
