@@ -24,16 +24,18 @@ the claim's first replay (``ArithClaim.compiled``) and runs them on every
 replay, so every replay still runs every claim's arithmetic on the lattice
 it is given.  Each op is defined once, by its compiler in ``_COMPILERS``:
 the arithmetic ops through their entries in ``_APPLIED`` and ``_FOLDS``.
+Bundle bookkeeping (``chi_bundle_expr``, ``c2_twist_expr``, ``bn_expr``)
+is written in these ops by its builders, so it adds none.
 Since a claim's expressions are read only once, a claim is never edited in
 place: to change one, build a new claim with ``dataclasses.replace``,
 which has no compiled sides yet.
 
-A compiled pairing of fixed classes (``pair``, ``self``, ``genus`` and both
-pairings of ``c2_twist``) reads the coordinates once into terms
-(i, j, a[i]*b[j]), and every replay sums coef * gram[i][j] over them on
-the lattice it is given (``_pairing``); ``deg`` reads its class into terms
-(j, a[j]) and sums ample[i] * a[j] * gram[i][j].  Only a lattice of
-another rank goes to ``Lattice.pair_coords``, for its error.
+A compiled pairing of fixed classes (``pair``, ``self`` and ``genus``)
+reads the coordinates once into terms (i, j, a[i]*b[j]), and every replay
+sums coef * gram[i][j] over them on the lattice it is given (``_pairing``);
+``deg`` reads its class into terms (j, a[j]) and sums
+ample[i] * a[j] * gram[i][j].  Only a lattice of another rank goes to
+``Lattice.pair_coords``, for its error.
 
 Beyond its two compiled sides, a replayed claim costs ``run_script`` one
 ``check_rel`` (looked up on this module at call time), one detail string
@@ -50,8 +52,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from ..axioms import is_registered
 from ..config import _is_int
 from ..errors import MalformedScriptError, WorkbenchError
-from ..invariants import (BundleInvariants, brill_noether, chi_bundle,
-                          chi_line, genus_of, hodge_lower)
+from ..invariants import chi_line, genus_of, hodge_lower
 from ..lattice import DivClass, Lattice
 from .constraints import _is_rel, check_rel
 
@@ -91,8 +92,7 @@ def evaluate(expr: Expr, lat: Lattice) -> int:
     compiling it and running the closure once.
 
     An expression that cannot be read (an unknown op, a missing key, a
-    non-list args, non-int coordinates, a chi_bundle rank other than the
-    int 2) raises MalformedScriptError.
+    non-list args, non-int coordinates) raises MalformedScriptError.
     """
     return _compile(expr)(lat)
 
@@ -213,29 +213,11 @@ def _compile_genus(e: dict) -> Compiled:
     return lambda lat: genus_of(square(lat))
 
 
-def _compile_chi_bundle(e: dict) -> Compiled:
-    """chi of a rank-2 bundle; the JSON key "rank" must be the int 2."""
-    rank = e["rank"]
-    if not _is_int(rank) or rank != 2:
-        raise MalformedScriptError(f"'rank' must be the int 2, got {rank!r}")
-    c1 = DivClass(_coords(e["c1"]))
-    c2 = _compile(_child(e, "c2"))
-    return lambda lat: chi_bundle(BundleInvariants(2, c1, c2(lat)), lat)
-
-
-def _compile_c2_twist(e: dict) -> Compiled:
-    c1, by = _coords(e["c1"]), _coords(e["by"])
-    c2 = _compile(_child(e, "c2"))
-    c1_by, by_by = _pairing(c1, by), _pairing(by, by)
-    return lambda lat: c2(lat) + c1_by(lat) + by_by(lat)
-
-
 # ---- arithmetic ops: one table entry each, compiled by _applied or _folded --
 
 # op -> (fn of its subexpressions, their keys in evaluation order)
 _APPLIED: dict[str, tuple[Callable[..., int], tuple[str, ...]]] = {
     "chi_of": (chi_line, ("sq",)),
-    "brill_noether": (brill_noether, ("g", "r", "d")),
     "hodge_lower": (hodge_lower, ("a", "b")),
     "minimax": (_minimax, ("p", "q")),
     "sub": (operator.sub, ("x", "y")),
@@ -280,8 +262,6 @@ _COMPILERS: dict[str, Callable[[dict], Compiled]] = {
     "self": _compile_self,
     "deg": _compile_deg,
     "genus": _compile_genus,
-    "chi_bundle": _compile_chi_bundle,
-    "c2_twist": _compile_c2_twist,
     "odd_diag": lambda e: lambda lat: sum(
         row[i] % 2 for i, row in enumerate(lat.gram)),
     "sig_pos": lambda e: lambda lat: lat.signature()[0],
@@ -329,7 +309,8 @@ def hodge_expr(a: Expr, b: Expr) -> Expr:
 
 
 def bn_expr(g: Expr, r: Expr, d: Expr) -> Expr:
-    return {"op": "brill_noether", "g": g, "r": r, "d": d}
+    """Brill-Noether number rho(g, r, d) = g - (r + 1)(g - d + r)."""
+    return sub_expr(g, mul_expr(add_expr(r, 1), add_expr(g, neg_expr(d), r)))
 
 
 def chi_expr(sq: Expr) -> Expr:
@@ -337,13 +318,13 @@ def chi_expr(sq: Expr) -> Expr:
 
 
 def chi_bundle_expr(c1: DivClass, c2: Expr) -> Expr:
-    """chi of a rank-2 bundle with first Chern class c1."""
-    return {"op": "chi_bundle", "rank": 2, "c1": list(c1.coords), "c2": c2}
+    """chi(E) = 4 + c1^2/2 - c2 = genus(c1) + 3 - c2 for E of rank 2."""
+    return add_expr(genus_expr(c1), 3, neg_expr(c2))
 
 
 def c2_twist_expr(c2: Expr, c1: DivClass, by: DivClass) -> Expr:
-    return {"op": "c2_twist", "c2": c2, "c1": list(c1.coords),
-            "by": list(by.coords)}
+    """c2(E(L)) = c2 + c1.L + L^2 for E of rank 2 and L = by."""
+    return add_expr(c2, pair_of(c1, by), self_of(by))
 
 
 def minimax_expr(p: Expr, q: Expr) -> Expr:

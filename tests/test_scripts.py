@@ -13,8 +13,8 @@ from k3acm.casework import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                             established, evaluate, genus_expr, pair_of,
                             quartic_lattice, report_to_json, run_script,
                             script_by_tag, self_of, ulrich_assumptions)
-from k3acm.casework.scripts import StepReport, _args, _coords, _minimax
-from k3acm.config import _is_int
+from k3acm.casework.scripts import (StepReport, _args, _coords, _minimax,
+                                    bn_expr, c2_twist_expr, chi_bundle_expr)
 from k3acm.errors import BadParametersError, EngineError
 from k3acm.invariants import (BundleInvariants, brill_noether, chi_bundle,
                               chi_line, genus_of, hodge_lower)
@@ -32,15 +32,54 @@ def test_evaluate_atoms_and_lattice_ops():
 
 
 def test_evaluate_bundle_ops():
-    assert evaluate({"op": "chi_bundle", "rank": 2, "c1": [2, 2], "c2": 8},
-                    LAT) == 8
-    assert evaluate({"op": "chi_bundle", "rank": 2, "c1": [0, 0], "c2": 2},
-                    LAT) == 2
+    assert evaluate(chi_bundle_expr(DivClass((2, 2)), 8), LAT) == 8
+    assert evaluate(chi_bundle_expr(DivClass((0, 0)), 2), LAT) == 2
     # c2 of the twist: 8 + C.(-K) + K^2 with K = h + B
-    assert evaluate({"op": "c2_twist", "c2": 8, "c1": [2, 2], "by": [-1, -1]},
+    assert evaluate(c2_twist_expr(8, DivClass((2, 2)), DivClass((-1, -1))),
                     LAT) == 2
-    assert evaluate({"op": "brill_noether", "g": 5, "r": 1, "d": 2}, LAT) == -3
+    assert evaluate(bn_expr(5, 1, 2), LAT) == -3
     assert evaluate({"op": "hodge_lower", "a": 8, "b": 2}, LAT) == 4
+
+
+def test_the_bundle_builders_match_the_invariants_they_abbreviate():
+    # the builders write chi(E), c2(E(L)) and rho in the kept ops; the
+    # closed forms of k3acm.invariants are their oracle, on the seven
+    # quartic presentations, their +/-1 Gram mutants (where c1^2 can be
+    # odd, and both sides must then raise OddSquareError) and the rank-8
+    # lattice
+    import random
+    from k3acm.casework import delpezzo_lattice
+    from k3acm.classifier import WINDOWS
+    from k3acm.errors import OddSquareError
+    from k3acm.invariants import chern_twist
+
+    def outcome(fn):
+        try:
+            return fn()
+        except WorkbenchError as exc:
+            return type(exc)
+
+    rng = random.Random(29)
+    lattices = [variant for key in WINDOWS
+                for variant in _gram_mutants(quartic_lattice(*key))]
+    seen = set()
+    for lat in lattices + [delpezzo_lattice()]:
+        for _ in range(12):
+            c1, by = (DivClass([rng.randint(-3, 3) for _ in range(lat.rank)])
+                      for _ in range(2))
+            c2, g, r, d = (rng.randint(-20, 20) for _ in range(4))
+            bundle = BundleInvariants(2, c1, c2)
+            for expr, oracle in (
+                    (bn_expr(g, r, d), lambda: brill_noether(g, r, d)),
+                    (bn_expr(genus_expr(c1), r, d), lambda: brill_noether(
+                        genus_of(lat.self_int(c1)), r, d)),
+                    (chi_bundle_expr(c1, c2), lambda: chi_bundle(bundle, lat)),
+                    (c2_twist_expr(c2, c1, by),
+                     lambda: chern_twist(bundle, by, lat).c2)):
+                want = outcome(oracle)
+                assert outcome(lambda: evaluate(expr, lat)) == want, expr
+                seen.add(want if isinstance(want, type) else int)
+    assert seen == {int, OddSquareError}, seen
 
 
 def test_evaluate_arithmetic_ops():
@@ -76,7 +115,9 @@ def test_evaluate_rejects_bad_expressions():
 
 
 @pytest.mark.parametrize("expr", [
-    # the deleted ops, with or without their old keys, are unknown ops
+    # the deleted ops, with or without their old keys, are unknown ops:
+    # chi_bundle, c2_twist and brill_noether are now written by their
+    # builders in the kept ops
     {"op": "mod", "x": 7, "m": 0},
     {"op": "mod", "x": 7, "m": 2.9},
     {"op": "mod", "x": 7, "m": True},
@@ -97,6 +138,7 @@ def test_evaluate_rejects_bad_expressions():
     {"op": "chi_bundle", "rank": "2", "c1": [0, 0], "c2": 2},
     {"op": "chi_bundle", "rank": 3, "c1": [0, 0], "c2": 2},
     {"op": "c2_twist", "c2": 8, "c1": [2, 2]},
+    {"op": "brill_noether", "g": 5, "r": 1, "d": 2},
     {"op": "neg", "x": {"op": "chi_of"}},
     {"op": ["pair"], "a": [1, 0], "b": [0, 1]},
 ], ids=lambda expr: json.dumps(expr))
@@ -195,17 +237,13 @@ def test_run_script_fails_an_expression_nested_past_the_recursion_limit():
 
 @pytest.mark.parametrize("wrap", [
     lambda x: {"op": "neg", "x": x},
-    lambda x: {"op": "chi_bundle", "rank": 2, "c1": [0, 0], "c2": x},
     lambda x: {"op": "add", "args": [x, 1]},
     lambda x: {"op": "mul", "args": [x, -1]},
     lambda x: {"op": "sub", "x": x, "y": 1},
     lambda x: {"op": "chi_of", "sq": x},
     lambda x: {"op": "hodge_lower", "a": 1, "b": x},
     lambda x: {"op": "minimax", "p": x, "q": 0},
-    lambda x: {"op": "brill_noether", "g": x, "r": 0, "d": 1},
-    lambda x: {"op": "c2_twist", "c2": x, "c1": [1, 0], "by": [0, 0]},
-], ids=["neg", "chi_bundle", "add", "mul", "sub", "chi_of", "hodge_lower",
-        "minimax", "brill_noether", "c2_twist"])
+], ids=["neg", "add", "mul", "sub", "chi_of", "hodge_lower", "minimax"])
 def test_run_script_replays_a_deep_claim_that_evaluate_reaches(wrap):
     deep = 4  # chi_of(4) = 4, and every other wrapper keeps a valid value
     for _ in range(400):
@@ -439,8 +477,7 @@ def _oracle_coords(value) -> DivClass:
 def _oracle_evaluate(expr, lat):
     """The former scripts.evaluate, one if per op, verbatim but for names."""
     from k3acm.casework.scripts import _minimax
-    from k3acm.invariants import (BundleInvariants, brill_noether, chi_bundle,
-                                  chi_line, genus_of, hodge_lower)
+    from k3acm.invariants import chi_line, genus_of, hodge_lower
     ev, co = _oracle_evaluate, _oracle_coords
     if isinstance(expr, bool):
         raise MalformedScriptError("boolean is not a valid expression")
@@ -459,17 +496,6 @@ def _oracle_evaluate(expr, lat):
         return genus_of(lat.self_int(co(expr["a"])))
     if op == "chi_of":
         return chi_line(ev(expr["sq"], lat))
-    if op == "chi_bundle":
-        inv = BundleInvariants(int(expr["rank"]), co(expr["c1"]),
-                               ev(expr["c2"], lat))
-        return chi_bundle(inv, lat)
-    if op == "c2_twist":
-        c1 = co(expr["c1"])
-        by = co(expr["by"])
-        return ev(expr["c2"], lat) + lat.pair(c1, by) + lat.self_int(by)
-    if op == "brill_noether":
-        return brill_noether(ev(expr["g"], lat), ev(expr["r"], lat),
-                             ev(expr["d"], lat))
     if op == "hodge_lower":
         return hodge_lower(ev(expr["a"], lat), ev(expr["b"], lat))
     if op == "minimax":
@@ -578,7 +604,7 @@ def test_the_proof_uses_every_op_and_no_other():
     used = set().union(*(_ops_of(side) for cl in claims
                          for side in (cl.lhs, cl.rhs)))
     assert used == set(_COMPILERS)
-    assert len(_COMPILERS) == 17
+    assert len(_COMPILERS) == 14
 
 
 # ---- the former evaluate, one handler per op, kept as an oracle -------------
@@ -621,27 +647,6 @@ def _former_deg(e, lat):
     return lat.pair_coords(lat.ample.coords, _coords(e["a"]))
 
 
-def _former_check_rank_two(e):
-    """The JSON key "rank" of a chi_bundle expression must be the int 2."""
-    rank = e["rank"]
-    if not _is_int(rank) or rank != 2:
-        raise MalformedScriptError(f"'rank' must be the int 2, got {rank!r}")
-
-
-def _former_chi_bundle(e, lat):
-    """chi of a rank-2 bundle."""
-    _former_check_rank_two(e)
-    inv = BundleInvariants(2, DivClass(_coords(e["c1"])),
-                           _former_evaluate(e["c2"], lat))
-    return chi_bundle(inv, lat)
-
-
-def _former_c2_twist(e, lat):
-    c1, by = _coords(e["c1"]), _coords(e["by"])
-    return (_former_evaluate(e["c2"], lat) + lat.pair_coords(c1, by)
-            + lat.pair_coords(by, by))
-
-
 def _former_add(e, lat):
     total = 0
     for x in _args(e):
@@ -664,10 +669,6 @@ _FORMER_OPS = {
     "deg": _former_deg,
     "genus": lambda e, lat: genus_of(_former_self(e, lat)),
     "chi_of": lambda e, lat: chi_line(_fev(e["sq"], lat)),
-    "chi_bundle": _former_chi_bundle,
-    "c2_twist": _former_c2_twist,
-    "brill_noether": lambda e, lat: brill_noether(
-        _fev(e["g"], lat), _fev(e["r"], lat), _fev(e["d"], lat)),
     "hodge_lower": lambda e, lat: hodge_lower(_fev(e["a"], lat),
                                               _fev(e["b"], lat)),
     "minimax": lambda e, lat: _minimax(_fev(e["p"], lat), _fev(e["q"], lat)),
@@ -685,11 +686,11 @@ _FORMER_OPS = {
 def test_each_op_is_defined_once():
     from k3acm.casework import scripts
     arithmetic = set(scripts._APPLIED) | set(scripts._FOLDS)
-    assert len(arithmetic) == 8 and arithmetic < set(scripts._COMPILERS)
+    assert len(arithmetic) == 7 and arithmetic < set(scripts._COMPILERS)
     gone = {"_pair", "_self", "_deg", "_chi_bundle", "_c2_twist", "_add",
             "_mul", "_compile_add", "_compile_mul", "_degree",
             "_whole_lattice", "_OPS", "_on_lattice", "_evaluated",
-            "_evaluated_fold"}
+            "_evaluated_fold", "_compile_chi_bundle", "_compile_c2_twist"}
     assert not {name for name in gone if hasattr(scripts, name)}
 
 
@@ -731,8 +732,7 @@ def test_compiled_sides_match_evaluate_on_every_claim_and_mutant():
 
 _LEAF_OPS = ("pair", "self", "deg", "genus", "odd_diag", "sig_pos", "sig_neg")
 # op -> its subexpression keys
-_NODE_OPS = {"chi_of": ("sq",), "chi_bundle": ("c2",), "c2_twist": ("c2",),
-             "brill_noether": ("g", "r", "d"), "hodge_lower": ("a", "b"),
+_NODE_OPS = {"chi_of": ("sq",), "hodge_lower": ("a", "b"),
              "minimax": ("p", "q"), "sub": ("x", "y"), "neg": ("x",)}
 
 
@@ -741,7 +741,7 @@ def _random_class(rng):
 
 
 def _random_tree(rng, depth, random_class=_random_class):
-    """A random expression over the 17 ops, on the classes random_class
+    """A random expression over the 14 ops, on the classes random_class
     draws (rank 2 by default)."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.4:
@@ -761,11 +761,6 @@ def _random_tree(rng, depth, random_class=_random_class):
         return expr
     for key in _NODE_OPS[op]:
         expr[key] = _random_tree(rng, depth - 1, random_class)
-    if op == "chi_bundle":
-        expr["rank"] = 2
-        expr["c1"] = random_class(rng)
-    if op == "c2_twist":
-        expr["c1"], expr["by"] = random_class(rng), random_class(rng)
     return expr
 
 
@@ -827,12 +822,12 @@ def _inject(rng, expr):
     if not holders:
         return expr
     holder, where, node = rng.choice(holders)
-    kind = rng.choice(("bool", "float", "missing", "unknown", "args", "rank",
-                       "length"))
+    kind = rng.choice(("bool", "float", "missing", "unknown", "args",
+                       "scalar", "length"))
     if kind == "bool" or not isinstance(node, dict):
         holder[where] = True
         return expr
-    classes = [k for k in ("a", "b", "c1", "by") if k in node]
+    classes = [k for k in ("a", "b") if k in node]
     if kind == "float" and classes:
         node[rng.choice(classes)] = [1.0, 0]
     elif kind == "length" and classes:
@@ -843,9 +838,8 @@ def _inject(rng, expr):
         node["op"] = "frobnicate"
     elif kind == "args":
         holder[where] = {"op": rng.choice(("add", "mul")), "args": 5}
-    elif kind == "rank":
-        holder[where] = {"op": "chi_bundle", "rank": 3, "c2": node,
-                         "c1": rng.choice(([0, 0], [1.0, 0], [1, 0, 0]))}
+    elif kind == "scalar":
+        holder[where] = {"op": "genus", "a": 5}
     else:
         holder[where] = {"op": "frobnicate"}
     return expr
@@ -984,10 +978,9 @@ def test_replay_compiles_each_claim_side_once_and_never_interprets(
 
 def test_replayed_pairings_read_the_gram_matrix_without_pair_coords(
         monkeypatch):
-    # every pair, self, deg, genus and c2_twist node reads the Gram entries
-    # of a lattice of its classes' rank itself; Lattice.pair_coords is left
-    # to chi_bundle (through Lattice.self_int), so a compiler that falls
-    # back on a same-rank lattice moves this count
+    # every pair, self, deg and genus node reads the Gram entries of a
+    # lattice of its classes' rank itself, so a compiler that falls back on
+    # Lattice.pair_coords for a same-rank lattice moves this count
     scripts = sorted(builtin_scripts().values(), key=lambda s: s.tag)
     runs = [s for script in scripts
             for s in (script, script.with_lattice(
@@ -1002,5 +995,4 @@ def test_replayed_pairings_read_the_gram_matrix_without_pair_coords(
     monkeypatch.setattr(Lattice, "pair_coords", counting)
     reports = [run_script(s) for s in runs]
     assert sum(r.success for r in reports) == 12
-    # the 4 chi_bundle nodes of the builtin claims, each replayed twice
-    assert len(calls) == 8, len(calls)
+    assert len(calls) == 0, len(calls)
