@@ -289,13 +289,17 @@ def _script_reduction(case: Case) -> DerivationScript:
     b2, hb = case.presentation
     k, target = WINDOWS[b2, hb][1], complement(b2, hb)
     sub, name = k * _H - _B, f"{k if k > 1 else ''}h - B"
+    # the Gram determinants h^2 b^2 - (h.b)^2 of (h, B') and of (h, B)
+    det_sub, det_b = (sub_expr(mul_expr(self_of(_H), self_of(b)),
+                               mul_expr(pair_of(_H, b), pair_of(_H, b)))
+                      for b in (sub, _B))
     steps = _pins(b2, hb) + [
         ArithClaim("square of the substituted class", self_of(sub), "=",
                    target[0]),
         ArithClaim("degree of the substituted class", deg_of(sub), "=",
                    target[1]),
-        ArithClaim("the substitution pairs against h unchanged",
-                   self_of(_H), "=", 4),
+        ArithClaim("the substitution is a change of basis", det_sub, "=",
+                   det_b, cite="equal Gram determinants: (h, B') has index 1"),
     ]
     return DerivationScript(
         tag=case.tag, lattice=quartic_lattice(b2, hb), steps=steps,

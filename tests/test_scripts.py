@@ -389,6 +389,38 @@ def test_pencil_scripts_refuse_open_branches():
         case.script()
 
 
+def test_the_reductions_prove_a_change_of_basis_on_every_mutant():
+    # det Gram(h, kh - B) = det Gram(h, B) is an identity in the Gram
+    # entries, so the claim holds on every +/-1 mutant (a pin fails there);
+    # with kh - 2B, which is no basis partner of h, it fails wherever the
+    # determinant is nonzero
+    from k3acm.casework.casebook import CASES
+    from k3acm.classifier import WINDOWS
+    details = {"reduction-B20-Bh3": "-9 = -9", "reduction-B22-Bh5": "-17 = -17"}
+    for case in [case for case in CASES if case.reduces]:
+        script = case.script()
+        (i,) = [i for i, st in enumerate(script.steps)
+                if st.label == "the substitution is a change of basis"]
+        k = WINDOWS[case.presentation][1]
+        text, partner = json.dumps(script.steps[i].lhs), json.dumps([k, -1])
+        assert text.count(partner) == 3  # B'^2 and both h.B'
+        steps = list(script.steps)
+        steps[i] = replace(steps[i], lhs=json.loads(
+            text.replace(partner, json.dumps([k, -2]))))
+        broken = replace(script, steps=steps)
+        for n, variant in enumerate(_gram_mutants(script.lattice)):
+            report = run_script(script.with_lattice(variant))
+            assert report.steps[i].status == "Verified", (case.tag, n)
+            assert report.success == (n == 0), (case.tag, n)
+            if n == 0:
+                assert report.steps[i].detail == details[case.tag]
+            (a, b), (_, c) = variant.gram
+            if a * c - b * b:
+                assert run_script(broken.with_lattice(variant)).steps[
+                    i].status == "FAILED", (case.tag, n)
+    assert sorted(details) == sorted(c.tag for c in CASES if c.reduces)
+
+
 def test_contradiction_scripts_end_flagged():
     for tag, script in builtin_scripts().items():
         if script.conclusion.kind == "contradiction":
