@@ -1,14 +1,18 @@
 """Print one sha256 per surface of the ``k3acm`` command line.
 
 Usage: python3 tools/cli_digests.py [ROOT]
+       python3 tools/cli_digests.py ROOT_A ROOT_B
 
 ROOT is a checkout of this repository; it defaults to the one holding
 this script.  The package is imported from ROOT/src and the destabilize
 grid from ROOT/k3bench.  Each surface is a fixed list of command lines
 run in-process through ``k3acm.cli.main``; its digest covers, for each
 command line in order, the arguments (a config as its file name), the
-exit code, stdout and stderr.  Run it on two checkouts and compare the
-lists: equal digests mean byte-identical output on that surface.
+exit code, stdout and stderr.  Equal digests mean byte-identical output
+on that surface.  Given two roots, it digests each in its own interpreter
+(one process never imports two ``k3acm`` packages), prints only the
+surfaces whose digests differ, each with both digests, and exits 1 if
+any does.
 
 Surfaces: ``theorem`` in text and ``--json`` at boxes 16, 128 and 256;
 ``enumerate --preset P --json`` for each preset, without and with ``-c``
@@ -27,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,7 +89,24 @@ def _run(argv: list[str]) -> list:
     return [shown, code, out.getvalue(), err.getvalue()]
 
 
+def _compare(root_a: str, root_b: str) -> int:
+    """Print the surfaces whose digests differ between two checkouts."""
+    digests = []
+    for root in (root_a, root_b):
+        lines = subprocess.run([sys.executable, __file__, root], check=True,
+                               capture_output=True, text=True).stdout
+        digests.append(dict(line.split("  ", 1)[::-1]
+                            for line in lines.splitlines()))
+    a, b = digests
+    differ = [name for name in {**a, **b} if a.get(name) != b.get(name)]
+    for name in differ:
+        print(f"{name}: {a.get(name, '-')} -> {b.get(name, '-')}")
+    return 1 if differ else 0
+
+
 def main() -> int:
+    if len(sys.argv) == 3:
+        return _compare(*sys.argv[1:])
     root = Path(sys.argv[1] if len(sys.argv) > 1
                 else Path(__file__).resolve().parents[1]).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
