@@ -115,9 +115,7 @@ def test_evaluate_rejects_bad_expressions():
 
 
 @pytest.mark.parametrize("expr", [
-    # the deleted ops, with or without their old keys, are unknown ops:
-    # chi_bundle, c2_twist and brill_noether are now written by their
-    # builders in the kept ops
+    # the deleted ops, with or without their old keys, are unknown ops
     {"op": "mod", "x": 7, "m": 0},
     {"op": "mod", "x": 7, "m": 2.9},
     {"op": "mod", "x": 7, "m": True},
@@ -507,7 +505,8 @@ def _oracle_coords(value) -> DivClass:
 
 
 def _oracle_evaluate(expr, lat):
-    """The former scripts.evaluate, one if per op, verbatim but for names."""
+    """The former scripts.evaluate, one if per op, verbatim but for names,
+    on the ops the language keeps."""
     from k3acm.casework.scripts import _minimax
     from k3acm.invariants import chi_line, genus_of, hodge_lower
     ev, co = _oracle_evaluate, _oracle_coords
@@ -645,7 +644,8 @@ def test_the_proof_uses_every_op_and_no_other():
 # the second implementation they are checked against.
 
 def _former_evaluate(expr, lat):
-    """The former scripts.evaluate, verbatim but for names and annotations."""
+    """The former scripts.evaluate, verbatim but for names and annotations,
+    on the ops the language keeps."""
     if isinstance(expr, int):
         if isinstance(expr, bool):
             raise MalformedScriptError("boolean is not a valid expression")
