@@ -92,65 +92,33 @@ def evaluate(expr: Expr, lat: Lattice) -> int:
     compiling it and running the closure once.
 
     An expression that cannot be read (an unknown op, a missing key, a
-    non-list args, non-int coordinates) raises MalformedScriptError.
+    non-list args, non-int coordinates) raises the MalformedScriptError of
+    its first such node as it compiles, so on every lattice alike.
     """
     return _compile(expr)(lat)
 
 
 # ---- compiling expressions ---------------------------------------------------
-#
-# _compile reads an expression once into a closure Lattice -> int.  The
-# closure raises errors in the order of a walk that evaluates each node's
-# subexpressions in key order: a node that cannot be read compiles to a
-# closure raising its MalformedScriptError, so a run reaches that error at
-# the node's own place in the tree, after any runtime error (an odd square,
-# a rank mismatch) of the nodes walked before it.  A node's own keys and
-# coordinates are read before any of its subexpressions, so they are all
-# read at compile time.
-
-def _raising(message: str) -> Compiled:
-    def run(lat: Lattice) -> int:
-        raise MalformedScriptError(message)
-    return run
-
 
 def _compile(expr: Expr) -> Compiled:
     if isinstance(expr, int):
         if isinstance(expr, bool):
-            return _raising("boolean is not a valid expression")
+            raise MalformedScriptError("boolean is not a valid expression")
         return lambda lat: expr
-    if isinstance(expr, _Missing):
-        return _raising(expr.message)
     if not isinstance(expr, dict) or "op" not in expr:
-        return _raising(f"bad expression: {expr!r}")
+        raise MalformedScriptError(f"bad expression: {expr!r}")
     op = expr["op"]
     try:
         compiler = _COMPILERS[op]
     except (KeyError, TypeError):
-        return _raising(f"unknown expression op {op!r}")
-    # compilers read this node's keys directly; a missing subexpression key
-    # is a _Missing from _child, compiled at that subexpression's place
+        raise MalformedScriptError(f"unknown expression op {op!r}") from None
+    # compilers read this node's keys directly; nested _compile calls convert
+    # their own, so a KeyError here is a key missing from this expression
     try:
         return compiler(expr)
     except KeyError as exc:
-        return _raising(f"{op!r} expression has no key {exc}")
-    except MalformedScriptError as exc:
-        return _raising(str(exc))
-
-
-class _Missing(NamedTuple):
-    """The error message for a subexpression key an expression lacks."""
-    message: str
-
-
-def _child(e: dict, key: str) -> Expr:
-    """e[key], or a _Missing that _compile turns into a closure raising at
-    that subexpression's place.  A level of nesting costs the compile two
-    stack frames (_compile and the op's compiler) and a run one; the tests
-    pin that a claim nested 400 deep evaluates and replays."""
-    if key in e:
-        return e[key]
-    return _Missing(f"{e['op']!r} expression has no key {key!r}")
+        raise MalformedScriptError(
+            f"{op!r} expression has no key {exc}") from None
 
 
 # ---- lattice ops: defined only by their compilers ----------------------------
@@ -231,15 +199,17 @@ _FOLDS = {"add": (operator.add, 0), "mul": (operator.mul, 1)}
 def _applied(fn: Callable[..., int], keys: tuple[str, ...]):
     """The compiler of an op that is fn of its subexpressions, in key order."""
     def compile_op(e: dict) -> Compiled:
-        subs = tuple(map(_compile, [_child(e, key) for key in keys]))
+        # a plain loop reads each key after compiling the ones before it and
+        # adds no frame: a level of nesting costs two (_compile and this),
+        # and the tests pin that a claim nested 400 deep evaluates
+        subs = []
+        for key in keys:
+            subs.append(_compile(e[key]))
         if len(subs) == 1:
             (x,) = subs
             return lambda lat: fn(x(lat))
-        if len(subs) == 2:
-            x, y = subs
-            return lambda lat: fn(x(lat), y(lat))
-        x, y, z = subs
-        return lambda lat: fn(x(lat), y(lat), z(lat))
+        x, y = subs
+        return lambda lat: fn(x(lat), y(lat))
     return compile_op
 
 

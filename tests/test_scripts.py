@@ -15,7 +15,7 @@ from k3acm.casework import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                             script_by_tag, self_of, ulrich_assumptions)
 from k3acm.casework.scripts import (StepReport, _args, _coords, _minimax,
                                     bn_expr, c2_twist_expr, chi_bundle_expr)
-from k3acm.errors import BadParametersError, EngineError
+from k3acm.errors import BadParametersError, EngineError, OddSquareError
 from k3acm.invariants import (BundleInvariants, brill_noether, chi_bundle,
                               chi_line, genus_of, hodge_lower)
 
@@ -722,7 +722,8 @@ def test_each_op_is_defined_once():
     gone = {"_pair", "_self", "_deg", "_chi_bundle", "_c2_twist", "_add",
             "_mul", "_compile_add", "_compile_mul", "_degree",
             "_whole_lattice", "_OPS", "_on_lattice", "_evaluated",
-            "_evaluated_fold", "_compile_chi_bundle", "_compile_c2_twist"}
+            "_evaluated_fold", "_compile_chi_bundle", "_compile_c2_twist",
+            "_raising", "_Missing", "_child"}
     assert not {name for name in gone if hasattr(scripts, name)}
 
 
@@ -877,6 +878,37 @@ def _inject(rng, expr):
     return expr
 
 
+_CLASS_KEYS = {"pair": ("a", "b"), "self": ("a",), "deg": ("a",),
+               "genus": ("a",)}
+
+
+def _former_read(expr):
+    """_former_evaluate's walk without its arithmetic: it raises the
+    MalformedScriptError of the first node that walk cannot read, reading a
+    node's own keys and coordinates before its subexpressions in key order."""
+    if isinstance(expr, int):
+        if isinstance(expr, bool):
+            raise MalformedScriptError("boolean is not a valid expression")
+        return
+    if not isinstance(expr, dict) or "op" not in expr:
+        raise MalformedScriptError(f"bad expression: {expr!r}")
+    op = expr["op"]
+    try:
+        _FORMER_OPS[op]
+    except (KeyError, TypeError):
+        raise MalformedScriptError(f"unknown expression op {op!r}") from None
+    try:
+        for key in _CLASS_KEYS.get(op, ()):
+            _coords(expr[key])
+        for x in _args(expr) if op in ("add", "mul") else ():
+            _former_read(x)
+        for key in _NODE_OPS.get(op, ()):
+            _former_read(expr[key])
+    except KeyError as exc:
+        raise MalformedScriptError(
+            f"{op!r} expression has no key {exc}") from None
+
+
 def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
     from k3acm.casework.scripts import _compile
     import random
@@ -908,21 +940,59 @@ def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
                     expr = _inject(rng, expr)
                 yield expr, near
 
-    seen, compared = set(), 0
+    seen, split = set(), {"well-formed": 0, "malformed": 0, "fault first": 0}
     for expr, on in cases():
-        compiled = _compile(expr)
+        # a malformed tree raises its first unreadable node's error when it
+        # compiles; a well-formed one runs as the former evaluate did
+        try:
+            _former_read(expr)
+            malformed = None
+            compiled = _compile(expr)
+        except MalformedScriptError as exc:
+            malformed = (MalformedScriptError, str(exc))
+            with pytest.raises(MalformedScriptError) as raised:
+                _compile(expr)
+            assert str(raised.value) == malformed[1], json.dumps(expr)
         for lat in on:
-            want = _outcome(lambda v: _former_evaluate(expr, v), lat)
-            assert _outcome(compiled, lat) == want, json.dumps(expr)
+            former = _outcome(lambda v: _former_evaluate(expr, v), lat)
+            want = malformed or former
+            if malformed is None:
+                assert _outcome(compiled, lat) == want, json.dumps(expr)
+                split["well-formed"] += 1
+            elif isinstance(former, tuple) and former[0] is MalformedScriptError:
+                assert former == want, json.dumps(expr)
+                split["malformed"] += 1
+            else:  # the former walk met a runtime error before the node
+                split["fault first"] += 1
             assert _outcome(lambda v: evaluate(expr, v),
                             lat) == want, json.dumps(expr)
             seen.add(want[0] if isinstance(want, tuple) else int)
-            compared += 1
     names = {cls.__name__ for cls in seen if cls is not int}
     assert int in seen and {"MalformedScriptError", "OddSquareError",
                             "DimensionMismatchError", "BadParametersError",
                             "DegenerateFormError"} <= names, names
-    assert compared > 7000, compared
+    assert sum(split.values()) > 7000 and min(split.values()) > 0, split
+
+
+def test_a_malformed_node_raises_the_same_error_on_every_lattice():
+    expr = {"op": "add", "args": [genus_expr(DivClass((1, 0))),
+                                  {"op": "frobnicate"}]}
+    odd = Lattice([[1, 0], [0, -2]], labels="hB", ample=(1, 0))
+    # the former walk met the odd square of h before the unknown op
+    assert _outcome(lambda v: _former_evaluate(expr, v), odd)[0] \
+        is OddSquareError
+    for lat in (odd, LAT):
+        with pytest.raises(MalformedScriptError) as raised:
+            evaluate(expr, lat)
+        assert str(raised.value) == "unknown expression op 'frobnicate'"
+        claim = ArithClaim("malformed", expr, "=", 0)
+        report = run_script(DerivationScript(
+            tag="t", lattice=lat, steps=(claim,),
+            conclusion=established("nothing")))
+        assert report.failed == (0,)
+        assert report.steps[0].status == "FAILED"
+        assert report.steps[0].detail == (
+            "evaluation error: unknown expression op 'frobnicate'")
 
 
 def _reference_replay(script):
