@@ -73,7 +73,7 @@ class DivClass:
         return DivClass(-a for a in self.coords)
 
     def __mul__(self, k: int) -> "DivClass":
-        if not isinstance(k, int):
+        if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
         return DivClass(k * a for a in self.coords)
 
@@ -186,7 +186,7 @@ class Lattice:
                 if rows[i][i] % 2 != 0:
                     raise OddK3DiagonalError(
                         f"K3 lattice needs an even diagonal; gram[{i}][{i}]={rows[i][i]}")
-            sig = _signature_of(rows)
+            sig = self._signature
             if sig != (1, n - 1):
                 raise WrongSignatureError(
                     f"K3 lattice needs signature (1, {n - 1}), got {sig}")

@@ -28,6 +28,14 @@ def test_divclass_arithmetic():
     assert str(u) == "(3, -2)"
 
 
+def test_a_bool_is_not_a_class_multiplier():
+    with pytest.raises(TypeError):
+        DivClass((1, 0)) * True
+    with pytest.raises(TypeError):
+        True * DivClass((2, 3))
+    assert (3 * DivClass((1, -2))).coords == (3, -6)
+
+
 def test_divclass_is_hashable_and_comparable():
     assert DivClass((1, 0)) == DivClass([1, 0])
     assert len({DivClass((1, 0)), DivClass((1, 0)), DivClass((0, 1))}) == 2
@@ -115,6 +123,19 @@ def test_signature_diagonal_and_hyperbolic():
                   ample=DivClass((1, 1)))
     assert hyp.signature() == (1, 1)
     assert quartic_lattice(-2, 2).signature() == (1, 1)
+
+
+def test_a_k3_lattice_computes_its_signature_once(monkeypatch):
+    from k3acm import lattice
+    calls = []
+
+    def counting(gram):
+        calls.append(gram)
+        return _signature_of(gram)
+    monkeypatch.setattr(lattice, "_signature_of", counting)
+    lat = delpezzo_lattice()
+    assert lat.k3 and lat.signature() == lat.signature() == (1, 7)
+    assert len(calls) == 1
 
 
 def test_signature_rejects_degenerate_forms():
