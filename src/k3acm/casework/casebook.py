@@ -79,14 +79,20 @@ def _pins(b2: int, hb: int) -> list:
     ]
 
 
-def _window(c: DivClass, g: int, d: int) -> list:
-    """Genus, degree cap and the second-Chern-class window for c1 = C."""
+def _curve(c: DivClass, g: int) -> list:
+    """The genus g of the curve class C, then its degree cap h.C <= 12."""
     return [
         ArithClaim("sectional genus of the curve class", genus_expr(c), "=",
                    g),
         ArithClaim("polarized degree of the curve class", deg_of(c), "<=", 12,
                    cite="AX-SECTIONS-BOUND: h^0(E) = g - c2 + 3 <= 8 keeps "
                         "the degree window nonempty only while h.C <= 12"),
+    ]
+
+
+def _window(c: DivClass, g: int, d: int) -> list:
+    """Genus, degree cap and the second-Chern-class window for c1 = C."""
+    return _curve(c, g) + [
         ArithClaim("lower end of the c2 window", sub_expr(genus_expr(c), 5),
                    "<=", d, cite="h^0(E) <= 8 reads c2 >= g - 5"),
         ArithClaim("upper end of the c2 window",
@@ -101,11 +107,7 @@ def _script_line_restriction(case: Case) -> DerivationScript:
     c = case.curve
     f = DivClass((1, -1))       # h - B, the residual pencil of the line
     hf = DivClass((2, -1))      # h + F
-    steps = _pins(*case.presentation) + [
-        ArithClaim("sectional genus of the curve class", genus_expr(c), "=",
-                   9),
-        ArithClaim("polarized degree of the curve class", deg_of(c), "<=", 12,
-                   cite="AX-SECTIONS-BOUND"),
+    steps = _pins(*case.presentation) + _curve(c, 9) + [
         ArithClaim("residual pencil squares to zero", self_of(f), "=", 0),
         ArithClaim("residual pencil has degree 3", deg_of(f), "=", 3),
         AxiomUse("AX-VA-DEGREE3",
@@ -216,8 +218,7 @@ def _pencil_steps(case: Case, lat: Lattice) -> list:
     steps = _pins(*case.presentation)
     if mode == "gonality":
         degree = d - 1
-        steps.append(ArithClaim("sectional genus of the curve class",
-                                genus_expr(c), "=", g))
+        steps += _curve(c, g)[:1]  # the genus; the cap is the aCM bundle's
         uses = [AxiomUse(
             "AX-LM-CONSTRUCT",
             note=f"a minimal pencil of degree d <= {degree} would give a "

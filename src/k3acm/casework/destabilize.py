@@ -45,7 +45,7 @@ from ..errors import (BadParametersError, DimensionMismatchError, EngineError,
 from ..invariants import genus_of, hodge_lower, lm_acm_bounds
 from ..lattice import DivClass, Lattice
 from .constraints import Row, check_rel, scan
-from .presets import _B, presentation
+from .presets import _B, _H, presentation
 from .scripts import (ArithClaim, add_expr, evaluate, hodge_expr, self_of,
                       step_to_json)
 
@@ -550,7 +550,7 @@ def _kill_fiber_r(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
             claims = [
                 _claim(lat, "square of the twisted kernel class",
                        add_expr(self_of(c), -2 * cn, -2 * hm,
-                                self_of(DivClass((1, 0)))),
+                                self_of(_H)),
                        "<=", -4,
                        cite=f"(M - h)^2 = {mh2}, so chi(M - h) = "
                             f"{2 + mh2 // 2} < 0 and h^1 of the twist M(-1) "
