@@ -22,7 +22,10 @@ into a closure over the lattice.  ``evaluate`` compiles an expression and
 runs the closure once; ``run_script`` compiles each claim's two sides at
 the claim's first replay (``ArithClaim.compiled``) and runs them on every
 replay, so every replay still runs every claim's arithmetic on the lattice
-it is given.  Each op is defined once, by its compiler in ``_COMPILERS``:
+it is given.  An expression that cannot be read raises MalformedScriptError
+as it compiles, at its first unreadable node and before any arithmetic, so
+the error is the same on every lattice (``run_script`` reports it as a
+FAILED step).  Each op is defined once, by its compiler in ``_COMPILERS``:
 the arithmetic ops through their entries in ``_APPLIED`` and ``_FOLDS``.
 Bundle bookkeeping (``chi_bundle_expr``, ``c2_twist_expr``, ``bn_expr``)
 is written in these ops by its builders, so it adds none.
