@@ -549,8 +549,7 @@ def _kill_fiber_r(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
         if mh2 <= -4 and x - 4 < 0:
             claims = [
                 _claim(lat, "square of the twisted kernel class",
-                       add_expr(self_of(c), -2 * cn, -2 * hm,
-                                self_of(_H)),
+                       add_expr(self_of(c), -2 * cn, -2 * hm, self_of(_H)),
                        "<=", -4,
                        cite=f"(M - h)^2 = {mh2}, so chi(M - h) = "
                             f"{2 + mh2 // 2} < 0 and h^1 of the twist M(-1) "
