@@ -946,13 +946,13 @@ def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
         # compiles; a well-formed one runs as the former evaluate did
         try:
             _former_read(expr)
-            malformed = None
-            compiled = _compile(expr)
         except MalformedScriptError as exc:
             malformed = (MalformedScriptError, str(exc))
             with pytest.raises(MalformedScriptError) as raised:
                 _compile(expr)
             assert str(raised.value) == malformed[1], json.dumps(expr)
+        else:
+            malformed, compiled = None, _compile(expr)
         for lat in on:
             former = _outcome(lambda v: _former_evaluate(expr, v), lat)
             want = malformed or former
@@ -974,25 +974,33 @@ def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
     assert sum(split.values()) > 7000 and min(split.values()) > 0, split
 
 
-def test_a_malformed_node_raises_the_same_error_on_every_lattice():
-    expr = {"op": "add", "args": [genus_expr(DivClass((1, 0))),
-                                  {"op": "frobnicate"}]}
+@pytest.mark.parametrize("expr, message, former_on_odd", [
+    ({"op": "add", "args": [genus_expr(DivClass((1, 0))),
+                            {"op": "frobnicate"}]},
+     "unknown expression op 'frobnicate'", OddSquareError),
+    # x is read before the missing y
+    ({"op": "sub", "x": {"op": "frobnicate"}},
+     "unknown expression op 'frobnicate'", MalformedScriptError),
+    ({"op": "sub", "x": genus_expr(DivClass((1, 0)))},
+     "'sub' expression has no key 'y'", OddSquareError),
+], ids=["add-genus-unknown", "sub-unknown-x-no-y", "sub-genus-no-y"])
+def test_a_malformed_node_raises_the_same_error_on_every_lattice(
+        expr, message, former_on_odd):
     odd = Lattice([[1, 0], [0, -2]], labels="hB", ample=(1, 0))
-    # the former walk met the odd square of h before the unknown op
+    # the former walk met the odd square of h first where it is walked first
     assert _outcome(lambda v: _former_evaluate(expr, v), odd)[0] \
-        is OddSquareError
+        is former_on_odd
     for lat in (odd, LAT):
         with pytest.raises(MalformedScriptError) as raised:
             evaluate(expr, lat)
-        assert str(raised.value) == "unknown expression op 'frobnicate'"
+        assert str(raised.value) == message
         claim = ArithClaim("malformed", expr, "=", 0)
         report = run_script(DerivationScript(
             tag="t", lattice=lat, steps=(claim,),
             conclusion=established("nothing")))
         assert report.failed == (0,)
         assert report.steps[0].status == "FAILED"
-        assert report.steps[0].detail == (
-            "evaluation error: unknown expression op 'frobnicate'")
+        assert report.steps[0].detail == f"evaluation error: {message}"
 
 
 def _reference_replay(script):
