@@ -28,8 +28,8 @@ from .presets import (_B, _H, delpezzo_lattice, delpezzo_pencil_f,
                       delpezzo_pencil_fj, quartic_lattice, ulrich_assumptions)
 from .scripts import (ArithClaim, AxiomUse, CONTRADICTION, DerivationScript,
                       add_expr, bn_expr, c2_twist_expr, chi_bundle_expr,
-                      chi_expr, deg_of, established, genus_expr, minimax_expr,
-                      mul_expr, neg_expr, pair_of, self_of, sub_expr)
+                      chi_expr, deg_of, established, genus_expr, mul_expr,
+                      neg_expr, pair_of, self_of, sub_expr)
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ def _script_line_restriction(case: Case) -> DerivationScript:
     c = case.curve
     f = DivClass((1, -1))       # h - B, the residual pencil of the line
     hf = DivClass((2, -1))      # h + F
+    # the degree C.B - 2(h + F).B of the twisted bundle on the line
+    e = sub_expr(pair_of(c, _B), mul_expr(2, pair_of(hf, _B)))
     steps = _pins(*case.presentation) + _curve(c, 9) + [
         ArithClaim("residual pencil squares to zero", self_of(f), "=", 0),
         ArithClaim("residual pencil has degree 3", deg_of(f), "=", 3),
@@ -119,9 +121,7 @@ def _script_line_restriction(case: Case) -> DerivationScript:
                  note="B is effective of degree 1, hence a line"),
         ArithClaim("degree of the bundle on the line", pair_of(c, _B), "=",
                    7),
-        ArithClaim("degree of the twisted bundle on the line",
-                   sub_expr(pair_of(c, _B), mul_expr(2, pair_of(hf, _B))),
-                   "=", -1,
+        ArithClaim("degree of the twisted bundle on the line", e, "=", -1,
                    cite="twisting by -(h + F) shifts c1 to C - 2(h + F) = "
                         "-h"),
         ArithClaim("the twisted degree equals minus the line degree",
@@ -129,8 +129,9 @@ def _script_line_restriction(case: Case) -> DerivationScript:
         AxiomUse("AX-P1-SPLIT",
                  note="the restriction to the line splits as O(a) + O(-1-a)"),
         ArithClaim("one splitting summand is always effective",
-                   minimax_expr(-1, 0), ">=", 0,
-                   cite="min over a of max(a - 1, -a) is 0, so the "
+                   add_expr(e, 1), ">=", 0,
+                   cite="O(a) + O(e - a) has a summand of degree >= "
+                        "ceil(e/2), and e + 1 >= 0 makes that >= 0, so the "
                         "restricted twist always has sections on the line",
                    contradicts="AX-INITIALIZED-CRIT through AX-P1-SECTIONS "
                                "and AX-LES: a section on the line lifts to "
@@ -210,14 +211,22 @@ def _pencil_steps(case: Case, lat: Lattice) -> list:
     """Header of a pencil-bundle script followed by the engine's analysis.
 
     In gonality mode the bundle comes from an assumed pencil of degree
-    d - 1 rather than from the initialized aCM bundle with c2 = d.
+    d - 1 rather than from the initialized aCM bundle with c2 = d.  The
+    header cites a negative Brill-Noether number, so a degree with
+    rho >= 0 raises EngineError before the engine runs.
     """
     c = case.curve
     d, mode = case.pencil
     g = genus_of(lat.self_int(c))
+    degree = d - 1 if mode == "gonality" else d
+    rho = brill_noether(g, 1, degree)
+    if rho >= 0:
+        raise EngineError(
+            f"rho({g}, 1, {degree}) = {rho} >= 0: no script for C = {c}, "
+            f"d = {d} ({mode}) on {case.presentation}, whose bundle need "
+            "not be non-simple")
     steps = _pins(*case.presentation)
     if mode == "gonality":
-        degree = d - 1
         steps += _curve(c, g)[:1]  # the genus; the cap is the aCM bundle's
         uses = [AxiomUse(
             "AX-LM-CONSTRUCT",
@@ -225,7 +234,6 @@ def _pencil_steps(case: Case, lat: Lattice) -> list:
                  "rank-2 bundle with c1 = C, c2 = d and a destabilizing "
                  f"pair with M.N <= {degree}")]
     else:
-        degree = d
         steps += _window(c, g, d)
         if lat.deg(c) == 12:
             steps.append(ArithClaim(
@@ -243,7 +251,7 @@ def _pencil_steps(case: Case, lat: Lattice) -> list:
         ]
     steps.append(ArithClaim(
         f"Brill-Noether number of a degree-{degree} pencil",
-        bn_expr(genus_expr(c), 1, degree), "=", brill_noether(g, 1, degree)))
+        bn_expr(genus_expr(c), 1, degree), "=", rho))
     steps.append(AxiomUse(
         "AX-BPF-ACM",
         note="B and its initialized companions seed the sweep: those of "
@@ -355,7 +363,8 @@ def _script_delpezzo(case: Case) -> DerivationScript:
                        cite="f + f_j - 2h is the residual of the difference"),
         ]
     steps += [
-        ArithClaim("chi of the square -8 classes", chi_expr(-8), "=", -2,
+        ArithClaim("chi of the square -8 classes",
+                   chi_expr(f - delpezzo_pencil_fj(5)), "=", -2,
                    cite="chi = 2 + D^2/2 = -2 < 0, so h^1 of these classes "
                         "never vanishes and neither difference is "
                         "effective"),

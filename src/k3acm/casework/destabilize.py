@@ -219,7 +219,10 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     max(1, g - 5) <= d <= g + 7 - h.C (210 queries per mode), a branch
     stays open on 58 queries in exact mode, 111 in general mode and 89 in
     gonality mode; the shipped scripts use only queries that close, and
-    refuse to build otherwise.
+    refuse to build otherwise.  The sweep presumes a non-simple bundle: on
+    the 138 closed queries with rho(g, 1, d) >= 0 (d - 1 in gonality
+    mode), ALL BRANCHES RESOLVED shows only that no destabilizing pair
+    exists, not that no bundle exists, and the scripts refuse them too.
     """
     if mode not in MODES:
         raise BadParametersError(f"unknown mode {mode!r}; choose from {MODES}")

@@ -27,8 +27,9 @@ as it compiles, at its first unreadable node and before any arithmetic, so
 the error is the same on every lattice (``run_script`` reports it as a
 FAILED step).  Each op is defined once, by its compiler in ``_COMPILERS``:
 the arithmetic ops through their entries in ``_APPLIED`` and ``_FOLDS``.
-Bundle bookkeeping (``chi_bundle_expr``, ``c2_twist_expr``, ``bn_expr``)
-is written in these ops by its builders, so it adds none.
+Negation, chi and the bundle bookkeeping (``neg_expr``, ``chi_expr``,
+``chi_bundle_expr``, ``c2_twist_expr``, ``bn_expr``) are written in these
+ops by their builders, so they add none.
 Since a claim's expressions are read only once, a claim is never edited in
 place: to change one, build a new claim with ``dataclasses.replace``,
 which has no compiled sides yet.
@@ -55,7 +56,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from ..axioms import is_registered
 from ..config import _is_int
 from ..errors import MalformedScriptError, WorkbenchError
-from ..invariants import chi_line, genus_of, hodge_lower
+from ..invariants import genus_of, hodge_lower
 from ..lattice import DivClass, Lattice
 from .constraints import _is_rel, check_rel
 
@@ -76,18 +77,6 @@ def _args(expr: dict) -> Sequence[Expr]:
     if not isinstance(args, (list, tuple)):
         raise MalformedScriptError(f"'args' must be a list, got {args!r}")
     return args
-
-
-def _minimax(p: int, q: int) -> int:
-    """min over integer a of max(a + p, q - a), computed exactly.
-
-    The function is convex piecewise-linear with slopes -1 and +1, so the
-    minimum sits at the crossing a ~ (q - p) / 2; evaluating both integer
-    neighbours of the crossing is exact.
-    """
-    lo = (q - p) // 2
-    candidates = (lo, lo + 1)
-    return min(max(a + p, q - a) for a in candidates)
 
 
 def evaluate(expr: Expr, lat: Lattice) -> int:
@@ -188,11 +177,8 @@ def _compile_genus(e: dict) -> Compiled:
 
 # op -> (fn of its subexpressions, their keys in evaluation order)
 _APPLIED: dict[str, tuple[Callable[..., int], tuple[str, ...]]] = {
-    "chi_of": (chi_line, ("sq",)),
     "hodge_lower": (hodge_lower, ("a", "b")),
-    "minimax": (_minimax, ("p", "q")),
     "sub": (operator.sub, ("x", "y")),
-    "neg": (operator.neg, ("x",)),
 }
 
 # op -> (binary fn, start) folded over the expressions in "args"
@@ -208,9 +194,6 @@ def _applied(fn: Callable[..., int], keys: tuple[str, ...]):
         subs = []
         for key in keys:
             subs.append(_compile(e[key]))
-        if len(subs) == 1:
-            (x,) = subs
-            return lambda lat: fn(x(lat))
         x, y = subs
         return lambda lat: fn(x(lat), y(lat))
     return compile_op
@@ -274,7 +257,7 @@ def sub_expr(x: Expr, y: Expr) -> Expr:
 
 
 def neg_expr(x: Expr) -> Expr:
-    return {"op": "neg", "x": x}
+    return sub_expr(0, x)
 
 
 def hodge_expr(a: Expr, b: Expr) -> Expr:
@@ -286,8 +269,9 @@ def bn_expr(g: Expr, r: Expr, d: Expr) -> Expr:
     return sub_expr(g, mul_expr(add_expr(r, 1), add_expr(g, neg_expr(d), r)))
 
 
-def chi_expr(sq: Expr) -> Expr:
-    return {"op": "chi_of", "sq": sq}
+def chi_expr(d: DivClass) -> Expr:
+    """chi(O(D)) = 2 + D^2/2 = genus(D) + 1 on a K3 surface."""
+    return add_expr(genus_expr(d), 1)
 
 
 def chi_bundle_expr(c1: DivClass, c2: Expr) -> Expr:
@@ -298,10 +282,6 @@ def chi_bundle_expr(c1: DivClass, c2: Expr) -> Expr:
 def c2_twist_expr(c2: Expr, c1: DivClass, by: DivClass) -> Expr:
     """c2(E(L)) = c2 + c1.L + L^2 for E of rank 2 and L = by."""
     return add_expr(c2, pair_of(c1, by), self_of(by))
-
-
-def minimax_expr(p: Expr, q: Expr) -> Expr:
-    return {"op": "minimax", "p": p, "q": q}
 
 
 # ---- steps -------------------------------------------------------------------

@@ -13,11 +13,12 @@ from k3acm.casework import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                             established, evaluate, genus_expr, pair_of,
                             quartic_lattice, report_to_json, run_script,
                             script_by_tag, self_of, ulrich_assumptions)
-from k3acm.casework.scripts import (StepReport, _args, _coords, _minimax,
-                                    bn_expr, c2_twist_expr, chi_bundle_expr)
+from k3acm.casework.scripts import (StepReport, _args, _coords, bn_expr,
+                                    c2_twist_expr, chi_bundle_expr, chi_expr,
+                                    neg_expr)
 from k3acm.errors import BadParametersError, EngineError, OddSquareError
 from k3acm.invariants import (BundleInvariants, brill_noether, chi_bundle,
-                              chi_line, genus_of, hodge_lower)
+                              genus_of, hodge_lower)
 
 LAT = quartic_lattice(-2, 2)
 
@@ -28,7 +29,12 @@ def test_evaluate_atoms_and_lattice_ops():
     assert evaluate(pair_of(DivClass((1, 0)), DivClass((0, 1))), LAT) == 2
     assert evaluate(deg_of(DivClass((2, 2))), LAT) == 12
     assert evaluate(genus_expr(DivClass((2, 2))), LAT) == 13
-    assert evaluate({"op": "chi_of", "sq": -8}, LAT) == -2
+    # chi(O(D)) is written as genus(D) + 1: 2 + 24/2 and 2 - 8/2
+    assert evaluate(chi_expr(DivClass((2, 2))), LAT) == 14
+    assert evaluate(chi_expr(DivClass((0, 2))), LAT) == -2
+    with pytest.raises(MalformedScriptError,
+                       match="unknown expression op 'chi_of'"):
+        evaluate({"op": "chi_of", "sq": -8}, LAT)
 
 
 def test_evaluate_bundle_ops():
@@ -83,24 +89,17 @@ def test_the_bundle_builders_match_the_invariants_they_abbreviate():
 
 
 def test_evaluate_arithmetic_ops():
-    assert evaluate({"op": "add", "args": [1, 2, {"op": "neg", "x": 4}]},
-                    LAT) == -1
+    # neg is written as sub(0, x)
+    assert neg_expr(4) == {"op": "sub", "x": 0, "y": 4}
+    assert evaluate({"op": "add", "args": [1, 2, neg_expr(4)]}, LAT) == -1
+    with pytest.raises(MalformedScriptError,
+                       match="unknown expression op 'neg'"):
+        evaluate({"op": "neg", "x": 4}, LAT)
     assert evaluate({"op": "mul", "args": [3, -2]}, LAT) == -6
     assert evaluate({"op": "sub", "x": 10, "y": 4}, LAT) == 6
     assert evaluate({"op": "odd_diag"}, LAT) == 0
     assert evaluate({"op": "sig_pos"}, LAT) == 1
     assert evaluate({"op": "sig_neg"}, LAT) == 1
-
-
-def test_evaluate_minimax():
-    # min over a of max(a + p, q - a); used for line-splitting degrees
-    assert evaluate({"op": "minimax", "p": -1, "q": 0}, LAT) == 0
-    assert evaluate({"op": "minimax", "p": 0, "q": 0}, LAT) == 0
-    assert evaluate({"op": "minimax", "p": 3, "q": 5}, LAT) == 4
-    for p in range(-4, 5):
-        for q in range(-4, 5):
-            want = min(max(a + p, q - a) for a in range(-20, 21))
-            assert evaluate({"op": "minimax", "p": p, "q": q}, LAT) == want
 
 
 def test_evaluate_rejects_bad_expressions():
@@ -137,6 +136,9 @@ def test_evaluate_rejects_bad_expressions():
     {"op": "chi_bundle", "rank": 3, "c1": [0, 0], "c2": 2},
     {"op": "c2_twist", "c2": 8, "c1": [2, 2]},
     {"op": "brill_noether", "g": 5, "r": 1, "d": 2},
+    {"op": "neg", "x": 4},
+    {"op": "chi_of", "sq": -8},
+    {"op": "minimax", "p": -1, "q": 0},
     {"op": "neg", "x": {"op": "chi_of"}},
     {"op": ["pair"], "a": [1, 0], "b": [0, 1]},
 ], ids=lambda expr: json.dumps(expr))
@@ -225,7 +227,7 @@ def test_run_script_turns_evaluation_errors_into_failed_steps():
 def test_run_script_fails_an_expression_nested_past_the_recursion_limit():
     deep = 1
     for _ in range(5000):
-        deep = {"op": "neg", "x": deep}
+        deep = {"op": "sub", "x": 0, "y": deep}
     claim = ArithClaim("deep", deep, "=", 1)
     report = run_script(DerivationScript(tag="t", lattice=LAT, steps=(claim,),
                                          conclusion=established("nothing")))
@@ -234,16 +236,13 @@ def test_run_script_fails_an_expression_nested_past_the_recursion_limit():
 
 
 @pytest.mark.parametrize("wrap", [
-    lambda x: {"op": "neg", "x": x},
     lambda x: {"op": "add", "args": [x, 1]},
     lambda x: {"op": "mul", "args": [x, -1]},
     lambda x: {"op": "sub", "x": x, "y": 1},
-    lambda x: {"op": "chi_of", "sq": x},
     lambda x: {"op": "hodge_lower", "a": 1, "b": x},
-    lambda x: {"op": "minimax", "p": x, "q": 0},
-], ids=["neg", "add", "mul", "sub", "chi_of", "hodge_lower", "minimax"])
+], ids=["add", "mul", "sub", "hodge_lower"])
 def test_run_script_replays_a_deep_claim_that_evaluate_reaches(wrap):
-    deep = 4  # chi_of(4) = 4, and every other wrapper keeps a valid value
+    deep = 4  # every wrapper keeps a valid value
     for _ in range(400):
         deep = wrap(deep)
     value = evaluate(deep, LAT)
@@ -387,6 +386,20 @@ def test_pencil_scripts_refuse_open_branches():
         case.script()
 
 
+def test_pencil_scripts_refuse_a_nonnegative_brill_noether_number():
+    from k3acm.casework import casebook
+    # C = h on (0, 3) with d = 3: g = 3 and rho(3, 1, 3) = 1, yet every
+    # branch of the sweep closes; the header would cite a negative number
+    case = casebook.Case("t", casebook._script_pencil, (0, 3),
+                         curve=DivClass((1, 0)), pencil=(3, "exact"))
+    lat = quartic_lattice(0, 3)
+    records = enumerate_destabilizing(
+        lat, case.curve, 3, engine_assumptions(lat, ()), mode="exact")
+    assert all(rec.resolved for rec in records)
+    with pytest.raises(EngineError, match=r"rho\(3, 1, 3\) = 1 >= 0"):
+        case.script()
+
+
 def test_the_reductions_prove_a_change_of_basis_on_every_mutant():
     # det Gram(h, kh - B) = det Gram(h, B) is an identity in the Gram
     # entries, so the claim holds on every +/-1 mutant (a pin fails there);
@@ -507,8 +520,7 @@ def _oracle_coords(value) -> DivClass:
 def _oracle_evaluate(expr, lat):
     """The former scripts.evaluate, one if per op, verbatim but for names,
     on the ops the language keeps."""
-    from k3acm.casework.scripts import _minimax
-    from k3acm.invariants import chi_line, genus_of, hodge_lower
+    from k3acm.invariants import genus_of, hodge_lower
     ev, co = _oracle_evaluate, _oracle_coords
     if isinstance(expr, bool):
         raise MalformedScriptError("boolean is not a valid expression")
@@ -525,12 +537,8 @@ def _oracle_evaluate(expr, lat):
         return lat.deg(co(expr["a"]))
     if op == "genus":
         return genus_of(lat.self_int(co(expr["a"])))
-    if op == "chi_of":
-        return chi_line(ev(expr["sq"], lat))
     if op == "hodge_lower":
         return hodge_lower(ev(expr["a"], lat), ev(expr["b"], lat))
-    if op == "minimax":
-        return _minimax(ev(expr["p"], lat), ev(expr["q"], lat))
     if op == "add":
         return sum(ev(x, lat) for x in expr["args"])
     if op == "mul":
@@ -540,8 +548,6 @@ def _oracle_evaluate(expr, lat):
         return total
     if op == "sub":
         return ev(expr["x"], lat) - ev(expr["y"], lat)
-    if op == "neg":
-        return -ev(expr["x"], lat)
     if op == "odd_diag":
         return sum(lat.gram[i][i] % 2 for i in range(lat.rank))
     if op == "sig_pos":
@@ -632,10 +638,13 @@ def test_the_proof_uses_every_op_and_no_other():
         except PreconditionError:
             continue
         claims += [cl for rec in records for cl in rec.trace]
-    used = set().union(*(_ops_of(side) for cl in claims
-                         for side in (cl.lhs, cl.rhs)))
-    assert used == set(_COMPILERS)
-    assert len(_COMPILERS) == 14
+    sides = [_ops_of(side) for cl in claims for side in (cl.lhs, cl.rhs)]
+    assert set().union(*sides) == set(_COMPILERS)
+    assert len(_COMPILERS) == 11
+    # a side that reads no lattice entry certifies nothing, so each op must
+    # also occur in a side that does
+    read = set().union(*(ops for ops in sides if ops & set(_LEAF_OPS)))
+    assert read == set(_COMPILERS), set(_COMPILERS) - read
 
 
 # ---- the former evaluate, one handler per op, kept as an oracle -------------
@@ -700,14 +709,11 @@ _FORMER_OPS = {
     "self": _former_self,
     "deg": _former_deg,
     "genus": lambda e, lat: genus_of(_former_self(e, lat)),
-    "chi_of": lambda e, lat: chi_line(_fev(e["sq"], lat)),
     "hodge_lower": lambda e, lat: hodge_lower(_fev(e["a"], lat),
                                               _fev(e["b"], lat)),
-    "minimax": lambda e, lat: _minimax(_fev(e["p"], lat), _fev(e["q"], lat)),
     "add": _former_add,
     "mul": _former_mul,
     "sub": lambda e, lat: _fev(e["x"], lat) - _fev(e["y"], lat),
-    "neg": lambda e, lat: -_fev(e["x"], lat),
     "odd_diag": lambda e, lat: sum(lat.gram[i][i] % 2
                                    for i in range(lat.rank)),
     "sig_pos": lambda e, lat: lat.signature()[0],
@@ -718,12 +724,12 @@ _FORMER_OPS = {
 def test_each_op_is_defined_once():
     from k3acm.casework import scripts
     arithmetic = set(scripts._APPLIED) | set(scripts._FOLDS)
-    assert len(arithmetic) == 7 and arithmetic < set(scripts._COMPILERS)
+    assert len(arithmetic) == 4 and arithmetic < set(scripts._COMPILERS)
     gone = {"_pair", "_self", "_deg", "_chi_bundle", "_c2_twist", "_add",
             "_mul", "_compile_add", "_compile_mul", "_degree",
             "_whole_lattice", "_OPS", "_on_lattice", "_evaluated",
             "_evaluated_fold", "_compile_chi_bundle", "_compile_c2_twist",
-            "_raising", "_Missing", "_child"}
+            "_raising", "_Missing", "_child", "_minimax", "minimax_expr"}
     assert not {name for name in gone if hasattr(scripts, name)}
 
 
@@ -765,8 +771,7 @@ def test_compiled_sides_match_evaluate_on_every_claim_and_mutant():
 
 _LEAF_OPS = ("pair", "self", "deg", "genus", "odd_diag", "sig_pos", "sig_neg")
 # op -> its subexpression keys
-_NODE_OPS = {"chi_of": ("sq",), "hodge_lower": ("a", "b"),
-             "minimax": ("p", "q"), "sub": ("x", "y"), "neg": ("x",)}
+_NODE_OPS = {"hodge_lower": ("a", "b"), "sub": ("x", "y")}
 
 
 def _random_class(rng):
@@ -774,7 +779,7 @@ def _random_class(rng):
 
 
 def _random_tree(rng, depth, random_class=_random_class):
-    """A random expression over the 14 ops, on the classes random_class
+    """A random expression over the 11 ops, on the classes random_class
     draws (rank 2 by default)."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.4:

@@ -102,6 +102,20 @@ def test_survivor_matches_pair_up():
         assert match.report.tag == match.script_tag
 
 
+def test_a_survivor_without_a_row_leaves_the_replay_incomplete(monkeypatch):
+    from k3acm.casework import necessity
+    reduction, preset_id, case_for, support_rows = necessity._INDEX[(0, 4)]
+    case_for = {k: row for k, row in case_for.items() if k != (5, -2)}
+    monkeypatch.setitem(necessity._INDEX, (0, 4),
+                        (reduction, preset_id, case_for, support_rows))
+    report = _run((0, 4))
+    assert report.status == "INCOMPLETE"
+    assert report.unmatched == ((5, -2),)
+    assert [(m.survivor, m.script_tag) for m in report.matches] == [
+        ((1, 2), "case-B20-Bh4")]
+    assert all(m.report.success for m in report.matches)
+
+
 def test_ulrich_case_carries_gonality_support():
     report = _run((4, 6))
     assert [s.tag for s in report.supports] == ["gonality-2B"]

@@ -20,6 +20,10 @@ Surfaces: ``theorem`` in text and ``--json`` at boxes 16, 128 and 256;
 ``companions``, text and ``--json``, on the seven shipped quartic configs
 for every class (s, t) with |s|, |t| <= 3; ``verify --script TAG --json``
 and ``verify --script TAG`` (text) for each row of ``casebook.CASES``;
+``verify --script TAG -c MUTANT --json`` for each row and each +/-1
+change of one diagonal entry or one symmetric off-diagonal pair of its
+Gram matrix, written as a ``k3: false`` config ``TAG.MUTANT.json`` in a
+temporary directory;
 ``lattice-info``, text and ``--json``, on every shipped config;
 ``example-delpezzo``, text and ``--json``; and the 630 queries of
 ``k3bench.workloads.destabilize_grid``, text and ``--json``.
@@ -33,13 +37,27 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
-def _surfaces(root: Path) -> dict[str, list[list[str]]]:
+def _mutants(gram: list[list[int]]):
+    """(name, gram) for every +/-1 change of one diagonal entry (dI+1) or
+    one symmetric off-diagonal pair (oIJ+1), named as k3bench names them."""
+    n = len(gram)
+    for i in range(n):
+        for j in range(i, n):
+            for s in (1, -1):
+                out = [list(row) for row in gram]
+                out[i][j] += s
+                out[j][i] = out[i][j]
+                yield (f"d{i}{s:+d}" if i == j else f"o{i}{j}{s:+d}"), out
+
+
+def _surfaces(root: Path, workdir: Path) -> dict[str, list[list[str]]]:
     from k3acm.casework.casebook import CASES
     from k3acm.casework.presets import PRESET_PRESENTATION
-    from k3bench.workloads import destabilize_grid
+    from k3bench.workloads import _config_doc, destabilize_grid
 
     data = root / "src" / "k3acm" / "data"
     quartics = sorted(data.glob("quartic_*.json"))
@@ -71,6 +89,14 @@ def _surfaces(root: Path) -> dict[str, list[list[str]]]:
             for path in sorted(data.glob("*.json"))]
         out[" ".join(["example-delpezzo", *flags])] = [
             ["example-delpezzo", *flags]]
+    mutants = out["verify -c mutants --json"] = []
+    for case in CASES:
+        lat = case.script().lattice
+        for name, gram in _mutants(lat.gram):
+            path = workdir / f"{case.tag}.{name}.json"
+            path.write_text(json.dumps(_config_doc(gram, lat, k3=False)))
+            mutants.append(["verify", "--script", case.tag, "-c", str(path),
+                            "--json"])
     for flags in ([], ["--json"]):
         out[" ".join(["destabilize grid", *flags])] = [
             ["destabilize", "-c", str(data / name), f"--class={s},{t}",
@@ -110,11 +136,12 @@ def main() -> int:
     root = Path(sys.argv[1] if len(sys.argv) > 1
                 else Path(__file__).resolve().parents[1]).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
-    for name, argvs in _surfaces(root).items():
-        digest = hashlib.sha256()
-        for argv in argvs:
-            digest.update(json.dumps(_run(argv)).encode() + b"\n")
-        print(f"{digest.hexdigest()}  {name} ({len(argvs)} runs)")
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, argvs in _surfaces(root, Path(workdir)).items():
+            digest = hashlib.sha256()
+            for argv in argvs:
+                digest.update(json.dumps(_run(argv)).encode() + b"\n")
+            print(f"{digest.hexdigest()}  {name} ({len(argvs)} runs)")
     return 0
 
 
