@@ -8,9 +8,11 @@ the gram matrix breaks at least one claim, and ends either in a flagged
 contradiction or an established statement.
 
 The pencil-bundle scripts keep a hand-written header (pins, the c2
-window, the Brill-Noether number and the cited facts) and take their
-case analysis from the destabilizing-pair engine.  CASES is the one
-table of what each script settles; verify_necessity reads it too.
+window, the cited facts and, for a sweep, the Brill-Noether numbers) and
+take their case analysis from the destabilizing-pair engine: its sweep,
+or its self-dual twist for the two rows of C = 2(h + B') on (-2, 2).
+CASES is the one table of what each script settles; verify_necessity
+reads it too.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .destabilize import engine_assumptions, enumerate_destabilizing
 from .presets import (_B, _H, delpezzo_lattice, delpezzo_pencil_f,
                       delpezzo_pencil_fj, quartic_lattice, ulrich_assumptions)
 from .scripts import (ArithClaim, AxiomUse, CONTRADICTION, DerivationScript,
-                      add_expr, bn_expr, c2_twist_expr, chi_bundle_expr,
-                      chi_expr, deg_of, established, genus_expr, mul_expr,
-                      neg_expr, pair_of, self_of, sub_expr)
+                      add_expr, bn_expr, chi_expr, deg_of, established,
+                      genus_expr, mul_expr, neg_expr, pair_of, self_of,
+                      sub_expr)
 
 
 @dataclass(frozen=True)
@@ -90,15 +92,14 @@ def _curve(c: DivClass, g: int) -> list:
     ]
 
 
-def _window(c: DivClass, g: int, d: int) -> list:
-    """Genus, degree cap and the second-Chern-class window for c1 = C."""
-    return _curve(c, g) + [
+def _window(c: DivClass, g: int, ds) -> list:
+    """Genus, degree cap and the second-Chern-class window at each d."""
+    return _curve(c, g) + [claim for d in ds for claim in (
         ArithClaim("lower end of the c2 window", sub_expr(genus_expr(c), 5),
                    "<=", d, cite="h^0(E) <= 8 reads c2 >= g - 5"),
         ArithClaim("upper end of the c2 window",
                    add_expr(genus_expr(c), 7, neg_expr(deg_of(c))), ">=", d,
-                   cite="initialization bounds c2 <= g + 7 - h.C"),
-    ]
+                   cite="initialization bounds c2 <= g + 7 - h.C"))]
 
 
 # --- survivor C = 3h - 2B on (B^2, h.B) = (-2, 1) ----------------------------
@@ -145,113 +146,79 @@ def _script_line_restriction(case: Case) -> DerivationScript:
                     "restricting the twisted bundle to the line B.")
 
 
-# --- survivors C = 2(h + B') with B'^2 = -2, h.B' = 2 ------------------------
-
-def _script_twist_chain(case: Case) -> DerivationScript:
-    c = case.curve
-    k = DivClass(tuple(co // 2 for co in c.coords))  # the half class h + B'
-    bp = k - _H
-    zero = DivClass((0, 0))
-    steps = _pins(*case.presentation) + _window(c, 13, 8) + [
-        ArithClaim("the distinguished class is a (-2)-curve", self_of(bp),
-                   "=", -2),
-        ArithClaim("the distinguished class has degree 2", deg_of(bp), "=",
-                   2),
-        ArithClaim("square of the half class", self_of(k), "=", 6),
-        ArithClaim("pairing of the curve class with the half class",
-                   pair_of(c, k), "=", 12),
-        ArithClaim("the twisted first Chern class squares to zero",
-                   add_expr(self_of(c), mul_expr(4, self_of(k)),
-                            mul_expr(-4, pair_of(c, k))), "=", 0,
-                   cite="(C - 2K)^2 with K the half class"),
-        AxiomUse("AX-TWIST-MONO",
-                 note="K - h = B' is effective, so the K-twist has no "
-                      "sections once the h-twist has none"),
-        AxiomUse("AX-RK2-SELFDUAL",
-                 note="c1 of the twist vanishes: the twisted bundle is "
-                      "self-dual, so h^2 = h^0 = 0 by AX-SERRE"),
-        ArithClaim("second Chern class of the twist",
-                   c2_twist_expr(8, c, -k), "=", 2),
-        ArithClaim("Euler characteristic of the twist",
-                   chi_bundle_expr(zero, 2), "=", 2),
-        ArithClaim("h^1 of the twist is negative",
-                   neg_expr(chi_bundle_expr(zero, 2)), "<", 0,
-                   cite="h^1 = h^0 + h^2 - chi = -chi",
-                   contradicts="AX-H1NONNEG: h^1 is a dimension"),
-    ]
-    return DerivationScript(
-        tag=case.tag, lattice=quartic_lattice(*case.presentation),
-        steps=steps, conclusion=CONTRADICTION,
-        description="Eliminates C = 2h + 2B' on the (-2, 2) configuration "
-                    "through the self-dual twist with negative h^1.")
-
-
 # --- pencil bundles: hand-written header, case analysis from the engine ----
 
-def _engine_trace(case: Case, lat: Lattice) -> list[ArithClaim]:
-    """The claims of every destabilizing-pair record for (C, d), in order.
+def _pencil_steps(case: Case, lat: Lattice) -> tuple[list, bool]:
+    """Header of a pencil-bundle script, the engine's records at each d of
+    the c2 window up to the row's degree, and whether the self-dual twist,
+    which fires below a bound on d, settles them all.
 
-    Computed from the facts ``k3acm destabilize`` uses on the shipped
-    config.  A script with a gap must never ship, so an unresolved record
-    raises.
+    The records come from the facts ``k3acm destabilize`` uses on the
+    shipped config, and one that is unresolved raises EngineError.  In
+    gonality mode only the row's degree runs, as the bundle comes from an
+    assumed pencil of degree d - 1.  The header cites the twist's premises
+    for its records, and for a sweep a negative Brill-Noether number at
+    each d (rho >= 0 raises EngineError) and the sweep's premises.
     """
     c = case.curve
-    d, mode = case.pencil
-    records = enumerate_destabilizing(
-        lat, c, d, engine_assumptions(lat, ulrich_assumptions(lat)), mode)
+    top, mode = case.pencil
+    g = genus_of(lat.self_int(c))
+    ds = [top] if mode == "gonality" else range(max(1, g - 5), top + 1)
+    each_d = " or ".join(map(str, ds))
+    facts = engine_assumptions(lat, ulrich_assumptions(lat))
+    records = [rec for d in ds
+               for rec in enumerate_destabilizing(lat, c, d, facts, mode)]
     gaps = [r for r in records if not r.resolved]
-    if gaps:
+    if gaps:  # a script with a gap must never ship
         raise EngineError(
             f"the destabilizing sweep leaves {len(gaps)} branch(es) of "
-            f"C = {c}, d = {d} ({mode}) on {case.presentation} open")
-    return [cl for rec in records for cl in rec.trace]
-
-
-def _pencil_steps(case: Case, lat: Lattice) -> list:
-    """Header of a pencil-bundle script followed by the engine's analysis.
-
-    In gonality mode the bundle comes from an assumed pencil of degree
-    d - 1 rather than from the initialized aCM bundle with c2 = d.  The
-    header cites a negative Brill-Noether number, so a degree with
-    rho >= 0 raises EngineError before the engine runs.
-    """
-    c = case.curve
-    d, mode = case.pencil
-    g = genus_of(lat.self_int(c))
-    degree = d - 1 if mode == "gonality" else d
-    rho = brill_noether(g, 1, degree)
-    if rho >= 0:
-        raise EngineError(
-            f"rho({g}, 1, {degree}) = {rho} >= 0: no script for C = {c}, "
-            f"d = {d} ({mode}) on {case.presentation}, whose bundle need "
-            "not be non-simple")
-    steps = _pins(*case.presentation)
-    if mode == "gonality":
-        steps += _curve(c, g)[:1]  # the genus; the cap is the aCM bundle's
+            f"C = {c}, d = {each_d} ({mode}) on {case.presentation} open")
+    trace = [cl for rec in records for cl in rec.trace]
+    steps = _pins(*case.presentation) + (
+        _curve(c, g)[:1] if mode == "gonality" else _window(c, g, ds))
+    if any(rec.outcome == "self-dual-twist" for rec in records):
+        steps += [
+            AxiomUse("AX-TWIST-MONO",
+                     note="C = 2K with K - h zero or effective, so the "
+                          "K-twist has no sections once the h-twist has none"),
+            AxiomUse("AX-RK2-SELFDUAL",
+                     note="c1 of the twist vanishes: the twisted bundle is "
+                          "self-dual, so h^2 = h^0 = 0 by AX-SERRE")]
+    if records[-1].outcome == "self-dual-twist":
+        return steps + trace, True
+    if mode == "gonality":  # the genus only; the cap is the aCM bundle's
         uses = [AxiomUse(
             "AX-LM-CONSTRUCT",
-            note=f"a minimal pencil of degree d <= {degree} would give a "
+            note=f"a minimal pencil of degree d <= {top - 1} would give a "
                  "rank-2 bundle with c1 = C, c2 = d and a destabilizing "
-                 f"pair with M.N <= {degree}")]
+                 f"pair with M.N <= {top - 1}")]
     else:
-        steps += _window(c, g, d)
         if lat.deg(c) == 12:
             steps.append(ArithClaim(
                 "the c2 window is a single point",
-                sub_expr(genus_expr(c), 5), "=", d,
-                cite=f"g - 5 = g + 7 - h.C = {d} pins c2 = {d}"))
+                sub_expr(genus_expr(c), 5), "=", top,
+                cite=f"g - 5 = g + 7 - h.C = {top} pins c2 = {top}"))
         uses = [
             AxiomUse("AX-NONSIMPLE-RHO",
                      note="negative Brill-Noether number: the bundle is not "
                           "simple and a destabilizing pair (M, N) exists"),
             AxiomUse("AX-DESTAB-SEQ",
-                     note=(f"pencil sequence with Z' empty: M.N = {d} and "
-                           "h^1(M) = h^1(N) = 0" if mode == "exact" else
-                           f"plain non-simple sequence: M.N + len(Z') = {d}")),
+                     note=(f"pencil sequence with Z' empty: M.N = {each_d} "
+                           "and h^1(M) = h^1(N) = 0" if mode == "exact" else
+                           "plain non-simple sequence: "
+                           f"M.N + len(Z') = {each_d}")),
         ]
-    steps.append(ArithClaim(
-        f"Brill-Noether number of a degree-{degree} pencil",
-        bn_expr(genus_expr(c), 1, degree), "=", rho))
+    for d in ds:
+        degree = d - 1 if mode == "gonality" else d
+        rho = brill_noether(g, 1, degree)
+        if rho >= 0:
+            raise EngineError(
+                f"rho({g}, 1, {degree}) = {rho} >= 0: no script for "
+                f"C = {c}, d = {d} ({mode}) on {case.presentation}, whose "
+                "bundle need not be non-simple")
+        steps.append(ArithClaim(
+            f"Brill-Noether number of a degree-{degree} pencil",
+            bn_expr(genus_expr(c), 1, degree), "=", rho))
     steps.append(AxiomUse(
         "AX-BPF-ACM",
         note="B and its initialized companions seed the sweep: those of "
@@ -260,24 +227,26 @@ def _pencil_steps(case: Case, lat: Lattice) -> list:
         "AX-HODGE-INDEX",
         note="the Gram determinant of <h, B, N> is >= 0, which bounds B.N "
              "on both sides at each h.N"))
-    return steps + uses + _engine_trace(case, lat)
+    return steps + uses + trace, False
 
 
 def _script_pencil(case: Case) -> DerivationScript:
     b2, hb = case.presentation
     d = case.pencil[0]
     lat = quartic_lattice(b2, hb)
+    steps, twist = _pencil_steps(case, lat)
+    how = ("through the self-dual twist with negative h^1" if twist else
+           f"by exhausting the destabilizing pairs of a degree-{d} pencil "
+           "bundle")
     return DerivationScript(
-        tag=case.tag, lattice=lat, steps=_pencil_steps(case, lat),
-        conclusion=CONTRADICTION,
+        tag=case.tag, lattice=lat, steps=steps, conclusion=CONTRADICTION,
         description=f"Eliminates C = {case.curve} on the ({b2}, {hb}) "
-                    "configuration by exhausting the destabilizing pairs of "
-                    f"a degree-{d} pencil bundle.")
+                    f"configuration {how}.")
 
 
 def _script_gonality_floor(case: Case) -> DerivationScript:
     lat = quartic_lattice(*case.presentation)
-    steps = _pencil_steps(case, lat) + [
+    steps = _pencil_steps(case, lat)[0] + [
         ArithClaim("the restriction pencil attains the floor", self_of(_B),
                    "=", 4,
                    cite="|B| restricted to a member of |2B| moves in a "
@@ -386,10 +355,10 @@ def _script_delpezzo(case: Case) -> DerivationScript:
 CASES = (
     Case("case-B2neg2-Bh1", _script_line_restriction, (-2, 1),
          curve=DivClass((3, -2))),
-    Case("case-B2neg2-Bh2", _script_twist_chain, (-2, 2),
-         curve=DivClass((2, 2))),
-    Case("case-B2neg2-Bh2-mirror", _script_twist_chain, (-2, 2),
-         curve=DivClass((4, -2))),
+    Case("case-B2neg2-Bh2", _script_pencil, (-2, 2),
+         curve=DivClass((2, 2)), pencil=(8, "exact")),
+    Case("case-B2neg2-Bh2-mirror", _script_pencil, (-2, 2),
+         curve=DivClass((4, -2)), pencil=(8, "exact")),
     Case("case-B2neg2-Bh3", _script_pencil, (-2, 3),
          curve=DivClass((4, -2)), pencil=(2, "exact")),
     Case("case-B20-Bh4", _script_pencil, (0, 4),

@@ -14,7 +14,8 @@ with C's entry, C's movable multiples and each branch's floors, is
 planned once per process (``_plan``); every query still solves its own
 windows, runs every rule and self-checks each claim it emits.  A profile
 costs one pass over the known classes: each rule returns (outcome, claims,
-note) and ``_kill_profile`` builds the one record, a bare tuple.
+note) and ``_kill_profile`` builds the one record, a bare tuple.  The
+self-dual twist (C = 2K, K - h zero or effective) runs before the sweep.
 
 Modes:
   "exact"     the pencil-trick sequence: Z' is empty, M.N = d,
@@ -39,15 +40,17 @@ from ..classifier import (_CACHE_SIZE, _NONEMPTY_KINDS, AcmStatus,
                           _checked_facts, _conflict_check,
                           derived_assumptions, is_initialized_acm)
 from ..config import _is_int
-from ..errors import (BadParametersError, DimensionMismatchError, EngineError,
+from ..errors import (BadParametersError, ConflictingAssumptionsError,
+                      DimensionMismatchError, EngineError,
                       NotEffectiveCandidateError, PreconditionError,
                       TrivialClassError, WorkbenchError)
 from ..invariants import genus_of, hodge_lower, lm_acm_bounds
 from ..lattice import DivClass, Lattice
 from .constraints import Row, check_rel, scan
 from .presets import _B, _H, presentation
-from .scripts import (ArithClaim, add_expr, evaluate, hodge_expr, self_of,
-                      step_to_json)
+from .scripts import (ArithClaim, add_expr, c2_twist_expr, chi_bundle_expr,
+                      evaluate, hodge_expr, mul_expr, neg_expr, pair_of,
+                      self_of, step_to_json)
 
 MODES = ("exact", "general", "gonality")
 
@@ -108,6 +111,7 @@ class _Plan(NamedTuple):
     multiples: tuple[tuple[int, _KnownClass], ...]  # (k, P): C = k*P, P movable
     # per even n^2 <= C^2/4: the least h.N and P.N >= P.floor(n^2) for each P
     columns: tuple[tuple[int, tuple[Row, ...]], ...]
+    half: DivClass | None  # K: C = 2K, K - h zero or asserted nonempty
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -120,9 +124,11 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
     C, which is always base point free (an irreducible member with
     C^2 >= 4), is read off the Gram rows: (h.P, B.P) and P^2 from them;
     its acm flag is whether ``is_initialized_acm`` finds P initialized aCM
-    under the facts (False when P is zero or |P| is empty).  The plan is a
-    pure function of the frozen (lat, C, facts), so every (d, mode) query
-    on it shares it; callers check C first.  The gate fixes h^2 = 4.
+    under the facts (False when |P| is empty).  The zero class, whose
+    section says nothing of N, is left out; a nonzero one of ample degree
+    <= 0 raises ConflictingAssumptionsError (AX-AMPLE-POSITIVE).  The plan
+    is a pure function of the frozen (lat, C, facts), so every (d, mode)
+    query on it shares it; callers check C first.  The gate fixes h^2 = 4.
     """
     _conflict_check(facts)
     bpf = {a.subject.coords for a in facts
@@ -135,6 +141,12 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
     for coords in sorted(nonempty | bpf):
         p = DivClass(coords)
         profile = _profile_of(lat, p)
+        if p.is_zero():
+            continue
+        if profile[0] <= 0:
+            raise ConflictingAssumptionsError(
+                f"class {p} of ample degree {profile[0]} <= 0 asserted "
+                "nonempty or base point free (AX-AMPLE-POSITIVE)")
         sq = _pairing(p, *profile)
         free = coords in bpf
         try:
@@ -152,7 +164,10 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
         (3 if n2 == 0 else max(3, hodge_lower(4, n2)),
          tuple((*p.cls.coords, p.floor(n2)) for p in known))
         for n2 in range(0, curve.square // 4 + 1, 2))
-    return _Plan(tuple(known), curve, multiples, columns)
+    half = DivClass(co // 2 for co in c.coords)
+    if half * 2 != c or (half != _H and (half - _H).coords not in nonempty):
+        half = None
+    return _Plan(tuple(known), curve, multiples, columns, half)
 
 
 def _claim(lat: Lattice, label: str, lhs, rel: str, rhs, cite: str = "",
@@ -209,20 +224,25 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     else PreconditionError, which also bounds the work of one sweep.
     These checks and the facts' types run on every call, before the plan
     of (lat, C, facts) is looked up or built; conflicting facts then raise
-    ConflictingAssumptionsError.  Returns one record per (n^2, profile)
-    candidate plus a window-infeasible record for each empty branch and a
-    closing beyond-cap record; "unresolved" marks a candidate no rule
-    covers.  The records and their claims are built anew on every call.
+    ConflictingAssumptionsError.  In exact and general mode, C = 2K with K
+    in the plan and d < K^2 + 4 return one self-dual-twist record before
+    any sweep, which is simpler than patching open branches afterwards.
+    Otherwise returns one record per (n^2, profile) candidate plus a
+    window-infeasible record for each empty branch and a closing beyond-cap
+    record; "unresolved" marks a candidate no rule covers.  The records and
+    their claims are built anew on every call.
 
     The rules are incomplete in every mode.  Over the shipped quartic
     configs with C = s h + t B, |s| <= 4, |t| <= 3, C^2 >= 4, h.C > 0 and
-    max(1, g - 5) <= d <= g + 7 - h.C (210 queries per mode), a branch
-    stays open on 58 queries in exact mode, 111 in general mode and 89 in
+    max(1, g - 5) <= d <= g + 7 - h.C (210 queries per mode), the twist
+    fires on 36 queries in exact and 36 in general mode, and a branch
+    stays open on 42 queries in exact mode, 83 in general mode and 89 in
     gonality mode; the shipped scripts use only queries that close, and
     refuse to build otherwise.  The sweep presumes a non-simple bundle: on
-    the 138 closed queries with rho(g, 1, d) >= 0 (d - 1 in gonality
+    the 131 queries it closes with rho(g, 1, d) >= 0 (d - 1 in gonality
     mode), ALL BRANCHES RESOLVED shows only that no destabilizing pair
-    exists, not that no bundle exists, and the scripts refuse them too.
+    exists, not that no bundle exists, and the scripts refuse them too; the
+    twist needs no non-simple bundle, and 36 of its 72 have rho >= 0.
     """
     if mode not in MODES:
         raise BadParametersError(f"unknown mode {mode!r}; choose from {MODES}")
@@ -247,12 +267,37 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
             f"1 <= d <= g + 7 - h.C = {d_hi}")
     plan = _plan(lat, c, _checked_facts(assumptions))
     cap = c2 // 4
+    if plan.half is not None and mode != "gonality" and d < cap + 4:
+        return [_self_dual_twist(lat, c, plan.half, cap, d)]
     out: list[PairElimination] = []
     for n2 in range(0, cap + 1, 2):
         out.extend(_branch(lat, plan, d, n2, mode))
     sentinel = cap + 2 if cap % 2 == 0 else cap + 1
     out.append(_beyond_cap(lat, c, d, sentinel))
     return out
+
+
+def _self_dual_twist(lat: Lattice, c: DivClass, k: DivClass, k2: int,
+                     d: int) -> PairElimination:
+    """C = 2K, K - h zero or effective: E(-K) is self-dual with no
+    sections, so h^1 = -chi = d - K^2 - 4 < 0 while d < K^2 + 4."""
+    c2 = c2_twist_expr(d, c, -k)
+    chi = chi_bundle_expr(DivClass((0, 0)), c2)
+    trace = (
+        _claim(lat, "the twisted first Chern class squares to zero",
+               add_expr(self_of(c), mul_expr(4, self_of(k)),
+                        mul_expr(-4, pair_of(c, k))), "=", 0,
+               cite=f"(C - 2K)^2 with K = {k} the half class"),
+        _claim(lat, "second Chern class of the twist", c2, "=", d - k2,
+               cite=f"c2(E(-K)) = d - C.K + K^2 = {d} - {k2}"),
+        _claim(lat, "Euler characteristic of the twist", chi, "=",
+               4 - d + k2),
+        _claim(lat, "h^1 of the twist is negative", neg_expr(chi), "<", 0,
+               cite="h^1 = h^0 + h^2 - chi = -chi",
+               contradicts="AX-H1NONNEG: h^1 is a dimension"))
+    return PairElimination(c=c, d=d, n_square=0, len_zprime=0,
+                           outcome="self-dual-twist", trace=trace,
+                           note=f"K - h = {k - _H}")
 
 
 def _cn_window(d: int, n2: int, mode: str) -> tuple[int, int]:

@@ -197,9 +197,11 @@ def _cmd_destabilize(args) -> int:
         return 0 if resolved else 1
     print(f"C = {c}, C^2 = {lat.self_int(c)}, d = {args.d}, mode = {args.mode}")
     for rec in records:
-        where = (f"profile (h.N, B.N) = {rec.profile}"
-                 if rec.profile is not None else "whole branch")
-        print(f"  n^2 = {rec.n_square}, {where}: {rec.outcome}"
+        where = (f"n^2 = {rec.n_square}, profile (h.N, B.N) = {rec.profile}"
+                 if rec.profile is not None else "whole query"
+                 if rec.outcome == "self-dual-twist"
+                 else f"n^2 = {rec.n_square}, whole branch")
+        print(f"  {where}: {rec.outcome}"
               + (f" [len Z' = {rec.len_zprime}]" if rec.len_zprime else ""))
         for cl in rec.trace:
             print(f"      {cl.label}" + (f" ({cl.cite})" if cl.cite else ""))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -428,10 +429,16 @@ def test_cli_destabilize(capsys):
     # a branch the engine cannot close is a verification failure, not an
     # internal fault reported as bad input
     cfg = str(data_path("quartic_b2neg2_bh2.json"))
-    code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class", "2,2",
-                          "--d", "8")
+    code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class", "2,1",
+                          "--d", "7")
     assert code == 1, err
     assert "UNRESOLVED BRANCHES REMAIN" in out
+    # C = 2(h + B) at d = 8 dies by the self-dual twist, before any branch
+    code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class", "2,2",
+                          "--d", "8")
+    assert code == 0, err
+    assert out.splitlines()[1] == "  whole query: self-dual-twist"
+    assert "n^2" not in out and "ALL BRANCHES RESOLVED" in out
 
 
 def test_cli_destabilize_refuses_conflicting_facts(capsys, tmp_path):
@@ -446,6 +453,35 @@ def test_cli_destabilize_refuses_conflicting_facts(capsys, tmp_path):
                               "--class", "4,-2", "--d", "2", *extra)
         assert code == 2 and not out
         assert "both effective and empty" in err
+
+
+def test_cli_destabilize_reads_nothing_into_an_effective_zero_class(
+        capsys, tmp_path):
+    # O has a section, which is true and bounds no pairing of N: the query
+    # stays open, with the records it has without the fact
+    shipped = data_path("quartic_b20_bh3.json")
+    doc = json.loads(shipped.read_text())
+    doc["assumptions"].append({"subject": [0, 0], "kind": "Effective"})
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(doc))
+    runs = [_run(capsys, "destabilize", "-c", str(path), "--class", "1,2",
+                 "--d", "6") for path in (shipped, cfg)]
+    assert runs[0] == runs[1]
+    assert runs[1][0] == 1 and "UNRESOLVED BRANCHES REMAIN" in runs[1][1]
+
+
+def test_cli_destabilize_refuses_a_nonpositive_class_asserted_nonempty(
+        capsys, tmp_path):
+    # -h asserted base point free contradicts AX-AMPLE-POSITIVE: bad input
+    doc = json.loads(data_path("quartic_b2neg2_bh2.json").read_text())
+    doc["assumptions"].append({"subject": [-1, 0], "kind": "BasePointFree"})
+    cfg = tmp_path / "negative.json"
+    cfg.write_text(json.dumps(doc))
+    for extra in ((), ("--json",)):
+        code, out, err = _run(capsys, "destabilize", "-c", str(cfg),
+                              "--class", "2,1", "--d", "7", *extra)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "AX-AMPLE-POSITIVE" in err
 
 
 def test_cli_destabilize_rejects_a_query_outside_the_c2_window_quickly(
@@ -463,18 +499,24 @@ def test_cli_destabilize_rejects_a_query_outside_the_c2_window_quickly(
 def test_cli_destabilize_reports_an_unbounded_window_as_a_boundary_touch(
         capsys, monkeypatch):
     # C = 2h on (0, 3): C.N does not bind B.N, the Hodge index on <h, B, N>
-    # does, so the sweep ends with records and an open branch at d = 6
+    # does, so the sweep ends with records and an open branch at d = 8 in
+    # general mode, the first degree the self-dual twist (d < K^2 + 4 = 8)
+    # leaves to the sweep
     cfg = str(data_path("quartic_b20_bh3.json"))
-    code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class", "2,0",
-                          "--d", "6")
+    query = ("destabilize", "-c", cfg, "--class", "2,0", "--d", "8",
+             "--mode", "general")
+    code, out, err = _run(capsys, *query)
     assert code == 1 and not err
     assert "profile (h.N, B.N)" in out
     assert out.rstrip().endswith("UNRESOLVED BRANCHES REMAIN")
-    code, out, err = _run(capsys, "destabilize", "-c", cfg, "--class", "2,0",
-                          "--d", "6", "--json")
+    code, out, err = _run(capsys, *query, "--json")
     assert code == 1 and not err
     payload = json.loads(out)
     assert payload["resolved"] is False and payload["records"]
+    # C.N = 2 h.N leaves B.N free: one (n^2, h.N) carries several B.N
+    profiles = Counter((r["n_square"], r["profile"][0])
+                       for r in payload["records"] if r["profile"])
+    assert max(profiles.values()) > 1
     # a search-box boundary touch is a verification failure, not bad input
     from k3acm import cli
     from k3acm.errors import BoxTooSmallError

@@ -6,8 +6,8 @@ from collections import Counter
 import pytest
 
 from k3acm import (AcmStatus, Assumption, AssumptionKind, BadParametersError,
-                   ConflictingAssumptionsError, DivClass,
-                   NotEffectiveCandidateError, PreconditionError,
+                   ConflictingAssumptionsError, DimensionMismatchError,
+                   DivClass, NotEffectiveCandidateError, PreconditionError,
                    TrivialClassError, derived_assumptions, is_initialized_acm)
 from k3acm.classifier import _NONEMPTY_KINDS, WINDOWS
 from k3acm.casework import (MODES, PairElimination, elimination_to_json,
@@ -17,7 +17,7 @@ from k3acm.casework import destabilize
 from k3acm.casework.scripts import add_expr, self_of
 from k3acm.casework.constraints import check_rel
 from k3acm.config import data_path, load_config, shipped_quartic_names
-from k3acm.invariants import hodge_lower
+from k3acm.invariants import brill_noether, genus_of, hodge_lower
 
 B = DivClass((0, 1))
 
@@ -400,7 +400,7 @@ def test_open_branches_match_the_documented_counts():
         queries[mode] += 1
         left_open[mode] += not all(r.resolved for r in records)
     assert queries == {mode: 210 for mode in MODES}
-    assert left_open == {"exact": 58, "general": 111, "gonality": 89}
+    assert left_open == {"exact": 42, "general": 83, "gonality": 89}
 
 
 def _shipped_by_presentation():
@@ -588,10 +588,13 @@ def test_one_pass_rules_match_the_per_rule_oracle(monkeypatch):
     # also reach the class-like rule that ends no grid record: "a piece
     # meeting its complement at most once"; an effective class that is
     # neither aCM nor base point free reaches the one-connected rule's
-    # aCM test, which every shipped known class passes or never gets to
+    # aCM test, which every shipped known class passes or never gets to;
+    # it is asserted only where its ample degree is positive, as the plan
+    # refuses a nonzero effective class of degree <= 0
     odd = Assumption(DivClass((1, -3)), AssumptionKind.EFFECTIVE, "")
     plans = {(lat, c, facts + extra) for lat, facts, c, d, mode in queries
-             for extra in ((), (odd,))}
+             for extra in ((), (odd,))
+             if not extra or lat.deg(odd.subject) > 0}
     for lat, c, facts in plans:
         plan = destabilize._plan(lat, c, facts)
         for n2 in range(0, plan.curve.square // 4 + 1, 2):
@@ -739,27 +742,29 @@ def test_grid_outcomes_are_pinned():
             if rec.outcome == "window-infeasible":
                 notes[rec.note] += 1
     assert outcomes == Counter({
-        ("exact", "ample-orthogonal-neg2"): 24,
-        ("exact", "beyond-hodge-cap"): 198,
-        ("exact", "effective-difference-degree-zero"): 169,
-        ("exact", "one-connected-h1"): 4,
+        ("exact", "ample-orthogonal-neg2"): 17,
+        ("exact", "beyond-hodge-cap"): 166,
+        ("exact", "effective-difference-degree-zero"): 135,
+        ("exact", "one-connected-h1"): 2,
         ("exact", "pencil-restrict-degree"): 2,
-        ("exact", "split-indecomposable"): 9,
-        ("exact", "twist-h1-vanishing"): 25,
-        ("exact", "two-connected-violation"): 6,
-        ("exact", "unresolved"): 117,
-        ("exact", "very-ample-degree-floor"): 17,
-        ("exact", "window-infeasible"): 273,
-        ("general", "ample-orthogonal-neg2"): 121,
-        ("general", "beyond-hodge-cap"): 198,
-        ("general", "one-connected-h1"): 23,
+        ("exact", "self-dual-twist"): 32,
+        ("exact", "split-indecomposable"): 2,
+        ("exact", "twist-h1-vanishing"): 23,
+        ("exact", "two-connected-violation"): 4,
+        ("exact", "unresolved"): 74,
+        ("exact", "very-ample-degree-floor"): 12,
+        ("exact", "window-infeasible"): 210,
+        ("general", "ample-orthogonal-neg2"): 100,
+        ("general", "beyond-hodge-cap"): 166,
+        ("general", "one-connected-h1"): 15,
         ("general", "pencil-branches-exhausted"): 2,
         ("general", "pencil-restrict-degree"): 10,
-        ("general", "split-indecomposable"): 38,
-        ("general", "two-connected-violation"): 41,
-        ("general", "unresolved"): 937,
-        ("general", "very-ample-degree-floor"): 164,
-        ("general", "window-infeasible"): 138,
+        ("general", "self-dual-twist"): 32,
+        ("general", "split-indecomposable"): 9,
+        ("general", "two-connected-violation"): 29,
+        ("general", "unresolved"): 788,
+        ("general", "very-ample-degree-floor"): 140,
+        ("general", "window-infeasible"): 119,
         ("gonality", "ample-orthogonal-neg2"): 82,
         ("gonality", "beyond-hodge-cap"): 198,
         ("gonality", "one-connected-h1"): 19,
@@ -770,8 +775,119 @@ def test_grid_outcomes_are_pinned():
         ("gonality", "window-infeasible"): 190,
     })
     assert notes == Counter({
-        "exhaustive window sweep": 501,
+        "exhaustive window sweep": 419,
         "Hodge index against C": 66,
         "empty degree budget": 21,
         "pairing floor through the movable multiple": 13,
     })
+
+
+def _twist_oracle(lat, facts, c, d, mode):
+    """The self-dual twist's hypotheses in plain Gram arithmetic: C = 2K,
+    K - h zero or asserted nonempty, d < K^2 + 4, and not gonality mode."""
+    s, t = c.coords
+    if mode == "gonality" or s % 2 or t % 2:
+        return False
+    k1, k2 = s // 2, t // 2
+    (hh, hb), (_, b2) = lat.gram
+    nonempty = {a.subject.coords for a in facts if a.kind in _NONEMPTY_KINDS}
+    return (((k1 - 1, k2) == (0, 0) or (k1 - 1, k2) in nonempty)
+            and d < hh * k1 * k1 + 2 * hb * k1 * k2 + b2 * k2 * k2 + 4)
+
+
+def test_the_self_dual_twist_fires_exactly_on_its_hypotheses(monkeypatch):
+    fired, rho_free = Counter(), 0
+    checks = []
+
+    def counted(rel, lhs, rhs):
+        checks.append(rel)
+        return check_rel(rel, lhs, rhs)
+
+    monkeypatch.setattr(destabilize, "check_rel", counted)
+    for lat, facts, c, d, mode in _grid(s_max=4):
+        del checks[:]
+        records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
+        twist = records[0].outcome == "self-dual-twist"
+        assert twist is _twist_oracle(lat, facts, c, d, mode), (c, d, mode)
+        if not twist:
+            assert all(r.outcome != "self-dual-twist" for r in records)
+            continue
+        fired[mode] += 1
+        (rec,) = records  # before the sweep: no branch record
+        assert len(checks) == len(rec.trace) == 4  # each claim self-checked
+        _check_traces(lat, records)
+        k = DivClass(tuple(x // 2 for x in c.coords))
+        k2 = lat.self_int(k)
+        assert (rec.profile, rec.n_square, rec.len_zprime) == (None, 0, 0)
+        assert rec.resolved and rec.note == f"K - h = {k - DivClass((1, 0))}"
+        assert [(cl.label, evaluate(cl.lhs, lat), cl.rel, cl.rhs)
+                for cl in rec.trace] == [
+            ("the twisted first Chern class squares to zero", 0, "=", 0),
+            ("second Chern class of the twist", d - k2, "=", d - k2),
+            ("Euler characteristic of the twist", 4 - d + k2, "=",
+             4 - d + k2),
+            ("h^1 of the twist is negative", d - k2 - 4, "<", 0)]
+        assert rec.trace[0].lhs["op"] == "add"  # expanded, not self of 0
+        assert rec.trace[-1].contradicts.startswith("AX-H1NONNEG")
+        assert not any(cl.contradicts for cl in rec.trace[:-1])
+        rho_free += brill_noether(genus_of(lat.self_int(c)), 1, d) >= 0
+    assert fired == {"exact": 36, "general": 36}
+    assert rho_free == 36
+
+
+def test_the_documented_rho_counts():
+    # the enumerate_destabilizing docstring: the sweep closes 131 queries
+    # with rho >= 0 (d - 1 in gonality mode) that no script may use
+    swept = Counter()
+    for lat, facts, c, d, mode in _grid(s_max=4):
+        records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
+        degree = d - 1 if mode == "gonality" else d
+        if (records[0].outcome != "self-dual-twist"
+                and all(r.resolved for r in records)
+                and brill_noether(genus_of(lat.self_int(c)), 1, degree) >= 0):
+            swept[mode] += 1
+    assert swept == {"exact": 72, "general": 34, "gonality": 25}
+    assert sum(swept.values()) == 131
+
+
+def test_an_effective_zero_class_changes_no_record():
+    # O has a section, which is true and bounds no pairing of N; it used
+    # to enter the plan as a movable square-0 class with floor 2
+    zero = Assumption(DivClass((0, 0)), AssumptionKind.EFFECTIVE, "O")
+    changed = 0
+    for lat, facts, c, d, mode in _grid(s_max=4):
+        want = _payload(lat, facts, c, d, mode)
+        changed += _payload(lat, facts + (zero,), c, d, mode) != want
+    assert changed == 0
+    lat, raw = load_config(data_path("quartic_b20_bh3.json"))
+    facts = engine_assumptions(lat, raw)
+    assert destabilize._plan(lat, DivClass((1, 2)), facts + (zero,)).known \
+        == destabilize._plan(lat, DivClass((1, 2)), facts).known
+
+
+@pytest.mark.parametrize("subject, kind", [
+    ((-1, 0), AssumptionKind.BASE_POINT_FREE),
+    ((0, -1), AssumptionKind.EFFECTIVE),
+    ((1, -2), AssumptionKind.ELLIPTIC_PENCIL)])
+def test_a_nonzero_class_of_nonpositive_degree_cannot_be_nonempty(subject,
+                                                                  kind):
+    # AX-AMPLE-POSITIVE: on (-2, 2) these have ample degree -4, -2 and 0
+    lat = quartic_lattice(-2, 2)
+    facts = _facts(lat) + (Assumption(DivClass(subject), kind, ""),)
+    before = destabilize._plan.cache_info()
+    for mode in MODES:
+        with pytest.raises(ConflictingAssumptionsError,
+                           match="AX-AMPLE-POSITIVE"):
+            enumerate_destabilizing(lat, DivClass((2, 1)), 7, facts, mode)
+    assert destabilize._plan.cache_info().currsize == before.currsize
+
+
+def test_a_class_of_the_wrong_length_is_refused():
+    lat = quartic_lattice(-2, 3)
+    with pytest.raises(DimensionMismatchError, match="length 3"):
+        enumerate_destabilizing(lat, DivClass((4, -2, 0)), 2, _facts(lat))
+    wrong = Assumption(DivClass((0, 1, 0)), AssumptionKind.EFFECTIVE, "")
+    for mode in MODES:
+        with pytest.raises(DimensionMismatchError, match="length 3"):
+            enumerate_destabilizing(lat, DivClass((4, -2)), 2,
+                                    _facts(lat) + (wrong,), mode)

@@ -347,6 +347,8 @@ def test_the_summary_counts_claims_and_axioms_of_the_script():
 
 # tag -> (presentation, curve class, pencil degree, engine mode)
 ENGINE_CASES = {
+    "case-B2neg2-Bh2": ((-2, 2), (2, 2), 8, "exact"),
+    "case-B2neg2-Bh2-mirror": ((-2, 2), (4, -2), 8, "exact"),
     "case-B2neg2-Bh3": ((-2, 3), (4, -2), 2, "exact"),
     "case-B20-Bh4": ((0, 4), (1, 2), 6, "general"),
     "case-B20-Bh4-mirror": ((0, 4), (5, -2), 6, "general"),
@@ -375,6 +377,56 @@ def test_pencil_scripts_close_with_the_engine_traces():
             "presentation pin: pairing h.B"], tag
         assert any(isinstance(st, AxiomUse) for st in header), tag
         assert scripts[tag].lattice == lat
+
+
+def test_the_twist_scripts_cite_its_premises_and_trace_alone():
+    from k3acm.casework.casebook import _BY_TAG
+    for tag in ("case-B2neg2-Bh2", "case-B2neg2-Bh2-mirror"):
+        case, script = _BY_TAG[tag], script_by_tag(tag)
+        assert case.build.__name__ == "_script_pencil"
+        report = run_script(script)
+        assert report.summary() == (
+            f"{tag}: Success (11 claims verified, 2 axioms cited)")
+        assert [st.axiom_id for st in script.steps
+                if isinstance(st, AxiomUse)] == ["AX-TWIST-MONO",
+                                                 "AX-RK2-SELFDUAL"]
+        assert "self-dual twist" in script.description
+        assert "exhausting" not in script.description
+        # the engine's four claims alone catch every +/-1 Gram mutant
+        trace = replace(script, steps=script.steps[-4:])
+        assert trace.steps[0].label == (
+            "the twisted first Chern class squares to zero")
+        assert run_script(trace).success
+        clean, *mutants = _gram_mutants(script.lattice)
+        assert len(mutants) == 6
+        for wrong in mutants:
+            assert not run_script(trace.with_lattice(wrong)).success, wrong
+    from k3acm.casework import casebook
+    assert not hasattr(casebook, "_script_twist_chain")
+
+
+def test_each_survivor_script_sweeps_its_whole_c2_window():
+    # a survivor dies only if its bundle dies at every c2 = d of the window
+    # max(1, g - 5) <= d <= g + 7 - h.C
+    from k3acm.casework.casebook import CASES
+    rows = [case for case in CASES if case.pencil is not None
+            and case.pencil[1] != "gonality"]
+    for case in rows:
+        lat, mode = quartic_lattice(*case.presentation), case.pencil[1]
+        facts = engine_assumptions(lat, ulrich_assumptions(lat))
+        c2, hc = lat.self_int(case.curve), lat.deg(case.curve)
+        g = genus_of(c2)
+        steps = list(case.script().steps)
+        at = 0
+        for d in range(max(1, g - 5), g + 7 - hc + 1):
+            flat = [cl for rec in enumerate_destabilizing(
+                lat, case.curve, d, facts, mode) for cl in rec.trace]
+            hits = [i for i in range(at, len(steps) - len(flat) + 1)
+                    if steps[i:i + len(flat)] == flat]
+            assert hits, (case.tag, d)
+            at = hits[0] + len(flat)
+        assert at == len(steps), case.tag
+    assert len(rows) == 7
 
 
 def test_pencil_scripts_refuse_open_branches():
