@@ -17,9 +17,7 @@ reads it too.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..classifier import WINDOWS, complement
 from ..errors import BadParametersError, EngineError
@@ -34,8 +32,7 @@ from .scripts import (ArithClaim, AxiomUse, CONTRADICTION, DerivationScript,
                       sub_expr)
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """One builtin script and what it settles in the replay.
 
     presentation is (B^2, h.B) of the script lattice, None for the rank-8
@@ -65,11 +62,13 @@ class Case:
         mutate it or its expression dicts: to change a claim, build a new
         one with dataclasses.replace, which has no compiled sides yet.
         """
-        return self._script
+        script = _SCRIPTS.get(self)
+        if script is None:
+            script = _SCRIPTS[self] = self.build(self)
+        return script
 
-    @functools.cached_property
-    def _script(self) -> DerivationScript:
-        return self.build(self)
+
+_SCRIPTS: dict[Case, DerivationScript] = {}
 
 
 def _pins(b2: int, hb: int) -> list:

@@ -22,7 +22,7 @@ quoting the inequality being encoded) so every preset is auditable.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator
 
 from ..config import _is_int
@@ -49,32 +49,29 @@ def check_rel(rel: str, lhs: int, rhs: int) -> bool:
     raise BadParametersError(f"unknown relation {rel!r}")
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(namedtuple("Constraint", "coeffs rel c axiom_id cite")):
     """One machine-checkable condition on the integer pair (s, t):
 
         qss*s^2 + qst*s*t + qtt*t^2 + a*s + b*t rel c,
 
-    coeffs = (qss, qst, qtt, a, b).  Checked when it is built, so every
-    Constraint has five integer coefficients, an integer c and a known rel.
+    coeffs = (qss, qst, qtt, a, b), then axiom_id and cite.  Checked when
+    it is built, so every Constraint has five integer coefficients, an
+    integer c and a known rel.
     """
 
-    coeffs: tuple[int, int, int, int, int]
-    rel: str
-    c: int
-    axiom_id: str = ""
-    cite: str = ""
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # for _replace
 
-    def __post_init__(self):
-        coeffs = self.coeffs
+    def __new__(cls, coeffs: tuple[int, int, int, int, int], rel: str,
+                c: int, axiom_id: str = "", cite: str = ""):
         if (not isinstance(coeffs, (tuple, list)) or len(coeffs) != 5
-                or not all(map(_is_int, coeffs)) or not _is_int(self.c)):
+                or not all(map(_is_int, coeffs)) or not _is_int(c)):
             raise BadParametersError(
                 f"a constraint needs 5 integer coefficients and an integer "
-                f"bound, got {coeffs!r} and {self.c!r}")
-        if not _is_rel(self.rel):
-            raise BadParametersError(f"unknown relation {self.rel!r}")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+                f"bound, got {coeffs!r} and {c!r}")
+        if not _is_rel(rel):
+            raise BadParametersError(f"unknown relation {rel!r}")
+        return tuple.__new__(cls, (tuple(coeffs), rel, c, axiom_id, cite))
 
     def holds(self, s: int, t: int) -> bool:
         qss, qst, qtt, a, b = self.coeffs
@@ -98,29 +95,27 @@ def abs_t_at_least(n: int, axiom_id: str = "", cite: str = "") -> Constraint:
                       max(n, 0) ** 2 if _is_int(n) else n, axiom_id, cite)
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(namedtuple("CaseSpec", "lattice constraints box tag")):
     """A bounded integer search: which (s, t) satisfy every constraint?
 
     The constraints have their coefficients already expressed in terms of
     pairings with the classes U and V multiplied by s and t.
     """
 
-    lattice: Lattice
-    constraints: tuple[Constraint, ...]
-    box: int = 32
-    tag: str = ""
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # for _replace
 
-    def __post_init__(self):
-        if not _is_int(self.box) or not 16 <= self.box <= 256:
+    def __new__(cls, lattice: Lattice, constraints: tuple[Constraint, ...],
+                box: int = 32, tag: str = ""):
+        if not _is_int(box) or not 16 <= box <= 256:
             raise BadParametersError(
-                f"box must be between 16 and 256, got {self.box!r}")
-        cons = self.constraints
-        if (not isinstance(cons, (tuple, list))
-                or not all(isinstance(con, Constraint) for con in cons)):
+                f"box must be between 16 and 256, got {box!r}")
+        if (not isinstance(constraints, (tuple, list))
+                or not all(isinstance(con, Constraint) for con in constraints)):
             raise BadParametersError(
-                f"constraints must be a sequence of Constraints, got {cons!r}")
-        object.__setattr__(self, "constraints", tuple(cons))
+                f"constraints must be a sequence of Constraints, got "
+                f"{constraints!r}")
+        return tuple.__new__(cls, (lattice, tuple(constraints), box, tag))
 
 
 # ---- the solver --------------------------------------------------------------

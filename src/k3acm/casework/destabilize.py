@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from ..classifier import (_CACHE_SIZE, _NONEMPTY_KINDS, AcmStatus,
@@ -77,8 +76,7 @@ class PairElimination(NamedTuple):
         return self.outcome != "unresolved"
 
 
-@dataclass(frozen=True)
-class _KnownClass:
+class _KnownClass(NamedTuple):
     """An effective class known on X and what the rules may assume of it."""
 
     cls: DivClass

@@ -16,8 +16,7 @@ reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..classifier import (AcmStatus, Assumption, _checked_class, complement,
                           is_initialized_acm)
@@ -42,15 +41,13 @@ _INDEX.update({k.presentation: (k, *_INDEX[complement(*k.presentation)][1:])
                for k in CASES if k.reduces})
 
 
-@dataclass(frozen=True)
-class SurvivorMatch:
+class SurvivorMatch(NamedTuple):
     survivor: tuple[int, int]
     script_tag: str
     report: DerivationReport
 
 
-@dataclass(frozen=True)
-class ReductionRow:
+class ReductionRow(NamedTuple):
     """One small-tail family |t| <= 1, resolved without enumeration."""
 
     t: int
@@ -58,8 +55,7 @@ class ReductionRow:
     note: str
 
 
-@dataclass(frozen=True)
-class NecessityReport:
+class NecessityReport(NamedTuple):
     lattice: Lattice
     profile: tuple[int, int]
     classification: str

@@ -49,7 +49,8 @@ and one ``StepReport`` built directly as a tuple of that type.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -66,7 +67,7 @@ Compiled = Callable[[Lattice], int]
 
 def _coords(value) -> Sequence[int]:
     """Class coordinates from JSON, which must all be ints."""
-    if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
+    if type(value) not in (list, tuple) or not all(map(_is_int, value)):
         raise MalformedScriptError(
             f"class coordinates must be a list of ints, got {value!r}")
     return value
@@ -74,7 +75,7 @@ def _coords(value) -> Sequence[int]:
 
 def _args(expr: dict) -> Sequence[Expr]:
     args = expr["args"]
-    if not isinstance(args, (list, tuple)):
+    if type(args) not in (list, tuple):
         raise MalformedScriptError(f"'args' must be a list, got {args!r}")
     return args
 
@@ -325,32 +326,31 @@ class ArithClaim:
         return _compile(self.lhs), _compile(self.rhs)
 
 
-@dataclass(frozen=True)
-class AxiomUse:
-    axiom_id: str
-    note: str = ""
-    cite: str = ""
+class AxiomUse(namedtuple("AxiomUse", "axiom_id note cite")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # for _replace
 
     kind = "axiom"
 
-    def __post_init__(self):
-        if not is_registered(self.axiom_id):
-            raise MalformedScriptError(f"unregistered axiom id {self.axiom_id!r}")
+    def __new__(cls, axiom_id: str, note: str = "", cite: str = ""):
+        if not is_registered(axiom_id):
+            raise MalformedScriptError(f"unregistered axiom id {axiom_id!r}")
+        return tuple.__new__(cls, (axiom_id, note, cite))
 
 
 Step = ArithClaim | AxiomUse
 
 
-@dataclass(frozen=True)
-class Conclusion:
-    kind: str  # "contradiction" | "established"
-    statement: str = ""
+class Conclusion(namedtuple("Conclusion", "kind statement")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # for _replace
 
-    def __post_init__(self):
-        if self.kind not in ("contradiction", "established"):
-            raise MalformedScriptError(f"unknown conclusion kind {self.kind!r}")
-        if self.kind == "established" and not self.statement:
+    def __new__(cls, kind: str, statement: str = ""):
+        if kind not in ("contradiction", "established"):
+            raise MalformedScriptError(f"unknown conclusion kind {kind!r}")
+        if kind == "established" and not statement:
             raise MalformedScriptError("an established conclusion needs a statement")
+        return tuple.__new__(cls, (kind, statement))
 
 
 CONTRADICTION = Conclusion("contradiction")
@@ -394,13 +394,12 @@ class StepReport(NamedTuple):
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class DerivationReport:
+class DerivationReport(NamedTuple):
     tag: str
     success: bool
     conclusion: Conclusion
     steps: tuple[StepReport, ...]
-    failed: tuple[int, ...] = field(default=())
+    failed: tuple[int, ...] = ()
 
     def summary(self) -> str:
         n_ax = sum(1 for s in self.steps if s.status == "AxiomUsed")

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BadParametersError,
@@ -41,7 +41,7 @@ from .errors import (
     NotEffectiveCandidateError,
     TrivialClassError,
 )
-from .lattice import DivClass, Lattice
+from .lattice import DivClass, Lattice, _Frozen
 
 
 class AssumptionKind(enum.Enum):
@@ -60,21 +60,30 @@ _NONEMPTY_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Assumption:
+class Assumption(_Frozen):
     """A user-supplied geometric fact about one divisor class."""
 
-    subject: DivClass
-    kind: AssumptionKind
-    note: str = ""
+    __slots__ = _fields = ("subject", "kind", "note")
 
-    def __post_init__(self):
-        if not isinstance(self.subject, DivClass):
+    def __init__(self, subject: DivClass, kind: AssumptionKind, note: str = ""):
+        if not isinstance(subject, DivClass):
             raise BadParametersError(
-                f"a fact's subject must be a DivClass, got {self.subject!r}")
-        if not isinstance(self.kind, AssumptionKind):
+                f"a fact's subject must be a DivClass, got {subject!r}")
+        if not isinstance(kind, AssumptionKind):
             raise BadParametersError(
-                f"a fact's kind must be an AssumptionKind, got {self.kind!r}")
+                f"a fact's kind must be an AssumptionKind, got {kind!r}")
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "note", note)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.subject, self.kind, self.note)
+                    == (other.subject, other.kind, other.note))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.kind, self.note))
 
 
 class Effectivity(enum.Enum):
@@ -83,14 +92,14 @@ class Effectivity(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    value: Effectivity
-    reason: str = ""
+class Verdict(namedtuple("Verdict", "value reason")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # for _replace
 
-    def __post_init__(self):
-        if self.value is not Effectivity.UNKNOWN and not self.reason:
+    def __new__(cls, value: Effectivity, reason: str = ""):
+        if value is not Effectivity.UNKNOWN and not reason:
             raise BadParametersError("decided verdicts must carry a reason")
+        return tuple.__new__(cls, (value, reason))
 
 
 class AcmStatus(enum.Enum):
@@ -100,11 +109,10 @@ class AcmStatus(enum.Enum):
     NEEDS_ASSUMPTION = "NeedsAssumption"
 
 
-@dataclass(frozen=True)
-class AcmClassification:
+class AcmClassification(NamedTuple):
     status: AcmStatus
     case_tag: str  # one of "a", "b", "c", "d", "none"
-    missing: tuple[Assumption, ...] = field(default=())
+    missing: tuple[Assumption, ...] = ()
 
 
 def _checked_class(b: DivClass, name: str = "B") -> None:
@@ -128,11 +136,12 @@ def _checked_facts(assumptions: Sequence[Assumption]
 
 
 def _conflict_check(assumptions: Sequence[Assumption]) -> None:
-    """Refuse a class asserted both nonempty and empty."""
+    """Refuse a class asserted empty and also of any other kind: every
+    other kind, base point free included, asserts a nonempty system."""
     empty = {a.subject.coords for a in assumptions
              if a.kind is AssumptionKind.EMPTY}
     nonempty = {a.subject.coords for a in assumptions
-                if a.kind in _NONEMPTY_KINDS}
+                if a.kind is not AssumptionKind.EMPTY}
     clash = empty & nonempty
     if clash:
         raise ConflictingAssumptionsError(
@@ -277,7 +286,8 @@ def derived_assumptions(lat: Lattice, b: DivClass,
     return list(_derive(lat, b, classification, _checked_facts(assumptions)))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+# typed: a plain tuple equal to an AcmClassification is not a hit
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def _derive(lat: Lattice, b: DivClass, classification: AcmClassification,
             assumptions: tuple[Assumption, ...]) -> tuple[Assumption, ...]:
     out = list(assumptions)

@@ -12,7 +12,8 @@ No floats anywhere; the square-root ceiling uses math.isqrt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import (
     BadParametersError,
@@ -22,21 +23,19 @@ from .errors import (
 from .lattice import DivClass, Lattice
 
 
-@dataclass(frozen=True)
-class BundleInvariants:
+class BundleInvariants(namedtuple("BundleInvariants", "rank c1 c2")):
     """Chern data of a vector bundle: rank, c1 as a divisor class, c2."""
 
-    rank: int
-    c1: DivClass
-    c2: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # for _replace
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise BadParametersError(f"rank must be >= 1, got {self.rank}")
+    def __new__(cls, rank: int, c1: DivClass, c2: int):
+        if rank < 1:
+            raise BadParametersError(f"rank must be >= 1, got {rank}")
+        return tuple.__new__(cls, (rank, c1, c2))
 
 
-@dataclass(frozen=True)
-class LMInvariants:
+class LMInvariants(NamedTuple):
     """Invariants of the rank-2 bundle attached to a g^r_d on a genus-g curve.
 
     h0 = g - d + 1 + 2r, chi_end = chi(End) = 2(1 - rho) and
@@ -112,8 +111,7 @@ def twist_chi(l: int, ch: int, g: int, d: int) -> int:
     return 4 * l * l - l * ch + g + 3 - d
 
 
-@dataclass(frozen=True)
-class AcmDegreeWindow:
+class AcmDegreeWindow(NamedTuple):
     """The window of pencil degrees an initialized aCM rank-2 bundle allows."""
 
     d_min: int

@@ -12,8 +12,6 @@ signature (1, rank-1); this is checked at construction time.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -36,8 +34,28 @@ def _index(value) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
-class DivClass:
+class _Frozen:
+    """Base of the immutable __slots__ value classes: each of ``_fields``
+    is set once, in __init__, and printed as a dataclass prints it.  Each
+    class writes its own == and hash, so none equals a plain tuple."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class DivClass(_Frozen):
     """A divisor class: an integer coordinate vector in a fixed basis.
 
     A coordinate that is not an integer (``_index`` refuses it: a float, a
@@ -47,7 +65,7 @@ class DivClass:
     formulas they implement, e.g. ``3*h - 2*b``.
     """
 
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("coords",)
 
     def __init__(self, coords: Iterable[int]):
         try:
@@ -56,6 +74,14 @@ class DivClass:
             raise BadParametersError(
                 f"class coordinates must be ints, got {coords!r}") from None
         object.__setattr__(self, "coords", ints)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -152,17 +178,14 @@ def _signature_of(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     return pos, neg
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(_Frozen):
     """An integral lattice with labelled basis and ample class.
 
     Immutable; every operation is a pure function of the inputs.
     """
 
-    gram: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    ample: DivClass
-    k3: bool = False
+    _fields = ("gram", "labels", "ample", "k3")
+    __slots__ = _fields + ("_sig",)  # _sig: the signature, once computed
 
     def __init__(self, gram, labels, ample, k3: bool = False):
         rows = _check_gram(gram)
@@ -181,6 +204,7 @@ class Lattice:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "ample", ample)
         object.__setattr__(self, "k3", bool(k3))
+        object.__setattr__(self, "_sig", None)
         if self.k3:
             for i in range(n):
                 if rows[i][i] % 2 != 0:
@@ -194,6 +218,15 @@ class Lattice:
             raise NonPositiveAmpleError(
                 f"ample class {ample} has self-intersection "
                 f"{self.self_int(self.ample)} <= 0")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.gram, self.labels, self.ample, self.k3)
+                    == (other.gram, other.labels, other.ample, other.k3))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gram, self.labels, self.ample, self.k3))
 
     @property
     def rank(self) -> int:
@@ -224,9 +257,11 @@ class Lattice:
         """Degree against the ample class."""
         return self.pair(self.ample, d)
 
-    @cached_property
+    @property
     def _signature(self) -> tuple[int, int]:
-        return _signature_of(self.gram)
+        if self._sig is None:
+            object.__setattr__(self, "_sig", _signature_of(self.gram))
+        return self._sig
 
     def signature(self) -> tuple[int, int]:
         """(#positive, #negative) eigenvalue counts; requires nondegeneracy."""

@@ -50,6 +50,23 @@ def test_conflicting_assumptions_are_rejected():
         effectivity(lat, deep, clash)
 
 
+def test_a_class_asserted_base_point_free_and_empty_is_a_conflict():
+    # a base-point-free system has sections, so Empty contradicts it
+    lat = quartic_lattice(-2, 2)
+    p = DivClass((3, -1))
+    clash = (Assumption(p, AssumptionKind.BASE_POINT_FREE, ""),
+             Assumption(p, AssumptionKind.EMPTY, ""))
+    for facts in (clash, clash[::-1]):
+        with pytest.raises(ConflictingAssumptionsError,
+                           match=r"both effective and empty: \[\(3, -1\)\]"):
+            is_initialized_acm(lat, B, facts)
+        with pytest.raises(ConflictingAssumptionsError):
+            effectivity(lat, p, facts)
+    # each kind alone stands
+    for fact in clash:
+        assert is_initialized_acm(lat, B, (fact,)).status is AcmStatus.ACM
+
+
 def test_classifier_windows():
     for hb in (1, 2, 3):
         cls = is_initialized_acm(quartic_lattice(-2, hb), B)

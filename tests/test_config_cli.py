@@ -455,6 +455,24 @@ def test_cli_destabilize_refuses_conflicting_facts(capsys, tmp_path):
         assert "both effective and empty" in err
 
 
+def test_cli_refuses_a_class_asserted_base_point_free_and_empty(
+        capsys, tmp_path):
+    # a base-point-free system is nonempty: bad input, exit 2, in the
+    # classifier and in the engine alike
+    cfg = tmp_path / "conflict.json"
+    facts = [{"subject": [3, -1], "kind": kind}
+             for kind in ("BasePointFree", "Empty")]
+    cfg.write_text(json.dumps(_doc(gram=[[4, 2], [2, -2]],
+                                   assumptions=facts)))
+    for command in (("classify", "--class", "0,1"),
+                    ("destabilize", "--class", "2,1", "--d", "7")):
+        for extra in ((), ("--json",)):
+            code, out, err = _run(capsys, *command, "-c", str(cfg), *extra)
+            assert (code, out) == (2, ""), command
+            assert err == ("error: classes asserted both effective and "
+                           "empty: [(3, -1)]\n"), command
+
+
 def test_cli_destabilize_reads_nothing_into_an_effective_zero_class(
         capsys, tmp_path):
     # O has a section, which is true and bounds no pairing of N: the query

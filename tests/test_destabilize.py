@@ -651,6 +651,22 @@ def test_conflicting_facts_are_refused():
                 enumerate_destabilizing(lat, c, 2, facts, mode=mode)
 
 
+def test_a_class_asserted_base_point_free_and_empty_is_refused():
+    # the engine's facts on (-2, 2), plus (3, -1) asserted both base point
+    # free and empty: the plan refuses them, as it refuses Effective + Empty
+    lat = quartic_lattice(-2, 2)
+    p = DivClass((3, -1))
+    facts = engine_assumptions(lat, ()) + (
+        Assumption(p, AssumptionKind.BASE_POINT_FREE, "asserted"),
+        Assumption(p, AssumptionKind.EMPTY, "asserted"))
+    for mode in MODES:
+        with pytest.raises(ConflictingAssumptionsError,
+                           match=r"both effective and empty"):
+            enumerate_destabilizing(lat, DivClass((2, 1)), 7, facts, mode=mode)
+    # engine_assumptions falls back on the facts as given, which conflict
+    assert engine_assumptions(lat, facts[-2:]) == facts[-2:]
+
+
 def _payload(lat, facts, c, d, mode):
     """The records of one query as JSON, or its error class and text."""
     try:

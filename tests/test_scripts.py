@@ -1112,7 +1112,9 @@ def test_run_script_matches_the_evaluate_replay_on_every_mutant():
 def test_replay_compiles_each_claim_side_once_and_never_interprets(
         monkeypatch):
     from k3acm.casework import scripts
-    fresh = [_with_steps(s, replace)
+    # fresh claims have no compiled sides; an AxiomUse is a NamedTuple
+    fresh = [_with_steps(s, lambda st: replace(st) if isinstance(
+                 st, ArithClaim) else st._replace())
              for _, s in sorted(builtin_scripts().items())]
     sides = 2 * sum(isinstance(st, ArithClaim)
                     for s in fresh for st in s.steps)

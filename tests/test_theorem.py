@@ -179,7 +179,8 @@ def test_report_serializes():
 
 
 def test_a_second_replay_builds_no_lattice_and_no_script(monkeypatch):
-    from k3acm.casework import casebook, necessity
+    from k3acm.casework import necessity
+    from k3acm.casework.scripts import DerivationScript
     from k3acm.lattice import Lattice
     inputs = {}
     for profile in EXPECTED:
@@ -195,10 +196,14 @@ def test_a_second_replay_builds_no_lattice_and_no_script(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Lattice, "__init__", counting)
-    for case in casebook.CASES:
-        monkeypatch.setitem(case.__dict__, "build",
-                            lambda c, build=case.build: rows.append(c.tag)
-                            or build(c))
+    post_init = DerivationScript.__post_init__
+
+    def counting_script(self):
+        rows.append(self.tag)
+        post_init(self)
+
+    # every script a row builds, or a with_lattice copy, passes here
+    monkeypatch.setattr(DerivationScript, "__post_init__", counting_script)
     calls = Counter()
     for name in ("run_script", "enumerate_case", "is_initialized_acm"):
         def spy(*args, name=name, fn=getattr(necessity, name)):
@@ -269,7 +274,7 @@ def test_the_cases_indexes_give_what_a_scan_of_cases_gives():
     # the index is read from the rows at import and builds no script
     built = subprocess.run(
         [sys.executable, "-c",
-         "from k3acm.casework import necessity; "
-         "print(sum('_script' in k.__dict__ for k in necessity.CASES))"],
+         "from k3acm.casework import casebook, necessity; "
+         "print(len(casebook._SCRIPTS))"],
         capture_output=True, text=True, check=True).stdout
     assert built == "0\n"

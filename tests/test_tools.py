@@ -1,4 +1,5 @@
-"""tools/cli_digests.py: one digest per CLI surface, and its compare mode."""
+"""tools/cli_digests.py: one digest per CLI surface, and its compare mode;
+tools/import_cost.py: the import time of k3acm.cli per module."""
 
 import re
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "cli_digests.py"
+IMPORT_COST = ROOT / "tools" / "import_cost.py"
 
 
 def _digests(*roots):
@@ -27,3 +29,16 @@ def test_cli_digests_prints_one_line_per_surface():
 def test_cli_digests_finds_no_difference_between_a_checkout_and_itself():
     proc = _digests(ROOT, ROOT)
     assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+
+
+def test_import_cost_prints_the_cli_and_each_package_module():
+    proc = subprocess.run([sys.executable, str(IMPORT_COST), "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r" *\d+ us  k3acm\.cli cumulative \(median of 1 "
+                        r"runs\)", lines[0]), lines
+    modules = [line.split()[2] for line in lines[1:-1]]
+    assert {"k3acm", "k3acm.lattice", "k3acm.cli",
+            "k3acm.casework.scripts"} <= set(modules), lines
+    assert lines[-1].endswith(" us  k3acm modules' self, summed"), lines
