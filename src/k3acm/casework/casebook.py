@@ -7,12 +7,14 @@ claims (the squares and pairing of the basis), so that any mutation of
 the gram matrix breaks at least one claim, and ends either in a flagged
 contradiction or an established statement.
 
-The pencil-bundle scripts keep a hand-written header (pins, the c2
-window, the cited facts and, for a sweep, the Brill-Noether numbers) and
-take their case analysis from the destabilizing-pair engine: its sweep,
-or its self-dual twist for the two rows of C = 2(h + B') on (-2, 2).
-CASES is the one table of what each script settles; verify_necessity
-reads it too.
+Every survivor script is one builder, ``_script_pencil``, over the
+row's data (presentation, curve, mode): a hand-written header (pins, the
+c2 window, the cited facts and, for a sweep, the Brill-Noether numbers)
+and the destabilizing-pair engine's records at every d of the window.
+The engine settles a row by its sweep, or by one of its query rules:
+the self-dual twist for the two rows of C = 2(h + B') on (-2, 2), the
+restriction to the line B for C = 3h - 2B on (-2, 1).  CASES is the one
+table of what each script settles; verify_necessity reads it too.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from typing import Callable, NamedTuple
 
 from ..classifier import WINDOWS, complement
 from ..errors import BadParametersError, EngineError
-from ..invariants import brill_noether, genus_of
+from ..invariants import brill_noether, genus_of, lm_acm_bounds
 from ..lattice import DivClass, Lattice
-from .destabilize import engine_assumptions, enumerate_destabilizing
+from .destabilize import (QUERY_RULES, engine_assumptions,
+                          enumerate_destabilizing)
 from .presets import (_B, _H, delpezzo_lattice, delpezzo_pencil_f,
                       delpezzo_pencil_fj, quartic_lattice, ulrich_assumptions)
 from .scripts import (ArithClaim, AxiomUse, CONTRADICTION, DerivationScript,
@@ -39,14 +42,15 @@ class Case(NamedTuple):
     example.  A script with a curve eliminates that survivor C = s h + t B,
     or, with support set, backs every replay of its presentation; one that
     ``reduces`` (no curve) takes it to complement(presentation) by kh - B.
-    pencil = (d, mode) marks a case analysis taken from the engine.
+    mode marks a case analysis taken from the engine in that mode, at
+    every d of the curve's c2 window (in gonality mode, at its top).
     """
 
     tag: str
     build: Callable[["Case"], DerivationScript]
     presentation: tuple[int, int] | None = None
     curve: DivClass | None = None
-    pencil: tuple[int, str] | None = None
+    mode: str | None = None
     support: bool = False
 
     @property
@@ -80,20 +84,15 @@ def _pins(b2: int, hb: int) -> list:
     ]
 
 
-def _curve(c: DivClass, g: int) -> list:
-    """The genus g of the curve class C, then its degree cap h.C <= 12."""
+def _window(c: DivClass, g: int, ds) -> list:
+    """Genus, degree cap and the second-Chern-class window at each d."""
     return [
         ArithClaim("sectional genus of the curve class", genus_expr(c), "=",
                    g),
         ArithClaim("polarized degree of the curve class", deg_of(c), "<=", 12,
                    cite="AX-SECTIONS-BOUND: h^0(E) = g - c2 + 3 <= 8 keeps "
                         "the degree window nonempty only while h.C <= 12"),
-    ]
-
-
-def _window(c: DivClass, g: int, ds) -> list:
-    """Genus, degree cap and the second-Chern-class window at each d."""
-    return _curve(c, g) + [claim for d in ds for claim in (
+    ] + [claim for d in ds for claim in (
         ArithClaim("lower end of the c2 window", sub_expr(genus_expr(c), 5),
                    "<=", d, cite="h^0(E) <= 8 reads c2 >= g - 5"),
         ArithClaim("upper end of the c2 window",
@@ -101,68 +100,39 @@ def _window(c: DivClass, g: int, ds) -> list:
                    cite="initialization bounds c2 <= g + 7 - h.C"))]
 
 
-# --- survivor C = 3h - 2B on (B^2, h.B) = (-2, 1) ----------------------------
-
-def _script_line_restriction(case: Case) -> DerivationScript:
-    c = case.curve
-    f = DivClass((1, -1))       # h - B, the residual pencil of the line
-    hf = DivClass((2, -1))      # h + F
-    # the degree C.B - 2(h + F).B of the twisted bundle on the line
-    e = sub_expr(pair_of(c, _B), mul_expr(2, pair_of(hf, _B)))
-    steps = _pins(*case.presentation) + _curve(c, 9) + [
-        ArithClaim("residual pencil squares to zero", self_of(f), "=", 0),
-        ArithClaim("residual pencil has degree 3", deg_of(f), "=", 3),
-        AxiomUse("AX-VA-DEGREE3",
-                 note="square 0 and degree 3: the moving part of |h - B| "
-                      "is an elliptic pencil"),
-        ArithClaim("the bundle has degree 3 on every fiber", pair_of(c, f),
-                   "=", 3),
-        AxiomUse("AX-AMPLE-DEGREE1-IRREDUCIBLE",
-                 note="B is effective of degree 1, hence a line"),
-        ArithClaim("degree of the bundle on the line", pair_of(c, _B), "=",
-                   7),
-        ArithClaim("degree of the twisted bundle on the line", e, "=", -1,
-                   cite="twisting by -(h + F) shifts c1 to C - 2(h + F) = "
-                        "-h"),
-        ArithClaim("the twisted degree equals minus the line degree",
-                   neg_expr(deg_of(_B)), "=", -1),
-        AxiomUse("AX-P1-SPLIT",
-                 note="the restriction to the line splits as O(a) + O(-1-a)"),
-        ArithClaim("one splitting summand is always effective",
-                   add_expr(e, 1), ">=", 0,
-                   cite="O(a) + O(e - a) has a summand of degree >= "
-                        "ceil(e/2), and e + 1 >= 0 makes that >= 0, so the "
-                        "restricted twist always has sections on the line",
-                   contradicts="AX-INITIALIZED-CRIT through AX-P1-SECTIONS "
-                               "and AX-LES: a section on the line lifts to "
-                               "a section of a negative twist of the "
-                               "initialized bundle"),
-    ]
-    return DerivationScript(
-        tag=case.tag, lattice=quartic_lattice(*case.presentation),
-        steps=steps, conclusion=CONTRADICTION,
-        description="Eliminates C = 3h - 2B on the (-2, 1) configuration by "
-                    "restricting the twisted bundle to the line B.")
-
-
 # --- pencil bundles: hand-written header, case analysis from the engine ----
 
-def _pencil_steps(case: Case, lat: Lattice) -> tuple[list, bool]:
+# per rule of QUERY_RULES: how a script it settles reads, and its premises
+_QUERY_HEADERS = {
+    "self-dual-twist": ("through the self-dual twist with negative h^1", (
+        AxiomUse("AX-TWIST-MONO",
+                 note="C = 2K with K - h zero or effective, so the K-twist "
+                      "has no sections once the h-twist has none"),
+        AxiomUse("AX-RK2-SELFDUAL",
+                 note="c1 of the twist vanishes: the twisted bundle is "
+                      "self-dual, so h^2 = h^0 = 0 by AX-SERRE"))),
+    "line-restriction": ("by restricting the twisted bundle to a line", (
+        AxiomUse("AX-VA-DEGREE3", note="h - L moves in an elliptic pencil"),
+        AxiomUse("AX-AMPLE-DEGREE1-IRREDUCIBLE", note="L is a line"),
+        AxiomUse("AX-P1-SPLIT", note="E(-h - F)|L is O(a) + O(-1-a)"))),
+}
+
+
+def _pencil_steps(case: Case, lat: Lattice) -> tuple[list, str]:
     """Header of a pencil-bundle script, the engine's records at each d of
-    the c2 window up to the row's degree, and whether the self-dual twist,
-    which fires below a bound on d, settles them all.
+    the c2 window [max(1, g - 5), g + 7 - h.C], and the description's how.
 
     The records come from the facts ``k3acm destabilize`` uses on the
     shipped config, and one that is unresolved raises EngineError.  In
-    gonality mode only the row's degree runs, as the bundle comes from an
-    assumed pencil of degree d - 1.  The header cites the twist's premises
-    for its records, and for a sweep a negative Brill-Noether number at
-    each d (rho >= 0 raises EngineError) and the sweep's premises.
+    gonality mode only the window's top runs, as the bundle comes from an
+    assumed pencil of degree d - 1.  The header cites each query rule's
+    premises, and for a sweep a negative Brill-Noether number at each d
+    (rho >= 0 raises EngineError) and the sweep's premises.
     """
-    c = case.curve
-    top, mode = case.pencil
+    c, mode = case.curve, case.mode
     g = genus_of(lat.self_int(c))
-    ds = [top] if mode == "gonality" else range(max(1, g - 5), top + 1)
+    low, top, _ = lm_acm_bounds(g, lat.deg(c))
+    ds = [top] if mode == "gonality" else range(max(1, low), top + 1)
     each_d = " or ".join(map(str, ds))
     facts = engine_assumptions(lat, ulrich_assumptions(lat))
     records = [rec for d in ds
@@ -174,17 +144,12 @@ def _pencil_steps(case: Case, lat: Lattice) -> tuple[list, bool]:
             f"C = {c}, d = {each_d} ({mode}) on {case.presentation} open")
     trace = [cl for rec in records for cl in rec.trace]
     steps = _pins(*case.presentation) + (
-        _curve(c, g)[:1] if mode == "gonality" else _window(c, g, ds))
-    if any(rec.outcome == "self-dual-twist" for rec in records):
-        steps += [
-            AxiomUse("AX-TWIST-MONO",
-                     note="C = 2K with K - h zero or effective, so the "
-                          "K-twist has no sections once the h-twist has none"),
-            AxiomUse("AX-RK2-SELFDUAL",
-                     note="c1 of the twist vanishes: the twisted bundle is "
-                          "self-dual, so h^2 = h^0 = 0 by AX-SERRE")]
-    if records[-1].outcome == "self-dual-twist":
-        return steps + trace, True
+        _window(c, g, ())[:1] if mode == "gonality" else _window(c, g, ds))
+    outcomes = {rec.outcome for rec in records}
+    steps += [use for rule in QUERY_RULES if rule in outcomes
+              for use in _QUERY_HEADERS[rule][1]]
+    if outcomes <= set(QUERY_RULES):  # rho may be >= 0: no sweep premises
+        return steps + trace, _QUERY_HEADERS[records[-1].outcome][0]
     if mode == "gonality":  # the genus only; the cap is the aCM bundle's
         uses = [AxiomUse(
             "AX-LM-CONSTRUCT",
@@ -226,17 +191,15 @@ def _pencil_steps(case: Case, lat: Lattice) -> tuple[list, bool]:
         "AX-HODGE-INDEX",
         note="the Gram determinant of <h, B, N> is >= 0, which bounds B.N "
              "on both sides at each h.N"))
-    return steps + uses + trace, False
+    return steps + uses + trace, (
+        f"by exhausting the destabilizing pairs of a degree-{top} pencil "
+        "bundle")
 
 
 def _script_pencil(case: Case) -> DerivationScript:
     b2, hb = case.presentation
-    d = case.pencil[0]
     lat = quartic_lattice(b2, hb)
-    steps, twist = _pencil_steps(case, lat)
-    how = ("through the self-dual twist with negative h^1" if twist else
-           f"by exhausting the destabilizing pairs of a degree-{d} pencil "
-           "bundle")
+    steps, how = _pencil_steps(case, lat)
     return DerivationScript(
         tag=case.tag, lattice=lat, steps=steps, conclusion=CONTRADICTION,
         description=f"Eliminates C = {case.curve} on the ({b2}, {hb}) "
@@ -352,24 +315,24 @@ def _script_delpezzo(case: Case) -> DerivationScript:
 
 
 CASES = (
-    Case("case-B2neg2-Bh1", _script_line_restriction, (-2, 1),
-         curve=DivClass((3, -2))),
+    Case("case-B2neg2-Bh1", _script_pencil, (-2, 1),
+         curve=DivClass((3, -2)), mode="general"),
     Case("case-B2neg2-Bh2", _script_pencil, (-2, 2),
-         curve=DivClass((2, 2)), pencil=(8, "exact")),
+         curve=DivClass((2, 2)), mode="exact"),
     Case("case-B2neg2-Bh2-mirror", _script_pencil, (-2, 2),
-         curve=DivClass((4, -2)), pencil=(8, "exact")),
+         curve=DivClass((4, -2)), mode="exact"),
     Case("case-B2neg2-Bh3", _script_pencil, (-2, 3),
-         curve=DivClass((4, -2)), pencil=(2, "exact")),
+         curve=DivClass((4, -2)), mode="exact"),
     Case("case-B20-Bh4", _script_pencil, (0, 4),
-         curve=DivClass((1, 2)), pencil=(6, "general")),
+         curve=DivClass((1, 2)), mode="general"),
     Case("case-B20-Bh4-mirror", _script_pencil, (0, 4),
-         curve=DivClass((5, -2)), pencil=(6, "general")),
+         curve=DivClass((5, -2)), mode="general"),
     Case("case-B24", _script_pencil, (4, 6),
-         curve=DivClass((0, 2)), pencil=(4, "exact")),
+         curve=DivClass((0, 2)), mode="exact"),
     Case("case-B24-mirror", _script_pencil, (4, 6),
-         curve=DivClass((6, -2)), pencil=(4, "exact")),
+         curve=DivClass((6, -2)), mode="exact"),
     Case("gonality-2B", _script_gonality_floor, (4, 6),
-         curve=DivClass((0, 2)), pencil=(4, "gonality"), support=True),
+         curve=DivClass((0, 2)), mode="gonality", support=True),
     Case("reduction-B20-Bh3", _script_reduction, (0, 3)),
     Case("reduction-B22-Bh5", _script_reduction, (2, 5)),
     Case("delpezzo-cover", _script_delpezzo),

@@ -15,7 +15,8 @@ planned once per process (``_plan``); every query still solves its own
 windows, runs every rule and self-checks each claim it emits.  A profile
 costs one pass over the known classes: each rule returns (outcome, claims,
 note) and ``_kill_profile`` builds the one record, a bare tuple.  The
-self-dual twist (C = 2K, K - h zero or effective) runs before the sweep.
+QUERY_RULES settle a whole query before the sweep: the self-dual twist
+(C = 2K, K - h zero or effective) and the line restriction (C = 3h - 2L).
 
 Modes:
   "exact"     the pencil-trick sequence: Z' is empty, M.N = d,
@@ -48,10 +49,11 @@ from ..lattice import DivClass, Lattice
 from .constraints import Row, check_rel, scan
 from .presets import _B, _H, presentation
 from .scripts import (ArithClaim, add_expr, c2_twist_expr, chi_bundle_expr,
-                      evaluate, hodge_expr, mul_expr, neg_expr, pair_of,
-                      self_of, step_to_json)
+                      deg_of, evaluate, hodge_expr, mul_expr, neg_expr,
+                      pair_of, self_of, step_to_json, sub_expr)
 
 MODES = ("exact", "general", "gonality")
+QUERY_RULES = ("self-dual-twist", "line-restriction")  # whole-query rules
 
 
 class PairElimination(NamedTuple):
@@ -110,6 +112,7 @@ class _Plan(NamedTuple):
     # per even n^2 <= C^2/4: the least h.N and P.N >= P.floor(n^2) for each P
     columns: tuple[tuple[int, tuple[Row, ...]], ...]
     half: DivClass | None  # K: C = 2K, K - h zero or asserted nonempty
+    line: DivClass | None  # L: C = 3h - 2L, L a known line
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -118,13 +121,14 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
 
     The facts are checked for conflicts first, as a classification of any
     class would; a conflict raises on every call, as nothing is cached
-    then.  Each class P the facts assert nonempty or base point free, and
+    then.  Each class P the facts assert nonempty (_NONEMPTY_KINDS), and
     C, which is always base point free (an irreducible member with
     C^2 >= 4), is read off the Gram rows: (h.P, B.P) and P^2 from them;
     its acm flag is whether ``is_initialized_acm`` finds P initialized aCM
     under the facts (False when |P| is empty).  The zero class, whose
     section says nothing of N, is left out; a nonzero one of ample degree
-    <= 0 raises ConflictingAssumptionsError (AX-AMPLE-POSITIVE).  The plan
+    <= 0 raises ConflictingAssumptionsError (AX-AMPLE-POSITIVE).  A known
+    line L (degree 1, square -2) with C = 3h - 2L is recorded.  The plan
     is a pure function of the frozen (lat, C, facts), so every (d, mode)
     query on it shares it; callers check C first.  The gate fixes h^2 = 4.
     """
@@ -136,7 +140,7 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
     nonempty = {a.subject.coords for a in facts
                 if a.kind in _NONEMPTY_KINDS}
     known = []
-    for coords in sorted(nonempty | bpf):
+    for coords in sorted(nonempty | {c.coords}):
         p = DivClass(coords)
         profile = _profile_of(lat, p)
         if p.is_zero():
@@ -165,7 +169,9 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
     half = DivClass(co // 2 for co in c.coords)
     if half * 2 != c or (half != _H and (half - _H).coords not in nonempty):
         half = None
-    return _Plan(tuple(known), curve, multiples, columns, half)
+    line = next((p.cls for p in known if p.profile[0] == 1
+                 and p.square == -2 and _H * 3 - p.cls * 2 == c), None)
+    return _Plan(tuple(known), curve, multiples, columns, half, line)
 
 
 def _claim(lat: Lattice, label: str, lhs, rel: str, rhs, cite: str = "",
@@ -223,8 +229,9 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     These checks and the facts' types run on every call, before the plan
     of (lat, C, facts) is looked up or built; conflicting facts then raise
     ConflictingAssumptionsError.  In exact and general mode, C = 2K with K
-    in the plan and d < K^2 + 4 return one self-dual-twist record before
-    any sweep, which is simpler than patching open branches afterwards.
+    in the plan and d < K^2 + 4, or C = 3h - 2L with L in the plan, return
+    one self-dual-twist or line-restriction record before any sweep, which
+    is simpler than patching open branches afterwards (2K = 3h - 2L never).
     Otherwise returns one record per (n^2, profile) candidate plus a
     window-infeasible record for each empty branch and a closing beyond-cap
     record; "unresolved" marks a candidate no rule covers.  The records and
@@ -233,14 +240,15 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     The rules are incomplete in every mode.  Over the shipped quartic
     configs with C = s h + t B, |s| <= 4, |t| <= 3, C^2 >= 4, h.C > 0 and
     max(1, g - 5) <= d <= g + 7 - h.C (210 queries per mode), the twist
-    fires on 36 queries in exact and 36 in general mode, and a branch
-    stays open on 42 queries in exact mode, 83 in general mode and 89 in
-    gonality mode; the shipped scripts use only queries that close, and
-    refuse to build otherwise.  The sweep presumes a non-simple bundle: on
-    the 131 queries it closes with rho(g, 1, d) >= 0 (d - 1 in gonality
-    mode), ALL BRANCHES RESOLVED shows only that no destabilizing pair
-    exists, not that no bundle exists, and the scripts refuse them too; the
-    twist needs no non-simple bundle, and 36 of its 72 have rho >= 0.
+    fires on 36 + 36 queries (exact + general), the line restriction on
+    6 + 6, and a branch stays open on 40 queries in exact mode, 81 in
+    general mode and 89 in gonality mode; the shipped scripts use only
+    queries that close, and refuse to build otherwise.  The sweep presumes
+    a non-simple bundle: on the 131 queries it closes with rho(g, 1, d) >= 0
+    (d - 1 in gonality mode), ALL BRANCHES RESOLVED shows only that no
+    destabilizing pair exists, not that no bundle exists, and the scripts
+    refuse them too; the query rules need none, and 36 + 4 of theirs have
+    rho >= 0.
     """
     if mode not in MODES:
         raise BadParametersError(f"unknown mode {mode!r}; choose from {MODES}")
@@ -267,6 +275,8 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     cap = c2 // 4
     if plan.half is not None and mode != "gonality" and d < cap + 4:
         return [_self_dual_twist(lat, c, plan.half, cap, d)]
+    if plan.line is not None and mode != "gonality":
+        return [_line_restriction(lat, c, plan.line, d)]
     out: list[PairElimination] = []
     for n2 in range(0, cap + 1, 2):
         out.extend(_branch(lat, plan, d, n2, mode))
@@ -296,6 +306,36 @@ def _self_dual_twist(lat: Lattice, c: DivClass, k: DivClass, k2: int,
     return PairElimination(c=c, d=d, n_square=0, len_zprime=0,
                            outcome="self-dual-twist", trace=trace,
                            note=f"K - h = {k - _H}")
+
+
+def _line_restriction(lat: Lattice, c: DivClass, line: DivClass,
+                      d: int) -> PairElimination:
+    """C = 3h - 2L, L a line: F = h - L has square 0 and degree 3, so it
+    is effective (AX-VA-DEGREE3).  c1(E(-h - F)) = -h has degree -1 on
+    L = P^1 (AX-AMPLE-DEGREE1-IRREDUCIBLE), so a summand of the restriction
+    has sections (AX-P1-SPLIT, AX-P1-SECTIONS).  One lifts, as
+    h^1(E(-h - F - L)) = h^1(E(-2h)) = 0 (AX-ACM-VANISH, AX-LES), into
+    E(-h - F), inside E(-h) as F is effective: against AX-INITIALIZED-CRIT.
+    No d, non-simplicity or profile sweep is used."""
+    f = _H - line
+    e = sub_expr(pair_of(c, line), mul_expr(2, pair_of(_H + f, line)))
+    trace = (
+        _claim(lat, "the line has degree 1", deg_of(line), "=", 1),
+        _claim(lat, "residual pencil squares to zero", self_of(f), "=", 0),
+        _claim(lat, "residual pencil has degree 3", deg_of(f), "=", 3),
+        _claim(lat, "degree of the twisted bundle on the line", e, "=", -1,
+               cite="twisting by -(h + F) shifts c1 to C - 2(h + F) = -h"),
+        _claim(lat, "one splitting summand is always effective",
+               add_expr(e, 1), ">=", 0,
+               cite="O(a) + O(e - a) has a summand of degree >= ceil(e/2), "
+                    "and e + 1 >= 0 makes that >= 0, so the restricted "
+                    "twist always has sections on the line",
+               contradicts="AX-INITIALIZED-CRIT through AX-P1-SECTIONS and "
+                           "AX-LES: a section on the line lifts to a section "
+                           "of a negative twist of the initialized bundle"))
+    return PairElimination(c=c, d=d, n_square=0, len_zprime=0,
+                           outcome="line-restriction", trace=trace,
+                           note=f"L = {line}")
 
 
 def _cn_window(d: int, n2: int, mode: str) -> tuple[int, int]:

@@ -52,12 +52,8 @@ class AssumptionKind(enum.Enum):
     BASE_POINT_FREE = "BasePointFree"
 
 
-# kinds that assert the linear system is nonempty
-_NONEMPTY_KINDS = {
-    AssumptionKind.EFFECTIVE,
-    AssumptionKind.IRREDUCIBLE_CURVE,
-    AssumptionKind.ELLIPTIC_PENCIL,
-}
+# kinds that assert the linear system is nonempty: all but Empty
+_NONEMPTY_KINDS = frozenset(AssumptionKind) - {AssumptionKind.EMPTY}
 
 
 class Assumption(_Frozen):
@@ -136,12 +132,11 @@ def _checked_facts(assumptions: Sequence[Assumption]
 
 
 def _conflict_check(assumptions: Sequence[Assumption]) -> None:
-    """Refuse a class asserted empty and also of any other kind: every
-    other kind, base point free included, asserts a nonempty system."""
+    """Refuse a class asserted empty and also of a _NONEMPTY_KINDS kind."""
     empty = {a.subject.coords for a in assumptions
              if a.kind is AssumptionKind.EMPTY}
     nonempty = {a.subject.coords for a in assumptions
-                if a.kind is not AssumptionKind.EMPTY}
+                if a.kind in _NONEMPTY_KINDS}
     clash = empty & nonempty
     if clash:
         raise ConflictingAssumptionsError(

@@ -22,6 +22,7 @@ from .casework import (MODES, PRESET_IDS, PRESET_PRESENTATION,
                        enumerate_destabilizing, lemma_case, necessity_to_json,
                        report_to_json, run_script, script_by_tag,
                        verify_necessity)
+from .casework.destabilize import QUERY_RULES
 from .casework.presets import presentation
 from .classifier import WINDOWS, acm_companions, is_initialized_acm
 from .config import (assumption_to_json, config_to_json, data_path,
@@ -199,7 +200,7 @@ def _cmd_destabilize(args) -> int:
     for rec in records:
         where = (f"n^2 = {rec.n_square}, profile (h.N, B.N) = {rec.profile}"
                  if rec.profile is not None else "whole query"
-                 if rec.outcome == "self-dual-twist"
+                 if rec.outcome in QUERY_RULES
                  else f"n^2 = {rec.n_square}, whole branch")
         print(f"  {where}: {rec.outcome}"
               + (f" [len Z' = {rec.len_zprime}]" if rec.len_zprime else ""))

@@ -35,6 +35,18 @@ def test_effectivity_rules():
     assert effectivity(lat, deep, told).value is Effectivity.EMPTY
 
 
+def test_every_kind_but_empty_asserts_a_nonempty_system():
+    # a base-point-free system has sections: asserted alone it decides
+    # effectivity, as it does the conflict check
+    assert classifier._NONEMPTY_KINDS == set(AssumptionKind) - {
+        AssumptionKind.EMPTY}
+    lat = quartic_lattice(-2, 1)
+    deep = DivClass((1, -3))
+    told = [Assumption(deep, AssumptionKind.BASE_POINT_FREE, "told so")]
+    assert effectivity(lat, deep, told) == Verdict(
+        Effectivity.EFFECTIVE, "assumed-BasePointFree")
+
+
 def test_riemann_roch_outranks_an_empty_assumption():
     lat = quartic_lattice(-2, 1)
     bad = [Assumption(B, AssumptionKind.EMPTY, "wrong")]

@@ -482,7 +482,7 @@ def test_cli_destabilize_reads_nothing_into_an_effective_zero_class(
     doc["assumptions"].append({"subject": [0, 0], "kind": "Effective"})
     cfg = tmp_path / "zero.json"
     cfg.write_text(json.dumps(doc))
-    runs = [_run(capsys, "destabilize", "-c", str(path), "--class", "1,2",
+    runs = [_run(capsys, "destabilize", "-c", str(path), "--class", "3,-1",
                  "--d", "6") for path in (shipped, cfg)]
     assert runs[0] == runs[1]
     assert runs[1][0] == 1 and "UNRESOLVED BRANCHES REMAIN" in runs[1][1]

@@ -400,7 +400,7 @@ def test_open_branches_match_the_documented_counts():
         queries[mode] += 1
         left_open[mode] += not all(r.resolved for r in records)
     assert queries == {mode: 210 for mode in MODES}
-    assert left_open == {"exact": 42, "general": 83, "gonality": 89}
+    assert left_open == {"exact": 40, "general": 81, "gonality": 89}
 
 
 def _shipped_by_presentation():
@@ -758,29 +758,29 @@ def test_grid_outcomes_are_pinned():
             if rec.outcome == "window-infeasible":
                 notes[rec.note] += 1
     assert outcomes == Counter({
-        ("exact", "ample-orthogonal-neg2"): 17,
-        ("exact", "beyond-hodge-cap"): 166,
-        ("exact", "effective-difference-degree-zero"): 135,
+        ("exact", "ample-orthogonal-neg2"): 13,
+        ("exact", "beyond-hodge-cap"): 160,
+        ("exact", "effective-difference-degree-zero"): 133,
+        ("exact", "line-restriction"): 6,
         ("exact", "one-connected-h1"): 2,
-        ("exact", "pencil-restrict-degree"): 2,
         ("exact", "self-dual-twist"): 32,
         ("exact", "split-indecomposable"): 2,
         ("exact", "twist-h1-vanishing"): 23,
         ("exact", "two-connected-violation"): 4,
-        ("exact", "unresolved"): 74,
-        ("exact", "very-ample-degree-floor"): 12,
-        ("exact", "window-infeasible"): 210,
-        ("general", "ample-orthogonal-neg2"): 100,
-        ("general", "beyond-hodge-cap"): 166,
+        ("exact", "unresolved"): 72,
+        ("exact", "very-ample-degree-floor"): 10,
+        ("exact", "window-infeasible"): 202,
+        ("general", "ample-orthogonal-neg2"): 92,
+        ("general", "beyond-hodge-cap"): 160,
+        ("general", "line-restriction"): 6,
         ("general", "one-connected-h1"): 15,
-        ("general", "pencil-branches-exhausted"): 2,
-        ("general", "pencil-restrict-degree"): 10,
+        ("general", "pencil-restrict-degree"): 2,
         ("general", "self-dual-twist"): 32,
         ("general", "split-indecomposable"): 9,
         ("general", "two-connected-violation"): 29,
-        ("general", "unresolved"): 788,
-        ("general", "very-ample-degree-floor"): 140,
-        ("general", "window-infeasible"): 119,
+        ("general", "unresolved"): 786,
+        ("general", "very-ample-degree-floor"): 130,
+        ("general", "window-infeasible"): 111,
         ("gonality", "ample-orthogonal-neg2"): 82,
         ("gonality", "beyond-hodge-cap"): 198,
         ("gonality", "one-connected-h1"): 19,
@@ -791,7 +791,7 @@ def test_grid_outcomes_are_pinned():
         ("gonality", "window-infeasible"): 190,
     })
     assert notes == Counter({
-        "exhaustive window sweep": 419,
+        "exhaustive window sweep": 403,
         "Hodge index against C": 66,
         "empty degree budget": 21,
         "pairing floor through the movable multiple": 13,
@@ -853,17 +853,21 @@ def test_the_self_dual_twist_fires_exactly_on_its_hypotheses(monkeypatch):
 
 def test_the_documented_rho_counts():
     # the enumerate_destabilizing docstring: the sweep closes 131 queries
-    # with rho >= 0 (d - 1 in gonality mode) that no script may use
-    swept = Counter()
+    # with rho >= 0 (d - 1 in gonality mode) that no script may use; the
+    # query rules need no non-simple bundle, and 36 + 4 of theirs have it
+    swept, ruled = Counter(), Counter()
     for lat, facts, c, d, mode in _grid(s_max=4):
         records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
         degree = d - 1 if mode == "gonality" else d
-        if (records[0].outcome != "self-dual-twist"
-                and all(r.resolved for r in records)
+        if (all(r.resolved for r in records)
                 and brill_noether(genus_of(lat.self_int(c)), 1, degree) >= 0):
-            swept[mode] += 1
+            if records[0].outcome in destabilize.QUERY_RULES:
+                ruled[records[0].outcome] += 1
+            else:
+                swept[mode] += 1
     assert swept == {"exact": 72, "general": 34, "gonality": 25}
     assert sum(swept.values()) == 131
+    assert ruled == {"self-dual-twist": 36, "line-restriction": 4}
 
 
 def test_an_effective_zero_class_changes_no_record():
@@ -907,3 +911,109 @@ def test_a_class_of_the_wrong_length_is_refused():
         with pytest.raises(DimensionMismatchError, match="length 3"):
             enumerate_destabilizing(lat, DivClass((4, -2)), 2,
                                     _facts(lat) + (wrong,), mode)
+
+
+def _line_oracle(lat, facts, c, mode):
+    """The line restriction's hypotheses in plain Gram arithmetic: L with
+    C = 3h - 2L asserted nonempty, h.L = 1 and L^2 = -2, not in gonality
+    mode; L or None."""
+    s, t = c.coords
+    if mode == "gonality" or (3 - s) % 2 or t % 2:
+        return None
+    l1, l2 = (3 - s) // 2, -t // 2
+    (hh, hb), (_, b2) = lat.gram
+    nonempty = {a.subject.coords for a in facts if a.kind in _NONEMPTY_KINDS}
+    if ((l1, l2) in nonempty and hh * l1 + hb * l2 == 1
+            and hh * l1 * l1 + 2 * hb * l1 * l2 + b2 * l2 * l2 == -2):
+        return DivClass((l1, l2))
+    return None
+
+
+def test_the_line_restriction_fires_exactly_on_its_hypotheses(monkeypatch):
+    fired, checks = [], []
+
+    def counted(rel, lhs, rhs):
+        checks.append(rel)
+        return check_rel(rel, lhs, rhs)
+
+    monkeypatch.setattr(destabilize, "check_rel", counted)
+    for lat, facts, c, d, mode in _grid(s_max=4):
+        del checks[:]
+        records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
+        line = _line_oracle(lat, facts, c, mode)
+        if line is None:
+            assert all(r.outcome != "line-restriction" for r in records)
+            continue
+        (rec,) = records  # before the sweep: no branch record
+        assert rec.outcome == "line-restriction", (c, d, mode)
+        fired.append(((lat.gram[1][1], lat.gram[0][1]), c.coords, d, mode))
+        assert len(checks) == len(rec.trace) == 5  # each claim self-checked
+        _check_traces(lat, records)
+        assert (rec.profile, rec.n_square, rec.len_zprime) == (None, 0, 0)
+        assert rec.resolved and rec.note == f"L = {line}"
+        assert [(cl.label, evaluate(cl.lhs, lat), cl.rel, cl.rhs)
+                for cl in rec.trace] == [
+            ("the line has degree 1", 1, "=", 1),
+            ("residual pencil squares to zero", 0, "=", 0),
+            ("residual pencil has degree 3", 3, "=", 3),
+            ("degree of the twisted bundle on the line", -1, "=", -1),
+            ("one splitting summand is always effective", 0, ">=", 0)]
+        assert rec.trace[-1].contradicts.startswith("AX-INITIALIZED-CRIT")
+        assert not any(cl.contradicts for cl in rec.trace[:-1])
+    # C = 3h - 2B on (-2, 1) and its twin h + 2B = 3h - 2(h - B) on (0, 3),
+    # at every d of the window, in exact and general mode only
+    assert sorted(fired) == sorted(
+        (presentation, curve, d, mode)
+        for presentation, curve in (((-2, 1), (3, -2)), ((0, 3), (1, 2)))
+        for d in (4, 5, 6) for mode in ("exact", "general"))
+
+
+def test_the_line_restriction_needs_a_line_among_the_facts():
+    lat, c = quartic_lattice(-2, 1), DivClass((3, -2))
+    for d in (4, 5, 6):
+        for mode in ("exact", "general"):
+            assert [r.outcome for r in enumerate_destabilizing(
+                lat, c, d, _facts(lat), mode)] == ["line-restriction"]
+            assert all(r.outcome != "line-restriction" for r in
+                       enumerate_destabilizing(lat, c, d, (), mode))
+    # on (-2, 3), h - B has degree 1 but square -4: asserted effective it
+    # is no line, so the rule stays off (F = B would not square to zero)
+    lat, c = quartic_lattice(-2, 3), DivClass((1, 2))
+    wrong = Assumption(DivClass((1, -1)), AssumptionKind.EFFECTIVE, "")
+    for mode in ("exact", "general"):
+        records = enumerate_destabilizing(lat, c, 1, _facts(lat) + (wrong,),
+                                          mode)
+        assert all(r.outcome != "line-restriction" for r in records)
+
+
+def test_a_false_line_restriction_claim_is_an_engine_fault(capsys,
+                                                           monkeypatch):
+    from k3acm import EngineError
+    from k3acm.cli import main
+    cfg = str(data_path("quartic_b2neg2_bh1.json"))
+    argv = ["destabilize", "-c", cfg, "--class", "3,-2", "--d", "6"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1] == "  whole query: line-restriction"
+    assert "n^2" not in out and "ALL BRANCHES RESOLVED" in out
+    lat, raw = load_config(cfg)
+    monkeypatch.setattr(destabilize, "check_rel", lambda rel, lhs, rhs: False)
+    with pytest.raises(EngineError, match="false claim: the line has degree"):
+        enumerate_destabilizing(lat, DivClass((3, -2)), 6,
+                                engine_assumptions(lat, raw), "general")
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "internal error: engine produced a false claim")
+
+
+def test_the_twist_reads_a_base_point_free_fact_as_nonempty():
+    # K - h = B asserted only base point free is asserted nonempty, as the
+    # conflict check reads it: the twist fires as with an Effective fact
+    lat, c = quartic_lattice(-2, 2), DivClass((2, 2))
+    records = {kind: enumerate_destabilizing(
+        lat, c, 8, (Assumption(B, kind, ""),), "exact")
+        for kind in (AssumptionKind.BASE_POINT_FREE, AssumptionKind.EFFECTIVE)}
+    assert [r.outcome for r in records[AssumptionKind.BASE_POINT_FREE]] == [
+        "self-dual-twist"]
+    assert (records[AssumptionKind.BASE_POINT_FREE]
+            == records[AssumptionKind.EFFECTIVE])

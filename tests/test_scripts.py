@@ -347,6 +347,7 @@ def test_the_summary_counts_claims_and_axioms_of_the_script():
 
 # tag -> (presentation, curve class, pencil degree, engine mode)
 ENGINE_CASES = {
+    "case-B2neg2-Bh1": ((-2, 1), (3, -2), 6, "general"),
     "case-B2neg2-Bh2": ((-2, 2), (2, 2), 8, "exact"),
     "case-B2neg2-Bh2-mirror": ((-2, 2), (4, -2), 8, "exact"),
     "case-B2neg2-Bh3": ((-2, 3), (4, -2), 2, "exact"),
@@ -405,14 +406,61 @@ def test_the_twist_scripts_cite_its_premises_and_trace_alone():
     assert not hasattr(casebook, "_script_twist_chain")
 
 
+def test_the_line_script_cites_its_premises_and_trace_alone():
+    from k3acm.casework import casebook
+    from k3acm.config import data_path, load_config
+    script = script_by_tag("case-B2neg2-Bh1")
+    assert casebook._BY_TAG["case-B2neg2-Bh1"].build.__name__ == (
+        "_script_pencil")
+    assert run_script(script).summary() == (
+        "case-B2neg2-Bh1: Success (26 claims verified, 3 axioms cited)")
+    assert [st.axiom_id for st in script.steps
+            if isinstance(st, AxiomUse)] == [
+        "AX-VA-DEGREE3", "AX-AMPLE-DEGREE1-IRREDUCIBLE", "AX-P1-SPLIT"]
+    assert "to a line" in script.description
+    assert not any(word in script.description
+                   for word in ("twist with", "exhausting"))
+    assert not hasattr(casebook, "_script_line_restriction")
+    # the engine's five claims alone catch every +/-1 Gram mutant, on
+    # (-2, 1) with L = B and on its basis-change twin (0, 3) with L = h - B
+    for name, curve in (("quartic_b2neg2_bh1.json", (3, -2)),
+                        ("quartic_b20_bh3.json", (1, 2))):
+        lat, raw = load_config(data_path(name))
+        (rec,) = enumerate_destabilizing(lat, DivClass(curve), 6,
+                                         engine_assumptions(lat, raw),
+                                         mode="general")
+        assert rec.outcome == "line-restriction"
+        if curve == (3, -2):
+            assert list(script.steps[-5:]) == list(rec.trace)
+        trace = DerivationScript(tag="line", lattice=lat,
+                                 steps=list(rec.trace),
+                                 conclusion=CONTRADICTION)
+        assert run_script(trace).success
+        clean, *mutants = _gram_mutants(lat)
+        assert len(mutants) == 6
+        for wrong in mutants:
+            assert not run_script(trace.with_lattice(wrong)).success, wrong
+
+
+def test_every_survivor_row_is_an_engine_row():
+    # one way to eliminate a survivor: each row with a curve that does not
+    # only back its presentation is built by _script_pencil
+    from k3acm.casework.casebook import CASES, _script_pencil
+    survivors = [case for case in CASES
+                 if case.curve is not None and not case.support]
+    assert len(survivors) == 8
+    for case in survivors:
+        assert case.build is _script_pencil, case.tag
+        assert case.mode in ("exact", "general"), case.tag
+
+
 def test_each_survivor_script_sweeps_its_whole_c2_window():
     # a survivor dies only if its bundle dies at every c2 = d of the window
     # max(1, g - 5) <= d <= g + 7 - h.C
     from k3acm.casework.casebook import CASES
-    rows = [case for case in CASES if case.pencil is not None
-            and case.pencil[1] != "gonality"]
+    rows = [case for case in CASES if case.mode not in (None, "gonality")]
     for case in rows:
-        lat, mode = quartic_lattice(*case.presentation), case.pencil[1]
+        lat, mode = quartic_lattice(*case.presentation), case.mode
         facts = engine_assumptions(lat, ulrich_assumptions(lat))
         c2, hc = lat.self_int(case.curve), lat.deg(case.curve)
         g = genus_of(c2)
@@ -426,14 +474,14 @@ def test_each_survivor_script_sweeps_its_whole_c2_window():
             assert hits, (case.tag, d)
             at = hits[0] + len(flat)
         assert at == len(steps), case.tag
-    assert len(rows) == 7
+    assert len(rows) == 8
 
 
 def test_pencil_scripts_refuse_open_branches():
     from k3acm.casework import casebook
     # the general sweep of the Ulrich double class leaves two profiles open
     case = casebook.Case("gap", casebook._script_pencil, (4, 6),
-                         curve=DivClass((0, 2)), pencil=(4, "general"))
+                         curve=DivClass((0, 2)), mode="general")
     with pytest.raises(EngineError, match="open"):
         case.script()
 
@@ -443,7 +491,7 @@ def test_pencil_scripts_refuse_a_nonnegative_brill_noether_number():
     # C = h on (0, 3) with d = 3: g = 3 and rho(3, 1, 3) = 1, yet every
     # branch of the sweep closes; the header would cite a negative number
     case = casebook.Case("t", casebook._script_pencil, (0, 3),
-                         curve=DivClass((1, 0)), pencil=(3, "exact"))
+                         curve=DivClass((1, 0)), mode="exact")
     lat = quartic_lattice(0, 3)
     records = enumerate_destabilizing(
         lat, case.curve, 3, engine_assumptions(lat, ()), mode="exact")
