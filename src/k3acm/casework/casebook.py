@@ -126,29 +126,33 @@ def _pencil_steps(case: Case, lat: Lattice) -> tuple[list, str]:
     shipped config, and one that is unresolved raises EngineError.  In
     gonality mode only the window's top runs, as the bundle comes from an
     assumed pencil of degree d - 1.  The header cites each query rule's
-    premises, and for a sweep a negative Brill-Noether number at each d
-    (rho >= 0 raises EngineError) and the sweep's premises.
+    premises, and for a sweep a negative Brill-Noether number at each d it
+    swept (rho >= 0 raises EngineError) and the sweep's premises; a d a
+    query rule settled needs no non-simple bundle, so it gets neither.
     """
     c, mode = case.curve, case.mode
     g = genus_of(lat.self_int(c))
     low, top, _ = lm_acm_bounds(g, lat.deg(c))
     ds = [top] if mode == "gonality" else range(max(1, low), top + 1)
-    each_d = " or ".join(map(str, ds))
     facts = engine_assumptions(lat, ulrich_assumptions(lat))
-    records = [rec for d in ds
-               for rec in enumerate_destabilizing(lat, c, d, facts, mode)]
+    by_d = [enumerate_destabilizing(lat, c, d, facts, mode) for d in ds]
+    records = [rec for recs in by_d for rec in recs]
     gaps = [r for r in records if not r.resolved]
     if gaps:  # a script with a gap must never ship
         raise EngineError(
             f"the destabilizing sweep leaves {len(gaps)} branch(es) of "
-            f"C = {c}, d = {each_d} ({mode}) on {case.presentation} open")
+            f"C = {c}, d = {' or '.join(map(str, ds))} ({mode}) on "
+            f"{case.presentation} open")
+    # a query rule settles its d in one record; the others were swept
+    swept = [d for d, recs in zip(ds, by_d)
+             if recs[0].outcome not in QUERY_RULES]
     trace = [cl for rec in records for cl in rec.trace]
     steps = _pins(*case.presentation) + (
         _window(c, g, ())[:1] if mode == "gonality" else _window(c, g, ds))
     outcomes = {rec.outcome for rec in records}
     steps += [use for rule in QUERY_RULES if rule in outcomes
               for use in _QUERY_HEADERS[rule][1]]
-    if outcomes <= set(QUERY_RULES):  # rho may be >= 0: no sweep premises
+    if not swept:  # rho may be >= 0: no sweep premises
         return steps + trace, _QUERY_HEADERS[records[-1].outcome][0]
     if mode == "gonality":  # the genus only; the cap is the aCM bundle's
         uses = [AxiomUse(
@@ -157,6 +161,7 @@ def _pencil_steps(case: Case, lat: Lattice) -> tuple[list, str]:
                  "rank-2 bundle with c1 = C, c2 = d and a destabilizing "
                  f"pair with M.N <= {top - 1}")]
     else:
+        each_d = " or ".join(map(str, swept))
         if lat.deg(c) == 12:
             steps.append(ArithClaim(
                 "the c2 window is a single point",
@@ -172,7 +177,7 @@ def _pencil_steps(case: Case, lat: Lattice) -> tuple[list, str]:
                            "plain non-simple sequence: "
                            f"M.N + len(Z') = {each_d}")),
         ]
-    for d in ds:
+    for d in swept:
         degree = d - 1 if mode == "gonality" else d
         rho = brill_noether(g, 1, degree)
         if rho >= 0:

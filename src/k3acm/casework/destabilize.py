@@ -12,9 +12,11 @@ elimination rules.  Every record carries machine-verified integer
 claims.  What depends on (lattice, facts, C) alone, the known-class table
 with C's entry, C's movable multiples and each branch's floors, is
 planned once per process (``_plan``); every query still solves its own
-windows, runs every rule and self-checks each claim it emits.  A profile
-costs one pass over the known classes: each rule returns (outcome, claims,
-note) and ``_kill_profile`` builds the one record, a bare tuple.  The
+windows, runs every rule and self-checks each claim it emits through
+``evaluate``, which costs a literal side its own integer arithmetic and
+any other side one run of its closure.  A profile costs one pass over the
+known classes: each rule returns (outcome, claims, note) and
+``_kill_profile`` builds the one record, a bare tuple.  The
 QUERY_RULES settle a whole query before the sweep: the self-dual twist
 (C = 2K, K - h zero or effective) and the line restriction (C = 3h - 2L).
 

@@ -17,29 +17,38 @@ Expressions are JSON values (ints or {"op": ...} dicts), so steps and
 reports serialize losslessly.  Because claims recompute from the gram
 matrix at run time, corrupting any lattice entry makes claims fail.
 
-The language has one walker, ``_compile``: it reads an expression once
-into a closure over the lattice.  ``evaluate`` compiles an expression and
-runs the closure once; ``run_script`` compiles each claim's two sides at
-the claim's first replay (``ArithClaim.compiled``) and runs them on every
-replay, so every replay still runs every claim's arithmetic on the lattice
-it is given.  An expression that cannot be read raises MalformedScriptError
-as it compiles, at its first unreadable node and before any arithmetic, so
-the error is the same on every lattice (``run_script`` reports it as a
-FAILED step).  Each op is defined once, by its compiler in ``_COMPILERS``:
-the arithmetic ops through their entries in ``_APPLIED`` and ``_FOLDS``.
-Negation, chi and the bundle bookkeeping (``neg_expr``, ``chi_expr``,
-``chi_bundle_expr``, ``c2_twist_expr``, ``bn_expr``) are written in these
-ops by their builders, so they add none.
+The language has one walker, ``_walk``: it reads an expression once into
+its value, if it reads no lattice, or else a closure over the lattice.
+Literal arithmetic folds as it is read: an exact int, and an ``add``,
+``mul`` or ``sub`` whose operands are all values, is a value, and a node
+that mixes values and closures carries the values as constants.
+``hodge_lower`` never folds: it can raise BadParametersError, which must
+not come before the MalformedScriptError of a later node.  ``evaluate``
+returns a folded value, building no closure, and runs any other closure
+once; ``run_script`` compiles each claim's two sides into closures
+(``_compile``) at the claim's first replay (``ArithClaim.compiled``) and
+runs them on every replay, so every replay still runs every claim's
+lattice arithmetic on the lattice it is given.  An expression that cannot
+be read raises MalformedScriptError as it is read, at its first unreadable
+node and before any lattice arithmetic, so the error is the same on every
+lattice (``run_script`` reports it as a FAILED step).  Each op is defined
+once, by its compiler in ``_COMPILERS``: the arithmetic ops through their
+entries in ``_APPLIED`` and ``_FOLDS``.  Negation, chi and the bundle
+bookkeeping (``neg_expr``, ``chi_expr``, ``chi_bundle_expr``,
+``c2_twist_expr``, ``bn_expr``) are written in these ops by their
+builders, so they add none.
 Since a claim's expressions are read only once, a claim is never edited in
 place: to change one, build a new claim with ``dataclasses.replace``,
 which has no compiled sides yet.
 
-A compiled pairing of fixed classes (``pair``, ``self`` and ``genus``)
-reads the coordinates once into terms (i, j, a[i]*b[j]), and every replay
-sums coef * gram[i][j] over them on the lattice it is given (``_pairing``);
+A pairing of fixed classes (``pair``, ``self`` and ``genus``) reads the
+coordinates once into terms (i, j, a[i]*b[j]), and every run sums
+coef * gram[i][j] over them on the lattice it is given (``_pairing``);
 ``deg`` reads its class into terms (j, a[j]) and sums
-ample[i] * a[j] * gram[i][j].  Only a lattice of another rank goes to
-``Lattice.pair_coords``, for its error.
+ample[i] * a[j] * gram[i][j].  Each such kernel is built once per process
+per coordinate tuple, in a cache of _KERNELS closures (never values) that
+is looked up only after ``_coords`` has checked the node.  Only a lattice
+of another rank goes to ``Lattice.pair_coords``, for its error.
 
 Beyond its two compiled sides, a replayed claim costs ``run_script`` one
 ``check_rel`` (looked up on this module at call time), one detail string
@@ -48,6 +57,7 @@ and one ``StepReport`` built directly as a tuple of that type.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -65,12 +75,12 @@ Expr = Any  # int, or a dict {"op": str, ...}
 Compiled = Callable[[Lattice], int]
 
 
-def _coords(value) -> Sequence[int]:
-    """Class coordinates from JSON, which must all be ints."""
+def _coords(value) -> tuple[int, ...]:
+    """Class coordinates from JSON, which must all be ints, as a tuple."""
     if type(value) not in (list, tuple) or not all(map(_is_int, value)):
         raise MalformedScriptError(
             f"class coordinates must be a list of ints, got {value!r}")
-    return value
+    return tuple(value)
 
 
 def _args(expr: dict) -> Sequence[Expr]:
@@ -81,23 +91,36 @@ def _args(expr: dict) -> Sequence[Expr]:
 
 
 def evaluate(expr: Expr, lat: Lattice) -> int:
-    """Evaluate an expression to an exact integer against a lattice, by
-    compiling it and running the closure once.
+    """Evaluate an expression to an exact integer against a lattice: its
+    folded value, or its closure run once.
 
     An expression that cannot be read (an unknown op, a missing key, a
     non-list args, non-int coordinates) raises the MalformedScriptError of
-    its first such node as it compiles, so on every lattice alike.
+    its first such node as it is read, so on every lattice alike.
     """
-    return _compile(expr)(lat)
+    value = expr if type(expr) is int else _walk(expr)
+    return value if type(value) is int else value(lat)
 
 
 # ---- compiling expressions ---------------------------------------------------
 
 def _compile(expr: Expr) -> Compiled:
+    """expr as a closure over the lattice; a folded value as one that
+    returns it."""
+    value = _walk(expr)
+    if type(value) is int:
+        return lambda lat: value
+    return value
+
+
+def _walk(expr: Expr) -> int | Compiled:
+    """The one walker: expr's value if it folds, else its closure."""
+    if type(expr) is int:
+        return expr
     if isinstance(expr, int):
         if isinstance(expr, bool):
             raise MalformedScriptError("boolean is not a valid expression")
-        return lambda lat: expr
+        return lambda lat: expr  # an int subclass is returned as it is
     if not isinstance(expr, dict) or "op" not in expr:
         raise MalformedScriptError(f"bad expression: {expr!r}")
     op = expr["op"]
@@ -105,7 +128,7 @@ def _compile(expr: Expr) -> Compiled:
         compiler = _COMPILERS[op]
     except (KeyError, TypeError):
         raise MalformedScriptError(f"unknown expression op {op!r}") from None
-    # compilers read this node's keys directly; nested _compile calls convert
+    # compilers read this node's keys directly; nested _walk calls convert
     # their own, so a KeyError here is a key missing from this expression
     try:
         return compiler(expr)
@@ -116,7 +139,11 @@ def _compile(expr: Expr) -> Compiled:
 
 # ---- lattice ops: defined only by their compilers ----------------------------
 
-def _pairing(a: Sequence[int], b: Sequence[int]) -> Compiled:
+_KERNELS = 1024  # per cache; the benchmark workloads read 53 and 10
+
+
+@functools.lru_cache(maxsize=_KERNELS)
+def _pairing(a: tuple[int, ...], b: tuple[int, ...]) -> Compiled:
     """The pairing of two fixed classes, as one shared kernel.
 
     The coordinates are read once, into a term (i, j, a[i]*b[j]) per
@@ -139,20 +166,11 @@ def _pairing(a: Sequence[int], b: Sequence[int]) -> Compiled:
     return run
 
 
-def _compile_pair(e: dict) -> Compiled:
-    return _pairing(_coords(e["a"]), _coords(e["b"]))
-
-
-def _compile_self(e: dict) -> Compiled:
-    a = _coords(e["a"])
-    return _pairing(a, a)
-
-
-def _compile_deg(e: dict) -> Compiled:
+@functools.lru_cache(maxsize=_KERNELS)
+def _ample_pairing(a: tuple[int, ...]) -> Compiled:
     """a paired with the lattice's ample class, read at replay: a is read
     once into terms (j, a[j]), and each replay sums
     ample[i] * a[j] * gram[i][j]."""
-    a = _coords(e["a"])
     terms = tuple([(j, y) for j, y in enumerate(a) if y])
 
     def run(lat: Lattice) -> int:
@@ -168,56 +186,78 @@ def _compile_deg(e: dict) -> Compiled:
     return run
 
 
-def _compile_genus(e: dict) -> Compiled:
+def _compile_self(e: dict) -> Compiled:
     a = _coords(e["a"])
-    square = _pairing(a, a)
+    return _pairing(a, a)
+
+
+def _compile_genus(e: dict) -> Compiled:
+    square = _compile_self(e)
     return lambda lat: genus_of(square(lat))
 
 
 # ---- arithmetic ops: one table entry each, compiled by _applied or _folded --
 
-# op -> (fn of its subexpressions, their keys in evaluation order)
-_APPLIED: dict[str, tuple[Callable[..., int], tuple[str, ...]]] = {
-    "hodge_lower": (hodge_lower, ("a", "b")),
-    "sub": (operator.sub, ("x", "y")),
+# op -> (fn of its subexpressions, their keys in evaluation order, whether
+# value operands fold; hodge_lower's may raise, so it runs them at replay)
+_APPLIED: dict[str, tuple[Callable[..., int], tuple[str, ...], bool]] = {
+    "hodge_lower": (hodge_lower, ("a", "b"), False),
+    "sub": (operator.sub, ("x", "y"), True),
 }
 
 # op -> (binary fn, start) folded over the expressions in "args"
 _FOLDS = {"add": (operator.add, 0), "mul": (operator.mul, 1)}
 
 
-def _applied(fn: Callable[..., int], keys: tuple[str, ...]):
-    """The compiler of an op that is fn of its subexpressions, in key order."""
-    def compile_op(e: dict) -> Compiled:
-        # a plain loop reads each key after compiling the ones before it and
-        # adds no frame: a level of nesting costs two (_compile and this),
+def _applied(fn: Callable[..., int], keys: tuple[str, ...], folds: bool):
+    """The compiler of an op that is fn of its subexpressions, in key order;
+    a value operand is carried as a constant."""
+    def compile_op(e: dict) -> int | Compiled:
+        # a plain loop reads each key after walking the ones before it and
+        # adds no frame: a level of nesting costs two (_walk and this),
         # and the tests pin that a claim nested 400 deep evaluates
         subs = []
         for key in keys:
-            subs.append(_compile(e[key]))
+            subs.append(_walk(e[key]))
         x, y = subs
+        if type(x) is int:
+            if type(y) is int:
+                return fn(x, y) if folds else lambda lat: fn(x, y)
+            return lambda lat: fn(x, y(lat))
+        if type(y) is int:
+            return lambda lat: fn(x(lat), y)
         return lambda lat: fn(x(lat), y(lat))
     return compile_op
 
 
 def _folded(fn: Callable[[int, int], int], start: int):
-    """The compiler of an op that folds fn over its args from start."""
-    def compile_op(e: dict) -> Compiled:
-        parts = tuple(map(_compile, _args(e)))
+    """The compiler of an op that folds fn over its args from start: the
+    values among them fold at once, into the start of the closures' fold
+    (fn is commutative and associative)."""
+    def compile_op(e: dict) -> int | Compiled:
+        total, parts = start, []
+        for x in _args(e):
+            part = x if type(x) is int else _walk(x)  # skips a call per int
+            if type(part) is int:
+                total = fn(total, part)
+            else:
+                parts.append(part)
+        if not parts:
+            return total
 
         def run(lat: Lattice) -> int:
-            total = start
+            acc = total
             for part in parts:
-                total = fn(total, part(lat))
-            return total
+                acc = fn(acc, part(lat))
+            return acc
         return run
     return compile_op
 
 
-_COMPILERS: dict[str, Callable[[dict], Compiled]] = {
-    "pair": _compile_pair,
+_COMPILERS: dict[str, Callable[[dict], int | Compiled]] = {
+    "pair": lambda e: _pairing(_coords(e["a"]), _coords(e["b"])),
     "self": _compile_self,
-    "deg": _compile_deg,
+    "deg": lambda e: _ample_pairing(_coords(e["a"])),
     "genus": _compile_genus,
     "odd_diag": lambda e: lambda lat: sum(
         row[i] % 2 for i, row in enumerate(lat.gram)),
@@ -418,9 +458,9 @@ _step = tuple.__new__
 def run_script(script: DerivationScript) -> DerivationReport:
     """Re-check every arithmetic claim of a script against its lattice.
 
-    Each claim replays through its compiled sides, the closures that
-    ``evaluate`` builds and runs once, and one ``check_rel``; nothing is
-    cached between calls but the compiled sides.  Evaluation errors (odd
+    Each claim replays through its compiled sides, closures over the
+    lattice, and one ``check_rel``; nothing is cached between calls but the
+    compiled sides and their pairing kernels.  Evaluation errors (odd
     squares after a corrupted gram entry, bad expressions, expressions
     nested past the recursion limit) count as FAILED steps, never escape
     as exceptions.

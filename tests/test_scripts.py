@@ -3,6 +3,7 @@
 import copy
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,10 @@ from k3acm.casework import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                             established, evaluate, genus_expr, pair_of,
                             quartic_lattice, report_to_json, run_script,
                             script_by_tag, self_of, ulrich_assumptions)
-from k3acm.casework.scripts import (StepReport, _args, _coords, bn_expr,
-                                    c2_twist_expr, chi_bundle_expr, chi_expr,
-                                    neg_expr)
+from k3acm.casework.scripts import (StepReport, _args, _coords, add_expr,
+                                    bn_expr, c2_twist_expr, chi_bundle_expr,
+                                    chi_expr, hodge_expr, mul_expr, neg_expr,
+                                    sub_expr)
 from k3acm.errors import BadParametersError, EngineError, OddSquareError
 from k3acm.invariants import (BundleInvariants, brill_noether, chi_bundle,
                               genus_of, hodge_lower)
@@ -498,6 +500,27 @@ def test_pencil_scripts_refuse_a_nonnegative_brill_noether_number():
     assert all(rec.resolved for rec in records)
     with pytest.raises(EngineError, match=r"rho\(3, 1, 3\) = 1 >= 0"):
         case.script()
+
+
+def test_pencil_scripts_check_rho_only_at_the_swept_d():
+    from k3acm.casework import casebook
+    # C = 2h on (0, 3), d = 4..8: the self-dual twist settles d = 4..7,
+    # which needs no non-simple bundle, and only d = 8 is swept; the
+    # refusal names rho(9, 1, 8) = 5 there, not rho(9, 1, 6) = 1 at a d
+    # the twist settled
+    case = casebook.Case("t", casebook._script_pencil, (0, 3),
+                         curve=DivClass((2, 0)), mode="exact")
+    lat = quartic_lattice(0, 3)
+    facts = engine_assumptions(lat, ulrich_assumptions(lat))
+    outcomes = [{rec.outcome for rec in enumerate_destabilizing(
+                    lat, case.curve, d, facts, mode="exact")}
+                for d in range(4, 9)]
+    assert outcomes[:4] == [{"self-dual-twist"}] * 4
+    assert "self-dual-twist" not in outcomes[4]
+    with pytest.raises(EngineError) as raised:
+        case.script()
+    assert str(raised.value).startswith(
+        "rho(9, 1, 8) = 5 >= 0: no script for C = (2, 0), d = 8 (exact)")
 
 
 def test_the_reductions_prove_a_change_of_basis_on_every_mutant():
@@ -1106,6 +1129,107 @@ def test_a_malformed_node_raises_the_same_error_on_every_lattice(
         assert report.failed == (0,)
         assert report.steps[0].status == "FAILED"
         assert report.steps[0].detail == f"evaluation error: {message}"
+
+
+def _bench_workloads():
+    """k3bench/workloads.py, loaded from the checkout by its path."""
+    import importlib.util
+    import sys
+    path = Path(__file__).resolve().parents[1] / "k3bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_k3bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_evaluate_matches_the_former_evaluate_on_every_bench_grid_claim():
+    # the engine self-checks each claim it emits through evaluate, and the
+    # benchmark re-checks destabilize-grid's output through it; so on one
+    # pass over that grid every claim side must give, from evaluate, the
+    # former evaluate's int
+    from k3acm.config import load_config
+    workloads = _bench_workloads()
+    root = Path(__file__).resolve().parents[1]
+    loaded, claims, literal = {}, 0, 0
+    for name, curve, d, mode in workloads.destabilize_grid(root):
+        if name not in loaded:
+            lat, facts = load_config(root / "src" / "k3acm" / "data" / name)
+            loaded[name] = lat, engine_assumptions(lat, facts)
+        lat, facts = loaded[name]
+        try:
+            records = enumerate_destabilizing(lat, DivClass(curve), d, facts,
+                                              mode=mode)
+        except WorkbenchError:
+            continue
+        for claim in (cl for rec in records for cl in rec.trace):
+            claims += 1
+            for side in (claim.lhs, claim.rhs):
+                value = evaluate(side, lat)
+                assert type(value) is int, (name, curve, d, mode, side)
+                assert value == _former_evaluate(side, lat), (
+                    name, curve, d, mode, side)
+                literal += not _ops_of(side) & set(_LEAF_OPS)
+    assert claims == 4811 and literal > 7000, (claims, literal)
+
+
+def test_literal_arithmetic_folds_and_lattice_reads_stay_closures():
+    from k3acm.casework import scripts
+    h = DivClass((1, 0))
+    assert scripts._walk(sub_expr(add_expr(5, mul_expr(3, 2)), 4)) == 7
+    assert scripts._walk(bn_expr(9, 1, 8)) == 5
+    assert scripts._walk({"op": "mul", "args": []}) == 1
+    # a mixed node carries its values as constants
+    mixed = scripts._walk(add_expr(5, self_of(h), sub_expr(2, 1)))
+    assert callable(mixed) and mixed(LAT) == 10
+    assert callable(scripts._walk(sub_expr(1, deg_of(h))))
+    # hodge_lower never folds, so its error is raised only when it runs
+    assert callable(scripts._walk(hodge_expr(8, 2)))
+    assert evaluate(hodge_expr(8, 2), LAT) == 4
+    # the compiled sides are closures, folded or not
+    folded = scripts._compile(add_expr(5, 2))
+    assert callable(folded) and folded(LAT) == 7
+
+
+def test_folding_and_the_kernel_cache_keep_the_errors():
+    from k3acm.casework import scripts
+    from k3acm.errors import DimensionMismatchError
+    bogus = add_expr(hodge_expr(0, 1), {"op": "bogus"})
+    for read in (scripts._compile, lambda e: evaluate(e, LAT)):
+        with pytest.raises(MalformedScriptError,
+                           match="unknown expression op 'bogus'"):
+            read(bogus)
+    alone = scripts._compile(hodge_expr(0, 1))
+    for run in (alone, lambda lat: evaluate(hodge_expr(0, 1), lat)):
+        with pytest.raises(BadParametersError, match=r"\(0, 1\)"):
+            run(LAT)
+    # [True, 0] hashes and compares as (1, 0), whose kernel is cached
+    assert evaluate({"op": "self", "a": [1, 0]}, LAT) == 4
+    for op in ("self", "deg", "genus"):
+        with pytest.raises(MalformedScriptError, match="list of ints"):
+            evaluate({"op": op, "a": [True, 0]}, LAT)
+    with pytest.raises(MalformedScriptError, match="list of ints"):
+        evaluate({"op": "pair", "a": [1, 0], "b": (True, 0)}, LAT)
+    # a rank-3 class on a rank-2 lattice, before and after its kernel is
+    # cached, raises what Lattice.pair_coords raises for it
+    wide = [1, 0, 2]
+    rank3 = Lattice([[2, 1, 0], [1, -2, 0], [0, 0, -2]], labels="xyz",
+                    ample=(1, 0, 0))
+    for expr, on_rank3 in ((self_of(DivClass(wide)), -6),
+                           ({"op": "deg", "a": wide}, 2),
+                           ({"op": "pair", "a": wide, "b": [1, 0]}, None)):
+        xy = [wide, expr.get("b", wide)] if expr["op"] != "deg" else [
+            LAT.ample.coords, wide]
+        with pytest.raises(DimensionMismatchError) as want:
+            LAT.pair_coords(*xy)
+        for _ in range(2):
+            with pytest.raises(DimensionMismatchError) as got:
+                evaluate(expr, LAT)
+            assert str(got.value) == str(want.value)
+            if on_rank3 is not None:
+                assert evaluate(expr, rank3) == on_rank3
+    assert scripts._pairing.cache_info().maxsize == scripts._KERNELS
+    assert scripts._ample_pairing.cache_info().maxsize == scripts._KERNELS
 
 
 def _reference_replay(script):
