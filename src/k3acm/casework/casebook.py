@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from ..classifier import WINDOWS, complement
-from ..errors import BadParametersError, EngineError
+from ..errors import BadParametersError, EngineError, PreconditionError
 from ..invariants import brill_noether, genus_of, lm_acm_bounds
 from ..lattice import DivClass, Lattice
 from .destabilize import (QUERY_RULES, engine_assumptions,
@@ -102,38 +102,28 @@ def _window(c: DivClass, g: int, ds) -> list:
 
 # --- pencil bundles: hand-written header, case analysis from the engine ----
 
-# per rule of QUERY_RULES: how a script it settles reads, and its premises
-_QUERY_HEADERS = {
-    "self-dual-twist": ("through the self-dual twist with negative h^1", (
-        AxiomUse("AX-TWIST-MONO",
-                 note="C = 2K with K - h zero or effective, so the K-twist "
-                      "has no sections once the h-twist has none"),
-        AxiomUse("AX-RK2-SELFDUAL",
-                 note="c1 of the twist vanishes: the twisted bundle is "
-                      "self-dual, so h^2 = h^0 = 0 by AX-SERRE"))),
-    "line-restriction": ("by restricting the twisted bundle to a line", (
-        AxiomUse("AX-VA-DEGREE3", note="h - L moves in an elliptic pencil"),
-        AxiomUse("AX-AMPLE-DEGREE1-IRREDUCIBLE", note="L is a line"),
-        AxiomUse("AX-P1-SPLIT", note="E(-h - F)|L is O(a) + O(-1-a)"))),
-}
-
-
 def _pencil_steps(case: Case, lat: Lattice) -> tuple[list, str]:
     """Header of a pencil-bundle script, the engine's records at each d of
     the c2 window [max(1, g - 5), g + 7 - h.C], and the description's how.
 
-    The records come from the facts ``k3acm destabilize`` uses on the
-    shipped config, and one that is unresolved raises EngineError.  In
-    gonality mode only the window's top runs, as the bundle comes from an
-    assumed pencil of degree d - 1.  The header cites each query rule's
-    premises, and for a sweep a negative Brill-Noether number at each d it
-    swept (rho >= 0 raises EngineError) and the sweep's premises; a d a
-    query rule settled needs no non-simple bundle, so it gets neither.
+    An empty window raises PreconditionError before the engine runs.  The
+    records come from the facts ``k3acm destabilize`` uses on the shipped
+    config, and one that is unresolved raises EngineError.  In gonality
+    mode only the window's top runs, as the bundle comes from an assumed
+    pencil of degree d - 1.  The header cites the premises and the how of
+    each query rule (``destabilize.QUERY_RULES``) that settled some d, and
+    for a sweep a negative Brill-Noether number at each d it swept
+    (rho >= 0 raises EngineError) and the sweep's premises; a d a query
+    rule settled needs no non-simple bundle, so it gets neither.
     """
     c, mode = case.curve, case.mode
     g = genus_of(lat.self_int(c))
     low, top, _ = lm_acm_bounds(g, lat.deg(c))
     ds = [top] if mode == "gonality" else range(max(1, low), top + 1)
+    if not ds:
+        raise PreconditionError(
+            f"the c2 window [{max(1, low)}, {top}] of C = {c} on "
+            f"{case.presentation} is empty: no d to build a script for")
     facts = engine_assumptions(lat, ulrich_assumptions(lat))
     by_d = [enumerate_destabilizing(lat, c, d, facts, mode) for d in ds]
     records = [rec for recs in by_d for rec in recs]
@@ -150,10 +140,10 @@ def _pencil_steps(case: Case, lat: Lattice) -> tuple[list, str]:
     steps = _pins(*case.presentation) + (
         _window(c, g, ())[:1] if mode == "gonality" else _window(c, g, ds))
     outcomes = {rec.outcome for rec in records}
-    steps += [use for rule in QUERY_RULES if rule in outcomes
-              for use in _QUERY_HEADERS[rule][1]]
+    steps += [use for rule, (_, _, premises) in QUERY_RULES.items()
+              if rule in outcomes for use in premises]
     if not swept:  # rho may be >= 0: no sweep premises
-        return steps + trace, _QUERY_HEADERS[records[-1].outcome][0]
+        return steps + trace, QUERY_RULES[records[-1].outcome][1]
     if mode == "gonality":  # the genus only; the cap is the aCM bundle's
         uses = [AxiomUse(
             "AX-LM-CONSTRUCT",

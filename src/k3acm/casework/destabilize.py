@@ -5,20 +5,16 @@ A non-simple rank-2 pencil bundle E with c1 = C, c2 = d sits in
     0 -> M -> E -> N (x) J_Z' -> 0,
 
 with M, N movable, M + N = C, M.N + len(Z') = d and (after swapping)
-M^2 >= N^2.  The engine sweeps the possible values n^2 = N^2 and, within
-each branch, the possible pairing profiles (h.N, B.N) of N against the
-rank-2 basis, then kills every candidate with one of the named
-elimination rules.  Every record carries machine-verified integer
-claims.  What depends on (lattice, facts, C) alone, the known-class table
-with C's entry, C's movable multiples and each branch's floors, is
-planned once per process (``_plan``); every query still solves its own
-windows, runs every rule and self-checks each claim it emits through
-``evaluate``, which costs a literal side its own integer arithmetic and
-any other side one run of its closure.  A profile costs one pass over the
-known classes: each rule returns (outcome, claims, note) and
-``_kill_profile`` builds the one record, a bare tuple.  The
-QUERY_RULES settle a whole query before the sweep: the self-dual twist
-(C = 2K, K - h zero or effective) and the line restriction (C = 3h - 2L).
+M^2 >= N^2.  Every rule returns a verdict (outcome, claims, note) or
+None, ``_record`` builds each record from the verdict that settled it,
+and ``evaluate`` checks each claim as it is made.  QUERY_RULES maps the
+outcome of each rule that settles a whole query, the self-dual twist and
+the line restriction, to (rule, how a script it settles reads, premises
+as AxiomUse); outside gonality mode its rows run in order before any
+sweep, and casebook reads each row's how and premises from it.  The sweep
+runs over n^2 = N^2 and each branch's profiles (h.N, B.N), and kills a
+profile in one pass over the known classes planned once per (lattice,
+facts, C) (``_plan``), then with ``_kill_fiber`` when n^2 = 0.
 
 Modes:
   "exact"     the pencil-trick sequence: Z' is empty, M.N = d,
@@ -50,20 +46,18 @@ from ..invariants import genus_of, hodge_lower, lm_acm_bounds
 from ..lattice import DivClass, Lattice
 from .constraints import Row, check_rel, scan
 from .presets import _B, _H, presentation
-from .scripts import (ArithClaim, add_expr, c2_twist_expr, chi_bundle_expr,
-                      deg_of, evaluate, hodge_expr, mul_expr, neg_expr,
-                      pair_of, self_of, step_to_json, sub_expr)
+from .scripts import (ArithClaim, AxiomUse, add_expr, c2_twist_expr,
+                      chi_bundle_expr, deg_of, evaluate, hodge_expr, mul_expr,
+                      neg_expr, pair_of, self_of, step_to_json, sub_expr)
 
 MODES = ("exact", "general", "gonality")
-QUERY_RULES = ("self-dual-twist", "line-restriction")  # whole-query rules
 
 
 class PairElimination(NamedTuple):
     """One eliminated configuration of the destabilizing pair.
 
-    profile is (h.N, B.N) for candidate records and None for the
-    branch-level window-infeasible and beyond-cap records.  The engine
-    builds each candidate record as a bare tuple of this type.
+    profile is (h.N, B.N) for candidate records and None for the query
+    and branch records.  ``_record`` builds each as a bare tuple.
     """
 
     c: DivClass
@@ -230,10 +224,8 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     else PreconditionError, which also bounds the work of one sweep.
     These checks and the facts' types run on every call, before the plan
     of (lat, C, facts) is looked up or built; conflicting facts then raise
-    ConflictingAssumptionsError.  In exact and general mode, C = 2K with K
-    in the plan and d < K^2 + 4, or C = 3h - 2L with L in the plan, return
-    one self-dual-twist or line-restriction record before any sweep, which
-    is simpler than patching open branches afterwards (2K = 3h - 2L never).
+    ConflictingAssumptionsError.  Outside gonality mode the QUERY_RULES
+    rows run first, in order, and the first that fires is the one record.
     Otherwise returns one record per (n^2, profile) candidate plus a
     window-infeasible record for each empty branch and a closing beyond-cap
     record; "unresolved" marks a candidate no rule covers.  The records and
@@ -274,23 +266,38 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
             f"needs 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and "
             f"1 <= d <= g + 7 - h.C = {d_hi}")
     plan = _plan(lat, c, _checked_facts(assumptions))
+    for rule, _, _ in QUERY_RULES.values() if mode != "gonality" else ():
+        verdict = rule(lat, plan, d)
+        if verdict is not None:
+            return [_record(c, d, 0, verdict)]
     cap = c2 // 4
-    if plan.half is not None and mode != "gonality" and d < cap + 4:
-        return [_self_dual_twist(lat, c, plan.half, cap, d)]
-    if plan.line is not None and mode != "gonality":
-        return [_line_restriction(lat, c, plan.line, d)]
     out: list[PairElimination] = []
     for n2 in range(0, cap + 1, 2):
         out.extend(_branch(lat, plan, d, n2, mode))
     sentinel = cap + 2 if cap % 2 == 0 else cap + 1
-    out.append(_beyond_cap(lat, c, d, sentinel))
+    out.append(_record(c, d, sentinel, _beyond_cap(lat, c, sentinel)))
     return out
 
 
-def _self_dual_twist(lat: Lattice, c: DivClass, k: DivClass, k2: int,
-                     d: int) -> PairElimination:
+_Verdict = tuple[str, Sequence[ArithClaim], str]  # (outcome, claims, note)
+
+
+def _record(c: DivClass, d: int, n2: int, verdict: _Verdict,
+            profile: tuple[int, int] | None = None,
+            len_zprime: int = 0) -> PairElimination:
+    """The one place a record is built, from the verdict that settled it."""
+    outcome, claims, note = verdict
+    # one C call: the generated __new__ is a Python function
+    return tuple.__new__(PairElimination, (
+        c, d, n2, len_zprime, outcome, tuple(claims), profile, note))
+
+
+def _self_dual_twist(lat: Lattice, plan: _Plan, d: int) -> _Verdict | None:
     """C = 2K, K - h zero or effective: E(-K) is self-dual with no
     sections, so h^1 = -chi = d - K^2 - 4 < 0 while d < K^2 + 4."""
+    c, k, k2 = plan.curve.cls, plan.half, plan.curve.square // 4
+    if k is None or d >= k2 + 4:
+        return None
     c2 = c2_twist_expr(d, c, -k)
     chi = chi_bundle_expr(DivClass((0, 0)), c2)
     trace = (
@@ -305,13 +312,10 @@ def _self_dual_twist(lat: Lattice, c: DivClass, k: DivClass, k2: int,
         _claim(lat, "h^1 of the twist is negative", neg_expr(chi), "<", 0,
                cite="h^1 = h^0 + h^2 - chi = -chi",
                contradicts="AX-H1NONNEG: h^1 is a dimension"))
-    return PairElimination(c=c, d=d, n_square=0, len_zprime=0,
-                           outcome="self-dual-twist", trace=trace,
-                           note=f"K - h = {k - _H}")
+    return "self-dual-twist", trace, f"K - h = {k - _H}"
 
 
-def _line_restriction(lat: Lattice, c: DivClass, line: DivClass,
-                      d: int) -> PairElimination:
+def _line_restriction(lat: Lattice, plan: _Plan, d: int) -> _Verdict | None:
     """C = 3h - 2L, L a line: F = h - L has square 0 and degree 3, so it
     is effective (AX-VA-DEGREE3).  c1(E(-h - F)) = -h has degree -1 on
     L = P^1 (AX-AMPLE-DEGREE1-IRREDUCIBLE), so a summand of the restriction
@@ -319,6 +323,9 @@ def _line_restriction(lat: Lattice, c: DivClass, line: DivClass,
     h^1(E(-h - F - L)) = h^1(E(-2h)) = 0 (AX-ACM-VANISH, AX-LES), into
     E(-h - F), inside E(-h) as F is effective: against AX-INITIALIZED-CRIT.
     No d, non-simplicity or profile sweep is used."""
+    c, line = plan.curve.cls, plan.line
+    if line is None:
+        return None
     f = _H - line
     e = sub_expr(pair_of(c, line), mul_expr(2, pair_of(_H + f, line)))
     trace = (
@@ -335,9 +342,26 @@ def _line_restriction(lat: Lattice, c: DivClass, line: DivClass,
                contradicts="AX-INITIALIZED-CRIT through AX-P1-SECTIONS and "
                            "AX-LES: a section on the line lifts to a section "
                            "of a negative twist of the initialized bundle"))
-    return PairElimination(c=c, d=d, n_square=0, len_zprime=0,
-                           outcome="line-restriction", trace=trace,
-                           note=f"L = {line}")
+    return "line-restriction", trace, f"L = {line}"
+
+
+# outcome -> (rule, how a script it settles reads, the premises it cites)
+# for the rules that settle a whole query; 2K = 3h - 2L never, so one fires
+QUERY_RULES = {
+    "self-dual-twist": (
+        _self_dual_twist, "through the self-dual twist with negative h^1", (
+            AxiomUse("AX-TWIST-MONO",
+                     note="C = 2K with K - h zero or effective, so the K-twist "
+                          "has no sections once the h-twist has none"),
+            AxiomUse("AX-RK2-SELFDUAL",
+                     note="c1 of the twist vanishes: the twisted bundle is "
+                          "self-dual, so h^2 = h^0 = 0 by AX-SERRE"))),
+    "line-restriction": (
+        _line_restriction, "by restricting the twisted bundle to a line", (
+            AxiomUse("AX-VA-DEGREE3", note="h - L moves in an elliptic pencil"),
+            AxiomUse("AX-AMPLE-DEGREE1-IRREDUCIBLE", note="L is a line"),
+            AxiomUse("AX-P1-SPLIT", note="E(-h - F)|L is O(a) + O(-1-a)"))),
+}
 
 
 def _cn_window(d: int, n2: int, mode: str) -> tuple[int, int]:
@@ -391,13 +415,14 @@ def _branch(lat: Lattice, plan: _Plan, d: int, n2: int,
     """One n^2 branch of the sweep planned for (lat, C, facts)."""
     hits, (cn_lo, cn_hi) = _profiles(lat, plan, d, n2, mode)
     if not hits:
-        return [_infeasible(lat, plan, d, n2, cn_lo, cn_hi)]
+        return [_record(plan.curve.cls, d, n2,
+                        _infeasible(lat, plan, n2, cn_lo, cn_hi))]
     return [_kill_profile(lat, plan.known, plan.curve, d, n2, mode, x, y, cn)
             for x, y, cn in hits]
 
 
-def _infeasible(lat: Lattice, plan: _Plan, d: int, n2: int, cn_lo: int,
-                cn_hi: int) -> PairElimination:
+def _infeasible(lat: Lattice, plan: _Plan, n2: int, cn_lo: int,
+                cn_hi: int) -> _Verdict:
     """No profile passed the windows; certify the binding clash."""
     c, c2 = plan.curve.cls, plan.curve.square
     trace: list[ArithClaim] = []
@@ -436,9 +461,7 @@ def _infeasible(lat: Lattice, plan: _Plan, d: int, n2: int, cn_lo: int,
             cite="no integer profile satisfies the nef, base-point-free "
                  "and Hodge windows inside this degree budget"))
         note = "exhaustive window sweep"
-    return PairElimination(c=c, d=d, n_square=n2, len_zprime=0,
-                           outcome="window-infeasible", trace=tuple(trace),
-                           note=note)
+    return "window-infeasible", trace, note
 
 
 def _multiple_of(c: DivClass, p: DivClass) -> int | None:
@@ -449,20 +472,14 @@ def _multiple_of(c: DivClass, p: DivClass) -> int | None:
     return None
 
 
-def _beyond_cap(lat: Lattice, c: DivClass, d: int, n2: int) -> PairElimination:
+def _beyond_cap(lat: Lattice, c: DivClass, n2: int) -> _Verdict:
     trace = (_claim(
         lat, "four times N^2 exceeds C^2",
         4 * n2, ">", self_of(c),
         cite=f"M^2 >= N^2 >= {n2} and M.N >= N^2 give "
              f"C^2 = (M + N)^2 >= 4 N^2 = {4 * n2}",
         contradicts="the Hodge-index cap on the square of N"),)
-    return PairElimination(c=c, d=d, n_square=n2, len_zprime=0,
-                           outcome="beyond-hodge-cap", trace=trace,
-                           note="all larger squares at once")
-
-
-# a rule's verdict: (outcome, the claims after the bookkeeping one, note)
-_Kill = tuple[str, list[ArithClaim], str]
+    return "beyond-hodge-cap", trace, "all larger squares at once"
 
 
 def _kill_profile(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
@@ -476,11 +493,9 @@ def _kill_profile(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
     if killed is None and n2 == 0:
         killed = _kill_fiber(lat, known, curve, d, mode, x, y, cn)
     outcome, claims, note = killed or (
-        "unresolved", [], "no registered elimination rule covers this profile")
-    # one C call: the generated __new__ is a Python function
-    return tuple.__new__(PairElimination, (
-        curve.cls, d, n2, d - mn if mode == "general" else 0, outcome,
-        (base, *claims), (x, y), note))
+        "unresolved", (), "no registered elimination rule covers this profile")
+    return _record(curve.cls, d, n2, (outcome, (base, *claims), note), (x, y),
+                   d - mn if mode == "general" else 0)
 
 
 def _split_class(curve: _KnownClass, n2: int,
@@ -494,7 +509,7 @@ def _split_class(curve: _KnownClass, n2: int,
 
 
 def _kill_classlike(lat: Lattice, known: _Known, curve: _KnownClass, n2: int,
-                    mode: str, x: int, y: int) -> _Kill | None:
+                    mode: str, x: int, y: int) -> _Verdict | None:
     """Rules that only use effectivity and connectedness of known classes.
 
     One pass over the known classes P reads P.N and, for Q = P - N, Q^2
@@ -577,42 +592,12 @@ def _kill_classlike(lat: Lattice, known: _Known, curve: _KnownClass, n2: int,
 
 
 def _kill_fiber(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
-                mode: str, x: int, y: int, cn: int) -> _Kill | None:
-    """Rules for N^2 = 0: N = rF over an elliptic pencil F with h.F >= 3."""
-    if mode in ("exact", "gonality"):
-        rs = [1]  # h^1(N) = r - 1 = 0 forces r = 1
-    else:
-        rs = [r for r in range(1, x // 3 + 1)
-              if x % r == 0 and y % r == 0 and cn % r == 0]
-    claims: list[ArithClaim] = []
-    rules: list[str] = []
-    for r in rs:
-        kill = _kill_fiber_r(lat, known, curve, d, mode, x, y, cn, r)
-        if kill is None:
-            return None
-        rule, cl = kill
-        rules.append(rule)
-        claims.extend(cl)
-    outcome = rules[0] if len(set(rules)) == 1 else "pencil-branches-exhausted"
-    return outcome, claims, f"fiber multiplicities {rs} all eliminated"
-
-
-def _kill_fiber_r(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
-                  mode: str, x: int, y: int, cn: int, r: int):
-    """Eliminate N = rF for one multiplicity r; None if no rule applies.
+                mode: str, x: int, y: int, cn: int) -> _Verdict | None:
+    """Rules for N^2 = 0: N = rF over an elliptic pencil F with h.F >= 3.
+    r = 1 (h.N >= 3) names the outcome; in general mode each r >= 2 dividing
+    (h.N, B.N, C.N) must fall too, and the outcome is then
+    pencil-branches-exhausted (elsewhere h^1(N) = r - 1 = 0 forces r = 1).
     The twist rule's 4s are h^2 = 4, which the gate guarantees."""
-    if r >= 2:
-        if cn != d:
-            return None  # Z' nonempty: the h^1 forcing needs the plain sequence
-        claim = _claim(
-            lat, f"h^1 of the fiber multiple is r - 1 = {r - 1}",
-            r - 1, ">=", 1,
-            cite=f"M.N = C.N = {cn} = c2 leaves Z' empty, so the quotient is "
-                 f"the line bundle of N = {r}F with h^1 = r - 1, while "
-                 "h^1(E) = 0 and h^2(M) = 0 force h^1(N) = 0",
-            contradicts="AX-ELLIPTIC-H1 against the AX-LES vanishing")
-        return "pencil-multiple-h1", [claim]
-    # r = 1: N itself is an elliptic pencil
     c = curve.cls
     for p in known:  # the square-0 (hence movable) class P with C = h + 2P
         p1, p2 = p.cls.coords
@@ -620,37 +605,51 @@ def _kill_fiber_r(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
             continue
         pn = _pairing(p.cls, x, y)
         if pn <= 1:
-            claim = _claim(
+            outcome, claims = "pencil-restrict-degree", [_claim(
                 lat, "the distinguished movable class meets the fiber at "
                      "most once",
                 pn, "<=", 1,
                 cite=f"{p.cls}.N = {pn}: a fiber meeting the movable class of "
                      "the initialized pencil bundle fewer than twice forces "
                      "either h^0 <= 1 or a section of the negative twist",
-                contradicts="AX-PENCIL-RESTRICT: the fiber pairing is >= 2")
-            return "pencil-restrict-degree", [claim]
-    if mode == "exact":
-        # the twisted h^1 clash, available while E is initialized aCM
+                contradicts="AX-PENCIL-RESTRICT: the fiber pairing is >= 2")]
+            break
+    else:
         m2 = curve.square - 2 * cn
         hm = curve.profile[0] - x
         mh2 = m2 - 2 * hm + 4
-        if mh2 <= -4 and x - 4 < 0:
-            claims = [
-                _claim(lat, "square of the twisted kernel class",
-                       add_expr(self_of(c), -2 * cn, -2 * hm, self_of(_H)),
-                       "<=", -4,
-                       cite=f"(M - h)^2 = {mh2}, so chi(M - h) = "
-                            f"{2 + mh2 // 2} < 0 and h^1 of the twist M(-1) "
-                            "is positive"),
-                _claim(lat, "the quotient twist has negative degree",
-                       x - 4, "<", 0,
-                       cite=f"h.(N - h) = {x - 4} < 0 kills the sections of "
-                            "N(-1)",
-                       contradicts="AX-ACM-VANISH with AX-LES: h^1(M(-1)) "
-                                   "<= h^0(N(-1)) + h^1(E(-1)) = 0"),
-            ]
-            return "twist-h1-vanishing", claims
-    return None
+        # the twisted h^1 clash, available while E is initialized aCM
+        if mode != "exact" or mh2 > -4 or x >= 4:
+            return None
+        outcome, claims = "twist-h1-vanishing", [
+            _claim(lat, "square of the twisted kernel class",
+                   add_expr(self_of(c), -2 * cn, -2 * hm, self_of(_H)),
+                   "<=", -4,
+                   cite=f"(M - h)^2 = {mh2}, so chi(M - h) = "
+                        f"{2 + mh2 // 2} < 0 and h^1 of the twist M(-1) "
+                        "is positive"),
+            _claim(lat, "the quotient twist has negative degree",
+                   x - 4, "<", 0,
+                   cite=f"h.(N - h) = {x - 4} < 0 kills the sections of "
+                        "N(-1)",
+                   contradicts="AX-ACM-VANISH with AX-LES: h^1(M(-1)) "
+                               "<= h^0(N(-1)) + h^1(E(-1)) = 0")]
+    rs = [1]
+    for r in range(2, x // 3 + 1) if mode == "general" else ():
+        if x % r or y % r or cn % r:
+            continue
+        if cn != d:
+            return None  # Z' nonempty: the h^1 forcing needs the plain sequence
+        rs.append(r)
+        outcome = "pencil-branches-exhausted"
+        claims.append(_claim(
+            lat, f"h^1 of the fiber multiple is r - 1 = {r - 1}",
+            r - 1, ">=", 1,
+            cite=f"M.N = C.N = {cn} = c2 leaves Z' empty, so the quotient is "
+                 f"the line bundle of N = {r}F with h^1 = r - 1, while "
+                 "h^1(E) = 0 and h^2(M) = 0 force h^1(N) = 0",
+            contradicts="AX-ELLIPTIC-H1 against the AX-LES vanishing"))
+    return outcome, claims, f"fiber multiplicities {rs} all eliminated"
 
 
 def elimination_to_json(rec: PairElimination) -> dict:

@@ -570,7 +570,10 @@ def test_one_pass_rules_match_the_per_rule_oracle(monkeypatch):
     def verdict(outcome, claims, note=""):
         return outcome, claims, note
 
+    calls = []
+
     def oracle(lat, known, curve, n2, mode, x, y):
+        calls.append(mode)
         return _kill_classlike_oracle(lat, known, curve, n2, mode, x, y,
                                       verdict)
 
@@ -580,6 +583,10 @@ def test_one_pass_rules_match_the_per_rule_oracle(monkeypatch):
     monkeypatch.setattr(destabilize, "_kill_classlike", oracle)
     old = [_payload(*q) for q in queries]
     assert len(queries) == 630
+    # the engine looks the rules up at call time, so the grid really ran
+    # the oracle: a table that captured the one-pass rules would compare
+    # the new code with itself
+    assert len(calls) > 0
     for q, got, want in zip(queries, new, old):
         assert got == want, q[2:]
     labels = {rec["trace"][-1]["label"]
@@ -1017,3 +1024,24 @@ def test_the_twist_reads_a_base_point_free_fact_as_nonempty():
         "self-dual-twist"]
     assert (records[AssumptionKind.BASE_POINT_FREE]
             == records[AssumptionKind.EFFECTIVE])
+
+
+def test_a_fiber_and_its_double_are_eliminated_together():
+    # general mode, N^2 = 0 at (h.N, B.N) = (6, 0): N = F or N = 2F over an
+    # elliptic pencil F. For r = 1, N meets B (C = h + 2B, B^2 = 0) at most
+    # once; for r = 2, h^1(2F) = 1 while Z' is empty. With B alone among
+    # the facts, h - B is no known line and the line restriction stays
+    # off, so the sweep reaches this record.
+    lat = quartic_lattice(0, 3)
+    effective = Assumption(B, AssumptionKind.EFFECTIVE, "")
+    records = enumerate_destabilizing(lat, DivClass((1, 2)), 6, (effective,),
+                                      "general")
+    (rec,) = [r for r in records if (r.n_square, r.profile) == (0, (6, 0))]
+    assert rec.outcome == "pencil-branches-exhausted"
+    assert rec.note == "fiber multiplicities [1, 2] all eliminated"
+    assert rec.len_zprime == 0
+    assert [cl.label for cl in rec.trace] == [
+        "profile bookkeeping",
+        "the distinguished movable class meets the fiber at most once",
+        "h^1 of the fiber multiple is r - 1 = 1"]
+    _check_traces(lat, [rec])

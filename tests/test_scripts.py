@@ -18,7 +18,8 @@ from k3acm.casework.scripts import (StepReport, _args, _coords, add_expr,
                                     bn_expr, c2_twist_expr, chi_bundle_expr,
                                     chi_expr, hodge_expr, mul_expr, neg_expr,
                                     sub_expr)
-from k3acm.errors import BadParametersError, EngineError, OddSquareError
+from k3acm.errors import (BadParametersError, EngineError, OddSquareError,
+                          PreconditionError)
 from k3acm.invariants import (BundleInvariants, brill_noether, chi_bundle,
                               genus_of, hodge_lower)
 
@@ -521,6 +522,23 @@ def test_pencil_scripts_check_rho_only_at_the_swept_d():
         case.script()
     assert str(raised.value).startswith(
         "rho(9, 1, 8) = 5 >= 0: no script for C = (2, 0), d = 8 (exact)")
+
+
+@pytest.mark.parametrize("mode", ["exact", "general"])
+def test_pencil_scripts_refuse_an_empty_c2_window(mode, monkeypatch):
+    from k3acm.casework import casebook
+    # C = 4h on (0, 4): g = 33, h.C = 16, so [max(1, g - 5), g + 7 - h.C]
+    # is [28, 24]; the row is refused by name before the engine runs
+    def engine(*args):
+        raise AssertionError("the engine ran on an empty window")
+
+    monkeypatch.setattr(casebook, "enumerate_destabilizing", engine)
+    case = casebook.Case("t", casebook._script_pencil, (0, 4),
+                         curve=DivClass((4, 0)), mode=mode)
+    with pytest.raises(PreconditionError,
+                       match=r"c2 window \[28, 24\] of C = \(4, 0\) on "
+                             r"\(0, 4\) is empty"):
+        case.script()
 
 
 def test_the_reductions_prove_a_change_of_basis_on_every_mutant():

@@ -20,10 +20,10 @@ def test_cli_digests_prints_one_line_per_surface():
     proc = _digests(ROOT)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 29, lines
+    assert len(lines) == 30, lines
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.* \(\d+ runs\)", line)
                for line in lines), lines
-    assert len({line.split("  ", 1)[1] for line in lines}) == 29
+    assert len({line.split("  ", 1)[1] for line in lines}) == 30
 
 
 def test_cli_digests_finds_no_difference_between_a_checkout_and_itself():

@@ -25,13 +25,22 @@ change of one diagonal entry or one symmetric off-diagonal pair of its
 Gram matrix, written as a ``k3: false`` config ``TAG.MUTANT.json`` in a
 temporary directory;
 ``lattice-info``, text and ``--json``, on every shipped config;
-``example-delpezzo``, text and ``--json``; and the 630 queries of
-``k3bench.workloads.destabilize_grid``, text and ``--json``.
+``example-delpezzo``, text and ``--json``; the 630 queries of
+``k3bench.workloads.destabilize_grid``, text and ``--json``; and one
+surface that is not a command line, ``engine``: ``enumerate_destabilizing``
+in-process, each record through ``elimination_to_json`` (a refusal as its
+error class and text), on the seven ``classifier.WINDOWS`` presentations
+under two fact sets, B effective alone and ``engine_assumptions(lat, ())``,
+for C = (s, t) with |s| <= 6, |t| <= 4, C^2 >= 4 and 1 <= h.C <= 12, each
+d = 1..29 with d <= g + 7 - h.C, and every mode (2,784 queries).  The
+command line always derives B's complement, so only this surface reaches
+what the engine does with B alone.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -54,7 +63,7 @@ def _mutants(gram: list[list[int]]):
                 yield (f"d{i}{s:+d}" if i == j else f"o{i}{j}{s:+d}"), out
 
 
-def _surfaces(root: Path, workdir: Path) -> dict[str, list[list[str]]]:
+def _surfaces(root: Path, workdir: Path) -> dict[str, list]:
     from k3acm.casework.casebook import CASES
     from k3acm.casework.presets import PRESET_PRESENTATION
     from k3bench.workloads import _config_doc, destabilize_grid
@@ -102,11 +111,61 @@ def _surfaces(root: Path, workdir: Path) -> dict[str, list[list[str]]]:
             ["destabilize", "-c", str(data / name), f"--class={s},{t}",
              "--d", str(d), "--mode", mode, *flags]
             for name, (s, t), d, mode in destabilize_grid(root)]
+    out["engine"] = list(_engine_queries())
     return out
 
 
-def _run(argv: list[str]) -> list:
+def _engine_queries():
+    """(B^2, h.B, facts, s, t, d, mode) for the ``engine`` surface."""
+    from k3acm.casework.destabilize import MODES
+    from k3acm.classifier import WINDOWS
+
+    for b2, hb in WINDOWS:
+        for facts in ("B effective", "engine_assumptions"):
+            for s in range(-6, 7):
+                for t in range(-4, 5):
+                    c2 = 4 * s * s + 2 * hb * s * t + b2 * t * t
+                    deg = 4 * s + hb * t
+                    if c2 < 4 or not 1 <= deg <= 12:
+                        continue
+                    for d in range(1, min(29, c2 // 2 + 8 - deg) + 1):
+                        for mode in MODES:
+                            yield b2, hb, facts, s, t, d, mode
+
+
+@functools.lru_cache(maxsize=None)
+def _engine_input(b2: int, hb: int, facts: str):
+    from k3acm import Assumption, AssumptionKind, DivClass
+    from k3acm.casework import engine_assumptions, quartic_lattice
+
+    lat = quartic_lattice(b2, hb)
+    if facts == "B effective":
+        return lat, (Assumption(DivClass((0, 1)), AssumptionKind.EFFECTIVE,
+                                ""),)
+    return lat, engine_assumptions(lat, ())
+
+
+def _engine(query: tuple) -> list:
+    from k3acm import DivClass, WorkbenchError
+    from k3acm.casework import elimination_to_json, enumerate_destabilizing
+
+    b2, hb, facts, s, t, d, mode = query
+    lat, assumptions = _engine_input(b2, hb, facts)
+    try:
+        records = enumerate_destabilizing(lat, DivClass((s, t)), d,
+                                          assumptions, mode)
+    except WorkbenchError as exc:
+        return [list(query), type(exc).__name__, str(exc)]
+    return [list(query), [elimination_to_json(rec) for rec in records]]
+
+
+def _run(argv: list[str] | tuple) -> list:
+    """One run of a surface: a list is a command line, a tuple an
+    ``engine`` query."""
     from k3acm import cli
+
+    if isinstance(argv, tuple):
+        return _engine(argv)
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
