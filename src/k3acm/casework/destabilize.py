@@ -14,7 +14,8 @@ as AxiomUse); outside gonality mode its rows run in order before any
 sweep, and casebook reads each row's how and premises from it.  The sweep
 runs over n^2 = N^2 and each branch's profiles (h.N, B.N), and kills a
 profile in one pass over the known classes planned once per (lattice,
-facts, C) (``_plan``), then with ``_kill_fiber`` when n^2 = 0.
+facts, C) (``_plan``), then with ``_kill_fiber`` when n^2 = 0, which
+tests N against the plan's square-0 known class P with C = h + 2P.
 
 Modes:
   "exact"     the pencil-trick sequence: Z' is empty, M.N = d,
@@ -100,15 +101,18 @@ _Known = tuple[_KnownClass, ...]  # the known-class table, by coordinates
 
 
 class _Plan(NamedTuple):
-    """What a sweep reads that depends on (lat, C, facts) alone."""
+    """What a sweep reads that depends on (lat, C, facts) alone, C's
+    special classes split, half, line, fiber and multiples included."""
 
     known: _Known       # the fact classes and C, by coordinates
     curve: _KnownClass  # C's entry
     multiples: tuple[tuple[int, _KnownClass], ...]  # (k, P): C = k*P, P movable
     # per even n^2 <= C^2/4: the least h.N and P.N >= P.floor(n^2) for each P
     columns: tuple[tuple[int, tuple[Row, ...]], ...]
-    half: DivClass | None  # K: C = 2K, K - h zero or asserted nonempty
-    line: DivClass | None  # L: C = 3h - 2L, L a known line
+    split: DivClass | None  # C/2 when C is even
+    half: DivClass | None   # K = C/2 with K - h zero or asserted nonempty
+    line: DivClass | None   # L: C = 3h - 2L, L a known line
+    fiber: DivClass | None  # P: C = h + 2P, P a known class of square 0
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -123,10 +127,12 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
     its acm flag is whether ``is_initialized_acm`` finds P initialized aCM
     under the facts (False when |P| is empty).  The zero class, whose
     section says nothing of N, is left out; a nonzero one of ample degree
-    <= 0 raises ConflictingAssumptionsError (AX-AMPLE-POSITIVE).  A known
-    line L (degree 1, square -2) with C = 3h - 2L is recorded.  The plan
-    is a pure function of the frozen (lat, C, facts), so every (d, mode)
-    query on it shares it; callers check C first.  The gate fixes h^2 = 4.
+    <= 0 raises ConflictingAssumptionsError (AX-AMPLE-POSITIVE).  Every
+    class C fixes is found here, once: split, half, line (degree 1,
+    square -2), fiber (square 0) and multiples (C = kP, k = 2, 3, 4, P
+    movable), as _Plan's fields say.  The plan is a pure function of the
+    frozen (lat, C, facts), so every (d, mode) query on it shares it;
+    callers check C first.  The gate fixes h^2 = 4.
     """
     _conflict_check(facts)
     bpf = {a.subject.coords for a in facts
@@ -157,17 +163,21 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
             bpf_positive=free and sq >= 2, acm=acm))
     curve = next(p for p in known if p.cls == c)
     multiples = tuple((k, p) for p in known if p.movable
-                      for k in [_multiple_of(c, p.cls)] if k is not None)
+                      for k in (2, 3, 4) if p.cls * k == c)
     columns = tuple(
         (3 if n2 == 0 else max(3, hodge_lower(4, n2)),
          tuple((*p.cls.coords, p.floor(n2)) for p in known))
         for n2 in range(0, curve.square // 4 + 1, 2))
-    half = DivClass(co // 2 for co in c.coords)
-    if half * 2 != c or (half != _H and (half - _H).coords not in nonempty):
-        half = None
+    split = DivClass(co // 2 for co in c.coords)
+    split = split if split * 2 == c else None
+    half = split if split is not None and (
+        split == _H or (split - _H).coords in nonempty) else None
     line = next((p.cls for p in known if p.profile[0] == 1
                  and p.square == -2 and _H * 3 - p.cls * 2 == c), None)
-    return _Plan(tuple(known), curve, multiples, columns, half, line)
+    fiber = next((p.cls for p in known
+                  if p.square == 0 and _H + p.cls * 2 == c), None)
+    return _Plan(tuple(known), curve, multiples, columns, split, half, line,
+                 fiber)
 
 
 def _claim(lat: Lattice, label: str, lhs, rel: str, rhs, cite: str = "",
@@ -417,7 +427,7 @@ def _branch(lat: Lattice, plan: _Plan, d: int, n2: int,
     if not hits:
         return [_record(plan.curve.cls, d, n2,
                         _infeasible(lat, plan, n2, cn_lo, cn_hi))]
-    return [_kill_profile(lat, plan.known, plan.curve, d, n2, mode, x, y, cn)
+    return [_kill_profile(lat, plan, d, n2, mode, x, y, cn)
             for x, y, cn in hits]
 
 
@@ -464,14 +474,6 @@ def _infeasible(lat: Lattice, plan: _Plan, n2: int, cn_lo: int,
     return "window-infeasible", trace, note
 
 
-def _multiple_of(c: DivClass, p: DivClass) -> int | None:
-    """k >= 2 with C = k*P, else None."""
-    for k in (2, 3, 4):
-        if all(k * a == b for a, b in zip(p.coords, c.coords)):
-            return k
-    return None
-
-
 def _beyond_cap(lat: Lattice, c: DivClass, n2: int) -> _Verdict:
     trace = (_claim(
         lat, "four times N^2 exceeds C^2",
@@ -482,34 +484,23 @@ def _beyond_cap(lat: Lattice, c: DivClass, n2: int) -> _Verdict:
     return "beyond-hodge-cap", trace, "all larger squares at once"
 
 
-def _kill_profile(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
-                  n2: int, mode: str, x: int, y: int,
-                  cn: int) -> PairElimination:
+def _kill_profile(lat: Lattice, plan: _Plan, d: int, n2: int, mode: str,
+                  x: int, y: int, cn: int) -> PairElimination:
     mn = cn - n2
     base = _claim(lat, "profile bookkeeping", add_expr(mn, n2), "=", cn,
                   cite=f"M.N = C.N - N^2 = {cn} - {n2} at "
                        f"(h.N, B.N) = ({x}, {y})")
-    killed = _kill_classlike(lat, known, curve, n2, mode, x, y)
+    killed = _kill_classlike(lat, plan, n2, mode, x, y)
     if killed is None and n2 == 0:
-        killed = _kill_fiber(lat, known, curve, d, mode, x, y, cn)
+        killed = _kill_fiber(lat, plan, d, mode, x, y, cn)
     outcome, claims, note = killed or (
         "unresolved", (), "no registered elimination rule covers this profile")
-    return _record(curve.cls, d, n2, (outcome, (base, *claims), note), (x, y),
-                   d - mn if mode == "general" else 0)
+    return _record(plan.curve.cls, d, n2, (outcome, (base, *claims), note),
+                   (x, y), d - mn if mode == "general" else 0)
 
 
-def _split_class(curve: _KnownClass, n2: int,
-                 x: int, y: int) -> DivClass | None:
-    """C/2 when the profile certifies N = C/2 (signature argument)."""
-    s, t = curve.cls.coords
-    hc, bc = curve.profile
-    if s % 2 or t % 2 or 4 * n2 != curve.square or (2 * x, 2 * y) != (hc, bc):
-        return None
-    return DivClass((s // 2, t // 2))
-
-
-def _kill_classlike(lat: Lattice, known: _Known, curve: _KnownClass, n2: int,
-                    mode: str, x: int, y: int) -> _Verdict | None:
+def _kill_classlike(lat: Lattice, plan: _Plan, n2: int, mode: str, x: int,
+                    y: int) -> _Verdict | None:
     """Rules that only use effectivity and connectedness of known classes.
 
     One pass over the known classes P reads P.N and, for Q = P - N, Q^2
@@ -517,15 +508,16 @@ def _kill_classlike(lat: Lattice, known: _Known, curve: _KnownClass, n2: int,
     the base-point-free and aCM rules then read what it kept.  Every rule
     asks q2 = -2 or |h.Q| >= 1, so none fires on Q = 0.
     """
-    half = _split_class(curve, n2, x, y)
-    if half is not None and mode in ("exact", "general"):
+    curve, split = plan.curve, plan.split
+    if (split is not None and mode in ("exact", "general")
+            and 4 * n2 == curve.square and (2 * x, 2 * y) == curve.profile):
         return "split-indecomposable", [_claim(
             lat, "the halved class matches the profile of N",
-            self_of(half), "=", n2,
-            cite=f"N and {half} = C/2 share square and basis pairings, so "
+            self_of(split), "=", n2,
+            cite=f"N and {split} = C/2 share square and basis pairings, so "
                  "N = C/2 by nondegeneracy and E is an extension of C/2 by "
                  "itself with Z' empty, i.e. decomposable",
-            contradicts="AX-INDECOMP: E is indecomposable")], f"N = {half}"
+            contradicts="AX-INDECOMP: E is indecomposable")], f"N = {split}"
     hc = curve.profile[0]
     if mode == "exact" and 2 * x == hc:
         # M - N is effective (or zero, excluded above) of degree 0
@@ -536,7 +528,7 @@ def _kill_classlike(lat: Lattice, known: _Known, curve: _KnownClass, n2: int,
             contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
                         "effective class is positive")], ""
     seen = []  # (P, P.N, Q^2, h.Q, N.Q) of every known class P
-    for p in known:
+    for p in plan.known:
         p1, p2 = p.cls.coords
         pn = p1 * x + p2 * y
         q2 = p.square - 2 * pn + n2
@@ -591,32 +583,27 @@ def _kill_classlike(lat: Lattice, known: _Known, curve: _KnownClass, n2: int,
     return None
 
 
-def _kill_fiber(lat: Lattice, known: _Known, curve: _KnownClass, d: int,
-                mode: str, x: int, y: int, cn: int) -> _Verdict | None:
+def _kill_fiber(lat: Lattice, plan: _Plan, d: int, mode: str, x: int, y: int,
+                cn: int) -> _Verdict | None:
     """Rules for N^2 = 0: N = rF over an elliptic pencil F with h.F >= 3.
     r = 1 (h.N >= 3) names the outcome; in general mode each r >= 2 dividing
     (h.N, B.N, C.N) must fall too, and the outcome is then
     pencil-branches-exhausted (elsewhere h^1(N) = r - 1 = 0 forces r = 1).
-    The twist rule's 4s are h^2 = 4, which the gate guarantees."""
-    c = curve.cls
-    for p in known:  # the square-0 (hence movable) class P with C = h + 2P
-        p1, p2 = p.cls.coords
-        if p.square != 0 or (1 + 2 * p1, 2 * p2) != c.coords:
-            continue
-        pn = _pairing(p.cls, x, y)
-        if pn <= 1:
-            outcome, claims = "pencil-restrict-degree", [_claim(
-                lat, "the distinguished movable class meets the fiber at "
-                     "most once",
-                pn, "<=", 1,
-                cite=f"{p.cls}.N = {pn}: a fiber meeting the movable class of "
-                     "the initialized pencil bundle fewer than twice forces "
-                     "either h^0 <= 1 or a section of the negative twist",
-                contradicts="AX-PENCIL-RESTRICT: the fiber pairing is >= 2")]
-            break
+    The restriction reads the plan's fiber P (square 0, hence movable);
+    the twist rule's 4s are h^2 = 4, which the gate guarantees."""
+    c, p = plan.curve.cls, plan.fiber
+    pn = None if p is None else _pairing(p, x, y)
+    if pn is not None and pn <= 1:
+        outcome, claims = "pencil-restrict-degree", [_claim(
+            lat, "the distinguished movable class meets the fiber at most "
+                 "once", pn, "<=", 1,
+            cite=f"{p}.N = {pn}: a fiber meeting the movable class of the "
+                 "initialized pencil bundle fewer than twice forces either "
+                 "h^0 <= 1 or a section of the negative twist",
+            contradicts="AX-PENCIL-RESTRICT: the fiber pairing is >= 2")]
     else:
-        m2 = curve.square - 2 * cn
-        hm = curve.profile[0] - x
+        m2 = plan.curve.square - 2 * cn
+        hm = plan.curve.profile[0] - x
         mh2 = m2 - 2 * hm + 4
         # the twisted h^1 clash, available while E is initialized aCM
         if mode != "exact" or mh2 > -4 or x >= 4:

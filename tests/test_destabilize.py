@@ -492,11 +492,17 @@ def _q_data_oracle(p, x, y, n2):
     return pn, q2, hq, nq
 
 
-def _kill_classlike_oracle(lat, known, curve, n2, mode, x, y, rec):
+def _kill_classlike_oracle(lat, plan, n2, mode, x, y, rec):
     """The class-like rules as they read before the one-pass rewrite: one
-    helper call per class and rule family, each verdict through ``rec``."""
+    helper call per class and rule family, each verdict through ``rec``;
+    C/2 is decided from the profile, as the former _split_class did."""
     _claim = destabilize._claim
-    half = destabilize._split_class(curve, n2, x, y)
+    known, curve = plan.known, plan.curve
+    s, t = curve.cls.coords
+    half = None
+    if not (s % 2 or t % 2 or 4 * n2 != curve.square
+            or (2 * x, 2 * y) != curve.profile):
+        half = DivClass((s // 2, t // 2))
     if half is not None and mode in ("exact", "general"):
         return rec("split-indecomposable", [_claim(
             lat, "the halved class matches the profile of N",
@@ -572,10 +578,9 @@ def test_one_pass_rules_match_the_per_rule_oracle(monkeypatch):
 
     calls = []
 
-    def oracle(lat, known, curve, n2, mode, x, y):
+    def oracle(lat, plan, n2, mode, x, y):
         calls.append(mode)
-        return _kill_classlike_oracle(lat, known, curve, n2, mode, x, y,
-                                      verdict)
+        return _kill_classlike_oracle(lat, plan, n2, mode, x, y, verdict)
 
     one_pass = destabilize._kill_classlike
     queries = list(_grid(s_max=4))
@@ -608,7 +613,7 @@ def test_one_pass_rules_match_the_per_rule_oracle(monkeypatch):
             for mode in MODES:
                 for x in range(plan.curve.profile[0] + 1):
                     for y in range(-4, 5):
-                        args = (lat, plan.known, plan.curve, n2, mode, x, y)
+                        args = (lat, plan, n2, mode, x, y)
                         got = one_pass(*args)
                         assert got == oracle(*args), (c, n2, mode, x, y)
                         if got is not None:
@@ -621,6 +626,75 @@ def test_one_pass_rules_match_the_per_rule_oracle(monkeypatch):
                       "a piece meeting N at most once",
                       "a piece meeting its complement at most once",
                       "a decomposition with nonpositive linking"}
+
+
+def _tool(name):
+    """tools/NAME.py, loaded from the checkout by its path."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_tool_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _special_classes_oracle(lat, c, facts):
+    """C's special classes as the engine found them before the plan held
+    them: C/2 and K by halving, L by its degree and square, and P as
+    _multiple_of and _kill_fiber's scan of the known classes found them."""
+    h = DivClass((1, 0))
+    known = destabilize._plan(lat, c, facts).known
+    nonempty = {a.subject.coords for a in facts if a.kind in _NONEMPTY_KINDS}
+    s, t = c.coords
+    split = None if s % 2 or t % 2 else DivClass((s // 2, t // 2))
+    half = split
+    if split is None or (split != h and (split - h).coords not in nonempty):
+        half = None
+    line = None
+    for p in known:  # a line L with C = 3h - 2L
+        p1, p2 = p.cls.coords
+        if p.profile[0] == 1 and p.square == -2 and (3 - 2 * p1, -2 * p2) == (
+                s, t):
+            line = p.cls
+    fiber = None
+    for p in known:  # the square-0 (hence movable) class P with C = h + 2P
+        p1, p2 = p.cls.coords
+        if p.square != 0 or (1 + 2 * p1, 2 * p2) != c.coords:
+            continue
+        fiber = p.cls
+        break
+    multiples = []
+    for p in known:
+        if not p.movable:
+            continue
+        for k in (2, 3, 4):
+            if all(k * a == b for a, b in zip(p.cls.coords, c.coords)):
+                multiples.append((k, p))
+                break
+    return split, half, line, fiber, tuple(multiples)
+
+
+def test_the_plan_holds_the_special_classes_the_scans_found():
+    # on the grid's 630 queries and on the engine digest surface's asserted
+    # facts, which alone assert elliptic pencils and irreducible curves
+    digests = _tool("cli_digests")
+    plans = {(lat, c, facts) for lat, facts, c, d, mode in _grid(s_max=4)}
+    asserted = {(b2, hb, s, t) for b2, hb, facts, s, t, d, mode
+                in digests._engine_queries() if facts == "asserted"}
+    for b2, hb, s, t in asserted:
+        lat, facts = digests._engine_input(b2, hb, "asserted")
+        plans.add((lat, DivClass((s, t)), facts))
+    fields = ("split", "half", "line", "fiber", "multiples")
+    reached = Counter()
+    for lat, c, facts in plans:
+        plan = destabilize._plan(lat, c, facts)
+        got = tuple(getattr(plan, name) for name in fields)
+        assert got == _special_classes_oracle(lat, c, facts), (lat.gram, c)
+        reached.update(name for name, value in zip(fields, got)
+                       if value is not None and value != ())
+    assert (len(plans), len(asserted)) == (61 + 65, 65)
+    assert set(reached) == set(fields), reached
 
 
 def test_a_record_is_a_named_tuple():

@@ -31,6 +31,19 @@ def test_cli_digests_finds_no_difference_between_a_checkout_and_itself():
     assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
 
 
+def test_cli_digests_names_a_root_whose_run_fails(tmp_path):
+    # a crashed root is not "surfaces differ" (exit 1): it exits 2 and the
+    # child's traceback is shown, so the cause is not lost
+    package = tmp_path / "broken" / "src" / "k3acm"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "raise RuntimeError('boom in package')\n")
+    proc = _digests(tmp_path / "broken", ROOT)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert str(tmp_path / "broken") in proc.stderr
+    assert "RuntimeError: boom in package" in proc.stderr
+
+
 def test_import_cost_prints_the_cli_and_each_package_module():
     proc = subprocess.run([sys.executable, str(IMPORT_COST), "1"],
                           capture_output=True, text=True, timeout=120)

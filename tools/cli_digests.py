@@ -12,7 +12,8 @@ exit code, stdout and stderr.  Equal digests mean byte-identical output
 on that surface.  Given two roots, it digests each in its own interpreter
 (one process never imports two ``k3acm`` packages), prints only the
 surfaces whose digests differ, each with both digests, and exits 1 if
-any does.
+any does; a root whose own run fails is named with its stderr, and the
+tool exits 2.
 
 Surfaces: ``theorem`` in text and ``--json`` at boxes 16, 128 and 256;
 ``enumerate --preset P --json`` for each preset, without and with ``-c``
@@ -30,11 +31,15 @@ temporary directory;
 surface that is not a command line, ``engine``: ``enumerate_destabilizing``
 in-process, each record through ``elimination_to_json`` (a refusal as its
 error class and text), on the seven ``classifier.WINDOWS`` presentations
-under two fact sets, B effective alone and ``engine_assumptions(lat, ())``,
-for C = (s, t) with |s| <= 6, |t| <= 4, C^2 >= 4 and 1 <= h.C <= 12, each
-d = 1..29 with d <= g + 7 - h.C, and every mode (2,784 queries).  The
-command line always derives B's complement, so only this surface reaches
-what the engine does with B alone.
+under three fact sets, for C = (s, t) with |s| <= 6, |t| <= 4, C^2 >= 4
+and 1 <= h.C <= 12, each d = 1..29 with d <= g + 7 - h.C, and every mode
+(4,176 queries).  The fact sets are B effective alone;
+``engine_assumptions(lat, ())``; and "asserted", which adds to the latter
+every class (a, b) with |a|, |b| <= 2, positive degree and square >= -2,
+asserted an irreducible curve at square -2, an elliptic pencil at 0 and
+base point free from 2.  The command line always derives B's complement
+and asserts no pencil or curve, so only this surface reaches what the
+engine does with B alone or with asserted pencils and curves.
 """
 
 from __future__ import annotations
@@ -121,7 +126,7 @@ def _engine_queries():
     from k3acm.classifier import WINDOWS
 
     for b2, hb in WINDOWS:
-        for facts in ("B effective", "engine_assumptions"):
+        for facts in ("B effective", "engine_assumptions", "asserted"):
             for s in range(-6, 7):
                 for t in range(-4, 5):
                     c2 = 4 * s * s + 2 * hb * s * t + b2 * t * t
@@ -142,7 +147,16 @@ def _engine_input(b2: int, hb: int, facts: str):
     if facts == "B effective":
         return lat, (Assumption(DivClass((0, 1)), AssumptionKind.EFFECTIVE,
                                 ""),)
-    return lat, engine_assumptions(lat, ())
+    derived = engine_assumptions(lat, ())
+    if facts == "engine_assumptions":
+        return lat, derived
+    kinds = {-2: AssumptionKind.IRREDUCIBLE_CURVE,
+             0: AssumptionKind.ELLIPTIC_PENCIL}
+    classes = [DivClass((a, b)) for a in range(-2, 3) for b in range(-2, 3)]
+    return lat, derived + tuple(
+        Assumption(p, kinds.get(lat.self_int(p),
+                                AssumptionKind.BASE_POINT_FREE), "")
+        for p in classes if lat.deg(p) > 0 and lat.self_int(p) >= -2)
 
 
 def _engine(query: tuple) -> list:
@@ -175,13 +189,18 @@ def _run(argv: list[str] | tuple) -> list:
 
 
 def _compare(root_a: str, root_b: str) -> int:
-    """Print the surfaces whose digests differ between two checkouts."""
+    """Print the surfaces whose digests differ between two checkouts; 2
+    when a checkout's own run fails."""
     digests = []
     for root in (root_a, root_b):
-        lines = subprocess.run([sys.executable, __file__, root], check=True,
-                               capture_output=True, text=True).stdout
+        run = subprocess.run([sys.executable, __file__, root],
+                             capture_output=True, text=True)
+        if run.returncode != 0:
+            print(f"{root}: the digest run failed with exit code "
+                  f"{run.returncode}\n{run.stderr}", file=sys.stderr, end="")
+            return 2
         digests.append(dict(line.split("  ", 1)[::-1]
-                            for line in lines.splitlines()))
+                            for line in run.stdout.splitlines()))
     a, b = digests
     differ = [name for name in {**a, **b} if a.get(name) != b.get(name)]
     for name in differ:
