@@ -98,11 +98,13 @@ class _KnownClass(NamedTuple):
 
 
 _Known = tuple[_KnownClass, ...]  # the known-class table, by coordinates
+_Rows = tuple[tuple[DivClass, int, int, int, int, str], ...]
 
 
 class _Plan(NamedTuple):
     """What a sweep reads that depends on (lat, C, facts) alone, C's
-    special classes split, half, line, fiber and multiples included."""
+    special classes split, half, line, fiber and multiples included, and
+    the rows of the known classes that the class-like rules read."""
 
     known: _Known       # the fact classes and C, by coordinates
     curve: _KnownClass  # C's entry
@@ -113,6 +115,9 @@ class _Plan(NamedTuple):
     half: DivClass | None   # K = C/2 with K - h zero or asserted nonempty
     line: DivClass | None   # L: C = 3h - 2L, L a known line
     fiber: DivClass | None  # P: C = h + 2P, P a known class of square 0
+    rows: _Rows      # (P, p1, p2, P^2, h.P, str(P)) per known class, in order
+    bpf_rows: _Rows  # the rows of the base-point-free positive classes
+    acm_rows: _Rows  # the rows of the aCM classes
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -130,9 +135,10 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
     <= 0 raises ConflictingAssumptionsError (AX-AMPLE-POSITIVE).  Every
     class C fixes is found here, once: split, half, line (degree 1,
     square -2), fiber (square 0) and multiples (C = kP, k = 2, 3, 4, P
-    movable), as _Plan's fields say.  The plan is a pure function of the
-    frozen (lat, C, facts), so every (d, mode) query on it shares it;
-    callers check C first.  The gate fixes h^2 = 4.
+    movable), as _Plan's fields say, and so is each known class's row,
+    which ``_kill_classlike`` reads on every profile.  The plan is a pure
+    function of the frozen (lat, C, facts), so every (d, mode) query on
+    it shares it; callers check C first.  The gate fixes h^2 = 4.
     """
     _conflict_check(facts)
     bpf = {a.subject.coords for a in facts
@@ -176,8 +182,12 @@ def _plan(lat: Lattice, c: DivClass, facts: tuple[Assumption, ...]) -> _Plan:
                  and p.square == -2 and _H * 3 - p.cls * 2 == c), None)
     fiber = next((p.cls for p in known
                   if p.square == 0 and _H + p.cls * 2 == c), None)
+    rows = [(p.cls, *p.cls.coords, p.square, p.profile[0], str(p.cls))
+            for p in known]
     return _Plan(tuple(known), curve, multiples, columns, split, half, line,
-                 fiber)
+                 fiber, tuple(rows),
+                 tuple(r for r, p in zip(rows, known) if p.bpf_positive),
+                 tuple(r for r, p in zip(rows, known) if p.acm))
 
 
 def _claim(lat: Lattice, label: str, lhs, rel: str, rhs, cite: str = "",
@@ -503,10 +513,10 @@ def _kill_classlike(lat: Lattice, plan: _Plan, n2: int, mode: str, x: int,
                     y: int) -> _Verdict | None:
     """Rules that only use effectivity and connectedness of known classes.
 
-    One pass over the known classes P reads P.N and, for Q = P - N, Q^2
-    and h.Q off the profile, firing the rules that hold for every class;
-    the base-point-free and aCM rules then read what it kept.  Every rule
-    asks q2 = -2 or |h.Q| >= 1, so none fires on Q = 0.
+    One pass over the plan's rows reads P.N and, for Q = P - N, Q^2 and
+    h.Q off the profile, firing the rules that hold for every class; the
+    base-point-free and aCM rules then pass over their own rows.  Every
+    rule asks q2 = -2 or |h.Q| >= 1, so none fires on Q = 0.
     """
     curve, split = plan.curve, plan.split
     if (split is not None and mode in ("exact", "general")
@@ -527,59 +537,59 @@ def _kill_classlike(lat: Lattice, plan: _Plan, n2: int, mode: str, x: int,
             cite="M - N is effective and nonzero here, yet h.(M - N) = 0",
             contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
                         "effective class is positive")], ""
-    seen = []  # (P, P.N, Q^2, h.Q, N.Q) of every known class P
-    for p in plan.known:
-        p1, p2 = p.cls.coords
+    for p, p1, p2, p_sq, hp, name in plan.rows:
         pn = p1 * x + p2 * y
-        q2 = p.square - 2 * pn + n2
-        hq = p.profile[0] - x
+        q2 = p_sq - 2 * pn + n2
+        hq = hp - x
         if hq == 0 and q2 == -2:
             return "ample-orthogonal-neg2", [_claim(
                 lat, "a (-2)-class orthogonal to h",
-                add_expr(self_of(p.cls), -2 * pn, n2), "=", -2,
-                cite=f"({p.cls} - N)^2 = -2 while h.({p.cls} - N) = 0; a "
+                add_expr(self_of(p), -2 * pn, n2), "=", -2,
+                cite=f"({name} - N)^2 = -2 while h.({name} - N) = 0; a "
                      "(-2)-class is effective up to sign",
                 contradicts="AX-AMPLE-POSITIVE: ample degree of a nonzero "
-                            "effective class is positive")], f"P = {p.cls}"
+                            "effective class is positive")], f"P = {name}"
         if q2 >= 0 and 1 <= abs(hq) <= 2:
-            name = f"{p.cls} - N" if hq > 0 else f"N - ({p.cls})"
+            piece = f"{name} - N" if hq > 0 else f"N - ({name})"
             return "very-ample-degree-floor", [_claim(
                 lat, "degree below the very ample floor",
                 abs(hq), "<", 3,
-                cite=f"({name})^2 = {q2} >= 0 and h.({name}) = {abs(hq)}; a "
-                     "nonzero class of nonnegative square and positive "
+                cite=f"({piece})^2 = {q2} >= 0 and h.({piece}) = {abs(hq)}; "
+                     "a nonzero class of nonnegative square and positive "
                      "degree moves in a pencil",
                 contradicts="AX-VA-DEGREE3: degree floor under a very ample "
-                            "polarization")], f"P = {p.cls}"
-        seen.append((p, pn, q2, hq, pn - n2))
-    for p, pn, q2, hq, nq in seen:
-        if not p.bpf_positive:
-            continue
+                            "polarization")], f"P = {name}"
+    for _, p1, p2, p_sq, hp, name in plan.bpf_rows:
+        pn = p1 * x + p2 * y
+        q2 = p_sq - 2 * pn + n2
+        hq, nq = hp - x, pn - n2
         if q2 >= -2 and hq >= 1 and nq <= 1:
             return "two-connected-violation", [_claim(
                 lat, "a piece meeting N at most once",
                 nq, "<=", 1,
-                cite=f"Q = {p.cls} - N is effective (Q^2 = {q2} >= -2, "
+                cite=f"Q = {name} - N is effective (Q^2 = {q2} >= -2, "
                      f"h.Q = {hq} >= 1) and N.Q = {nq}",
-                contradicts=f"AX-2CONNECTED: members of |{p.cls}| are "
-                            "2-connected")], f"P = {p.cls}"
-        if q2 >= -2 and hq <= -1 and n2 >= 2 and pn - p.square <= 1:
+                contradicts=f"AX-2CONNECTED: members of |{name}| are "
+                            "2-connected")], f"P = {name}"
+        if q2 >= -2 and hq <= -1 and n2 >= 2 and pn - p_sq <= 1:
             return "two-connected-violation", [_claim(
                 lat, "a piece meeting its complement at most once",
-                pn - p.square, "<=", 1,
-                cite=f"Q = N - ({p.cls}) is effective and {p.cls}.Q = "
-                     f"{pn - p.square}",
+                pn - p_sq, "<=", 1,
+                cite=f"Q = N - ({name}) is effective and {name}.Q = "
+                     f"{pn - p_sq}",
                 contradicts="AX-2CONNECTED: members of |N| are "
-                            "2-connected")], f"P = {p.cls}"
-    for p, pn, q2, hq, nq in seen:
-        if p.acm and q2 == -2 and hq >= 1 and nq <= 0:
+                            "2-connected")], f"P = {name}"
+    for _, p1, p2, p_sq, hp, name in plan.acm_rows:
+        pn = p1 * x + p2 * y
+        hq, nq = hp - x, pn - n2
+        if p_sq - 2 * pn + n2 == -2 and hq >= 1 and nq <= 0:
             return "one-connected-h1", [_claim(
                 lat, "a decomposition with nonpositive linking",
                 nq, "<=", 0,
-                cite=f"{p.cls} = N + ({p.cls} - N) with ({p.cls} - N)^2 = -2, "
-                     f"h.({p.cls} - N) = {hq} and N.({p.cls} - N) = {nq}",
+                cite=f"{name} = N + ({name} - N) with ({name} - N)^2 = -2, "
+                     f"h.({name} - N) = {hq} and N.({name} - N) = {nq}",
                 contradicts="AX-1CONNECTED-H1 with AX-ACM-VANISH: h^1 of "
-                            "the aCM class vanishes")], f"P = {p.cls}"
+                            "the aCM class vanishes")], f"P = {name}"
     return None
 
 
@@ -647,7 +657,7 @@ def elimination_to_json(rec: PairElimination) -> dict:
         "profile": list(rec.profile) if rec.profile is not None else None,
         "len_zprime": rec.len_zprime,
         "outcome": rec.outcome,
-        "resolved": rec.resolved,
+        "resolved": rec.outcome != "unresolved",
         "trace": [step_to_json(cl) for cl in rec.trace],
     }
     if rec.note:

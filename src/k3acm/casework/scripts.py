@@ -73,11 +73,14 @@ from .constraints import _is_rel, check_rel
 
 Expr = Any  # int, or a dict {"op": str, ...}
 Compiled = Callable[[Lattice], int]
+_EXACT_INT = frozenset({int})  # _coords: exact ints in one C-level pass
 
 
 def _coords(value) -> tuple[int, ...]:
     """Class coordinates from JSON, which must all be ints, as a tuple."""
-    if type(value) not in (list, tuple) or not all(map(_is_int, value)):
+    if type(value) not in (list, tuple) or not (
+            _EXACT_INT.issuperset(map(type, value))
+            or all(map(_is_int, value))):
         raise MalformedScriptError(
             f"class coordinates must be a list of ints, got {value!r}")
     return tuple(value)
@@ -351,13 +354,14 @@ class ArithClaim:
 
     kind = "arith"
 
-    # one __dict__ update in place of a generated __setattr__ per field
+    # __dict__ filled key by key: no generated __setattr__, no kwargs dict
     def __init__(self, label: str, lhs: Expr, rel: str, rhs: Expr,
                  cite: str = "", contradicts: str = ""):
         if not _is_rel(rel):
             raise MalformedScriptError(f"unknown relation {rel!r}")
-        self.__dict__.update(label=label, lhs=lhs, rel=rel, rhs=rhs,
-                             cite=cite, contradicts=contradicts)
+        d = self.__dict__
+        d["label"], d["lhs"], d["rel"] = label, lhs, rel
+        d["rhs"], d["cite"], d["contradicts"] = rhs, cite, contradicts
 
     @cached_property
     def compiled(self) -> tuple[Compiled, Compiled]:

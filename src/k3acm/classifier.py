@@ -206,7 +206,9 @@ _CACHE_SIZE = 1024
 
 def is_initialized_acm(lat: Lattice, b: DivClass,
                        assumptions: Sequence[Assumption] = ()) -> AcmClassification:
-    """Classify B against the four-case window (pure in (B^2, H.B))."""
+    """Classify B against the four-case window (pure in (B^2, H.B)); the
+    windows hold for H^2 = 4 only, so any other ample class raises
+    BadParametersError."""
     _checked_class(b)
     return _classify(lat, b, _checked_facts(assumptions))
 
@@ -214,6 +216,10 @@ def is_initialized_acm(lat: Lattice, b: DivClass,
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _classify(lat: Lattice, b: DivClass,
               assumptions: tuple[Assumption, ...]) -> AcmClassification:
+    if lat.self_int(lat.ample) != 4:
+        raise BadParametersError(
+            "the aCM windows are written for a quartic, h^2 = 4, but the "
+            f"ample class has h^2 = {lat.self_int(lat.ample)}")
     if b.is_zero():
         raise TrivialClassError("the zero class is excluded from classification")
     verdict = effectivity(lat, b, assumptions)

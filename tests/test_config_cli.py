@@ -270,6 +270,26 @@ def test_cli_companions(capsys):
     ]
 
 
+@pytest.mark.parametrize("gram, k3, h2", [
+    ([[6, 3], [3, -2]], True, 6),   # a K3 config; B would read as window (a)
+    ([[2, 3], [3, 0]], False, 2),   # B would read as window (b)
+], ids=["sextic-k3", "h2-2"])
+def test_cli_classify_and_companions_refuse_a_polarization_of_other_degree(
+        capsys, tmp_path, gram, k3, h2):
+    # the windows are written for h^2 = 4: another ample degree is bad
+    # input, not a classification and not an inconsistent companion
+    cfg = tmp_path / "other.json"
+    cfg.write_text(json.dumps(_doc(gram=gram, k3=k3)))
+    for command in ("classify", "companions"):
+        for flags in ([], ["--json"]):
+            code, out, err = _run(capsys, command, "-c", str(cfg), "--class",
+                                  "0,1", *flags)
+            assert (code, out) == (2, ""), (command, flags, out, err)
+            assert err == (f"error: the aCM windows are written for a "
+                           f"quartic, h^2 = 4, but the ample class has "
+                           f"h^2 = {h2}\n"), (command, flags)
+
+
 def test_cli_enumerate_json_is_exactly_the_solution_set(capsys):
     code, out, _ = _run(capsys, "enumerate", "--preset", "i-a", "--json")
     assert code == 0

@@ -693,8 +693,22 @@ def test_the_plan_holds_the_special_classes_the_scans_found():
         assert got == _special_classes_oracle(lat, c, facts), (lat.gram, c)
         reached.update(name for name, value in zip(fields, got)
                        if value is not None and value != ())
+        # the class-like rules' rows: one per known class, in its order,
+        # read off the lattice, and the base-point-free and aCM subsets
+        assert plan.rows == tuple(
+            (p.cls, *p.cls.coords, lat.self_int(p.cls), lat.deg(p.cls),
+             str(p.cls)) for p in plan.known), (lat.gram, c)
+        by_class = dict(zip(plan.known, plan.rows))
+        subsets = {"bpf_rows": tuple(by_class[p] for p in plan.known
+                                     if p.bpf_positive),
+                   "acm_rows": tuple(by_class[p] for p in plan.known
+                                     if p.acm)}
+        for name, want in subsets.items():
+            assert getattr(plan, name) == want, (name, lat.gram, c)
+            if 0 < len(want) < len(plan.rows):  # a proper, nonempty subset
+                reached[name] += 1
     assert (len(plans), len(asserted)) == (61 + 65, 65)
-    assert set(reached) == set(fields), reached
+    assert set(reached) == {*fields, "bpf_rows", "acm_rows"}, reached
 
 
 def test_a_record_is_a_named_tuple():
@@ -775,6 +789,39 @@ def test_each_curve_is_planned_once_per_presentation():
     # queries refused by the input checks build no plan
     assert info.misses == info.currsize == len(planned)
     assert info.hits == queries - len(planned) > 5 * len(planned)
+
+
+def test_every_sweep_claim_is_self_checked_as_it_is_made(monkeypatch):
+    # _claim checks each claim once and evaluates both of its sides, on
+    # every record of every grid query: no claim, cached or planned,
+    # reaches a record unchecked
+    checks, sides = [], []
+
+    def counted_check(rel, lhs, rhs):
+        checks.append(rel)
+        return check_rel(rel, lhs, rhs)
+
+    def counted_evaluate(expr, lat):
+        sides.append(expr)
+        return evaluate(expr, lat)
+
+    monkeypatch.setattr(destabilize, "check_rel", counted_check)
+    monkeypatch.setattr(destabilize, "evaluate", counted_evaluate)
+    queries = list(_grid(s_max=4))
+    assert len(queries) == 630
+    claims = Counter()
+    for lat, facts, c, d, mode in queries:
+        del checks[:], sides[:]
+        records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
+        trace = [cl for rec in records for cl in rec.trace]
+        assert all(rec.trace for rec in records), (c, d, mode)
+        assert checks == [cl.rel for cl in trace], (c, d, mode)
+        assert len(sides) == 2 * len(trace), (c, d, mode)
+        assert sides == [side for cl in trace for side in (cl.lhs, cl.rhs)]
+        claims.update(rec.profile is not None for rec in records
+                      for _ in rec.trace)
+    # the profile records' claims and the branch and query records' both
+    assert claims[True] > 0 and claims[False] > 0, claims
 
 
 def test_a_warm_plan_still_self_checks_every_claim(capsys, monkeypatch):

@@ -1209,6 +1209,31 @@ def test_literal_arithmetic_folds_and_lattice_reads_stay_closures():
     assert callable(folded) and folded(LAT) == 7
 
 
+def test_coords_keeps_its_accepted_set():
+    # exact ints pass the one-pass type test; an int subclass other than
+    # bool passes too, through _is_int, and reads as the same class
+    class Coefficient(int):
+        pass
+
+    one = Coefficient(1)
+    assert _coords([one, 0]) == _coords((1, 0)) == (1, 0)
+    for expr, plain in (
+            ({"op": "self", "a": [one, 0]}, self_of(DivClass((1, 0)))),
+            ({"op": "deg", "a": (0, one)}, deg_of(DivClass((0, 1)))),
+            ({"op": "pair", "a": [one, one], "b": [0, one]},
+             pair_of(DivClass((1, 1)), DivClass((0, 1))))):
+        assert evaluate(expr, LAT) == evaluate(plain, LAT) == _oracle_evaluate(
+            plain, LAT), expr
+    # what the former check refused, it still refuses with the same text
+    for value in ([True, 0], [1.0, 0], ["1", 0], {1, 0}):
+        with pytest.raises(MalformedScriptError) as want:
+            _oracle_coords(value)
+        for read in (_coords, lambda v: evaluate({"op": "self", "a": v}, LAT)):
+            with pytest.raises(MalformedScriptError) as got:
+                read(value)
+            assert str(got.value) == str(want.value), value
+
+
 def test_folding_and_the_kernel_cache_keep_the_errors():
     from k3acm.casework import scripts
     from k3acm.errors import DimensionMismatchError

@@ -2,6 +2,7 @@
 tools/import_cost.py: the import time of k3acm.cli per module."""
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,30 @@ def test_cli_digests_names_a_root_whose_run_fails(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert str(tmp_path / "broken") in proc.stderr
     assert "RuntimeError: boom in package" in proc.stderr
+
+
+def test_cli_digests_names_the_first_run_that_differs(tmp_path):
+    # a root whose one changed line alters only the text lattice-info of
+    # quartic_b2_4.json, the fifth of that surface's eight runs
+    changed = tmp_path / "changed"
+    for part in ("src", "k3bench"):
+        shutil.copytree(ROOT / part, changed / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "src" / "k3acm" / "cli.py"
+    line = '    print(f"ample: {lat.ample}")\n'
+    text = cli.read_text()
+    assert text.count(line) == 1
+    cli.write_text(text.replace(line, '    print(f"ample: {lat.ample}"'
+                                      ' + "!" * (lat.gram[1][1] == 4))\n'))
+    proc = _digests(ROOT, changed)
+    assert proc.returncode == 1, proc.stderr
+    name, first = proc.stdout.splitlines()
+    assert re.fullmatch(r"lattice-info: [0-9a-f]{64} -> [0-9a-f]{64}", name)
+    assert first == ("  first differing run: k3acm lattice-info -c "
+                     "quartic_b2_4.json")
+    # the single-root output is as before: one digest line per surface
+    proc = _digests(changed)
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 30
 
 
 def test_import_cost_prints_the_cli_and_each_package_module():

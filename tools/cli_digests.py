@@ -11,7 +11,8 @@ command line in order, the arguments (a config as its file name), the
 exit code, stdout and stderr.  Equal digests mean byte-identical output
 on that surface.  Given two roots, it digests each in its own interpreter
 (one process never imports two ``k3acm`` packages), prints only the
-surfaces whose digests differ, each with both digests, and exits 1 if
+surfaces whose digests differ, each with both digests and the first
+command line, or ``engine`` query, whose output differs, and exits 1 if
 any does; a root whose own run fails is named with its stderr, and the
 tool exits 2.
 
@@ -48,6 +49,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -175,7 +177,7 @@ def _engine(query: tuple) -> list:
 
 def _run(argv: list[str] | tuple) -> list:
     """One run of a surface: a list is a command line, a tuple an
-    ``engine`` query."""
+    ``engine`` query.  Its first item names the run."""
     from k3acm import cli
 
     if isinstance(argv, tuple):
@@ -188,38 +190,62 @@ def _run(argv: list[str] | tuple) -> list:
     return [shown, code, out.getvalue(), err.getvalue()]
 
 
+def _digests(root: str) -> dict[str, tuple[str, list]]:
+    """surface -> (its digest, [(run name, the run's own digest), ...])."""
+    root = Path(root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root)]
+    out = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, argvs in _surfaces(root, Path(workdir)).items():
+            digest, runs = hashlib.sha256(), []
+            for argv in argvs:
+                ran = _run(argv)
+                line = json.dumps(ran).encode() + b"\n"
+                digest.update(line)
+                runs.append((ran[0], hashlib.sha256(line).hexdigest()))
+            out[name] = digest.hexdigest(), runs
+    return out
+
+
+# the compare mode's child: one root's digests with each run's, as JSON
+_CHILD = ("import json, runpy, sys; print(json.dumps("
+          "runpy.run_path(sys.argv[1])['_digests'](sys.argv[2])))")
+
+
 def _compare(root_a: str, root_b: str) -> int:
-    """Print the surfaces whose digests differ between two checkouts; 2
-    when a checkout's own run fails."""
+    """Print the surfaces whose digests differ between two checkouts, each
+    with its first differing run; 2 when a checkout's own run fails."""
     digests = []
     for root in (root_a, root_b):
-        run = subprocess.run([sys.executable, __file__, root],
+        run = subprocess.run([sys.executable, "-c", _CHILD, __file__, root],
                              capture_output=True, text=True)
         if run.returncode != 0:
             print(f"{root}: the digest run failed with exit code "
                   f"{run.returncode}\n{run.stderr}", file=sys.stderr, end="")
             return 2
-        digests.append(dict(line.split("  ", 1)[::-1]
-                            for line in run.stdout.splitlines()))
+        digests.append(json.loads(run.stdout))
     a, b = digests
     differ = [name for name in {**a, **b} if a.get(name) != b.get(name)]
     for name in differ:
-        print(f"{name}: {a.get(name, '-')} -> {b.get(name, '-')}")
+        (digest_a, runs_a), (digest_b, runs_b) = (
+            side.get(name, ("-", [])) for side in (a, b))
+        print(f"{name}: {digest_a} -> {digest_b}")
+        first = next((ran_a or ran_b for ran_a, ran_b in itertools.zip_longest(
+            runs_a, runs_b) if ran_a != ran_b), None)
+        if first is not None:
+            shown = (f"engine query {json.dumps(first[0])}" if name == "engine"
+                     else " ".join(["k3acm", *first[0]]))
+            print(f"  first differing run: {shown}")
     return 1 if differ else 0
 
 
 def main() -> int:
     if len(sys.argv) == 3:
         return _compare(*sys.argv[1:])
-    root = Path(sys.argv[1] if len(sys.argv) > 1
-                else Path(__file__).resolve().parents[1]).resolve()
-    sys.path[:0] = [str(root / "src"), str(root)]
-    with tempfile.TemporaryDirectory() as workdir:
-        for name, argvs in _surfaces(root, Path(workdir)).items():
-            digest = hashlib.sha256()
-            for argv in argvs:
-                digest.update(json.dumps(_run(argv)).encode() + b"\n")
-            print(f"{digest.hexdigest()}  {name} ({len(argvs)} runs)")
+    root = (sys.argv[1] if len(sys.argv) > 1
+            else Path(__file__).resolve().parents[1])
+    for name, (digest, runs) in _digests(root).items():
+        print(f"{digest}  {name} ({len(runs)} runs)")
     return 0
 
 
