@@ -7,19 +7,21 @@ claims (the squares and pairing of the basis), so that any mutation of
 the gram matrix breaks at least one claim, and ends either in a flagged
 contradiction or an established statement.
 
-Every survivor script is one builder, ``_script_pencil``, over the
-row's data (presentation, curve, mode): a hand-written header (pins, the
-c2 window, the cited facts and, for a sweep, the Brill-Noether numbers)
-and the destabilizing-pair engine's records at every d of the window.
-The engine settles a row by its sweep, or by one of its query rules:
-the self-dual twist for the two rows of C = 2(h + B') on (-2, 2), the
+A row of CASES is plain data, (tag, presentation, curve, mode), and
+Case.script() picks its builder from the row's shape.  Every row with a
+curve, the eight survivors and the gonality floor, is one builder,
+``_script_pencil``: a hand-written header (pins, the c2 window, the
+cited facts and, for a sweep, the Brill-Noether numbers) and the
+destabilizing-pair engine's records at every d of the window.  The
+engine settles a row by its sweep, or by one of its query rules: the
+self-dual twist for the two rows of C = 2(h + B') on (-2, 2), the
 restriction to the line B for C = 3h - 2B on (-2, 1).  CASES is the one
 table of what each script settles; verify_necessity reads it too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from ..classifier import WINDOWS, complement
 from ..errors import BadParametersError, EngineError, PreconditionError
@@ -39,23 +41,27 @@ class Case(NamedTuple):
     """One builtin script and what it settles in the replay.
 
     presentation is (B^2, h.B) of the script lattice, None for the rank-8
-    example.  A script with a curve eliminates that survivor C = s h + t B,
-    or, with support set, backs every replay of its presentation; one that
-    ``reduces`` (no curve) takes it to complement(presentation) by kh - B.
-    mode marks a case analysis taken from the engine in that mode, at
-    every d of the curve's c2 window (in gonality mode, at its top).
+    example; a row that ``reduces`` (no curve) takes it to
+    complement(presentation) by kh - B.  A row with a curve is a case
+    analysis from the engine in its mode at every d of the curve's c2
+    window (in gonality mode, at its top), and eliminates that survivor
+    C = s h + t B, except the ``support`` row: a gonality sweep proves a
+    pencil-degree floor, an established statement, which backs every
+    replay of its presentation instead.  script() builds by this shape.
     """
 
     tag: str
-    build: Callable[["Case"], DerivationScript]
     presentation: tuple[int, int] | None = None
     curve: DivClass | None = None
     mode: str | None = None
-    support: bool = False
 
     @property
     def reduces(self) -> bool:
         return self.presentation is not None and self.curve is None
+
+    @property
+    def support(self) -> bool:
+        return self.mode == "gonality"
 
     def script(self) -> DerivationScript:
         """This row's derivation script, built on its first use (never at
@@ -68,7 +74,10 @@ class Case(NamedTuple):
         """
         script = _SCRIPTS.get(self)
         if script is None:
-            script = _SCRIPTS[self] = self.build(self)
+            build = (_script_delpezzo if self.presentation is None else
+                     _script_reduction if self.curve is None else
+                     _script_pencil)
+            script = _SCRIPTS[self] = build(self)
         return script
 
 
@@ -195,27 +204,21 @@ def _script_pencil(case: Case) -> DerivationScript:
     b2, hb = case.presentation
     lat = quartic_lattice(b2, hb)
     steps, how = _pencil_steps(case, lat)
-    return DerivationScript(
-        tag=case.tag, lattice=lat, steps=steps, conclusion=CONTRADICTION,
-        description=f"Eliminates C = {case.curve} on the ({b2}, {hb}) "
-                    f"configuration {how}.")
-
-
-def _script_gonality_floor(case: Case) -> DerivationScript:
-    lat = quartic_lattice(*case.presentation)
-    steps = _pencil_steps(case, lat)[0] + [
-        ArithClaim("the restriction pencil attains the floor", self_of(_B),
-                   "=", 4,
-                   cite="|B| restricted to a member of |2B| moves in a "
-                        "pencil of degree B.(2B)/2 = 4"),
-    ]
-    return DerivationScript(
-        tag=case.tag, lattice=lat, steps=steps,
-        conclusion=established(
+    conclusion, description = CONTRADICTION, (
+        f"Eliminates C = {case.curve} on the ({b2}, {hb}) configuration "
+        f"{how}.")
+    if case.support:
+        steps.append(ArithClaim(
+            "the restriction pencil attains the floor", self_of(_B), "=", 4,
+            cite="|B| restricted to a member of |2B| moves in a pencil of "
+                 "degree B.(2B)/2 = 4"))
+        conclusion = established(
             "every pencil on a smooth member of |2B| has degree at least "
-            "4, and the restriction of |B| attains it"),
-        description="Degree floor for pencils on curves in |2B| on the "
-                    "(4, 6) configuration.")
+            "4, and the restriction of |B| attains it")
+        description = ("Degree floor for pencils on curves in |2B| on the "
+                       "(4, 6) configuration.")
+    return DerivationScript(tag=case.tag, lattice=lat, steps=steps,
+                            conclusion=conclusion, description=description)
 
 
 # --- presentation reductions -------------------------------------------------
@@ -310,27 +313,18 @@ def _script_delpezzo(case: Case) -> DerivationScript:
 
 
 CASES = (
-    Case("case-B2neg2-Bh1", _script_pencil, (-2, 1),
-         curve=DivClass((3, -2)), mode="general"),
-    Case("case-B2neg2-Bh2", _script_pencil, (-2, 2),
-         curve=DivClass((2, 2)), mode="exact"),
-    Case("case-B2neg2-Bh2-mirror", _script_pencil, (-2, 2),
-         curve=DivClass((4, -2)), mode="exact"),
-    Case("case-B2neg2-Bh3", _script_pencil, (-2, 3),
-         curve=DivClass((4, -2)), mode="exact"),
-    Case("case-B20-Bh4", _script_pencil, (0, 4),
-         curve=DivClass((1, 2)), mode="general"),
-    Case("case-B20-Bh4-mirror", _script_pencil, (0, 4),
-         curve=DivClass((5, -2)), mode="general"),
-    Case("case-B24", _script_pencil, (4, 6),
-         curve=DivClass((0, 2)), mode="exact"),
-    Case("case-B24-mirror", _script_pencil, (4, 6),
-         curve=DivClass((6, -2)), mode="exact"),
-    Case("gonality-2B", _script_gonality_floor, (4, 6),
-         curve=DivClass((0, 2)), mode="gonality", support=True),
-    Case("reduction-B20-Bh3", _script_reduction, (0, 3)),
-    Case("reduction-B22-Bh5", _script_reduction, (2, 5)),
-    Case("delpezzo-cover", _script_delpezzo),
+    Case("case-B2neg2-Bh1", (-2, 1), DivClass((3, -2)), "general"),
+    Case("case-B2neg2-Bh2", (-2, 2), DivClass((2, 2)), "exact"),
+    Case("case-B2neg2-Bh2-mirror", (-2, 2), DivClass((4, -2)), "exact"),
+    Case("case-B2neg2-Bh3", (-2, 3), DivClass((4, -2)), "exact"),
+    Case("case-B20-Bh4", (0, 4), DivClass((1, 2)), "general"),
+    Case("case-B20-Bh4-mirror", (0, 4), DivClass((5, -2)), "general"),
+    Case("case-B24", (4, 6), DivClass((0, 2)), "exact"),
+    Case("case-B24-mirror", (4, 6), DivClass((6, -2)), "exact"),
+    Case("gonality-2B", (4, 6), DivClass((0, 2)), "gonality"),
+    Case("reduction-B20-Bh3", (0, 3)),
+    Case("reduction-B22-Bh5", (2, 5)),
+    Case("delpezzo-cover"),
 )
 
 

@@ -290,13 +290,20 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
         verdict = rule(lat, plan, d)
         if verdict is not None:
             return [_record(c, d, 0, verdict)]
-    cap = c2 // 4
     out: list[PairElimination] = []
-    for n2 in range(0, cap + 1, 2):
-        out.extend(_branch(lat, plan, d, n2, mode))
-    sentinel = cap + 2 if cap % 2 == 0 else cap + 1
-    out.append(_record(c, d, sentinel, _beyond_cap(lat, c, sentinel)))
-    return out
+    for n2 in range(0, c2 // 4 + 1, 2):
+        hits, window = _profiles(lat, plan, d, n2, mode)
+        out.extend(_kill_profile(lat, plan, d, n2, mode, x, y, cn)
+                   for x, y, cn in hits)
+        if not hits:
+            out.append(_record(c, d, n2, _infeasible(lat, plan, n2, *window)))
+    n2 += 2  # the least even square beyond the cap C^2 // 4
+    return out + [_record(c, d, n2, ("beyond-hodge-cap", (_claim(
+        lat, "four times N^2 exceeds C^2", 4 * n2, ">", self_of(c),
+        cite=f"M^2 >= N^2 >= {n2} and M.N >= N^2 give "
+             f"C^2 = (M + N)^2 >= 4 N^2 = {4 * n2}",
+        contradicts="the Hodge-index cap on the square of N"),),
+        "all larger squares at once"))]
 
 
 _Verdict = tuple[str, Sequence[ArithClaim], str]  # (outcome, claims, note)
@@ -430,68 +437,41 @@ def _profiles(lat: Lattice, plan: _Plan, d: int, n2: int,
     return hits, (cn_lo, cn_hi)
 
 
-def _branch(lat: Lattice, plan: _Plan, d: int, n2: int,
-            mode: str) -> list[PairElimination]:
-    """One n^2 branch of the sweep planned for (lat, C, facts)."""
-    hits, (cn_lo, cn_hi) = _profiles(lat, plan, d, n2, mode)
-    if not hits:
-        return [_record(plan.curve.cls, d, n2,
-                        _infeasible(lat, plan, n2, cn_lo, cn_hi))]
-    return [_kill_profile(lat, plan, d, n2, mode, x, y, cn)
-            for x, y, cn in hits]
-
-
 def _infeasible(lat: Lattice, plan: _Plan, n2: int, cn_lo: int,
                 cn_hi: int) -> _Verdict:
     """No profile passed the windows; certify the binding clash."""
     c, c2 = plan.curve.cls, plan.curve.square
-    trace: list[ArithClaim] = []
-    note = ""
+    budget = "the degree accounting M.N + len(Z') = c2"
     # C a multiple of one known movable class: its pairing floor scales
     for k, p in plan.multiples:
         floor = p.floor(n2)
         if k * floor > cn_hi:
-            trace.append(_claim(
+            return "window-infeasible", (_claim(
                 lat, "forced pairing exceeds the degree budget",
                 k * floor, ">", cn_hi,
                 cite=f"C = {k}({p.cls}) forces C.N >= {k}*{floor} with "
                      f"{p.cls}.N >= {floor}, but M.N + N^2 <= {cn_hi}",
-                contradicts="the degree accounting M.N + len(Z') = c2"))
-            note = "pairing floor through the movable multiple"
-            break
+                contradicts=budget),), (
+                "pairing floor through the movable multiple")
     # n2 <= C^2/4 makes this floor >= 2 n2, so it covers M.N >= N^2 too
-    if not trace and n2 > 0 and hodge_lower(c2, n2) > cn_hi:
-        trace.append(_claim(
+    if n2 > 0 and hodge_lower(c2, n2) > cn_hi:
+        return "window-infeasible", (_claim(
             lat, "Hodge floor on C.N exceeds the degree budget",
             hodge_expr(self_of(c), n2), ">", cn_hi,
             cite=f"C^2 = {c2} and N^2 = {n2} force "
                  f"C.N >= ceil(sqrt({c2 * n2}))",
-            contradicts="the degree accounting M.N + len(Z') = c2"))
-        note = "Hodge index against C"
-    if not trace and cn_lo > cn_hi:
-        trace.append(_claim(
+            contradicts=budget),), "Hodge index against C"
+    if cn_lo > cn_hi:
+        return "window-infeasible", (_claim(
             lat, "empty degree budget", cn_lo, ">", cn_hi,
             cite=f"M.N >= 1 forces C.N >= {cn_lo}, but the assumed pencil "
                  f"degree leaves C.N <= {cn_hi}",
-            contradicts="the degree accounting M.N + len(Z') = c2"))
-        note = "empty degree budget"
-    if not trace:
-        trace.append(_claim(
-            lat, "empty profile window", cn_lo, "<=", cn_hi,
-            cite="no integer profile satisfies the nef, base-point-free "
-                 "and Hodge windows inside this degree budget"))
-        note = "exhaustive window sweep"
-    return "window-infeasible", trace, note
-
-
-def _beyond_cap(lat: Lattice, c: DivClass, n2: int) -> _Verdict:
-    trace = (_claim(
-        lat, "four times N^2 exceeds C^2",
-        4 * n2, ">", self_of(c),
-        cite=f"M^2 >= N^2 >= {n2} and M.N >= N^2 give "
-             f"C^2 = (M + N)^2 >= 4 N^2 = {4 * n2}",
-        contradicts="the Hodge-index cap on the square of N"),)
-    return "beyond-hodge-cap", trace, "all larger squares at once"
+            contradicts=budget),), "empty degree budget"
+    return "window-infeasible", (_claim(
+        lat, "empty profile window", cn_lo, "<=", cn_hi,
+        cite="no integer profile satisfies the nef, base-point-free "
+             "and Hodge windows inside this degree budget"),), (
+        "exhaustive window sweep")
 
 
 def _kill_profile(lat: Lattice, plan: _Plan, d: int, n2: int, mode: str,

@@ -183,12 +183,11 @@ def load_config(path) -> tuple[Lattice, tuple[Assumption, ...]]:
 
 def data_path(name: str) -> Path:
     """Absolute path of a shipped config file (e.g. ``quartic_b2_4.json``)."""
-    path = _DATA_DIR / name
-    if not path.is_file():
+    if name not in shipped_config_names():  # a bare file name, never a path
         raise ConfigError(
             f"no shipped config named {name!r}; "
             f"available: {shipped_config_names()}")
-    return path
+    return _DATA_DIR / name
 
 
 def shipped_config_names() -> tuple[str, ...]:

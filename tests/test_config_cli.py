@@ -65,9 +65,13 @@ def test_shipped_configs_have_expected_shapes():
 
 
 def test_data_path_rejects_unknown_names():
-    with pytest.raises(ConfigError) as err:
-        data_path("no_such_config.json")
-    assert "quartic_b2_4.json" in str(err.value)
+    # a path outside the shipped data directory is no shipped name, even
+    # when it names an existing file
+    for name in ("no_such_config.json", "/etc/hostname", "../cli.py"):
+        with pytest.raises(ConfigError) as err:
+            data_path(name)
+        assert str(err.value).startswith(f"no shipped config named {name!r}")
+        assert "quartic_b2_4.json" in str(err.value)
 
 
 def test_config_validation_rejects_bad_documents():

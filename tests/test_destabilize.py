@@ -393,14 +393,29 @@ def test_known_classes_on_the_ulrich_window():
 
 
 def test_open_branches_match_the_documented_counts():
-    # the grid the enumerate_destabilizing docstring counts on
-    queries, left_open = Counter(), Counter()
+    # the grid the enumerate_destabilizing docstring counts on: every count
+    # it states, the query rules', the open branches' and rho >= 0's
+    queries, left_open, fired, rho_ok = (Counter() for _ in range(4))
     for lat, facts, c, d, mode in _grid(s_max=4):
         records = enumerate_destabilizing(lat, c, d, facts, mode=mode)
         queries[mode] += 1
         left_open[mode] += not all(r.resolved for r in records)
+        rule = records[0].outcome
+        if rule in destabilize.QUERY_RULES:
+            fired[rule, mode] += 1
+        else:
+            rule = "sweep"
+        rho = brill_noether(genus_of(lat.self_int(c)), 1,
+                            d - (mode == "gonality"))
+        rho_ok[rule] += rho >= 0 and all(r.resolved for r in records)
     assert queries == {mode: 210 for mode in MODES}
     assert left_open == {"exact": 40, "general": 81, "gonality": 89}
+    assert fired == {("self-dual-twist", "exact"): 36,
+                     ("self-dual-twist", "general"): 36,
+                     ("line-restriction", "exact"): 6,
+                     ("line-restriction", "general"): 6}
+    assert rho_ok == {"sweep": 131, "self-dual-twist": 36,
+                      "line-restriction": 4}
 
 
 def _shipped_by_presentation():

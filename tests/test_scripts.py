@@ -387,7 +387,7 @@ def test_the_twist_scripts_cite_its_premises_and_trace_alone():
     from k3acm.casework.casebook import _BY_TAG
     for tag in ("case-B2neg2-Bh2", "case-B2neg2-Bh2-mirror"):
         case, script = _BY_TAG[tag], script_by_tag(tag)
-        assert case.build.__name__ == "_script_pencil"
+        assert case.curve is not None and not case.support
         report = run_script(script)
         assert report.summary() == (
             f"{tag}: Success (11 claims verified, 2 axioms cited)")
@@ -413,8 +413,8 @@ def test_the_line_script_cites_its_premises_and_trace_alone():
     from k3acm.casework import casebook
     from k3acm.config import data_path, load_config
     script = script_by_tag("case-B2neg2-Bh1")
-    assert casebook._BY_TAG["case-B2neg2-Bh1"].build.__name__ == (
-        "_script_pencil")
+    case = casebook._BY_TAG["case-B2neg2-Bh1"]
+    assert case.curve is not None and not case.support
     assert run_script(script).summary() == (
         "case-B2neg2-Bh1: Success (26 claims verified, 3 axioms cited)")
     assert [st.axiom_id for st in script.steps
@@ -445,15 +445,23 @@ def test_the_line_script_cites_its_premises_and_trace_alone():
             assert not run_script(trace.with_lattice(wrong)).success, wrong
 
 
-def test_every_survivor_row_is_an_engine_row():
-    # one way to eliminate a survivor: each row with a curve that does not
-    # only back its presentation is built by _script_pencil
-    from k3acm.casework.casebook import CASES, _script_pencil
-    survivors = [case for case in CASES
-                 if case.curve is not None and not case.support]
+def test_every_survivor_row_is_an_engine_row(monkeypatch):
+    # one way to eliminate a survivor: every row with a curve is built by
+    # _script_pencil, and the one support among them is the gonality row
+    from k3acm.casework import casebook
+    built = []
+    monkeypatch.setattr(casebook, "_SCRIPTS", {})
+    monkeypatch.setattr(casebook, "_script_pencil",
+                        lambda case: built.append(case.tag))
+    pencils = [case for case in casebook.CASES if case.curve is not None]
+    for case in casebook.CASES:
+        case.script()
+    assert built == [case.tag for case in pencils]
+    assert [case.tag for case in casebook.CASES
+            if case.support] == ["gonality-2B"]
+    survivors = [case for case in pencils if not case.support]
     assert len(survivors) == 8
     for case in survivors:
-        assert case.build is _script_pencil, case.tag
         assert case.mode in ("exact", "general"), case.tag
 
 
@@ -483,8 +491,7 @@ def test_each_survivor_script_sweeps_its_whole_c2_window():
 def test_pencil_scripts_refuse_open_branches():
     from k3acm.casework import casebook
     # the general sweep of the Ulrich double class leaves two profiles open
-    case = casebook.Case("gap", casebook._script_pencil, (4, 6),
-                         curve=DivClass((0, 2)), mode="general")
+    case = casebook.Case("gap", (4, 6), DivClass((0, 2)), "general")
     with pytest.raises(EngineError, match="open"):
         case.script()
 
@@ -493,8 +500,7 @@ def test_pencil_scripts_refuse_a_nonnegative_brill_noether_number():
     from k3acm.casework import casebook
     # C = h on (0, 3) with d = 3: g = 3 and rho(3, 1, 3) = 1, yet every
     # branch of the sweep closes; the header would cite a negative number
-    case = casebook.Case("t", casebook._script_pencil, (0, 3),
-                         curve=DivClass((1, 0)), mode="exact")
+    case = casebook.Case("t", (0, 3), DivClass((1, 0)), "exact")
     lat = quartic_lattice(0, 3)
     records = enumerate_destabilizing(
         lat, case.curve, 3, engine_assumptions(lat, ()), mode="exact")
@@ -509,8 +515,7 @@ def test_pencil_scripts_check_rho_only_at_the_swept_d():
     # which needs no non-simple bundle, and only d = 8 is swept; the
     # refusal names rho(9, 1, 8) = 5 there, not rho(9, 1, 6) = 1 at a d
     # the twist settled
-    case = casebook.Case("t", casebook._script_pencil, (0, 3),
-                         curve=DivClass((2, 0)), mode="exact")
+    case = casebook.Case("t", (0, 3), DivClass((2, 0)), "exact")
     lat = quartic_lattice(0, 3)
     facts = engine_assumptions(lat, ulrich_assumptions(lat))
     outcomes = [{rec.outcome for rec in enumerate_destabilizing(
@@ -533,8 +538,7 @@ def test_pencil_scripts_refuse_an_empty_c2_window(mode, monkeypatch):
         raise AssertionError("the engine ran on an empty window")
 
     monkeypatch.setattr(casebook, "enumerate_destabilizing", engine)
-    case = casebook.Case("t", casebook._script_pencil, (0, 4),
-                         curve=DivClass((4, 0)), mode=mode)
+    case = casebook.Case("t", (0, 4), DivClass((4, 0)), mode)
     with pytest.raises(PreconditionError,
                        match=r"c2 window \[28, 24\] of C = \(4, 0\) on "
                              r"\(0, 4\) is empty"):
@@ -589,14 +593,17 @@ def test_unknown_script_tag():
                               + ", ".join(tags))
 
 
-def test_script_by_tag_matches_the_all_rows_build():
-    from k3acm.casework.casebook import CASES
+def test_script_by_tag_matches_the_all_rows_build(monkeypatch):
+    from k3acm.casework import casebook
     scripts = builtin_scripts()
-    for case in CASES:
-        fresh = case.build(case)
+    for case in casebook.CASES:
+        assert scripts[case.tag] is script_by_tag(case.tag) is case.script()
+    monkeypatch.setattr(casebook, "_SCRIPTS", {})  # each row built anew
+    for case in casebook.CASES:
+        fresh = case.script()
+        assert fresh is not scripts[case.tag], case.tag
         assert script_by_tag(case.tag) == fresh, case.tag
         assert scripts[case.tag] == fresh, case.tag
-        assert scripts[case.tag] is script_by_tag(case.tag) is case.script()
 
 
 def _tamper(expr):

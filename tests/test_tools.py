@@ -21,10 +21,10 @@ def test_cli_digests_prints_one_line_per_surface():
     proc = _digests(ROOT)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 30, lines
+    assert len(lines) == 31, lines
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.* \(\d+ runs\)", line)
                for line in lines), lines
-    assert len({line.split("  ", 1)[1] for line in lines}) == 30
+    assert len({line.split("  ", 1)[1] for line in lines}) == 31
 
 
 def test_cli_digests_finds_no_difference_between_a_checkout_and_itself():
@@ -47,26 +47,33 @@ def test_cli_digests_names_a_root_whose_run_fails(tmp_path):
 
 def test_cli_digests_names_the_first_run_that_differs(tmp_path):
     # a root whose one changed line alters only the text lattice-info of
-    # quartic_b2_4.json, the fifth of that surface's eight runs
+    # quartic_b2_4.json, the fifth of that surface's eight runs, and whose
+    # one changed cite, which no command prints, alters only the gonality
+    # row's script
     changed = tmp_path / "changed"
     for part in ("src", "k3bench"):
         shutil.copytree(ROOT / part, changed / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
-    cli = changed / "src" / "k3acm" / "cli.py"
-    line = '    print(f"ample: {lat.ample}")\n'
-    text = cli.read_text()
-    assert text.count(line) == 1
-    cli.write_text(text.replace(line, '    print(f"ample: {lat.ample}"'
-                                      ' + "!" * (lat.gram[1][1] == 4))\n'))
+    for path, line, edited in (
+            ("cli.py", '    print(f"ample: {lat.ample}")\n',
+             '    print(f"ample: {lat.ample}"'
+             ' + "!" * (lat.gram[1][1] == 4))\n'),
+            ("casework/casebook.py", '"degree B.(2B)/2 = 4"', '"degree 4"')):
+        source = changed / "src" / "k3acm" / path
+        text = source.read_text()
+        assert text.count(line) == 1
+        source.write_text(text.replace(line, edited))
     proc = _digests(ROOT, changed)
     assert proc.returncode == 1, proc.stderr
-    name, first = proc.stdout.splitlines()
-    assert re.fullmatch(r"lattice-info: [0-9a-f]{64} -> [0-9a-f]{64}", name)
-    assert first == ("  first differing run: k3acm lattice-info -c "
-                     "quartic_b2_4.json")
+    info, info_first, scripts, scripts_first = proc.stdout.splitlines()
+    assert re.fullmatch(r"lattice-info: [0-9a-f]{64} -> [0-9a-f]{64}", info)
+    assert info_first == ("  first differing run: k3acm lattice-info -c "
+                          "quartic_b2_4.json")
+    assert re.fullmatch(r"scripts: [0-9a-f]{64} -> [0-9a-f]{64}", scripts)
+    assert scripts_first == "  first differing run: script gonality-2B"
     # the single-root output is as before: one digest line per surface
     proc = _digests(changed)
-    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 30
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 31
 
 
 def test_import_cost_prints_the_cli_and_each_package_module():

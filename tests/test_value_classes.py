@@ -74,9 +74,9 @@ REPRS = [
     (Conclusion("established", "s"),
      "Conclusion(kind='established', statement='s')"),
     (REPORT, _REPORT),
-    (Case("t", len, (-2, 2), DivClass((2, 2)), "exact", False),
-     "Case(tag='t', build=<built-in function len>, presentation=(-2, 2), "
-     "curve=DivClass(coords=(2, 2)), mode='exact', support=False)"),
+    (Case("t", (-2, 2), DivClass((2, 2)), "exact"),
+     "Case(tag='t', presentation=(-2, 2), curve=DivClass(coords=(2, 2)), "
+     "mode='exact')"),
     (SurvivorMatch((2, 2), "t", REPORT),
      f"SurvivorMatch(survivor=(2, 2), script_tag='t', report={_REPORT})"),
     (ReductionRow(0, "h-multiple", "n"),

@@ -5,16 +5,16 @@ Usage: python3 tools/cli_digests.py [ROOT]
 
 ROOT is a checkout of this repository; it defaults to the one holding
 this script.  The package is imported from ROOT/src and the destabilize
-grid from ROOT/k3bench.  Each surface is a fixed list of command lines
-run in-process through ``k3acm.cli.main``; its digest covers, for each
-command line in order, the arguments (a config as its file name), the
-exit code, stdout and stderr.  Equal digests mean byte-identical output
-on that surface.  Given two roots, it digests each in its own interpreter
-(one process never imports two ``k3acm`` packages), prints only the
-surfaces whose digests differ, each with both digests and the first
-command line, or ``engine`` query, whose output differs, and exits 1 if
-any does; a root whose own run fails is named with its stderr, and the
-tool exits 2.
+grid from ROOT/k3bench.  Each surface but two is a fixed list of command
+lines run in-process through ``k3acm.cli.main``; its digest covers, for
+each command line in order, the arguments (a config as its file name),
+the exit code, stdout and stderr.  Equal digests mean byte-identical
+output on that surface.  Given two roots, it digests each in its own
+interpreter (one process never imports two ``k3acm`` packages), prints
+only the surfaces whose digests differ, each with both digests and the
+first command line, ``engine`` query or script whose output differs, and
+exits 1 if any does; a root whose own run fails is named with its
+stderr, and the tool exits 2.
 
 Surfaces: ``theorem`` in text and ``--json`` at boxes 16, 128 and 256;
 ``enumerate --preset P --json`` for each preset, without and with ``-c``
@@ -28,8 +28,11 @@ Gram matrix, written as a ``k3: false`` config ``TAG.MUTANT.json`` in a
 temporary directory;
 ``lattice-info``, text and ``--json``, on every shipped config;
 ``example-delpezzo``, text and ``--json``; the 630 queries of
-``k3bench.workloads.destabilize_grid``, text and ``--json``; and one
-surface that is not a command line, ``engine``: ``enumerate_destabilizing``
+``k3bench.workloads.destabilize_grid``, text and ``--json``; and two
+surfaces that are not command lines.  ``scripts``: for each row of
+``casebook.CASES`` in order, its builtin script's steps through
+``step_to_json``, its conclusion and its description, which ``verify``
+reports only as labels and values.  ``engine``: ``enumerate_destabilizing``
 in-process, each record through ``elimination_to_json`` (a refusal as its
 error class and text), on the seven ``classifier.WINDOWS`` presentations
 under three fact sets, for C = (s, t) with |s| <= 6, |t| <= 4, C^2 >= 4
@@ -118,6 +121,7 @@ def _surfaces(root: Path, workdir: Path) -> dict[str, list]:
             ["destabilize", "-c", str(data / name), f"--class={s},{t}",
              "--d", str(d), "--mode", mode, *flags]
             for name, (s, t), d, mode in destabilize_grid(root)]
+    out["scripts"] = [case.tag for case in CASES]
     out["engine"] = list(_engine_queries())
     return out
 
@@ -175,13 +179,24 @@ def _engine(query: tuple) -> list:
     return [list(query), [elimination_to_json(rec) for rec in records]]
 
 
-def _run(argv: list[str] | tuple) -> list:
+def _script(tag: str) -> list:
+    from k3acm.casework.casebook import script_by_tag
+    from k3acm.casework.scripts import step_to_json
+
+    script = script_by_tag(tag)
+    return [tag, [step_to_json(st) for st in script.steps],
+            list(script.conclusion), script.description]
+
+
+def _run(argv: list[str] | tuple | str) -> list:
     """One run of a surface: a list is a command line, a tuple an
-    ``engine`` query.  Its first item names the run."""
+    ``engine`` query, a str a script tag.  Its first item names the run."""
     from k3acm import cli
 
     if isinstance(argv, tuple):
         return _engine(argv)
+    if isinstance(argv, str):
+        return _script(argv)
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -234,6 +249,7 @@ def _compare(root_a: str, root_b: str) -> int:
             runs_a, runs_b) if ran_a != ran_b), None)
         if first is not None:
             shown = (f"engine query {json.dumps(first[0])}" if name == "engine"
+                     else f"script {first[0]}" if name == "scripts"
                      else " ".join(["k3acm", *first[0]]))
             print(f"  first differing run: {shown}")
     return 1 if differ else 0
