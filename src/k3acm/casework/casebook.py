@@ -203,20 +203,28 @@ def _pencil_steps(case: Case, lat: Lattice) -> tuple[list, str]:
 def _script_pencil(case: Case) -> DerivationScript:
     b2, hb = case.presentation
     lat = quartic_lattice(b2, hb)
+    c = case.curve
+    top = lm_acm_bounds(genus_of(lat.self_int(c)), lat.deg(c)).d_max
+    # a support row proves that |B| cut on a member of |2B| is a pencil
+    # of the least degree the c2 window allows: C = 2B with B^2 its top
+    if case.support and (c != 2 * _B or b2 != top):
+        raise PreconditionError(
+            f"support row {case.tag}: the pencil floor needs C = 2B with "
+            f"B^2 = the c2 window top, not C = {c} with B^2 = {b2} and top "
+            f"{top} on ({b2}, {hb})")
     steps, how = _pencil_steps(case, lat)
     conclusion, description = CONTRADICTION, (
-        f"Eliminates C = {case.curve} on the ({b2}, {hb}) configuration "
-        f"{how}.")
+        f"Eliminates C = {c} on the ({b2}, {hb}) configuration {how}.")
     if case.support:
         steps.append(ArithClaim(
-            "the restriction pencil attains the floor", self_of(_B), "=", 4,
+            "the restriction pencil attains the floor", self_of(_B), "=", top,
             cite="|B| restricted to a member of |2B| moves in a pencil of "
-                 "degree B.(2B)/2 = 4"))
+                 f"degree B.(2B)/2 = {top}"))
         conclusion = established(
             "every pencil on a smooth member of |2B| has degree at least "
-            "4, and the restriction of |B| attains it")
+            f"{top}, and the restriction of |B| attains it")
         description = ("Degree floor for pencils on curves in |2B| on the "
-                       "(4, 6) configuration.")
+                       f"({b2}, {hb}) configuration.")
     return DerivationScript(tag=case.tag, lattice=lat, steps=steps,
                             conclusion=conclusion, description=description)
 

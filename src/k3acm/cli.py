@@ -292,8 +292,9 @@ def _cmd_example_delpezzo(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The k3acm argument parser, built on first use and shared after.
+    ``commands`` maps each subcommand to its own parser (see main).
 
-    Sharing is safe: parse_args returns a fresh namespace on every call,
+    Sharing is safe: a parse returns a fresh namespace on every call,
     and help text reads the terminal width each time it is formatted.
     """
     parser = argparse.ArgumentParser(
@@ -301,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic workbench for rank-2 aCM bundle "
                     "numerology on quartic K3 lattices.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add(name, func, help_text, *, config=True, needs_class=False,
             needs_preset=False, needs_script=False, needs_d=False, box=False):
@@ -373,10 +375,19 @@ def _join_class_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one command line.  The subcommand its first token names parses
+    it alone, unless it holds ``--``; the top-level parser parses any other."""
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_class_values(sys.argv[1:] if argv is None else list(argv))
+    command = argv and "--" not in argv and parser.commands.get(argv[0])
     try:
-        args = parser.parse_args(_join_class_values(argv))
+        if not command:
+            args = parser.parse_args(argv)
+        else:  # a leftover token is parse_args' own error, of the top level
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; never propagate
         return exc.code if isinstance(exc.code, int) else 2

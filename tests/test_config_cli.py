@@ -437,6 +437,108 @@ def test_cli_shared_parser_carries_no_state_between_calls(capsys,
     assert fresh[3][0] == 0
 
 
+
+def _oracle_main(argv):
+    """main as it was before a subcommand line skipped the top-level
+    parser: every line through the top-level parse_args."""
+    from k3acm import cli
+    from k3acm.errors import BoxTooSmallError, EngineError
+    try:
+        args = cli.build_parser().parse_args(cli._join_class_values(argv))
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except EngineError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except BoxTooSmallError as exc:
+        print(f"boundary touch: {exc}", file=sys.stderr)
+        return 1
+    except WorkbenchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _parse_cases():
+    cfg = str(data_path("quartic_b2neg2_bh3.json"))
+    query = ["destabilize", "-c", cfg, "--class", "4,-2", "--d", "2"]
+    from k3acm import cli
+    return [[command, flag] for command in cli.build_parser().commands
+            for flag in ("-h", "--help")] + [
+        # no arguments, top-level help, unknown and mistyped commands, --
+        [], ["-h"], ["--help"], ["-h", "verify"], ["--help", "frobnicate"],
+        ["frobnicate"], ["verif", "--script", "case-B24"], ["VERIFY"],
+        ["--"], ["--", "verify", "--script", "case-B24"],
+        ["verify", "--", "--script", "case-B24"],
+        ["verify", "--script", "case-B24", "--", "extra"],
+        ["--json", "verify", "--script", "case-B24"],
+        # missing required options and values
+        ["verify"], ["verify", "--script"], ["classify", "-c", cfg],
+        ["enumerate"], ["destabilize", "-c", cfg, "--class", "4,-2"],
+        ["classify", "--class", "0,1"],
+        # unknown options and extra positionals
+        ["verify", "--script", "case-B24", "--bogus"],
+        ["verify", "--bogus", "--script", "case-B24", "-x"],
+        ["theorem", "--bogus=1"], ["theorem", "-c", cfg],
+        ["verify", "--script", "case-B24", "extra"],
+        ["example-delpezzo", "extra", "more"],
+        ["verify", "extra", "--script", "case-B24", "--json"],
+        # bad choices and non-int values
+        ["enumerate", "--preset", "no-such-preset"],
+        query + ["--mode", "wild"], query[:-1] + ["two"],
+        ["enumerate", "--preset", "i-a", "--box", "x"],
+        ["theorem", "--box", "1.5"],
+        # abbreviated options, --class with a negative first coordinate
+        ["verify", "--scr", "case-B24", "--js"],
+        ["classify", "-c", cfg, "--cl", "0,1"],
+        ["classify", "-c", cfg, "--cl", "-1,2"],
+        ["classify", "-c", cfg, "--class", "-1,2", "--json"],
+        ["companions", "-c", cfg, "--class", "-1,2"],
+        ["destabilize", "-c", cfg, "--class", "-1,2", "--d", "2"],
+        ["destabilize", "-c", cfg, "--class", "-1,x", "--d", "2"],
+        ["verify", "--he"], ["verify", "--script", "case-B24", "-h"],
+        # well-formed lines and failures past parsing
+        ["verify", "--script", "case-B24", "--json"],
+        ["verify", "--script", "case-B24"], ["verify", "--script", "nope"],
+        ["enumerate", "--preset", "i-a", "--box", "8"],
+        query + ["--mode", "general", "--json"],
+        ["lattice-info", "-c", cfg, "--json"],
+        ["example-delpezzo", "--json"],
+    ]
+
+
+def test_cli_reads_every_line_as_the_top_level_parse_args_did(
+        capsys, monkeypatch):
+    # a subcommand line is parsed by its subcommand's parser alone; the
+    # exit code, stdout and stderr must be those of parse_args on the
+    # whole line, help and usage errors included
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in _parse_cases():
+        assert _run(capsys, *argv) == (_oracle_main(argv),
+                                       *capsys.readouterr()), argv
+
+
+def test_cli_parses_a_subcommand_line_without_the_top_level_parser(
+        capsys, monkeypatch):
+    from k3acm import cli
+    parser = cli.build_parser.__wrapped__()
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return type(parser).parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    code, out, _ = _run(capsys, "verify", "--script", "case-B24", "--json")
+    assert code == 0 and json.loads(out)["status"] == "Success"
+    assert calls == []
+    # a line that names no subcommand is the top-level parser's
+    assert _run(capsys, "frobnicate")[0] == 2
+    assert len(calls) == 1
+
+
 def test_cli_destabilize(capsys):
     cfg = str(data_path("quartic_b2neg2_bh3.json"))
     code, out, _ = _run(capsys, "destabilize", "-c", cfg, "--class", "4,-2",

@@ -545,6 +545,34 @@ def test_pencil_scripts_refuse_an_empty_c2_window(mode, monkeypatch):
         case.script()
 
 
+
+@pytest.mark.parametrize("presentation, curve, top", [
+    ((0, 4), (1, 2), 6), ((4, 6), (6, -2), 4)])
+def test_a_support_row_must_be_2b_at_the_window_top(presentation, curve,
+                                                     top, monkeypatch):
+    from k3acm.casework import casebook
+    # a support row proves the floor that |B| attains on a member of |2B|:
+    # another curve, or a B^2 below the window top, is refused by name
+    # before the engine runs, not written up as the (4, 6) floor
+    shipped = casebook.script_by_tag("gonality-2B")
+    assert shipped.steps[-1].rhs == 4 and shipped.description == (
+        "Degree floor for pencils on curves in |2B| on the (4, 6) "
+        "configuration.")
+
+    def engine(*args):
+        raise AssertionError("the engine ran on a refused support row")
+
+    monkeypatch.setattr(casebook, "enumerate_destabilizing", engine)
+    case = casebook.Case("t", presentation, DivClass(curve), "gonality")
+    with pytest.raises(PreconditionError) as raised:
+        case.script()
+    b2 = presentation[0]
+    assert str(raised.value) == (
+        "support row t: the pencil floor needs C = 2B with B^2 = the c2 "
+        f"window top, not C = {DivClass(curve)} with B^2 = {b2} and top "
+        f"{top} on {presentation}")
+
+
 def test_the_reductions_prove_a_change_of_basis_on_every_mutant():
     # det Gram(h, kh - B) = det Gram(h, B) is an identity in the Gram
     # entries, so the claim holds on every +/-1 mutant (a pin fails there);

@@ -21,10 +21,10 @@ def test_cli_digests_prints_one_line_per_surface():
     proc = _digests(ROOT)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 31, lines
+    assert len(lines) == 32, lines
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.* \(\d+ runs\)", line)
                for line in lines), lines
-    assert len({line.split("  ", 1)[1] for line in lines}) == 31
+    assert len({line.split("  ", 1)[1] for line in lines}) == 32
 
 
 def test_cli_digests_finds_no_difference_between_a_checkout_and_itself():
@@ -58,7 +58,8 @@ def test_cli_digests_names_the_first_run_that_differs(tmp_path):
             ("cli.py", '    print(f"ample: {lat.ample}")\n',
              '    print(f"ample: {lat.ample}"'
              ' + "!" * (lat.gram[1][1] == 4))\n'),
-            ("casework/casebook.py", '"degree B.(2B)/2 = 4"', '"degree 4"')):
+            ("casework/casebook.py", '"|B| restricted to a member',
+             '"|B| cut on a member')):
         source = changed / "src" / "k3acm" / path
         text = source.read_text()
         assert text.count(line) == 1
@@ -73,7 +74,7 @@ def test_cli_digests_names_the_first_run_that_differs(tmp_path):
     assert scripts_first == "  first differing run: script gonality-2B"
     # the single-root output is as before: one digest line per surface
     proc = _digests(changed)
-    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 31
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 32
 
 
 def test_import_cost_prints_the_cli_and_each_package_module():

@@ -28,8 +28,14 @@ Gram matrix, written as a ``k3: false`` config ``TAG.MUTANT.json`` in a
 temporary directory;
 ``lattice-info``, text and ``--json``, on every shipped config;
 ``example-delpezzo``, text and ``--json``; the 630 queries of
-``k3bench.workloads.destabilize_grid``, text and ``--json``; and two
-surfaces that are not command lines.  ``scripts``: for each row of
+``k3bench.workloads.destabilize_grid``, text and ``--json``; ``usage``:
+``--help`` of the top level and of each command, and the lines argparse
+refuses or reads by its own rules (no arguments, ``-h verify``, an
+unknown command, ``--``, missing, unknown and abbreviated options, extra
+positionals, bad choices and ints, ``--class -1,2``), none holding a
+path, as argparse echoes refused arguments into stderr; help is wrapped
+at ``COLUMNS=80``, which the tool sets; and two surfaces that are not
+command lines.  ``scripts``: for each row of
 ``casebook.CASES`` in order, its builtin script's steps through
 ``step_to_json``, its conclusion and its description, which ``verify``
 reports only as labels and values.  ``engine``: ``enumerate_destabilizing``
@@ -54,6 +60,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -121,9 +128,30 @@ def _surfaces(root: Path, workdir: Path) -> dict[str, list]:
             ["destabilize", "-c", str(data / name), f"--class={s},{t}",
              "--d", str(d), "--mode", mode, *flags]
             for name, (s, t), d, mode in destabilize_grid(root)]
+    out["usage"] = list(_usage_lines())
     out["scripts"] = [case.tag for case in CASES]
     out["engine"] = list(_engine_queries())
     return out
+
+
+def _usage_lines():
+    """The command lines of the ``usage`` surface."""
+    commands = ("lattice-info", "classify", "companions", "enumerate",
+                "destabilize", "verify", "theorem", "example-delpezzo")
+    query = ["destabilize", "--class", "4,-2", "--d"]
+    yield from ([], ["--help"], ["-h", "verify"], ["frobnicate"], ["--"],
+                ["verify", "--", "--script", "case-B24"])
+    for command in commands:
+        yield [command, "--help"]
+    yield from (
+        ["verify"], ["verify", "--script"], ["enumerate"], ["classify"],
+        query, ["verify", "--script", "case-B24", "--bogus"],
+        ["theorem", "--bogus"], ["verify", "--script", "case-B24", "extra"],
+        ["example-delpezzo", "extra"], ["enumerate", "--preset", "no-such"],
+        query + ["2", "--mode", "wild"], query + ["two"],
+        ["enumerate", "--preset", "i-a", "--box", "x"],
+        ["verify", "--scr", "case-B24", "--json"], ["classify", "--cl", "0,1"],
+        ["classify", "--cl", "-1,2"], ["classify", "--class", "-1,2"])
 
 
 def _engine_queries():
@@ -209,6 +237,7 @@ def _digests(root: str) -> dict[str, tuple[str, list]]:
     """surface -> (its digest, [(run name, the run's own digest), ...])."""
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
+    os.environ["COLUMNS"] = "80"  # help wraps at the terminal width
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, argvs in _surfaces(root, Path(workdir)).items():
