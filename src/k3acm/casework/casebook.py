@@ -21,6 +21,7 @@ table of what each script settles; verify_necessity reads it too.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 from ..classifier import WINDOWS, complement
@@ -261,22 +262,21 @@ def _script_reduction(case: Case) -> DerivationScript:
 
 def _script_delpezzo(case: Case) -> DerivationScript:
     lat = delpezzo_lattice()
-    ell = DivClass((1, 0, 0, 0, 0, 0, 0, 0))
-    e1 = DivClass((0, 1, 0, 0, 0, 0, 0, 0))
     h = lat.ample
     f = delpezzo_pencil_f()
-    steps = [
-        ArithClaim("presentation pin: square of the pulled-back line",
-                   self_of(ell), "=", 2),
-        ArithClaim("presentation pin: square of an exceptional class",
-                   self_of(e1), "=", -2),
+    # all 36 Gram entries of the basis (l, e1..e7): its squares, and its
+    # 28 pairings through the sum of their squares
+    basis = [DivClass([int(i == j) for j in range(8)]) for i in range(8)]
+    pairings = [pair_of(a, b) for a, b in combinations(basis, 2)]
+    steps = [ArithClaim(f"presentation pin: square of {name}", self_of(b),
+                        "=", 2 if name == "l" else -2)
+             for name, b in zip(lat.labels, basis)]
+    steps += [
         ArithClaim("presentation pin: the basis is orthogonal",
-                   pair_of(ell, e1), "=", 0),
-        ArithClaim("the lattice is even", {"op": "odd_diag"}, "=", 0),
-        ArithClaim("hyperbolic signature: positive part", {"op": "sig_pos"},
-                   "=", 1),
-        ArithClaim("hyperbolic signature: negative part", {"op": "sig_neg"},
-                   "=", 7),
+                   add_expr(*(mul_expr(p, p) for p in pairings)), "=", 0,
+                   cite="a sum of squares is 0 only if each pairing is, so "
+                        "the Gram matrix is diag(2, -2, ..., -2): even, and "
+                        "of signature (1, 7) by Sylvester's law of inertia"),
         ArithClaim("the polarization has square 4", self_of(h), "=", 4,
                    cite="h = 3l - e1 - ... - e7 embeds the double cover as "
                         "a quartic"),

@@ -48,8 +48,8 @@ from ..lattice import DivClass, Lattice
 from .constraints import Row, check_rel, scan
 from .presets import _B, _H, presentation
 from .scripts import (ArithClaim, AxiomUse, add_expr, c2_twist_expr,
-                      chi_bundle_expr, deg_of, evaluate, hodge_expr, mul_expr,
-                      neg_expr, pair_of, self_of, step_to_json, sub_expr)
+                      chi_bundle_expr, deg_of, evaluate, mul_expr, neg_expr,
+                      pair_of, self_of, step_to_json, sub_expr)
 
 MODES = ("exact", "general", "gonality")
 
@@ -453,11 +453,12 @@ def _infeasible(lat: Lattice, plan: _Plan, n2: int, cn_lo: int,
                      f"{p.cls}.N >= {floor}, but M.N + N^2 <= {cn_hi}",
                 contradicts=budget),), (
                 "pairing floor through the movable multiple")
-    # n2 <= C^2/4 makes this floor >= 2 n2, so it covers M.N >= N^2 too
-    if n2 > 0 and hodge_lower(c2, n2) > cn_hi:
+    # (C.N)^2 >= C^2 N^2; n2 <= C^2/4 makes this floor >= 2 n2, so it
+    # covers M.N >= N^2 too.  cn_hi >= 0, so comparing squares is exact
+    if c2 * n2 > cn_hi * cn_hi:
         return "window-infeasible", (_claim(
             lat, "Hodge floor on C.N exceeds the degree budget",
-            hodge_expr(self_of(c), n2), ">", cn_hi,
+            mul_expr(self_of(c), n2), ">", cn_hi * cn_hi,
             cite=f"C^2 = {c2} and N^2 = {n2} force "
                  f"C.N >= ceil(sqrt({c2 * n2}))",
             contradicts=budget),), "Hodge index against C"

@@ -17,13 +17,15 @@ Expressions are JSON values (ints or {"op": ...} dicts), so steps and
 reports serialize losslessly.  Because claims recompute from the gram
 matrix at run time, corrupting any lattice entry makes claims fail.
 
-The language has one walker, ``_walk``: it reads an expression once into
-its value, if it reads no lattice, or else a closure over the lattice.
-Literal arithmetic folds as it is read: an exact int, and an ``add``,
-``mul`` or ``sub`` whose operands are all values, is a value, and a node
-that mixes values and closures carries the values as constants.
-``hodge_lower`` never folds: it can raise BadParametersError, which must
-not come before the MalformedScriptError of a later node.  ``evaluate``
+The language has seven ops: ``pair``, ``self``, ``deg`` and ``genus`` read
+the lattice, and ``add``, ``mul`` and ``sub`` are ring arithmetic, so a
+claim re-checks with no square root and no signature.
+
+It has one walker, ``_walk``: it reads an expression once into its value,
+if it reads no lattice, or else a closure over the lattice.  Literal
+arithmetic folds as it is read: an exact int, and an ``add``, ``mul`` or
+``sub`` whose operands are all values, is a value, and a node that mixes
+values and closures carries the values as constants.  ``evaluate``
 returns a folded value, building no closure, and runs any other closure
 once; ``run_script`` compiles each claim's two sides into closures
 (``_compile``) at the claim's first replay (``ArithClaim.compiled``) and
@@ -32,11 +34,10 @@ lattice arithmetic on the lattice it is given.  An expression that cannot
 be read raises MalformedScriptError as it is read, at its first unreadable
 node and before any lattice arithmetic, so the error is the same on every
 lattice (``run_script`` reports it as a FAILED step).  Each op is defined
-once, by its compiler in ``_COMPILERS``: the arithmetic ops through their
-entries in ``_APPLIED`` and ``_FOLDS``.  Negation, chi and the bundle
-bookkeeping (``neg_expr``, ``chi_expr``, ``chi_bundle_expr``,
-``c2_twist_expr``, ``bn_expr``) are written in these ops by their
-builders, so they add none.
+once, by its compiler in ``_COMPILERS``: ``add`` and ``mul`` through their
+entries in ``_FOLDS``.  Negation, chi and the bundle bookkeeping
+(``neg_expr``, ``chi_expr``, ``chi_bundle_expr``, ``c2_twist_expr``,
+``bn_expr``) are written in these ops by their builders, so they add none.
 Since a claim's expressions are read only once, a claim is never edited in
 place: to change one, build a new claim with ``dataclasses.replace``,
 which has no compiled sides yet.
@@ -67,7 +68,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from ..axioms import is_registered
 from ..config import _is_int
 from ..errors import MalformedScriptError, WorkbenchError
-from ..invariants import genus_of, hodge_lower
+from ..invariants import genus_of
 from ..lattice import DivClass, Lattice
 from .constraints import _is_rel, check_rel
 
@@ -199,38 +200,25 @@ def _compile_genus(e: dict) -> Compiled:
     return lambda lat: genus_of(square(lat))
 
 
-# ---- arithmetic ops: one table entry each, compiled by _applied or _folded --
+# ---- arithmetic ops: sub, and add and mul through _FOLDS --------------------
 
-# op -> (fn of its subexpressions, their keys in evaluation order, whether
-# value operands fold; hodge_lower's may raise, so it runs them at replay)
-_APPLIED: dict[str, tuple[Callable[..., int], tuple[str, ...], bool]] = {
-    "hodge_lower": (hodge_lower, ("a", "b"), False),
-    "sub": (operator.sub, ("x", "y"), True),
-}
+def _compile_sub(e: dict) -> int | Compiled:
+    """x - y; a value operand is carried as a constant.  It walks x before
+    reading y, and a level of nesting costs two frames (_walk and this):
+    the tests pin that a claim nested 400 deep evaluates."""
+    x = _walk(e["x"])
+    y = _walk(e["y"])
+    if type(x) is int:
+        if type(y) is int:
+            return x - y
+        return lambda lat: x - y(lat)
+    if type(y) is int:
+        return lambda lat: x(lat) - y
+    return lambda lat: x(lat) - y(lat)
+
 
 # op -> (binary fn, start) folded over the expressions in "args"
 _FOLDS = {"add": (operator.add, 0), "mul": (operator.mul, 1)}
-
-
-def _applied(fn: Callable[..., int], keys: tuple[str, ...], folds: bool):
-    """The compiler of an op that is fn of its subexpressions, in key order;
-    a value operand is carried as a constant."""
-    def compile_op(e: dict) -> int | Compiled:
-        # a plain loop reads each key after walking the ones before it and
-        # adds no frame: a level of nesting costs two (_walk and this),
-        # and the tests pin that a claim nested 400 deep evaluates
-        subs = []
-        for key in keys:
-            subs.append(_walk(e[key]))
-        x, y = subs
-        if type(x) is int:
-            if type(y) is int:
-                return fn(x, y) if folds else lambda lat: fn(x, y)
-            return lambda lat: fn(x, y(lat))
-        if type(y) is int:
-            return lambda lat: fn(x(lat), y)
-        return lambda lat: fn(x(lat), y(lat))
-    return compile_op
 
 
 def _folded(fn: Callable[[int, int], int], start: int):
@@ -262,11 +250,7 @@ _COMPILERS: dict[str, Callable[[dict], int | Compiled]] = {
     "self": _compile_self,
     "deg": lambda e: _ample_pairing(_coords(e["a"])),
     "genus": _compile_genus,
-    "odd_diag": lambda e: lambda lat: sum(
-        row[i] % 2 for i, row in enumerate(lat.gram)),
-    "sig_pos": lambda e: lambda lat: lat.signature()[0],
-    "sig_neg": lambda e: lambda lat: lat.signature()[1],
-    **{op: _applied(*spec) for op, spec in _APPLIED.items()},
+    "sub": _compile_sub,
     **{op: _folded(*spec) for op, spec in _FOLDS.items()},
 }
 
@@ -302,10 +286,6 @@ def sub_expr(x: Expr, y: Expr) -> Expr:
 
 def neg_expr(x: Expr) -> Expr:
     return sub_expr(0, x)
-
-
-def hodge_expr(a: Expr, b: Expr) -> Expr:
-    return {"op": "hodge_lower", "a": a, "b": b}
 
 
 def bn_expr(g: Expr, r: Expr, d: Expr) -> Expr:

@@ -34,6 +34,8 @@ from .lattice import DivClass, Lattice
 
 # the text of a class argument: comma-separated ASCII integers
 _CLASS_TEXT = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
+# the commands whose parser has --class
+_CLASS_COMMANDS = ("classify", "companions", "destabilize")
 
 
 def _parse_class(text: str, lat: Lattice) -> DivClass:
@@ -304,15 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def add(name, func, help_text, *, config=True, needs_class=False,
-            needs_preset=False, needs_script=False, needs_d=False, box=False):
+    def add(name, func, help_text, *, config=True, needs_preset=False,
+            needs_script=False, needs_d=False, box=False):
         p = sub.add_parser(name, help=help_text)
         if config:
             p.add_argument("-c", "--config", metavar="PATH",
                            help="lattice config file (JSON)")
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable report")
-        if needs_class:
+        if name in _CLASS_COMMANDS:
             p.add_argument("--class", dest="class_arg", required=True,
                            metavar="S,T",
                            help="comma-separated basis coefficients")
@@ -335,17 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     add("lattice-info", _cmd_lattice_info,
         "print rank, gram, signature and assumptions of a config")
     add("classify", _cmd_classify,
-        "classify a divisor class against the initialized-aCM window",
-        needs_class=True)
+        "classify a divisor class against the initialized-aCM window")
     add("companions", _cmd_companions,
-        "list the aCM companion classes of a classified divisor",
-        needs_class=True)
+        "list the aCM companion classes of a classified divisor")
     add("enumerate", _cmd_enumerate,
         "solve one of the five bounded (s,t) constraint systems",
         needs_preset=True, box=True)
     add("destabilize", _cmd_destabilize,
         "eliminate destabilizing subsheaf profiles for a curve class",
-        needs_class=True, needs_d=True)
+        needs_d=True)
     add("verify", _cmd_verify,
         "replay a derivation script claim by claim",
         needs_script=True)
@@ -362,12 +362,16 @@ def _join_class_values(argv: list[str]) -> list[str]:
 
     argparse reads a separate value that starts with '-' as an option, so
     a class with a negative first coordinate would never reach --class.
-    Only a token that is class text is joined; anything else is left for
-    argparse to refuse.
+    On a command that takes --class, its unambiguous abbreviations --cl,
+    --cla and --clas are joined too (--c could be --config).  Only a token
+    that is class text is joined; anything else is left for argparse to
+    refuse.
     """
+    names = ("--cl", "--cla", "--clas", "--class") if (
+        argv and argv[0] in _CLASS_COMMANDS) else ("--class",)
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--class" and _CLASS_TEXT.fullmatch(arg):
+        if out and out[-1] in names and _CLASS_TEXT.fullmatch(arg):
             out[-1] = f"--class={arg}"
         else:
             out.append(arg)

@@ -247,6 +247,28 @@ def test_cli_class_with_a_negative_first_coordinate(capsys):
             assert code == 2 and "error:" in err, (command, bad)
 
 
+def test_cli_abbreviated_class_takes_a_negative_first_coordinate(capsys):
+    # argparse reads --cl, --cla and --clas as --class on these commands,
+    # so they take "-1,2" as --class=-1,2 does; --c could be --config
+    cfg = str(data_path("quartic_b2neg2_bh3.json"))
+    for command, extra in (("classify", []), ("companions", ["--json"]),
+                           ("destabilize", ["--d", "3"])):
+        want = _run(capsys, command, "-c", cfg, "--class=-1,2", *extra)
+        for flag in ("--cl", "--cla", "--clas"):
+            got = _run(capsys, command, "-c", cfg, flag, "-1,2", *extra)
+            assert got == want, (command, flag)
+        code, out, err = _run(capsys, command, "-c", cfg, "--c", "-1,2",
+                              *extra)
+        assert code == 2 and not out, (command, err)
+        assert "ambiguous option: --c could match --config, --class" in err
+    # a command without --class reads the line as before
+    from k3acm import cli
+    line = ["verify", "--script", "case-B24", "--cl", "-1,2"]
+    assert cli._join_class_values(line) == line
+    code, _, err = _run(capsys, *line)
+    assert code == 2 and "unrecognized arguments: --cl -1,2" in err, err
+
+
 @pytest.mark.parametrize("args", [
     ["--class", "0_0,1"], ["--class= 0, 1"], ["--class", "0,1 "],
     ["--class", "\u0660,\u0661"], ["--class", "-\u0661,\u0662"],

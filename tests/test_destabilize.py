@@ -1181,3 +1181,13 @@ def test_a_fiber_and_its_double_are_eliminated_together():
         "the distinguished movable class meets the fiber at most once",
         "h^1 of the fiber multiple is r - 1 = 1"]
     _check_traces(lat, [rec])
+
+
+def test_the_squared_hodge_floor_is_the_hodge_lower_comparison():
+    # _infeasible's Hodge-floor claim reads C^2 * N^2 > cn_hi^2 where it
+    # read hodge_lower(C^2, N^2) > cn_hi: with cn_hi >= 0 the two agree
+    for c2 in range(4, 61):
+        for n2 in range(2, 31):
+            for cn_hi in range(0, 46):
+                assert (hodge_lower(c2, n2) > cn_hi) == (
+                    c2 * n2 > cn_hi ** 2), (c2, n2, cn_hi)

@@ -16,12 +16,11 @@ from k3acm.casework import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                             script_by_tag, self_of, ulrich_assumptions)
 from k3acm.casework.scripts import (StepReport, _args, _coords, add_expr,
                                     bn_expr, c2_twist_expr, chi_bundle_expr,
-                                    chi_expr, hodge_expr, mul_expr, neg_expr,
-                                    sub_expr)
+                                    chi_expr, mul_expr, neg_expr, sub_expr)
 from k3acm.errors import (BadParametersError, EngineError, OddSquareError,
                           PreconditionError)
 from k3acm.invariants import (BundleInvariants, brill_noether, chi_bundle,
-                              genus_of, hodge_lower)
+                              genus_of)
 
 LAT = quartic_lattice(-2, 2)
 
@@ -47,7 +46,6 @@ def test_evaluate_bundle_ops():
     assert evaluate(c2_twist_expr(8, DivClass((2, 2)), DivClass((-1, -1))),
                     LAT) == 2
     assert evaluate(bn_expr(5, 1, 2), LAT) == -3
-    assert evaluate({"op": "hodge_lower", "a": 8, "b": 2}, LAT) == 4
 
 
 def test_the_bundle_builders_match_the_invariants_they_abbreviate():
@@ -100,9 +98,6 @@ def test_evaluate_arithmetic_ops():
         evaluate({"op": "neg", "x": 4}, LAT)
     assert evaluate({"op": "mul", "args": [3, -2]}, LAT) == -6
     assert evaluate({"op": "sub", "x": 10, "y": 4}, LAT) == 6
-    assert evaluate({"op": "odd_diag"}, LAT) == 0
-    assert evaluate({"op": "sig_pos"}, LAT) == 1
-    assert evaluate({"op": "sig_neg"}, LAT) == 1
 
 
 def test_evaluate_rejects_bad_expressions():
@@ -124,6 +119,10 @@ def test_evaluate_rejects_bad_expressions():
     {"op": "mod", "x": 7},
     {"op": "linf", "a": [3, -5]},
     {"op": "genus_value", "sq": 16},
+    {"op": "hodge_lower", "a": 8, "b": 2},
+    {"op": "odd_diag"},
+    {"op": "sig_pos"},
+    {"op": "sig_neg"},
     {"op": "chi_line", "a": [0, 1]},
     {"op": "lm_h0", "g": 11, "r": 1, "d": 6},
     {"op": "twist_chi", "l": 2, "ch": 12, "g": 13, "d": 8},
@@ -242,8 +241,9 @@ def test_run_script_fails_an_expression_nested_past_the_recursion_limit():
     lambda x: {"op": "add", "args": [x, 1]},
     lambda x: {"op": "mul", "args": [x, -1]},
     lambda x: {"op": "sub", "x": x, "y": 1},
-    lambda x: {"op": "hodge_lower", "a": 1, "b": x},
-], ids=["add", "mul", "sub", "hodge_lower"])
+    # the lattice read keeps every level a closure, nested 400 deep at replay
+    lambda x: {"op": "sub", "x": x, "y": {"op": "self", "a": [0, 0]}},
+], ids=["add", "mul", "sub", "sub-closure"])
 def test_run_script_replays_a_deep_claim_that_evaluate_reaches(wrap):
     deep = 4  # every wrapper keeps a valid value
     for _ in range(400):
@@ -253,6 +253,33 @@ def test_run_script_replays_a_deep_claim_that_evaluate_reaches(wrap):
     report = run_script(DerivationScript(tag="t", lattice=LAT, steps=(claim,),
                                          conclusion=established("nothing")))
     assert report.success, report.steps[0].detail
+
+
+def test_every_pm1_mutant_of_the_rank8_lattice_fails_its_own_pin():
+    # 16 diagonal and 56 symmetric off-diagonal mutants: each is refused
+    # at construction or fails the claim that pins the entry it moved
+    script = script_by_tag("delpezzo-cover")
+    lat, names = script.lattice, script.lattice.labels
+    mutants = replayed = 0
+    for i in range(8):
+        for j in range(i, 8):
+            for delta in (1, -1):
+                gram = [list(row) for row in lat.gram]
+                gram[i][j] += delta
+                gram[j][i] = gram[i][j]
+                mutants += 1
+                try:
+                    wrong = Lattice(gram=gram, labels=names,
+                                    ample=lat.ample, k3=False)
+                except WorkbenchError:
+                    continue
+                replayed += 1
+                report = run_script(script.with_lattice(wrong))
+                pin = (f"presentation pin: square of {names[i]}" if i == j
+                       else "presentation pin: the basis is orthogonal")
+                assert not report.success, (i, j, delta)
+                assert pin in {report.steps[k].label for k in report.failed}
+    assert mutants == 72 and replayed > 60, (mutants, replayed)
 
 
 def test_axiom_steps_are_recorded_not_checked():
@@ -696,7 +723,7 @@ def _oracle_coords(value) -> DivClass:
 def _oracle_evaluate(expr, lat):
     """The former scripts.evaluate, one if per op, verbatim but for names,
     on the ops the language keeps."""
-    from k3acm.invariants import genus_of, hodge_lower
+    from k3acm.invariants import genus_of
     ev, co = _oracle_evaluate, _oracle_coords
     if isinstance(expr, bool):
         raise MalformedScriptError("boolean is not a valid expression")
@@ -713,8 +740,6 @@ def _oracle_evaluate(expr, lat):
         return lat.deg(co(expr["a"]))
     if op == "genus":
         return genus_of(lat.self_int(co(expr["a"])))
-    if op == "hodge_lower":
-        return hodge_lower(ev(expr["a"], lat), ev(expr["b"], lat))
     if op == "add":
         return sum(ev(x, lat) for x in expr["args"])
     if op == "mul":
@@ -724,12 +749,6 @@ def _oracle_evaluate(expr, lat):
         return total
     if op == "sub":
         return ev(expr["x"], lat) - ev(expr["y"], lat)
-    if op == "odd_diag":
-        return sum(lat.gram[i][i] % 2 for i in range(lat.rank))
-    if op == "sig_pos":
-        return lat.signature()[0]
-    if op == "sig_neg":
-        return lat.signature()[1]
     raise MalformedScriptError(f"unknown expression op {op!r}")
 
 
@@ -816,7 +835,7 @@ def test_the_proof_uses_every_op_and_no_other():
         claims += [cl for rec in records for cl in rec.trace]
     sides = [_ops_of(side) for cl in claims for side in (cl.lhs, cl.rhs)]
     assert set().union(*sides) == set(_COMPILERS)
-    assert len(_COMPILERS) == 11
+    assert len(_COMPILERS) == 7
     # a side that reads no lattice entry certifies nothing, so each op must
     # also occur in a side that does
     read = set().union(*(ops for ops in sides if ops & set(_LEAF_OPS)))
@@ -885,27 +904,22 @@ _FORMER_OPS = {
     "self": _former_self,
     "deg": _former_deg,
     "genus": lambda e, lat: genus_of(_former_self(e, lat)),
-    "hodge_lower": lambda e, lat: hodge_lower(_fev(e["a"], lat),
-                                              _fev(e["b"], lat)),
     "add": _former_add,
     "mul": _former_mul,
     "sub": lambda e, lat: _fev(e["x"], lat) - _fev(e["y"], lat),
-    "odd_diag": lambda e, lat: sum(lat.gram[i][i] % 2
-                                   for i in range(lat.rank)),
-    "sig_pos": lambda e, lat: lat.signature()[0],
-    "sig_neg": lambda e, lat: lat.signature()[1],
 }
 
 
 def test_each_op_is_defined_once():
     from k3acm.casework import scripts
-    arithmetic = set(scripts._APPLIED) | set(scripts._FOLDS)
-    assert len(arithmetic) == 4 and arithmetic < set(scripts._COMPILERS)
+    arithmetic = {"sub"} | set(scripts._FOLDS)
+    assert len(arithmetic) == 3 and arithmetic < set(scripts._COMPILERS)
     gone = {"_pair", "_self", "_deg", "_chi_bundle", "_c2_twist", "_add",
             "_mul", "_compile_add", "_compile_mul", "_degree",
             "_whole_lattice", "_OPS", "_on_lattice", "_evaluated",
             "_evaluated_fold", "_compile_chi_bundle", "_compile_c2_twist",
-            "_raising", "_Missing", "_child", "_minimax", "minimax_expr"}
+            "_raising", "_Missing", "_child", "_minimax", "minimax_expr",
+            "_APPLIED", "_applied", "hodge_expr"}
     assert not {name for name in gone if hasattr(scripts, name)}
 
 
@@ -945,9 +959,9 @@ def test_compiled_sides_match_evaluate_on_every_claim_and_mutant():
     assert compared > 5000 and errors >= 10, (compared, errors)
 
 
-_LEAF_OPS = ("pair", "self", "deg", "genus", "odd_diag", "sig_pos", "sig_neg")
+_LEAF_OPS = ("pair", "self", "deg", "genus")
 # op -> its subexpression keys
-_NODE_OPS = {"hodge_lower": ("a", "b"), "sub": ("x", "y")}
+_NODE_OPS = {"sub": ("x", "y")}
 
 
 def _random_class(rng):
@@ -955,7 +969,7 @@ def _random_class(rng):
 
 
 def _random_tree(rng, depth, random_class=_random_class):
-    """A random expression over the 11 ops, on the classes random_class
+    """A random expression over the 7 ops, on the classes random_class
     draws (rank 2 by default)."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.4:
@@ -1148,10 +1162,11 @@ def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
             assert _outcome(lambda v: evaluate(expr, v),
                             lat) == want, json.dumps(expr)
             seen.add(want[0] if isinstance(want, tuple) else int)
+    # a reading error, an odd square and a rank mismatch are all the
+    # errors the seven ops can raise
     names = {cls.__name__ for cls in seen if cls is not int}
-    assert int in seen and {"MalformedScriptError", "OddSquareError",
-                            "DimensionMismatchError", "BadParametersError",
-                            "DegenerateFormError"} <= names, names
+    assert int in seen and names == {"MalformedScriptError", "OddSquareError",
+                                     "DimensionMismatchError"}, names
     assert sum(split.values()) > 7000 and min(split.values()) > 0, split
 
 
@@ -1236,9 +1251,6 @@ def test_literal_arithmetic_folds_and_lattice_reads_stay_closures():
     mixed = scripts._walk(add_expr(5, self_of(h), sub_expr(2, 1)))
     assert callable(mixed) and mixed(LAT) == 10
     assert callable(scripts._walk(sub_expr(1, deg_of(h))))
-    # hodge_lower never folds, so its error is raised only when it runs
-    assert callable(scripts._walk(hodge_expr(8, 2)))
-    assert evaluate(hodge_expr(8, 2), LAT) == 4
     # the compiled sides are closures, folded or not
     folded = scripts._compile(add_expr(5, 2))
     assert callable(folded) and folded(LAT) == 7
@@ -1272,14 +1284,16 @@ def test_coords_keeps_its_accepted_set():
 def test_folding_and_the_kernel_cache_keep_the_errors():
     from k3acm.casework import scripts
     from k3acm.errors import DimensionMismatchError
-    bogus = add_expr(hodge_expr(0, 1), {"op": "bogus"})
+    # a rank-3 class raises only when its pairing runs on the rank-2 LAT
+    bad = self_of(DivClass((1, 0, 2)))
+    bogus = add_expr(bad, {"op": "bogus"})
     for read in (scripts._compile, lambda e: evaluate(e, LAT)):
         with pytest.raises(MalformedScriptError,
                            match="unknown expression op 'bogus'"):
             read(bogus)
-    alone = scripts._compile(hodge_expr(0, 1))
-    for run in (alone, lambda lat: evaluate(hodge_expr(0, 1), lat)):
-        with pytest.raises(BadParametersError, match=r"\(0, 1\)"):
+    alone = scripts._compile(bad)
+    for run in (alone, lambda lat: evaluate(bad, lat)):
+        with pytest.raises(DimensionMismatchError):
             run(LAT)
     # [True, 0] hashes and compares as (1, 0), whose kernel is cached
     assert evaluate({"op": "self", "a": [1, 0]}, LAT) == 4

@@ -32,11 +32,11 @@ temporary directory;
 ``--help`` of the top level and of each command, and the lines argparse
 refuses or reads by its own rules (no arguments, ``-h verify``, an
 unknown command, ``--``, missing, unknown and abbreviated options, extra
-positionals, bad choices and ints, ``--class -1,2``), none holding a
-path, as argparse echoes refused arguments into stderr; help is wrapped
-at ``COLUMNS=80``, which the tool sets; and two surfaces that are not
-command lines.  ``scripts``: for each row of
-``casebook.CASES`` in order, its builtin script's steps through
+positionals, bad choices and ints, ``--class -1,2`` and its
+abbreviations), none holding a path, as argparse echoes refused
+arguments into stderr; help is wrapped at ``COLUMNS=80``, which the tool
+sets; and two surfaces that are not command lines.  ``scripts``: for
+each row of ``casebook.CASES`` in order, its builtin script's steps through
 ``step_to_json``, its conclusion and its description, which ``verify``
 reports only as labels and values.  ``engine``: ``enumerate_destabilizing``
 in-process, each record through ``elimination_to_json`` (a refusal as its
@@ -151,7 +151,10 @@ def _usage_lines():
         query + ["2", "--mode", "wild"], query + ["two"],
         ["enumerate", "--preset", "i-a", "--box", "x"],
         ["verify", "--scr", "case-B24", "--json"], ["classify", "--cl", "0,1"],
-        ["classify", "--cl", "-1,2"], ["classify", "--class", "-1,2"])
+        ["classify", "--cl", "-1,2"], ["classify", "--class", "-1,2"],
+        ["companions", "--cla", "-1,2"],
+        ["destabilize", "--clas", "-1,2", "--d", "2"],
+        ["classify", "--c", "-1,2"])
 
 
 def _engine_queries():
