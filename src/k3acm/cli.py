@@ -62,7 +62,17 @@ def _require_config(args) -> tuple:
     return load_config(args.config)
 
 
-def _print_report(report) -> None:
+def _replay(args, script, header, extra=None) -> int:
+    """Run a derivation script and print its report: the JSON report,
+    inside ``extra``'s keys when given, or the header, the steps and the
+    verdict line."""
+    report = run_script(script)
+    if args.json:
+        payload = report_to_json(report)
+        print(json.dumps({**extra, "report": payload} if extra else payload))
+        return 0 if report.success else 1
+    if header:
+        print(header)
     for st in report.steps:
         if st.kind == "axiom":
             line = f"  [axiom ] {st.label}"
@@ -73,14 +83,7 @@ def _print_report(report) -> None:
             line = f"  [{mark}] {st.label}: {st.detail}"
         print(line)
     print(report.summary())
-
-
-def _finish_report(args, report, payload=None) -> int:
-    """Shared tail for the script-replay commands."""
-    if args.json:
-        print(json.dumps(payload if payload is not None
-                         else report_to_json(report)))
-    elif not report.success:
+    if not report.success:
         print("VERIFICATION FAILED")
     elif report.conclusion.kind == "contradiction":
         print("CONTRADICTION ESTABLISHED")
@@ -222,12 +225,7 @@ def _cmd_verify(args) -> int:
                 f"config lattice has rank {lat.rank}, but script "
                 f"{script.tag} replays on a rank-{script.lattice.rank} lattice")
         script = script.with_lattice(lat)
-    report = run_script(script)
-    if not args.json:
-        if script.description:
-            print(script.description)
-        _print_report(report)
-    return _finish_report(args, report)
+    return _replay(args, script, script.description)
 
 
 def _cmd_theorem(args) -> int:
@@ -274,18 +272,12 @@ def _cmd_theorem(args) -> int:
 def _cmd_example_delpezzo(args) -> int:
     script = script_by_tag("delpezzo-cover")
     lat = script.lattice
-    report = run_script(script)
-    payload = {
-        "rank": lat.rank,
-        "even": lat.is_even(),
-        "signature": list(lat.signature()),
-        "report": report_to_json(report),
-    }
-    if not args.json:
-        print(f"rank {lat.rank}, even: {'yes' if lat.is_even() else 'no'}, "
-              f"signature {lat.signature()}")
-        _print_report(report)
-    return _finish_report(args, report, payload)
+    even, signature = lat.is_even(), lat.signature()
+    return _replay(args, script,
+                   f"rank {lat.rank}, even: {'yes' if even else 'no'}, "
+                   f"signature {signature}",
+                   {"rank": lat.rank, "even": even,
+                    "signature": list(signature)})
 
 
 # ---- parser --------------------------------------------------------------------
@@ -306,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def add(name, func, help_text, *, config=True, needs_preset=False,
-            needs_script=False, needs_d=False, box=False):
+    def add(name, func, help_text, *, config=True):
         p = sub.add_parser(name, help=help_text)
         if config:
             p.add_argument("-c", "--config", metavar="PATH",
@@ -318,19 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--class", dest="class_arg", required=True,
                            metavar="S,T",
                            help="comma-separated basis coefficients")
-        if needs_preset:
-            p.add_argument("--preset", required=True, choices=PRESET_IDS)
-        if needs_script:
-            p.add_argument("--script", required=True, metavar="TAG",
-                           help="tag of a built-in derivation script")
-        if needs_d:
-            p.add_argument("--d", type=int, required=True,
-                           help="length of the zero-scheme Z")
-            p.add_argument("--mode", choices=MODES, default="exact")
-        if box:
-            p.add_argument("--box", type=int, default=32,
-                           help="search box half-width, 16 to 256 "
-                                "(default 32)")
         p.set_defaults(func=func)
         return p
 
@@ -340,20 +318,28 @@ def build_parser() -> argparse.ArgumentParser:
         "classify a divisor class against the initialized-aCM window")
     add("companions", _cmd_companions,
         "list the aCM companion classes of a classified divisor")
-    add("enumerate", _cmd_enumerate,
-        "solve one of the five bounded (s,t) constraint systems",
-        needs_preset=True, box=True)
-    add("destabilize", _cmd_destabilize,
-        "eliminate destabilizing subsheaf profiles for a curve class",
-        needs_d=True)
-    add("verify", _cmd_verify,
-        "replay a derivation script claim by claim",
-        needs_script=True)
-    add("theorem", _cmd_theorem,
+    enumerate_ = add("enumerate", _cmd_enumerate,
+                     "solve one of the five bounded (s,t) constraint systems")
+    enumerate_.add_argument("--preset", required=True, choices=PRESET_IDS)
+    destabilize = add(
+        "destabilize", _cmd_destabilize,
+        "eliminate destabilizing subsheaf profiles for a curve class")
+    destabilize.add_argument("--d", type=int, required=True,
+                             help="length of the zero-scheme Z")
+    destabilize.add_argument("--mode", choices=MODES, default="exact")
+    verify = add("verify", _cmd_verify,
+                 "replay a derivation script claim by claim")
+    verify.add_argument("--script", required=True, metavar="TAG",
+                        help="tag of a built-in derivation script")
+    theorem = add(
+        "theorem", _cmd_theorem,
         "replay the full classification over every shipped quartic config",
-        config=False, box=True)
+        config=False)
     add("example-delpezzo", _cmd_example_delpezzo,
         "verify the rank-8 double-cover lattice identities", config=False)
+    for p in (enumerate_, theorem):
+        p.add_argument("--box", type=int, default=32,
+                       help="search box half-width, 16 to 256 (default 32)")
     return parser
 
 
@@ -362,13 +348,14 @@ def _join_class_values(argv: list[str]) -> list[str]:
 
     argparse reads a separate value that starts with '-' as an option, so
     a class with a negative first coordinate would never reach --class.
-    On a command that takes --class, its unambiguous abbreviations --cl,
-    --cla and --clas are joined too (--c could be --config).  Only a token
-    that is class text is joined; anything else is left for argparse to
-    refuse.
+    Only a command that takes --class is joined, its unambiguous
+    abbreviations --cl, --cla and --clas too (--c could be --config); on
+    any other line argparse refuses the tokens as typed.  Only a token that
+    is class text is joined; anything else is left for argparse to refuse.
     """
-    names = ("--cl", "--cla", "--clas", "--class") if (
-        argv and argv[0] in _CLASS_COMMANDS) else ("--class",)
+    if not argv or argv[0] not in _CLASS_COMMANDS:
+        return argv
+    names = ("--cl", "--cla", "--clas", "--class")
     out: list[str] = []
     for arg in argv:
         if out and out[-1] in names and _CLASS_TEXT.fullmatch(arg):

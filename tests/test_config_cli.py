@@ -180,6 +180,17 @@ def test_cli_lattice_info(capsys):
     assert payload["even"] is True
 
 
+def test_cli_lattice_info_lists_the_config_assumptions(capsys):
+    cfg = str(data_path("quartic_b2_4.json"))
+    code, out, err = _run(capsys, "lattice-info", "-c", cfg)
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "even: yes\n"
+        "assumptions:\n"
+        "  Empty (-1, 1): Ulrich window input: |B-h| is empty\n"
+        "  Empty (2, -1): Ulrich window input: |2h-B| is empty\n"), out
+
+
 def test_cli_lattice_info_reports_a_degenerate_form(capsys, tmp_path):
     cfg = tmp_path / "degenerate.json"
     cfg.write_text(json.dumps(_doc(gram=[[4, 2], [2, 1]], k3=False)))
@@ -219,6 +230,23 @@ def test_cli_classify_ulrich_assumptions_come_from_the_file(capsys):
     code, out, _ = _run(capsys, "classify", "-c", cfg, "--class", "0,1")
     assert code == 0
     assert out.splitlines()[0] == "AcmUlrich"
+
+
+def test_cli_classify_lists_the_facts_it_needs(capsys, tmp_path):
+    # the (4, 6) presentation with no facts: the Ulrich window needs both
+    # emptiness facts that quartic_b2_4.json asserts
+    cfg = tmp_path / "b46.json"
+    cfg.write_text(json.dumps(_doc(gram=[[4, 6], [6, 4]])))
+    code, out, err = _run(capsys, "classify", "-c", str(cfg),
+                          "--class", "0,1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "NeedsAssumption",
+        "case: d",
+        "square: 4, degree: 6",
+        "needs: Empty (-1, 1) (emptiness needed for the Ulrich window)",
+        "needs: Empty (2, -1) (emptiness needed for the Ulrich window)",
+    ]
 
 
 def test_cli_classify_bad_class_argument(capsys):
@@ -261,12 +289,22 @@ def test_cli_abbreviated_class_takes_a_negative_first_coordinate(capsys):
                               *extra)
         assert code == 2 and not out, (command, err)
         assert "ambiguous option: --c could match --config, --class" in err
-    # a command without --class reads the line as before
+    # a command without --class refuses the tokens as they were typed
     from k3acm import cli
-    line = ["verify", "--script", "case-B24", "--cl", "-1,2"]
-    assert cli._join_class_values(line) == line
-    code, _, err = _run(capsys, *line)
-    assert code == 2 and "unrecognized arguments: --cl -1,2" in err, err
+    for flag in ("--cl", "--class"):
+        line = ["verify", "--script", "case-B24", flag, "-1,2"]
+        assert cli._join_class_values(line) == line
+        code, _, err = _run(capsys, *line)
+        assert code == 2, err
+        assert f"unrecognized arguments: {flag} -1,2\n" in err, err
+
+
+def test_cli_class_option_is_on_exactly_the_class_commands():
+    from k3acm import cli
+    with_class = {name for name, p in cli.build_parser().commands.items()
+                  if "--class" in p.format_usage()}
+    assert with_class == set(cli._CLASS_COMMANDS) == {
+        "classify", "companions", "destabilize"}
 
 
 @pytest.mark.parametrize("args", [
@@ -293,6 +331,13 @@ def test_cli_companions(capsys):
     assert payload["companions"] == [
         {"class": [0, -1], "rule": "dual-acm-not-initialized"},
         {"class": [1, -1], "rule": "complement-in-h"},
+    ]
+    code, out, err = _run(capsys, "companions", "-c", cfg, "--class", "0,1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "(0, 1) classifies Acm (case a)",
+        "  (0, -1)  dual-acm-not-initialized",
+        "  (1, -1)  complement-in-h",
     ]
 
 
@@ -774,12 +819,13 @@ def test_cli_theorem_checks_it_covers_the_seven_presentations(
 def test_cli_example_delpezzo(capsys):
     code, out, _ = _run(capsys, "example-delpezzo")
     assert code == 0
-    assert "rank 8" in out
+    assert out.splitlines()[0] == "rank 8, even: yes, signature (1, 7)"
     assert "ESTABLISHED" in out
     code, out, _ = _run(capsys, "example-delpezzo", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["rank"] == 8
+    assert list(payload) == ["rank", "even", "signature", "report"]
+    assert payload["rank"] == 8 and payload["even"] is True
     assert payload["signature"] == [1, 7]
     assert payload["report"]["status"] == "Success"
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "cli_digests.py"
 IMPORT_COST = ROOT / "tools" / "import_cost.py"
@@ -88,3 +90,30 @@ def test_import_cost_prints_the_cli_and_each_package_module():
     assert {"k3acm", "k3acm.lattice", "k3acm.cli",
             "k3acm.casework.scripts"} <= set(modules), lines
     assert lines[-1].endswith(" us  k3acm modules' self, summed"), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["/nonexistent"], ["a", "b", "c"],
+    [str(ROOT), str(ROOT / "tools")],
+], ids=["help", "no-such-root", "three-roots", "second-root-not-a-checkout"])
+def test_cli_digests_refuses_bad_arguments_with_its_usage(argv):
+    # exit 1 means "surfaces differ", so a bad command line exits 2
+    proc = _digests(*argv)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("usage: python3 tools/cli_digests.py "), (
+        proc.stderr)
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["0"], ["-1"], ["x"], ["1", "/nonexistent"],
+    ["1", str(ROOT / "tools")], ["1", str(ROOT), "extra"],
+], ids=["help", "zero-runs", "negative-runs", "not-a-number", "no-such-root",
+        "root-not-a-checkout", "third-argument"])
+def test_import_cost_refuses_bad_arguments_with_its_usage(argv):
+    proc = subprocess.run([sys.executable, str(IMPORT_COST), *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("usage: python3 tools/import_cost.py "), (
+        proc.stderr)
+    assert proc.stderr.count("\n") == 1, proc.stderr

@@ -14,7 +14,9 @@ interpreter (one process never imports two ``k3acm`` packages), prints
 only the surfaces whose digests differ, each with both digests and the
 first command line, ``engine`` query or script whose output differs, and
 exits 1 if any does; a root whose own run fails is named with its
-stderr, and the tool exits 2.
+stderr, and the tool exits 2.  More than two arguments, or a ROOT that
+holds no ``src/k3acm/__init__.py`` (``--help`` among them), print the
+usage line to stderr and exit 2.
 
 Surfaces: ``theorem`` in text and ``--json`` at boxes 16, 128 and 256;
 ``enumerate --preset P --json`` for each preset, without and with ``-c``
@@ -287,15 +289,20 @@ def _compare(root_a: str, root_b: str) -> int:
     return 1 if differ else 0
 
 
-def main() -> int:
-    if len(sys.argv) == 3:
-        return _compare(*sys.argv[1:])
-    root = (sys.argv[1] if len(sys.argv) > 1
-            else Path(__file__).resolve().parents[1])
-    for name, (digest, runs) in _digests(root).items():
+def main(argv: list[str]) -> int:
+    roots = argv or [Path(__file__).resolve().parents[1]]
+    if len(roots) > 2 or not all(
+            (Path(root) / "src" / "k3acm" / "__init__.py").is_file()
+            for root in roots):
+        print("usage: python3 tools/cli_digests.py [ROOT_A [ROOT_B]]  "
+              "(a ROOT holds src/k3acm/__init__.py)", file=sys.stderr)
+        return 2
+    if len(roots) == 2:
+        return _compare(*roots)
+    for name, (digest, runs) in _digests(roots[0]).items():
         print(f"{digest}  {name} ({len(runs)} runs)")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -9,6 +9,9 @@ bytecode, then N more times (default 9), each in a fresh interpreter with
 PYTHONDONTWRITEBYTECODE removed from its environment.  It prints the
 median cumulative time of ``k3acm.cli``, then the median self time of
 each ``k3acm`` module and their sum, in microseconds, slowest first.
+An N below 1 or not an integer, a ROOT that holds no
+``src/k3acm/__init__.py``, ``--help`` or a third argument print the
+usage line to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -37,8 +40,14 @@ def _import_times(src: Path) -> dict[str, tuple[int, int]]:
 
 
 def main(argv: list[str]) -> int:
-    runs = int(argv[0]) if argv else 9
+    runs = argv[0] if argv else "9"
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
+    if (len(argv) > 2 or not runs.isdecimal() or int(runs) < 1
+            or not (root / "src" / "k3acm" / "__init__.py").is_file()):
+        print("usage: python3 tools/import_cost.py [N] [ROOT]  (N >= 1; "
+              "ROOT holds src/k3acm/__init__.py)", file=sys.stderr)
+        return 2
+    runs = int(runs)
     _import_times(root / "src")  # writes the bytecode the timed runs read
     samples = [_import_times(root / "src") for _ in range(runs)]
     cumulative = statistics.median(s["k3acm.cli"][1] for s in samples)
