@@ -61,7 +61,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -69,12 +69,11 @@ from ..axioms import is_registered
 from ..config import _is_int
 from ..errors import MalformedScriptError, WorkbenchError
 from ..invariants import genus_of
-from ..lattice import DivClass, Lattice
+from ..lattice import _EXACT_INT, DivClass, Lattice
 from .constraints import _is_rel, check_rel
 
 Expr = Any  # int, or a dict {"op": str, ...}
 Compiled = Callable[[Lattice], int]
-_EXACT_INT = frozenset({int})  # _coords: exact ints in one C-level pass
 
 
 def _coords(value) -> tuple[int, ...]:
@@ -405,7 +404,10 @@ class DerivationScript:
                     "flagged with the fact it contradicts")
 
     def with_lattice(self, lat: Lattice) -> "DerivationScript":
-        return replace(self, lattice=lat)
+        """``dataclasses.replace(self, lattice=lat)``, steps not re-checked."""
+        script = object.__new__(type(self))
+        script.__dict__.update(self.__dict__, lattice=lat)
+        return script
 
 
 # ---- running -----------------------------------------------------------------

@@ -7,13 +7,16 @@ conflicting assumptions, a search box outside 16..256, a config lattice
 that is not a quartic presentation <h, B> of rank 2 with ample
 h = (1, 0) and h^2 = 4 for destabilize or enumerate -c, a destabilizing
 sweep on a presentation that is not hyperbolic); 3 = internal error (the
-engine produced a false claim or left a shipped script with a gap).
+engine produced a false claim or left a shipped script with a gap); 141
+(128 + SIGPIPE) = stdout was closed before the report was written.
 Reports go to stdout, diagnostics to stderr.
 """
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import re
 import sys
 
@@ -75,20 +78,16 @@ def _replay(args, script, header, extra=None) -> int:
         print(header)
     for st in report.steps:
         if st.kind == "axiom":
-            line = f"  [axiom ] {st.label}"
-            if st.detail:
-                line += f": {st.detail}"
+            line = f"  [axiom ] {st.label}" + (st.detail and f": {st.detail}")
         else:
             mark = "ok    " if st.status == "Verified" else st.status
             line = f"  [{mark}] {st.label}: {st.detail}"
         print(line)
     print(report.summary())
-    if not report.success:
-        print("VERIFICATION FAILED")
-    elif report.conclusion.kind == "contradiction":
-        print("CONTRADICTION ESTABLISHED")
-    else:
-        print(f"ESTABLISHED: {report.conclusion.statement}")
+    print("VERIFICATION FAILED" if not report.success
+          else "CONTRADICTION ESTABLISHED"
+          if report.conclusion.kind == "contradiction"
+          else f"ESTABLISHED: {report.conclusion.statement}")
     return 0 if report.success else 1
 
 
@@ -117,12 +116,9 @@ def _cmd_lattice_info(args) -> int:
     print(f"k3 surface checks: {'on' if lat.k3 else 'off'}")
     print(f"signature: {signature or 'degenerate'}")
     print(f"even: {'yes' if lat.is_even() else 'no'}")
-    if assumps:
-        print("assumptions:")
-        for a in assumps:
-            print(f"  {a.kind.value} {a.subject}" + (f": {a.note}" if a.note else ""))
-    else:
-        print("assumptions: none")
+    print("assumptions:" if assumps else "assumptions: none")
+    for a in assumps:
+        print(f"  {a.kind.value} {a.subject}" + (f": {a.note}" if a.note else ""))
     return 0
 
 
@@ -252,9 +248,8 @@ def _cmd_theorem(args) -> int:
         }))
         return 0 if all_ok else 1
     for name, r in rows:
-        line = (f"{name}: (B^2, h.B) = {r.profile} -> preset {r.preset_id}, "
-                f"survivors {[list(s) for s in r.survivors]}: {r.status}")
-        print(line)
+        print(f"{name}: (B^2, h.B) = {r.profile} -> preset {r.preset_id}, "
+              f"survivors {[list(s) for s in r.survivors]}: {r.status}")
         if r.substitution is not None:
             tag, target = r.substitution
             print(f"  reduced via {tag} to the presentation {target}")
@@ -367,32 +362,40 @@ def _join_class_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     """Run one command line.  The subcommand its first token names parses
-    it alone, unless it holds ``--``; the top-level parser parses any other."""
+    it alone, unless it holds ``--``; the top-level parser parses any other.
+    A closed stdout (``| head``) ends the run with 141, nothing on stderr."""
     parser = build_parser()
     argv = _join_class_values(sys.argv[1:] if argv is None else list(argv))
     command = argv and "--" not in argv and parser.commands.get(argv[0])
     try:
-        if not command:
-            args = parser.parse_args(argv)
-        else:  # a leftover token is parse_args' own error, of the top level
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-            args.command = argv[0]
-    except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors; never propagate
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
-    except EngineError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except BoxTooSmallError as exc:
-        print(f"boundary touch: {exc}", file=sys.stderr)
-        return 1
-    except WorkbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            if not command:
+                args = parser.parse_args(argv)
+            else:  # a leftover token is the top level's parse_args error
+                args, extras = command.parse_known_args(argv[1:])
+                if extras:
+                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
+                args.command = argv[0]
+            return args.func(args)
+        except SystemExit as exc:
+            # argparse exits 0 for --help, 2 for usage errors; never propagate
+            return exc.code if isinstance(exc.code, int) else 2
+        except EngineError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 3
+        except BoxTooSmallError as exc:
+            print(f"boundary touch: {exc}", file=sys.stderr)
+            return 1
+        except WorkbenchError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:  # a closed pipe fails here, not at exit (no-op if no stdout)
+            print(end="", flush=True)
+    except BrokenPipeError:  # exit flushes stdout again: into devnull
+        with contextlib.suppress(AttributeError, OSError):
+            fd = sys.stdout.fileno()  # an in-memory stream has none
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 141
 
 
 if __name__ == "__main__":

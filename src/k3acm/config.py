@@ -10,8 +10,9 @@ A config file is a single JSON object with exactly the keys
     assumptions   list of geometric facts (see ``assumption_from_json``)
 
 Unknown keys are rejected so that typos fail loudly instead of being
-silently ignored.  A config file is read as UTF-8 and may hold at most
-``_MAX_CONFIG_BYTES`` bytes; a file that is longer, is not UTF-8, nests
+silently ignored.  A config file is read once, unbuffered, in 64 KiB
+pieces, then decoded as UTF-8 and parsed; it may hold at most
+``_MAX_CONFIG_BYTES`` bytes.  A file that is longer, is not UTF-8, nests
 too deeply for the JSON reader or holds an integer past Python's
 int-string digit limit (4,300 digits) is refused with a ConfigError.
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .classifier import Assumption, AssumptionKind
 from .errors import ConfigError
-from .lattice import DivClass, Lattice
+from .lattice import _EXACT_INT, DivClass, Lattice
 
 _CONFIG_KEYS = ("rank", "gram", "labels", "ample", "k3", "assumptions")
 _ASSUMPTION_KEYS = ("subject", "kind", "note")
@@ -46,9 +47,10 @@ def _is_int(x) -> bool:
 def _int_list(value, length: int, where: str) -> list[int]:
     if not isinstance(value, list) or len(value) != length:
         raise ConfigError(f"{where} must be a list of {length} ints")
-    if not all(_is_int(x) for x in value):
+    if not (_EXACT_INT.issuperset(map(type, value))
+            or all(map(_is_int, value))):
         raise ConfigError(f"{where} must contain only ints")
-    return list(value)
+    return value
 
 
 def assumption_to_json(a: Assumption) -> dict:
@@ -146,36 +148,25 @@ def loads_config(text: str) -> tuple[Lattice, tuple[Assumption, ...]]:
     return config_from_json(data)
 
 
-def _read_capped(path: Path) -> bytes:
-    """The file's bytes; of a file longer than _MAX_CONFIG_BYTES, only
-    enough of them to show that.
-
-    Read in 64 KiB pieces: one read of the whole cap would allocate it for
-    every config, which costs more than reading a shipped one.
-    """
-    parts, size = [], 0
-    with path.open("rb") as f:
-        while size <= _MAX_CONFIG_BYTES:
-            part = f.read(1 << 16)
-            if not part:
-                break
-            parts.append(part)
-            size += len(part)
-    return b"".join(parts)
-
-
 def load_config(path) -> tuple[Lattice, tuple[Assumption, ...]]:
-    """Read, validate and build one lattice config file."""
+    """Read, validate and build one lattice config file.  It is read in
+    64 KiB pieces, unbuffered: a buffered reader would also probe it for a
+    tty, and one read of the whole cap would allocate the cap for every
+    config, which costs more than reading a shipped one."""
     path = Path(path)
+    parts, size = [], 0
     try:
-        raw = _read_capped(path)
+        with open(path, "rb", buffering=0) as f:
+            while size <= _MAX_CONFIG_BYTES and (part := f.read(1 << 16)):
+                parts.append(part)
+                size += len(part)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    if len(raw) > _MAX_CONFIG_BYTES:
+    if size > _MAX_CONFIG_BYTES:
         raise ConfigError(f"config {path} is longer than "
                           f"{_MAX_CONFIG_BYTES} bytes")
     try:
-        text = raw.decode("utf-8")
+        text = b"".join(parts).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
     return loads_config(text)

@@ -27,11 +27,18 @@ from .errors import (
 )
 
 
-def _index(value) -> int:
-    """``operator.index``, which also refuses a bool: True is not 1 here."""
-    if isinstance(value, bool):
+_EXACT_INT = frozenset({int})  # .issuperset(map(type, xs)): a C-level pass
+
+
+def _ints(values) -> tuple[int, ...]:
+    """The values as a tuple of exact ints, else ``operator.index`` of each;
+    TypeError on a non-integer or a bool (True is not 1 here)."""
+    values = tuple(values)
+    if _EXACT_INT.issuperset(map(type, values)):
+        return values
+    if bool in map(type, values):
         raise TypeError("a bool is not an integer entry")
-    return operator.index(value)
+    return tuple(map(operator.index, values))
 
 
 class _Frozen:
@@ -58,7 +65,7 @@ class _Frozen:
 class DivClass(_Frozen):
     """A divisor class: an integer coordinate vector in a fixed basis.
 
-    A coordinate that is not an integer (``_index`` refuses it: a float, a
+    A coordinate that is not an integer (``_ints`` refuses it: a float, a
     string, a Fraction, a bool) raises BadParametersError.
 
     Supports the obvious Z-module operations so combinations read like the
@@ -69,7 +76,7 @@ class DivClass(_Frozen):
 
     def __init__(self, coords: Iterable[int]):
         try:
-            ints = tuple(map(_index, coords))
+            ints = _ints(coords)
         except TypeError:
             raise BadParametersError(
                 f"class coordinates must be ints, got {coords!r}") from None
@@ -114,7 +121,7 @@ class DivClass(_Frozen):
 
 def _check_gram(gram: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     try:
-        rows = tuple(tuple(map(_index, row)) for row in gram)
+        rows = tuple(map(_ints, gram))
     except TypeError:
         raise BadParametersError(
             f"gram entries must be ints, got {gram!r}") from None
@@ -210,7 +217,7 @@ class Lattice(_Frozen):
                 if rows[i][i] % 2 != 0:
                     raise OddK3DiagonalError(
                         f"K3 lattice needs an even diagonal; gram[{i}][{i}]={rows[i][i]}")
-            sig = self._signature
+            sig = self.signature()
             if sig != (1, n - 1):
                 raise WrongSignatureError(
                     f"K3 lattice needs signature (1, {n - 1}), got {sig}")
@@ -257,15 +264,12 @@ class Lattice(_Frozen):
         """Degree against the ample class."""
         return self.pair(self.ample, d)
 
-    @property
-    def _signature(self) -> tuple[int, int]:
+    def signature(self) -> tuple[int, int]:
+        """(#positive, #negative) eigenvalue counts, computed once;
+        requires nondegeneracy."""
         if self._sig is None:
             object.__setattr__(self, "_sig", _signature_of(self.gram))
         return self._sig
-
-    def signature(self) -> tuple[int, int]:
-        """(#positive, #negative) eigenvalue counts; requires nondegeneracy."""
-        return self._signature
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))

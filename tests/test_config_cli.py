@@ -1,5 +1,7 @@
 """Config loading, strict validation, and the command-line front end."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -922,3 +924,128 @@ def test_cli_entry_point_subprocess(module):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"solutions": [[3, -2]]}
+
+
+# ---- refused configs: the exact text of each refusal ------------------------
+
+# each malformed config: what -c names and the error line (after "error: ")
+# that lattice-info and verify both print for it; {dir} is its directory
+_REFUSALS = {
+    "missing-file": "cannot read config {dir}/cfg.json: [Errno 2] No such "
+                    "file or directory: '{dir}/cfg.json'",
+    "directory": "cannot read config {dir}/cfg.json: [Errno 21] Is a "
+                 "directory: '{dir}/cfg.json'",
+    "empty-path": "cannot read config .: [Errno 21] Is a directory: '.'",
+    "dev-zero": "config /dev/zero is longer than 4194304 bytes",
+    "empty-file": "config is not valid JSON: Expecting value: line 1 "
+                  "column 1 (char 0)",
+    "not-utf8": "config {dir}/cfg.json is not UTF-8: 'utf-8' codec can't "
+                "decode byte 0xff in position 13: invalid start byte",
+    "invalid-json": "config is not valid JSON: Expecting property name "
+                    "enclosed in double quotes: line 1 column 12 (char 11)",
+    "unknown-key": "unknown config keys: ['extra']",
+    "bool-in-gram": "gram row 0 must contain only ints",
+    "float-in-ample": "ample must contain only ints",
+    "short-row": "gram row 1 must be a list of 2 ints",
+    "non-int-subject": "assumption subject must contain only ints",
+    "duplicate-labels": "basis labels must be distinct",
+    "odd-k3-diagonal": "K3 lattice needs an even diagonal; gram[1][1]=-3",
+    "wrong-signature": "K3 lattice needs signature (1, 1), got (2, 0)",
+    "nonpositive-ample": "ample class (0, 1) has self-intersection -2 <= 0",
+}
+
+_MALFORMED = {
+    "empty-file": b"",
+    "not-utf8": b'{"labels": ["\xff"]}',
+    "invalid-json": b'{"rank": 2,',
+    "unknown-key": _doc(extra=1),
+    "bool-in-gram": _doc(gram=[[4, True], [1, -2]]),
+    "float-in-ample": _doc(ample=[1.0, 0]),
+    "short-row": _doc(gram=[[4, 1], [1]]),
+    "non-int-subject": _doc(assumptions=[{"subject": [0, "1"],
+                                          "kind": "Empty"}]),
+    "duplicate-labels": _doc(labels=["h", "h"]),
+    "odd-k3-diagonal": _doc(gram=[[4, 1], [1, -3]]),
+    "wrong-signature": _doc(gram=[[4, 0], [0, 2]]),
+    "nonpositive-ample": _doc(ample=[0, 1]),
+}
+
+
+def _malformed_config(tmp_path, case) -> str:
+    """The -c argument of a refused config, its file written first."""
+    path = tmp_path / "cfg.json"
+    if case == "empty-path":
+        return ""
+    if case == "dev-zero":
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero here")
+        return "/dev/zero"
+    if case == "directory":
+        path.mkdir()
+    elif case != "missing-file":
+        content = _MALFORMED[case]
+        path.write_bytes(content if isinstance(content, bytes)
+                         else json.dumps(content).encode())
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["lattice-info"], ["lattice-info", "--json"],
+    ["verify", "--script", "case-B24"],
+], ids=["lattice-info", "lattice-info-json", "verify"])
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_cli_refuses_a_malformed_config_with_its_own_text(capsys, tmp_path,
+                                                          command, case):
+    argv = [*command, "-c", _malformed_config(tmp_path, case)]
+    expected = "error: " + _REFUSALS[case].format(dir=tmp_path) + "\n"
+    assert _run(capsys, *argv) == (2, "", expected)
+
+
+# ---- a closed stdout ------------------------------------------------------------
+
+# what the k3acm console script (k3acm.cli:main) runs
+_CONSOLE_ENTRY = "import sys; from k3acm.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["example-delpezzo"], ["example-delpezzo", "--json"], ["--help"],
+], ids=["text", "json", "help"])
+@pytest.mark.parametrize("entry", [
+    ["-m", "k3acm"], ["-m", "k3acm.cli"], ["-c", _CONSOLE_ENTRY],
+], ids=["python-m-k3acm", "python-m-k3acm-cli", "console-entry"])
+def test_a_closed_stdout_ends_the_run_quietly(entry, argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child starts
+    try:
+        proc = subprocess.run([sys.executable, *entry, *argv], stdout=write,
+                              stderr=subprocess.PIPE, timeout=120,
+                              env={**os.environ,
+                                   "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    # argparse ignores a failed write of its help text and exits 0; a
+    # buffered one fails only at main's flush
+    code = 0 if argv == ["--help"] and unbuffered else 141
+    # no traceback and no exit-time "Exception ignored" line
+    assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("argv", [
+    ["example-delpezzo"], ["example-delpezzo", "--json"],
+    ["verify", "--script", "case-B24", "--json"],
+    ["lattice-info", "-c", str(data_path("quartic_b2_4.json"))],
+], ids=["text", "json", "verify", "lattice-info"])
+def test_main_returns_141_when_a_write_to_stdout_fails(capsys, monkeypatch,
+                                                       argv):
+    stdout = _ClosedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 141
+    assert sys.stdout is stdout
+    assert capsys.readouterr().err == ""

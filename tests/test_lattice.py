@@ -2,6 +2,7 @@
 
 import random
 import time
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -41,15 +42,76 @@ def test_divclass_is_hashable_and_comparable():
     assert len({DivClass((1, 0)), DivClass((1, 0)), DivClass((0, 1))}) == 2
 
 
-@pytest.mark.parametrize("bad", [4.7, "3", Fraction(3), True],
-                         ids=["float", "numeric-string", "fraction", "bool"])
+@pytest.mark.parametrize("bad", [4.7, "3", Fraction(3), True, False, None],
+                         ids=["float", "numeric-string", "fraction", "bool",
+                              "false", "none"])
 def test_non_integers_are_refused_not_truncated(bad):
-    with pytest.raises(BadParametersError, match="class coordinates"):
-        DivClass((bad, -4))
-    with pytest.raises(BadParametersError, match="gram entries"):
-        Lattice(gram=[[4, 6], [6, bad]], labels=("h", "B"), ample=(1, 0))
-    with pytest.raises(BadParametersError, match="class coordinates"):
+    # in any position, after exact ints or alone; the text shows the input
+    for coords in ((bad, -4), [1, 2, bad], (bad,)):
+        with pytest.raises(BadParametersError) as err:
+            DivClass(coords)
+        assert str(err.value) == (
+            f"class coordinates must be ints, got {coords!r}")
+    for gram in ([[4, 6], [6, bad]], ((bad, 6), (6, 4)), [[4, 6], (6, bad)]):
+        with pytest.raises(BadParametersError) as err:
+            Lattice(gram=gram, labels=("h", "B"), ample=(1, 0))
+        assert str(err.value) == f"gram entries must be ints, got {gram!r}"
+    with pytest.raises(BadParametersError) as err:
         Lattice(gram=[[4, 6], [6, 4]], labels=("h", "B"), ample=(bad, 0))
+    assert str(err.value) == (
+        f"class coordinates must be ints, got {(bad, 0)!r}")
+
+
+_SHAPES = {"list": list, "tuple": tuple,
+           "generator": lambda xs: (x for x in xs)}
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_classes_and_gram_rows_are_read_from_any_iterable(shape):
+    make = _SHAPES[shape]
+    assert DivClass(make([3, -2])).coords == (3, -2)
+    assert DivClass(make([])).coords == ()
+    lat = Lattice(gram=make([make([4, 1]), make([1, -2])]), labels=("h", "B"),
+                  ample=make([1, 0]), k3=True)
+    assert lat.gram == ((4, 1), (1, -2)) and lat.ample == DivClass((1, 0))
+    assert type(lat.gram) is tuple
+    assert all(type(row) is tuple for row in lat.gram)
+
+
+class _Entry(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class _Indexable:
+    def __index__(self):
+        return 3
+
+
+def test_an_int_like_entry_is_stored_as_an_exact_int():
+    # an int subclass and an __index__ object are read through
+    # operator.index, so nothing but an exact int is stored
+    c = DivClass((_Entry.TWO, -1, _Indexable()))
+    assert c.coords == (2, -1, 3)
+    assert [type(x) for x in c.coords] == [int, int, int]
+    assert c == DivClass((2, -1, 3)) and hash(c) == hash(DivClass((2, -1, 3)))
+    lat = Lattice(gram=[[4, _Entry.ONE], [_Entry.ONE, -2]], labels=("h", "B"),
+                  ample=(_Entry.ONE, 0), k3=True)
+    assert lat.gram == ((4, 1), (1, -2))
+    assert {type(x) for row in lat.gram for x in row} == {int}
+    assert type(lat.ample.coords[0]) is int
+
+
+def test_a_non_iterable_class_or_gram_is_refused_with_its_text():
+    for coords in (5, None):
+        with pytest.raises(BadParametersError) as err:
+            DivClass(coords)
+        assert str(err.value) == (
+            f"class coordinates must be ints, got {coords!r}")
+    for gram in (4, [[4, 1], 7], [None]):
+        with pytest.raises(BadParametersError) as err:
+            Lattice(gram=gram, labels=("h", "B"), ample=(1, 0))
+        assert str(err.value) == f"gram entries must be ints, got {gram!r}"
 
 
 def test_gram_must_be_square_and_symmetric():

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import operator
 from dataclasses import replace
 from pathlib import Path
 
@@ -1407,6 +1408,37 @@ def test_replay_compiles_each_claim_side_once_and_never_interprets(
         assert not run_script(script.with_lattice(mutant)).success, script.tag
     assert interpreted == []
     assert len(roots) == sides
+
+
+def test_with_lattice_is_replace_of_the_lattice_alone():
+    # every builtin script on its own lattice and on each +/-1 mutant: the
+    # rebound script equals dataclasses.replace's, replays to the same
+    # report, shares the claims (and so their compiled sides) and leaves
+    # the original as it was
+    from dataclasses import FrozenInstanceError
+    def compiled(script):
+        return [st.compiled for st in script.steps
+                if isinstance(st, ArithClaim)]
+
+    rebinds = 0
+    for tag, script in sorted(builtin_scripts().items()):
+        run_script(script)
+        fields, sides = dict(vars(script)), compiled(script)
+        for lat in _gram_mutants(script.lattice):
+            rebound = script.with_lattice(lat)
+            reference = replace(script, lattice=lat)
+            assert type(rebound) is DerivationScript
+            assert rebound == reference and repr(rebound) == repr(reference)
+            assert rebound.lattice is lat and rebound.steps is script.steps
+            assert vars(rebound) == {**fields, "lattice": lat}
+            assert run_script(rebound) == run_script(reference), tag
+            assert all(map(operator.is_, compiled(rebound), sides)), tag
+            with pytest.raises(FrozenInstanceError):
+                rebound.lattice = script.lattice
+            rebinds += 1
+        assert vars(script) == fields, tag
+        assert all(vars(script)[k] is v for k, v in fields.items()), tag
+    assert rebinds >= 140, rebinds
 
 
 def test_replayed_pairings_read_the_gram_matrix_without_pair_coords(

@@ -37,7 +37,14 @@ unknown command, ``--``, missing, unknown and abbreviated options, extra
 positionals, bad choices and ints, ``--class -1,2`` and its
 abbreviations), none holding a path, as argparse echoes refused
 arguments into stderr; help is wrapped at ``COLUMNS=80``, which the tool
-sets; and two surfaces that are not command lines.  ``scripts``: for
+sets; ``config refusals``: ``lattice-info -c`` and ``verify --script
+case-B24 -c`` on each config the reader refuses (a missing file, a
+directory, ``""``, ``/dev/zero``, an empty file, non-UTF-8 bytes, invalid
+JSON, an unknown key, a bool in a Gram row, a float in ``ample``, a short
+row, a non-int assumption subject, duplicate labels, an odd K3 diagonal,
+the wrong signature, a nonpositive ample class), each written into the
+temporary directory, whose path stderr shows as ``<workdir>``; and two
+surfaces that are not command lines.  ``scripts``: for
 each row of ``casebook.CASES`` in order, its builtin script's steps through
 ``step_to_json``, its conclusion and its description, which ``verify``
 reports only as labels and values.  ``engine``: ``enumerate_destabilizing``
@@ -131,6 +138,9 @@ def _surfaces(root: Path, workdir: Path) -> dict[str, list]:
              "--d", str(d), "--mode", mode, *flags]
             for name, (s, t), d, mode in destabilize_grid(root)]
     out["usage"] = list(_usage_lines())
+    out["config refusals"] = [
+        [*command, "-c", config] for config in _refused_configs(workdir)
+        for command in (["lattice-info"], ["verify", "--script", "case-B24"])]
     out["scripts"] = [case.tag for case in CASES]
     out["engine"] = list(_engine_queries())
     return out
@@ -157,6 +167,36 @@ def _usage_lines():
         ["companions", "--cla", "-1,2"],
         ["destabilize", "--clas", "-1,2", "--d", "2"],
         ["classify", "--c", "-1,2"])
+
+
+def _refused_configs(workdir: Path):
+    """The -c arguments of the ``config refusals`` surface, each malformed
+    config written into workdir first."""
+    base = {"rank": 2, "gram": [[4, 1], [1, -2]], "labels": ["h", "B"],
+            "ample": [1, 0], "k3": True, "assumptions": []}
+    edits = {
+        "unknown-key": {"extra": 1},
+        "bool-in-gram": {"gram": [[4, True], [1, -2]]},
+        "float-in-ample": {"ample": [1.0, 0]},
+        "short-row": {"gram": [[4, 1], [1]]},
+        "non-int-subject": {"assumptions": [{"subject": [0, "1"],
+                                             "kind": "Empty"}]},
+        "duplicate-labels": {"labels": ["h", "h"]},
+        "odd-k3-diagonal": {"gram": [[4, 1], [1, -3]]},
+        "wrong-signature": {"gram": [[4, 0], [0, 2]]},
+        "nonpositive-ample": {"ample": [0, 1]},
+    }
+    files = {"empty": b"", "not-utf8": b'{"labels": ["\xff"]}',
+             "invalid-json": b'{"rank": 2,',
+             **{name: json.dumps({**base, **edit}).encode()
+                for name, edit in edits.items()}}
+    (workdir / "directory.json").mkdir()
+    yield from (str(workdir / "missing.json"),
+                str(workdir / "directory.json"), "", "/dev/zero")
+    for name, content in files.items():
+        path = workdir / f"{name}.json"
+        path.write_bytes(content)
+        yield str(path)
 
 
 def _engine_queries():
@@ -221,9 +261,10 @@ def _script(tag: str) -> list:
             list(script.conclusion), script.description]
 
 
-def _run(argv: list[str] | tuple | str) -> list:
+def _run(argv: list[str] | tuple | str, workdir: str) -> list:
     """One run of a surface: a list is a command line, a tuple an
-    ``engine`` query, a str a script tag.  Its first item names the run."""
+    ``engine`` query, a str a script tag.  Its first item names the run;
+    a command line's stderr has workdir's path as ``<workdir>``."""
     from k3acm import cli
 
     if isinstance(argv, tuple):
@@ -235,7 +276,8 @@ def _run(argv: list[str] | tuple | str) -> list:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     shown = [Path(a).name if a.endswith(".json") else a for a in argv]
-    return [shown, code, out.getvalue(), err.getvalue()]
+    return [shown, code, out.getvalue(),
+            err.getvalue().replace(workdir, "<workdir>")]
 
 
 def _digests(root: str) -> dict[str, tuple[str, list]]:
@@ -248,7 +290,7 @@ def _digests(root: str) -> dict[str, tuple[str, list]]:
         for name, argvs in _surfaces(root, Path(workdir)).items():
             digest, runs = hashlib.sha256(), []
             for argv in argvs:
-                ran = _run(argv)
+                ran = _run(argv, workdir)
                 line = json.dumps(ran).encode() + b"\n"
                 digest.update(line)
                 runs.append((ran[0], hashlib.sha256(line).hexdigest()))
