@@ -78,16 +78,20 @@ def _replay(args, script, header, extra=None) -> int:
         print(header)
     for st in report.steps:
         if st.kind == "axiom":
-            line = f"  [axiom ] {st.label}" + (st.detail and f": {st.detail}")
+            line = f"  [axiom ] {st.label}"
+            if st.detail:
+                line += f": {st.detail}"
         else:
             mark = "ok    " if st.status == "Verified" else st.status
             line = f"  [{mark}] {st.label}: {st.detail}"
         print(line)
     print(report.summary())
-    print("VERIFICATION FAILED" if not report.success
-          else "CONTRADICTION ESTABLISHED"
-          if report.conclusion.kind == "contradiction"
-          else f"ESTABLISHED: {report.conclusion.statement}")
+    if not report.success:
+        print("VERIFICATION FAILED")
+    elif report.conclusion.kind == "contradiction":
+        print("CONTRADICTION ESTABLISHED")
+    else:
+        print(f"ESTABLISHED: {report.conclusion.statement}")
     return 0 if report.success else 1
 
 
@@ -116,9 +120,12 @@ def _cmd_lattice_info(args) -> int:
     print(f"k3 surface checks: {'on' if lat.k3 else 'off'}")
     print(f"signature: {signature or 'degenerate'}")
     print(f"even: {'yes' if lat.is_even() else 'no'}")
-    print("assumptions:" if assumps else "assumptions: none")
-    for a in assumps:
-        print(f"  {a.kind.value} {a.subject}" + (f": {a.note}" if a.note else ""))
+    if assumps:
+        print("assumptions:")
+        for a in assumps:
+            print(f"  {a.kind.value} {a.subject}" + (f": {a.note}" if a.note else ""))
+    else:
+        print("assumptions: none")
     return 0
 
 
@@ -248,8 +255,9 @@ def _cmd_theorem(args) -> int:
         }))
         return 0 if all_ok else 1
     for name, r in rows:
-        print(f"{name}: (B^2, h.B) = {r.profile} -> preset {r.preset_id}, "
-              f"survivors {[list(s) for s in r.survivors]}: {r.status}")
+        line = (f"{name}: (B^2, h.B) = {r.profile} -> preset {r.preset_id}, "
+                f"survivors {[list(s) for s in r.survivors]}: {r.status}")
+        print(line)
         if r.substitution is not None:
             tag, target = r.substitution
             print(f"  reduced via {tag} to the presentation {target}")
@@ -363,7 +371,8 @@ def _join_class_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     """Run one command line.  The subcommand its first token names parses
     it alone, unless it holds ``--``; the top-level parser parses any other.
-    A closed stdout (``| head``) ends the run with 141, nothing on stderr."""
+    A BrokenPipeError from stdout (``| head``) ends it with 141, nothing
+    on stderr; some argparse releases drop one from their own help write."""
     parser = build_parser()
     argv = _join_class_values(sys.argv[1:] if argv is None else list(argv))
     command = argv and "--" not in argv and parser.commands.get(argv[0])
