@@ -8,11 +8,12 @@ constraint has one form, an integer polynomial of degree at most 2:
 
 scan walks one half-plane region: eliminating y from rows a*x + b*y >= r
 (Fourier-Motzkin) gives the integer x-range in which any real y is left,
-and at each such x the rows narrow a given y-interval; enumerate_case and
-the destabilizing engine's profile sweep both run on it.  enumerate_case
-takes the constraints without a quadratic part and |t| <= box as rows,
-and Constraint.holds decides every point of that region, so the quadratic
-constraints only filter.  A survivor on the box boundary raises
+and at each such x the rows with a y-term narrow a given y-interval, both
+through half_plane_bounds; enumerate_case and the destabilizing engine's
+profile sweep run on it.  enumerate_case takes the constraints without a
+quadratic part and |t| <= box as rows, and Constraint.holds decides every
+point of that region, asking the quadratic constraints first since they
+reject most points.  A survivor on the box boundary raises
 BoxTooSmallError because it signals the solution set may be truncated.
 
 Constraints carry their justification (an axiom id plus a citation string
@@ -118,41 +119,28 @@ class CaseSpec(namedtuple("CaseSpec", "lattice constraints box tag")):
         return tuple.__new__(cls, (lattice, tuple(constraints), box, tag))
 
 
-# ---- the solver --------------------------------------------------------------
-#
-# Every constraint without a quadratic part, and |t| <= box, becomes
-# half-planes a*s + b*t >= r.  Eliminating t from them bounds s, and at
-# each such s they bound t.  The rows only prune: Constraint.holds decides
-# every point they leave, so the quadratic constraints need no rows.
+# ---- the solver (see the module docstring) ----------------------------------
 
 Row = tuple[int, int, int]  # (a, b, r): a*x + b*y >= r, here (x, y) = (s, t)
 
 
-def _rows(a: int, b: int, rel: str, c: int) -> list[Row]:
-    """The integer points with a*s + b*t rel c as half-planes: a strict
-    relation is tightened by one, an equation is two rows."""
-    return {">=": [(a, b, c)], ">": [(a, b, c + 1)],
-            "<=": [(-a, -b, -c)], "<": [(-a, -b, 1 - c)],
-            "=": [(a, b, c), (-a, -b, -c)]}[rel]
-
-
-def half_plane_bounds(rows: Iterable[tuple[int, int]], lo: int,
-                      hi: int) -> tuple[int, int]:
-    """The integers x in [lo, hi] with b*x >= r for every row (b, r), as
-    (lo, hi); lo > hi when none is left (0 >= r > 0 holds nowhere).
-
-    Plain comparisons instead of max and min: scan calls it per column.
-    """
-    for b, r in rows:
+def half_plane_bounds(rows: Iterable[Row], lo: int, hi: int,
+                      x: int = 0) -> tuple[int, int]:
+    """The integers y in [lo, hi] with a*x + b*y >= r for every row
+    (a, b, r), as (lo, hi); lo > hi when none is left.  feasible_range
+    passes its rows in s alone as (0, coef, r), scan each column's x.
+    Plain comparisons instead of max and min: scan calls it per column."""
+    for a, b, r in rows:
+        r -= a * x
         if b > 0:
-            x = -(-r // b)  # ceil(r / b)
-            if x > lo:
-                lo = x
+            y = -(-r // b)  # ceil(r / b)
+            if y > lo:
+                lo = y
         elif b < 0:
-            x = r // b  # floor(r / b)
-            if x < hi:
-                hi = x
-        elif r > 0:
+            y = r // b  # floor(r / b)
+            if y < hi:
+                hi = y
+        elif r > 0:  # 0 >= r > 0 holds nowhere
             return lo, lo - 1
     return lo, hi
 
@@ -161,13 +149,13 @@ def feasible_range(rows: list[Row], lo: int, hi: int) -> range:
     """The integer s in [lo, hi] at which the rows leave some real t.
 
     t is eliminated Fourier-Motzkin style: each pair of a lower and an
-    upper bound on t gives one condition on s, and a row without t bounds
-    s directly.
+    upper bound on t gives one row coef*s >= r, and so does each row
+    without t; half_plane_bounds reads them as rows (0, coef, r).
     """
     lows = [row for row in rows if row[1] > 0]
     highs = [row for row in rows if row[1] < 0]
-    s_rows = [(a, r) for a, b, r in rows if b == 0]
-    s_rows += [(b1 * a2 - b2 * a1, b1 * r2 - b2 * r1)
+    s_rows = [(0, a, r) for a, b, r in rows if b == 0]
+    s_rows += [(0, b1 * a2 - b2 * a1, b1 * r2 - b2 * r1)
                for a1, b1, r1 in lows for a2, b2, r2 in highs]
     lo, hi = half_plane_bounds(s_rows, lo, hi)
     return range(lo, hi + 1)
@@ -178,23 +166,27 @@ def scan(rows: list[Row], lo: int, hi: int,
          ) -> Iterator[tuple[int, int]]:
     """Every integer (x, y) with lo <= x <= hi, y_lo <= y <= y_hi for
     (y_lo, y_hi) = column(x) and a*x + b*y >= r for each row (a, b, r),
-    in x-then-y order."""
+    in x-then-y order.  Only the rows with b != 0 narrow a column: the
+    rest hold at every x that feasible_range leaves."""
+    y_rows = [row for row in rows if row[1]]
     for x in feasible_range(rows, lo, hi):
-        y_lo, y_hi = half_plane_bounds([(b, r - a * x) for a, b, r in rows],
-                                       *column(x))
+        y_lo, y_hi = half_plane_bounds(y_rows, *column(x), x)
         for y in range(y_lo, y_hi + 1):
             yield x, y
 
 
 def _plan(spec: CaseSpec) -> list[Row]:
     """The rows of the constraints without a quadratic part and of
-    |t| <= box."""
+    |t| <= box: a strict relation is tightened by one, = is two rows."""
     box = spec.box
     rows: list[Row] = [(0, 1, -box), (0, -1, -box)]  # |t| <= box
     for con in spec.constraints:
         qss, qst, qtt, a, b = con.coeffs
         if not (qss or qst or qtt):
-            rows += _rows(a, b, con.rel, con.c)
+            c = con.c
+            rows += {">=": [(a, b, c)], ">": [(a, b, c + 1)],
+                     "<=": [(-a, -b, -c)], "<": [(-a, -b, 1 - c)],
+                     "=": [(a, b, c), (-a, -b, -c)]}[con.rel]
     return rows
 
 
@@ -204,19 +196,22 @@ def enumerate_case(spec: CaseSpec) -> list[tuple[int, int]]:
     Deterministic and serial: scan runs s over the box values at which
     the rows of the constraints without a quadratic part leave some real t
     (the whole box when there is no such row), t over the interval those
-    rows leave at that s, and Constraint.holds decides every such point.
-    Raises BoxTooSmallError if any survivor touches the boundary |s| = box
-    or |t| = box, since the true solution set might then extend past the
-    box.
+    rows leave at that s, and Constraint.holds decides every such point,
+    asking first the constraints with a quadratic part, which reject most.
+    Raises BoxTooSmallError at the first survivor on the boundary
+    |s| = box or |t| = box: the true solution set might extend past it.
     """
     box = spec.box
-    cons = spec.constraints
-    out = [(s, t) for s, t in scan(_plan(spec), -box, box,
-                                   lambda s: (-box, box))
-           if all(c.holds(s, t) for c in cons)]
-    for s, t in out:
-        if abs(s) == box or abs(t) == box:
-            raise BoxTooSmallError(
-                f"survivor ({s}, {t}) touches the box boundary {box}; "
-                f"enlarge the box")
+    cons = sorted(spec.constraints, key=lambda con: not any(con.coeffs[:3]))
+    out = []
+    for s, t in scan(_plan(spec), -box, box, lambda s: (-box, box)):
+        for con in cons:
+            if not con.holds(s, t):
+                break
+        else:
+            if abs(s) == box or abs(t) == box:
+                raise BoxTooSmallError(
+                    f"survivor ({s}, {t}) touches the box boundary {box}; "
+                    f"enlarge the box")
+            out.append((s, t))
     return out

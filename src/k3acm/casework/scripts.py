@@ -52,8 +52,9 @@ is looked up only after ``_coords`` has checked the node.  Only a lattice
 of another rank goes to ``Lattice.pair_coords``, for its error.
 
 Beyond its two compiled sides, a replayed claim costs ``run_script`` one
-``check_rel`` (looked up on this module at call time), one detail string
-and one ``StepReport`` built directly as a tuple of that type.
+``check_rel`` (looked up on this module at call time), one detail f-string
+(the contradiction suffix is formatted once, in ``compiled``) and one
+``StepReport`` built directly as a tuple of that type.
 """
 
 from __future__ import annotations
@@ -343,10 +344,13 @@ class ArithClaim:
         d["rhs"], d["cite"], d["contradicts"] = rhs, cite, contradicts
 
     @cached_property
-    def compiled(self) -> tuple[Compiled, Compiled]:
-        """(lhs, rhs) as closures over the lattice; not a dataclass field,
-        so equality, repr and JSON see only the expressions."""
-        return _compile(self.lhs), _compile(self.rhs)
+    def compiled(self) -> tuple[Compiled, Compiled, str]:
+        """(lhs, rhs) as closures over the lattice, then the suffix of a
+        Verified detail ("; impossible given ..." or ""); not a dataclass
+        field, so equality, repr and JSON see only the expressions."""
+        return _compile(self.lhs), _compile(self.rhs), (
+            f"; impossible given {self.contradicts}" if self.contradicts
+            else "")
 
 
 class AxiomUse(namedtuple("AxiomUse", "axiom_id note cite")):
@@ -445,11 +449,11 @@ def run_script(script: DerivationScript) -> DerivationReport:
     """Re-check every arithmetic claim of a script against its lattice.
 
     Each claim replays through its compiled sides, closures over the
-    lattice, and one ``check_rel``; nothing is cached between calls but the
-    compiled sides and their pairing kernels.  Evaluation errors (odd
-    squares after a corrupted gram entry, bad expressions, expressions
-    nested past the recursion limit) count as FAILED steps, never escape
-    as exceptions.
+    lattice, one ``check_rel`` and one detail f-string; nothing is cached
+    between calls but the compiled sides, their pairing kernels and the
+    detail's suffix.  Evaluation errors (odd squares after a corrupted
+    gram entry, bad expressions, expressions nested past the recursion
+    limit) count as FAILED steps, never escape as exceptions.
     Success requires zero FAILED steps; a contradiction conclusion
     additionally requires its final flagged claim to have verified.
     """
@@ -463,7 +467,7 @@ def run_script(script: DerivationScript) -> DerivationReport:
                                    st.note)))
             continue
         try:
-            lhs_of, rhs_of = st.compiled
+            lhs_of, rhs_of, suffix = st.compiled
             lhs = lhs_of(lat)
             rhs = rhs_of(lat)
         except (WorkbenchError, RecursionError) as exc:
@@ -473,11 +477,8 @@ def run_script(script: DerivationScript) -> DerivationReport:
             continue
         rel = st.rel
         if check_rel(rel, lhs, rhs):
-            contradicts = st.contradicts
-            add(_step(StepReport, (
-                i, "arith", st.label, "Verified",
-                f"{lhs} {rel} {rhs}; impossible given {contradicts}"
-                if contradicts else f"{lhs} {rel} {rhs}")))
+            add(_step(StepReport, (i, "arith", st.label, "Verified",
+                                   f"{lhs} {rel} {rhs}{suffix}")))
         else:
             failed.append(i)
             add(_step(StepReport, (i, "arith", st.label, "FAILED",

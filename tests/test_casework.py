@@ -12,7 +12,8 @@ from k3acm import (BadParametersError, BoxTooSmallError, MalformedScriptError,
 from k3acm.casework import (ArithClaim, CaseSpec, Constraint, PRESET_IDS,
                             abs_t_at_least, check_rel, enumerate_case,
                             lemma_case, linear, quadratic, quartic_lattice)
-from k3acm.casework.constraints import _plan, feasible_range
+from k3acm.casework.constraints import (_plan, feasible_range,
+                                        half_plane_bounds, scan)
 
 EXPECTED = {
     "i-a": [(3, -2)],
@@ -292,6 +293,122 @@ def test_solver_matches_the_sweep_on_random_edge_specs():
         nonempty += isinstance(got, list) and bool(got)
     assert min(hits.values()) >= 20, hits
     assert nonempty >= 30 and touched >= 10, (nonempty, touched)
+
+
+def test_the_holds_order_changes_no_outcome_and_no_spec(monkeypatch):
+    # enumerate_case asks the constraints with a quadratic part first; in
+    # any order of a spec's constraints it gives the sweep's survivors or
+    # boundary text, holds is asked of every constraint at each survivor,
+    # and the spec keeps its constraint tuple as it was
+    rng = random.Random(4401)
+    asked = {}
+    holds = Constraint.holds
+
+    def recorded(con, s, t):
+        asked.setdefault((s, t), []).append(id(con))
+        return holds(con, s, t)
+
+    hits = {k: 0 for k in ("two-rays", "equation-through-a-point",
+                           "equation-random", "negative-b-strict",
+                           "constant", "hodge")}
+    specs = [lemma_case(pid, box=box) for pid in PRESET_IDS
+             for box in (16, 17, 32)]
+    specs += [_solver_edge_spec(rng, hits) for _ in range(100)]
+    permuted = touched = 0
+    for spec in specs:
+        want = _outcome(_sweep_enumerate, spec)  # its order cannot matter
+        kept = spec.constraints
+        cons = list(kept)
+        for _ in range(4):
+            rng.shuffle(cons)
+            shuffled = spec._replace(constraints=tuple(cons))
+            order = shuffled.constraints
+            asked.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Constraint, "holds", recorded)
+                assert _outcome(enumerate_case, shuffled) == want, order
+            for point in want if isinstance(want, list) else ():
+                assert sorted(asked[point]) == sorted(map(id, order)), point
+            assert shuffled.constraints is order
+            assert order == tuple(cons)
+            permuted += kept != order
+        assert _outcome(enumerate_case, spec) == want
+        assert spec.constraints is kept, spec.tag
+        touched += isinstance(want, str)
+    assert min(hits.values()) >= 10, hits
+    assert permuted >= 200 and touched >= 5, (permuted, touched)
+
+
+# ---- the narrowing helper and the column loop --------------------------------
+
+def _random_rows(rng: random.Random, hits: dict) -> list:
+    """Rows (a, b, r) aimed at the narrowing helper's edge cases."""
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.randrange(4)
+        a = rng.randint(-4, 4)
+        if kind == 0:
+            b = 0  # a row without y, failing at the x below r / a
+            hits["b=0"] += 1
+        elif kind == 1:
+            b = rng.randint(-4, -1)
+            hits["b<0"] += 1
+        else:
+            b = rng.randint(1, 4)
+        if kind == 3:
+            # through an integer point: r - a*x is divisible by b at x0
+            x0, y0 = rng.randint(-10, 10), rng.randint(-10, 10)
+            r = a * x0 + b * y0
+            hits["through-a-point"] += 1
+        else:
+            r = rng.randint(-30, 30)
+        rows.append((a, b, r))
+    return rows
+
+
+def _swept(rows, lo: int, hi: int, x: int) -> list[int]:
+    """The y in [lo, hi] with a*x + b*y >= r for every row, by testing
+    each."""
+    return [y for y in range(lo, hi + 1)
+            if all(a * x + b * y >= r for a, b, r in rows)]
+
+
+def test_half_plane_bounds_and_scan_match_a_brute_force_sweep():
+    rng = random.Random(4402)
+    hits = {k: 0 for k in ("b=0", "b<0", "through-a-point", "divides",
+                           "b=0-fails", "rows-narrow", "column-narrower",
+                           "empty", "empty-range")}
+    for _ in range(400):
+        rows = _random_rows(rng, hits)
+        lo, hi = rng.randint(-14, 10), rng.randint(-10, 14)
+        hits["empty-range"] += lo > hi
+        width, tilt = rng.choice([0, 1, 3, 8, 40]), rng.randint(-2, 2)
+        # each column(x), some of them empty
+        shapes = {x: (tilt * x - width,
+                      tilt * x + width - rng.choice([0, 0, 1]))
+                  for x in range(lo - 2, hi + 3)}
+        for x, (y_lo, y_hi) in shapes.items():
+            got = half_plane_bounds(rows, y_lo, y_hi, x)
+            want = _swept(rows, y_lo, y_hi, x)
+            if want:
+                assert got == (want[0], want[-1]), (rows, x, y_lo, y_hi)
+            else:
+                assert got[0] > got[1], (rows, x, y_lo, y_hi)
+                hits["empty"] += 1
+            hits["b=0-fails"] += any(b == 0 and a * x < r
+                                     for a, b, r in rows)
+            wide = _swept(rows, y_lo - 60, y_hi + 60, x)
+            hits["rows-narrow"] += bool(want) and (want[0] > y_lo
+                                                  or want[-1] < y_hi)
+            hits["column-narrower"] += bool(want) and (
+                wide[0] < y_lo or wide[-1] > y_hi)
+            hits["divides"] += any(b and (r - a * x) % b == 0
+                                   for a, b, r in rows)
+        got = list(scan(rows, lo, hi, lambda x: shapes[x]))
+        want = [(x, y) for x in range(lo, hi + 1)
+                for y in _swept(rows, *shapes[x], x)]
+        assert got == want, (rows, lo, hi, width, tilt)
+    assert min(hits.values()) >= 40, hits
 
 
 # ---- the s-range -------------------------------------------------------------

@@ -960,6 +960,27 @@ def test_compiled_sides_match_evaluate_on_every_claim_and_mutant():
     assert compared > 5000 and errors >= 10, (compared, errors)
 
 
+def test_verified_details_are_the_sides_and_the_suffix_formatted_once():
+    # every builtin script on its lattice and on each +/-1 Gram mutant:
+    # a Verified step reads "lhs rel rhs", its sides from evaluate, and
+    # "; impossible given ..." after it when the claim contradicts a fact
+    verified = suffixed = 0
+    for tag, script in sorted(builtin_scripts().items()):
+        for lat in _gram_mutants(script.lattice):
+            report = run_script(script.with_lattice(lat))
+            for st, step in zip(script.steps, report.steps):
+                if step.status != "Verified":
+                    continue
+                want = (f"{evaluate(st.lhs, lat)} {st.rel} "
+                        f"{evaluate(st.rhs, lat)}")
+                if st.contradicts:
+                    want += "; impossible given " + st.contradicts
+                    suffixed += 1
+                assert step.detail == want, (tag, lat.gram, step.label)
+                verified += 1
+    assert verified >= 1900 and suffixed >= 300, (verified, suffixed)
+
+
 _LEAF_OPS = ("pair", "self", "deg", "genus")
 # op -> its subexpression keys
 _NODE_OPS = {"sub": ("x", "y")}

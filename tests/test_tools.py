@@ -23,10 +23,10 @@ def test_cli_digests_prints_one_line_per_surface():
     proc = _digests(ROOT)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 33, lines
+    assert len(lines) == 43, lines
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.* \(\d+ runs\)", line)
                for line in lines), lines
-    assert len({line.split("  ", 1)[1] for line in lines}) == 33
+    assert len({line.split("  ", 1)[1] for line in lines}) == 43
 
 
 def test_cli_digests_finds_no_difference_between_a_checkout_and_itself():
@@ -76,7 +76,7 @@ def test_cli_digests_names_the_first_run_that_differs(tmp_path):
     assert scripts_first == "  first differing run: script gonality-2B"
     # the single-root output is as before: one digest line per surface
     proc = _digests(changed)
-    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 33
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 43
 
 
 def test_import_cost_prints_the_cli_and_each_package_module():

@@ -20,10 +20,12 @@ usage line to stderr and exit 2.
 
 Surfaces: ``theorem`` in text and ``--json`` at boxes 16, 128 and 256;
 ``enumerate --preset P --json`` for each preset, without and with ``-c``
-(the shipped config of the preset's presentation); ``classify`` and
-``companions``, text and ``--json``, on the seven shipped quartic configs
-for every class (s, t) with |s|, |t| <= 3; ``verify --script TAG --json``
-and ``verify --script TAG`` (text) for each row of ``casebook.CASES``;
+(the shipped config of the preset's presentation), and at ``--box 16``
+and ``--box 256``, the smallest and largest box the solver accepts;
+``classify`` and ``companions``, text and ``--json``, on the seven
+shipped quartic configs for every class (s, t) with |s|, |t| <= 3;
+``verify --script TAG --json`` and ``verify --script TAG`` (text) for
+each row of ``casebook.CASES``;
 ``verify --script TAG -c MUTANT --json`` for each row and each +/-1
 change of one diagonal entry or one symmetric off-diagonal pair of its
 Gram matrix, written as a ``k3: false`` config ``TAG.MUTANT.json`` in a
@@ -111,6 +113,9 @@ def _surfaces(root: Path, workdir: Path) -> dict[str, list]:
         out[f"enumerate --preset {pid} --json"] = [argv]
         out[f"enumerate --preset {pid} -c --json"] = [
             argv + ["-c", str(by_profile[profile])]]
+        for box in ("16", "256"):
+            out[f"enumerate --preset {pid} --box {box} --json"] = [
+                argv + ["--box", box]]
     for command in ("classify", "companions"):
         for flags in ([], ["--json"]):
             out[" ".join([command, *flags])] = [
