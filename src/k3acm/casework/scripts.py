@@ -25,22 +25,12 @@ It has one walker, ``_walk``: it reads an expression once into its value,
 if it reads no lattice, or else a closure over the lattice.  Literal
 arithmetic folds as it is read: an exact int, and an ``add``, ``mul`` or
 ``sub`` whose operands are all values, is a value, and a node that mixes
-values and closures carries the values as constants.  ``evaluate``
-returns a folded value, building no closure, and runs any other closure
-once; ``run_script`` compiles each claim's two sides into closures
-(``_compile``) at the claim's first replay (``ArithClaim.compiled``) and
-runs them on every replay, so every replay still runs every claim's
-lattice arithmetic on the lattice it is given.  An expression that cannot
-be read raises MalformedScriptError as it is read, at its first unreadable
-node and before any lattice arithmetic, so the error is the same on every
-lattice (``run_script`` reports it as a FAILED step).  Each op is defined
-once, by its compiler in ``_COMPILERS``: ``add`` and ``mul`` through their
-entries in ``_FOLDS``.  Negation, chi and the bundle bookkeeping
-(``neg_expr``, ``chi_expr``, ``chi_bundle_expr``, ``c2_twist_expr``,
-``bn_expr``) are written in these ops by their builders, so they add none.
-Since a claim's expressions are read only once, a claim is never edited in
-place: to change one, build a new claim with ``dataclasses.replace``,
-which has no compiled sides yet.
+values and closures carries the values as constants.  ``evaluate`` runs
+the closure, if any, once.  An expression that cannot be read raises
+MalformedScriptError at its first unreadable node, before any lattice
+arithmetic, so the error is the same on every lattice.  Each op is defined
+once, by its compiler in ``_COMPILERS`` (``add`` and ``mul`` through
+``_FOLDS``); the bundle builders, such as ``bn_expr``, add no op.
 
 A pairing of fixed classes (``pair``, ``self`` and ``genus``) reads the
 coordinates once into terms (i, j, a[i]*b[j]), and every run sums
@@ -51,10 +41,16 @@ per coordinate tuple, in a cache of _KERNELS closures (never values) that
 is looked up only after ``_coords`` has checked the node.  Only a lattice
 of another rank goes to ``Lattice.pair_coords``, for its error.
 
-Beyond its two compiled sides, a replayed claim costs ``run_script`` one
-``check_rel`` (looked up on this module at call time), one detail f-string
-(the contradiction suffix is formatted once, in ``compiled``) and one
-``StepReport`` built directly as a tuple of that type.
+A claim's sides are read once, into ``ArithClaim.compiled``, so a claim is
+never edited in place (``dataclasses.replace`` builds one with nothing
+read).  A script replays through its ``program``, built at its first
+replay or rebinding and handed on by ``with_lattice``: per step, an
+axiom's finished StepReport or a claim's (lhs, rhs, index, label, rel,
+tail), each side its int or its closure, and ``tail`` " rel rhs; impossible
+given ..." if the rhs is an int, else that suffix alone.  A replayed claim
+costs ``run_script`` its closures, one ``check_rel`` (looked up on this
+module at call time), one detail f-string and one StepReport; no verdict
+is kept, and a side that cannot be read fails its step on every replay.
 """
 
 from __future__ import annotations
@@ -96,26 +92,13 @@ def _args(expr: dict) -> Sequence[Expr]:
 
 def evaluate(expr: Expr, lat: Lattice) -> int:
     """Evaluate an expression to an exact integer against a lattice: its
-    folded value, or its closure run once.
-
-    An expression that cannot be read (an unknown op, a missing key, a
-    non-list args, non-int coordinates) raises the MalformedScriptError of
-    its first such node as it is read, so on every lattice alike.
-    """
+    folded value, or its closure run once.  An expression that cannot be
+    read raises the MalformedScriptError of its first such node."""
     value = expr if type(expr) is int else _walk(expr)
     return value if type(value) is int else value(lat)
 
 
 # ---- compiling expressions ---------------------------------------------------
-
-def _compile(expr: Expr) -> Compiled:
-    """expr as a closure over the lattice; a folded value as one that
-    returns it."""
-    value = _walk(expr)
-    if type(value) is int:
-        return lambda lat: value
-    return value
-
 
 def _walk(expr: Expr) -> int | Compiled:
     """The one walker: expr's value if it folds, else its closure."""
@@ -148,13 +131,8 @@ _KERNELS = 1024  # per cache; the benchmark workloads read 53 and 10
 
 @functools.lru_cache(maxsize=_KERNELS)
 def _pairing(a: tuple[int, ...], b: tuple[int, ...]) -> Compiled:
-    """The pairing of two fixed classes, as one shared kernel.
-
-    The coordinates are read once, into a term (i, j, a[i]*b[j]) per
-    nonzero product; on a lattice of their rank the pairing is the sum of
-    coef * gram[i][j] over the terms.  A lattice of any other rank goes to
-    Lattice.pair_coords, which raises its DimensionMismatchError.
-    """
+    """The pairing of two fixed classes, as one shared kernel; a lattice of
+    another rank goes to Lattice.pair_coords, for its error."""
     terms = tuple([(i, j, x * y) for i, x in enumerate(a) if x
                    for j, y in enumerate(b) if y])
     rank = len(a) if len(a) == len(b) else None
@@ -172,9 +150,7 @@ def _pairing(a: tuple[int, ...], b: tuple[int, ...]) -> Compiled:
 
 @functools.lru_cache(maxsize=_KERNELS)
 def _ample_pairing(a: tuple[int, ...]) -> Compiled:
-    """a paired with the lattice's ample class, read at replay: a is read
-    once into terms (j, a[j]), and each replay sums
-    ample[i] * a[j] * gram[i][j]."""
+    """a paired with the ample class of the lattice, as one shared kernel."""
     terms = tuple([(j, y) for j, y in enumerate(a) if y])
 
     def run(lat: Lattice) -> int:
@@ -316,13 +292,9 @@ class ArithClaim:
 
     ``contradicts``: when set, the claim is asserting something that the
     named fact forbids -- the verified claim plus the cited fact form the
-    final "P and not P" of a contradiction script.
-
-    The two sides are read into ``compiled`` at the claim's first replay
-    and reused by every later one, on whatever lattice it runs against; so
-    never edit a claim's expression dicts in place -- to change a claim,
-    build a new one with ``dataclasses.replace``, which has no compiled
-    sides yet.
+    final "P and not P" of a contradiction script.  The sides are read
+    once, into ``compiled``: to change a claim, build a new one with
+    ``dataclasses.replace``, never edit its dicts in place.
     """
 
     label: str
@@ -344,11 +316,11 @@ class ArithClaim:
         d["rhs"], d["cite"], d["contradicts"] = rhs, cite, contradicts
 
     @cached_property
-    def compiled(self) -> tuple[Compiled, Compiled, str]:
-        """(lhs, rhs) as closures over the lattice, then the suffix of a
-        Verified detail ("; impossible given ..." or ""); not a dataclass
-        field, so equality, repr and JSON see only the expressions."""
-        return _compile(self.lhs), _compile(self.rhs), (
+    def compiled(self) -> tuple[int | Compiled, int | Compiled, str]:
+        """(lhs, rhs), each its int if it folds, else its closure, and the
+        suffix of a Verified detail; not a dataclass field, so equality,
+        repr and JSON see only the expressions."""
+        return _walk(self.lhs), _walk(self.rhs), (
             f"; impossible given {self.contradicts}" if self.contradicts
             else "")
 
@@ -407,8 +379,29 @@ class DerivationScript:
                     "a contradiction script must end with an arithmetic claim "
                     "flagged with the fact it contradicts")
 
+    @cached_property
+    def program(self) -> tuple:
+        """One row per step (see the module docstring); a claim whose sides
+        cannot be read gets an lhs that raises their error on every replay."""
+        rows = []
+        for i, st in enumerate(self.steps):
+            if st.kind == "axiom":
+                rows.append(_step(StepReport, (i, "axiom", st.axiom_id,
+                                               "AxiomUsed", st.note)))
+                continue
+            try:
+                lhs, rhs, tail = st.compiled
+            except (WorkbenchError, RecursionError) as exc:
+                lhs, rhs, tail = _unreadable(exc), 0, ""
+            if type(rhs) is int:
+                tail = f" {st.rel} {rhs}{tail}"
+            rows.append((lhs, rhs, i, st.label, st.rel, tail))
+        return tuple(rows)
+
     def with_lattice(self, lat: Lattice) -> "DerivationScript":
-        """``dataclasses.replace(self, lattice=lat)``, steps not re-checked."""
+        """``dataclasses.replace(self, lattice=lat)``, steps not re-checked;
+        the rebound script shares this one's program."""
+        self.program  # built here once, so no rebound script builds it
         script = object.__new__(type(self))
         script.__dict__.update(self.__dict__, lattice=lat)
         return script
@@ -445,43 +438,50 @@ class DerivationReport(NamedTuple):
 _step = tuple.__new__
 
 
+def _unreadable(exc: BaseException) -> Compiled:
+    """A side that raises exc, with a fresh traceback, on every lattice."""
+    def run(lat: Lattice) -> int:
+        raise exc.with_traceback(None)
+    return run
+
+
 def run_script(script: DerivationScript) -> DerivationReport:
     """Re-check every arithmetic claim of a script against its lattice.
 
-    Each claim replays through its compiled sides, closures over the
-    lattice, one ``check_rel`` and one detail f-string; nothing is cached
-    between calls but the compiled sides, their pairing kernels and the
-    detail's suffix.  Evaluation errors (odd squares after a corrupted
-    gram entry, bad expressions, expressions nested past the recursion
-    limit) count as FAILED steps, never escape as exceptions.
-    Success requires zero FAILED steps; a contradiction conclusion
-    additionally requires its final flagged claim to have verified.
+    Each claim replays through its row of ``script.program``: its closure
+    sides run on the script's lattice, then one ``check_rel`` and one
+    StepReport, so no verdict is kept between calls.  Evaluation errors
+    (odd squares after a corrupted gram entry, bad expressions, nesting
+    past the recursion limit) are FAILED steps, never exceptions.  Success
+    requires zero FAILED steps and, for a contradiction, a verified final
+    flagged claim.
     """
     lat = script.lattice
     reports: list[StepReport] = []
     add = reports.append
     failed: list[int] = []
-    for i, st in enumerate(script.steps):
-        if st.kind == "axiom":
-            add(_step(StepReport, (i, "axiom", st.axiom_id, "AxiomUsed",
-                                   st.note)))
+    for row in script.program:
+        if type(row) is StepReport:
+            add(row)
             continue
+        lhs, rhs_of, i, label, rel, tail = row
         try:
-            lhs_of, rhs_of, suffix = st.compiled
-            lhs = lhs_of(lat)
-            rhs = rhs_of(lat)
+            if type(lhs) is not int:
+                lhs = lhs(lat)
+            rhs = rhs_of if type(rhs_of) is int else rhs_of(lat)
         except (WorkbenchError, RecursionError) as exc:
             failed.append(i)
-            add(_step(StepReport, (i, "arith", st.label, "FAILED",
+            add(_step(StepReport, (i, "arith", label, "FAILED",
                                    f"evaluation error: {exc}")))
             continue
-        rel = st.rel
         if check_rel(rel, lhs, rhs):
-            add(_step(StepReport, (i, "arith", st.label, "Verified",
-                                   f"{lhs} {rel} {rhs}{suffix}")))
+            add(_step(StepReport, (i, "arith", label, "Verified",
+                                   # rhs is rhs_of only when it folded
+                                   f"{lhs}{tail}" if rhs is rhs_of
+                                   else f"{lhs} {rel} {rhs}{tail}")))
         else:
             failed.append(i)
-            add(_step(StepReport, (i, "arith", st.label, "FAILED",
+            add(_step(StepReport, (i, "arith", label, "FAILED",
                                    f"claim {lhs} {rel} {rhs} is false")))
     success = not failed
     if script.conclusion.kind == "contradiction" and success:

@@ -182,9 +182,11 @@ def test_a_claim_is_still_a_frozen_dataclass():
     assert hash(ArithClaim("x", 1, "<", 2)) == hash(ArithClaim("x", 1, "<", 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         claim.rhs = 5
-    # replace builds through the same check, with no compiled sides yet
+    # replace builds through the same check, with no compiled sides yet;
+    # the lhs reads the lattice, so it is a closure, and the rhs folds
     lat = Lattice(gram=[[4, 6], [6, 4]], labels=("h", "B"), ample=(1, 0))
     assert claim.compiled[0](lat) == 4
+    assert type(claim.compiled[1]) is int and claim.compiled[1] == 4
     moved = replace(claim, rhs=5)
     assert (moved.rhs, moved.cite, "compiled" in vars(moved)) == (5, "pin",
                                                                   False)
@@ -934,6 +936,12 @@ def _outcome(fn, lat):
         return type(exc), str(exc)
 
 
+def _run_side(side):
+    """A compiled side as a function of the lattice: its closure, or a
+    folded int returned as it is."""
+    return (lambda lat: side) if type(side) is int else side
+
+
 def _builtin_claims():
     return [(script.lattice, st) for script in builtin_scripts().values()
             for st in script.steps if isinstance(st, ArithClaim)]
@@ -951,7 +959,11 @@ def test_compiled_sides_match_evaluate_on_every_claim_and_mutant():
                                           claim.compiled):
                     want = _outcome(lambda v: _former_evaluate(side, v),
                                     variant)
-                    assert _outcome(compiled, variant) == want, claim.label
+                    assert _outcome(_run_side(compiled),
+                                    variant) == want, claim.label
+                    # a side that reads no lattice entry is kept as its int
+                    assert (type(compiled) is int) == (
+                        not _ops_of(side) & set(_LEAF_OPS)), claim.label
                     assert _outcome(lambda v: evaluate(side, v),
                                     variant) == want, claim.label
                     compared += 1
@@ -1127,7 +1139,7 @@ def _former_read(expr):
 
 
 def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
-    from k3acm.casework.scripts import _compile
+    from k3acm.casework.scripts import _walk
     import random
     rng = random.Random(20201)
     lattices = _gram_mutants(LAT) + [
@@ -1166,10 +1178,10 @@ def test_compiled_random_trees_match_evaluate_with_malformed_nodes():
         except MalformedScriptError as exc:
             malformed = (MalformedScriptError, str(exc))
             with pytest.raises(MalformedScriptError) as raised:
-                _compile(expr)
+                _walk(expr)
             assert str(raised.value) == malformed[1], json.dumps(expr)
         else:
-            malformed, compiled = None, _compile(expr)
+            malformed, compiled = None, _run_side(_walk(expr))
         for lat in on:
             former = _outcome(lambda v: _former_evaluate(expr, v), lat)
             want = malformed or former
@@ -1273,9 +1285,12 @@ def test_literal_arithmetic_folds_and_lattice_reads_stay_closures():
     mixed = scripts._walk(add_expr(5, self_of(h), sub_expr(2, 1)))
     assert callable(mixed) and mixed(LAT) == 10
     assert callable(scripts._walk(sub_expr(1, deg_of(h))))
-    # the compiled sides are closures, folded or not
-    folded = scripts._compile(add_expr(5, 2))
-    assert callable(folded) and folded(LAT) == 7
+    # a compiled side that folds is its int, not a closure
+    folded = scripts._walk(add_expr(5, 2))
+    assert type(folded) is int and folded == 7
+    claim = ArithClaim("folded", add_expr(5, 2), "=", add_expr(5, self_of(h)))
+    lhs, rhs, _ = claim.compiled
+    assert lhs == 7 and callable(rhs) and rhs(LAT) == 9
 
 
 def test_coords_keeps_its_accepted_set():
@@ -1309,11 +1324,11 @@ def test_folding_and_the_kernel_cache_keep_the_errors():
     # a rank-3 class raises only when its pairing runs on the rank-2 LAT
     bad = self_of(DivClass((1, 0, 2)))
     bogus = add_expr(bad, {"op": "bogus"})
-    for read in (scripts._compile, lambda e: evaluate(e, LAT)):
+    for read in (scripts._walk, lambda e: evaluate(e, LAT)):
         with pytest.raises(MalformedScriptError,
                            match="unknown expression op 'bogus'"):
             read(bogus)
-    alone = scripts._compile(bad)
+    alone = scripts._walk(bad)
     for run in (alone, lambda lat: evaluate(bad, lat)):
         with pytest.raises(DimensionMismatchError):
             run(LAT)
@@ -1349,7 +1364,7 @@ def test_folding_and_the_kernel_cache_keep_the_errors():
 def _reference_replay(script):
     """run_script as one former evaluate per side and one check_rel per
     claim."""
-    from k3acm.casework import DerivationReport, StepReport, check_rel
+    from k3acm.casework import DerivationReport, scripts
     steps, failed = [], []
     for i, st in enumerate(script.steps):
         if isinstance(st, AxiomUse):
@@ -1364,7 +1379,7 @@ def _reference_replay(script):
             steps.append(StepReport(i, "arith", st.label, "FAILED",
                                     f"evaluation error: {exc}"))
             continue
-        if check_rel(st.rel, lhs, rhs):
+        if scripts.check_rel(st.rel, lhs, rhs):
             detail = f"{lhs} {st.rel} {rhs}" + (
                 f"; impossible given {st.contradicts}" if st.contradicts else "")
             steps.append(StepReport(i, "arith", st.label, "Verified", detail))
@@ -1378,49 +1393,176 @@ def _reference_replay(script):
                             tuple(steps), tuple(failed))
 
 
-def test_run_script_matches_the_evaluate_replay_on_every_mutant():
-    replays = failures = 0
-    for script in builtin_scripts().values():
+def _per_claim_replay(script):
+    """run_script as it was before the replay program: a loop over the
+    steps that reads each claim's sides through _walk (a folded value
+    kept as a closure that returns it), runs both, and calls check_rel,
+    looked up on the scripts module, once per claim."""
+    from k3acm.casework import DerivationReport, scripts
+
+    def compiled(expr):
+        value = scripts._walk(expr)
+        return (lambda lat: value) if type(value) is int else value
+
+    lat = script.lattice
+    reports, failed = [], []
+    for i, st in enumerate(script.steps):
+        if st.kind == "axiom":
+            reports.append(StepReport(i, "axiom", st.axiom_id, "AxiomUsed",
+                                      st.note))
+            continue
+        try:
+            lhs_of, rhs_of = compiled(st.lhs), compiled(st.rhs)
+            lhs = lhs_of(lat)
+            rhs = rhs_of(lat)
+        except (WorkbenchError, RecursionError) as exc:
+            failed.append(i)
+            reports.append(StepReport(i, "arith", st.label, "FAILED",
+                                      f"evaluation error: {exc}"))
+            continue
+        suffix = (f"; impossible given {st.contradicts}" if st.contradicts
+                  else "")
+        if scripts.check_rel(st.rel, lhs, rhs):
+            reports.append(StepReport(i, "arith", st.label, "Verified",
+                                      f"{lhs} {st.rel} {rhs}{suffix}"))
+        else:
+            failed.append(i)
+            reports.append(StepReport(i, "arith", st.label, "FAILED",
+                                      f"claim {lhs} {st.rel} {rhs} is false"))
+    success = not failed
+    if script.conclusion.kind == "contradiction" and success:
+        success = reports[-1].status == "Verified"
+    return DerivationReport(tag=script.tag, success=success,
+                            conclusion=script.conclusion,
+                            steps=tuple(reports), failed=tuple(failed))
+
+
+class _Shown(int):
+    """An int-subclass literal, printed so that its detail tells it apart."""
+
+    def __str__(self):
+        return f"shown {int(self)}"
+
+
+def _with_side(script, index, key, side):
+    """The script with the side named key of its claim at index replaced."""
+    return _with_steps(script, lambda st: replace(st, **{key: side})
+                       if st is script.steps[index] else st)
+
+
+def _nest(bottom, depth=400):
+    deep = bottom
+    for _ in range(depth):
+        deep = {"op": "sub", "x": deep, "y": 1}
+    return deep
+
+
+def _replay_cases():
+    """(case, script) to replay: every builtin script clean and rebound to
+    each +/-1 Gram mutant and to a lattice of another rank, and each with
+    its first claim's lhs and its last claim's rhs replaced by a malformed
+    side, a well-formed 400-deep nest or an int-subclass literal."""
+    rank3 = Lattice([[2, 1, 0], [1, -2, 0], [0, 0, -2]], labels="xyz",
+                    ample=(1, 0, 0))
+    malformed = {"unknown op": {"op": "frobnicate"},
+                 "bool class": {"op": "self", "a": [True, 0]},
+                 "deep unknown op": _nest({"op": "frobnicate"}),
+                 "deep": _nest(self_of(DivClass((1, 0))))}
+    for tag, script in sorted(builtin_scripts().items()):
         for variant in _gram_mutants(script.lattice):
-            rebound = script.with_lattice(variant)
-            report = run_script(rebound)
-            assert report == _reference_replay(rebound), script.tag
-            assert report_to_json(report) == report_to_json(
-                _reference_replay(rebound))
-            assert all(type(step) is StepReport for step in report.steps)
+            yield "mutant", script.with_lattice(variant)
+        yield "other rank", script.with_lattice(rank3 if script.lattice.rank
+                                                != 3 else LAT)
+        claims = [i for i, st in enumerate(script.steps)
+                  if isinstance(st, ArithClaim)]
+        for index, key in ((claims[0], "lhs"), (claims[-1], "rhs")):
+            for case, side in malformed.items():
+                yield case, _with_side(script, index, key, side)
+            value = evaluate(getattr(script.steps[index], key),
+                             script.lattice)
+            yield "int subclass", _with_side(script, index, key,
+                                             _Shown(value))
+
+
+def test_run_script_matches_the_evaluate_replay_on_every_mutant(
+        monkeypatch):
+    # whole DerivationReports, statuses, details and failed indices, from
+    # run_script, the former per-claim loop and the former evaluate
+    from k3acm.casework import scripts
+    seen, replays, failures = {}, 0, 0
+    for case, script in _replay_cases():
+        report = run_script(script)
+        if case == "mutant":
             replays += 1
             failures += not report.success
+        assert report == _per_claim_replay(script), (case, script.tag)
+        assert report == _reference_replay(script), (case, script.tag)
+        assert report_to_json(report) == report_to_json(
+            _reference_replay(script))
+        assert all(type(step) is StepReport for step in report.steps)
+        seen.setdefault(case, set()).update(
+            step.detail.split(":")[0].split(" ")[0] for step in report.steps
+            if step.status != "AxiomUsed")
     assert replays >= 140 and failures > 100, (replays, failures)
+    assert seen["mutant"] >= {"claim", "evaluation"}
+    assert seen["other rank"] >= {"evaluation"}
+    for case in ("unknown op", "bool class", "deep unknown op"):
+        assert "evaluation" in seen[case], case
+    assert "shown" in seen["int subclass"]
     with pytest.raises(AttributeError):
         report.steps[0].status = "Verified"
+    # a relation that never holds fails every claim of every script
+    monkeypatch.setattr(scripts, "check_rel", lambda rel, lhs, rhs: False)
+    for tag, script in sorted(builtin_scripts().items()):
+        report = run_script(script)
+        assert report == _per_claim_replay(script) == _reference_replay(
+            script), tag
+        assert not report.success and report.failed == tuple(
+            i for i, st in enumerate(script.steps)
+            if isinstance(st, ArithClaim)), tag
+
+
+def _fresh_scripts():
+    """Copies of the builtin scripts whose claims and scripts have never
+    been replayed: fresh claims have no compiled sides, and an AxiomUse is
+    a NamedTuple."""
+    return [_with_steps(s, lambda st: replace(st) if isinstance(
+                st, ArithClaim) else st._replace())
+            for _, s in sorted(builtin_scripts().items())]
+
+
+def _count_walk_roots(monkeypatch):
+    """Patch scripts._walk to record each expression it is called on from
+    outside itself (a claim side, not a nested node); returns the list."""
+    from k3acm.casework import scripts
+    roots, depth, walk = [], [0], scripts._walk
+
+    def counting_walk(expr):
+        if not depth[0]:
+            roots.append(expr)
+        depth[0] += 1
+        try:
+            return walk(expr)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(scripts, "_walk", counting_walk)
+    return roots
 
 
 def test_replay_compiles_each_claim_side_once_and_never_interprets(
         monkeypatch):
     from k3acm.casework import scripts
-    # fresh claims have no compiled sides; an AxiomUse is a NamedTuple
-    fresh = [_with_steps(s, lambda st: replace(st) if isinstance(
-                 st, ArithClaim) else st._replace())
-             for _, s in sorted(builtin_scripts().items())]
+    fresh = _fresh_scripts()
     sides = 2 * sum(isinstance(st, ArithClaim)
                     for s in fresh for st in s.steps)
-    roots, depth, interpreted = [], [0], []
-    compile_, evaluate_ = scripts._compile, scripts.evaluate
-
-    def counting_compile(expr):
-        if not depth[0]:
-            roots.append(expr)
-        depth[0] += 1
-        try:
-            return compile_(expr)
-        finally:
-            depth[0] -= 1
+    roots, interpreted = _count_walk_roots(monkeypatch), []
+    evaluate_ = scripts.evaluate
 
     def counting_evaluate(expr, lat):
         interpreted.append(expr)
         return evaluate_(expr, lat)
 
-    monkeypatch.setattr(scripts, "_compile", counting_compile)
     monkeypatch.setattr(scripts, "evaluate", counting_evaluate)
     for script in fresh:
         assert run_script(script).success, script.tag
@@ -1431,11 +1573,45 @@ def test_replay_compiles_each_claim_side_once_and_never_interprets(
     assert len(roots) == sides
 
 
+def test_the_program_is_built_once_per_base_script(monkeypatch):
+    # every builtin script rebound to each of its +/-1 Gram mutants and
+    # each rebound script replayed twice: with_lattice builds the base
+    # script's program and hands it on, so no rebound script builds one and
+    # no claim side is read twice
+    import functools
+    fresh = _fresh_scripts()
+    sides = 2 * sum(isinstance(st, ArithClaim)
+                    for s in fresh for st in s.steps)
+    roots, built = _count_walk_roots(monkeypatch), []
+    build = DerivationScript.program.func
+
+    def counting_build(script):
+        built.append(script)
+        return build(script)
+
+    program = functools.cached_property(counting_build)
+    program.__set_name__(DerivationScript, "program")
+    monkeypatch.setattr(DerivationScript, "program", program)
+    replays = 0
+    for script in fresh:
+        assert "program" not in vars(script), script.tag
+        for lat in _gram_mutants(script.lattice):
+            rebound = script.with_lattice(lat)
+            assert rebound.program is script.program, script.tag
+            first = run_script(rebound)
+            assert run_script(rebound) == first, script.tag
+            replays += 2
+        assert len(script.program) == len(script.steps), script.tag
+    assert list(map(id, built)) == list(map(id, fresh))
+    assert len(roots) == sides, (len(roots), sides)
+    assert replays >= 280, replays
+
+
 def test_with_lattice_is_replace_of_the_lattice_alone():
     # every builtin script on its own lattice and on each +/-1 mutant: the
     # rebound script equals dataclasses.replace's, replays to the same
-    # report, shares the claims (and so their compiled sides) and leaves
-    # the original as it was
+    # report, shares the claims (and so their compiled sides) and the
+    # replay program, and leaves the original as it was
     from dataclasses import FrozenInstanceError
     def compiled(script):
         return [st.compiled for st in script.steps
@@ -1454,6 +1630,7 @@ def test_with_lattice_is_replace_of_the_lattice_alone():
             assert vars(rebound) == {**fields, "lattice": lat}
             assert run_script(rebound) == run_script(reference), tag
             assert all(map(operator.is_, compiled(rebound), sides)), tag
+            assert vars(rebound)["program"] is script.program, tag
             with pytest.raises(FrozenInstanceError):
                 rebound.lattice = script.lattice
             rebinds += 1
