@@ -13,7 +13,7 @@ from .presets import (PRESET_IDS, PRESET_PRESENTATION, delpezzo_lattice,
 from .scripts import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
                       DerivationReport, DerivationScript, StepReport,
                       deg_of, established, evaluate, genus_expr, pair_of,
-                      report_to_json, run_script, self_of)
+                      report_text, report_to_json, run_script, self_of)
 
 __all__ = [
     "ArithClaim", "AxiomUse", "CONTRADICTION", "CaseSpec", "Conclusion",
@@ -25,6 +25,6 @@ __all__ = [
     "elimination_to_json", "engine_assumptions", "enumerate_case",
     "enumerate_destabilizing", "established", "evaluate", "genus_expr",
     "lemma_case", "linear", "necessity_to_json", "pair_of", "quadratic",
-    "quartic_lattice", "report_to_json", "run_script", "script_by_tag",
-    "self_of", "ulrich_assumptions", "verify_necessity",
+    "quartic_lattice", "report_text", "report_to_json", "run_script",
+    "script_by_tag", "self_of", "ulrich_assumptions", "verify_necessity",
 ]

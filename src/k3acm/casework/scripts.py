@@ -14,8 +14,10 @@ arithmetic claim that verifies while being flagged as impossible given a
 named fact: the "P and not P" shape) or in an Established statement.
 
 Expressions are JSON values (ints or {"op": ...} dicts), so steps and
-reports serialize losslessly.  Because claims recompute from the gram
-matrix at run time, corrupting any lattice entry makes claims fail.
+reports serialize losslessly: a report is ``report_to_json``'s dict, and
+``report_text`` writes, in one pass, the text ``json.dumps`` makes of it,
+which ``k3acm verify --json`` prints.  Because claims recompute from the
+gram matrix at run time, corrupting any lattice entry makes claims fail.
 
 The language has seven ops: ``pair``, ``self``, ``deg`` and ``genus`` read
 the lattice, and ``add``, ``mul`` and ``sub`` are ring arithmetic, so a
@@ -45,17 +47,19 @@ A claim's sides are read once, into ``ArithClaim.compiled``, so a claim is
 never edited in place (``dataclasses.replace`` builds one with nothing
 read).  A script replays through its ``program``, built at its first
 replay or rebinding and handed on by ``with_lattice``: per step, an
-axiom's finished StepReport or a claim's (lhs, rhs, index, label, rel,
+axiom's finished StepReport, a claim's (lhs, rhs, index, label, rel,
 tail), each side its int or its closure, and ``tail`` " rel rhs; impossible
-given ..." if the rhs is an int, else that suffix alone.  A replayed claim
-costs ``run_script`` its closures, one ``check_rel`` (looked up on this
-module at call time), one detail f-string and one StepReport; no verdict
-is kept, and a side that cannot be read fails its step on every replay.
+given ..." if the rhs is an int, else that suffix alone, or the FAILED
+StepReport of a claim whose sides cannot be read.  A replayed claim costs
+``run_script`` its closures, one ``check_rel`` (looked up on this module
+at call time), one detail f-string and one StepReport; no verdict is kept.
+A value too long for ``str`` fails its step too.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
@@ -381,8 +385,7 @@ class DerivationScript:
 
     @cached_property
     def program(self) -> tuple:
-        """One row per step (see the module docstring); a claim whose sides
-        cannot be read gets an lhs that raises their error on every replay."""
+        """One row per step, as the module docstring lays it out."""
         rows = []
         for i, st in enumerate(self.steps):
             if st.kind == "axiom":
@@ -391,10 +394,12 @@ class DerivationScript:
                 continue
             try:
                 lhs, rhs, tail = st.compiled
-            except (WorkbenchError, RecursionError) as exc:
-                lhs, rhs, tail = _unreadable(exc), 0, ""
-            if type(rhs) is int:
-                tail = f" {st.rel} {rhs}{tail}"
+                if type(rhs) is int:
+                    tail = f" {st.rel} {rhs}{tail}"
+            except (WorkbenchError, RecursionError, ValueError) as exc:
+                rows.append(_step(StepReport, (i, "arith", st.label, "FAILED",
+                                               f"evaluation error: {exc}")))
+                continue
             rows.append((lhs, rhs, i, st.label, st.rel, tail))
         return tuple(rows)
 
@@ -438,13 +443,6 @@ class DerivationReport(NamedTuple):
 _step = tuple.__new__
 
 
-def _unreadable(exc: BaseException) -> Compiled:
-    """A side that raises exc, with a fresh traceback, on every lattice."""
-    def run(lat: Lattice) -> int:
-        raise exc.with_traceback(None)
-    return run
-
-
 def run_script(script: DerivationScript) -> DerivationReport:
     """Re-check every arithmetic claim of a script against its lattice.
 
@@ -452,37 +450,36 @@ def run_script(script: DerivationScript) -> DerivationReport:
     sides run on the script's lattice, then one ``check_rel`` and one
     StepReport, so no verdict is kept between calls.  Evaluation errors
     (odd squares after a corrupted gram entry, bad expressions, nesting
-    past the recursion limit) are FAILED steps, never exceptions.  Success
-    requires zero FAILED steps and, for a contradiction, a verified final
-    flagged claim.
+    past the recursion limit, values too long for ``str``) are FAILED
+    steps, never exceptions.  Success requires zero FAILED steps and, for
+    a contradiction, a verified final flagged claim.
     """
     lat = script.lattice
     reports: list[StepReport] = []
     add = reports.append
     failed: list[int] = []
     for row in script.program:
-        if type(row) is StepReport:
+        if type(row) is StepReport:  # an axiom, or a claim it cannot read
             add(row)
+            if row.status == "FAILED":
+                failed.append(row.index)
             continue
         lhs, rhs_of, i, label, rel, tail = row
         try:
             if type(lhs) is not int:
                 lhs = lhs(lat)
             rhs = rhs_of if type(rhs_of) is int else rhs_of(lat)
-        except (WorkbenchError, RecursionError) as exc:
-            failed.append(i)
-            add(_step(StepReport, (i, "arith", label, "FAILED",
-                                   f"evaluation error: {exc}")))
-            continue
-        if check_rel(rel, lhs, rhs):
-            add(_step(StepReport, (i, "arith", label, "Verified",
-                                   # rhs is rhs_of only when it folded
-                                   f"{lhs}{tail}" if rhs is rhs_of
-                                   else f"{lhs} {rel} {rhs}{tail}")))
-        else:
-            failed.append(i)
-            add(_step(StepReport, (i, "arith", label, "FAILED",
-                                   f"claim {lhs} {rel} {rhs} is false")))
+            if check_rel(rel, lhs, rhs):
+                add(_step(StepReport, (i, "arith", label, "Verified",
+                                       # rhs is rhs_of only when it folded
+                                       f"{lhs}{tail}" if rhs is rhs_of
+                                       else f"{lhs} {rel} {rhs}{tail}")))
+                continue
+            detail = f"claim {lhs} {rel} {rhs} is false"
+        except (WorkbenchError, RecursionError, ValueError) as exc:
+            detail = f"evaluation error: {exc}"
+        failed.append(i)
+        add(_step(StepReport, (i, "arith", label, "FAILED", detail)))
     success = not failed
     if script.conclusion.kind == "contradiction" and success:
         success = reports[-1].status == "Verified"
@@ -515,3 +512,18 @@ def report_to_json(report: DerivationReport) -> dict:
             for s in report.steps
         ],
     }
+
+
+def report_text(report: DerivationReport) -> str:
+    """``json.dumps(report_to_json(report))`` in one pass through its escaper,
+    for a report as ``run_script`` builds it (str fields, int indexes)."""
+    q = json.encoder.encode_basestring_ascii
+    c = report.conclusion
+    steps = ", ".join([
+        f'{{"index": {i}, "kind": {q(kind)}, "label": {q(label)}, '
+        f'"status": {q(status)}, "detail": {q(detail)}}}'
+        for i, kind, label, status, detail in report.steps])
+    return (f'{{"tag": {q(report.tag)}, "status": '
+            f'{q("Success" if report.success else "FAILED")}, '
+            f'"conclusion": {{"kind": {q(c.kind)}, "statement": '
+            f'{q(c.statement)}}}, "steps": [{steps}]}}')

@@ -23,8 +23,8 @@ import sys
 from .casework import (MODES, PRESET_IDS, PRESET_PRESENTATION,
                        elimination_to_json, engine_assumptions, enumerate_case,
                        enumerate_destabilizing, lemma_case, necessity_to_json,
-                       report_to_json, run_script, script_by_tag,
-                       verify_necessity)
+                       report_text, report_to_json, run_script,
+                       script_by_tag, verify_necessity)
 from .casework.destabilize import QUERY_RULES
 from .casework.presets import presentation
 from .classifier import WINDOWS, acm_companions, is_initialized_acm
@@ -71,8 +71,8 @@ def _replay(args, script, header, extra=None) -> int:
     verdict line."""
     report = run_script(script)
     if args.json:
-        payload = report_to_json(report)
-        print(json.dumps({**extra, "report": payload} if extra else payload))
+        print(json.dumps({**extra, "report": report_to_json(report)})
+              if extra else report_text(report))
         return 0 if report.success else 1
     if header:
         print(header)

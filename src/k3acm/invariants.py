@@ -52,10 +52,8 @@ class LMInvariants(NamedTuple):
 
 
 def chi_line(d2: int) -> int:
-    """chi(O(D)) = 2 + D^2/2 on a K3 surface; D^2 must be even."""
-    if d2 % 2 != 0:
-        raise OddSquareError(f"self-intersection {d2} is odd")
-    return 2 + d2 // 2
+    """chi(O(D)) = 2 + D^2/2 = genus_of(D^2) + 1; D^2 must be even."""
+    return genus_of(d2) + 1
 
 
 def genus_of(d2: int) -> int:

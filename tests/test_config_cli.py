@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 from k3acm import ConfigError, WorkbenchError
+from k3acm.casework import report_to_json, run_script, script_by_tag
 from k3acm.cli import main
 from k3acm.config import (config_from_json, config_to_json, data_path,
                           load_config, loads_config, shipped_config_names,
@@ -427,6 +428,32 @@ def test_cli_verify_against_mismatched_config_fails(capsys):
     assert "VERIFICATION FAILED" in out
 
 
+def test_cli_verify_fails_a_claim_past_the_int_digit_limit(capsys, tmp_path):
+    # the change-of-basis claim of reduction-B20-Bh3 multiplies two Gram
+    # entries: entries of half Python's int-to-str digit limit give
+    # products that str() refuses, and that claim fails as an evaluation
+    # error instead of ending the run in a ValueError traceback
+    limit = (getattr(sys, "get_int_max_str_digits", int)()
+             or pytest.skip("this interpreter has no int-to-str digit limit"))
+    big = 10 ** (limit // 2 + 1)
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(_doc(gram=[[4, big], [big, 4]], k3=False)))
+    argv = ("verify", "--script", "reduction-B20-Bh3", "-c", str(cfg))
+    code, out, err = _run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    steps = json.loads(out)["steps"]
+    assert [s["status"] for s in steps] == ["Verified"] + ["FAILED"] * 5
+    assert steps[-1]["label"] == "the substitution is a change of basis"
+    assert steps[-1]["detail"].startswith("evaluation error: ")
+    assert f"({limit} digits)" in steps[-1]["detail"]
+    assert all(s["detail"].startswith("claim ") for s in steps[1:-1])
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert ("  [FAILED] the substitution is a change of basis: "
+            "evaluation error: ") in out
+    assert out.endswith("VERIFICATION FAILED\n")
+
+
 @pytest.mark.parametrize("tag, config, ranks", [
     ("delpezzo-cover", "quartic_b2_4.json", (2, 8)),
     ("case-B24", "delpezzo_cover.json", (8, 2)),
@@ -831,6 +858,19 @@ def test_cli_example_delpezzo(capsys):
     assert payload["rank"] == 8 and payload["even"] is True
     assert payload["signature"] == [1, 7]
     assert payload["report"]["status"] == "Success"
+    report = run_script(script_by_tag("delpezzo-cover"))
+    assert out == json.dumps({"rank": 8, "even": True, "signature": [1, 7],
+                              "report": report_to_json(report)}) + "\n"
+
+
+def test_cli_verify_json_is_json_dumps_of_report_to_json(capsys):
+    # the text is written directly; it is the one json.dumps would write
+    from k3acm.casework.casebook import CASES
+    for case in CASES:
+        code, out, _ = _run(capsys, "verify", "--script", case.tag, "--json")
+        report = run_script(script_by_tag(case.tag))
+        assert code == 0 and out.isascii()
+        assert out == json.dumps(report_to_json(report)) + "\n", case.tag
 
 
 @pytest.mark.parametrize("command", ["theorem", "example-delpezzo"])

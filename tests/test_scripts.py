@@ -3,6 +3,7 @@
 import copy
 import json
 import operator
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,11 +11,13 @@ import pytest
 
 from k3acm import DivClass, Lattice, MalformedScriptError, WorkbenchError
 from k3acm.casework import (ArithClaim, AxiomUse, CONTRADICTION, Conclusion,
-                            DerivationScript, builtin_scripts, deg_of,
+                            DerivationReport, DerivationScript,
+                            builtin_scripts, deg_of,
                             engine_assumptions, enumerate_destabilizing,
                             established, evaluate, genus_expr, pair_of,
-                            quartic_lattice, report_to_json, run_script,
-                            script_by_tag, self_of, ulrich_assumptions)
+                            quartic_lattice, report_text, report_to_json,
+                            run_script, script_by_tag, self_of,
+                            ulrich_assumptions)
 from k3acm.casework.scripts import (StepReport, _args, _coords, add_expr,
                                     bn_expr, c2_twist_expr, chi_bundle_expr,
                                     chi_expr, mul_expr, neg_expr, sub_expr)
@@ -229,6 +232,34 @@ def test_run_script_turns_evaluation_errors_into_failed_steps():
     assert "evaluation error" in report.steps[0].detail
 
 
+@pytest.mark.parametrize("rhs", ["lhs", 1], ids=["verified", "false"])
+def test_a_claim_past_the_int_digit_limit_is_a_failed_step(rhs):
+    # the detail of a claim whose values str() refuses (ValueError past
+    # sys.get_int_max_str_digits) is an evaluation error, not a traceback;
+    # so is the error of an odd square whose text would print the square,
+    # and a literal rhs, whose text the replay program writes once
+    limit = (getattr(sys, "get_int_max_str_digits", int)()
+             or pytest.skip("this interpreter has no int-to-str digit limit"))
+    big = 10 ** (limit // 2 + 1)
+    lat = Lattice(gram=[[4, big], [big, 1]], labels=("h", "B"),
+                  ample=DivClass((1, 0)), k3=False)
+    hb = pair_of(DivClass((1, 0)), DivClass((0, 1)))
+    wide = mul_expr(hb, hb, 2)  # 2 big^2: limit + 3 digits, even
+    claims = (ArithClaim("wide", wide, "=", wide if rhs == "lhs" else rhs),
+              ArithClaim("odd", genus_expr(DivClass((1, big))), "=", 0),
+              ArithClaim("literal", 0, "<", big * big),
+              ArithClaim("narrow", hb, "=", big))
+    report = run_script(DerivationScript(
+        tag="t", lattice=lat, steps=claims, conclusion=established("-")))
+    assert report.failed == (0, 1, 2)
+    for step in report.steps[:3]:
+        assert step.status == "FAILED"
+        assert step.detail.startswith("evaluation error: ")
+        assert f"({limit} digits)" in step.detail
+    assert report.steps[3].status == "Verified"
+    assert report_text(report) == json.dumps(report_to_json(report))
+
+
 def test_run_script_fails_an_expression_nested_past_the_recursion_limit():
     deep = 1
     for _ in range(5000):
@@ -351,6 +382,48 @@ def test_report_json_shape():
     assert data["conclusion"]["kind"] == "contradiction"
     assert all(s["status"] in ("Verified", "AxiomUsed") for s in data["steps"])
     assert len(data["steps"]) == len(report.steps)
+
+
+# each awkward for JSON: a quote, a backslash, a newline, a control
+# character, a non-ASCII, an astral character and a lone surrogate
+_AWKWARD = ('"', "\\", "\n", "\x01\x1f\x7f", "\u00e9", "\U0001d4b3",
+            "\ud800", 'a "b" \\c\nd\te\u00e9\U0001f600\udfff')
+
+
+# (kind, label, status, detail) of three steps as run_script writes them
+_PLAIN_STEPS = (("axiom", "AX-SERRE", "AxiomUsed", ""),
+                ("arith", "pin", "Verified", "4 = 4"),
+                ("arith", "", "FAILED", "claim 1 = 2 is false"))
+
+
+def _awkward_reports():
+    """Hand-built reports whose every str field holds an awkward text."""
+    for text in _AWKWARD:
+        steps = tuple(
+            StepReport(i, kind + text, label + text, status + text,
+                       text + detail)
+            for i, (kind, label, status, detail) in enumerate(_PLAIN_STEPS))
+        for success in (True, False):
+            yield DerivationReport(
+                text, success, Conclusion("established", text), steps, (2,))
+            yield DerivationReport(text, success, CONTRADICTION, steps[:1])
+
+
+def test_report_text_is_json_dumps_of_report_to_json():
+    # the oracle: every builtin script on its own lattice and rebound to
+    # each +/-1 Gram mutant that keeps an ample class (for the rank-8
+    # script too, so every mutant the verify-mutants workload's seeded
+    # samples replay), hand-built reports with awkward text in every str
+    # field, and an empty step tuple
+    reports = [run_script(script.with_lattice(variant))
+               for script in builtin_scripts().values()
+               for variant in _gram_mutants(script.lattice)]
+    assert len(reports) > 140
+    assert {r.success for r in reports} == {True, False}
+    reports += _awkward_reports()
+    reports.append(DerivationReport("empty", True, established("x"), ()))
+    for report in reports:
+        assert report_text(report) == json.dumps(report_to_json(report))
 
 
 def test_all_builtin_scripts_replay_to_success():

@@ -1,5 +1,6 @@
 """tools/cli_digests.py: one digest per CLI surface, and its compare mode;
-tools/import_cost.py: the import time of k3acm.cli per module."""
+tools/import_cost.py: the import time of k3acm.cli per module;
+tools/cold_start.py: the wall time of a cold ``k3acm theorem``."""
 
 import re
 import shutil
@@ -12,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "cli_digests.py"
 IMPORT_COST = ROOT / "tools" / "import_cost.py"
+COLD_START = ROOT / "tools" / "cold_start.py"
 
 
 def _digests(*roots):
@@ -115,5 +117,44 @@ def test_import_cost_refuses_bad_arguments_with_its_usage(argv):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr.startswith("usage: python3 tools/import_cost.py "), (
+        proc.stderr)
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def _cold_start(*argv):
+    return subprocess.run([sys.executable, str(COLD_START), *argv],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cold_start_prints_theorem_and_the_bare_interpreter():
+    proc = _cold_start("1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3, lines
+    for line, command in zip(lines, (
+            r"python3 -m k3acm theorem \(median of 1 runs\)",
+            r"python3 -c pass", r"python3 -S -c pass")):
+        assert re.fullmatch(r" *\d+\.\d ms  " + command, line), lines
+
+
+def test_cold_start_names_a_theorem_run_that_fails(tmp_path):
+    package = tmp_path / "broken" / "src" / "k3acm"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("raise RuntimeError('boom')\n")
+    proc = _cold_start("1", str(tmp_path / "broken"))
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert " -m k3acm theorem exited 1:" in proc.stderr
+    assert "RuntimeError: boom" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["0"], ["-1"], ["x"], ["26"], ["1", "/nonexistent"],
+    ["1", str(ROOT / "tools")], ["1", str(ROOT), "extra"],
+], ids=["help", "zero-runs", "negative-runs", "not-a-number", "over-the-cap",
+        "no-such-root", "root-not-a-checkout", "third-argument"])
+def test_cold_start_refuses_bad_arguments_with_its_usage(argv):
+    proc = _cold_start(*argv)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("usage: python3 tools/cold_start.py "), (
         proc.stderr)
     assert proc.stderr.count("\n") == 1, proc.stderr
