@@ -70,8 +70,8 @@ class Case(NamedTuple):
 
         The script is a proof input, not a verdict: run_script still
         re-checks every claim of it on every replay.  Callers must not
-        mutate it or its expression dicts: to change a claim, build a new
-        one with dataclasses.replace, which has no compiled sides yet.
+        mutate it or its expression dicts: its program has read them once.
+        To change a claim, build a new one and a new script of it.
         """
         script = _SCRIPTS.get(self)
         if script is None:

@@ -44,7 +44,7 @@ from ..errors import (BadParametersError, ConflictingAssumptionsError,
                       NotEffectiveCandidateError, PreconditionError,
                       TrivialClassError, WorkbenchError)
 from ..invariants import genus_of, hodge_lower, lm_acm_bounds
-from ..lattice import DivClass, Lattice
+from ..lattice import DivClass, Lattice, int_text
 from .constraints import Row, check_rel, scan
 from .presets import _B, _H, presentation
 from .scripts import (ArithClaim, AxiomUse, add_expr, c2_twist_expr,
@@ -272,19 +272,19 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     b2, hb = presentation(lat)
     if hb * hb <= 4 * b2:
         raise PreconditionError(
-            f"(h.B)^2 = {hb * hb} <= 4 B^2 = {4 * b2}: the presentation is "
-            "not hyperbolic (AX-HODGE-INDEX)")
+            f"(h.B)^2 = {int_text(hb * hb)} <= 4 B^2 = {int_text(4 * b2)}: "
+            "the presentation is not hyperbolic (AX-HODGE-INDEX)")
     hc, bc = _profile_of(lat, c)
     c2 = _pairing(c, hc, bc)
     if c2 < 4:
-        raise PreconditionError(f"C^2 = {c2} < 4: the curve class must have "
-                                "genus at least 3")
+        raise PreconditionError(f"C^2 = {int_text(c2)} < 4: the curve class "
+                                "must have genus at least 3")
     d_hi = lm_acm_bounds(genus_of(c2), hc).d_max
     if not (1 <= hc <= 12 and 1 <= d <= d_hi):
         raise PreconditionError(
-            f"h.C = {hc}, d = {d} lies outside the c2 window: the sweep "
-            f"needs 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and "
-            f"1 <= d <= g + 7 - h.C = {d_hi}")
+            f"h.C = {int_text(hc)}, d = {int_text(d)} lies outside the c2 "
+            "window: the sweep needs 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and "
+            f"1 <= d <= g + 7 - h.C = {int_text(d_hi)}")
     plan = _plan(lat, c, _checked_facts(assumptions))
     for rule, _, _ in QUERY_RULES.values() if mode != "gonality" else ():
         verdict = rule(lat, plan, d)

@@ -43,17 +43,14 @@ per coordinate tuple, in a cache of _KERNELS closures (never values) that
 is looked up only after ``_coords`` has checked the node.  Only a lattice
 of another rank goes to ``Lattice.pair_coords``, for its error.
 
-A claim's sides are read once, into ``ArithClaim.compiled``, so a claim is
-never edited in place (``dataclasses.replace`` builds one with nothing
-read).  A script replays through its ``program``, built at its first
-replay or rebinding and handed on by ``with_lattice``: per step, an
-axiom's finished StepReport, a claim's (lhs, rhs, index, label, rel,
-tail), each side its int or its closure, and ``tail`` " rel rhs; impossible
-given ..." if the rhs is an int, else that suffix alone, or the FAILED
-StepReport of a claim whose sides cannot be read.  A replayed claim costs
-``run_script`` its closures, one ``check_rel`` (looked up on this module
-at call time), one detail f-string and one StepReport; no verdict is kept.
-A value too long for ``str`` fails its step too.
+A script's ``program``, the one place a claim's sides are read, is built
+at its first replay or rebinding and handed on by ``with_lattice``: per
+step, an axiom's finished StepReport, a claim's (lhs, rhs, index, label,
+rel, tail), each side its int or its closure, and ``tail`` " rel rhs;
+impossible given ..." if the rhs is an int, else that suffix alone, or the
+FAILED StepReport of a claim whose sides cannot be read.  A claim edited
+in place once its script has replayed is not seen; a script built anew
+reads its claims again.  A value too long for ``str`` fails its step too.
 """
 
 from __future__ import annotations
@@ -296,9 +293,9 @@ class ArithClaim:
 
     ``contradicts``: when set, the claim is asserting something that the
     named fact forbids -- the verified claim plus the cited fact form the
-    final "P and not P" of a contradiction script.  The sides are read
-    once, into ``compiled``: to change a claim, build a new one with
-    ``dataclasses.replace``, never edit its dicts in place.
+    final "P and not P" of a contradiction script.  Only a script's
+    ``program`` reads the sides: to change a claim, build a new one with
+    ``dataclasses.replace`` and a new script of it.
     """
 
     label: str
@@ -318,15 +315,6 @@ class ArithClaim:
         d = self.__dict__
         d["label"], d["lhs"], d["rel"] = label, lhs, rel
         d["rhs"], d["cite"], d["contradicts"] = rhs, cite, contradicts
-
-    @cached_property
-    def compiled(self) -> tuple[int | Compiled, int | Compiled, str]:
-        """(lhs, rhs), each its int if it folds, else its closure, and the
-        suffix of a Verified detail; not a dataclass field, so equality,
-        repr and JSON see only the expressions."""
-        return _walk(self.lhs), _walk(self.rhs), (
-            f"; impossible given {self.contradicts}" if self.contradicts
-            else "")
 
 
 class AxiomUse(namedtuple("AxiomUse", "axiom_id note cite")):
@@ -393,7 +381,8 @@ class DerivationScript:
                                                "AxiomUsed", st.note)))
                 continue
             try:
-                lhs, rhs, tail = st.compiled
+                lhs, rhs, why = _walk(st.lhs), _walk(st.rhs), st.contradicts
+                tail = f"; impossible given {why}" if why else ""
                 if type(rhs) is int:
                     tail = f" {st.rel} {rhs}{tail}"
             except (WorkbenchError, RecursionError, ValueError) as exc:
@@ -469,7 +458,7 @@ def run_script(script: DerivationScript) -> DerivationReport:
             if type(lhs) is not int:
                 lhs = lhs(lat)
             rhs = rhs_of if type(rhs_of) is int else rhs_of(lat)
-            if check_rel(rel, lhs, rhs):
+            if check_rel(rel, lhs, rhs):  # read off this module per call
                 add(_step(StepReport, (i, "arith", label, "Verified",
                                        # rhs is rhs_of only when it folded
                                        f"{lhs}{tail}" if rhs is rhs_of

@@ -32,7 +32,7 @@ from .config import (assumption_to_json, config_to_json, data_path,
                      load_config, shipped_quartic_names)
 from .errors import (BadParametersError, BoxTooSmallError,
                      DegenerateFormError, EngineError, WorkbenchError)
-from .lattice import DivClass, Lattice
+from .lattice import DivClass, Lattice, int_text
 
 
 # the text of a class argument: comma-separated ASCII integers
@@ -78,9 +78,8 @@ def _replay(args, script, header, extra=None) -> int:
         print(header)
     for st in report.steps:
         if st.kind == "axiom":
-            line = f"  [axiom ] {st.label}"
-            if st.detail:
-                line += f": {st.detail}"
+            line = f"  [axiom ] {st.label}" + (
+                f": {st.detail}" if st.detail else "")
         else:
             mark = "ok    " if st.status == "Verified" else st.status
             line = f"  [{mark}] {st.label}: {st.detail}"
@@ -141,9 +140,12 @@ def _cmd_classify(args) -> int:
             "missing": [assumption_to_json(m) for m in cls.missing],
         }))
         return 0
+    square, degree = int_text(lat.self_int(b)), int_text(lat.deg(b))
+    if "<" in square + degree:  # an int past Python's int-to-str digit limit
+        raise BadParametersError(f"cannot print B^2 = {square}, h.B = {degree}")
     print(cls.status.value)
     print(f"case: {cls.case_tag}")
-    print(f"square: {lat.self_int(b)}, degree: {lat.deg(b)}")
+    print(f"square: {square}, degree: {degree}")
     for m in cls.missing:
         print(f"needs: {m.kind.value} {m.subject} ({m.note})")
     return 0

@@ -30,6 +30,14 @@ from .errors import (
 _EXACT_INT = frozenset({int})  # .issuperset(map(type, xs)): a C-level pass
 
 
+def int_text(n: int) -> str:
+    """str(n), or n's size in bits where str() passes Python's digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<an int of {n.bit_length()} bits>"
+
+
 def _ints(values) -> tuple[int, ...]:
     """The values as a tuple of exact ints, else ``operator.index`` of each;
     TypeError on a non-integer or a bool (True is not 1 here)."""
@@ -116,7 +124,7 @@ class DivClass(_Frozen):
         return all(a == 0 for a in self.coords)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+        return "(" + ", ".join(map(int_text, self.coords)) + ")"
 
 
 def _check_gram(gram: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -101,6 +101,18 @@ def test_classifier_rejects_trivial_and_empty_classes():
         is_initialized_acm(lat, -B)
 
 
+def test_an_empty_class_past_the_int_digit_limit_is_named_by_its_size():
+    # the refusal writes a coordinate that str() refuses as its bit length
+    import sys
+    limit = (getattr(sys, "get_int_max_str_digits", int)()
+             or pytest.skip("this interpreter has no int-to-str digit limit"))
+    big = 10 ** (limit + 100)
+    with pytest.raises(NotEffectiveCandidateError) as exc:
+        is_initialized_acm(quartic_lattice(-2, 1), DivClass((-big, 0)))
+    assert str(exc.value).endswith(
+        f"; B = (<an int of {big.bit_length()} bits>, 0)")
+
+
 def test_ulrich_window_needs_emptiness_facts():
     lat = quartic_lattice(4, 6)
     cls = is_initialized_acm(lat, B)

@@ -454,6 +454,58 @@ def test_cli_verify_fails_a_claim_past_the_int_digit_limit(capsys, tmp_path):
     assert out.endswith("VERIFICATION FAILED\n")
 
 
+def _digit_limit():
+    return (getattr(sys, "get_int_max_str_digits", int)()
+            or pytest.skip("this interpreter has no int-to-str digit limit"))
+
+
+def _refused_with_one_error_line(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+    assert "<an int of " in err and "Traceback" not in err
+
+
+def _big_class():
+    # each coordinate is readable, but the class square is past the limit
+    return f"{10 ** (_digit_limit() // 2 + 50)},1"
+
+
+def test_cli_classify_refuses_a_square_past_the_int_digit_limit(capsys):
+    cfg = str(data_path("quartic_b2_4.json"))
+    code, out, err = _run(capsys, "classify", "-c", cfg,
+                          "--class", _big_class())
+    _refused_with_one_error_line(code, out, err)
+    assert "cannot print B^2 = <an int of " in err
+    # the JSON report prints no square, so it is still written
+    code, out, err = _run(capsys, "classify", "-c", cfg, "--json",
+                          "--class", _big_class())
+    assert (code, err, json.loads(out)["status"]) == (0, "", "NotAcm")
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+def test_cli_destabilize_refuses_a_window_past_the_int_digit_limit(
+        capsys, extra):
+    code, out, err = _run(capsys, "destabilize", *extra, "--d", "3",
+                          "-c", str(data_path("quartic_b2_4.json")),
+                          "--class", _big_class())
+    _refused_with_one_error_line(code, out, err)
+    assert "lies outside the c2 window" in err
+    assert "g + 7 - h.C = <an int of " in err and err.endswith(" bits>\n")
+
+
+def test_cli_classify_refuses_an_ample_square_past_the_int_digit_limit(
+        capsys, tmp_path):
+    limit = _digit_limit()
+    cfg = tmp_path / "rank1.json"
+    cfg.write_text(json.dumps(_doc(rank=1, gram=[[10 ** (limit - 300)]],
+                                   labels=["h"], ample=[10 ** 200],
+                                   k3=False)))
+    code, out, err = _run(capsys, "classify", "--json", "-c", str(cfg),
+                          "--class", "1")
+    _refused_with_one_error_line(code, out, err)
+    assert "the ample class has h^2 = <an int of " in err
+
+
 @pytest.mark.parametrize("tag, config, ranks", [
     ("delpezzo-cover", "quartic_b2_4.json", (2, 8)),
     ("case-B24", "delpezzo_cover.json", (8, 2)),

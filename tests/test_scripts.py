@@ -170,13 +170,21 @@ def test_step_validation():
         established("")
 
 
+_CLAIM_FIELDS = ["label", "lhs", "rel", "rhs", "cite", "contradicts"]
+
+
+def _program_of(claims, lat=LAT):
+    """The replay program of a script of these claims on lat."""
+    return DerivationScript("pinned", lat, claims,
+                            established("pinned")).program
+
+
 def test_a_claim_is_still_a_frozen_dataclass():
     import dataclasses
     lhs = {"op": "self", "a": [1, 0]}
     claim = ArithClaim("square of h", lhs, "=", 4, cite="pin", contradicts="")
     assert dataclasses.is_dataclass(claim)
-    assert [f.name for f in dataclasses.fields(ArithClaim)] == [
-        "label", "lhs", "rel", "rhs", "cite", "contradicts"]
+    assert [f.name for f in dataclasses.fields(ArithClaim)] == _CLAIM_FIELDS
     assert claim == ArithClaim(label="square of h", lhs=lhs, rel="=", rhs=4,
                                cite="pin")
     assert repr(claim) == (
@@ -185,14 +193,20 @@ def test_a_claim_is_still_a_frozen_dataclass():
     assert hash(ArithClaim("x", 1, "<", 2)) == hash(ArithClaim("x", 1, "<", 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         claim.rhs = 5
-    # replace builds through the same check, with no compiled sides yet;
-    # the lhs reads the lattice, so it is a closure, and the rhs folds
+    # a script's program reads the sides: the lhs reads the lattice, so it
+    # is a closure, and the rhs folds; the claim keeps its six fields alone
     lat = Lattice(gram=[[4, 6], [6, 4]], labels=("h", "B"), ample=(1, 0))
-    assert claim.compiled[0](lat) == 4
-    assert type(claim.compiled[1]) is int and claim.compiled[1] == 4
+    lhs_of, rhs, index, label, rel, tail = _program_of([claim], lat)[0]
+    assert lhs_of(lat) == 4 and type(rhs) is int and rhs == 4
+    assert (index, label, rel, tail) == (0, "square of h", "=", " = 4")
+    assert list(vars(claim)) == _CLAIM_FIELDS
+    # replace builds through the same check, and a script of the new claim
+    # reads its sides anew
     moved = replace(claim, rhs=5)
-    assert (moved.rhs, moved.cite, "compiled" in vars(moved)) == (5, "pin",
-                                                                  False)
+    assert (moved.rhs, moved.cite, list(vars(moved))) == (5, "pin",
+                                                          _CLAIM_FIELDS)
+    assert _program_of([moved], lat)[0][1:] == (5, 0, "square of h", "=",
+                                                 " = 5")
     with pytest.raises(MalformedScriptError, match="unknown relation '!='"):
         replace(claim, rel="!=")
 
@@ -762,7 +776,7 @@ def _tamper(expr):
 def test_script_json_is_a_copy_of_the_shared_scripts():
     for tag in sorted(builtin_scripts()):
         shared = script_by_tag(tag)
-        assert run_script(shared).success, tag  # its claims are compiled
+        assert run_script(shared).success, tag  # its program is built
         changed = [0]
 
         def tampered(step):
@@ -999,7 +1013,7 @@ def test_each_op_is_defined_once():
     assert not {name for name in gone if hasattr(scripts, name)}
 
 
-# ---- the compiled sides, with the former evaluate as their oracle ------------
+# ---- the program's sides, with the former evaluate as their oracle ----------
 
 def _outcome(fn, lat):
     """A side's int, or the class and text of the error it raises."""
@@ -1010,26 +1024,23 @@ def _outcome(fn, lat):
 
 
 def _run_side(side):
-    """A compiled side as a function of the lattice: its closure, or a
+    """A program side as a function of the lattice: its closure, or a
     folded int returned as it is."""
     return (lambda lat: side) if type(side) is int else side
 
 
-def _builtin_claims():
-    return [(script.lattice, st) for script in builtin_scripts().values()
-            for st in script.steps if isinstance(st, ArithClaim)]
-
-
 def test_compiled_sides_match_evaluate_on_every_claim_and_mutant():
+    # the sides each builtin script's program holds, run on every +/-1
+    # Gram mutant of its lattice
     compared = errors = 0
-    by_lattice = {}
-    for lat, claim in _builtin_claims():
-        by_lattice.setdefault(lat, []).append(claim)
-    for lat, claims in by_lattice.items():
-        for variant in _gram_mutants(lat):
-            for claim in claims:
-                for side, compiled in zip((claim.lhs, claim.rhs),
-                                          claim.compiled):
+    for script in builtin_scripts().values():
+        rows = [row for row in script.program if type(row) is tuple]
+        assert len(rows) == sum(
+            isinstance(st, ArithClaim) for st in script.steps), script.tag
+        for variant in _gram_mutants(script.lattice):
+            for row in rows:
+                claim = script.steps[row[2]]
+                for side, compiled in zip((claim.lhs, claim.rhs), row):
                     want = _outcome(lambda v: _former_evaluate(side, v),
                                     variant)
                     assert _outcome(_run_side(compiled),
@@ -1041,7 +1052,7 @@ def test_compiled_sides_match_evaluate_on_every_claim_and_mutant():
                                     variant) == want, claim.label
                     compared += 1
                     errors += isinstance(want, tuple)
-    assert any(lat.rank == 8 for lat in by_lattice)
+    assert any(s.lattice.rank == 8 for s in builtin_scripts().values())
     assert compared > 5000 and errors >= 10, (compared, errors)
 
 
@@ -1358,12 +1369,12 @@ def test_literal_arithmetic_folds_and_lattice_reads_stay_closures():
     mixed = scripts._walk(add_expr(5, self_of(h), sub_expr(2, 1)))
     assert callable(mixed) and mixed(LAT) == 10
     assert callable(scripts._walk(sub_expr(1, deg_of(h))))
-    # a compiled side that folds is its int, not a closure
+    # a program side that folds is its int, not a closure
     folded = scripts._walk(add_expr(5, 2))
     assert type(folded) is int and folded == 7
     claim = ArithClaim("folded", add_expr(5, 2), "=", add_expr(5, self_of(h)))
-    lhs, rhs, _ = claim.compiled
-    assert lhs == 7 and callable(rhs) and rhs(LAT) == 9
+    lhs, rhs, *_, tail = _program_of([claim])[0]
+    assert lhs == 7 and callable(rhs) and rhs(LAT) == 9 and tail == ""
 
 
 def test_coords_keeps_its_accepted_set():
@@ -1596,8 +1607,8 @@ def test_run_script_matches_the_evaluate_replay_on_every_mutant(
 
 
 def _fresh_scripts():
-    """Copies of the builtin scripts whose claims and scripts have never
-    been replayed: fresh claims have no compiled sides, and an AxiomUse is
+    """Copies of the builtin scripts, and of their claims, that have never
+    been replayed: a fresh script has no program yet, and an AxiomUse is
     a NamedTuple."""
     return [_with_steps(s, lambda st: replace(st) if isinstance(
                 st, ArithClaim) else st._replace())
@@ -1683,12 +1694,12 @@ def test_the_program_is_built_once_per_base_script(monkeypatch):
 def test_with_lattice_is_replace_of_the_lattice_alone():
     # every builtin script on its own lattice and on each +/-1 mutant: the
     # rebound script equals dataclasses.replace's, replays to the same
-    # report, shares the claims (and so their compiled sides) and the
-    # replay program, and leaves the original as it was
+    # report, shares the claims and the replay program (and so its sides),
+    # and leaves the original as it was
     from dataclasses import FrozenInstanceError
     def compiled(script):
-        return [st.compiled for st in script.steps
-                if isinstance(st, ArithClaim)]
+        return [side for row in script.program if type(row) is tuple
+                for side in row[:2]]
 
     rebinds = 0
     for tag, script in sorted(builtin_scripts().items()):
@@ -1710,6 +1721,22 @@ def test_with_lattice_is_replace_of_the_lattice_alone():
         assert vars(script) == fields, tag
         assert all(vars(script)[k] is v for k, v in fields.items()), tag
     assert rebinds >= 140, rebinds
+
+
+def test_a_replayed_claim_holds_only_its_fields():
+    # the program is the one place a claim's sides are read: replaying a
+    # script, on its lattice and rebound to each +/-1 mutant, leaves no
+    # cache on any of its claims
+    claims = 0
+    for tag, script in sorted(builtin_scripts().items()):
+        run_script(script)
+        for lat in _gram_mutants(script.lattice):
+            run_script(script.with_lattice(lat))
+        for st in script.steps:
+            if isinstance(st, ArithClaim):
+                assert list(vars(st)) == _CLAIM_FIELDS, (tag, st.label)
+                claims += 1
+    assert claims >= 100, claims
 
 
 def test_replayed_pairings_read_the_gram_matrix_without_pair_coords(

@@ -1,7 +1,10 @@
 """tools/cli_digests.py: one digest per CLI surface, and its compare mode;
 tools/import_cost.py: the import time of k3acm.cli per module;
-tools/cold_start.py: the wall time of a cold ``k3acm theorem``."""
+tools/cold_start.py: the wall time of a cold ``k3acm theorem``;
+k3bench/tracing.py: the package names its tracer patches."""
 
+import importlib
+import importlib.util
 import re
 import shutil
 import subprocess
@@ -158,3 +161,21 @@ def test_cold_start_refuses_bad_arguments_with_its_usage(argv):
     assert proc.stderr.startswith("usage: python3 tools/cold_start.py "), (
         proc.stderr)
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_every_traced_name_of_the_benchmark_still_exists():
+    # the tracer patches these names when a benchmark run is traced; a
+    # package name deleted or renamed must fail here, not in that run
+    path = ROOT / "k3bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_k3bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SPANNED and tracing.COUNTED
+    for module, attr, name in tracing.SPANNED + tracing.COUNTED:
+        owner = importlib.import_module(module)
+        if "." in attr:  # a method is patched on its class's own __dict__
+            cls_name, attr = attr.split(".")
+            owner = vars(owner)[cls_name].__dict__
+            assert callable(owner.get(attr)), name
+        else:
+            assert callable(getattr(owner, attr, None)), name
