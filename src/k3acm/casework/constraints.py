@@ -6,15 +6,15 @@ constraint has one form, an integer polynomial of degree at most 2:
 
     qss*s^2 + qst*s*t + qtt*t^2 + a*s + b*t  rel  c
 
-scan walks one half-plane region: eliminating y from rows a*x + b*y >= r
-(Fourier-Motzkin) gives the integer x-range in which any real y is left,
-and at each such x the rows with a y-term narrow a given y-interval, both
-through half_plane_bounds; enumerate_case and the destabilizing engine's
-profile sweep run on it.  enumerate_case takes the constraints without a
-quadratic part and |t| <= box as rows, and Constraint.holds decides every
-point of that region, asking the quadratic constraints first since they
-reject most points.  A survivor on the box boundary raises
-BoxTooSmallError because it signals the solution set may be truncated.
+scan walks one half-plane region column by column (Fourier-Motzkin
+gives the x-range, the rows with a y-term narrow each column, both
+through half_plane_bounds); enumerate_case and the destabilizing
+engine's profile sweep run on it.  enumerate_case plans the columns of
+|t| <= box and the linear constraints, and the holds order, once per
+(system, box) and process; Constraint.holds decides every point of
+every column on every call, quadratic constraints first, as they reject
+most.  A survivor on the box boundary raises BoxTooSmallError because
+it signals the solution set may be truncated.
 
 Constraints carry their justification (an axiom id plus a citation string
 quoting the inequality being encoded) so every preset is auditable.
@@ -22,13 +22,14 @@ quoting the inequality being encoded) so every preset is auditable.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import namedtuple
 from typing import Callable, Iterable, Iterator
 
 from ..config import _is_int
 from ..errors import BadParametersError, BoxTooSmallError
-from ..lattice import Lattice
+from ..lattice import Lattice, repr_text
 
 _REL: dict[str, Callable[[int, int], bool]] = {
     "<=": operator.le, "<": operator.lt, "=": operator.eq,
@@ -47,7 +48,7 @@ def check_rel(rel: str, lhs: int, rhs: int) -> bool:
         compare = _REL.get(rel)
         if compare is not None:
             return compare(lhs, rhs)
-    raise BadParametersError(f"unknown relation {rel!r}")
+    raise BadParametersError(f"unknown relation {repr_text(rel)}")
 
 
 class Constraint(namedtuple("Constraint", "coeffs rel c axiom_id cite")):
@@ -69,9 +70,9 @@ class Constraint(namedtuple("Constraint", "coeffs rel c axiom_id cite")):
                 or not all(map(_is_int, coeffs)) or not _is_int(c)):
             raise BadParametersError(
                 f"a constraint needs 5 integer coefficients and an integer "
-                f"bound, got {coeffs!r} and {c!r}")
+                f"bound, got {repr_text(coeffs)} and {repr_text(c)}")
         if not _is_rel(rel):
-            raise BadParametersError(f"unknown relation {rel!r}")
+            raise BadParametersError(f"unknown relation {repr_text(rel)}")
         return tuple.__new__(cls, (tuple(coeffs), rel, c, axiom_id, cite))
 
     def holds(self, s: int, t: int) -> bool:
@@ -98,10 +99,8 @@ def abs_t_at_least(n: int, axiom_id: str = "", cite: str = "") -> Constraint:
 
 class CaseSpec(namedtuple("CaseSpec", "lattice constraints box tag")):
     """A bounded integer search: which (s, t) satisfy every constraint?
-
-    The constraints have their coefficients already expressed in terms of
-    pairings with the classes U and V multiplied by s and t.
-    """
+    Their coefficients are already expressed in terms of pairings with
+    the classes U and V multiplied by s and t."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # for _replace
@@ -110,12 +109,12 @@ class CaseSpec(namedtuple("CaseSpec", "lattice constraints box tag")):
                 box: int = 32, tag: str = ""):
         if not _is_int(box) or not 16 <= box <= 256:
             raise BadParametersError(
-                f"box must be between 16 and 256, got {box!r}")
+                f"box must be between 16 and 256, got {repr_text(box)}")
         if (not isinstance(constraints, (tuple, list))
                 or not all(isinstance(con, Constraint) for con in constraints)):
             raise BadParametersError(
                 f"constraints must be a sequence of Constraints, got "
-                f"{constraints!r}")
+                f"{repr_text(constraints)}")
         return tuple.__new__(cls, (lattice, tuple(constraints), box, tag))
 
 
@@ -127,9 +126,8 @@ Row = tuple[int, int, int]  # (a, b, r): a*x + b*y >= r, here (x, y) = (s, t)
 def half_plane_bounds(rows: Iterable[Row], lo: int, hi: int,
                       x: int = 0) -> tuple[int, int]:
     """The integers y in [lo, hi] with a*x + b*y >= r for every row
-    (a, b, r), as (lo, hi); lo > hi when none is left.  feasible_range
-    passes its rows in s alone as (0, coef, r), scan each column's x.
-    Plain comparisons instead of max and min: scan calls it per column."""
+    (a, b, r), as (lo, hi); lo > hi when none is left.  Plain comparisons
+    instead of max and min: scan calls it per column."""
     for a, b, r in rows:
         r -= a * x
         if b > 0:
@@ -145,73 +143,65 @@ def half_plane_bounds(rows: Iterable[Row], lo: int, hi: int,
     return lo, hi
 
 
-def feasible_range(rows: list[Row], lo: int, hi: int) -> range:
-    """The integer s in [lo, hi] at which the rows leave some real t.
-
-    t is eliminated Fourier-Motzkin style: each pair of a lower and an
-    upper bound on t gives one row coef*s >= r, and so does each row
-    without t; half_plane_bounds reads them as rows (0, coef, r).
-    """
-    lows = [row for row in rows if row[1] > 0]
-    highs = [row for row in rows if row[1] < 0]
-    s_rows = [(0, a, r) for a, b, r in rows if b == 0]
-    s_rows += [(0, b1 * a2 - b2 * a1, b1 * r2 - b2 * r1)
-               for a1, b1, r1 in lows for a2, b2, r2 in highs]
-    lo, hi = half_plane_bounds(s_rows, lo, hi)
-    return range(lo, hi + 1)
-
-
 def scan(rows: list[Row], lo: int, hi: int,
          column: Callable[[int], tuple[int, int]]
-         ) -> Iterator[tuple[int, int]]:
-    """Every integer (x, y) with lo <= x <= hi, y_lo <= y <= y_hi for
-    (y_lo, y_hi) = column(x) and a*x + b*y >= r for each row (a, b, r),
-    in x-then-y order.  Only the rows with b != 0 narrow a column: the
-    rest hold at every x that feasible_range leaves."""
-    y_rows = [row for row in rows if row[1]]
-    for x in feasible_range(rows, lo, hi):
+         ) -> Iterator[tuple[int, int, int]]:
+    """Each nonempty column (x, y_lo, y_hi), lo <= x <= hi, of the integer
+    y in column(x) with a*x + b*y >= r for each row (a, b, r).  x runs
+    over the range left by the rows without y and, Fourier-Motzkin style,
+    by each pair of a lower and an upper bound on y, read as rows
+    (0, coef, r); the rows with y narrow each column."""
+    lows = [row for row in rows if row[1] > 0]
+    highs = [row for row in rows if row[1] < 0]
+    x_rows = [(0, a, r) for a, b, r in rows if b == 0]
+    x_rows += [(0, b1 * a2 - b2 * a1, b1 * r2 - b2 * r1)
+               for a1, b1, r1 in lows for a2, b2, r2 in highs]
+    lo, hi = half_plane_bounds(x_rows, lo, hi)
+    y_rows = lows + highs
+    for x in range(lo, hi + 1):
         y_lo, y_hi = half_plane_bounds(y_rows, *column(x), x)
-        for y in range(y_lo, y_hi + 1):
-            yield x, y
+        if y_lo <= y_hi:
+            yield x, y_lo, y_hi
 
 
-def _plan(spec: CaseSpec) -> list[Row]:
-    """The rows of the constraints without a quadratic part and of
-    |t| <= box: a strict relation is tightened by one, = is two rows."""
-    box = spec.box
+@functools.lru_cache(maxsize=64)
+def _case_plan(system: tuple, box: int) -> tuple[tuple, tuple]:
+    """(holds order, columns) of a system of (coeffs, rel, c) and a box:
+    the positions of the quadratic constraints then of the rest, and what
+    scan leaves of |t| <= box and the linear rows (a strict relation
+    tightened by one, = as two rows).  A plan holds at most 513 columns
+    (box 256, no linear row), about 60 KB; the 64 kept, under 4 MB."""
     rows: list[Row] = [(0, 1, -box), (0, -1, -box)]  # |t| <= box
-    for con in spec.constraints:
-        qss, qst, qtt, a, b = con.coeffs
+    for (qss, qst, qtt, a, b), rel, c in system:
         if not (qss or qst or qtt):
-            c = con.c
             rows += {">=": [(a, b, c)], ">": [(a, b, c + 1)],
                      "<=": [(-a, -b, -c)], "<": [(-a, -b, 1 - c)],
-                     "=": [(a, b, c), (-a, -b, -c)]}[con.rel]
-    return rows
+                     "=": [(a, b, c), (-a, -b, -c)]}[rel]
+    order = sorted(range(len(system)), key=lambda i: not any(system[i][0][:3]))
+    return tuple(order), tuple(scan(rows, -box, box, lambda s: (-box, box)))
 
 
 def enumerate_case(spec: CaseSpec) -> list[tuple[int, int]]:
     """All box points satisfying every constraint, lexicographically sorted.
 
-    Deterministic and serial: scan runs s over the box values at which
-    the rows of the constraints without a quadratic part leave some real t
-    (the whole box when there is no such row), t over the interval those
-    rows leave at that s, and Constraint.holds decides every such point,
-    asking first the constraints with a quadratic part, which reject most.
-    Raises BoxTooSmallError at the first survivor on the boundary
-    |s| = box or |t| = box: the true solution set might extend past it.
+    The plan of each constraint's (coeffs, rel, c) and the box gives the
+    columns; holds decides each of their points on every call.  Raises
+    BoxTooSmallError at the first survivor with |s| = box or |t| = box:
+    the true solution set might extend past it.
     """
-    box = spec.box
-    cons = sorted(spec.constraints, key=lambda con: not any(con.coeffs[:3]))
+    box, cons = spec.box, spec.constraints
+    order, columns = _case_plan(tuple(con[:3] for con in cons), box)
+    cons = [cons[i] for i in order]
     out = []
-    for s, t in scan(_plan(spec), -box, box, lambda s: (-box, box)):
-        for con in cons:
-            if not con.holds(s, t):
-                break
-        else:
-            if abs(s) == box or abs(t) == box:
-                raise BoxTooSmallError(
-                    f"survivor ({s}, {t}) touches the box boundary {box}; "
-                    f"enlarge the box")
-            out.append((s, t))
+    for s, t_lo, t_hi in columns:
+        for t in range(t_lo, t_hi + 1):
+            for con in cons:
+                if not con.holds(s, t):
+                    break
+            else:
+                if abs(s) == box or abs(t) == box:
+                    raise BoxTooSmallError(
+                        f"survivor ({s}, {t}) touches the box boundary "
+                        f"{box}; enlarge the box")
+                out.append((s, t))
     return out

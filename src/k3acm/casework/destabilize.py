@@ -44,7 +44,7 @@ from ..errors import (BadParametersError, ConflictingAssumptionsError,
                       NotEffectiveCandidateError, PreconditionError,
                       TrivialClassError, WorkbenchError)
 from ..invariants import genus_of, hodge_lower, lm_acm_bounds
-from ..lattice import DivClass, Lattice, int_text
+from ..lattice import DivClass, Lattice, int_text, repr_text
 from .constraints import Row, check_rel, scan
 from .presets import _B, _H, presentation
 from .scripts import (ArithClaim, AxiomUse, add_expr, c2_twist_expr,
@@ -265,9 +265,9 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     rho >= 0.
     """
     if mode not in MODES:
-        raise BadParametersError(f"unknown mode {mode!r}; choose from {MODES}")
+        raise BadParametersError(f"unknown mode {repr_text(mode)}; choose from {MODES}")
     if not _is_int(d):
-        raise BadParametersError(f"d must be an int, got {d!r}")
+        raise BadParametersError(f"d must be an int, got {repr_text(d)}")
     _checked_class(c, "C")
     b2, hb = presentation(lat)
     if hb * hb <= 4 * b2:
@@ -407,14 +407,13 @@ def _profiles(lat: Lattice, plan: _Plan, d: int, n2: int,
     determinant is >= 0) closes B.N = y: the determinant is >= 0 exactly
     when (4y - x h.B)^2 <= ((h.B)^2 - 4 B^2)(x^2 - 4 N^2), and 4y - x h.B is
     an integer, so isqrt gives the exact interval; x >= hodge_lower(4, N^2)
-    keeps the right side >= 0; the gate guarantees these 4s are h^2.  Each further window is a half-plane
-    a*h.N + b*B.N >= r: the degree budget
-    cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by M^2 >= N^2, and
-    P.N >= P.floor(n2) for every known class P, C included.  scan runs x
-    over the columns at which they leave some real y and narrows each
-    isqrt interval by them.  M.N >= 1 needs no window, as C.N >= cn_lo
-    implies it; nor does the Hodge index on (M, N): (M.N)^2 >= M^2 N^2
-    expands to (C.N)^2 >= C^2 N^2, C's floor.
+    keeps the right side >= 0; the gate guarantees these 4s are h^2.  Each
+    further window is a half-plane a*h.N + b*B.N >= r: the degree budget
+    cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by M^2 >= N^2, and P.N >=
+    P.floor(n2) for every known class P, C included.  scan narrows each
+    isqrt interval by them and yields the columns they leave.  M.N >= 1
+    needs no window, as C.N >= cn_lo implies it; nor does the Hodge index on
+    (M, N): (M.N)^2 >= M^2 N^2 expands to (C.N)^2 >= C^2 N^2, C's floor.
     """
     curve = plan.curve
     hc = curve.profile[0]
@@ -432,9 +431,9 @@ def _profiles(lat: Lattice, plan: _Plan, d: int, n2: int,
         root = math.isqrt((hb * hb - 4 * b2) * (x * x - 4 * n2))
         return -((root - hb * x) // 4), (hb * x + root) // 4
 
-    hits = [(x, y, s * x + t * y)
-            for x, y in scan(halves, xmin, xmax, column)]
-    return hits, (cn_lo, cn_hi)
+    columns = scan(halves, xmin, xmax, column)
+    return [(x, y, s * x + t * y) for x, y_lo, y_hi in columns
+            for y in range(y_lo, y_hi + 1)], (cn_lo, cn_hi)
 
 
 def _infeasible(lat: Lattice, plan: _Plan, n2: int, cn_lo: int,

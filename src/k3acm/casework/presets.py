@@ -127,7 +127,7 @@ def lemma_case(preset_id: str, box: int = 32) -> CaseSpec:
     complement kh - B (k from classifier.WINDOWS) as their squares
     dictate, and has |t| >= 2.  The lattice and the constraints are built
     on the first call for each preset and shared by later calls; only the
-    box goes into a fresh CaseSpec, and enumerate_case still solves it anew.
+    box goes into a fresh CaseSpec, whose columns enumerate_case plans once.
     """
     lat, cons = _preset_system(preset_id)
     return CaseSpec(lattice=lat, constraints=cons, box=box, tag=preset_id)

@@ -41,7 +41,7 @@ from .errors import (
     NotEffectiveCandidateError,
     TrivialClassError,
 )
-from .lattice import DivClass, Lattice, _Frozen, int_text
+from .lattice import DivClass, Lattice, _Frozen, int_text, repr_text
 
 
 class AssumptionKind(enum.Enum):
@@ -64,10 +64,10 @@ class Assumption(_Frozen):
     def __init__(self, subject: DivClass, kind: AssumptionKind, note: str = ""):
         if not isinstance(subject, DivClass):
             raise BadParametersError(
-                f"a fact's subject must be a DivClass, got {subject!r}")
+                f"a fact's subject must be a DivClass, got {repr_text(subject)}")
         if not isinstance(kind, AssumptionKind):
             raise BadParametersError(
-                f"a fact's kind must be an AssumptionKind, got {kind!r}")
+                f"a fact's kind must be an AssumptionKind, got {repr_text(kind)}")
         object.__setattr__(self, "subject", subject)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "note", note)
@@ -114,7 +114,7 @@ class AcmClassification(NamedTuple):
 def _checked_class(b: DivClass, name: str = "B") -> None:
     """Refuse a class that is not a DivClass, before any cache lookup."""
     if not isinstance(b, DivClass):
-        raise BadParametersError(f"{name} must be a DivClass, got {b!r}")
+        raise BadParametersError(f"{name} must be a DivClass, got {repr_text(b)}")
 
 
 def _checked_facts(assumptions: Sequence[Assumption]
@@ -127,7 +127,7 @@ def _checked_facts(assumptions: Sequence[Assumption]
     facts = tuple(assumptions)
     for a in facts:
         if not isinstance(a, Assumption):
-            raise BadParametersError(f"a fact must be an Assumption, got {a!r}")
+            raise BadParametersError(f"a fact must be an Assumption, got {repr_text(a)}")
     return facts
 
 

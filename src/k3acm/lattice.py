@@ -38,6 +38,17 @@ def int_text(n: int) -> str:
         return f"<an int of {n.bit_length()} bits>"
 
 
+def repr_text(x) -> str:
+    """repr(x), or where that raises (an int past the digit limit):
+    int_text of an int, this of each item of a tuple, else the type."""
+    try:
+        return repr(x)
+    except ValueError:
+        if isinstance(x, tuple):
+            return f"({', '.join(map(repr_text, x))}{',' * (len(x) == 1)})"
+        return int_text(x) if isinstance(x, int) else f"<a {type(x).__name__}>"
+
+
 def _ints(values) -> tuple[int, ...]:
     """The values as a tuple of exact ints, else ``operator.index`` of each;
     TypeError on a non-integer or a bool (True is not 1 here)."""
@@ -63,7 +74,7 @@ class _Frozen:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={repr_text(getattr(self, f))}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -87,7 +98,7 @@ class DivClass(_Frozen):
             ints = _ints(coords)
         except TypeError:
             raise BadParametersError(
-                f"class coordinates must be ints, got {coords!r}") from None
+                f"class coordinates must be ints, got {repr_text(coords)}") from None
         object.__setattr__(self, "coords", ints)
 
     def __eq__(self, other):

@@ -12,8 +12,7 @@ from k3acm import (BadParametersError, BoxTooSmallError, MalformedScriptError,
 from k3acm.casework import (ArithClaim, CaseSpec, Constraint, PRESET_IDS,
                             abs_t_at_least, check_rel, enumerate_case,
                             lemma_case, linear, quadratic, quartic_lattice)
-from k3acm.casework.constraints import (_plan, feasible_range,
-                                        half_plane_bounds, scan)
+from k3acm.casework.constraints import _case_plan, half_plane_bounds, scan
 
 EXPECTED = {
     "i-a": [(3, -2)],
@@ -339,6 +338,128 @@ def test_the_holds_order_changes_no_outcome_and_no_spec(monkeypatch):
     assert permuted >= 200 and touched >= 5, (permuted, touched)
 
 
+# ---- the plan, built once per (constraint system, box) -----------------------
+
+def test_a_planned_enumeration_matches_the_sweep_on_every_call():
+    # the first call builds each plan and the second walks the kept one;
+    # both give the sweep's survivors or boundary text
+    _case_plan.cache_clear()
+    for pid in PRESET_IDS:
+        for box in (16, 17, 32, 64, 128, 256):
+            spec = lemma_case(pid, box=box)
+            want = _outcome(_sweep_enumerate, spec)
+            for _ in range(2):
+                assert _outcome(enumerate_case, spec) == want, (pid, box)
+            assert want == EXPECTED[pid], (pid, box)
+    rng = random.Random(4811)
+    hits = {k: 0 for k in ("two-rays", "equation-through-a-point",
+                           "equation-random", "negative-b-strict",
+                           "constant", "hodge")}
+    shapes = {k: 0 for k in (">=", ">", "<=", "<", "=", "quadratic", "abs-t")}
+    touched = nonempty = 0
+    for _ in range(80):
+        for spec in (_solver_edge_spec(rng, hits), _polygon_spec(rng, shapes)):
+            want = _outcome(_sweep_enumerate, spec)
+            for _ in range(2):
+                assert _outcome(enumerate_case, spec) == want, spec.constraints
+            for s, t_lo, t_hi in _plan_of(spec)[1]:
+                assert -spec.box <= t_lo <= t_hi <= spec.box, spec.constraints
+            touched += isinstance(want, str)
+            nonempty += isinstance(want, list) and bool(want)
+    assert min(hits.values()) >= 10 and min(shapes.values()) >= 10, hits
+    assert touched >= 5 and nonempty >= 40, (touched, nonempty)
+
+
+def test_a_repeated_call_asks_holds_at_every_point_as_the_first(monkeypatch):
+    # the same constraints at the same points in the same order, and every
+    # point of every planned column, unless a boundary touch stops the walk
+    asked = []
+    holds = Constraint.holds
+
+    def recorded(con, s, t):
+        asked.append((id(con), s, t))
+        return holds(con, s, t)
+
+    rng = random.Random(4812)
+    hits = {k: 0 for k in ("two-rays", "equation-through-a-point",
+                           "equation-random", "negative-b-strict",
+                           "constant", "hodge")}
+    specs = [lemma_case(pid, box=box) for pid in PRESET_IDS
+             for box in (16, 128)]
+    specs += [_solver_edge_spec(rng, hits) for _ in range(60)]
+    _case_plan.cache_clear()
+    monkeypatch.setattr(Constraint, "holds", recorded)
+    walked = 0
+    for spec in specs:
+        calls = []
+        for _ in range(2):
+            asked.clear()
+            got = _outcome(enumerate_case, spec)
+            calls.append(list(asked))
+        assert calls[0] == calls[1], spec.constraints
+        if isinstance(got, list):
+            points = {(s, t) for s, t_lo, t_hi in _plan_of(spec)[1]
+                      for t in range(t_lo, t_hi + 1)}
+            assert {(s, t) for _, s, t in calls[0]} == points
+            walked += bool(points)
+    assert walked >= 40, walked
+
+
+def test_no_survivor_is_kept_between_calls(monkeypatch):
+    for pid in PRESET_IDS:
+        spec = lemma_case(pid, box=32)
+        assert enumerate_case(spec) == EXPECTED[pid]
+        with monkeypatch.context() as patch:
+            patch.setattr(Constraint, "holds", lambda con, s, t: False)
+            assert enumerate_case(spec) == []
+        assert enumerate_case(spec) == EXPECTED[pid]
+
+
+def test_another_order_or_box_gets_its_own_plan():
+    _case_plan.cache_clear()
+    keys = set()
+    for pid in PRESET_IDS:
+        spec = lemma_case(pid, box=32)
+        turned = spec._replace(constraints=spec.constraints[::-1])
+        assert turned.constraints != spec.constraints
+        for other in (spec, turned, spec._replace(box=33),
+                      turned._replace(box=64)):
+            assert (_outcome(enumerate_case, other)
+                    == _outcome(_sweep_enumerate, other) == EXPECTED[pid])
+            order, _ = _plan_of(other)
+            assert [other.constraints[i] for i in order] == sorted(
+                other.constraints, key=lambda con: not any(con.coeffs[:3]))
+            keys.add((other.constraints, other.box))
+    assert len(keys) == 20 == _case_plan.cache_info().currsize
+
+
+def test_a_spec_whose_citations_do_not_hash_still_enumerates():
+    spec = CaseSpec(quartic_lattice(-2, 1),
+                    [linear(1, 0, ">=", 0, cite=["x"]),
+                     quadratic(1, 0, 1, 0, 0, "<=", 50, cite={"y": 1}),
+                     abs_t_at_least(2, cite=["z"])], box=16)
+    with pytest.raises(TypeError):
+        hash(spec.constraints)
+    want = _sweep_enumerate(spec)
+    assert want and enumerate_case(spec) == want
+    assert enumerate_case(spec) == want
+
+
+def test_the_plan_cache_is_bounded():
+    _case_plan.cache_clear()
+    lat = quartic_lattice(-2, 1)
+    size = _case_plan.cache_info().maxsize
+    assert size == 64
+    for c in range(size + 36):
+        spec = CaseSpec(lat, (quadratic(1, 0, 1, 0, 0, "<=", c),), box=16)
+        assert enumerate_case(spec) == _sweep_enumerate(spec)
+    info = _case_plan.cache_info()
+    assert info.currsize == size and info.misses == size + 36
+    # the worst case the docstring counts: box 256 and no linear row
+    spec = CaseSpec(lat, (quadratic(1, 0, 1, 0, 0, "<=", 100),), box=256)
+    assert len(_plan_of(spec)[1]) == 513
+
+
 # ---- the narrowing helper and the column loop --------------------------------
 
 def _random_rows(rng: random.Random, hits: dict) -> list:
@@ -404,7 +525,9 @@ def test_half_plane_bounds_and_scan_match_a_brute_force_sweep():
                 wide[0] < y_lo or wide[-1] > y_hi)
             hits["divides"] += any(b and (r - a * x) % b == 0
                                    for a, b, r in rows)
-        got = list(scan(rows, lo, hi, lambda x: shapes[x]))
+        got = [(x, y)
+               for x, y_lo, y_hi in scan(rows, lo, hi, lambda x: shapes[x])
+               for y in range(y_lo, y_hi + 1)]
         want = [(x, y) for x in range(lo, hi + 1)
                 for y in _swept(rows, *shapes[x], x)]
         assert got == want, (rows, lo, hi, width, tilt)
@@ -455,9 +578,14 @@ def _polygon_spec(rng: random.Random, hits: dict) -> CaseSpec:
                     box=box)
 
 
+def _plan_of(spec):
+    """The (holds order, columns) plan enumerate_case walks for spec."""
+    return _case_plan(tuple(con[:3] for con in spec.constraints), spec.box)
+
+
 def _s_range(spec):
-    """The s-values enumerate_case visits."""
-    return feasible_range(_plan(spec), -spec.box, spec.box)
+    """The s-values of the columns enumerate_case visits."""
+    return tuple(s for s, _, _ in _plan_of(spec)[1])
 
 
 def test_s_range_solver_matches_the_sweep_on_bounded_polygons():
@@ -482,17 +610,17 @@ def test_s_range_solver_matches_the_sweep_on_bounded_polygons():
 ], ids=["quadratic", "quadratic-abs-t", "abs-t"])
 def test_specs_without_linear_rows_walk_the_whole_box(cons):
     spec = CaseSpec(lattice=quartic_lattice(-2, 1), constraints=cons, box=21)
-    assert _s_range(spec) == range(-21, 22)
+    assert _s_range(spec) == tuple(range(-21, 22))
     assert _outcome(enumerate_case, spec) == _outcome(_sweep_enumerate, spec)
 
 
 def test_s_range_of_the_constant_rows():
     lat = quartic_lattice(-2, 1)
     never = CaseSpec(lattice=lat, constraints=(linear(0, 0, ">", 0),), box=16)
-    assert _s_range(never) == range(0)
+    assert _s_range(never) == tuple(range(0))
     strip = CaseSpec(lattice=lat, constraints=(linear(2, 0, ">", 3),
                                               linear(3, 0, "<=", 20)), box=16)
-    assert _s_range(strip) == range(2, 7)
+    assert _s_range(strip) == tuple(range(2, 7))
 
 
 def test_preset_s_ranges_do_not_depend_on_the_box():

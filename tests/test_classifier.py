@@ -113,6 +113,18 @@ def test_an_empty_class_past_the_int_digit_limit_is_named_by_its_size():
         f"; B = (<an int of {big.bit_length()} bits>, 0)")
 
 
+def test_an_int_past_the_digit_limit_as_b_is_bad_input():
+    # the refusal names the int by its size, where repr() would raise
+    import sys
+    limit = (getattr(sys, "get_int_max_str_digits", int)()
+             or pytest.skip("this interpreter has no int-to-str digit limit"))
+    big = 10 ** (limit + 700)
+    with pytest.raises(BadParametersError) as exc:
+        is_initialized_acm(quartic_lattice(-2, 1), big)
+    assert str(exc.value) == (
+        f"B must be a DivClass, got <an int of {big.bit_length()} bits>")
+
+
 def test_ulrich_window_needs_emptiness_facts():
     lat = quartic_lattice(4, 6)
     cls = is_initialized_acm(lat, B)

@@ -163,6 +163,18 @@ def test_a_non_int_d_is_bad_input(d):
         enumerate_destabilizing(lat, DivClass((4, -2)), d, _facts(lat))
 
 
+def test_a_mode_past_the_int_digit_limit_is_bad_input():
+    import sys
+    limit = (getattr(sys, "get_int_max_str_digits", int)()
+             or pytest.skip("this interpreter has no int-to-str digit limit"))
+    big = 10 ** (limit + 700)
+    with pytest.raises(BadParametersError) as exc:
+        enumerate_destabilizing(quartic_lattice(-2, 3), DivClass((1, 1)), 3,
+                                mode=big)
+    assert str(exc.value) == (f"unknown mode <an int of {big.bit_length()} "
+                              f"bits>; choose from {MODES}")
+
+
 def test_a_plain_tuple_curve_is_bad_input():
     lat = quartic_lattice(-2, 3)
     before = destabilize._plan.cache_info()

@@ -28,6 +28,7 @@ from k3acm.casework import (AxiomUse, CaseSpec, Conclusion, Constraint,
                             StepReport, SurvivorMatch, enumerate_destabilizing,
                             evaluate, quartic_lattice, verify_necessity)
 from k3acm.casework.casebook import Case
+from k3acm.lattice import repr_text
 
 B = DivClass((0, 1))
 LAT = Lattice([[4, 2], [2, -2]], ("h", "B"), (1, 0), k3=True)
@@ -128,6 +129,32 @@ def test_slots_classes_equal_no_tuple_and_the_api_refuses_tuples():
         enumerate_destabilizing(lat, (2, 1), 7)
     with pytest.raises(BadParametersError, match="^B must be a DivClass"):
         verify_necessity(lat, (0, 1))
+
+
+def test_repr_names_an_int_past_the_digit_limit_by_its_size():
+    limit = (getattr(sys, "get_int_max_str_digits", int)()
+             or pytest.skip("this interpreter has no int-to-str digit limit"))
+    big = 10 ** (limit + 700)
+    bits = f"<an int of {big.bit_length()} bits>"
+    assert repr(DivClass((big, 0))) == f"DivClass(coords=({bits}, 0))"
+    assert repr(DivClass((big,))) == f"DivClass(coords=({bits},))"
+    lat = Lattice([[4, big], [big, 4]], ("h", "B"), (1, 0))
+    assert repr(lat) == (f"Lattice(gram=((4, {bits}), ({bits}, 4)), "
+                         "labels=('h', 'B'), ample=DivClass(coords=(1, 0)), "
+                         "k3=False)")
+    assert repr(Assumption(DivClass((0, big)), AssumptionKind.EMPTY)) == (
+        f"Assumption(subject=DivClass(coords=(0, {bits})), "
+        "kind=<AssumptionKind.EMPTY: 'Empty'>, note='')")
+    with pytest.raises(BadParametersError) as exc:
+        CaseSpec(LAT, (), big)
+    assert str(exc.value) == f"box must be between 16 and 256, got {bits}"
+    with pytest.raises(BadParametersError) as exc:
+        Constraint((0,) * 5, big, 0)
+    assert str(exc.value) == f"unknown relation {bits}"
+    # ordinary values print as repr() prints them
+    assert repr(DivClass((3, -1))) == "DivClass(coords=(3, -1))"
+    for value in (5, True, "x", (1,), [1, (2, "y")], AssumptionKind.EMPTY):
+        assert repr_text(value) == repr(value)
 
 
 def test_no_record_passes_for_coordinates_or_a_cached_classification():
