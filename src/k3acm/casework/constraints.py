@@ -99,8 +99,10 @@ def abs_t_at_least(n: int, axiom_id: str = "", cite: str = "") -> Constraint:
 
 class CaseSpec(namedtuple("CaseSpec", "lattice constraints box tag")):
     """A bounded integer search: which (s, t) satisfy every constraint?
-    Their coefficients are already expressed in terms of pairings with
-    the classes U and V multiplied by s and t."""
+
+    The constraints have their coefficients already expressed in terms of
+    pairings with the classes U and V multiplied by s and t.
+    """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # for _replace

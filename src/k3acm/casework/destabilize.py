@@ -44,7 +44,7 @@ from ..errors import (BadParametersError, ConflictingAssumptionsError,
                       NotEffectiveCandidateError, PreconditionError,
                       TrivialClassError, WorkbenchError)
 from ..invariants import genus_of, hodge_lower, lm_acm_bounds
-from ..lattice import DivClass, Lattice, int_text, repr_text
+from ..lattice import DivClass, Lattice, repr_text
 from .constraints import Row, check_rel, scan
 from .presets import _B, _H, presentation
 from .scripts import (ArithClaim, AxiomUse, add_expr, c2_twist_expr,
@@ -272,19 +272,19 @@ def enumerate_destabilizing(lat: Lattice, c: DivClass, d: int,
     b2, hb = presentation(lat)
     if hb * hb <= 4 * b2:
         raise PreconditionError(
-            f"(h.B)^2 = {int_text(hb * hb)} <= 4 B^2 = {int_text(4 * b2)}: "
+            f"(h.B)^2 = {repr_text(hb * hb)} <= 4 B^2 = {repr_text(4 * b2)}: "
             "the presentation is not hyperbolic (AX-HODGE-INDEX)")
     hc, bc = _profile_of(lat, c)
     c2 = _pairing(c, hc, bc)
     if c2 < 4:
-        raise PreconditionError(f"C^2 = {int_text(c2)} < 4: the curve class "
+        raise PreconditionError(f"C^2 = {repr_text(c2)} < 4: the curve class "
                                 "must have genus at least 3")
     d_hi = lm_acm_bounds(genus_of(c2), hc).d_max
     if not (1 <= hc <= 12 and 1 <= d <= d_hi):
         raise PreconditionError(
-            f"h.C = {int_text(hc)}, d = {int_text(d)} lies outside the c2 "
+            f"h.C = {repr_text(hc)}, d = {repr_text(d)} lies outside the c2 "
             "window: the sweep needs 1 <= h.C <= 12 (AX-SECTIONS-BOUND) and "
-            f"1 <= d <= g + 7 - h.C = {int_text(d_hi)}")
+            f"1 <= d <= g + 7 - h.C = {repr_text(d_hi)}")
     plan = _plan(lat, c, _checked_facts(assumptions))
     for rule, _, _ in QUERY_RULES.values() if mode != "gonality" else ():
         verdict = rule(lat, plan, d)
@@ -407,13 +407,14 @@ def _profiles(lat: Lattice, plan: _Plan, d: int, n2: int,
     determinant is >= 0) closes B.N = y: the determinant is >= 0 exactly
     when (4y - x h.B)^2 <= ((h.B)^2 - 4 B^2)(x^2 - 4 N^2), and 4y - x h.B is
     an integer, so isqrt gives the exact interval; x >= hodge_lower(4, N^2)
-    keeps the right side >= 0; the gate guarantees these 4s are h^2.  Each
-    further window is a half-plane a*h.N + b*B.N >= r: the degree budget
-    cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by M^2 >= N^2, and P.N >=
-    P.floor(n2) for every known class P, C included.  scan narrows each
-    isqrt interval by them and yields the columns they leave.  M.N >= 1
-    needs no window, as C.N >= cn_lo implies it; nor does the Hodge index on
-    (M, N): (M.N)^2 >= M^2 N^2 expands to (C.N)^2 >= C^2 N^2, C's floor.
+    keeps the right side >= 0; the gate guarantees these 4s are h^2.  Each further window is a half-plane
+    a*h.N + b*B.N >= r: the degree budget
+    cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by M^2 >= N^2, and
+    P.N >= P.floor(n2) for every known class P, C included.  scan runs x
+    over the columns at which they leave some real y and narrows each
+    isqrt interval by them.  M.N >= 1 needs no window, as C.N >= cn_lo
+    implies it; nor does the Hodge index on (M, N): (M.N)^2 >= M^2 N^2
+    expands to (C.N)^2 >= C^2 N^2, C's floor.
     """
     curve = plan.curve
     hc = curve.profile[0]

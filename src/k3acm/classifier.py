@@ -41,7 +41,7 @@ from .errors import (
     NotEffectiveCandidateError,
     TrivialClassError,
 )
-from .lattice import DivClass, Lattice, _Frozen, int_text, repr_text
+from .lattice import DivClass, Lattice, _Frozen, repr_text
 
 
 class AssumptionKind(enum.Enum):
@@ -219,7 +219,7 @@ def _classify(lat: Lattice, b: DivClass,
     if lat.self_int(lat.ample) != 4:
         raise BadParametersError(
             "the aCM windows are written for a quartic, h^2 = 4, but the "
-            f"ample class has h^2 = {int_text(lat.self_int(lat.ample))}")
+            f"ample class has h^2 = {repr_text(lat.self_int(lat.ample))}")
     if b.is_zero():
         raise TrivialClassError("the zero class is excluded from classification")
     verdict = effectivity(lat, b, assumptions)

@@ -32,7 +32,7 @@ from .config import (assumption_to_json, config_to_json, data_path,
                      load_config, shipped_quartic_names)
 from .errors import (BadParametersError, BoxTooSmallError,
                      DegenerateFormError, EngineError, WorkbenchError)
-from .lattice import DivClass, Lattice, int_text
+from .lattice import DivClass, Lattice, repr_text
 
 
 # the text of a class argument: comma-separated ASCII integers
@@ -140,7 +140,7 @@ def _cmd_classify(args) -> int:
             "missing": [assumption_to_json(m) for m in cls.missing],
         }))
         return 0
-    square, degree = int_text(lat.self_int(b)), int_text(lat.deg(b))
+    square, degree = repr_text(lat.self_int(b)), repr_text(lat.deg(b))
     if "<" in square + degree:  # an int past Python's int-to-str digit limit
         raise BadParametersError(f"cannot print B^2 = {square}, h.B = {degree}")
     print(cls.status.value)

@@ -30,23 +30,20 @@ from .errors import (
 _EXACT_INT = frozenset({int})  # .issuperset(map(type, xs)): a C-level pass
 
 
-def int_text(n: int) -> str:
-    """str(n), or n's size in bits where str() passes Python's digit limit."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"<an int of {n.bit_length()} bits>"
-
-
 def repr_text(x) -> str:
-    """repr(x), or where that raises (an int past the digit limit):
-    int_text of an int, this of each item of a tuple, else the type."""
+    """repr(x), except that an int past Python's int-to-str digit limit,
+    alone or in a tuple or a list, is written as its size in bits."""
     try:
         return repr(x)
     except ValueError:
-        if isinstance(x, tuple):
-            return f"({', '.join(map(repr_text, x))}{',' * (len(x) == 1)})"
-        return int_text(x) if isinstance(x, int) else f"<a {type(x).__name__}>"
+        if isinstance(x, int):
+            return f"<an int of {x.bit_length()} bits>"
+        if not isinstance(x, (tuple, list)):
+            raise
+    items = ", ".join(map(repr_text, x))
+    if isinstance(x, list):
+        return f"[{items}]"
+    return f"({items}{',' * (len(x) == 1)})"
 
 
 def _ints(values) -> tuple[int, ...]:
@@ -135,7 +132,7 @@ class DivClass(_Frozen):
         return all(a == 0 for a in self.coords)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(map(int_text, self.coords)) + ")"
+        return "(" + ", ".join(map(repr_text, self.coords)) + ")"
 
 
 def _check_gram(gram: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -4,6 +4,8 @@ import operator
 import random
 import sys
 import time
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -12,6 +14,7 @@ from k3acm import (BadParametersError, BoxTooSmallError, MalformedScriptError,
 from k3acm.casework import (ArithClaim, CaseSpec, Constraint, PRESET_IDS,
                             abs_t_at_least, check_rel, enumerate_case,
                             lemma_case, linear, quadratic, quartic_lattice)
+from k3acm.casework import constraints
 from k3acm.casework.constraints import _case_plan, half_plane_bounds, scan
 
 EXPECTED = {
@@ -494,6 +497,15 @@ def _swept(rows, lo: int, hi: int, x: int) -> list[int]:
             if all(a * x + b * y >= r for a, b, r in rows)]
 
 
+def _real_y_left(rows, x: int) -> bool:
+    """Whether some real y has a*x + b*y >= r for every row, by comparing
+    each row's exact bound on y."""
+    lows = [Fraction(r - a * x, b) for a, b, r in rows if b > 0]
+    highs = [Fraction(r - a * x, b) for a, b, r in rows if b < 0]
+    return (all(a * x >= r for a, b, r in rows if b == 0)
+            and (not lows or not highs or max(lows) <= min(highs)))
+
+
 def test_half_plane_bounds_and_scan_match_a_brute_force_sweep():
     rng = random.Random(4402)
     hits = {k: 0 for k in ("b=0", "b<0", "through-a-point", "divides",
@@ -525,12 +537,17 @@ def test_half_plane_bounds_and_scan_match_a_brute_force_sweep():
                 wide[0] < y_lo or wide[-1] > y_hi)
             hits["divides"] += any(b and (r - a * x) % b == 0
                                    for a, b, r in rows)
+        asked = []
         got = [(x, y)
-               for x, y_lo, y_hi in scan(rows, lo, hi, lambda x: shapes[x])
+               for x, y_lo, y_hi in scan(rows, lo, hi,
+                                         lambda x: asked.append(x) or shapes[x])
                for y in range(y_lo, y_hi + 1)]
         want = [(x, y) for x in range(lo, hi + 1)
                 for y in _swept(rows, *shapes[x], x)]
         assert got == want, (rows, lo, hi, width, tilt)
+        # scan asks for the columns at which the rows leave some real y
+        assert asked == [x for x in range(lo, hi + 1)
+                         if _real_y_left(rows, x)], (rows, lo, hi)
     assert min(hits.values()) >= 40, hits
 
 
@@ -584,8 +601,16 @@ def _plan_of(spec):
 
 
 def _s_range(spec):
-    """The s-values of the columns enumerate_case visits."""
-    return tuple(s for s, _, _ in _plan_of(spec)[1])
+    """The s at which the plan of spec asks scan for a column: those at
+    which its linear rows and |t| <= box leave some real t."""
+    asked = []
+
+    def recording(rows, lo, hi, column):
+        return scan(rows, lo, hi, lambda s: asked.append(s) or column(s))
+    with mock.patch.object(constraints, "scan", recording):
+        _case_plan.__wrapped__(tuple(con[:3] for con in spec.constraints),
+                               spec.box)
+    return tuple(asked)
 
 
 def test_s_range_solver_matches_the_sweep_on_bounded_polygons():

@@ -151,10 +151,21 @@ def test_repr_names_an_int_past_the_digit_limit_by_its_size():
     with pytest.raises(BadParametersError) as exc:
         Constraint((0,) * 5, big, 0)
     assert str(exc.value) == f"unknown relation {bits}"
+    assert repr_text([big, (big,), []]) == f"[{bits}, ({bits},), []]"
     # ordinary values print as repr() prints them
     assert repr(DivClass((3, -1))) == "DivClass(coords=(3, -1))"
     for value in (5, True, "x", (1,), [1, (2, "y")], AssumptionKind.EMPTY):
         assert repr_text(value) == repr(value)
+
+
+def test_repr_text_passes_on_an_error_that_is_not_the_digit_limit():
+    class Odd:
+        def __repr__(self):
+            raise ValueError("not a digit limit")
+
+    for value in (Odd(), (1, Odd()), [Odd()]):
+        with pytest.raises(ValueError, match="not a digit limit"):
+            repr_text(value)
 
 
 def test_no_record_passes_for_coordinates_or_a_cached_classification():
