@@ -27,7 +27,7 @@ from typing import NamedTuple
 from ..classifier import WINDOWS, complement
 from ..errors import BadParametersError, EngineError, PreconditionError
 from ..invariants import brill_noether, genus_of, lm_acm_bounds
-from ..lattice import DivClass, Lattice
+from ..lattice import DivClass, Lattice, repr_text
 from .destabilize import (QUERY_RULES, engine_assumptions,
                           enumerate_destabilizing)
 from .presets import (_B, _H, delpezzo_lattice, delpezzo_pencil_f,
@@ -351,5 +351,6 @@ def script_by_tag(tag: str) -> DerivationScript:
     case = _BY_TAG.get(tag)
     if case is None:
         known = ", ".join(sorted(_BY_TAG))
-        raise BadParametersError(f"unknown script tag {tag!r}; known: {known}")
+        raise BadParametersError(
+            f"unknown script tag {repr_text(tag)}; known: {known}")
     return case.script()

@@ -6,15 +6,14 @@ constraint has one form, an integer polynomial of degree at most 2:
 
     qss*s^2 + qst*s*t + qtt*t^2 + a*s + b*t  rel  c
 
-scan walks one half-plane region column by column (Fourier-Motzkin
-gives the x-range, the rows with a y-term narrow each column, both
-through half_plane_bounds); enumerate_case and the destabilizing
-engine's profile sweep run on it.  enumerate_case plans the columns of
-|t| <= box and the linear constraints, and the holds order, once per
-(system, box) and process; Constraint.holds decides every point of
-every column on every call, quadratic constraints first, as they reject
-most.  A survivor on the box boundary raises BoxTooSmallError because
-it signals the solution set may be truncated.
+scan walks one half-plane region column by column, narrowing each
+column by every row through half_plane_bounds; enumerate_case and the
+destabilizing engine's profile sweep run on it.  enumerate_case plans
+the columns of |t| <= box and the linear constraints, and the holds
+order, once per (system, box) and process; Constraint.holds decides
+every point of every column on every call, quadratic constraints first,
+as they reject most.  A survivor on the box boundary raises
+BoxTooSmallError because it signals the solution set may be truncated.
 
 Constraints carry their justification (an axiom id plus a citation string
 quoting the inequality being encoded) so every preset is auditable.
@@ -126,7 +125,7 @@ Row = tuple[int, int, int]  # (a, b, r): a*x + b*y >= r, here (x, y) = (s, t)
 
 
 def half_plane_bounds(rows: Iterable[Row], lo: int, hi: int,
-                      x: int = 0) -> tuple[int, int]:
+                      x: int) -> tuple[int, int]:
     """The integers y in [lo, hi] with a*x + b*y >= r for every row
     (a, b, r), as (lo, hi); lo > hi when none is left.  Plain comparisons
     instead of max and min: scan calls it per column."""
@@ -149,19 +148,10 @@ def scan(rows: list[Row], lo: int, hi: int,
          column: Callable[[int], tuple[int, int]]
          ) -> Iterator[tuple[int, int, int]]:
     """Each nonempty column (x, y_lo, y_hi), lo <= x <= hi, of the integer
-    y in column(x) with a*x + b*y >= r for each row (a, b, r).  x runs
-    over the range left by the rows without y and, Fourier-Motzkin style,
-    by each pair of a lower and an upper bound on y, read as rows
-    (0, coef, r); the rows with y narrow each column."""
-    lows = [row for row in rows if row[1] > 0]
-    highs = [row for row in rows if row[1] < 0]
-    x_rows = [(0, a, r) for a, b, r in rows if b == 0]
-    x_rows += [(0, b1 * a2 - b2 * a1, b1 * r2 - b2 * r1)
-               for a1, b1, r1 in lows for a2, b2, r2 in highs]
-    lo, hi = half_plane_bounds(x_rows, lo, hi)
-    y_rows = lows + highs
+    y in column(x) with a*x + b*y >= r for each row (a, b, r): every x is
+    narrowed by all rows, and a row without y empties a column it fails."""
     for x in range(lo, hi + 1):
-        y_lo, y_hi = half_plane_bounds(y_rows, *column(x), x)
+        y_lo, y_hi = half_plane_bounds(rows, *column(x), x)
         if y_lo <= y_hi:
             yield x, y_lo, y_hi
 
@@ -170,10 +160,10 @@ def scan(rows: list[Row], lo: int, hi: int,
 def _case_plan(system: tuple, box: int) -> tuple[tuple, tuple]:
     """(holds order, columns) of a system of (coeffs, rel, c) and a box:
     the positions of the quadratic constraints then of the rest, and what
-    scan leaves of |t| <= box and the linear rows (a strict relation
-    tightened by one, = as two rows).  A plan holds at most 513 columns
-    (box 256, no linear row), about 60 KB; the 64 kept, under 4 MB."""
-    rows: list[Row] = [(0, 1, -box), (0, -1, -box)]  # |t| <= box
+    scan leaves of the 2*box + 1 columns |t| <= box under the linear rows
+    (a strict relation tightened by one, = as two rows).  At most 513
+    columns (box 256, no linear row), about 60 KB; 64 kept, under 4 MB."""
+    rows: list[Row] = []
     for (qss, qst, qtt, a, b), rel, c in system:
         if not (qss or qst or qtt):
             rows += {">=": [(a, b, c)], ">": [(a, b, c + 1)],

@@ -410,9 +410,9 @@ def _profiles(lat: Lattice, plan: _Plan, d: int, n2: int,
     keeps the right side >= 0; the gate guarantees these 4s are h^2.  Each further window is a half-plane
     a*h.N + b*B.N >= r: the degree budget
     cn_lo <= C.N <= min(cn_hi, C^2 // 2), capped by M^2 >= N^2, and
-    P.N >= P.floor(n2) for every known class P, C included.  scan runs x
-    over the columns at which they leave some real y and narrows each
-    isqrt interval by them.  M.N >= 1 needs no window, as C.N >= cn_lo
+    P.N >= P.floor(n2) for every known class P, C included.  scan
+    narrows the isqrt interval of each x in [xmin, xmax] by all of them
+    and keeps it if nonempty.  M.N >= 1 needs no window, as C.N >= cn_lo
     implies it; nor does the Hodge index on (M, N): (M.N)^2 >= M^2 N^2
     expands to (C.N)^2 >= C^2 N^2, C's floor.
     """

@@ -19,7 +19,7 @@ import functools
 from ..classifier import WINDOWS, Assumption, AssumptionKind, acm_window
 from ..errors import BadParametersError
 from ..invariants import hodge_lower
-from ..lattice import DivClass, Lattice
+from ..lattice import DivClass, Lattice, repr_text
 from .constraints import (CaseSpec, Constraint, abs_t_at_least, linear,
                           quadratic)
 
@@ -139,7 +139,7 @@ def _preset_system(preset_id: str) -> tuple[Lattice, tuple[Constraint, ...]]:
     so the cache only ever holds the ids of PRESET_IDS."""
     if preset_id not in PRESET_PRESENTATION:
         raise BadParametersError(
-            f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
+            f"unknown preset {repr_text(preset_id)}; choose from {PRESET_IDS}")
     b2, hb = PRESET_PRESENTATION[preset_id]
     lat, k = quartic_lattice(b2, hb), WINDOWS[b2, hb][1]
     return lat, (

@@ -67,7 +67,7 @@ from ..axioms import is_registered
 from ..config import _is_int
 from ..errors import MalformedScriptError, WorkbenchError
 from ..invariants import genus_of
-from ..lattice import _EXACT_INT, DivClass, Lattice
+from ..lattice import _EXACT_INT, DivClass, Lattice, repr_text
 from .constraints import _is_rel, check_rel
 
 Expr = Any  # int, or a dict {"op": str, ...}
@@ -80,14 +80,14 @@ def _coords(value) -> tuple[int, ...]:
             _EXACT_INT.issuperset(map(type, value))
             or all(map(_is_int, value))):
         raise MalformedScriptError(
-            f"class coordinates must be a list of ints, got {value!r}")
+            f"class coordinates must be a list of ints, got {repr_text(value)}")
     return tuple(value)
 
 
 def _args(expr: dict) -> Sequence[Expr]:
     args = expr["args"]
     if type(args) not in (list, tuple):
-        raise MalformedScriptError(f"'args' must be a list, got {args!r}")
+        raise MalformedScriptError(f"'args' must be a list, got {repr_text(args)}")
     return args
 
 
@@ -110,12 +110,13 @@ def _walk(expr: Expr) -> int | Compiled:
             raise MalformedScriptError("boolean is not a valid expression")
         return lambda lat: expr  # an int subclass is returned as it is
     if not isinstance(expr, dict) or "op" not in expr:
-        raise MalformedScriptError(f"bad expression: {expr!r}")
+        raise MalformedScriptError(f"bad expression: {repr_text(expr)}")
     op = expr["op"]
     try:
         compiler = _COMPILERS[op]
     except (KeyError, TypeError):
-        raise MalformedScriptError(f"unknown expression op {op!r}") from None
+        raise MalformedScriptError(
+            f"unknown expression op {repr_text(op)}") from None
     # compilers read this node's keys directly; nested _walk calls convert
     # their own, so a KeyError here is a key missing from this expression
     try:
@@ -311,7 +312,7 @@ class ArithClaim:
     def __init__(self, label: str, lhs: Expr, rel: str, rhs: Expr,
                  cite: str = "", contradicts: str = ""):
         if not _is_rel(rel):
-            raise MalformedScriptError(f"unknown relation {rel!r}")
+            raise MalformedScriptError(f"unknown relation {repr_text(rel)}")
         d = self.__dict__
         d["label"], d["lhs"], d["rel"] = label, lhs, rel
         d["rhs"], d["cite"], d["contradicts"] = rhs, cite, contradicts
@@ -325,7 +326,8 @@ class AxiomUse(namedtuple("AxiomUse", "axiom_id note cite")):
 
     def __new__(cls, axiom_id: str, note: str = "", cite: str = ""):
         if not is_registered(axiom_id):
-            raise MalformedScriptError(f"unregistered axiom id {axiom_id!r}")
+            raise MalformedScriptError(
+                f"unregistered axiom id {repr_text(axiom_id)}")
         return tuple.__new__(cls, (axiom_id, note, cite))
 
 
@@ -338,7 +340,8 @@ class Conclusion(namedtuple("Conclusion", "kind statement")):
 
     def __new__(cls, kind: str, statement: str = ""):
         if kind not in ("contradiction", "established"):
-            raise MalformedScriptError(f"unknown conclusion kind {kind!r}")
+            raise MalformedScriptError(
+                f"unknown conclusion kind {repr_text(kind)}")
         if kind == "established" and not statement:
             raise MalformedScriptError("an established conclusion needs a statement")
         return tuple.__new__(cls, (kind, statement))
@@ -363,7 +366,7 @@ class DerivationScript:
         object.__setattr__(self, "steps", tuple(self.steps))
         for st in self.steps:
             if not isinstance(st, (ArithClaim, AxiomUse)):
-                raise MalformedScriptError(f"bad step {st!r}")
+                raise MalformedScriptError(f"bad step {repr_text(st)}")
         if self.conclusion.kind == "contradiction":
             if not self.steps or not isinstance(self.steps[-1], ArithClaim) \
                     or not self.steps[-1].contradicts:

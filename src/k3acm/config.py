@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .classifier import Assumption, AssumptionKind
 from .errors import ConfigError
-from .lattice import _EXACT_INT, DivClass, Lattice
+from .lattice import _EXACT_INT, DivClass, Lattice, repr_text
 
 _CONFIG_KEYS = ("rank", "gram", "labels", "ample", "k3", "assumptions")
 _ASSUMPTION_KEYS = ("subject", "kind", "note")
@@ -73,7 +73,7 @@ def assumption_from_json(data, rank: int) -> Assumption:
     except ValueError:
         allowed = ", ".join(k.value for k in AssumptionKind)
         raise ConfigError(
-            f"unknown assumption kind {data['kind']!r}; "
+            f"unknown assumption kind {repr_text(data['kind'])}; "
             f"expected one of: {allowed}") from None
     note = data.get("note", "")
     if not isinstance(note, str):
@@ -176,7 +176,7 @@ def data_path(name: str) -> Path:
     """Absolute path of a shipped config file (e.g. ``quartic_b2_4.json``)."""
     if name not in shipped_config_names():  # a bare file name, never a path
         raise ConfigError(
-            f"no shipped config named {name!r}; "
+            f"no shipped config named {repr_text(name)}; "
             f"available: {shipped_config_names()}")
     return _DATA_DIR / name
 

@@ -32,12 +32,15 @@ _EXACT_INT = frozenset({int})  # .issuperset(map(type, xs)): a C-level pass
 
 def repr_text(x) -> str:
     """repr(x), except that an int past Python's int-to-str digit limit,
-    alone or in a tuple or a list, is written as its size in bits."""
+    alone or in a tuple, a list or a dict, is written as its size in bits."""
     try:
         return repr(x)
     except ValueError:
         if isinstance(x, int):
             return f"<an int of {x.bit_length()} bits>"
+        if isinstance(x, dict):
+            return "{" + ", ".join(f"{repr_text(k)}: {repr_text(v)}"
+                                   for k, v in x.items()) + "}"
         if not isinstance(x, (tuple, list)):
             raise
     items = ", ".join(map(repr_text, x))
@@ -140,7 +143,7 @@ def _check_gram(gram: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
         rows = tuple(map(_ints, gram))
     except TypeError:
         raise BadParametersError(
-            f"gram entries must be ints, got {gram!r}") from None
+            f"gram entries must be ints, got {repr_text(gram)}") from None
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise BadDimensionsError("gram matrix must be square and nonempty")

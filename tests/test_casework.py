@@ -4,8 +4,6 @@ import operator
 import random
 import sys
 import time
-from fractions import Fraction
-from unittest import mock
 
 import pytest
 
@@ -14,7 +12,6 @@ from k3acm import (BadParametersError, BoxTooSmallError, MalformedScriptError,
 from k3acm.casework import (ArithClaim, CaseSpec, Constraint, PRESET_IDS,
                             abs_t_at_least, check_rel, enumerate_case,
                             lemma_case, linear, quadratic, quartic_lattice)
-from k3acm.casework import constraints
 from k3acm.casework.constraints import _case_plan, half_plane_bounds, scan
 
 EXPECTED = {
@@ -497,15 +494,6 @@ def _swept(rows, lo: int, hi: int, x: int) -> list[int]:
             if all(a * x + b * y >= r for a, b, r in rows)]
 
 
-def _real_y_left(rows, x: int) -> bool:
-    """Whether some real y has a*x + b*y >= r for every row, by comparing
-    each row's exact bound on y."""
-    lows = [Fraction(r - a * x, b) for a, b, r in rows if b > 0]
-    highs = [Fraction(r - a * x, b) for a, b, r in rows if b < 0]
-    return (all(a * x >= r for a, b, r in rows if b == 0)
-            and (not lows or not highs or max(lows) <= min(highs)))
-
-
 def test_half_plane_bounds_and_scan_match_a_brute_force_sweep():
     rng = random.Random(4402)
     hits = {k: 0 for k in ("b=0", "b<0", "through-a-point", "divides",
@@ -538,16 +526,12 @@ def test_half_plane_bounds_and_scan_match_a_brute_force_sweep():
             hits["divides"] += any(b and (r - a * x) % b == 0
                                    for a, b, r in rows)
         asked = []
-        got = [(x, y)
-               for x, y_lo, y_hi in scan(rows, lo, hi,
-                                         lambda x: asked.append(x) or shapes[x])
-               for y in range(y_lo, y_hi + 1)]
-        want = [(x, y) for x in range(lo, hi + 1)
-                for y in _swept(rows, *shapes[x], x)]
+        got = list(scan(rows, lo, hi, lambda x: asked.append(x) or shapes[x]))
+        want = [(x, ys[0], ys[-1]) for x in range(lo, hi + 1)
+                for ys in [_swept(rows, *shapes[x], x)] if ys]
         assert got == want, (rows, lo, hi, width, tilt)
-        # scan asks for the columns at which the rows leave some real y
-        assert asked == [x for x in range(lo, hi + 1)
-                         if _real_y_left(rows, x)], (rows, lo, hi)
+        # scan narrows every column of [lo, hi], once each, in order
+        assert asked == list(range(lo, hi + 1)), (rows, lo, hi)
     assert min(hits.values()) >= 40, hits
 
 
@@ -600,32 +584,32 @@ def _plan_of(spec):
     return _case_plan(tuple(con[:3] for con in spec.constraints), spec.box)
 
 
-def _s_range(spec):
-    """The s at which the plan of spec asks scan for a column: those at
-    which its linear rows and |t| <= box leave some real t."""
-    asked = []
-
-    def recording(rows, lo, hi, column):
-        return scan(rows, lo, hi, lambda s: asked.append(s) or column(s))
-    with mock.patch.object(constraints, "scan", recording):
-        _case_plan.__wrapped__(tuple(con[:3] for con in spec.constraints),
-                               spec.box)
-    return tuple(asked)
+def _swept_columns(spec):
+    """The nonempty columns (s, t_lo, t_hi) of the box points at which the
+    linear constraints of spec hold, by testing each point."""
+    box = spec.box
+    cons = [c for c in spec.constraints if not any(c.coeffs[:3])]
+    out = []
+    for s in range(-box, box + 1):
+        ts = [t for t in range(-box, box + 1)
+              if all(c.holds(s, t) for c in cons)]
+        if ts:
+            out.append((s, ts[0], ts[-1]))
+    return tuple(out)
 
 
 def test_s_range_solver_matches_the_sweep_on_bounded_polygons():
     rng = random.Random(23)
     hits = {k: 0 for k in (">=", ">", "<=", "<", "=", "quadratic", "abs-t")}
-    narrowed = nonempty = 0
+    nonempty = 0
     for _ in range(150):
         spec = _polygon_spec(rng, hits)
         got = _outcome(enumerate_case, spec)
         assert got == _outcome(_sweep_enumerate, spec), spec.constraints
-        assert all(s in _s_range(spec) for s, _ in got), spec.constraints
-        narrowed += len(_s_range(spec)) < 2 * spec.box + 1
+        assert _plan_of(spec)[1] == _swept_columns(spec), spec.constraints
         nonempty += bool(got)
     assert min(hits.values()) >= 20, hits
-    assert narrowed >= 140 and nonempty >= 60, (narrowed, nonempty)
+    assert nonempty >= 60, nonempty
 
 
 @pytest.mark.parametrize("cons", [
@@ -635,27 +619,29 @@ def test_s_range_solver_matches_the_sweep_on_bounded_polygons():
 ], ids=["quadratic", "quadratic-abs-t", "abs-t"])
 def test_specs_without_linear_rows_walk_the_whole_box(cons):
     spec = CaseSpec(lattice=quartic_lattice(-2, 1), constraints=cons, box=21)
-    assert _s_range(spec) == tuple(range(-21, 22))
+    assert _plan_of(spec)[1] == tuple((s, -21, 21) for s in range(-21, 22))
     assert _outcome(enumerate_case, spec) == _outcome(_sweep_enumerate, spec)
 
 
 def test_s_range_of_the_constant_rows():
     lat = quartic_lattice(-2, 1)
     never = CaseSpec(lattice=lat, constraints=(linear(0, 0, ">", 0),), box=16)
-    assert _s_range(never) == tuple(range(0))
+    assert _plan_of(never)[1] == ()
     strip = CaseSpec(lattice=lat, constraints=(linear(2, 0, ">", 3),
                                               linear(3, 0, "<=", 20)), box=16)
-    assert _s_range(strip) == tuple(range(2, 7))
+    assert _plan_of(strip)[1] == tuple((s, -16, 16) for s in range(2, 7))
 
 
 def test_preset_s_ranges_do_not_depend_on_the_box():
     for pid in PRESET_IDS:
-        ranges = {box: _s_range(lemma_case(pid, box=box))
-                  for box in (16, 17, 32, 64, 128, 256)}
-        assert len(set(ranges.values())) == 1, (pid, ranges)
-        columns = ranges[16]
-        assert 0 < len(columns) <= 9, (pid, columns)
-        assert all(s in columns for s, _ in EXPECTED[pid]), (pid, columns)
+        plans = {box: _plan_of(lemma_case(pid, box=box))[1]
+                 for box in (16, 17, 32, 64, 128, 256)}
+        assert len(set(plans.values())) == 1, (pid, plans)
+        columns = plans[16]
+        assert 3 <= len(columns) <= 6, (pid, columns)
+        assert all(any(s == x and t_lo <= t <= t_hi
+                       for x, t_lo, t_hi in columns)
+                   for s, t in EXPECTED[pid]), (pid, columns)
 
 
 def _with(bad):

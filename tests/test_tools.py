@@ -28,10 +28,10 @@ def test_cli_digests_prints_one_line_per_surface():
     proc = _digests(ROOT)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 43, lines
+    assert len(lines) == 51, lines
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.* \(\d+ runs\)", line)
                for line in lines), lines
-    assert len({line.split("  ", 1)[1] for line in lines}) == 43
+    assert len({line.split("  ", 1)[1] for line in lines}) == 51
 
 
 def test_cli_digests_finds_no_difference_between_a_checkout_and_itself():
@@ -81,7 +81,7 @@ def test_cli_digests_names_the_first_run_that_differs(tmp_path):
     assert scripts_first == "  first differing run: script gonality-2B"
     # the single-root output is as before: one digest line per surface
     proc = _digests(changed)
-    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 43
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 51
 
 
 def test_import_cost_prints_the_cli_and_each_package_module():

@@ -23,11 +23,15 @@ from k3acm import (AcmClassification, AcmDegreeWindow, AcmStatus, Assumption,
                    DivClass, Effectivity, LMInvariants, Lattice,
                    MalformedScriptError, Verdict, derived_assumptions,
                    is_initialized_acm)
-from k3acm.casework import (AxiomUse, CaseSpec, Conclusion, Constraint,
-                            DerivationReport, NecessityReport, ReductionRow,
+from k3acm.casework import (CONTRADICTION, ArithClaim, AxiomUse, CaseSpec,
+                            Conclusion, Constraint, DerivationReport,
+                            DerivationScript, NecessityReport, ReductionRow,
                             StepReport, SurvivorMatch, enumerate_destabilizing,
-                            evaluate, quartic_lattice, verify_necessity)
-from k3acm.casework.casebook import Case
+                            evaluate, lemma_case, quartic_lattice,
+                            verify_necessity)
+from k3acm.casework.casebook import Case, script_by_tag
+from k3acm.config import assumption_from_json, data_path
+from k3acm.errors import ConfigError
 from k3acm.lattice import repr_text
 
 B = DivClass((0, 1))
@@ -152,10 +156,43 @@ def test_repr_names_an_int_past_the_digit_limit_by_its_size():
         Constraint((0,) * 5, big, 0)
     assert str(exc.value) == f"unknown relation {bits}"
     assert repr_text([big, (big,), []]) == f"[{bits}, ({bits},), []]"
+    assert repr_text({"x": [big], big: 1}) == f"{{'x': [{bits}], {bits}: 1}}"
     # ordinary values print as repr() prints them
     assert repr(DivClass((3, -1))) == "DivClass(coords=(3, -1))"
-    for value in (5, True, "x", (1,), [1, (2, "y")], AssumptionKind.EMPTY):
+    for value in (5, True, "x", (1,), [1, (2, "y")], {"op": [1]}, {},
+                  AssumptionKind.EMPTY):
         assert repr_text(value) == repr(value)
+
+
+@pytest.mark.parametrize("error, refuse", [
+    (BadParametersError,
+     lambda big: Lattice([[big, 1.5], [1.5, 1]], ("h", "B"), (1, 0))),
+    (MalformedScriptError,
+     lambda big: evaluate({"op": "pair", "a": [big, 1.5], "b": [1, 0]}, LAT)),
+    (MalformedScriptError, lambda big: evaluate({"op": "add", "args": big}, LAT)),
+    (MalformedScriptError, lambda big: evaluate({"x": big}, LAT)),
+    (MalformedScriptError, lambda big: evaluate({"op": big}, LAT)),
+    (MalformedScriptError, lambda big: ArithClaim("c", 1, big, 1)),
+    (MalformedScriptError, lambda big: AxiomUse(big)),
+    (MalformedScriptError, lambda big: Conclusion(big)),
+    (MalformedScriptError,
+     lambda big: DerivationScript("t", LAT, (big,), CONTRADICTION)),
+    (BadParametersError, lambda big: script_by_tag(big)),
+    (BadParametersError, lambda big: lemma_case(big)),
+    (ConfigError,
+     lambda big: assumption_from_json({"subject": [0, 1], "kind": big}, 2)),
+    (ConfigError, lambda big: data_path(big)),
+], ids=["gram", "coords", "args", "expression", "op", "relation", "axiom",
+        "conclusion", "step", "script-tag", "preset", "assumption-kind",
+        "config-name"])
+def test_a_refused_int_past_the_digit_limit_is_named_by_its_size(error,
+                                                                  refuse):
+    limit = (getattr(sys, "get_int_max_str_digits", int)()
+             or pytest.skip("this interpreter has no int-to-str digit limit"))
+    big = 10 ** (limit + 700)
+    with pytest.raises(error) as exc:
+        refuse(big)
+    assert f"<an int of {big.bit_length()} bits>" in str(exc.value)
 
 
 def test_repr_text_passes_on_an_error_that_is_not_the_digit_limit():
@@ -163,7 +200,7 @@ def test_repr_text_passes_on_an_error_that_is_not_the_digit_limit():
         def __repr__(self):
             raise ValueError("not a digit limit")
 
-    for value in (Odd(), (1, Odd()), [Odd()]):
+    for value in (Odd(), (1, Odd()), [Odd()], {"x": Odd()}):
         with pytest.raises(ValueError, match="not a digit limit"):
             repr_text(value)
 

@@ -22,6 +22,9 @@ Surfaces: ``theorem`` in text and ``--json`` at boxes 16, 128 and 256;
 ``enumerate --preset P --json`` for each preset, without and with ``-c``
 (the shipped config of the preset's presentation), and at ``--box 16``
 and ``--box 256``, the smallest and largest box the solver accepts;
+``enumerate --preset P --box B`` in text for each preset at boxes 16, 128
+and 256; ``enumerate --preset P -c`` with each shipped quartic config of
+another presentation, which it refuses;
 ``classify`` and ``companions``, text and ``--json``, on the seven
 shipped quartic configs for every class (s, t) with |s|, |t| <= 3;
 ``verify --script TAG --json`` and ``verify --script TAG`` (text) for
@@ -29,8 +32,14 @@ each row of ``casebook.CASES``;
 ``verify --script TAG -c MUTANT --json`` for each row and each +/-1
 change of one diagonal entry or one symmetric off-diagonal pair of its
 Gram matrix, written as a ``k3: false`` config ``TAG.MUTANT.json`` in a
-temporary directory;
-``lattice-info``, text and ``--json``, on every shipped config;
+temporary directory, and the same command lines in text;
+``verify -c`` with a config of the wrong rank: the rank-8
+``delpezzo-cover`` on a quartic config and ``case-B24`` on the rank-8
+one; ``classify`` and ``companions``, text and ``--json``, for every
+class with |s|, |t| <= 3 on the (4, 6) config with its assumptions
+removed, whose text names the facts B's classification needs;
+``lattice-info``, text and ``--json``, on every shipped config and on a
+degenerate ``k3: false`` config;
 ``example-delpezzo``, text and ``--json``; the 630 queries of
 ``k3bench.workloads.destabilize_grid``, text and ``--json``; ``usage``:
 ``--help`` of the top level and of each command, and the lines argparse
@@ -116,6 +125,14 @@ def _surfaces(root: Path, workdir: Path) -> dict[str, list]:
         for box in ("16", "256"):
             out[f"enumerate --preset {pid} --box {box} --json"] = [
                 argv + ["--box", box]]
+    for box in ("16", "128", "256"):
+        out[f"enumerate --box {box}"] = [
+            ["enumerate", "--preset", pid, "--box", box]
+            for pid in PRESET_PRESENTATION]
+    out["enumerate -c other presentation"] = [
+        ["enumerate", "--preset", pid, "-c", str(path)]
+        for pid, profile in PRESET_PRESENTATION.items()
+        for other, path in by_profile.items() if other != profile]
     for command in ("classify", "companions"):
         for flags in ([], ["--json"]):
             out[" ".join([command, *flags])] = [
@@ -129,14 +146,32 @@ def _surfaces(root: Path, workdir: Path) -> dict[str, list]:
             for path in sorted(data.glob("*.json"))]
         out[" ".join(["example-delpezzo", *flags])] = [
             ["example-delpezzo", *flags]]
-    mutants = out["verify -c mutants --json"] = []
+    mutants = out["verify -c mutants"] = []
     for case in CASES:
         lat = case.script().lattice
         for name, gram in _mutants(lat.gram):
             path = workdir / f"{case.tag}.{name}.json"
             path.write_text(json.dumps(_config_doc(gram, lat, k3=False)))
-            mutants.append(["verify", "--script", case.tag, "-c", str(path),
-                            "--json"])
+            mutants.append(["verify", "--script", case.tag, "-c", str(path)])
+    out["verify -c mutants --json"] = [argv + ["--json"] for argv in mutants]
+    out["verify -c rank mismatch"] = [
+        ["verify", "--script", "delpezzo-cover", "-c", str(by_profile[-2, 1])],
+        ["verify", "--script", "case-B24", "-c",
+         str(data / "delpezzo_cover.json")]]
+    ulrich = json.loads(by_profile[4, 6].read_text())
+    bare = workdir / "quartic_b2_4.no-facts.json"
+    bare.write_text(json.dumps({**ulrich, "assumptions": []}))
+    out["classify and companions without facts"] = [
+        [command, "-c", str(bare), cls, *flags]
+        for command in ("classify", "companions")
+        for flags in ([], ["--json"]) for cls in classes]
+    degenerate = workdir / "degenerate.json"
+    degenerate.write_text(json.dumps(
+        {"rank": 2, "gram": [[2, 2], [2, 2]], "labels": ["h", "B"],
+         "ample": [1, 0], "k3": False, "assumptions": []}))
+    out["lattice-info degenerate"] = [
+        ["lattice-info", "-c", str(degenerate), *flags]
+        for flags in ([], ["--json"])]
     for flags in ([], ["--json"]):
         out[" ".join(["destabilize grid", *flags])] = [
             ["destabilize", "-c", str(data / name), f"--class={s},{t}",
